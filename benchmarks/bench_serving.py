@@ -11,8 +11,10 @@ Measures the two numbers the serving layer exists for and writes them to
   path is the unit of work, so serving threads share one loaded model);
 * **Sustained probes per second** through the work-stealing
   :class:`~repro.serving.orchestrator.CensusOrchestrator` with one and with
-  two concurrent workers (probes = census probe attempts committed to the
-  checkpoint per wall-clock second).
+  two worker processes (probes = census probe attempts committed to the
+  checkpoint per wall-clock second), as medians of paired runs, with a
+  tripwire that two workers must beat one on a machine with two or more
+  cores.
 
 Both concurrent sections run with >= 2 workers, as the serving acceptance
 criteria require. The artifact section records the cold-start story: fit
@@ -23,6 +25,8 @@ by a wide margin (that is the entire point of persistable artifacts).
 from __future__ import annotations
 
 import json
+import os
+import statistics
 import sys
 import tempfile
 import threading
@@ -46,6 +50,8 @@ CLASSIFY_BATCH = 2000
 CLASSIFY_ROUNDS = 10
 CONCURRENT_CLIENTS = 2
 ORCHESTRATOR_WORKERS = 2
+#: Back-to-back (1 worker, 2 workers) pairs; the order alternates per pair.
+PAIRED_RUNS = 3
 #: Tripwire: loading the artifact must beat retraining by at least this
 #: factor (the development machine measures >100x; the margin is generous
 #: so loaded CI runners do not flake).
@@ -122,34 +128,57 @@ def bench_classify(service: CensusService) -> dict:
     }
 
 
+def run_orchestrator(classifier, directory: Path, workers: int):
+    """One orchestrated census; returns ``(seconds, probes, outcome blob)``."""
+    population = ServerPopulation(PopulationConfig(size=CENSUS_SIZE, seed=424))
+    population.generate()
+    runner = CensusRunner(classifier, CensusConfig(seed=17))
+    orchestrator = CensusOrchestrator(runner, population, directory,
+                                      num_shards=NUM_SHARDS)
+    start = time.perf_counter()
+    report = orchestrator.run(workers=workers)
+    seconds = time.perf_counter() - start
+    probes = sum(outcome.attempts for outcome in report.outcomes)
+    blob = json.dumps([outcome.to_json_dict() for outcome in report.outcomes],
+                      sort_keys=True)
+    return seconds, probes, blob
+
+
 def bench_orchestrator(classifier, directory: Path) -> dict:
-    result = {"servers": CENSUS_SIZE, "num_shards": NUM_SHARDS}
-    blobs = {}
-    for workers in (1, ORCHESTRATOR_WORKERS):
-        population = ServerPopulation(PopulationConfig(size=CENSUS_SIZE,
-                                                       seed=424))
-        population.generate()
-        runner = CensusRunner(classifier, CensusConfig(seed=17))
-        orchestrator = CensusOrchestrator(
-            runner, population, directory / f"ckpt-{workers}",
-            num_shards=NUM_SHARDS)
-        start = time.perf_counter()
-        report = orchestrator.run(workers=workers)
-        seconds = time.perf_counter() - start
-        probes = sum(outcome.attempts for outcome in report.outcomes)
-        result[f"workers_{workers}"] = {
-            "seconds": round(seconds, 3),
-            "servers_per_second": round(len(report) / seconds, 2),
-            "sustained_probes_per_second": round(probes / seconds, 2),
-        }
-        blobs[workers] = json.dumps(
-            [outcome.to_json_dict() for outcome in report.outcomes],
-            sort_keys=True)
-        print(f"  orchestrator x{workers}: {seconds:.2f}s  "
-              f"{probes / seconds:.1f} probes/s", flush=True)
-    if blobs[1] != blobs[ORCHESTRATOR_WORKERS]:
+    counts = (1, ORCHESTRATOR_WORKERS)
+    seconds = {workers: [] for workers in counts}
+    blobs = set()
+    for pair in range(PAIRED_RUNS):
+        for workers in (counts if pair % 2 == 0 else counts[::-1]):
+            elapsed, probes, blob = run_orchestrator(
+                classifier, directory / f"ckpt-{pair}-{workers}", workers)
+            seconds[workers].append(elapsed)
+            blobs.add(blob)
+            print(f"  orchestrator x{workers}: {elapsed:.2f}s  "
+                  f"{probes / elapsed:.1f} probes/s", flush=True)
+    if len(blobs) != 1:
         raise SystemExit("FAIL: concurrent orchestrator run diverged from "
                          "the single-worker run")
+    result = {"servers": CENSUS_SIZE, "num_shards": NUM_SHARDS,
+              "paired_runs": PAIRED_RUNS}
+    for workers in counts:
+        median = statistics.median(seconds[workers])
+        result[f"workers_{workers}"] = {
+            "seconds": round(median, 3),
+            "runs_seconds": [round(value, 3) for value in seconds[workers]],
+            "servers_per_second": round(CENSUS_SIZE / median, 2),
+            "sustained_probes_per_second": round(probes / median, 2),
+        }
+    speedup = statistics.median(
+        one / many for one, many in zip(seconds[1],
+                                        seconds[ORCHESTRATOR_WORKERS]))
+    result[f"workers_{ORCHESTRATOR_WORKERS}_speedup"] = round(speedup, 3)
+    print(f"  x{ORCHESTRATOR_WORKERS} over x1: {speedup:.2f} (median of "
+          f"{PAIRED_RUNS} pairs)", flush=True)
+    if (os.cpu_count() or 1) >= 2 and speedup <= 1.0:
+        raise SystemExit(
+            f"FAIL: {ORCHESTRATOR_WORKERS} orchestrator workers are not "
+            f"faster than 1 (median paired speedup {speedup:.2f})")
     return result
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
 
 from repro.cli.settings import (
     POPULATION_KEYS,
@@ -122,11 +121,14 @@ def _serve(args: argparse.Namespace) -> int:
 
 
 class _ResultPublisher:
-    """Appends committed shards' outcomes to a JSONL file, thread-safely."""
+    """Appends committed shards' outcomes to a JSONL file.
+
+    Runs in the serving process only (the orchestrator relays every commit
+    from its worker processes), so appends need no lock.
+    """
 
     def __init__(self, path: str | None):
         self._path = path
-        self._lock = threading.Lock()
         if path:
             # Truncate up front so a re-serve doesn't append to stale data.
             open(path, "w", encoding="utf-8").close()
@@ -146,10 +148,9 @@ class _ResultPublisher:
                              "outcome": outcome.to_json_dict()},
                             sort_keys=True)
                  for outcome in outcomes]
-        with self._lock:
-            with open(self._path, "a", encoding="utf-8") as stream:
-                for line in lines:
-                    stream.write(line + "\n")
+        with open(self._path, "a", encoding="utf-8") as stream:
+            for line in lines:
+                stream.write(line + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -176,7 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shards", type=int, default=8,
                         help="work-queue shard count (default: 8)")
     parser.add_argument("--workers", type=int, default=2,
-                        help="concurrent orchestrator workers (default: 2)")
+                        help="concurrent orchestrator worker processes "
+                             "(default: 2)")
     parser.add_argument("--lease-timeout", type=float,
                         default=DEFAULT_LEASE_TIMEOUT,
                         help="seconds without a heartbeat before a shard "

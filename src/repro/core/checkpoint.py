@@ -368,6 +368,20 @@ class CensusCheckpoint:
                 hint="rerun the census with a fresh checkpoint directory")
         return cls(directory, manifest)
 
+    def reload(self) -> None:
+        """Re-read the manifest from disk.
+
+        Another process sharing the directory may have committed shards
+        since this object last read or wrote the manifest; the work queue
+        (:mod:`repro.serving.queue`) reloads under its cross-process lock
+        before every read-modify-write.
+
+        Raises:
+            CheckpointError: If the manifest is missing, unreadable, or of an
+                unsupported format version.
+        """
+        self.manifest = self.open(self.directory).manifest
+
     def verify_fingerprint(self, fingerprint: str) -> None:
         """Reject a resume whose configuration differs from the original run.
 

@@ -157,8 +157,9 @@ class _StackedForest:
         template before scattering leaves into it and rebinds (rather than
         mutates) the compressed routing arrays. The cache slot itself is read
         into a local before validation, so concurrent classifying threads
-        (the serving layer's workers) can interleave safely — a thread that
-        loses the publication race simply rebuilds its own scaffold.
+        (``CensusService.classify_batch`` callers) can interleave safely — a
+        thread that loses the publication race simply rebuilds its own
+        scaffold.
         """
         scaffold = self._scaffold
         if scaffold is None or scaffold[0] != (n, n_features):

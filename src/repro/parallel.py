@@ -7,10 +7,6 @@ one ``map``-style interface:
 
 * ``serial`` -- run tasks in-process, in order (the default; also what the
   worker processes themselves use);
-* ``thread`` -- fan tasks out over a :class:`~concurrent.futures.ThreadPoolExecutor`
-  (no pickling; the simulation is pure Python so threads mostly interleave
-  rather than parallelise, but the backend matters for serving, where probe
-  work inside an orchestrator worker must not spawn nested processes);
 * ``process`` -- fan tasks out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
 
 Determinism is the design constraint: callers derive one independent random
@@ -34,7 +30,7 @@ from __future__ import annotations
 import functools
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -42,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 #: Names accepted by :class:`ParallelExecutor`'s ``backend`` field.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def task_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
@@ -140,9 +136,9 @@ class ParallelExecutor:
     """Deterministic map over independent tasks with a pluggable backend.
 
     Attributes:
-        backend: ``"serial"``, ``"thread"`` or ``"process"``.
-        max_workers: worker count for the pool backends (``None`` uses one
-            worker per CPU).
+        backend: ``"serial"`` or ``"process"``.
+        max_workers: worker count for the process backend (``None`` uses
+            one worker per CPU).
         chunk_size: tasks handed to a worker per dispatch; ``None`` picks a
             chunk that gives every worker a few batches (amortising IPC
             without starving the pool).
@@ -214,10 +210,8 @@ class ParallelExecutor:
                                   self._describe(describe, index, task), task)
                     for index, task in enumerate(task_list)]
         workers = min(self.workers, len(task_list))
-        pool_class = (ThreadPoolExecutor if self.backend == "thread"
-                      else ProcessPoolExecutor)
-        with pool_class(max_workers=workers, initializer=initializer,
-                        initargs=tuple(initargs)) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=initializer,
+                                 initargs=tuple(initargs)) as pool:
             if not self.capture_failures:
                 chunk = self.chunk_size
                 if chunk is None:

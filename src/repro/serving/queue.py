@@ -26,14 +26,26 @@ Lease algebra:
 
 The queue state is persisted as ``queue.json`` next to the checkpoint
 manifest after every mutation (atomic write + rename), so an interrupted
-serving process leaves its leases on disk: a restart sees them, waits out
-the lease timeout (or is told to reclaim), steals, and resumes — merging
-bit-identically to a run that was never interrupted.
+serving process leaves its leases on disk: a restart sees them, reclaims
+those whose holder process is gone (or waits out the lease timeout), steals,
+and resumes — merging bit-identically to a run that was never interrupted.
+
+Any number of processes may share one queue. Every operation holds the
+queue's lock, which is an in-process re-entrant lock plus an exclusive
+``flock`` on ``queue.lock`` in the checkpoint directory; the outermost
+acquire re-reads ``queue.json`` and the checkpoint manifest, so every
+claim, heartbeat and commit is a read-modify-write of the current on-disk
+state, atomic across processes. Each lease records its holder's pid and
+host, which is how :meth:`WorkQueue.reclaim_stale` tells a dead holder from
+a live one.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
+import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -43,6 +55,9 @@ from repro.core.checkpoint import CensusCheckpoint, write_json_atomic
 
 #: Queue state file, stored inside the checkpoint directory.
 QUEUE_NAME = "queue.json"
+
+#: Lock file whose ``flock`` serialises the queue across processes.
+LOCK_NAME = "queue.lock"
 
 #: On-disk queue format version; bumped on any incompatible change.
 QUEUE_FORMAT_VERSION = 1
@@ -92,13 +107,106 @@ class Lease:
     stolen: bool = False
 
 
+class _QueueLock:
+    """A re-entrant lock that excludes other threads *and* other processes.
+
+    Threads of this process queue on a :class:`threading.RLock`; the
+    outermost acquire then takes an exclusive ``flock`` on the lock file and
+    runs ``on_acquire`` (the queue's reload). The file is opened per
+    outermost acquire and closed on release: a ``flock`` belongs to an open
+    file description, which a forked child shares with its parent, so a
+    descriptor kept open would let a child "acquire" a lock its parent
+    holds, and let probe-pool processes forked inside a worker keep the
+    lock alive after the worker is killed. For the same reason a forked
+    child drops whatever lock state it inherited and starts unlocked.
+    """
+
+    def __init__(self, path: Path, on_acquire):
+        self._path = path
+        self._on_acquire = on_acquire
+        self._start_unlocked()
+
+    def _start_unlocked(self) -> None:
+        self._pid = os.getpid()
+        self._rlock = threading.RLock()
+        self._depth = 0
+        self._fd: int | None = None
+
+    def acquire(self) -> bool:
+        """Wait for the lock; the outermost acquire reloads the queue state.
+
+        Returns:
+            ``True`` (the lock is held).
+        """
+        if self._pid != os.getpid():
+            # A forked child starts unlocked. A descriptor inherited from a
+            # parent that held the lock shares the parent's flock, so it is
+            # closed without unlocking.
+            if self._fd is not None:
+                os.close(self._fd)
+            self._start_unlocked()
+        self._rlock.acquire()
+        if self._depth:
+            self._depth += 1
+            return True
+        fd = os.open(self._path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        except BaseException:
+            os.close(fd)
+            self._rlock.release()
+            raise
+        self._fd, self._depth = fd, 1
+        try:
+            self._on_acquire()
+        except BaseException:
+            self.release()
+            raise
+        return True
+
+    def release(self) -> None:
+        """Release one level; the outermost release drops the ``flock``."""
+        self._depth -= 1
+        if not self._depth:
+            fd, self._fd = self._fd, None
+            fcntl.flock(fd, fcntl.LOCK_UN)
+            os.close(fd)
+        self._rlock.release()
+
+    def __enter__(self) -> bool:
+        return self.acquire()
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
+
+
+def _holder_alive(entry: dict) -> bool:
+    """Whether the process recorded in a lease entry may still hold it.
+
+    Entries without a pid (written before holders were recorded) count as
+    dead; a holder on another host cannot be checked and counts as alive.
+    """
+    pid = entry.get("pid")
+    if pid is None:
+        return False
+    if entry.get("host") != socket.gethostname():
+        return True
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, owned by another user
+        return True
+    return True
+
+
 class WorkQueue:
     """Lease/heartbeat/steal bookkeeping over a checkpoint's pending shards.
 
-    Thread-safe: every operation holds one re-entrant lock, which the
-    orchestrator also borrows (via :meth:`locked`) to make
-    check-currency-then-write-shard commits atomic against concurrent
-    stealing workers.
+    Safe across threads and processes: every operation holds the queue's
+    lock (see the module docstring), which the orchestrator also borrows
+    (via :meth:`locked`) to make check-currency-then-write-shard commits
+    atomic against concurrent stealing workers.
     """
 
     def __init__(self, checkpoint: CensusCheckpoint, *,
@@ -127,8 +235,9 @@ class WorkQueue:
         self._checkpoint = checkpoint
         self._lease_timeout = float(lease_timeout)
         self._clock = clock
-        self._lock = threading.RLock()
         self._state = self._load_state()
+        self._lock = _QueueLock(checkpoint.directory / LOCK_NAME,
+                                on_acquire=self._reload)
 
     # ------------------------------------------------------------ properties
     @property
@@ -141,11 +250,13 @@ class WorkQueue:
         """Seconds without a heartbeat before a lease is stealable."""
         return self._lease_timeout
 
-    def locked(self) -> threading.RLock:
+    def locked(self):
         """The queue's lock, for callers composing atomic commit sequences.
 
         Returns:
-            The re-entrant lock guarding all queue state.
+            The re-entrant, cross-process lock guarding all queue state
+            (``acquire``/``release`` or ``with``); holding it, the queue
+            and the checkpoint manifest are current with the disk.
         """
         return self._lock
 
@@ -252,13 +363,16 @@ class WorkQueue:
             return entry is not None
 
     def reclaim_stale(self) -> list[int]:
-        """Expire every persisted lease immediately (restart recovery).
+        """Expire the leases whose holder process is gone (restart recovery).
 
-        A serving process that restarts over an existing checkpoint knows
-        no other process is working the queue, so waiting out the lease
-        timeout for leases its previous incarnation left behind is pure
-        dead time. This marks them all as expired; the next ``claim`` of
-        each shard is recorded as a steal.
+        A serving process that restarts over an existing checkpoint would
+        otherwise wait out the lease timeout for the leases its previous
+        incarnation left behind. This expires the leases recorded on this
+        host by a pid that no longer runs, and those recorded without a pid
+        (files written before holders were recorded); the next ``claim`` of
+        each shard is recorded as a steal. A live holder — another serving
+        process on the same directory — keeps its lease, and a holder on
+        another host is left to the lease timeout.
 
         Returns:
             The shard indices whose leases were force-expired.
@@ -267,6 +381,8 @@ class WorkQueue:
             now = float(self._clock())
             stale = []
             for key, entry in self._state["leases"].items():
+                if _holder_alive(entry):
+                    continue
                 entry["heartbeat_at"] = now - self._lease_timeout
                 stale.append(int(key))
             if stale:
@@ -296,6 +412,8 @@ class WorkQueue:
             "generation": generation,
             "acquired_at": now,
             "heartbeat_at": now,
+            "pid": os.getpid(),
+            "host": socket.gethostname(),
         }
         self._persist()
         return Lease(shard=shard, worker=worker_id, generation=generation,
@@ -303,6 +421,11 @@ class WorkQueue:
 
     def _persist(self) -> None:
         write_json_atomic(self.path, self._state)
+
+    def _reload(self) -> None:
+        """Adopt the on-disk state other processes may have changed."""
+        self._checkpoint.reload()
+        self._state = self._load_state()
 
     def _load_state(self) -> dict:
         path = self.path

@@ -1,8 +1,8 @@
 """Tests for the parallel execution layer and its census/training users.
 
-The contract under test: the ``thread`` and ``process`` backends produce
-*identical* results to the ``serial`` backend for the same seeds — the
-executor only changes wall-clock time, never outcomes.
+The contract under test: the ``process`` backend produces *identical*
+results to the ``serial`` backend for the same seeds — the executor only
+changes wall-clock time, never outcomes.
 """
 
 import dataclasses
@@ -43,6 +43,8 @@ class TestParallelExecutor:
         with pytest.raises(ValueError):
             ParallelExecutor(backend="threads")
         with pytest.raises(ValueError):
+            ParallelExecutor(backend="thread")  # removed with thread workers
+        with pytest.raises(ValueError):
             ParallelExecutor(max_workers=0)
         with pytest.raises(ValueError):
             ParallelExecutor(chunk_size=0)
@@ -75,49 +77,18 @@ class TestParallelExecutor:
                                     chunk_size=3).map(_seeded_draw, tasks)
         assert serial == parallel
 
-
-class TestThreadBackend:
-    """The in-process pool backend the orchestrator's workers rely on."""
-
-    def test_thread_map_matches_serial(self):
-        items = list(range(12))
-        serial = ParallelExecutor().map(_square, items)
-        threaded = ParallelExecutor(backend="thread",
-                                    max_workers=3).map(_square, items)
-        assert serial == threaded
-
-    def test_seeded_tasks_identical_across_all_backends(self):
-        tasks = list(enumerate(task_seeds(7, 10)))
-        serial = ParallelExecutor().map(_seeded_draw, tasks)
-        for backend in ("thread", "process"):
-            executor = ParallelExecutor(backend=backend, max_workers=2,
-                                        chunk_size=3)
-            assert executor.map(_seeded_draw, tasks) == serial
-
     def test_initializer_runs_before_tasks(self):
-        # No pickling on the thread backend, so a closure initializer works.
+        # In-process on the serial backend, so a closure initializer works.
         seen = []
-        executor = ParallelExecutor(backend="thread", max_workers=2)
-        results = executor.map(_square, range(6),
-                               initializer=seen.append, initargs=("ready",))
-        assert results == [i * i for i in range(6)]
-        assert seen and set(seen) == {"ready"}
-
-    def test_thread_census_identical_to_serial(self, trained_classifier):
-        population = ServerPopulation(PopulationConfig(size=8, seed=31))
-        population.generate()
-        serial = CensusRunner(trained_classifier,
-                              CensusConfig(seed=12)).run(population)
-        threaded = CensusRunner(
-            trained_classifier,
-            CensusConfig(seed=12, backend="thread",
-                         max_workers=2)).run(population)
-        assert [o.to_json_dict() for o in threaded.outcomes] \
-            == [o.to_json_dict() for o in serial.outcomes]
+        results = ParallelExecutor().map(
+            lambda value: (seen[0], _square(value)), range(6),
+            initializer=seen.append, initargs=("ready",))
+        assert results == [("ready", i * i) for i in range(6)]
+        assert seen == ["ready"]
 
 
 class TestFailureCapture:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_raised_exception_becomes_task_failure(self, backend):
         executor = ParallelExecutor(backend=backend, max_workers=2,
                                     capture_failures=True)

@@ -5,25 +5,37 @@ Every cell asserts the strongest possible property: the merged report is
 fixed-shard run — under concurrent workers, injected worker death, lease
 stealing, stale-holder discards and interrupt → resume. The determinism
 contract (shard outcomes are a pure function of census seed + population
-indices) is what makes the assertion achievable at all.
+indices) is what makes the assertion achievable at all. The workers are
+real processes, and the last class kills them — and whole ``repro.serve``
+processes — with SIGKILL.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from repro.cli.settings import build_population
 from repro.core.census import CensusConfig, CensusRunner
 from repro.core.checkpoint import CheckpointError
 from repro.faults import FaultPlan, FaultSpec
+from repro.serving.artifact import load_model, save_model
 from repro.serving.orchestrator import CensusOrchestrator
+from repro.serving.queue import QUEUE_NAME
 from repro.web.population import PopulationConfig, ServerPopulation
 
 NUM_SHARDS = 4
 SEED = 33
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-def fresh_population():
-    population = ServerPopulation(PopulationConfig(size=12, seed=77))
+def fresh_population(size=12):
+    population = ServerPopulation(PopulationConfig(size=size, seed=77))
     population.generate()
     return population
 
@@ -211,3 +223,125 @@ class TestCrashAndSteal:
             tmp_path / "ckpt", num_shards=NUM_SHARDS)
         with pytest.raises(ValueError, match="workers"):
             orchestrator.run(workers=0)
+
+
+class TestHeartbeat:
+    def test_shard_longer_than_the_lease_timeout_keeps_its_lease(
+            self, trained_classifier, tmp_path):
+        """Holders heartbeat while measuring: a live worker whose shard
+        takes several lease timeouts is never stolen from."""
+        reference = report_blob(make_runner(trained_classifier).run(
+            fresh_population(40)))
+        orchestrator = CensusOrchestrator(
+            make_runner(trained_classifier), fresh_population(40),
+            tmp_path / "ckpt", num_shards=2, lease_timeout=0.3)
+        report = orchestrator.run(workers=2)
+        stats = orchestrator.worker_stats()
+        assert not any(stat.stolen or stat.discarded for stat in stats)
+        assert sorted(s for stat in stats for s in stat.completed) == [0, 1]
+        assert report_blob(report) == reference
+
+
+class SelfKillingOrchestrator(CensusOrchestrator):
+    """Its worker that first claims shard 1 SIGKILLs its own process."""
+
+    def _work_one(self, lease, stats):
+        if lease.shard == 1 and lease.generation == 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super()._work_one(lease, stats)
+
+
+def lease_holders(checkpoint_dir: Path) -> dict[int, int]:
+    """``{shard: holder pid}`` of the leases in ``queue.json`` right now."""
+    try:
+        state = json.loads((checkpoint_dir / QUEUE_NAME).read_text())
+    except (FileNotFoundError, ValueError):  # not written yet / mid-rename
+        return {}
+    return {int(shard): entry["pid"]
+            for shard, entry in state["leases"].items()}
+
+
+def wait_for_lease_in_group(checkpoint_dir: Path, group: int,
+                            timeout: float = 60.0) -> int:
+    """Poll until a process of ``group`` holds a lease; return its shard."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        for shard, pid in lease_holders(checkpoint_dir).items():
+            try:
+                if os.getpgid(pid) == group:
+                    return shard
+            except ProcessLookupError:
+                continue
+        time.sleep(0.01)
+    raise AssertionError(f"process group {group} never held a lease")
+
+
+class TestRealProcessDeath:
+    def test_sigkilled_worker_is_died_and_its_shard_stolen(
+            self, trained_classifier, monolithic_blob, tmp_path):
+        orchestrator = SelfKillingOrchestrator(
+            make_runner(trained_classifier), fresh_population(),
+            tmp_path / "ckpt", num_shards=NUM_SHARDS, lease_timeout=0.5)
+        report = orchestrator.run(workers=2)
+        assert report_blob(report) == monolithic_blob
+        stats = orchestrator.worker_stats()
+        dead = [stat for stat in stats if stat.died]
+        assert len(dead) == 1 and 1 not in dead[0].completed
+        assert any(1 in stat.stolen for stat in stats)
+        assert sum(stat.completed.count(1) for stat in stats) == 1
+
+    def test_two_serve_processes_survive_one_being_sigkilled(
+            self, trained_classifier, tmp_path):
+        """Two ``repro.serve`` processes share one checkpoint directory;
+        one is SIGKILLed (with its worker) while holding a lease, and the
+        survivor's report equals the monolithic census."""
+        artifact = tmp_path / "model.caai"
+        save_model(trained_classifier, artifact)
+        checkpoint = tmp_path / "ckpt"
+        settings = {"servers": 96, "population_seed": 2011,
+                    "conditions": "paper", "condition_db_size": 1000,
+                    "condition_seed": 2010}
+        command = [sys.executable, "-m", "repro.serve",
+                   "--artifact", str(artifact), "--checkpoint", str(checkpoint),
+                   "--shards", "8", "--workers", "1", "--lease-timeout", "1",
+                   "--seed", str(SEED)]
+        for key, value in settings.items():
+            command += [f"--{key.replace('_', '-')}", str(value)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+
+        def serve(name):
+            log = open(tmp_path / f"{name}.log", "w", encoding="utf-8")
+            with log:
+                return subprocess.Popen(
+                    command + ["--json", str(tmp_path / f"{name}.json")],
+                    env=env, stdout=log, stderr=subprocess.STDOUT,
+                    start_new_session=True)
+
+        victim = serve("victim")
+        survivor = None
+        try:
+            # The victim creates the checkpoint; the survivor attaches to
+            # it while the victim works, and must not take its live lease.
+            wait_for_lease_in_group(checkpoint, victim.pid)
+            survivor = serve("survivor")
+            wait_for_lease_in_group(checkpoint, survivor.pid)
+            held = wait_for_lease_in_group(checkpoint, victim.pid)
+            os.killpg(victim.pid, signal.SIGKILL)
+            victim.wait(timeout=30)
+            assert held in lease_holders(checkpoint), \
+                "the victim committed its shard before the kill landed"
+            assert survivor.wait(timeout=180) == 0, \
+                (tmp_path / "survivor.log").read_text()
+        finally:
+            for process in (victim, survivor):
+                if process is not None and process.poll() is None:
+                    os.killpg(process.pid, signal.SIGKILL)
+                    process.wait()
+        reference = CensusRunner(load_model(artifact),
+                                 CensusConfig(seed=SEED)).run(
+            build_population(settings))
+        served = json.loads((tmp_path / "survivor.json").read_text())
+        assert served["outcomes"] == json.loads(json.dumps(
+            [outcome.to_json_dict() for outcome in reference.outcomes]))
+        assert "stole" in (tmp_path / "survivor.log").read_text()

@@ -1,10 +1,12 @@
 """Unit tests of the work queue's lease / heartbeat / steal algebra.
 
 All timing is driven through an injectable fake clock, so expiry and steals
-are exercised deterministically — no sleeps, no wall-clock flakiness.
+are exercised deterministically — no sleeps, no wall-clock flakiness. The
+cross-process tests fork real child processes that share the queue.
 """
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -18,6 +20,20 @@ from repro.serving.queue import (
 )
 
 TIMEOUT = 10.0
+
+#: Seconds any child process of these tests may take before it counts as hung.
+JOIN_TIMEOUT = 30.0
+
+FORK = multiprocessing.get_context("fork")
+
+
+def run_in_child(target, *args):
+    """Run ``target(*args)`` in a forked child and reap it; return its pid."""
+    child = FORK.Process(target=target, args=args)
+    child.start()
+    child.join(JOIN_TIMEOUT)
+    assert not child.is_alive() and child.exitcode == 0
+    return child.pid
 
 
 class FakeClock:
@@ -132,12 +148,37 @@ class TestLifecycle:
         assert not queue.heartbeat(lease)
 
     def test_reclaim_stale_expires_every_persisted_lease(self, queue):
-        queue.claim("w0")
-        queue.claim("w1")
+        """Leases left by a process that has exited (a reaped child's pid)
+        expire at once; the next claim of each is a steal."""
+        pid = run_in_child(lambda: [queue.claim(f"w{i}") for i in range(2)])
+        leases = queue.snapshot()["leases"]
+        assert {entry["pid"] for entry in leases.values()} == {pid}
         assert queue.reclaim_stale() == [0, 1]
         stolen = queue.claim("w2")
         assert stolen.shard == 0
         assert stolen.stolen
+
+    def test_reclaim_stale_spares_a_live_holder(self, queue):
+        """A live pid's lease (another serving process) is not stolen."""
+        queue.claim("live")
+        assert queue.reclaim_stale() == []
+        assert queue.claim("restarted").shard == 1
+
+    def test_reclaim_stale_expires_leases_recorded_without_a_pid(self, queue):
+        """queue.json files written before holders were recorded."""
+        queue.claim("w0")
+        state = json.loads(queue.path.read_text())
+        del state["leases"]["0"]["pid"]
+        queue.path.write_text(json.dumps(state))
+        assert queue.reclaim_stale() == [0]
+
+    def test_reclaim_stale_leaves_other_hosts_to_the_timeout(self, queue):
+        pid = run_in_child(queue.claim, "remote")
+        state = json.loads(queue.path.read_text())
+        state["leases"]["0"]["host"] = "another-host"
+        queue.path.write_text(json.dumps(state))
+        assert queue.snapshot()["leases"][0]["pid"] == pid
+        assert queue.reclaim_stale() == []
 
     def test_snapshot_reports_leases_and_pending_work(self, queue):
         queue.claim("w0")
@@ -161,6 +202,63 @@ class TestPersistence:
         queue = WorkQueue(checkpoint, lease_timeout=TIMEOUT)
         assert not queue.path.exists()
         assert queue.snapshot()["leases"] == {}
+
+
+class TestCrossProcess:
+    """The lock and the reload protocol across real forked processes."""
+
+    def test_forked_child_blocks_while_the_parent_holds_the_lock(
+            self, queue):
+        """A child forked while the parent holds the lock must not inherit
+        it: re-entrancy and the flock belong to the parent process."""
+        receiver, sender = FORK.Pipe(duplex=False)
+
+        def child():
+            with queue.locked():
+                sender.send("acquired")
+
+        with queue.locked():
+            process = FORK.Process(target=child)
+            process.start()
+            assert not receiver.poll(1.0)  # blocked on the flock
+        assert receiver.poll(JOIN_TIMEOUT)
+        assert receiver.recv() == "acquired"
+        process.join(JOIN_TIMEOUT)
+        assert not process.is_alive() and process.exitcode == 0
+
+    def test_claims_made_in_another_process_are_seen(self, queue):
+        run_in_child(queue.claim, "child")
+        # The parent's in-memory state predates the child's claim; the next
+        # acquire reloads queue.json and the manifest.
+        assert queue.claim("parent").shard == 1
+
+    def test_concurrent_processes_never_share_a_shard(self, tmp_path, clock):
+        """More claimers than cores racing on one queue: a lost update in
+        the read-modify-write would grant some shard twice."""
+        checkpoint = CensusCheckpoint.create(
+            tmp_path / "many", seed=1, num_shards=24, fingerprint="f" * 16,
+            population_size=24)
+        queue = WorkQueue(checkpoint, lease_timeout=TIMEOUT, clock=clock)
+        receiver, sender = FORK.Pipe(duplex=False)
+
+        def claimer(name):
+            shards = []
+            while (lease := queue.claim(name)) is not None:
+                shards.append(lease.shard)
+            sender.send(shards)
+
+        processes = [FORK.Process(target=claimer, args=(f"w{i}",))
+                     for i in range(4)]
+        for process in processes:
+            process.start()
+        granted = []
+        for _ in processes:
+            assert receiver.poll(JOIN_TIMEOUT)
+            granted.extend(receiver.recv())
+        for process in processes:
+            process.join(JOIN_TIMEOUT)
+            assert not process.is_alive() and process.exitcode == 0
+        assert sorted(granted) == list(range(24))
 
 
 class TestCorruption:
