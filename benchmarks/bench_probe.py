@@ -1,10 +1,9 @@
-"""Probe-engine benchmark: the four engine generations against each other.
+"""Probe-engine benchmark: the three engine generations against each other.
 
 Times the CAAI probe hot paths -- trace gathering, the 100-server census and
 the training-set build -- across the engine generations (scalar per-ACK
-objects, batched-ACK objects, segment blocks, columnar cohorts), verifies
-the engines produce bit-identical traces, and writes ``BENCH_probe.json`` so
-the probe-side performance trajectory can be tracked across commits::
+objects, batched-ACK objects, segment blocks), verifies the engines produce
+bit-identical traces, and writes ``BENCH_probe.json``::
 
     PYTHONPATH=src python benchmarks/bench_probe.py [output.json]
 
@@ -13,23 +12,10 @@ Besides the end-to-end timings the benchmark records a per-phase breakdown
 and SegmentBlock records materialised per probe, so a future devectorisation
 regression is attributable to the phase that caused it.
 
-The columnar sections time the cohort engine on its designed regime -- wide
-cohorts of kernel-admissible sessions whose rounds stay clean -- where the
-``columnar_speedup`` tripwire applies, and *also* on the end-to-end lossy
-census/training workloads, where most rounds carry a loss draw and execute
-on the (intrinsically scalar) real-round fallback. The latter numbers hover
-around 1x by Amdahl's law and are recorded honestly as
-``census_columnar_speedup`` / ``training_columnar_speedup`` with no
-tripwire; the per-scenario stats (kernel vs scalar-replay seconds, cohort
-occupancy, eject rate, real-round share) attribute exactly where the wall
-time went.
-
 The workload matches ``bench_smoke_inference.py``'s small scale (the same
-training-set and census configurations), so the census/training timings here
-are directly comparable with the ``BENCH_inference.json`` baselines recorded
-before the batched engine existed (census(100) 8.2 s, training set 22.4 s)
-and with the PR 2 ``BENCH_probe.json`` baselines recorded before the block
-engine existed (census(100) 2.5 s, training set 5.8 s).
+training-set and census configurations). The census and training timings are
+single-shot and machine-load sensitive, so they carry no tripwire; the
+repeated, paired end-to-end numbers live in ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -44,12 +30,6 @@ import numpy as np
 
 from repro.core.census import CensusConfig, CensusRunner
 from repro.core.classifier import CaaiClassifier
-from repro.core.columnar import (
-    COLUMNAR_ENV,
-    ColumnarProbeEngine,
-    ProbeJob,
-    sender_admissible,
-)
 from repro.core.gather import GatherConfig, TraceGatherer
 from repro.core.training import TrainingSetBuilder
 from repro.net.conditions import NetworkCondition, default_condition_database
@@ -65,12 +45,6 @@ from repro.web.population import PopulationConfig, ServerPopulation
 
 CENSUS_SIZE = 100
 N_TREES = 60
-#: Pre-batch baselines from BENCH_inference.json (PR 1, scalar engine).
-BASELINE_CENSUS_SECONDS = 8.2
-BASELINE_TRAINING_SECONDS = 22.4
-#: Pre-block baselines from BENCH_probe.json (PR 2, batched-ACK objects).
-PR2_CENSUS_SECONDS = 2.504
-PR2_TRAINING_SECONDS = 5.762
 #: CI tripwire: the batched ACK engine must beat the scalar engine (both on
 #: the object emitter, the historic comparison) by at least this factor.
 TARGET_ACK_SPEEDUP = 2.5
@@ -80,16 +54,6 @@ TARGET_ACK_SPEEDUP = 2.5
 #: runners do not flake, while a block path that silently stopped engaging
 #: (~1x) still fails loudly.
 TARGET_BLOCK_SPEEDUP = 2.5
-#: CI tripwire: the columnar cohort engine must beat the PR 3 scalar path by
-#: at least this factor on the cohort workload (wide clean cohorts, its
-#: designed regime; the development machine measures ~6x there).
-TARGET_COLUMNAR_SPEEDUP = 4.0
-#: Lanes in the headline cohort workload and the sweep's largest cohort.
-COHORT_WORKLOAD_LANES = 2048
-COHORT_SWEEP_LANES = 4096
-COHORT_SWEEP_SIZES = (1, 64, 512, 4096)
-#: Lanes per scenario pack in the adversarial-pack sweep.
-SCENARIO_SWEEP_LANES = 128
 
 
 def _make_server(algorithm: str):
@@ -115,70 +79,6 @@ def timed(function):
     start = time.perf_counter()
     value = function()
     return time.perf_counter() - start, value
-
-
-# ------------------------------------------------------------ columnar cohorts
-def cohort_algorithms() -> list[str]:
-    """The registry algorithms the columnar engine admits to its clean path."""
-    names = []
-    for algorithm in IDENTIFIABLE_ALGORITHMS:
-        sender = TcpSender(create_algorithm(algorithm), SenderConfig(mss=100))
-        if sender_admissible(sender):
-            names.append(algorithm)
-    return names
-
-
-def cohort_specs(count: int, seed_offset: int) -> list[tuple[str, int]]:
-    """``count`` (algorithm, seed) pairs cycling over the admissible mix."""
-    algorithms = cohort_algorithms()
-    return [(algorithms[index % len(algorithms)], seed_offset + index)
-            for index in range(count)]
-
-
-def scalar_cohort(specs: list[tuple[str, int]], w_timeout: int) -> list:
-    """The PR 3 path: one sequential ``gather_probe`` per session."""
-    config = GatherConfig(w_timeout=w_timeout, mss=100)
-    gatherer = TraceGatherer(config)
-    return [gatherer.gather_probe(_make_server(algorithm),
-                                  NetworkCondition.ideal(),
-                                  np.random.default_rng(seed))
-            for algorithm, seed in specs]
-
-
-def columnar_cohort(specs: list[tuple[str, int]], w_timeout: int,
-                    cohort: int) -> tuple[list, "ColumnarProbeEngine"]:
-    """The same sessions as cohort-sized chunks of one columnar engine."""
-    config = GatherConfig(w_timeout=w_timeout, mss=100)
-    engine = ColumnarProbeEngine()
-    jobs = [ProbeJob(_make_server(algorithm), NetworkCondition.ideal(),
-                     np.random.default_rng(seed), config)
-            for algorithm, seed in specs]
-    probes = []
-    for low in range(0, len(jobs), cohort):
-        probes.extend(engine.gather_probes(jobs[low:low + cohort]))
-    return probes, engine
-
-
-def columnar_phase_stats(engine: "ColumnarProbeEngine") -> dict:
-    """The engine counters a scenario records: where did the time go."""
-    stats = engine.stats
-    rounds = stats.columnar_rounds + stats.real_rounds
-    return {
-        "kernel_seconds": round(stats.kernel_seconds, 3),
-        "scalar_replay_seconds": round(stats.scalar_seconds, 3),
-        "cohort_occupancy": round(stats.occupancy, 1),
-        "eject_rate": round(stats.eject_rate, 4),
-        "real_round_share": round(stats.real_rounds / rounds, 4) if rounds else 0.0,
-        "admission_rejects": stats.admission_rejects,
-    }
-
-
-def with_columnar(enabled: bool, function):
-    os.environ[COLUMNAR_ENV] = "1" if enabled else "0"
-    try:
-        return timed(function)
-    finally:
-        os.environ[COLUMNAR_ENV] = "1"
 
 
 def with_engine(blocks: bool, batch: bool, function):
@@ -275,54 +175,6 @@ def phase_breakdown(blocks: bool) -> dict:
     }
 
 
-# ------------------------------------------------------- scenario-pack sweep
-def scenario_pack_sweep() -> dict:
-    """Probe throughput per adversarial scenario pack (docs/SCENARIOS.md).
-
-    Each pack probes ``SCENARIO_SWEEP_LANES`` servers through one columnar
-    engine, with conditions drawn from the pack's own preset and servers
-    wrapped by the pack. Wrapped servers are deliberately inadmissible to the
-    columnar kernel, so the wrapping packs report ``scalar_probe_share`` 1.0
-    and their throughput prices the full scalar path; the honest baselines
-    show how much of the remaining columnar time the lossy conditions push
-    onto the real-round fallback (``real_round_share``). Recorded without a
-    tripwire, like the census/training columnar ratios.
-    """
-    from repro.net.conditions import condition_database_preset
-    from repro.scenarios import SCENARIO_PACKS
-
-    sweep: dict = {}
-    for name, pack in SCENARIO_PACKS.items():
-        conditions = condition_database_preset(
-            pack.condition_preset, size=300, seed=2010)
-        config = GatherConfig(w_timeout=64, mss=100)
-        engine = ColumnarProbeEngine()
-
-        def run_pack():
-            jobs = []
-            for index in range(SCENARIO_SWEEP_LANES):
-                rng = np.random.default_rng(5000 + index)
-                algorithm = IDENTIFIABLE_ALGORITHMS[
-                    index % len(IDENTIFIABLE_ALGORITHMS)]
-                server = pack.wrap_server(_make_server(algorithm),
-                                          f"bench-{index:04d}")
-                jobs.append(ProbeJob(server, conditions.sample(rng), rng,
-                                     config))
-            return engine.gather_probes(jobs)
-
-        seconds, probes_out = timed(run_pack)
-        stats = columnar_phase_stats(engine)
-        sweep[name] = {
-            "probes_per_second": round(len(probes_out) / seconds, 2),
-            "real_round_share": stats["real_round_share"],
-            "scalar_probe_share": round(
-                engine.stats.scalar_probes / SCENARIO_SWEEP_LANES, 4),
-            "kernel_seconds": stats["kernel_seconds"],
-            "scalar_replay_seconds": stats["scalar_replay_seconds"],
-        }
-    return sweep
-
-
 def main() -> None:
     output_path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_probe.json"
     results: dict = {"scale": "small", "census_size": CENSUS_SIZE}
@@ -360,54 +212,6 @@ def main() -> None:
     results["phases_blocks"] = phase_breakdown(blocks=True)
     results["phases_objects"] = phase_breakdown(blocks=False)
 
-    # ---- columnar cohort engine vs the PR 3 scalar path -------------------
-    print("timing columnar cohort workload "
-          f"({COHORT_WORKLOAD_LANES} lanes, w_timeout=512) ...", flush=True)
-    specs = cohort_specs(COHORT_WORKLOAD_LANES, seed_offset=300)
-    scalar_cohort_best, scalar_probes = timed(
-        lambda: scalar_cohort(specs, 512))
-    columnar_cohort_best = float("inf")
-    cohort_engine = None
-    for _ in range(2):
-        columnar_seconds, (columnar_probes, cohort_engine) = timed(
-            lambda: columnar_cohort(specs, 512, COHORT_WORKLOAD_LANES))
-        columnar_cohort_best = min(columnar_cohort_best, columnar_seconds)
-    assert_trace_parity("columnar vs scalar cohort", columnar_probes,
-                        scalar_probes)
-    columnar_speedup = scalar_cohort_best / columnar_cohort_best
-    results["columnar_speedup"] = round(columnar_speedup, 2)
-    results["columnar_probes_per_second"] = round(
-        COHORT_WORKLOAD_LANES / columnar_cohort_best, 2)
-    results["columnar_probes_per_second_scalar"] = round(
-        COHORT_WORKLOAD_LANES / scalar_cohort_best, 2)
-    results["columnar_phases"] = columnar_phase_stats(cohort_engine)
-
-    # ---- cohort-size sweep: occupancy is the engine's lever ---------------
-    print(f"sweeping cohort sizes {COHORT_SWEEP_SIZES} "
-          f"({COHORT_SWEEP_LANES} lanes, w_timeout=64) ...", flush=True)
-    sweep_specs = cohort_specs(COHORT_SWEEP_LANES, seed_offset=9000)
-    sweep_scalar_seconds, sweep_scalar_probes = timed(
-        lambda: scalar_cohort(sweep_specs, 64))
-    sweep: dict = {}
-    for cohort in COHORT_SWEEP_SIZES:
-        seconds, (probes_out, engine) = timed(
-            lambda c=cohort: columnar_cohort(sweep_specs, 64, c))
-        assert_trace_parity(f"cohort={cohort} sweep", probes_out,
-                            sweep_scalar_probes)
-        sweep[str(cohort)] = {
-            "speedup": round(sweep_scalar_seconds / seconds, 2),
-            "probes_per_second": round(COHORT_SWEEP_LANES / seconds, 2),
-            **columnar_phase_stats(engine),
-        }
-    results["columnar_cohort_sweep"] = sweep
-    results["probes_per_second_by_scale"] = {
-        "single_probe_w512": results["probes_per_second"],
-        f"cohort{COHORT_WORKLOAD_LANES}_w512":
-            results["columnar_probes_per_second"],
-        **{f"cohort{cohort}_w64": sweep[str(cohort)]["probes_per_second"]
-           for cohort in COHORT_SWEEP_SIZES},
-    }
-
     # ---- ACK-path microbenchmark: one sender, one long slow-start round ---
     print("timing raw ACK run (1024-ACK round) ...", flush=True)
 
@@ -439,24 +243,9 @@ def main() -> None:
             condition_database=default_condition_database(size=1000, seed=2010))
         return builder.build_dataset()
 
-    training_seconds, training_set = with_columnar(True, build_training_set)
+    training_seconds, training_set = timed(build_training_set)
     results["training_set_seconds"] = round(training_seconds, 3)
     results["training_set_rows"] = len(training_set)
-    results["training_set_speedup_vs_baseline"] = round(
-        BASELINE_TRAINING_SECONDS / training_seconds, 2)
-    results["training_set_speedup_vs_pr2"] = round(
-        PR2_TRAINING_SECONDS / training_seconds, 2)
-
-    # The end-to-end build draws every condition from the (100% lossy)
-    # database, so most rounds run on the real-round fallback: the honest
-    # columnar ratio here is ~1x, recorded without a tripwire.
-    print("building training set (columnar disabled) ...", flush=True)
-    training_off_seconds, training_off = with_columnar(False, build_training_set)
-    if not (np.array_equal(training_set.features, training_off.features)
-            and np.array_equal(training_set.labels, training_off.labels)):
-        raise SystemExit("FAIL: training set diverges across the columnar knob")
-    results["training_columnar_speedup"] = round(
-        training_off_seconds / training_seconds, 2)
 
     # ---- census (same workload as bench_smoke_inference) ------------------
     print("running census ...", flush=True)
@@ -464,33 +253,14 @@ def main() -> None:
     classifier.train(training_set)
 
     def run_census():
-        # A fresh population per run: Web servers are stateful (ssthresh
-        # caches, connection counters), so reusing one would hand the second
-        # run different servers than the first.
         population = ServerPopulation(PopulationConfig(size=CENSUS_SIZE,
                                                        seed=2011))
         population.generate()
         return CensusRunner(classifier, CensusConfig(seed=99)).run(population)
 
-    census_seconds, report = with_columnar(True, run_census)
+    census_seconds, report = timed(run_census)
     results["census_seconds"] = round(census_seconds, 3)
     results["census_valid_fraction"] = round(report.valid_fraction(), 3)
-    results["census_speedup_vs_baseline"] = round(
-        BASELINE_CENSUS_SECONDS / census_seconds, 2)
-    results["census_speedup_vs_pr2"] = round(
-        PR2_CENSUS_SECONDS / census_seconds, 2)
-
-    print("running census (columnar disabled) ...", flush=True)
-    census_off_seconds, report_off = with_columnar(False, run_census)
-    if report.outcomes != report_off.outcomes:
-        raise SystemExit("FAIL: census outcomes diverge across the columnar knob")
-    results["census_columnar_speedup"] = round(
-        census_off_seconds / census_seconds, 2)
-
-    # ---- adversarial scenario packs (docs/SCENARIOS.md) -------------------
-    print(f"sweeping scenario packs ({SCENARIO_SWEEP_LANES} lanes each) ...",
-          flush=True)
-    results["scenario_packs"] = scenario_pack_sweep()
 
     with open(output_path, "w", encoding="utf-8") as handle:
         json.dump(results, handle, indent=2, sort_keys=True)
@@ -498,7 +268,6 @@ def main() -> None:
     print(json.dumps(results, indent=2, sort_keys=True))
     print(f"\nblock engine speedup on the probe workload: {block_speedup:.2f}x")
     print(f"ACK engine speedup (object emitter): {ack_speedup:.2f}x")
-    print(f"columnar cohort speedup: {columnar_speedup:.2f}x")
     failures = []
     if block_speedup < TARGET_BLOCK_SPEEDUP:
         failures.append(f"segment_block_speedup {block_speedup:.2f}x is below "
@@ -506,9 +275,6 @@ def main() -> None:
     if ack_speedup < TARGET_ACK_SPEEDUP:
         failures.append(f"ack_engine_speedup {ack_speedup:.2f}x is below "
                         f"the {TARGET_ACK_SPEEDUP:.1f}x tripwire")
-    if columnar_speedup < TARGET_COLUMNAR_SPEEDUP:
-        failures.append(f"columnar_speedup {columnar_speedup:.2f}x is below "
-                        f"the {TARGET_COLUMNAR_SPEEDUP:.1f}x tripwire")
     if results["phases_blocks"]["segment_objects_per_probe"] > 0:
         failures.append("the block pipeline materialised Segment objects")
     if failures:

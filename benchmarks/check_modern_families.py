@@ -7,8 +7,8 @@ state of the repo before the families landed. This script enforces that
 against a **frozen pre-PR snapshot** committed in
 ``benchmarks/fixtures/classic_census_frozen.json``:
 
-1. **Classic census byte-identity** — a classic-only, zero-ECN census
-   (columnar engine on and off) must match the frozen report bytes.
+1. **Classic census byte-identity** — a classic-only, zero-ECN census must
+   match the frozen report bytes.
 2. **Checkpoint byte-identity** — the same census run sharded must produce
    shard/manifest files hashing exactly as frozen.
 3. **Modern families experiment** — the ``modern_families`` registry
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
 import sys
 import tempfile
@@ -114,15 +113,7 @@ def check_classic_census(classifier, frozen: dict) -> None:
     if current != frozen["report_sha256"]:
         raise SystemExit("FAIL: the classic census report drifted from the "
                          "frozen pre-PR snapshot")
-    os.environ["REPRO_COLUMNAR"] = "0"
-    try:
-        scalar = hashlib.sha256(census_report_bytes(classifier)).hexdigest()
-    finally:
-        del os.environ["REPRO_COLUMNAR"]
-    if scalar != frozen["report_sha256"]:
-        raise SystemExit("FAIL: the classic census drifted with the columnar "
-                         "engine off")
-    print("   OK: report bytes frozen, columnar on and off")
+    print("   OK: report bytes frozen")
 
 
 def check_classic_checkpoints(classifier, frozen: dict) -> None:

@@ -18,8 +18,9 @@ Execution is organised in two phases so both hot paths scale:
 
 * the **probe phase** (steps 1-4) is embarrassingly parallel; every server
   gets its own deterministic random stream (:func:`repro.parallel.task_seeds`)
-  and the work fans out over a :class:`~repro.parallel.ParallelExecutor`
-  (serial or multiprocessing -- bit-identical reports either way);
+  and the work fans out, one task per server, over a
+  :class:`~repro.parallel.ParallelExecutor` (serial or multiprocessing --
+  bit-identical reports either way);
 * the **classification phase** (steps 5-6) routes every pending feature
   vector through the forest in one vectorised batch
   (:meth:`~repro.core.classifier.CaaiClassifier.classify_vectors`).
@@ -39,12 +40,6 @@ from repro.core.checkpoint import (
     shard_assignments,
 )
 from repro.core.classifier import CaaiClassifier
-from repro.core.columnar import (
-    ColumnarProbeEngine,
-    LadderLane,
-    columnar_cohort_size,
-    columnar_enabled,
-)
 from repro.core.gather import negotiate_probe_mss, probe_with_w_timeout_ladder
 from repro.core.labels import UNSURE
 from repro.core.results import CensusReport, ServerOutcome
@@ -118,13 +113,14 @@ class CensusConfig:
                 or self.probe_deadline is not None)
 
 
-def _prepare_probe(record: ServerRecord, crawler: PageSearchTool,
-                   config: CensusConfig) -> tuple[ServerOutcome, int | None]:
-    """Steps 1-2 for one server: crawl and MSS negotiation.
+def probe_server(record: ServerRecord, crawler: PageSearchTool,
+                 config: CensusConfig,
+                 rng: np.random.Generator) -> tuple[ServerOutcome, ProbeTrace | None]:
+    """Steps 1-4 for one server: crawl, negotiate, probe, pre-categorise.
 
-    Returns the partially filled outcome plus the negotiated MSS (``None``
-    when the server rejects CAAI's whole MSS ladder, in which case the
-    outcome is already final).
+    Returns the partially filled outcome plus the probe when the outcome still
+    needs the classification phase (``None`` otherwise). Module-level so
+    worker processes can run it without shipping the trained forest.
     """
     server = record.server
     profile = record.profile
@@ -149,12 +145,15 @@ def _prepare_probe(record: ServerRecord, crawler: PageSearchTool,
         outcome.invalid_reason = InvalidReason.MSS_REJECTED
         return outcome, None
     outcome.mss = mss
-    return outcome, mss
 
+    # Step 3: probe with the w_timeout ladder.
+    probe = probe_with_w_timeout_ladder(
+        server, record.condition, rng, mss,
+        server_id=profile.server_id,
+        wait_between_environments=config.wait_between_environments,
+        deadline=config.probe_deadline)
 
-def _finish_probe(outcome: ServerOutcome, probe: ProbeTrace,
-                  profile) -> tuple[ServerOutcome, ProbeTrace | None]:
-    """Step 4 for one finished probe: validity check and pre-categorisation."""
+    # Step 4: validity check and pre-categorisation.
     if not probe.usable_for_features:
         outcome.invalid_reason = _invalid_reason(probe, profile)
         return outcome, None
@@ -171,28 +170,6 @@ def _finish_probe(outcome: ServerOutcome, probe: ProbeTrace,
         return outcome, None
 
     return outcome, probe
-
-
-def probe_server(record: ServerRecord, crawler: PageSearchTool,
-                 config: CensusConfig,
-                 rng: np.random.Generator) -> tuple[ServerOutcome, ProbeTrace | None]:
-    """Steps 1-4 for one server: crawl, negotiate, probe, pre-categorise.
-
-    Returns the partially filled outcome plus the probe when the outcome still
-    needs the classification phase (``None`` otherwise). Module-level so
-    worker processes can run it without shipping the trained forest.
-    """
-    outcome, mss = _prepare_probe(record, crawler, config)
-    if mss is None:
-        return outcome, None
-
-    # Step 3: probe with the w_timeout ladder.
-    probe = probe_with_w_timeout_ladder(
-        record.server, record.condition, rng, mss,
-        server_id=record.profile.server_id,
-        wait_between_environments=config.wait_between_environments,
-        deadline=config.probe_deadline)
-    return _finish_probe(outcome, probe, record.profile)
 
 
 def _validate_stop_after(stop_after_shards: int | None) -> None:
@@ -234,9 +211,7 @@ def _scenario_record(record: ServerRecord) -> ServerRecord:
     """Wrap one record's server with the active scenario pack, if any.
 
     Baseline packs (and no pack at all) return the record unchanged, so the
-    columnar fast path and the historic byte-for-byte behaviour survive.
-    Wrapped servers are rejected by the columnar admissibility check and run
-    the exact scalar probe path instead.
+    historic byte-for-byte behaviour survives.
     """
     pack = _PROBE_WORKER.get("pack")
     if pack is None:
@@ -344,28 +319,23 @@ def _resilient_probe(record: ServerRecord, crawler: PageSearchTool,
     return outcome, probe
 
 
-def _check_worker_death(tasks: list[tuple[ServerRecord, np.random.SeedSequence]],
-                        config: CensusConfig) -> None:
+def _check_worker_death(record: ServerRecord, config: CensusConfig) -> None:
     """Raise the injected worker death for this task, if the plan says so.
 
-    A task dies when the plan's ``worker_death`` fires for *any* server in
-    it (a dying worker takes its whole cohort down), with the scope key
-    being each server's id and the execution attempt the per-process
-    ``_PROBE_WORKER["exec_attempt"]`` counter (0 in the pool; incremented
-    by the in-process recovery re-runs). Keying on server ids — not on the
-    cohort — makes the set of victims identical whatever the backend,
-    columnar cohort size, or engine tier.
+    The scope key is the server's id and the execution attempt the
+    per-process ``_PROBE_WORKER["exec_attempt"]`` counter (0 in the pool;
+    incremented by the in-process recovery re-runs), so the set of victims
+    is identical whatever the backend or engine tier.
     """
     plan = config.fault_plan
     if plan is None or plan.empty:
         return
     attempt = _PROBE_WORKER.get("exec_attempt", 0)
-    for record, _ in tasks:
-        scope = record.profile.server_id
-        if plan.worker_death_fires(scope, attempt):
-            raise WorkerDeathFault(
-                f"injected worker death (task scope {scope}, "
-                f"attempt {attempt})")
+    scope = record.profile.server_id
+    if plan.worker_death_fires(scope, attempt):
+        raise WorkerDeathFault(
+            f"injected worker death (task scope {scope}, "
+            f"attempt {attempt})")
 
 
 def _execution_event_kind(failure: TaskFailure) -> str:
@@ -379,9 +349,6 @@ def _execution_event_kind(failure: TaskFailure) -> str:
 
 def _describe_probe_task(index: int, task) -> str:
     """Human-readable context stored on a :class:`TaskFailure` slot."""
-    if isinstance(task, list):
-        first = task[0][0].profile.server_id
-        return f"cohort[{len(task)}] starting at server {first}"
     return f"server {task[0].profile.server_id}"
 
 
@@ -389,63 +356,12 @@ def _probe_task(task: tuple[ServerRecord, np.random.SeedSequence]
                 ) -> tuple[ServerOutcome, ProbeTrace | None]:
     record, seed = task
     config = _PROBE_WORKER["config"]
-    _check_worker_death([task], config)
+    _check_worker_death(record, config)
     record = _scenario_record(record)
     if config.resilience_active():
         return _resilient_probe(record, _PROBE_WORKER["crawler"], config, seed)
     return probe_server(record, _PROBE_WORKER["crawler"], config,
                         np.random.default_rng(seed))
-
-
-def _probe_chunk_task(tasks: list[tuple[ServerRecord, np.random.SeedSequence]]
-                      ) -> list[tuple[ServerOutcome, ProbeTrace | None]]:
-    """Steps 1-4 for one cohort of servers via the columnar engine.
-
-    Each server still draws from its own seed-derived stream, fed strictly
-    sequentially through its ladder lane, so the outcomes are bit-identical
-    to running :func:`probe_server` per record -- the cohort only changes
-    *where* the clean-round arithmetic executes.
-
-    When resilience is active, servers a fault plan could touch (and every
-    server once a probe deadline is set) run the resilient scalar path in
-    their cohort slot instead of a lane: fault wrappers and retry loops are
-    exact there, while untouched servers keep the columnar fast path.
-    """
-    config = _PROBE_WORKER["config"]
-    crawler = _PROBE_WORKER["crawler"]
-    _check_worker_death(tasks, config)
-    if _PROBE_WORKER.get("pack") is not None:
-        tasks = [(_scenario_record(record), seed) for record, seed in tasks]
-    plan = config.fault_plan
-    resilient_slots: set[int] = set()
-    if config.resilience_active():
-        for index, (record, _) in enumerate(tasks):
-            if (config.probe_deadline is not None
-                    or (plan is not None
-                        and plan.targets_server(record.profile.server_id))):
-                resilient_slots.add(index)
-    results: list = [None] * len(tasks)
-    prepared: list[tuple[int, ServerOutcome, LadderLane | None, ServerRecord]] = []
-    lanes: list[LadderLane] = []
-    for index, (record, seed) in enumerate(tasks):
-        if index in resilient_slots:
-            results[index] = _resilient_probe(record, crawler, config, seed)
-            continue
-        outcome, mss = _prepare_probe(record, crawler, config)
-        if mss is None:
-            prepared.append((index, outcome, None, record))
-            continue
-        lane = LadderLane(record.server, record.condition,
-                          np.random.default_rng(seed), mss,
-                          server_id=record.profile.server_id,
-                          wait_between_environments=config.wait_between_environments)
-        prepared.append((index, outcome, lane, record))
-        lanes.append(lane)
-    ColumnarProbeEngine().run(lanes)
-    for index, outcome, lane, record in prepared:
-        results[index] = ((outcome, None) if lane is None
-                          else _finish_probe(outcome, lane.result, record.profile))
-    return results
 
 
 @dataclass
@@ -664,28 +580,12 @@ class CensusRunner:
         if seeds is None:
             seeds = task_seeds(self.config.seed, len(records))
         tasks = [(records[i], seeds[i]) for i in indices]
-        if columnar_enabled():
-            # Chunk the probe phase into cohorts for the columnar engine;
-            # per-record seeding keeps the outcomes bit-identical to the
-            # per-server path whatever the cohort size or backend.
-            size = columnar_cohort_size()
-            chunks = [tasks[lo:lo + size] for lo in range(0, len(tasks), size)]
-            per_chunk = executor.map(_probe_chunk_task, chunks,
-                                     initializer=_init_probe_worker,
-                                     initargs=(self.config,),
-                                     describe=_describe_probe_task)
-            if capture:
-                per_chunk = self._recover_task_failures(
-                    chunks, per_chunk, chunked=True)
-            partials = [pair for chunk in per_chunk for pair in chunk]
-        else:
-            partials = executor.map(_probe_task, tasks,
-                                    initializer=_init_probe_worker,
-                                    initargs=(self.config,),
-                                    describe=_describe_probe_task)
-            if capture:
-                partials = self._recover_task_failures(
-                    tasks, partials, chunked=False)
+        partials = executor.map(_probe_task, tasks,
+                                initializer=_init_probe_worker,
+                                initargs=(self.config,),
+                                describe=_describe_probe_task)
+        if capture:
+            partials = self._recover_task_failures(tasks, partials)
         pending = [(outcome, probe) for outcome, probe in partials if probe is not None]
         self._classify_pending(pending)
         return [outcome for outcome, _ in partials]
@@ -705,21 +605,19 @@ class CensusRunner:
         return plan is not None and any(spec.kind == "worker_death"
                                         for spec in plan.specs)
 
-    def _recover_task_failures(self, tasks: list, results: list,
-                               *, chunked: bool) -> list:
+    def _recover_task_failures(self, tasks: list, results: list) -> list:
         """Re-run failed task slots in-process, deterministically.
 
         A dead worker (injected or real) leaves a
-        :class:`~repro.parallel.TaskFailure` in its slot. Every record of
-        the failed task is then re-run *individually* through the scalar
-        probe path with ``_PROBE_WORKER["exec_attempt"]`` incremented — the
-        injected ``worker_death`` decision is a pure function of (plan
-        seed, server id, attempt), so the recovered outcomes (and their
-        ``worker_death`` fault events, attached only to the servers the
-        plan actually targets) are bit-identical whatever the backend,
-        cohort size, or engine tier. Records whose every attempt died
-        yield synthesised ``worker_failed`` outcomes, so the census always
-        returns one outcome per server.
+        :class:`~repro.parallel.TaskFailure` in its slot. The failed task's
+        record is then re-run in-process with
+        ``_PROBE_WORKER["exec_attempt"]`` incremented — the injected
+        ``worker_death`` decision is a pure function of (plan seed, server
+        id, attempt), so the recovered outcome (and its ``worker_death``
+        fault events) is bit-identical whatever the backend or engine tier.
+        A record whose every attempt died yields a synthesised
+        ``worker_failed`` outcome, so the census always returns one outcome
+        per server.
         """
         if not any(isinstance(result, TaskFailure) for result in results):
             return results
@@ -728,24 +626,19 @@ class CensusRunner:
         for slot, result in enumerate(results):
             if not isinstance(result, TaskFailure):
                 continue
-            kind = _execution_event_kind(result)
-            task_items = tasks[slot] if chunked else [tasks[slot]]
-            pairs = [self._recover_record(item, kind) for item in task_items]
-            recovered[slot] = pairs if chunked else pairs[0]
+            recovered[slot] = self._recover_record(
+                tasks[slot], _execution_event_kind(result))
         return recovered
 
     def _recover_record(self, task: tuple[ServerRecord, np.random.SeedSequence],
                         kind: str) -> tuple[ServerOutcome, ProbeTrace | None]:
-        """Recover one record of a failed task by scalar re-runs.
+        """Recover the record of a failed task by in-process re-runs.
 
-        For an injected ``worker_death`` the record's own failed attempts
-        are reconstructed from the plan (pure function of server id and
-        attempt); cohort-mates the plan never targeted recover with no
-        fault events, exactly as if their task had not shared a worker with
-        the victim. Real failures (``task_timeout`` / ``task_error``)
-        attach their event to every record of the dead task, and a real
-        exception that recurs on the in-process re-run still propagates
-        loudly.
+        For an injected ``worker_death`` the record's failed attempts are
+        reconstructed from the plan (pure function of server id and
+        attempt). Real failures (``task_timeout`` / ``task_error``) attach
+        their event to the record, and a real exception that recurs on the
+        in-process re-run still propagates loudly.
         """
         record, _ = task
         server_id = record.profile.server_id

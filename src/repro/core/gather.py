@@ -210,25 +210,18 @@ class TraceGatherer:
         if sender is None:
             return WindowTrace.invalid(environment.name, config.w_timeout,
                                        config.mss, InvalidReason.CONNECTION_FAILED)
-        return self._run_probe(sender, server, environment, condition, rng, start_time)
-
-    # ------------------------------------------------------------- internals
-    def _run_probe(self, sender: TcpSender, server: ProbeableServer,
-                   environment: NetworkEnvironment, condition: NetworkCondition,
-                   rng: np.random.Generator, start_time: float) -> WindowTrace:
-        """Dispatch to the block or per-segment pipeline (bit-identical).
-
-        Senders natively emitting :class:`SegmentBlock` records (the default;
-        ``REPRO_SEGMENT_BLOCKS=0`` forces the historic per-packet emitter) are
-        driven without materialising a single :class:`Segment` object: window
-        estimation, loss draws and the ACK ladder all run on block arithmetic.
-        """
+        # Senders natively emitting SegmentBlock records (the default;
+        # REPRO_SEGMENT_BLOCKS=0 forces the historic per-packet emitter) are
+        # driven without materialising a single Segment object: window
+        # estimation, loss draws and the ACK ladder all run on block
+        # arithmetic. Both pipelines are bit-identical.
         if getattr(sender, "emits_blocks", False):
             return self._run_probe_blocks(sender, server, environment,
                                           condition, rng, start_time)
         return self._run_probe_segments(sender, server, environment,
                                         condition, rng, start_time)
 
+    # ------------------------------------------------------------- internals
     def _run_probe_segments(self, sender: TcpSender, server: ProbeableServer,
                             environment: NetworkEnvironment, condition: NetworkCondition,
                             rng: np.random.Generator, start_time: float) -> WindowTrace:

@@ -20,17 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.columnar import (
-    ColumnarProbeEngine,
-    ProbeJob,
-    ProbeLane,
-    columnar_cohort_size,
-    columnar_enabled,
-)
 from repro.core.environments import W_TIMEOUT_LADDER
 from repro.core.features import FeatureExtractor, FeatureVector
 from repro.core.gather import GatherConfig, SyntheticServer, TraceGatherer
-from repro.core.trace import ProbeTrace
 from repro.core.labels import training_label
 from repro.net.conditions import ConditionDatabase, default_condition_database
 from repro.ml.dataset import LabeledDataset
@@ -100,16 +92,8 @@ class TrainingSetBuilder:
                  for w_timeout in self.w_timeouts]
         executor = executor or ParallelExecutor()
         tasks = list(zip(pairs, task_seeds(self.seed, len(pairs))))
-        if columnar_enabled() and executor.backend == "serial":
-            # Every pair becomes a lane of the columnar engine: its condition
-            # draws, server construction and probes consume the pair's stream
-            # strictly in the scalar order, so the examples are bit-identical
-            # to the per-pair path. Process-backed builds keep the historic
-            # pair fan-out (same result; the parallelism is already there).
-            per_pair = self._columnar_examples(tasks)
-        else:
-            per_pair = executor.map(_pair_task, tasks,
-                                    initializer=_init_training_worker, initargs=(self,))
+        per_pair = executor.map(_pair_task, tasks,
+                                initializer=_init_training_worker, initargs=(self,))
         return [example for pair_examples in per_pair for example in pair_examples]
 
     def build_dataset(self, executor: ParallelExecutor | None = None) -> LabeledDataset:
@@ -136,16 +120,6 @@ class TrainingSetBuilder:
         return len(self.algorithms) * len(self.w_timeouts) * self.conditions_per_pair
 
     # ------------------------------------------------------------- internals
-    def _columnar_examples(self, tasks) -> list[list[TrainingExample]]:
-        """Run the pair lanes through cohort-sized columnar chunks."""
-        lanes = [_PairLane(self, algorithm, w_timeout, np.random.default_rng(seed))
-                 for (algorithm, w_timeout), seed in tasks]
-        engine = ColumnarProbeEngine()
-        size = columnar_cohort_size()
-        for lo in range(0, len(lanes), size):
-            engine.run(lanes[lo:lo + size])
-        return [lane.examples for lane in lanes]
-
     def _examples_for_pair(self, algorithm: str, w_timeout: int,
                            rng: np.random.Generator) -> list[TrainingExample]:
         assert self.condition_database is not None
@@ -182,49 +156,6 @@ class TrainingSetBuilder:
 
         return SyntheticServer(algorithm_name=algorithm,
                                sender_config_factory=config_factory)
-
-
-class _PairLane(ProbeLane):
-    """One (algorithm, ``w_timeout``) pair as a sequential columnar lane.
-
-    Reproduces :meth:`TrainingSetBuilder._examples_for_pair` exactly: the
-    condition draw, the server construction and the probe itself consume the
-    pair's rng stream in the scalar order, one attempt at a time, until the
-    pair has enough usable examples (or runs out of attempts).
-    """
-
-    def __init__(self, builder: TrainingSetBuilder, algorithm: str,
-                 w_timeout: int, rng: np.random.Generator):
-        self.builder = builder
-        self.algorithm = algorithm
-        self.w_timeout = w_timeout
-        self.rng = rng
-        self.label = training_label(algorithm, w_timeout)
-        self.config = GatherConfig(w_timeout=w_timeout, mss=builder.mss)
-        self.examples: list[TrainingExample] = []
-        self.attempts = 0
-
-    def next_job(self) -> ProbeJob | None:
-        builder = self.builder
-        if (len(self.examples) >= builder.conditions_per_pair
-                or self.attempts >= builder.conditions_per_pair * 4):
-            return None
-        self.attempts += 1
-        condition = builder.condition_database.sample(self.rng)
-        server = builder._make_server(self.algorithm, self.rng)
-        if builder.server_wrapper is not None:
-            server = builder.server_wrapper(
-                server, f"{self.algorithm}/{self.w_timeout}/{self.attempts - 1}")
-        return ProbeJob(server, condition, self.rng, self.config)
-
-    def job_done(self, probe: ProbeTrace) -> None:
-        if not probe.usable_for_features:
-            return
-        vector = self.builder.extractor.extract(probe)
-        self.examples.append(TrainingExample(
-            algorithm=self.algorithm, w_timeout=self.w_timeout,
-            label=self.label, vector=vector,
-            condition_index=self.attempts - 1))
 
 
 # Per-worker state for the training fan-out; the builder is pickled once per

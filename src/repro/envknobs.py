@@ -1,14 +1,12 @@
 """Centralised, validated parsing of the ``REPRO_*`` environment knobs.
 
 Every engine tier ships an escape hatch as an environment variable
-(``REPRO_ACK_BATCH``, ``REPRO_SEGMENT_BLOCKS``, ``REPRO_COLUMNAR``,
-``REPRO_COLUMNAR_COHORT``). Historically each module parsed
-its own variable with slightly different rules — ``REPRO_COLUMNAR=false``
-left the engine *on* while ``REPRO_ACK_BATCH=false`` turned it off, and a
-typo like ``REPRO_COLUMNAR_COHORT=garbage`` silently fell back to the
-default. This module is the single parser for all of them: one boolean
-vocabulary, one integer rule, and a loud :class:`EnvKnobError` for anything
-unrecognised instead of a silent coercion.
+(``REPRO_ACK_BATCH``, ``REPRO_SEGMENT_BLOCKS``). Historically each module
+parsed its own variable with slightly different rules, so one knob's
+``false`` left its engine *on* while another's turned it off. This module
+is the single parser for all of them: one boolean vocabulary and a loud
+:class:`EnvKnobError` for anything unrecognised instead of a silent
+coercion.
 
 The full knob table lives in ``docs/CONFIGURATION.md``.
 """
@@ -53,35 +51,3 @@ def env_flag(name: str, default: bool = True) -> bool:
         f"{name}={raw!r} is not a recognised boolean; use one of "
         f"{'/'.join(TRUE_VALUES)} or {'/'.join(FALSE_VALUES)} (or unset it "
         f"for the default {default})")
-
-
-def env_int(name: str, default: int, minimum: int | None = None) -> int:
-    """Read an integer ``REPRO_*`` knob, rejecting unparsable values loudly.
-
-    Args:
-        name: The environment variable name.
-        default: Value used when the variable is unset or empty.
-        minimum: Smallest accepted value, inclusive (``None`` = unbounded).
-
-    Returns:
-        The parsed integer.
-
-    Raises:
-        EnvKnobError: If the value is not an integer, or below ``minimum`` —
-            out-of-range values used to be silently clamped, which hid
-            misconfigured benchmark sweeps.
-    """
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        raise EnvKnobError(
-            f"{name}={raw!r} is not an integer (or unset it for the default "
-            f"{default})") from None
-    if minimum is not None and value < minimum:
-        raise EnvKnobError(
-            f"{name}={raw!r} is below the minimum of {minimum} (or unset it "
-            f"for the default {default})")
-    return value

@@ -193,10 +193,6 @@ class FaultPlan:
     def targets_server(self, server_id: str) -> bool:
         """Whether any probe-layer spec could ever affect ``server_id``.
 
-        Used by the census to route only potentially affected servers
-        through the resilient (wrapper-based) probe path; unaffected servers
-        keep the exact historic code path and rng stream.
-
         Args:
             server_id: The server's stable identifier.
 

@@ -10,11 +10,7 @@ faults (``probe_timeout``, ``connection_reset``, ``ack_blackhole``,
 :class:`~repro.faults.plan.FaultInjected`.
 
 Both wrappers delegate everything they do not intercept, so a wrapped
-server behaves byte-identically until the instant a fault fires. They are
-also deliberately *not* instances of the concrete server classes: the
-columnar engine's admissibility check
-(:func:`repro.core.columnar.server_admissible`) rejects them, routing
-faulted servers onto the scalar probe path where injection is exact.
+server behaves byte-identically until the instant a fault fires.
 """
 
 from __future__ import annotations

@@ -209,9 +209,7 @@ class EvasiveServer:
 
     Wraps any :class:`~repro.core.gather.ProbeableServer`; each opened
     connection gets its own perturbation stream (:func:`evasion_rng`) and is
-    returned inside an :class:`EvasiveSender`. Deliberately not an instance
-    of the concrete server types, so the columnar engine routes it onto the
-    exact scalar probe path.
+    returned inside an :class:`EvasiveSender`.
     """
 
     _OWN = ("_server", "_config", "_pack_seed", "_server_id",

@@ -247,10 +247,7 @@ class MiddleboxServer:
     """A server proxy that puts a middlebox chain on every connection's ACKs.
 
     Wraps any :class:`~repro.core.gather.ProbeableServer`; each sender the
-    inner server opens is returned inside a :class:`MiddleboxSender`. Like
-    the fault wrappers, this class is deliberately not an instance of the
-    concrete server types, so the columnar engine routes it onto the exact
-    scalar probe path.
+    inner server opens is returned inside a :class:`MiddleboxSender`.
     """
 
     _OWN = ("_server", "_config", "stats")

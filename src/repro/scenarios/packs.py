@@ -56,8 +56,8 @@ class ScenarioPack:
 
         Servers are wrapped evasion-innermost (the server misbehaves, then
         the middlebox mangles its ACK path). A pack with nothing to apply
-        returns ``server`` unchanged, keeping the columnar fast path and
-        byte-for-byte parity with a pack-free run.
+        returns ``server`` unchanged, keeping byte-for-byte parity with a
+        pack-free run.
 
         Args:
             server: The server to wrap (``WebServer``/``SyntheticServer``).

@@ -10,8 +10,7 @@ proportionally to the *extent* of congestion instead of halving::
 
     cwnd <- cwnd * (1 - alpha / 2)
 
-The window growth between marks is RENO's additive increase, so the vector
-kernel of the columnar engine is the same reciprocal-step kernel RENO uses.
+The window growth between marks is RENO's additive increase.
 
 ECN marks reach the algorithm through the sender's
 :meth:`~repro.tcp.connection.TcpSender.ecn_feedback` path, which only the
@@ -20,8 +19,7 @@ ECN-enabled link knob feeds (``NetemLink.ecn_mark_probability`` /
 ``alpha`` stays at its conservative initial value of 1.0, so
 ``ssthresh_after_loss`` degrades to RENO's halving and the CAAI trace is
 indistinguishable from RENO -- the honest consequence of probing a DCTCP
-server through a non-ECN path, and the reason the columnar kernel stays
-exact for every mark-free probe.
+server through a non-ECN path.
 """
 
 from __future__ import annotations

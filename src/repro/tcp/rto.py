@@ -83,71 +83,6 @@ class RtoEstimator:
         self.rttvar = rttvar
         self.backoff_exponent = 0
 
-    @staticmethod
-    def observe_run_columns(srtt, rttvar, rtt_samples, counts,
-                            alpha: float = 1.0 / 8.0,
-                            beta: float = 1.0 / 4.0) -> None:
-        """Feed per-session RTT runs into per-session estimator columns.
-
-        The columnar probe engine keeps one (srtt, rttvar) pair per session of
-        a cohort as float64 columns (``nan`` encodes the pre-first-sample
-        state) and feeds each session ``counts[i]`` copies of
-        ``rtt_samples[i]`` -- one clean ACK run per session, all in lock-step.
-        Updates happen in place and are bit-identical to running
-        :meth:`observe_run` per session: the masked EWMA performs the same
-        IEEE-754 operations in the same order, and numpy's elementwise
-        add/multiply/abs on float64 round exactly like Python floats.
-
-        Sessions whose ``counts`` entry is zero or negative are untouched
-        (mirroring :meth:`observe_run`'s early return). Non-positive RTT
-        samples on counted sessions raise, as in the scalar path.
-
-        The recurrence depends only on the ``(srtt, rttvar, sample, count)``
-        tuple, and a lock-step cohort carries heavily duplicated estimator
-        state (replicated sessions tick through identical RTT schedules), so
-        sessions are deduplicated bytewise and each distinct tuple is
-        evaluated once. The EWMA is also a fixed-point iteration -- ``srtt``
-        contracts towards the constant sample and ``rttvar`` towards
-        ``|srtt - sample|`` -- so once the pair stops changing it never
-        changes again and the remaining iterations are skipped. Both
-        shortcuts are exclusive to the columnar path; the scalar
-        :meth:`observe_run` stays a plain loop so the PR 3 engine's cost
-        model is unchanged.
-        """
-        import numpy as np
-
-        active = counts > 0
-        if not active.any():
-            return
-        if np.any(rtt_samples[active] <= 0):
-            raise ValueError("RTT sample must be positive")
-        key = np.stack([srtt, rttvar, rtt_samples,
-                        np.where(active, counts, 0).astype(np.float64)], axis=1)
-        # Bytewise row comparison: bit-identical states collapse (including
-        # the nan encoding), anything else stays distinct.
-        unique, inverse = np.unique(key, axis=0, return_inverse=True)
-        one_minus_alpha, one_minus_beta = 1 - alpha, 1 - beta
-        out_s = np.empty(len(unique), dtype=np.float64)
-        out_v = np.empty(len(unique), dtype=np.float64)
-        for row, (s, v, r, n) in enumerate(unique):
-            n = int(n)
-            if n > 0 and s != s:  # nan: first sample initialises the pair
-                s = r
-                v = r / 2.0
-                n -= 1
-            for _ in range(n):
-                new_v = one_minus_beta * v + beta * abs(s - r)
-                new_s = one_minus_alpha * s + alpha * r
-                if new_s == s and new_v == v:
-                    break
-                s, v = new_s, new_v
-            out_s[row] = s
-            out_v[row] = v
-        updated = out_s[inverse.reshape(srtt.shape)]
-        updated_v = out_v[inverse.reshape(srtt.shape)]
-        srtt[active] = updated[active]
-        rttvar[active] = updated_v[active]
-
     def current_rto(self) -> float:
         """Return the retransmission timeout, including any backoff."""
         if self.srtt is None or self.rttvar is None:

@@ -1,13 +1,12 @@
 """Shared machinery of the cross-tier differential test harness.
 
-The repository carries four probe-execution tiers that must all be invisible
-optimisations of the same simulation: the scalar per-ACK engine, the batched
-ACK engine, the segment-block engine, and the columnar cohort engine. The
-parity test matrices cover hand-picked scenarios; this harness adds
-*breadth*: seeded random draws over (algorithm x network condition x server
-quirk x probe seed) are replayed through every tier and must produce
-bit-identical traces **and** leave the probe's random stream in the exact
-same state.
+The repository carries three probe-execution tiers that must all be
+invisible optimisations of the same simulation: the scalar per-ACK engine,
+the batched ACK engine and the segment-block engine. The parity test
+matrices cover hand-picked scenarios; this harness adds *breadth*: seeded
+random draws over (algorithm x network condition x server quirk x probe
+seed) are replayed through every tier and must produce bit-identical traces
+**and** leave the probe's random stream in the exact same state.
 
 The corpus is a pure function of ``(count, master_seed)`` — no wall clock,
 no global state — so the committed ``differential_corpus.json`` can be
@@ -25,24 +24,20 @@ import pathlib
 
 import numpy as np
 
-from repro.core.columnar import ColumnarProbeEngine, ProbeJob
 from repro.core.gather import GatherConfig, TraceGatherer
 from repro.net.conditions import NetworkCondition
 from repro.tcp.connection import ACK_BATCH_ENV, SEGMENT_BLOCKS_ENV
 from repro.tcp.registry import ALL_ALGORITHM_NAMES
 from tests.conftest import make_synthetic_server
 
-#: The four probe-execution tiers the harness compares.
-TIERS = ("scalar", "batched", "blocks", "columnar")
+#: The three probe-execution tiers the harness compares.
+TIERS = ("scalar", "batched", "blocks")
 
-#: Engine knobs per tier (columnar is driven through ProbeJob directly; its
-#: scalar fallback then rides the fully batched engines, which the other
-#: tiers pin down).
+#: Engine knobs per tier.
 _TIER_KNOBS = {
     "scalar": {ACK_BATCH_ENV: "0", SEGMENT_BLOCKS_ENV: "0"},
     "batched": {ACK_BATCH_ENV: "1", SEGMENT_BLOCKS_ENV: "0"},
     "blocks": {ACK_BATCH_ENV: "1", SEGMENT_BLOCKS_ENV: "1"},
-    "columnar": {ACK_BATCH_ENV: "1", SEGMENT_BLOCKS_ENV: "1"},
 }
 
 #: Seed of the committed corpus (see ``differential_corpus.json``).
@@ -147,17 +142,13 @@ def run_tier(case: dict, tier: str):
     config = GatherConfig(w_timeout=case["w_timeout"], mss=100)
     rng = np.random.default_rng(case["seed"])
     with tier_environment(tier):
-        if tier == "columnar":
-            probe = ColumnarProbeEngine().gather_probes(
-                [ProbeJob(_build_server(case), condition, rng, config)])[0]
-        else:
-            probe = TraceGatherer(config).gather_probe(_build_server(case),
-                                                       condition, rng)
+        probe = TraceGatherer(config).gather_probe(_build_server(case),
+                                                   condition, rng)
     return probe, rng.bit_generator.state
 
 
 def assert_case_parity(case: dict) -> None:
-    """Assert all four tiers agree on one case, traces and rng stream.
+    """Assert all three tiers agree on one case, traces and rng stream.
 
     The scalar tier is the reference; every other tier must match its
     traces element by element (window samples, invalid reason, ACK-loss

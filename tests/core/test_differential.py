@@ -1,9 +1,9 @@
 """Cross-tier differential fuzz harness (see ``differential_harness.py``).
 
 Every committed corpus case — a seeded draw over (algorithm x network
-condition x server quirk x probe seed) — is replayed through all four probe
-engines (scalar, batched-ACK, segment-block, columnar) and must produce
-bit-identical traces and rng-stream states. ``pytest --fuzz N`` additionally
+condition x server quirk x probe seed) — is replayed through all three probe
+engines (scalar, batched-ACK, segment-block) and must produce bit-identical
+traces and rng-stream states. ``pytest --fuzz N`` additionally
 draws N fresh cases (``--fuzz-seed`` picks the stream); a failure prints the
 offending case dict, which can be appended to the corpus to pin the
 regression.
@@ -42,7 +42,7 @@ def test_corpus_covers_every_algorithm():
                          ids=[f"case{i:03d}-{c['algorithm']}"
                               for i, c in enumerate(CORPUS)])
 def test_corpus_case_parity(index):
-    """All four tiers agree on this committed case, traces and rng stream."""
+    """All three tiers agree on this committed case, traces and rng stream."""
     assert_case_parity(CORPUS[index])
 
 

@@ -178,6 +178,28 @@ class TestParallelCensus:
         parallel_outcomes = [dataclasses.asdict(o) for o in parallel_report.outcomes]
         assert serial_outcomes == parallel_outcomes
 
+    def test_process_census_fans_out_one_task_per_server(self, trained_classifier,
+                                                          monkeypatch):
+        """The pool gets one probe task per server, not one batch of them."""
+        serial_report = CensusRunner(
+            trained_classifier, CensusConfig(seed=5)).run(self._population(size=12))
+        calls = []
+        original_map = ParallelExecutor.map
+
+        def spy(executor, function, tasks, *args, **kwargs):
+            tasks = list(tasks)
+            calls.append((executor.backend, function.__name__, len(tasks)))
+            return original_map(executor, function, tasks, *args, **kwargs)
+
+        monkeypatch.setattr(ParallelExecutor, "map", spy)
+        parallel_report = CensusRunner(
+            trained_classifier,
+            CensusConfig(seed=5, backend="process", max_workers=2)).run(
+                self._population(size=12))
+        assert calls == [("process", "_probe_task", 12)]
+        assert ([dataclasses.asdict(o) for o in parallel_report.outcomes]
+                == [dataclasses.asdict(o) for o in serial_report.outcomes])
+
     def test_explicit_executor_overrides_config(self, trained_classifier):
         runner = CensusRunner(trained_classifier, CensusConfig(seed=5),
                               executor=ParallelExecutor(backend="process", max_workers=2))

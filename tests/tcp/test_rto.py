@@ -1,6 +1,5 @@
 """Tests for the RFC 6298 retransmission timeout estimator."""
 
-import numpy as np
 import pytest
 
 from repro.tcp.rto import RtoEstimator
@@ -168,112 +167,3 @@ class TestObserveRunEdgeCases:
             loop.observe(sample)
         run.observe_run(sample, 6)
         self.assert_bitwise_equal(run, loop)
-
-
-class TestObserveRunColumns:
-    """Edge cases of the columnar estimator feed (``observe_run_columns``).
-
-    The contract mirrors ``observe_run`` per session: ``nan`` columns encode
-    the pre-first-sample state and every update must be bitwise identical to
-    running the scalar batched feed on each session in isolation — the
-    columnar probe engine relies on that equivalence for rng-stream parity.
-    """
-
-    @staticmethod
-    def columns(estimators):
-        srtt = np.array([e.srtt if e.srtt is not None else np.nan
-                         for e in estimators], dtype=np.float64)
-        rttvar = np.array([e.rttvar if e.rttvar is not None else np.nan
-                           for e in estimators], dtype=np.float64)
-        return srtt, rttvar
-
-    def assert_matches_scalar(self, estimators, samples, counts):
-        srtt, rttvar = self.columns(estimators)
-        RtoEstimator.observe_run_columns(
-            srtt, rttvar, np.asarray(samples, dtype=np.float64),
-            np.asarray(counts, dtype=np.int64))
-        for i, estimator in enumerate(estimators):
-            estimator.observe_run(samples[i], counts[i])
-            expect_s = estimator.srtt if estimator.srtt is not None else np.nan
-            expect_v = estimator.rttvar if estimator.rttvar is not None else np.nan
-            assert srtt[i] == expect_s or (srtt[i] != srtt[i] and expect_s != expect_s)
-            assert rttvar[i] == expect_v or (rttvar[i] != rttvar[i] and expect_v != expect_v)
-
-    def test_all_empty_runs_are_a_noop(self):
-        srtt = np.array([np.nan, 0.8], dtype=np.float64)
-        rttvar = np.array([np.nan, 0.2], dtype=np.float64)
-        before = (srtt.copy(), rttvar.copy())
-        RtoEstimator.observe_run_columns(
-            srtt, rttvar, np.array([1.0, 1.0]), np.array([0, -3]))
-        assert np.isnan(srtt[0]) and np.isnan(rttvar[0])
-        assert srtt[1] == before[0][1] and rttvar[1] == before[1][1]
-
-    def test_zero_count_session_untouched_next_to_active_one(self):
-        fresh, seeded = RtoEstimator(), RtoEstimator()
-        seeded.observe(0.7)
-        self.assert_matches_scalar([fresh, seeded], [0.9, 1.1], [0, 5])
-
-    def test_first_sample_initialises_nan_columns(self):
-        self.assert_matches_scalar([RtoEstimator()], [0.9], [1])
-
-    def test_mixed_states_match_scalar_feed(self):
-        estimators = []
-        rng = np.random.default_rng(5)
-        for i in range(12):
-            estimator = RtoEstimator()
-            for _ in range(i % 4):
-                estimator.observe(float(rng.uniform(0.3, 1.5)))
-            estimators.append(estimator)
-        samples = [float(rng.uniform(0.3, 1.5)) for _ in range(12)]
-        counts = [int(rng.integers(0, 7)) for _ in range(12)]
-        self.assert_matches_scalar(estimators, samples, counts)
-
-    def test_karn_split_runs_match_scalar_walk(self):
-        # A Karn-excluded pair splits a ten-ACK round into 3 + 5 samples;
-        # feeding the two sub-runs as consecutive column calls must land on
-        # the scalar observe/skip walk bit for bit.
-        loop = RtoEstimator()
-        loop.observe(0.7)
-        for index in range(10):
-            if index not in (3, 4):
-                loop.observe(0.85)
-        column = RtoEstimator()
-        column.observe(0.7)
-        srtt, rttvar = self.columns([column])
-        for count in (3, 5):
-            RtoEstimator.observe_run_columns(
-                srtt, rttvar, np.array([0.85]), np.array([count]))
-        assert srtt[0] == loop.srtt
-        assert rttvar[0] == loop.rttvar
-
-    def test_duplicated_sessions_dedup_transparently(self):
-        # Bytewise-identical sessions collapse to one evaluated row; the
-        # results must still match the scalar feed session by session.
-        template = RtoEstimator()
-        template.observe(0.6)
-        estimators = []
-        for _ in range(6):
-            clone = RtoEstimator()
-            clone.srtt, clone.rttvar = template.srtt, template.rttvar
-            estimators.append(clone)
-        estimators.append(RtoEstimator())  # one distinct nan row
-        self.assert_matches_scalar(estimators, [0.9] * 7, [4] * 6 + [2])
-
-    def test_fixed_point_early_break_matches_full_loop(self):
-        # A huge constant run converges; the early break must leave exactly
-        # the value the full scalar loop lands on.
-        self.assert_matches_scalar([RtoEstimator()], [1.0], [5000])
-
-    def test_non_positive_sample_on_active_session_rejected(self):
-        srtt, rttvar = self.columns([RtoEstimator()])
-        with pytest.raises(ValueError):
-            RtoEstimator.observe_run_columns(
-                srtt, rttvar, np.array([0.0]), np.array([3]))
-
-    def test_non_positive_sample_on_idle_session_ignored(self):
-        # ``observe_run`` never validates the sample when count <= 0; the
-        # columnar feed must not reject idle sessions either.
-        srtt, rttvar = self.columns([RtoEstimator()])
-        RtoEstimator.observe_run_columns(
-            srtt, rttvar, np.array([-1.0]), np.array([0]))
-        assert np.isnan(srtt[0])

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.envknobs import (EnvKnobError, FALSE_VALUES, TRUE_VALUES, env_flag,
-                            env_int)
+from repro.envknobs import EnvKnobError, FALSE_VALUES, TRUE_VALUES, env_flag
 
 KNOB = "REPRO_TEST_KNOB"
 
@@ -43,39 +42,6 @@ class TestEnvFlag:
         monkeypatch.setenv(KNOB, "maybe")
         with pytest.raises(EnvKnobError, match="maybe"):
             env_flag(KNOB)
-
-
-class TestEnvInt:
-    def test_unset_returns_default(self, monkeypatch):
-        monkeypatch.delenv(KNOB, raising=False)
-        assert env_int(KNOB, 1024) == 1024
-
-    def test_parses_integers(self, monkeypatch):
-        monkeypatch.setenv(KNOB, " 256 ")
-        assert env_int(KNOB, 1024) == 256
-
-    @pytest.mark.parametrize("raw", ["garbage", "1.5", "1e3", ""])
-    def test_non_integers_raise_or_default(self, monkeypatch, raw):
-        monkeypatch.setenv(KNOB, raw)
-        if not raw.strip():
-            assert env_int(KNOB, 7) == 7
-        else:
-            with pytest.raises(EnvKnobError, match=KNOB):
-                env_int(KNOB, 7)
-
-    @pytest.mark.parametrize("raw", ["0", "-5"])
-    def test_below_minimum_raises(self, monkeypatch, raw):
-        monkeypatch.setenv(KNOB, raw)
-        with pytest.raises(EnvKnobError, match="minimum"):
-            env_int(KNOB, 7, minimum=1)
-
-    def test_minimum_is_inclusive(self, monkeypatch):
-        monkeypatch.setenv(KNOB, "1")
-        assert env_int(KNOB, 7, minimum=1) == 1
-
-    def test_negative_allowed_without_minimum(self, monkeypatch):
-        monkeypatch.setenv(KNOB, "-3")
-        assert env_int(KNOB, 7) == -3
 
     def test_env_knob_error_is_a_value_error(self):
         assert issubclass(EnvKnobError, ValueError)
