@@ -1,9 +1,10 @@
-"""Probe-engine benchmark: the three engine generations against each other.
+"""Probe-engine benchmark: the batched ACK engine against the per-ACK one.
 
 Times the CAAI probe hot paths -- trace gathering, the 100-server census and
-the training-set build -- across the engine generations (scalar per-ACK
-objects, batched-ACK objects, segment blocks), verifies the engines produce
-bit-identical traces, and writes ``BENCH_probe.json``::
+the training-set build -- on the two ACK engines (both on segment blocks:
+the batched production engine and the scalar per-ACK reference forced by
+``REPRO_ACK_BATCH=0``), verifies they produce bit-identical traces, and
+writes ``BENCH_probe.json``::
 
     PYTHONPATH=src python benchmarks/bench_probe.py [output.json]
 
@@ -33,27 +34,19 @@ from repro.core.classifier import CaaiClassifier
 from repro.core.gather import GatherConfig, TraceGatherer
 from repro.core.training import TrainingSetBuilder
 from repro.net.conditions import NetworkCondition, default_condition_database
-from repro.tcp.connection import (
-    ACK_BATCH_ENV,
-    SEGMENT_BLOCKS_ENV,
-    SenderConfig,
-    TcpSender,
-)
+from repro.tcp.connection import ACK_BATCH_ENV, SenderConfig, TcpSender
 from repro.tcp.packet import Segment, SegmentBlock
-from repro.tcp.registry import IDENTIFIABLE_ALGORITHMS, create_algorithm
+from repro.tcp.registry import IDENTIFIABLE_ALGORITHMS
 from repro.web.population import PopulationConfig, ServerPopulation
 
 CENSUS_SIZE = 100
 N_TREES = 60
-#: CI tripwire: the batched ACK engine must beat the scalar engine (both on
-#: the object emitter, the historic comparison) by at least this factor.
-TARGET_ACK_SPEEDUP = 2.5
-#: CI tripwire: the segment-block engine must beat the batched-ACK object
-#: engine by at least this factor on the probe workload. The development
-#: machine measures ~6x; the threshold sits far below that so loaded CI
-#: runners do not flake, while a block path that silently stopped engaging
+#: CI tripwire: the batched ACK engine must beat the scalar per-ACK engine
+#: by at least this factor on the probe workload. A 2-core development
+#: machine measures ~16-20x; the threshold sits far below that so loaded CI
+#: runners do not flake, while a fast path that silently stopped engaging
 #: (~1x) still fails loudly.
-TARGET_BLOCK_SPEEDUP = 2.5
+TARGET_ACK_SPEEDUP = 2.5
 
 
 def _make_server(algorithm: str):
@@ -81,13 +74,11 @@ def timed(function):
     return time.perf_counter() - start, value
 
 
-def with_engine(blocks: bool, batch: bool, function):
-    os.environ[SEGMENT_BLOCKS_ENV] = "1" if blocks else "0"
+def with_engine(batch: bool, function):
     os.environ[ACK_BATCH_ENV] = "1" if batch else "0"
     try:
         return timed(function)
     finally:
-        os.environ[SEGMENT_BLOCKS_ENV] = "1"
         os.environ[ACK_BATCH_ENV] = "1"
 
 
@@ -100,12 +91,11 @@ def assert_trace_parity(label: str, left, right) -> None:
 
 # --------------------------------------------------------------- breakdown
 #: Sender entry points whose wall time counts as "ACK engine + emit". The
-#: depth guard keeps nested calls (``on_ack_ladder`` -> ``on_ack_packet``,
-#: legacy wrappers -> native methods) from double-counting.
-_SENDER_ENTRY_POINTS = ("start", "start_native", "on_ack", "on_ack_native",
-                        "on_ack_packet", "on_ack_run", "on_ack_run_native",
-                        "on_ack_ladder", "on_timer", "on_timer_native")
-_EMIT_POINTS = ("_emit_range", "_build_segment")
+#: depth guard keeps nested calls (``on_ack_ladder`` -> ``on_ack_packet``)
+#: from double-counting.
+_SENDER_ENTRY_POINTS = ("start", "on_ack", "on_ack_packet", "on_ack_ladder",
+                        "on_timer")
+_EMIT_POINTS = ("_emit_range", "_retransmit")
 
 
 @contextmanager
@@ -158,11 +148,11 @@ def instrumented():
         SegmentBlock.__post_init__ = saved["block_init"]
 
 
-def phase_breakdown(blocks: bool) -> dict:
+def phase_breakdown() -> dict:
     """One instrumented probe-workload pass, split into phases per probe."""
     probes = len(IDENTIFIABLE_ALGORITHMS)
     with instrumented() as timers:
-        total_seconds, _ = with_engine(blocks, True, probe_workload)
+        total_seconds, _ = with_engine(True, probe_workload)
     emit = timers["emit"]
     ack_engine = max(timers["sender"] - emit, 0.0)
     gather = max(total_seconds - timers["sender"], 0.0)
@@ -180,63 +170,31 @@ def main() -> None:
     results: dict = {"scale": "small", "census_size": CENSUS_SIZE}
     probes = len(IDENTIFIABLE_ALGORITHMS)
 
-    # ---- probe throughput across the three engines, with parity gates -----
-    print("timing probe workload (blocks vs objects vs scalar) ...", flush=True)
-    block_ratios, ack_ratios = [], []
-    block_best = object_best = scalar_best = float("inf")
-    block_traces = object_traces = scalar_traces = None
+    # ---- probe throughput on both ACK engines, with a parity gate ---------
+    print("timing probe workload (batched vs per-ACK) ...", flush=True)
+    ack_ratios = []
+    batched_best = scalar_best = float("inf")
+    batched_traces = scalar_traces = None
     for _ in range(3):
-        block_seconds, block_traces = with_engine(True, True, probe_workload)
-        object_seconds, object_traces = with_engine(False, True, probe_workload)
-        scalar_seconds, scalar_traces = with_engine(False, False, probe_workload)
-        block_ratios.append(object_seconds / block_seconds)
-        ack_ratios.append(scalar_seconds / object_seconds)
-        block_best = min(block_best, block_seconds)
-        object_best = min(object_best, object_seconds)
+        batched_seconds, batched_traces = with_engine(True, probe_workload)
+        scalar_seconds, scalar_traces = with_engine(False, probe_workload)
+        ack_ratios.append(scalar_seconds / batched_seconds)
+        batched_best = min(batched_best, batched_seconds)
         scalar_best = min(scalar_best, scalar_seconds)
-    assert_trace_parity("block vs object", block_traces, object_traces)
-    assert_trace_parity("object vs scalar", object_traces, scalar_traces)
-    block_speedup = sorted(block_ratios)[len(block_ratios) // 2]
+    assert_trace_parity("batched vs per-ACK", batched_traces, scalar_traces)
     ack_speedup = sorted(ack_ratios)[len(ack_ratios) // 2]
     results["probe_workload_probes"] = probes
-    results["probes_per_second"] = round(probes / block_best, 2)
-    results["probes_per_second_objects"] = round(probes / object_best, 2)
+    results["probes_per_second"] = round(probes / batched_best, 2)
     results["probes_per_second_scalar"] = round(probes / scalar_best, 2)
-    results["segment_block_speedup"] = round(block_speedup, 2)
-    results["segment_block_speedup_best"] = round(max(block_ratios), 2)
     results["ack_engine_speedup"] = round(ack_speedup, 2)
     results["ack_engine_speedup_best"] = round(max(ack_ratios), 2)
 
     # ---- per-phase breakdown (attributes future regressions) --------------
     print("profiling per-phase breakdown ...", flush=True)
-    results["phases_blocks"] = phase_breakdown(blocks=True)
-    results["phases_objects"] = phase_breakdown(blocks=False)
-
-    # ---- ACK-path microbenchmark: one sender, one long slow-start round ---
-    print("timing raw ACK run (1024-ACK round) ...", flush=True)
-
-    def ack_run(use_run: bool) -> None:
-        sender = TcpSender(create_algorithm("cubic-b"),
-                           SenderConfig(mss=100, initial_window=2))
-        sender.enqueue_bytes(50_000_000)
-        now, segments = 0.0, sender.start(0.0)
-        while segments and len(segments) <= 1024:
-            now += 1.0
-            acks = [seg.end_seq for seg in segments]
-            if use_run:
-                segments = sender.on_ack_run(acks, now)
-            else:
-                nxt = []
-                for ack in acks:
-                    nxt.extend(sender.on_ack(ack, now))
-                segments = nxt
-
-    run_seconds, _ = timed(lambda: [ack_run(True) for _ in range(20)])
-    loop_seconds, _ = timed(lambda: [ack_run(False) for _ in range(20)])
-    results["ack_run_speedup"] = round(loop_seconds / run_seconds, 2)
+    results["phases_blocks"] = phase_breakdown()
 
     # ---- training set (same workload as bench_smoke_inference) -----------
-    print("building training set (block engine) ...", flush=True)
+    print("building training set ...", flush=True)
     def build_training_set():
         builder = TrainingSetBuilder(
             conditions_per_pair=6, seed=7,
@@ -266,12 +224,8 @@ def main() -> None:
         json.dump(results, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(json.dumps(results, indent=2, sort_keys=True))
-    print(f"\nblock engine speedup on the probe workload: {block_speedup:.2f}x")
-    print(f"ACK engine speedup (object emitter): {ack_speedup:.2f}x")
+    print(f"\nACK engine speedup on the probe workload: {ack_speedup:.2f}x")
     failures = []
-    if block_speedup < TARGET_BLOCK_SPEEDUP:
-        failures.append(f"segment_block_speedup {block_speedup:.2f}x is below "
-                        f"the {TARGET_BLOCK_SPEEDUP:.1f}x tripwire")
     if ack_speedup < TARGET_ACK_SPEEDUP:
         failures.append(f"ack_engine_speedup {ack_speedup:.2f}x is below "
                         f"the {TARGET_ACK_SPEEDUP:.1f}x tripwire")

@@ -15,11 +15,15 @@ Section IV of the paper:
   server falls back to a conventional timeout recovery;
 * 18 post-timeout rounds make the trace valid (subtask 3).
 
-The engine works at round granularity: the only stochastic element of the
-path, ACK loss on the prober-to-server direction plus data-packet loss on the
-reverse direction, is applied per packet with the probe's
-:class:`~repro.net.conditions.NetworkCondition`. The packet-level alternative
-(full discrete-event simulation including delay jitter) lives in
+The engine works at round granularity on the
+:class:`~repro.tcp.packet.SegmentBlock` records the sender emits: window
+estimation, loss draws and the ACK ladder all run on block arithmetic, so a
+round costs O(blocks), not O(packets), and no per-packet
+:class:`~repro.tcp.packet.Segment` object is ever built. The only stochastic
+element of the path, ACK loss on the prober-to-server direction plus
+data-packet loss on the reverse direction, is applied per packet with the
+probe's :class:`~repro.net.conditions.NetworkCondition`. The packet-level
+alternative (full discrete-event simulation including delay jitter) lives in
 :mod:`repro.core.prober`; integration tests check the two agree on loss-free
 paths.
 """
@@ -41,13 +45,7 @@ from repro.core.trace import InvalidReason, ProbeTrace, WindowTrace
 from repro.net.conditions import NetworkCondition
 from repro.tcp.connection import TcpSender
 from repro.tcp.options import CAAI_MSS_LADDER
-from repro.tcp.packet import (
-    Segment,
-    SegmentBlock,
-    block_packet_count,
-    in_sequence,
-    in_sequence_blocks,
-)
+from repro.tcp.packet import SegmentBlock, block_packet_count, in_sequence_blocks
 
 
 class ProbeableServer(Protocol):
@@ -210,208 +208,16 @@ class TraceGatherer:
         if sender is None:
             return WindowTrace.invalid(environment.name, config.w_timeout,
                                        config.mss, InvalidReason.CONNECTION_FAILED)
-        # Senders natively emitting SegmentBlock records (the default;
-        # REPRO_SEGMENT_BLOCKS=0 forces the historic per-packet emitter) are
-        # driven without materialising a single Segment object: window
-        # estimation, loss draws and the ACK ladder all run on block
-        # arithmetic. Both pipelines are bit-identical.
-        if getattr(sender, "emits_blocks", False):
-            return self._run_probe_blocks(sender, server, environment,
-                                          condition, rng, start_time)
-        return self._run_probe_segments(sender, server, environment,
-                                        condition, rng, start_time)
-
-    # ------------------------------------------------------------- internals
-    def _run_probe_segments(self, sender: TcpSender, server: ProbeableServer,
-                            environment: NetworkEnvironment, condition: NetworkCondition,
-                            rng: np.random.Generator, start_time: float) -> WindowTrace:
-        config = self.config
+        # The highest received sequence number is tracked both in bytes
+        # (window estimates are byte-based, the stream tail may be shorter
+        # than one MSS) and in packet-cumulative units (the sender's ACK
+        # ladder works in packets; acknowledging packet ``i`` advances the
+        # cumulative point to ``i + 1``, which is its block's ``stop_index``).
         trace = WindowTrace(environment=environment.name, w_timeout=config.w_timeout,
                             mss=config.mss,
                             required_post_rounds=config.rounds_after_timeout)
         now = start_time
-        segments = sender.start(now)
-        highest_end = 0
-        highest_prev = 0
-
-        # ---- pre-timeout phase: slow start up to the emulated timeout ------
-        timed_out = False
-        for round_index in range(config.max_pre_timeout_rounds):
-            received = self._deliver_data(segments, condition, rng)
-            if not received:
-                trace.invalid_reason = InvalidReason.INSUFFICIENT_DATA
-                return trace
-            highest_end = max(highest_end, max(seg.end_seq for seg in received))
-            window = self._window_estimate(received, highest_end, highest_prev)
-            highest_prev = highest_end
-            trace.pre_timeout.append(window)
-            now += environment.rtt_before_timeout(round_index)
-            if self._past_deadline(now, start_time):
-                trace.invalid_reason = InvalidReason.PROBE_TIMEOUT
-                return trace
-            if window > config.w_timeout:
-                timed_out = True
-                break
-            self._ecn_feedback(sender, len(received), condition, rng, now)
-            segments, lost_acks = self._acknowledge(sender, received, condition,
-                                                    rng, now, highest_end)
-            trace.ack_loss_events += lost_acks
-            if not segments:
-                trace.invalid_reason = InvalidReason.INSUFFICIENT_DATA
-                return trace
-        if not timed_out:
-            trace.invalid_reason = InvalidReason.WINDOW_BELOW_W_TIMEOUT
-            return trace
-
-        # ---- the emulated timeout ------------------------------------------
-        deadline = sender.next_timer_deadline()
-        if deadline is None:
-            trace.invalid_reason = InvalidReason.NO_TIMEOUT_RESPONSE
-            return trace
-        now = max(now, deadline)
-        if self._past_deadline(now, start_time):
-            trace.invalid_reason = InvalidReason.PROBE_TIMEOUT
-            return trace
-        segments = sender.on_timer(now)
-        if not segments:
-            trace.invalid_reason = InvalidReason.NO_TIMEOUT_RESPONSE
-            return trace
-        if server.uses_frto():
-            # One duplicate ACK makes an F-RTO server fall back to the
-            # conventional timeout recovery (Section IV-C).
-            sender.on_ack(highest_prev, now, is_duplicate=True)
-
-        # ---- post-timeout phase: 18 rounds of window estimates --------------
-        for post_index in range(config.rounds_after_timeout):
-            if not segments:
-                # The server went quiet. If it still has unacknowledged data
-                # its retransmission timer will eventually fire (e.g. the ACKs
-                # of a whole round were lost); otherwise it ran out of data
-                # and the trace cannot reach 18 post-timeout rounds.
-                deadline = sender.next_timer_deadline()
-                if deadline is not None and not sender.all_data_acked():
-                    now = max(now, deadline)
-                    segments = sender.on_timer(now)
-            received = self._deliver_data(segments, condition, rng)
-            if not segments:
-                trace.invalid_reason = InvalidReason.INSUFFICIENT_DATA
-                return trace
-            if received:
-                highest_end = max(highest_end, max(seg.end_seq for seg in received))
-                window = self._window_estimate(received, highest_end, highest_prev)
-                highest_prev = highest_end
-            else:
-                window = 0.0
-            trace.post_timeout.append(window)
-            now += environment.rtt_after_timeout(post_index)
-            if self._past_deadline(now, start_time):
-                trace.invalid_reason = InvalidReason.PROBE_TIMEOUT
-                return trace
-            self._ecn_feedback(sender, len(received), condition, rng, now)
-            segments, lost_acks = self._acknowledge(sender, received, condition,
-                                                    rng, now, highest_end)
-            trace.ack_loss_events += lost_acks
-        return trace
-
-    def _past_deadline(self, now: float, start_time: float) -> bool:
-        """Whether the per-environment deadline budget is exhausted."""
-        deadline = self.config.deadline
-        return deadline is not None and now - start_time > deadline
-
-    def _deliver_data(self, segments: list[Segment], condition: NetworkCondition,
-                      rng: np.random.Generator) -> list[Segment]:
-        """Apply data-direction loss; CAAI sees only the surviving packets.
-
-        The loss draws are vectorised; ``Generator.random(n)`` consumes the
-        same underlying stream as ``n`` scalar draws, so the outcome is
-        bit-identical to the per-segment loop.
-        """
-        if condition.loss_rate <= 0.0 or not segments:
-            return list(segments)
-        kept = rng.random(len(segments)) >= condition.loss_rate
-        return [seg for seg, keep in zip(segments, kept) if keep]
-
-    def _ecn_feedback(self, sender: TcpSender, packet_count: int,
-                      condition: NetworkCondition, rng: np.random.Generator,
-                      now: float) -> None:
-        """Mark the round's delivered packets and echo the count, maybe.
-
-        One Bernoulli draw per delivered packet (vectorised, on the probe's
-        own stream) when the condition's ``ecn_mark_rate`` is non-zero; the
-        marked count rides back to the sender as one feedback call per round,
-        just before the round's ACK ladder. The segment and block paths call
-        this with identical packet counts at identical points, so their rng
-        streams stay in lock step with ECN on. With the default rate of 0.0
-        the method consumes no draws and makes no calls -- every historic
-        trace is byte-identical.
-        """
-        if condition.ecn_mark_rate <= 0.0 or packet_count <= 0:
-            return
-        marked = int((rng.random(packet_count) < condition.ecn_mark_rate).sum())
-        if marked:
-            sender.ecn_feedback(marked, packet_count, now)
-
-    def _window_estimate(self, received: list[Segment], highest_end: int,
-                         highest_prev: int) -> float:
-        """Estimate the round's window from the highest received sequence number.
-
-        The retransmission round after the timeout repeats old sequence
-        numbers, so the sequence-based estimate would be zero; CAAI falls back
-        to counting packets there (the value is not used by feature
-        extraction, which only looks at relative growth later in the trace).
-        """
-        by_sequence = (highest_end - highest_prev) / self.config.mss
-        if by_sequence <= 0:
-            return float(len(received))
-        return float(by_sequence)
-
-    def _acknowledge(self, sender: TcpSender, received: list[Segment],
-                     condition: NetworkCondition, rng: np.random.Generator,
-                     now: float, highest_end: int) -> tuple[list[Segment], int]:
-        """Send one cumulative ACK per received data packet, subject to ACK loss.
-
-        The round's ACK ladder is built up front and handed to the sender's
-        batched run API (:meth:`~repro.tcp.connection.TcpSender.on_ack_run`);
-        the sender falls back to the per-ACK engine on any non-clean run
-        (retransmissions, gaps from lost ACKs), so traces are bit-identical
-        to the historic one-``on_ack``-per-packet loop either way.
-        """
-        if not received:
-            return [], 0
-        ladder: list[int] = []
-        cumulative = 0
-        for segment in in_sequence(received):
-            cumulative = max(cumulative, segment.end_seq,
-                             highest_end if segment.is_retransmission else 0)
-            ladder.append(cumulative)
-        lost = 0
-        if condition.loss_rate > 0.0:
-            # One draw per ACK, exactly as the per-packet loop made them.
-            dropped = rng.random(len(ladder)) < condition.loss_rate
-            lost = int(dropped.sum())
-            if lost:
-                ladder = [value for value, drop in zip(ladder, dropped) if not drop]
-        return sender.on_ack_run(ladder, now), lost
-
-    # ------------------------------------------------- block-level pipeline
-    def _run_probe_blocks(self, sender: TcpSender, server: ProbeableServer,
-                          environment: NetworkEnvironment, condition: NetworkCondition,
-                          rng: np.random.Generator, start_time: float) -> WindowTrace:
-        """The probe driven on segment blocks: O(runs) per round, no objects.
-
-        Mirrors :meth:`_run_probe_segments` step for step. The highest
-        received sequence number is tracked both in bytes (window estimates
-        are byte-based, the stream tail may be shorter than one MSS) and in
-        packet-cumulative units (the sender's ACK ladder works in packets;
-        acknowledging segment ``i`` always advances the cumulative point to
-        ``i + 1``, which is exactly the block's ``stop_index``).
-        """
-        config = self.config
-        trace = WindowTrace(environment=environment.name, w_timeout=config.w_timeout,
-                            mss=config.mss,
-                            required_post_rounds=config.rounds_after_timeout)
-        now = start_time
-        blocks = sender.start_native(now)
+        blocks = sender.start(now)
         highest_end = 0
         highest_pkt = 0
         highest_prev = 0
@@ -419,7 +225,7 @@ class TraceGatherer:
         # ---- pre-timeout phase: slow start up to the emulated timeout ------
         timed_out = False
         for round_index in range(config.max_pre_timeout_rounds):
-            received = self._deliver_blocks(blocks, condition, rng)
+            received = self._deliver(blocks, condition, rng)
             if not received:
                 trace.invalid_reason = InvalidReason.INSUFFICIENT_DATA
                 return trace
@@ -428,7 +234,7 @@ class TraceGatherer:
                     highest_end = block.end_seq
                 if block.stop_index > highest_pkt:
                     highest_pkt = block.stop_index
-            window = self._window_estimate_blocks(received, highest_end, highest_prev)
+            window = self._window_estimate(received, highest_end, highest_prev)
             highest_prev = highest_end
             trace.pre_timeout.append(window)
             now += environment.rtt_before_timeout(round_index)
@@ -440,8 +246,8 @@ class TraceGatherer:
                 break
             self._ecn_feedback(sender, block_packet_count(received), condition,
                                rng, now)
-            blocks, lost_acks = self._acknowledge_blocks(sender, received, condition,
-                                                         rng, now, highest_pkt)
+            blocks, lost_acks = self._acknowledge(sender, received, condition,
+                                                  rng, now, highest_pkt)
             trace.ack_loss_events += lost_acks
             if not blocks:
                 trace.invalid_reason = InvalidReason.INSUFFICIENT_DATA
@@ -459,7 +265,7 @@ class TraceGatherer:
         if self._past_deadline(now, start_time):
             trace.invalid_reason = InvalidReason.PROBE_TIMEOUT
             return trace
-        blocks = sender.on_timer_native(now)
+        blocks = sender.on_timer(now)
         if not blocks:
             trace.invalid_reason = InvalidReason.NO_TIMEOUT_RESPONSE
             return trace
@@ -478,8 +284,8 @@ class TraceGatherer:
                 deadline = sender.next_timer_deadline()
                 if deadline is not None and not sender.all_data_acked():
                     now = max(now, deadline)
-                    blocks = sender.on_timer_native(now)
-            received = self._deliver_blocks(blocks, condition, rng)
+                    blocks = sender.on_timer(now)
+            received = self._deliver(blocks, condition, rng)
             if not blocks:
                 trace.invalid_reason = InvalidReason.INSUFFICIENT_DATA
                 return trace
@@ -489,8 +295,8 @@ class TraceGatherer:
                         highest_end = block.end_seq
                     if block.stop_index > highest_pkt:
                         highest_pkt = block.stop_index
-                window = self._window_estimate_blocks(received, highest_end,
-                                                      highest_prev)
+                window = self._window_estimate(received, highest_end,
+                                               highest_prev)
                 highest_prev = highest_end
             else:
                 window = 0.0
@@ -501,17 +307,42 @@ class TraceGatherer:
                 return trace
             self._ecn_feedback(sender, block_packet_count(received), condition,
                                rng, now)
-            blocks, lost_acks = self._acknowledge_blocks(sender, received, condition,
-                                                         rng, now, highest_pkt)
+            blocks, lost_acks = self._acknowledge(sender, received, condition,
+                                                  rng, now, highest_pkt)
             trace.ack_loss_events += lost_acks
         return trace
 
-    def _deliver_blocks(self, blocks: list[SegmentBlock], condition: NetworkCondition,
-                        rng: np.random.Generator) -> list[SegmentBlock]:
-        """Apply data-direction loss to blocks, splitting around lost packets.
+    # ------------------------------------------------------------- internals
+    def _past_deadline(self, now: float, start_time: float) -> bool:
+        """Whether the per-environment deadline budget is exhausted."""
+        deadline = self.config.deadline
+        return deadline is not None and now - start_time > deadline
 
-        One draw per covered packet in block order -- the same stream
-        consumption, in the same order, as the per-segment path -- then each
+    def _ecn_feedback(self, sender: TcpSender, packet_count: int,
+                      condition: NetworkCondition, rng: np.random.Generator,
+                      now: float) -> None:
+        """Mark the round's delivered packets and echo the count, maybe.
+
+        One Bernoulli draw per delivered packet (vectorised, on the probe's
+        own stream) when the condition's ``ecn_mark_rate`` is non-zero; the
+        marked count rides back to the sender as one feedback call per round,
+        just before the round's ACK ladder, so the batched and the scalar
+        per-ACK engine see the same draws and calls. With the default rate of
+        0.0 the method consumes no draws and makes no calls -- every historic
+        trace is byte-identical.
+        """
+        if condition.ecn_mark_rate <= 0.0 or packet_count <= 0:
+            return
+        marked = int((rng.random(packet_count) < condition.ecn_mark_rate).sum())
+        if marked:
+            sender.ecn_feedback(marked, packet_count, now)
+
+    def _deliver(self, blocks: list[SegmentBlock], condition: NetworkCondition,
+                 rng: np.random.Generator) -> list[SegmentBlock]:
+        """Apply data-direction loss; CAAI sees only the surviving packets.
+
+        One draw per covered packet in block order (``Generator.random(n)``
+        consumes the same stream as ``n`` scalar per-packet draws), then each
         block is cut into its maximal surviving stretches.
         """
         if condition.loss_rate <= 0.0 or not blocks:
@@ -532,25 +363,31 @@ class TraceGatherer:
                 out.append(block.slice(first, first + size))
         return out
 
-    def _window_estimate_blocks(self, received: list[SegmentBlock],
-                                highest_end: int, highest_prev: int) -> float:
-        """:meth:`_window_estimate` on blocks (packet-count fallback intact)."""
+    def _window_estimate(self, received: list[SegmentBlock], highest_end: int,
+                         highest_prev: int) -> float:
+        """Estimate the round's window from the highest received sequence number.
+
+        The retransmission round after the timeout repeats old sequence
+        numbers, so the sequence-based estimate would be zero; CAAI falls back
+        to counting packets there (the value is not used by feature
+        extraction, which only looks at relative growth later in the trace).
+        """
         by_sequence = (highest_end - highest_prev) / self.config.mss
         if by_sequence <= 0:
             return float(block_packet_count(received))
         return float(by_sequence)
 
-    def _acknowledge_blocks(self, sender: TcpSender, received: list[SegmentBlock],
-                            condition: NetworkCondition, rng: np.random.Generator,
-                            now: float, highest_pkt: int) -> tuple[list[SegmentBlock], int]:
-        """Send the round's ACK ladder, built from block arithmetic.
+    def _acknowledge(self, sender: TcpSender, received: list[SegmentBlock],
+                     condition: NetworkCondition, rng: np.random.Generator,
+                     now: float, highest_pkt: int) -> tuple[list[SegmentBlock], int]:
+        """Send one cumulative ACK per received data packet, subject to ACK loss.
 
-        The per-segment ladder (one cumulative ACK per received packet) is
-        compressed into unit-advance stretches and repeated-cumulative runs
-        in O(blocks), handed to the sender's
+        The round's ladder (one cumulative ACK per received packet) is built
+        from block arithmetic, compressed into unit-advance stretches and
+        repeated-cumulative runs in O(blocks), and handed to the sender's
         :meth:`~repro.tcp.connection.TcpSender.on_ack_ladder`; ACK-direction
-        loss draws stay one-per-entry on the same rng stream, fragmenting the
-        stretches around dropped ACKs.
+        loss draws stay one per entry on the probe's rng stream, fragmenting
+        the stretches around dropped ACKs.
         """
         if not received:
             return [], 0
@@ -561,8 +398,7 @@ class TraceGatherer:
         def add_run(kind: str, value: int, count: int) -> None:
             # Adjacent blocks produce adjacent ladder entries; coalescing
             # them here is what lets one round's burst -- however many
-            # emission records it arrived as -- batch as a single clean run,
-            # exactly like the flat per-segment ladder did.
+            # blocks it arrived as -- batch as a single clean run.
             if runs:
                 last_kind, last_value, last_count = runs[-1]
                 if kind == last_kind and (
@@ -594,7 +430,7 @@ class TraceGatherer:
                 cumulative = stop
         lost = 0
         if condition.loss_rate > 0.0:
-            # One draw per ACK, exactly as the per-packet loop made them.
+            # One draw per ACK, in ladder order.
             dropped = rng.random(total) < condition.loss_rate
             lost = int(dropped.sum())
             if lost:

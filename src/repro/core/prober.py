@@ -28,7 +28,7 @@ from repro.net.conditions import NetworkCondition
 from repro.net.link import NetemLink
 from repro.net.simulator import EventSimulator
 from repro.tcp.connection import TcpSender
-from repro.tcp.packet import Segment, in_sequence
+from repro.tcp.packet import Segment, SegmentBlock, in_sequence
 
 
 @dataclass
@@ -61,8 +61,7 @@ class _ServerEndpoint:
         self._shut_down = False
 
     def start(self) -> None:
-        emitted = self.sender.start_native(self.simulator.now)
-        self._transmit(emitted)
+        self._transmit(self.sender.start(self.simulator.now))
         self._rearm_timer()
 
     def shutdown(self) -> None:
@@ -75,24 +74,21 @@ class _ServerEndpoint:
     def on_ack(self, ack_seq: int, is_duplicate: bool = False) -> None:
         if self._shut_down:
             return
-        emitted = self.sender.on_ack_native(ack_seq, self.simulator.now,
-                                            is_duplicate=is_duplicate)
-        self._transmit(emitted)
+        self._transmit(self.sender.on_ack(ack_seq, self.simulator.now,
+                                          is_duplicate=is_duplicate))
         self._rearm_timer()
 
     def _on_timer(self) -> None:
         if self._shut_down:
             return
-        emitted = self.sender.on_timer_native(self.simulator.now)
-        self._transmit(emitted)
+        self._transmit(self.sender.on_timer(self.simulator.now))
         self._rearm_timer()
 
-    def _transmit(self, emitted: list) -> None:
-        # The sender hands over blocks (or legacy segments); the link's
-        # expansion adapter turns each record into per-packet deliveries, so
-        # the prober's receive side always sees individual Segments.
-        for item in emitted:
-            self.downlink.send_expanded(item, self.prober.on_segment)
+    def _transmit(self, blocks: list[SegmentBlock]) -> None:
+        # The link expands each block into per-packet deliveries, so the
+        # prober's receive side always sees individual Segments.
+        for block in blocks:
+            self.downlink.send_expanded(block, self.prober.on_segment)
 
     def _rearm_timer(self) -> None:
         if self._timer_handle is not None:

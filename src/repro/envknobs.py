@@ -1,12 +1,11 @@
 """Centralised, validated parsing of the ``REPRO_*`` environment knobs.
 
-Every engine tier ships an escape hatch as an environment variable
-(``REPRO_ACK_BATCH``, ``REPRO_SEGMENT_BLOCKS``). Historically each module
-parsed its own variable with slightly different rules, so one knob's
-``false`` left its engine *on* while another's turned it off. This module
-is the single parser for all of them: one boolean vocabulary and a loud
-:class:`EnvKnobError` for anything unrecognised instead of a silent
-coercion.
+The batched ACK engine ships an escape hatch as an environment variable
+(``REPRO_ACK_BATCH``). Historically each engine knob was parsed by its own
+module with slightly different rules, so one knob's ``false`` left its
+engine *on* while another's turned it off. This module is the single
+parser for boolean knobs: one vocabulary and a loud :class:`EnvKnobError`
+for anything unrecognised instead of a silent coercion.
 
 The full knob table lives in ``docs/CONFIGURATION.md``.
 """

@@ -190,19 +190,6 @@ class FaultPlan:
         """Whether the plan injects nothing at all."""
         return not self.specs
 
-    def targets_server(self, server_id: str) -> bool:
-        """Whether any probe-layer spec could ever affect ``server_id``.
-
-        Args:
-            server_id: The server's stable identifier.
-
-        Returns:
-            ``True`` if some network/server-layer spec matches the server's
-            scope (the probability draw is made later, per spec).
-        """
-        return any(spec.kind in PROBE_KINDS and self._in_scope(spec, server_id)
-                   for spec in self.specs)
-
     def probe_faults(self, server_id: str, attempt: int) -> list[FaultSpec]:
         """The probe-layer faults that fire for one server on one attempt.
 

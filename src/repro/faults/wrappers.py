@@ -25,8 +25,8 @@ DEFAULT_TRUNCATION_FRACTION = 0.05
 class FaultySender:
     """A :class:`~repro.tcp.connection.TcpSender` proxy firing mid-trace faults.
 
-    Counts probe rounds (one per ACK-batch call from the trace gatherer) and
-    raises :class:`~repro.faults.plan.FaultInjected` when a spec's
+    Counts probe rounds (one per :meth:`on_ack_ladder` call from the trace
+    gatherer) and raises :class:`~repro.faults.plan.FaultInjected` when a spec's
     ``at_round`` is reached. Everything else is delegated untouched, so the
     wrapped sender's behaviour — and rng consumption — is unchanged up to
     the firing round.
@@ -63,21 +63,8 @@ class FaultySender:
             raise FaultInjected(spec.kind, spec.transient)
 
     # ------------------------------------------------ intercepted sender API
-    def on_ack_run(self, ladder, now):
-        """One pre/post-timeout round of cumulative ACKs (segment path).
-
-        Args:
-            ladder: Cumulative ACK values, one per received packet.
-            now: Current simulated time.
-
-        Returns:
-            The sender's emitted segments for the next round.
-        """
-        self._advance_round()
-        return self._sender.on_ack_run(ladder, now)
-
     def on_ack_ladder(self, runs, now):
-        """One round of compressed ACK runs (block path).
+        """One pre/post-timeout round of compressed ACK runs.
 
         Args:
             runs: The compressed ``(kind, value, count)`` ladder runs.

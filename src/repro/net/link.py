@@ -173,21 +173,15 @@ class NetemLink:
             self.stats.duplicated += 1
             self._schedule_delivery(payload, deliver)
 
-    def send_expanded(self, payload, deliver: Callable[[object], None]) -> None:
-        """Send ``payload``, expanding segment blocks into individual packets.
+    def send_expanded(self, block, deliver: Callable[[object], None]) -> None:
+        """Send a :class:`~repro.tcp.packet.SegmentBlock` packet by packet.
 
         The netem model is strictly per-packet (each packet draws its own
-        loss, delay and duplication), so a :class:`SegmentBlock` emitted by a
-        block-native sender is expanded here -- one :class:`Segment` per
-        covered packet, in sequence order -- and anything else is forwarded
-        untouched. This keeps the discrete-event path semantically identical
-        to the historic per-packet emitter.
+        loss, delay and duplication), so the block a sender emits is
+        expanded here into one :class:`~repro.tcp.packet.Segment` per
+        covered packet, sent in sequence order.
         """
-        segments = getattr(payload, "segments", None)
-        if segments is None:
-            self.send(payload, deliver)
-            return
-        for segment in segments():
+        for segment in block.segments():
             self.send(segment, deliver)
 
     def _maybe_mark(self, payload):

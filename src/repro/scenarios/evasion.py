@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.tcp.packet import block_packet_count
+
 
 @dataclass(frozen=True)
 class EvasionConfig:
@@ -103,61 +105,34 @@ class EvasiveSender:
         object.__setattr__(self, "_rng", rng)
 
     # -------------------------------------------------------- perturbations
-    def _withhold(self, emitted, packet_count, truncate) -> object:
-        """Randomly truncate one round's emission (jittered growth)."""
+    def _withhold(self, blocks):
+        """Randomly truncate one round's emitted blocks (jittered growth)."""
         config = self._config
-        if config.growth_jitter <= 0.0 or not emitted:
-            return emitted
+        if config.growth_jitter <= 0.0 or not blocks:
+            return blocks
         rng = self._rng
         fires = rng.random() < config.growth_jitter
         fraction = float(rng.random()) * config.growth_holdback
         if not fires or fraction <= 0.0:
-            return emitted
-        total = packet_count(emitted)
+            return blocks
+        total = block_packet_count(blocks)
         keep = max(1, total - int(total * fraction))
         if keep >= total:
-            return emitted
-        return truncate(emitted, keep)
-
-    def _withhold_segments(self, segments):
-        """Jittered growth on the per-segment emission path."""
-        return self._withhold(segments, len,
-                              lambda items, keep: items[:keep])
-
-    def _withhold_blocks(self, blocks):
-        """Jittered growth on the block emission path."""
-        def packet_count(items):
-            return sum(len(block) for block in items)
-
-        def truncate(items, keep):
-            out = []
-            for block in items:
-                size = len(block)
-                if keep <= 0:
-                    break
-                if size <= keep:
-                    out.append(block)
-                    keep -= size
-                else:
-                    out.append(block.slice(0, keep))
-                    keep = 0
-            return out
-
-        return self._withhold(blocks, packet_count, truncate)
+            return blocks
+        out = []
+        for block in blocks:
+            size = len(block)
+            if keep <= 0:
+                break
+            if size <= keep:
+                out.append(block)
+                keep -= size
+            else:
+                out.append(block.slice(0, keep))
+                keep = 0
+        return out
 
     # ------------------------------------------------ intercepted sender API
-    def on_ack_run(self, ladder, now):
-        """One round of cumulative ACKs; the response may be withheld.
-
-        Args:
-            ladder: Cumulative ACK values, one per received packet.
-            now: Current simulated time.
-
-        Returns:
-            The (possibly truncated) emitted segments for the next round.
-        """
-        return self._withhold_segments(self._sender.on_ack_run(ladder, now))
-
     def on_ack_ladder(self, runs, now):
         """One round of compressed ACK runs; the response may be withheld.
 
@@ -168,7 +143,7 @@ class EvasiveSender:
         Returns:
             The (possibly truncated) emitted blocks for the next round.
         """
-        return self._withhold_blocks(self._sender.on_ack_ladder(runs, now))
+        return self._withhold(self._sender.on_ack_ladder(runs, now))
 
     def next_timer_deadline(self):
         """The retransmission-timer deadline, reported late when configured.

@@ -122,11 +122,10 @@ class TokenBucketPolicer:
 class MiddleboxSender:
     """A sender proxy applying the ACK-path middlebox chain.
 
-    Intercepts the two batched ACK entry points
-    (:meth:`~repro.tcp.connection.TcpSender.on_ack_run` and
-    :meth:`~repro.tcp.connection.TcpSender.on_ack_ladder`), filters the
-    round's ACKs through thinning, the policer and cross-traffic bursts in
-    that order, stretches the delivery time, and delegates the survivors.
+    Intercepts the round's ACK ladder
+    (:meth:`~repro.tcp.connection.TcpSender.on_ack_ladder`), filters its
+    ACKs through thinning, the policer and cross-traffic bursts in that
+    order, stretches the delivery time, and delegates the survivors.
     Everything else proxies to the wrapped sender untouched.
     """
 
@@ -182,25 +181,6 @@ class MiddleboxSender:
         return keep
 
     # ------------------------------------------------ intercepted sender API
-    def on_ack_run(self, ladder, now):
-        """One round of cumulative ACKs, filtered through the middlebox chain.
-
-        Args:
-            ladder: Cumulative ACK values, one per received packet.
-            now: Current simulated time.
-
-        Returns:
-            The sender's emitted segments for the next round.
-        """
-        config = self._config
-        if config.is_neutral():
-            return self._sender.on_ack_run(ladder, now)
-        if ladder:
-            keep = self._keep_mask(len(ladder), now)
-            if not keep.all():
-                ladder = [value for value, kept in zip(ladder, keep) if kept]
-        return self._sender.on_ack_run(ladder, now + config.stretch_seconds)
-
     def on_ack_ladder(self, runs, now):
         """One round of compressed ACK runs, filtered through the chain.
 

@@ -10,8 +10,9 @@ caching, and Linux's burstiness control (congestion window moderation).
 The sender is a passive object: callers (the round-level gatherer in
 :mod:`repro.core.gather`, the packet-level prober in
 :mod:`repro.core.prober`, and the Web server model in
-:mod:`repro.web.server`) feed it ACKs and clock readings and collect the
-segments it wants to transmit.
+:mod:`repro.web.server`) feed it ACKs and clock readings and collect what it
+transmits as :class:`~repro.tcp.packet.SegmentBlock` records, one per
+contiguous burst; the packet-level prober expands them at its link.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 from repro.envknobs import env_flag
 from repro.tcp.base import AckContext, CongestionAvoidance, CongestionState, MIN_CWND
-from repro.tcp.packet import Segment, SegmentBlock, expand_blocks
+from repro.tcp.packet import SegmentBlock
 from repro.tcp.rto import RtoEstimator
 from repro.tcp.slow_start import loop_slow_start_run, make_slow_start
 
@@ -30,14 +31,6 @@ from repro.tcp.slow_start import loop_slow_start_run, make_slow_start
 #: engine everywhere (the batched fast path is bit-identical, so this exists
 #: for debugging and for the parity tests, not for correctness).
 ACK_BATCH_ENV = "REPRO_ACK_BATCH"
-
-#: Environment knob: set ``REPRO_SEGMENT_BLOCKS=0`` to force the historic
-#: per-packet :class:`Segment` emitter. With the flag on (the default) the
-#: sender materialises one :class:`SegmentBlock` record per contiguous burst
-#: and keeps send times as spans, so emission is O(runs) instead of O(cwnd);
-#: the block path is bit-identical (the block/object parity matrix enforces
-#: it), so the knob exists for debugging and the parity tests.
-SEGMENT_BLOCKS_ENV = "REPRO_SEGMENT_BLOCKS"
 
 #: Runs shorter than this are processed by the scalar loop outright; the
 #: batch bookkeeping only pays for itself on longer runs.
@@ -51,15 +44,6 @@ def ack_batch_enabled() -> bool:
         The validated value of ``REPRO_ACK_BATCH`` (default ``True``).
     """
     return env_flag(ACK_BATCH_ENV, default=True)
-
-
-def segment_blocks_enabled() -> bool:
-    """Whether senders natively emit segment blocks (read per sender).
-
-    Returns:
-        The validated value of ``REPRO_SEGMENT_BLOCKS`` (default ``True``).
-    """
-    return env_flag(SEGMENT_BLOCKS_ENV, default=True)
 
 
 def _defining_class(alg_type: type, attribute: str) -> type | None:
@@ -184,7 +168,6 @@ class TcpSender:
         self._total_bytes = 0
         self._snd_una = 0          # first unacknowledged packet index
         self._snd_nxt = 0          # next packet index to send
-        self._send_times: dict[int, float] = {}
         self._retransmitted: set[int] = set()
         self._timer_deadline: float | None = None
         self._dupack_count = 0
@@ -201,17 +184,9 @@ class TcpSender:
         self._spurious_timeouts = 0
 
         # ---- segment-block emission wiring -------------------------------
-        #: Whether transmissions are natively materialised as
-        #: :class:`SegmentBlock` records (legacy callers still receive
-        #: expanded :class:`Segment` objects from the non-``_native`` API).
-        self._blocks_native = segment_blocks_enabled()
-        #: Send-time bookkeeping for the block emitter: ordered, disjoint
-        #: ``[start, stop, sent_at]`` spans (the per-packet dict equivalent).
+        #: Send-time bookkeeping: ordered, disjoint ``[start, stop, sent_at]``
+        #: spans of packet indices, one per burst sent at one time.
         self._send_spans: list[list] = []
-        #: Number of :class:`Segment` objects this sender materialised
-        #: (diagnostics; the block engine's whole point is keeping this 0
-        #: on the round-level probe path).
-        self.segment_objects = 0
         #: Number of :class:`SegmentBlock` records emitted (diagnostics).
         self.block_records = 0
 
@@ -293,40 +268,15 @@ class TcpSender:
         """
         return self._timer_deadline
 
-    @property
-    def emits_blocks(self) -> bool:
-        """Whether the ``_native`` API returns :class:`SegmentBlock` records."""
-        return self._blocks_native
-
-    def _expand(self, emitted: list) -> list[Segment]:
-        """Adapt the native emission to the legacy per-packet Segment API."""
-        if not self._blocks_native or not emitted:
-            return emitted
-        segments = expand_blocks(emitted)
-        self.segment_objects += len(segments)
-        return segments
-
     # ----------------------------------------------------------------- start
-    def start(self, now: float) -> list[Segment]:
+    def start(self, now: float) -> list[SegmentBlock]:
         """Transmit the initial window once the first request has been read.
 
         Args:
             now: Current simulation time.
 
         Returns:
-            The transmitted segments (empty on a repeated call).
-        """
-        return self._expand(self.start_native(now))
-
-    def start_native(self, now: float) -> list:
-        """:meth:`start`, returning the native emission (blocks or segments).
-
-        Args:
-            now: Current simulation time.
-
-        Returns:
-            :class:`SegmentBlock` records when block emission is enabled,
-            else :class:`Segment` objects.
+            The transmitted blocks (empty on a repeated call).
         """
         if self._started:
             return []
@@ -337,7 +287,8 @@ class TcpSender:
         return emitted
 
     # ------------------------------------------------------------------ ACKs
-    def on_ack(self, ack_seq: int, now: float, *, is_duplicate: bool = False) -> list[Segment]:
+    def on_ack(self, ack_seq: int, now: float, *,
+               is_duplicate: bool = False) -> list[SegmentBlock]:
         """Process a cumulative ACK for all bytes below ``ack_seq``.
 
         Args:
@@ -346,20 +297,7 @@ class TcpSender:
             is_duplicate: Whether the receiver flagged this as a duplicate.
 
         Returns:
-            The segments the sender transmits in response.
-        """
-        return self._expand(self.on_ack_native(ack_seq, now, is_duplicate=is_duplicate))
-
-    def on_ack_native(self, ack_seq: int, now: float, *, is_duplicate: bool = False) -> list:
-        """:meth:`on_ack`, returning the native emission (blocks or segments).
-
-        Args:
-            ack_seq: Cumulative byte sequence number being acknowledged.
-            now: Current simulation time.
-            is_duplicate: Whether the receiver flagged this as a duplicate.
-
-        Returns:
-            The native emission records transmitted in response.
+            The blocks the sender transmits in response.
         """
         ack_packets = ack_seq // self.config.mss
         if ack_seq >= self._total_bytes and self._total_bytes > 0:
@@ -371,12 +309,12 @@ class TcpSender:
     def ecn_feedback(self, marked: int, acked: int, now: float) -> None:
         """Report receiver-echoed ECN congestion marks to the algorithm.
 
-        Called by a receiver (the trace gatherer's block path, or the
-        packet-level prober) when ``marked`` of ``acked`` recently delivered
-        data packets carried the congestion-experienced codepoint. Forwarded
-        straight to the algorithm's ``on_ecn_feedback`` hook -- never through
-        the per-ACK engines, so the batched, segment-block and scalar tiers
-        all see the identical call sequence. Callers only invoke this when a
+        Called by a receiver (the trace gatherer, or the packet-level
+        prober) when ``marked`` of ``acked`` recently delivered data packets
+        carried the congestion-experienced codepoint. Forwarded straight to
+        the algorithm's ``on_ecn_feedback`` hook -- never through the ACK
+        engines, so the batched and the scalar per-ACK engine see the
+        identical call sequence. Callers only invoke this when a
         link actually marked (the default-off knob), so ECN-free runs are
         byte-identical with or without the plumbing.
 
@@ -391,13 +329,13 @@ class TcpSender:
         self.algorithm.on_ecn_feedback(self.state, marked, acked)
 
     def on_ack_packet(self, ack_packets: int, now: float, *,
-                      is_duplicate: bool = False) -> list:
-        """Process a cumulative ACK expressed in packet units (native API).
+                      is_duplicate: bool = False) -> list[SegmentBlock]:
+        """Process a cumulative ACK expressed in packet units.
 
         ``ack_packets`` is the number of fully acknowledged MSS-grid packets,
         i.e. the value ``on_ack`` derives from a byte sequence number; the
-        block-level gatherer works in packet units throughout, so this entry
-        point skips the byte conversion.
+        trace gatherer works in packet units throughout, so this entry point
+        skips the byte conversion. This is the scalar per-ACK engine.
 
         Args:
             ack_packets: Count of fully acknowledged packets.
@@ -405,72 +343,28 @@ class TcpSender:
             is_duplicate: Whether the receiver flagged this as a duplicate.
 
         Returns:
-            The native emission records transmitted in response.
+            The blocks the sender transmits in response.
         """
         if is_duplicate or ack_packets <= self._snd_una:
             return self._on_duplicate_ack(now)
         return self._on_new_ack(ack_packets, now)
 
-    def on_ack_run(self, ack_values: Sequence[int], now: float) -> list[Segment]:
-        """Process a round's run of in-order cumulative ACKs in one call.
-
-        Behaviour is identical to feeding the values one by one to
-        :meth:`on_ack`. The batched fast path consumes the longest *clean*
-        prefix of the remaining run -- monotone advances within the current
-        round, no recovery or F-RTO state, no quirk configuration, uniform
-        send times -- and any ACK that breaks the clean shape (a duplicate, a
-        retransmitted packet, a round-boundary crossing) is handed to the
-        scalar per-ACK engine before the fast path re-engages, so every trace
-        is bit-identical either way (the batch/scalar parity test matrix
-        enforces this).
-
-        Args:
-            ack_values: The round's cumulative byte ACK values, in arrival
-                order.
-            now: Current simulation time.
-
-        Returns:
-            The segments the sender transmits in response to the whole run.
-        """
-        return self._expand(self.on_ack_run_native(ack_values, now))
-
-    def on_ack_run_native(self, ack_values: Sequence[int], now: float) -> list:
-        """:meth:`on_ack_run`, returning the native emission.
-
-        Args:
-            ack_values: The round's cumulative byte ACK values, in arrival
-                order.
-            now: Current simulation time.
-
-        Returns:
-            The native emission records transmitted in response.
-        """
-        out: list = []
-        n = len(ack_values)
-        index = 0
-        while index < n:
-            if n - index >= _MIN_BATCH_RUN and self._run_eligible():
-                consumed, emitted = self._on_ack_run_fast(ack_values, index, now)
-                if consumed:
-                    self.batch_runs += 1
-                    out.extend(emitted)
-                    index += consumed
-                    continue
-            out.extend(self.on_ack_native(ack_values[index], now))
-            index += 1
-        return out
-
-    def on_ack_ladder(self, runs: Sequence[tuple], now: float) -> list:
+    def on_ack_ladder(self, runs: Sequence[tuple],
+                      now: float) -> list[SegmentBlock]:
         """Process a round's ACK ladder expressed as compact packet runs.
 
-        ``runs`` is the ladder the gatherer would have materialised one value
-        at a time, compressed into ``("seq", first, count)`` unit-advance
-        stretches (packet-cumulative values ``first .. first + count - 1``)
-        and ``("rep", value, count)`` repeated-cumulative entries, in ladder
+        ``runs`` is the round's ladder of packet-cumulative ACK values (one
+        per received packet) compressed into ``("seq", first, count)``
+        unit-advance stretches (values ``first .. first + count - 1``) and
+        ``("rep", value, count)`` repeated-cumulative entries, in ladder
         order. Behaviour is bit-identical to expanding the runs and feeding
-        them to :meth:`on_ack_run` / :meth:`on_ack`: clean stretches take the
-        batched fast path in O(1) bookkeeping per run (no per-ACK prefix
-        scan), everything else replays through the scalar engine.
+        every value to :meth:`on_ack_packet`: the longest *clean* part of a
+        stretch -- monotone advances within the current round, no recovery
+        or F-RTO state, no quirk configuration, one send time, no
+        retransmitted packet -- takes the batched fast path in O(1)
+        bookkeeping, and every other entry replays through the scalar
+        per-ACK engine before the fast path re-engages (the batch/scalar
+        parity matrix and the differential harness enforce this).
 
         Args:
             runs: The compressed ladder: ``("seq", first, count)`` and
@@ -478,7 +372,7 @@ class TcpSender:
             now: Current simulation time.
 
         Returns:
-            The native emission records transmitted in response.
+            The blocks the sender transmits in response to the whole ladder.
         """
         out: list = []
         for kind, value, count in runs:
@@ -516,95 +410,17 @@ class TcpSender:
                 and not (config.post_timeout_stall and self._had_timeout)
                 and self._round_end > self._snd_una)
 
-    def _on_ack_run_fast(self, ack_values: Sequence[int], start: int,
-                         now: float) -> tuple[int, list[Segment]]:
-        """Process the longest clean prefix of ``ack_values[start:]``.
-
-        Returns ``(consumed, segments)``; ``consumed == 0`` means no prefix
-        long enough for the batch bookkeeping was clean and the caller should
-        take the scalar path for the next ACK.
-        """
-        mss = self.config.mss
-        total_bytes = self._total_bytes
-        total_packets = self.total_packets
-        u0 = self._snd_una
-        round_end = self._round_end
-        decoupled = self._batch_decoupled
-
-        # The prefix must advance the cumulative point monotonically and stay
-        # within the current round. Unit advances are the shape every clean
-        # CAAI round produces; larger jumps (earlier ACK or data loss) are
-        # fine for decoupled algorithms, whose growth hooks ignore
-        # ``newly_acked_packets``.
-        positions: list[int] = []
-        previous = u0
-        index = start
-        n = len(ack_values)
-        while index < n:
-            value = ack_values[index]
-            pkt = value // mss
-            if value >= total_bytes and total_bytes > 0:
-                pkt = max(pkt, total_packets)
-            if pkt <= previous or pkt > round_end:
-                break
-            if pkt != previous + 1 and not decoupled:
-                break
-            previous = pkt
-            positions.append(pkt)
-            index += 1
-        k = len(positions)
-        if k < _MIN_BATCH_RUN:
-            return 0, []
-
-        # Karn's rule screening: none of the packets the prefix samples RTTs
-        # from (the newest packet each ACK covers) was retransmitted, and all
-        # were sent at the same time (one round's burst); truncate the prefix
-        # at the first violation.
-        retransmitted = self._retransmitted
-        cut = k
-        if self._blocks_native:
-            t0, extent_stop = self._sent_extent(positions[0] - 1)
-            for offset, position in enumerate(positions):
-                if position - 1 >= extent_stop:
-                    cut = offset
-                    break
-            if retransmitted:
-                for offset, position in enumerate(positions[:cut]):
-                    if position - 1 in retransmitted:
-                        cut = offset
-                        break
-        else:
-            send_times = self._send_times
-            t0 = send_times.get(positions[0] - 1)
-            if retransmitted:
-                for offset, position in enumerate(positions):
-                    if (position - 1 in retransmitted
-                            or send_times.get(position - 1) != t0):
-                        cut = offset
-                        break
-            else:
-                for offset, position in enumerate(positions):
-                    if send_times.get(position - 1) != t0:
-                        cut = offset
-                        break
-        if cut < k:
-            if cut < _MIN_BATCH_RUN:
-                return 0, []
-            k = cut
-            del positions[k:]
-        return k, self._consume_clean_run(positions, k, t0, now)
-
     def _fast_packet_run(self, first: int, count: int,
-                         now: float) -> tuple[int, list]:
+                         now: float) -> tuple[int, list[SegmentBlock]]:
         """Batched fast path for a unit-advance packet run, in O(1) screening.
 
         ``first .. first + count - 1`` are consecutive packet-cumulative ACK
         values (an arithmetic ladder stretch from :meth:`on_ack_ladder`).
-        Because the run is unit-advance by construction, the per-value prefix
-        scan of :meth:`_on_ack_run_fast` collapses to range arithmetic, and
-        the Karn/send-time screening is a single span lookup instead of one
-        dict probe per ACK. Returns ``(consumed, emitted)`` exactly like
-        :meth:`_on_ack_run_fast`.
+        Because the run is unit-advance by construction, the clean-prefix
+        check is range arithmetic, and the Karn/send-time screening is a
+        single span lookup. Returns ``(consumed, emitted)``; ``consumed == 0``
+        means no prefix long enough for the batch bookkeeping was clean and
+        the caller takes the scalar path for the next ACK.
         """
         u0 = self._snd_una
         if first <= u0:
@@ -634,21 +450,18 @@ class TcpSender:
             return 0, []
         return k, self._consume_clean_run(range(first, first + k), k, t0, now)
 
-    def _consume_clean_run(self, positions, k: int, t0: float | None,
-                           now: float) -> list:
+    def _consume_clean_run(self, positions: range, k: int, t0: float,
+                           now: float) -> list[SegmentBlock]:
         """Apply a validated clean ACK run and return the emission.
 
-        ``positions`` (an indexable sequence of ``k`` packet-cumulative
-        values; a list from the ladder scan or a ``range`` from the arithmetic
-        fast path) all sample RTTs from packets sent at ``t0``.
+        ``positions`` (a ``range`` of ``k`` packet-cumulative values) all
+        sample RTTs from packets sent at ``t0``.
         """
         mss = self.config.mss
         total_packets = self.total_packets
         u0 = self._snd_una
         last = positions[k - 1]
-        if t0 is None:
-            rtt = None
-        elif self._last_timeout_time is not None and t0 < self._last_timeout_time:
+        if self._last_timeout_time is not None and t0 < self._last_timeout_time:
             rtt = None
         else:
             rtt = max(now - t0, 1e-9)
@@ -726,7 +539,7 @@ class TcpSender:
             self._timer_deadline = None
         return emitted
 
-    def _grow_run(self, positions: list[int], begin: int, end: int,
+    def _grow_run(self, positions: range, begin: int, end: int,
                   ctx: AckContext, rtt: float | None, now: float,
                   eff_int) -> int:
         """Window growth for the clean ACKs ``positions[begin:end]`` (decoupled).
@@ -857,38 +670,22 @@ class TcpSender:
         return cap_max
 
     # ------------------------------------------------------------- emission
-    def _emit_range(self, start: int, stop: int, now: float) -> list:
+    def _emit_range(self, start: int, stop: int,
+                    now: float) -> list[SegmentBlock]:
         """Emit the new-data packets ``[start, stop)`` sent at ``now``.
 
-        The native block emitter materialises one :class:`SegmentBlock`
-        record and one send-time span in O(1); the legacy emitter builds one
-        :class:`Segment` object and one dict entry per packet.
+        One :class:`SegmentBlock` record and one send-time span, in O(1).
         """
         if stop <= start:
             return []
         mss = self.config.mss
-        total_bytes = self._total_bytes
-        if self._blocks_native:
-            last_seq = (stop - 1) * mss
-            last_length = total_bytes - last_seq
-            if last_length > mss or last_length <= 0:
-                last_length = mss
-            self._record_span(start, stop, now)
-            self.block_records += 1
-            return [SegmentBlock(start_index=start, stop_index=stop, mss=mss,
-                                 sent_at=now, last_length=last_length)]
-        send_times = self._send_times
-        segments: list[Segment] = []
-        append = segments.append
-        for index in range(start, stop):
-            seq = index * mss
-            length = total_bytes - seq
-            if length > mss or length <= 0:
-                length = mss
-            send_times[index] = now
-            append(Segment(seq=seq, length=length, sent_at=now, packet_index=index))
-        self.segment_objects += stop - start
-        return segments
+        last_length = self._total_bytes - (stop - 1) * mss
+        if last_length > mss or last_length <= 0:
+            last_length = mss
+        self._record_span(start, stop, now)
+        self.block_records += 1
+        return [SegmentBlock(start_index=start, stop_index=stop, mss=mss,
+                             sent_at=now, last_length=last_length)]
 
     # --------------------------------------------- send-time span bookkeeping
     def _record_span(self, start: int, stop: int, now: float) -> None:
@@ -935,7 +732,7 @@ class TcpSender:
         spans.append([packet_index, packet_index + 1, now])
 
     def _sent_time(self, packet_index: int) -> float | None:
-        """Send time of ``packet_index`` (the ``_send_times`` dict equivalent)."""
+        """Send time of ``packet_index``, or ``None`` when none is recorded."""
         for start, stop, sent_at in self._send_spans:
             if packet_index < start:
                 return None
@@ -971,16 +768,11 @@ class TcpSender:
         """
         if stop <= start:
             return
-        if self._blocks_native:
-            spans = self._send_spans
-            while spans and spans[0][1] <= stop:
-                spans.pop(0)
-            if spans and spans[0][0] < stop:
-                spans[0][0] = stop
-        else:
-            send_times = self._send_times
-            for index in range(start, stop):
-                send_times.pop(index, None)
+        spans = self._send_spans
+        while spans and spans[0][1] <= stop:
+            spans.pop(0)
+        if spans and spans[0][0] < stop:
+            spans[0][0] = stop
         retransmitted = self._retransmitted
         if retransmitted:
             for index in [p for p in retransmitted if start <= p < stop]:
@@ -1002,9 +794,9 @@ class TcpSender:
         self._recovery_point = self._snd_nxt
         self.algorithm.on_loss_event(self.state, now)
         self.state.clamp()
-        segments = [self._build_segment(self._snd_una, now, retransmission=True)]
+        blocks = [self._retransmit(self._snd_una, now)]
         self._arm_timer(now)
-        return segments
+        return blocks
 
     def _on_new_ack(self, ack_packets: int, now: float) -> list:
         newly_acked = ack_packets - self._snd_una
@@ -1127,10 +919,7 @@ class TcpSender:
         """
         if packet_index in self._retransmitted:
             return None
-        if self._blocks_native:
-            sent_at = self._sent_time(packet_index)
-        else:
-            sent_at = self._send_times.get(packet_index)
+        sent_at = self._sent_time(packet_index)
         if sent_at is None:
             return None
         if self._last_timeout_time is not None and sent_at < self._last_timeout_time:
@@ -1165,12 +954,11 @@ class TcpSender:
         return window
 
     def _transmit_new_data(self, now: float, limit: int | None = None) -> list:
-        """Transmit everything the window allows, as one emission record.
+        """Transmit everything the window allows, as one block.
 
-        Closed form of the historic one-``_build_segment``-per-iteration
-        loop: the window, the data bound and the optional budget are all
-        constant while it runs, so the stopping index is computed directly
-        and the stretch is emitted in a single :meth:`_emit_range` call.
+        The window, the data bound and the optional budget are all constant
+        while it runs, so the stopping index is computed directly and the
+        stretch is emitted in a single :meth:`_emit_range` call.
         """
         start = self._snd_nxt
         stop = self._snd_una + int(self.effective_window())
@@ -1185,50 +973,31 @@ class TcpSender:
         self._snd_nxt = stop
         return emitted
 
-    def _build_segment(self, packet_index: int, now: float, *,
-                       retransmission: bool = False):
-        """Emit a single (usually retransmitted) packet in the native shape."""
+    def _retransmit(self, packet_index: int, now: float) -> SegmentBlock:
+        """Resend one packet as a single-packet retransmission block."""
         mss = self.config.mss
-        seq = packet_index * mss
-        length = min(mss, max(self._total_bytes - seq, 0)) or mss
-        if retransmission:
-            self._retransmitted.add(packet_index)
-        if self._blocks_native:
-            self._record_single(packet_index, now)
-            self.block_records += 1
-            return SegmentBlock(start_index=packet_index,
-                                stop_index=packet_index + 1, mss=mss,
-                                sent_at=now, last_length=length,
-                                is_retransmission=retransmission)
-        self._send_times[packet_index] = now
-        self.segment_objects += 1
-        return Segment(seq=seq, length=length, sent_at=now,
-                       packet_index=packet_index, is_retransmission=retransmission)
+        length = min(mss, max(self._total_bytes - packet_index * mss, 0)) or mss
+        self._retransmitted.add(packet_index)
+        self._record_single(packet_index, now)
+        self.block_records += 1
+        return SegmentBlock(start_index=packet_index,
+                            stop_index=packet_index + 1, mss=mss,
+                            sent_at=now, last_length=length,
+                            is_retransmission=True)
 
     # --------------------------------------------------------------- timeout
     def _arm_timer(self, now: float) -> None:
         self._timer_deadline = now + self.rto.current_rto()
 
-    def on_timer(self, now: float) -> list[Segment]:
+    def on_timer(self, now: float) -> list[SegmentBlock]:
         """Fire the retransmission timer if it has expired.
 
         Args:
             now: Current simulation time.
 
         Returns:
-            The retransmitted segments (empty if the timer has not
-            expired or the server never retransmits).
-        """
-        return self._expand(self.on_timer_native(now))
-
-    def on_timer_native(self, now: float) -> list:
-        """:meth:`on_timer`, returning the native emission.
-
-        Args:
-            now: Current simulation time.
-
-        Returns:
-            The native emission records of the retransmission, if any.
+            The retransmission block (empty if the timer has not expired or
+            the server never retransmits).
         """
         if self._timer_deadline is None or now < self._timer_deadline:
             return []
@@ -1253,13 +1022,13 @@ class TcpSender:
         self._finished_timeouts.append(TimeoutEvent(
             at=now, cwnd_before=cwnd_before, ssthresh_after=self.state.ssthresh))
         # Go-back-N: retransmit the first unacknowledged packet.
-        segments = []
+        blocks = []
         if self._snd_una < self._snd_nxt:
-            segments.append(self._build_segment(self._snd_una, now, retransmission=True))
+            blocks.append(self._retransmit(self._snd_una, now))
         self._round_end = self._snd_nxt
         self._round_start_time = now
         self._arm_timer(now)
-        return segments
+        return blocks
 
     # ------------------------------------------------------------- inspection
     def snapshot(self) -> dict[str, float]:

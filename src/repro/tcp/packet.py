@@ -134,8 +134,9 @@ class SegmentBlock:
     def segments(self):
         """Yield the block's packets as individual :class:`Segment` objects.
 
-        The expansion is bit-identical to what the per-packet emitter would
-        have produced for the same transmission.
+        Every packet carries ``mss`` bytes except the last, which carries
+        ``last_length``; all share the block's send time and retransmission
+        flag.
         """
         mss = self.mss
         sent_at = self.sent_at
@@ -146,14 +147,6 @@ class SegmentBlock:
                           length=self.last_length if index == last else mss,
                           sent_at=sent_at, packet_index=index,
                           is_retransmission=retransmission)
-
-
-def expand_blocks(blocks: list["SegmentBlock"]) -> list[Segment]:
-    """Flatten segment blocks into the equivalent per-packet segment list."""
-    segments: list[Segment] = []
-    for block in blocks:
-        segments.extend(block.segments())
-    return segments
 
 
 def block_packet_count(blocks: list["SegmentBlock"]) -> int:
@@ -193,28 +186,3 @@ class Ack:
     sent_at: float
     receive_window: int
     is_duplicate: bool = False
-
-
-@dataclass
-class TransmissionRecord:
-    """Book-keeping entry for an in-flight packet (used for RTT sampling)."""
-
-    packet_index: int
-    sent_at: float
-    retransmitted: bool = False
-
-
-@dataclass
-class SegmentBatch:
-    """Segments emitted by the sender in reaction to a single input event."""
-
-    segments: list[Segment] = field(default_factory=list)
-
-    def extend(self, more: list[Segment]) -> None:
-        self.segments.extend(more)
-
-    def __iter__(self):
-        return iter(self.segments)
-
-    def __len__(self) -> int:
-        return len(self.segments)

@@ -47,6 +47,11 @@ def make_synthetic_server(algorithm: str, initial_window: int = 3,
     return SyntheticServer(algorithm_name=algorithm, sender_config_factory=factory)
 
 
+def expand(blocks) -> list:
+    """The per-packet ``Segment`` objects a sender's emitted blocks cover."""
+    return [segment for block in blocks for segment in block.segments()]
+
+
 @pytest.fixture
 def server_factory():
     return make_synthetic_server

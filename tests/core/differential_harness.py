@@ -1,11 +1,12 @@
 """Shared machinery of the cross-tier differential test harness.
 
-The repository carries three probe-execution tiers that must all be
-invisible optimisations of the same simulation: the scalar per-ACK engine,
-the batched ACK engine and the segment-block engine. The parity test
+The repository carries two probe-execution tiers, both on segment blocks:
+the scalar per-ACK engine (``REPRO_ACK_BATCH=0``), which is the executable
+spec, and the batched ACK engine, which is production. The batched engine
+must be an invisible optimisation of the scalar one. The parity test
 matrices cover hand-picked scenarios; this harness adds *breadth*: seeded
 random draws over (algorithm x network condition x server quirk x probe
-seed) are replayed through every tier and must produce bit-identical traces
+seed) are replayed through both tiers and must produce bit-identical traces
 **and** leave the probe's random stream in the exact same state.
 
 The corpus is a pure function of ``(count, master_seed)`` — no wall clock,
@@ -13,31 +14,44 @@ no global state — so the committed ``differential_corpus.json`` can be
 regenerated and byte-compared by a test (drift in the generator is caught
 immediately), and ``pytest --fuzz N`` can draw fresh cases beyond the
 committed set from any ``--fuzz-seed``.
+
+Agreement between the tiers alone would not notice both drifting
+together, so ``differential_expected.json`` pins every committed case to a
+fixed point: one :func:`case_digest` per case, first taken from the
+per-packet scalar engine the block engines replaced. Both tiers must
+reproduce it, which pins the lossy, F-RTO and quirk cases the per-family
+goldens (ideal path only) do not reach. After an intentional behaviour
+change, regenerate it from the scalar tier with::
+
+    PYTHONPATH=src python -m tests.core.differential_harness --regenerate
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import enum
+import hashlib
 import json
 import os
 import pathlib
+import sys
 
 import numpy as np
 
 from repro.core.gather import GatherConfig, TraceGatherer
 from repro.net.conditions import NetworkCondition
-from repro.tcp.connection import ACK_BATCH_ENV, SEGMENT_BLOCKS_ENV
+from repro.tcp.connection import ACK_BATCH_ENV
 from repro.tcp.registry import ALL_ALGORITHM_NAMES
 from tests.conftest import make_synthetic_server
 
-#: The three probe-execution tiers the harness compares.
-TIERS = ("scalar", "batched", "blocks")
+#: The two probe-execution tiers the harness compares.
+TIERS = ("scalar", "blocks")
 
 #: Engine knobs per tier.
 _TIER_KNOBS = {
-    "scalar": {ACK_BATCH_ENV: "0", SEGMENT_BLOCKS_ENV: "0"},
-    "batched": {ACK_BATCH_ENV: "1", SEGMENT_BLOCKS_ENV: "0"},
-    "blocks": {ACK_BATCH_ENV: "1", SEGMENT_BLOCKS_ENV: "1"},
+    "scalar": {ACK_BATCH_ENV: "0"},
+    "blocks": {ACK_BATCH_ENV: "1"},
 }
 
 #: Seed of the committed corpus (see ``differential_corpus.json``).
@@ -47,6 +61,8 @@ CORPUS_SEED = 20110621  # the source paper's conference date
 CORPUS_SIZE = 200
 
 CORPUS_PATH = pathlib.Path(__file__).parent / "differential_corpus.json"
+
+EXPECTED_PATH = pathlib.Path(__file__).parent / "differential_expected.json"
 
 
 def build_corpus(count: int, master_seed: int) -> list[dict]:
@@ -147,20 +163,72 @@ def run_tier(case: dict, tier: str):
     return probe, rng.bit_generator.state
 
 
-def assert_case_parity(case: dict) -> None:
-    """Assert all three tiers agree on one case, traces and rng stream.
+def case_digest(probe, rng_state: dict) -> str:
+    """sha256 of everything :func:`assert_case_parity` compares.
 
-    The scalar tier is the reference; every other tier must match its
-    traces element by element (window samples, invalid reason, ACK-loss
-    events) and leave the probe's random stream in the identical state.
+    Covers every :class:`~repro.core.trace.WindowTrace` field of both
+    environments (window samples, invalid reason, ACK-loss events, ...) and
+    the probe stream's final ``bit_generator.state``. Floats serialise via
+    ``repr``, so the digest is exact.
+
+    Args:
+        probe: The gathered :class:`~repro.core.trace.ProbeTrace`.
+        rng_state: The probe stream's final ``bit_generator.state``.
+
+    Returns:
+        The hex digest.
+    """
+    traces = []
+    for trace in probe.traces():
+        fields = {}
+        for item in dataclasses.fields(trace):
+            value = getattr(trace, item.name)
+            fields[item.name] = (value.value if isinstance(value, enum.Enum)
+                                 else value)
+        traces.append(fields)
+    blob = json.dumps({"traces": traces, "rng_state": rng_state},
+                      sort_keys=True)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def load_expected() -> list[str]:
+    """Read the committed per-case digests (corpus order).
+
+    Returns:
+        One :func:`case_digest` per case of ``differential_corpus.json``.
+    """
+    return json.loads(EXPECTED_PATH.read_text(encoding="utf-8"))
+
+
+def regenerate_expected() -> None:
+    """Rewrite ``differential_expected.json`` from the scalar tier."""
+    digests = [case_digest(*run_tier(case, "scalar")) for case in load_corpus()]
+    EXPECTED_PATH.write_text(json.dumps(digests, indent=1) + "\n",
+                             encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {EXPECTED_PATH}")
+
+
+def assert_case_parity(case: dict, expected: str | None = None) -> None:
+    """Assert both tiers agree on one case, traces and rng stream.
+
+    The scalar tier is the reference; the other tier must match its traces
+    element by element (window samples, invalid reason, ACK-loss events)
+    and leave the probe's random stream in the identical state. With
+    ``expected``, every tier's :func:`case_digest` must also equal it.
 
     Args:
         case: A case dict from :func:`build_corpus`.
+        expected: The case's committed digest, or ``None`` (fresh fuzz
+            cases have none).
 
     Raises:
         AssertionError: On any divergence, naming the tier and the case.
     """
     reference, reference_state = run_tier(case, "scalar")
+    if expected is not None:
+        assert case_digest(reference, reference_state) == expected, (
+            f"tier 'scalar' drifted from differential_expected.json on "
+            f"case {case!r}")
     for tier in TIERS[1:]:
         probe, state = run_tier(case, tier)
         context = f"tier {tier!r} diverged from scalar on case {case!r}"
@@ -176,3 +244,14 @@ def assert_case_parity(case: dict) -> None:
             assert (tier_trace.ack_loss_events
                     == ref_trace.ack_loss_events), context
             assert tier_trace == ref_trace, context
+        if expected is not None:
+            assert case_digest(probe, state) == expected, (
+                f"tier {tier!r} drifted from differential_expected.json on "
+                f"case {case!r}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        raise SystemExit("usage: PYTHONPATH=src python -m "
+                         "tests.core.differential_harness --regenerate")
+    regenerate_expected()

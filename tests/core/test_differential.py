@@ -1,9 +1,11 @@
 """Cross-tier differential fuzz harness (see ``differential_harness.py``).
 
 Every committed corpus case — a seeded draw over (algorithm x network
-condition x server quirk x probe seed) — is replayed through all three probe
-engines (scalar, batched-ACK, segment-block) and must produce bit-identical
-traces and rng-stream states. ``pytest --fuzz N`` additionally
+condition x server quirk x probe seed) — is replayed through both probe
+engines (the scalar per-ACK reference and the batched production engine)
+and must produce bit-identical traces and rng-stream states, matching the
+case's committed digest in ``differential_expected.json``. ``pytest
+--fuzz N`` additionally
 draws N fresh cases (``--fuzz-seed`` picks the stream); a failure prints the
 offending case dict, which can be appended to the corpus to pin the
 regression.
@@ -18,9 +20,12 @@ from tests.core.differential_harness import (
     assert_case_parity,
     build_corpus,
     load_corpus,
+    load_expected,
 )
 
 CORPUS = load_corpus()
+
+EXPECTED = load_expected()
 
 
 def test_committed_corpus_matches_generator():
@@ -33,6 +38,11 @@ def test_committed_corpus_matches_generator():
     assert CORPUS == build_corpus(CORPUS_SIZE, CORPUS_SEED)
 
 
+def test_expected_digests_cover_the_corpus():
+    """One committed digest per corpus case, so no case runs unpinned."""
+    assert len(EXPECTED) == len(CORPUS)
+
+
 def test_corpus_covers_every_algorithm():
     """Cycling the registry guarantees full algorithm coverage."""
     assert {case["algorithm"] for case in CORPUS} == set(ALL_ALGORITHM_NAMES)
@@ -42,8 +52,8 @@ def test_corpus_covers_every_algorithm():
                          ids=[f"case{i:03d}-{c['algorithm']}"
                               for i, c in enumerate(CORPUS)])
 def test_corpus_case_parity(index):
-    """All three tiers agree on this committed case, traces and rng stream."""
-    assert_case_parity(CORPUS[index])
+    """Both tiers reproduce this committed case's digest, traces and rng."""
+    assert_case_parity(CORPUS[index], EXPECTED[index])
 
 
 def test_fuzz_cases(request):

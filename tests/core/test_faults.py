@@ -45,22 +45,21 @@ class TestFaultPlan:
     def test_empty_plan(self):
         plan = FaultPlan()
         assert plan.empty
-        assert not plan.targets_server("server-000001")
         assert plan.probe_faults("server-000001", 0) == []
 
     def test_scoped_spec_targets_only_its_server(self):
         plan = FaultPlan(specs=(FaultSpec(kind="unresponsive",
                                           scope="server-000007"),))
-        assert plan.targets_server("server-000007")
-        assert not plan.targets_server("server-000008")
+        assert plan.probe_faults("server-000007", 0)
+        assert plan.probe_faults("server-000008", 0) == []
 
     def test_probabilistic_draw_is_per_scope_and_deterministic(self):
         plan = FaultPlan(seed=3, specs=(FaultSpec(kind="unresponsive",
                                                   probability=0.4),))
         ids = [f"server-{i:06d}" for i in range(400)]
-        hits = {sid for sid in ids if plan.targets_server(sid)
-                and plan.probe_faults(sid, 0)}
-        again = {sid for sid in ids if plan.probe_faults(sid, 0)}
+        hits = {sid for sid in ids if plan.probe_faults(sid, 0)}
+        replay = FaultPlan(seed=3, specs=plan.specs)
+        again = {sid for sid in ids if replay.probe_faults(sid, 0)}
         assert hits == again
         assert 0.25 < len(hits) / len(ids) < 0.55
 

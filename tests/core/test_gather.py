@@ -99,6 +99,26 @@ class TestTraceGathering:
         assert len(lossy_trace.pre_timeout) >= len(clean_trace.pre_timeout)
         assert lossy_trace.ack_loss_events > 0
 
+    def test_block_probe_materialises_no_segments(self, monkeypatch):
+        """The round-level pipeline runs on blocks, never a Segment object."""
+        from repro.tcp.packet import Segment
+
+        created = 0
+        original = Segment.__post_init__
+
+        def counting(self):
+            nonlocal created
+            created += 1
+            original(self)
+
+        monkeypatch.setattr(Segment, "__post_init__", counting)
+        gatherer = TraceGatherer(GatherConfig(w_timeout=64, mss=100))
+        probe = gatherer.gather_probe(make_synthetic_server("reno"),
+                                      NetworkCondition.ideal(),
+                                      np.random.default_rng(2))
+        assert probe.usable_for_features
+        assert created == 0
+
 
 class TestLadderAndMss:
     def test_ladder_falls_back_for_data_limited_server(self, ideal_condition, rng):

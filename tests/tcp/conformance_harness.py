@@ -2,23 +2,23 @@
 
 This generalizes ``tests/tcp/algo_harness.py`` (which drives one algorithm
 against a bare :class:`CongestionState`) to full-stack conformance: every
-registry family, classic and modern, must pass the same four checks:
+registry family, classic and modern, must pass the same three checks:
 
-1. **Batch parity** — probing a server built on the family produces
-   bit-identical traces whether the sender runs the batched
-   :meth:`on_ack_run` engine or the scalar per-ACK loop.
-2. **Segment-block parity** — likewise for the block emitter vs the
-   per-packet segment path.
-3. **Registry round-trip** — ``name -> create_algorithm -> name`` is the
+1. **Engine parity under loss** — probing a server built on the family over
+   a lossy path produces bit-identical traces whether the sender runs the
+   batched :meth:`on_ack_ladder` engine or the scalar per-ACK engine
+   (``REPRO_ACK_BATCH=0``). The ideal-path comparison is
+   ``tests/core/test_gather_batch_parity.py::test_parity_matrix``.
+2. **Registry round-trip** — ``name -> create_algorithm -> name`` is the
    identity, and the class/label lookups agree with the instance.
-4. **Golden trajectory** — a full CAAI probe (environments A and B, fixed
+3. **Golden trajectory** — a full CAAI probe (environments A and B, fixed
    seed) matches the committed snapshot in ``tests/tcp/golden/<name>.json``
    exactly, so any behavioural drift in a family is caught even when both
    engine tiers drift together.
 
-Adding family #18 is one ``FAMILIES`` row plus one golden file::
+Adding family #20 is one ``FAMILIES`` row plus one golden file::
 
-    PYTHONPATH=src python tests/tcp/conformance_harness.py --regenerate <name>
+    PYTHONPATH=src python -m tests.tcp.conformance_harness --regenerate <name>
 
 The file is not named ``test_*`` so tier-1 collection goes through the
 ``tests/tcp/test_conformance.py`` shim; CI runs this file directly.
@@ -37,7 +37,7 @@ import pytest
 import repro.tcp.registry as registry
 from repro.core.gather import GatherConfig, TraceGatherer
 from repro.net.conditions import NetworkCondition
-from repro.tcp.connection import ACK_BATCH_ENV, SEGMENT_BLOCKS_ENV
+from repro.tcp.connection import ACK_BATCH_ENV
 from tests.conftest import make_synthetic_server
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -105,11 +105,11 @@ def gather_probe(row: FamilyRow, *, w_timeout: int = 64,
         condition or NetworkCondition.ideal(), np.random.default_rng(seed))
 
 
-def gather_probe_pair(monkeypatch, row: FamilyRow, env_name: str, **kwargs):
-    """The same probe with an engine knob on and off."""
+def gather_probe_pair(monkeypatch, row: FamilyRow, **kwargs):
+    """The same probe on the batched and the scalar per-ACK engine."""
     probes = {}
     for knob in ("1", "0"):
-        monkeypatch.setenv(env_name, knob)
+        monkeypatch.setenv(ACK_BATCH_ENV, knob)
         probes[knob] = gather_probe(row, **kwargs)
     return probes["1"], probes["0"]
 
@@ -151,8 +151,8 @@ class TestConformanceTable:
         missing = [row.name for row in FAMILIES
                    if not golden_path(row.name).exists()]
         assert missing == [], (
-            "regenerate with: PYTHONPATH=src python "
-            f"tests/tcp/conformance_harness.py --regenerate {' '.join(missing)}")
+            "regenerate with: PYTHONPATH=src python -m "
+            f"tests.tcp.conformance_harness --regenerate {' '.join(missing)}")
 
     def test_no_orphan_golden_files(self):
         orphans = sorted(path.stem for path in GOLDEN_DIR.glob("*.json")
@@ -162,19 +162,10 @@ class TestConformanceTable:
 
 @pytest.mark.parametrize("row", FAMILIES, ids=FAMILY_IDS)
 class TestPerFamilyConformance:
-    def test_batch_parity(self, monkeypatch, row):
-        fast, scalar = gather_probe_pair(monkeypatch, row, ACK_BATCH_ENV)
-        assert_probes_identical(fast, scalar)
-
-    def test_segment_block_parity(self, monkeypatch, row):
-        blocks, segments = gather_probe_pair(monkeypatch, row,
-                                             SEGMENT_BLOCKS_ENV)
-        assert_probes_identical(blocks, segments)
-
     def test_engine_parity_under_loss(self, monkeypatch, row):
         condition = NetworkCondition(average_rtt=0.2, rtt_std=0.0,
                                      loss_rate=0.02)
-        fast, scalar = gather_probe_pair(monkeypatch, row, ACK_BATCH_ENV,
+        fast, scalar = gather_probe_pair(monkeypatch, row,
                                          condition=condition, seed=13)
         assert_probes_identical(fast, scalar)
 
@@ -190,14 +181,14 @@ class TestPerFamilyConformance:
         path = golden_path(row.name)
         if not path.exists():
             pytest.fail(f"missing golden file {path}; regenerate with: "
-                        "PYTHONPATH=src python tests/tcp/conformance_harness.py "
+                        "PYTHONPATH=src python -m tests.tcp.conformance_harness "
                         f"--regenerate {row.name}")
         expected = json.loads(path.read_text())
         actual = golden_snapshot(row)
         assert actual == expected, (
             f"{row.name} cwnd trajectory drifted from the committed golden "
             "snapshot; if the change is intentional, regenerate with: "
-            "PYTHONPATH=src python tests/tcp/conformance_harness.py "
+            "PYTHONPATH=src python -m tests.tcp.conformance_harness "
             f"--regenerate {row.name}")
 
 
@@ -220,5 +211,5 @@ if __name__ == "__main__":
         regenerate(arguments[1:])
     else:
         raise SystemExit(
-            "usage: python tests/tcp/conformance_harness.py --regenerate "
+            "usage: PYTHONPATH=src python -m tests.tcp.conformance_harness --regenerate "
             "[family ...]")

@@ -1,10 +1,11 @@
-"""Tests for the batched ACK engine (sender-level run API).
+"""Tests for the batched ACK engine (sender-level ladder API).
 
 The gather-level parity matrix lives in
 ``tests/core/test_gather_batch_parity.py``; this module exercises the
-:meth:`TcpSender.on_ack_run` API directly: equivalence with the scalar
-per-ACK loop, fallback behaviour, the ``REPRO_ACK_BATCH`` knob, the
-send-bookkeeping pruning, and the batched RTO estimator.
+:meth:`TcpSender.on_ack_ladder` API directly: equivalence with a per-entry
+:meth:`TcpSender.on_ack_packet` loop (the scalar per-ACK engine), fallback
+behaviour, the ``REPRO_ACK_BATCH`` knob, the send-bookkeeping pruning, and
+the batched RTO estimator.
 """
 
 import math
@@ -18,10 +19,11 @@ from repro.tcp.connection import (
     TcpSender,
     ack_batch_enabled,
 )
-from repro.tcp.packet import in_sequence
+from repro.tcp.packet import block_packet_count, in_sequence
 from repro.tcp.registry import ALL_ALGORITHM_NAMES, create_algorithm
 from repro.tcp.rto import RtoEstimator
 from repro.tcp.algorithms import Reno
+from tests.conftest import expand
 
 
 def make_sender(algorithm="reno", data_bytes=10_000_000, **config_kwargs):
@@ -34,35 +36,62 @@ def make_sender(algorithm="reno", data_bytes=10_000_000, **config_kwargs):
     return sender
 
 
-def drive_probe(sender, rounds=30, rtt=1.0, use_run=True, w_timeout=256):
+def ack_values(blocks):
+    """One packet-cumulative ACK per emitted packet (its index + 1)."""
+    return [segment.packet_index + 1 for segment in expand(blocks)]
+
+
+def ladder(values):
+    """Compress packet-cumulative ACK values into ``on_ack_ladder`` runs."""
+    runs = []
+    for value in values:
+        if runs:
+            kind, first, count = runs[-1]
+            if kind == "seq" and value == first + count:
+                runs[-1] = ("seq", first, count + 1)
+                continue
+            if kind == "rep" and value == first:
+                runs[-1] = ("rep", first, count + 1)
+                continue
+            if kind == "seq" and value == first + count - 1:
+                runs.append(("rep", value, 1))
+                continue
+        runs.append(("seq", value, 1))
+    return runs
+
+
+def acknowledge(sender, values, now, use_ladder):
+    """Feed ``values`` as one ladder, or one ``on_ack_packet`` call each."""
+    if use_ladder:
+        return sender.on_ack_ladder(ladder(values), now)
+    blocks = []
+    for value in values:
+        blocks.extend(sender.on_ack_packet(value, now))
+    return blocks
+
+
+def drive_probe(sender, rounds=30, rtt=1.0, use_ladder=True, w_timeout=256):
     """Drive a sender through an emulated CAAI probe (timeout included).
 
-    Returns the per-round segment counts -- a window trace equivalent that
+    Returns the per-round packet counts -- a window trace equivalent that
     captures every observable transmission decision.
     """
     now = 0.0
-    segments = sender.start(now)
+    blocks = sender.start(now)
     windows = []
     timed_out = False
     for _ in range(rounds):
-        windows.append(len(segments))
+        windows.append(block_packet_count(blocks))
         now += rtt
-        if not timed_out and len(segments) > w_timeout:
+        if not timed_out and block_packet_count(blocks) > w_timeout:
             deadline = sender.next_timer_deadline()
             assert deadline is not None
             now = max(now, deadline)
-            segments = sender.on_timer(now)
+            blocks = sender.on_timer(now)
             timed_out = True
             continue
-        acks = [seg.end_seq for seg in segments]
-        if use_run:
-            segments = sender.on_ack_run(acks, now)
-        else:
-            next_segments = []
-            for ack in acks:
-                next_segments.extend(sender.on_ack(ack, now))
-            segments = next_segments
-        if not segments:
+        blocks = acknowledge(sender, ack_values(blocks), now, use_ladder)
+        if not blocks:
             break
     return windows, now
 
@@ -72,8 +101,8 @@ class TestRunApiEquivalence:
     def test_run_equals_scalar_loop(self, algorithm):
         batch = make_sender(algorithm)
         scalar = make_sender(algorithm)
-        windows_batch, _ = drive_probe(batch, use_run=True)
-        windows_scalar, _ = drive_probe(scalar, use_run=False)
+        windows_batch, _ = drive_probe(batch, use_ladder=True)
+        windows_scalar, _ = drive_probe(scalar, use_ladder=False)
         assert windows_batch == windows_scalar
         assert batch.snapshot() == scalar.snapshot()
         assert batch.state.cwnd == scalar.state.cwnd
@@ -87,40 +116,34 @@ class TestRunApiEquivalence:
 
     def test_duplicate_values_fall_back(self):
         sender = make_sender("reno")
-        segments = sender.start(0.0)
-        acks = [seg.end_seq for seg in segments]
+        acks = ack_values(sender.start(0.0))
         # Repeating the last value makes the run non-monotone: the sender
         # must fall back and treat the repeat as a duplicate ACK.
-        sender.on_ack_run(acks + [acks[-1]] * 4, 1.0)
+        sender.on_ack_ladder(ladder(acks + [acks[-1]] * 4), 1.0)
         assert sender.batch_runs == 0
         assert sender._dupack_count > 0
 
-    def test_mixed_send_times_split_at_the_boundary(self):
-        def drive(use_run):
+    def test_mixed_transmission_times_split_at_the_boundary(self):
+        def drive(use_ladder):
             sender = make_sender("reno", initial_window=8)
-            segments = sender.start(0.0)
-            # Acknowledge half the window first so the next run's segments
-            # carry two different transmission times.
-            first = [seg.end_seq for seg in segments[:4]]
-            later = [seg.end_seq for seg in segments[4:]]
-            mid = []
-            for ack in first:
-                mid.extend(sender.on_ack(ack, 1.0))
-            combined = later + [seg.end_seq for seg in mid]
-            if use_run:
-                out = sender.on_ack_run(combined, 2.0)
-            else:
-                out = []
-                for ack in combined:
-                    out.extend(sender.on_ack(ack, 2.0))
+            acks = ack_values(sender.start(0.0))
+            # Acknowledge the first round in two halves at different times,
+            # so the next round's packets carry two transmission times.
+            first = acknowledge(sender, acks[:4], 1.0, use_ladder=False)
+            second = acknowledge(sender, acks[4:], 2.0, use_ladder=False)
+            combined = ack_values(first) + ack_values(second)
+            assert ladder(combined) == [("seq", 9, 16)]
+            out = acknowledge(sender, combined, 3.0, use_ladder)
             return sender, out
 
         batch_sender, batch_out = drive(True)
         scalar_sender, scalar_out = drive(False)
-        # The uniform-time prefix batches; the remainder (sent at a different
-        # time) is replayed through the scalar engine, identically.
-        assert batch_out == scalar_out
+        # Each uniform-time half of the round batches on its own, sampling
+        # its own RTT, exactly like the scalar engine.
+        assert batch_sender.batch_runs == 2
+        assert expand(batch_out) == expand(scalar_out)
         assert batch_sender.snapshot() == scalar_sender.snapshot()
+        assert batch_sender.state.min_rtt == 1.0
 
     def test_quirk_configs_fall_back(self):
         for quirk in (dict(approach_ceiling=100.0),
@@ -143,8 +166,8 @@ class TestCustomSubclassSafety:
 
         batch = make_sender(EagerReno())
         scalar = make_sender(EagerReno())
-        windows_batch, _ = drive_probe(batch, use_run=True)
-        windows_scalar, _ = drive_probe(scalar, use_run=False)
+        windows_batch, _ = drive_probe(batch, use_ladder=True)
+        windows_scalar, _ = drive_probe(scalar, use_ladder=False)
         assert windows_batch == windows_scalar
         assert batch.snapshot() == scalar.snapshot()
 
@@ -160,25 +183,19 @@ class TestCustomSubclassSafety:
 
         assert not TcpSender(ByteCountingReno())._batch_decoupled
 
-        def drive(use_run):
+        def drive(use_ladder):
             sender = make_sender(ByteCountingReno())
-            now, segments = 0.0, sender.start(0.0)
+            now, blocks = 0.0, sender.start(0.0)
             windows = []
             for _ in range(10):
-                windows.append(len(segments))
+                windows.append(block_packet_count(blocks))
                 now += 1.0
                 # Drop one ACK per round so cumulative advances jump by two
                 # packets somewhere in the run.
-                acks = [seg.end_seq for seg in segments]
+                acks = ack_values(blocks)
                 if len(acks) > 6:
                     del acks[3]
-                if use_run:
-                    segments = sender.on_ack_run(acks, now)
-                else:
-                    nxt = []
-                    for ack in acks:
-                        nxt.extend(sender.on_ack(ack, now))
-                    segments = nxt
+                blocks = acknowledge(sender, acks, now, use_ladder)
             return windows, sender
 
         windows_batch, batch_sender = drive(True)
@@ -199,8 +216,8 @@ class TestCustomSubclassSafety:
 
         batch = make_sender(Half())
         scalar = make_sender(Half())
-        windows_batch, _ = drive_probe(batch, use_run=True)
-        windows_scalar, _ = drive_probe(scalar, use_run=False)
+        windows_batch, _ = drive_probe(batch, use_ladder=True)
+        windows_scalar, _ = drive_probe(scalar, use_ladder=False)
         assert windows_batch == windows_scalar
         assert batch.snapshot() == scalar.snapshot()
 
@@ -226,13 +243,14 @@ class TestBatchKnob:
 
 
 class TestSendBookkeepingPruning:
-    @pytest.mark.parametrize("use_run", [True, False])
-    def test_send_times_stay_bounded(self, use_run):
+    @pytest.mark.parametrize("use_ladder", [True, False])
+    def test_send_spans_stay_bounded(self, use_ladder):
         sender = make_sender("cubic-b")
-        drive_probe(sender, rounds=30, use_run=use_run)
+        drive_probe(sender, rounds=30, use_ladder=use_ladder)
         in_flight = sender.snd_nxt - sender.snd_una
-        assert len(sender._send_times) <= in_flight + 1
-        assert all(index >= sender.snd_una for index in sender._send_times)
+        spans = sender._send_spans
+        assert sum(stop - start for start, stop, _ in spans) <= in_flight + 1
+        assert all(start >= sender.snd_una for start, _, _ in spans)
 
     def test_retransmission_marker_pruned_after_advance(self):
         sender = make_sender("reno")
@@ -242,24 +260,23 @@ class TestSendBookkeepingPruning:
         assert sender.timeouts
         retransmission = sender.on_timer(max(now, sender.next_timer_deadline() or now))
         for _ in range(40):
-            segments = retransmission if retransmission else []
-            if not segments:
+            if not retransmission:
                 break
             now += 1.0
-            acks = sorted({seg.end_seq for seg in segments})
-            retransmission = sender.on_ack_run(acks, now)
+            acks = sorted(set(ack_values(retransmission)))
+            retransmission = sender.on_ack_ladder(ladder(acks), now)
         assert all(index >= sender.snd_una for index in sender._retransmitted)
 
     def test_karn_rule_still_discards_retransmitted_samples(self):
         sender = make_sender("reno")
-        segments = sender.start(0.0)
-        sender.on_ack(segments[0].end_seq, 1.0)   # arms the RTO timer
+        blocks = sender.start(0.0)
+        sender.on_ack_packet(blocks[0].start_index + 1, 1.0)   # arms the RTO timer
         deadline = sender.next_timer_deadline()
         assert deadline is not None
-        segments = sender.on_timer(deadline)
-        assert segments and segments[0].is_retransmission
+        blocks = sender.on_timer(deadline)
+        assert blocks and blocks[0].is_retransmission
         srtt_before = sender.rto.srtt
-        sender.on_ack(segments[0].end_seq, deadline + 1.0)
+        sender.on_ack_packet(blocks[0].stop_index, deadline + 1.0)
         # The sample from the retransmitted packet must not feed the RTO.
         assert sender.rto.srtt == srtt_before
 
@@ -299,12 +316,12 @@ class TestObserveRun:
 class TestInSequence:
     def test_ordered_input_is_returned_unchanged(self):
         sender = make_sender("reno", initial_window=4)
-        segments = sender.start(0.0)
+        segments = expand(sender.start(0.0))
         assert in_sequence(segments) is segments
 
     def test_unordered_input_is_sorted_stably(self):
         sender = make_sender("reno", initial_window=4)
-        segments = sender.start(0.0)
+        segments = expand(sender.start(0.0))
         shuffled = [segments[2], segments[0], segments[3], segments[1]]
         ordered = in_sequence(shuffled)
         assert [seg.end_seq for seg in ordered] == sorted(
@@ -313,5 +330,5 @@ class TestInSequence:
     def test_empty_and_single(self):
         assert in_sequence([]) == []
         sender = make_sender("reno", initial_window=1)
-        seg = sender.start(0.0)
+        seg = expand(sender.start(0.0))
         assert in_sequence(seg) is seg

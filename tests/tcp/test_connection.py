@@ -1,4 +1,10 @@
-"""Tests for the TCP sender state machine."""
+"""Tests for the TCP sender state machine.
+
+The sender emits :class:`~repro.tcp.packet.SegmentBlock` records; these
+tests expand them into per-packet segments and acknowledge each packet
+through the byte-sequence :meth:`TcpSender.on_ack` API, as the packet-level
+prober does.
+"""
 
 import math
 
@@ -6,6 +12,7 @@ import pytest
 
 from repro.tcp.connection import SenderConfig, TcpSender
 from repro.tcp.registry import create_algorithm
+from tests.conftest import expand
 
 
 def make_sender(algorithm="reno", data_bytes=10_000_000, **config_kwargs):
@@ -19,14 +26,14 @@ def make_sender(algorithm="reno", data_bytes=10_000_000, **config_kwargs):
 def drive_rounds(sender, rounds, rtt=1.0, start=0.0):
     """Acknowledge every packet once per emulated round; returns window sizes."""
     now = start
-    segments = sender.start(now)
+    segments = expand(sender.start(now))
     windows = []
     for _ in range(rounds):
         windows.append(len(segments))
         now += rtt
         next_segments = []
         for segment in segments:
-            next_segments.extend(sender.on_ack(segment.end_seq, now))
+            next_segments.extend(expand(sender.on_ack(segment.end_seq, now)))
         segments = next_segments
         if not segments:
             break
@@ -37,7 +44,7 @@ class TestStartAndSlowStart:
     def test_initial_window_respected(self):
         for initial in (1, 2, 3, 4, 10):
             sender = make_sender(initial_window=initial)
-            assert len(sender.start(0.0)) == initial
+            assert len(expand(sender.start(0.0))) == initial
 
     def test_start_is_idempotent(self):
         sender = make_sender()
@@ -63,7 +70,7 @@ class TestStartAndSlowStart:
 
     def test_sequence_numbers_are_contiguous_mss_units(self):
         sender = make_sender()
-        segments = sender.start(0.0)
+        segments = expand(sender.start(0.0))
         assert [segment.seq for segment in segments] == [0, 100]
         assert all(segment.length == 100 for segment in segments)
 
@@ -78,12 +85,12 @@ class TestRttTracking:
     def test_min_and_max_rtt(self):
         sender = make_sender()
         now = 0.0
-        segments = sender.start(now)
+        segments = expand(sender.start(now))
         for rtt in (0.8, 0.8, 1.0, 1.0):
             now += rtt
             next_segments = []
             for segment in segments:
-                next_segments.extend(sender.on_ack(segment.end_seq, now))
+                next_segments.extend(expand(sender.on_ack(segment.end_seq, now)))
             segments = next_segments
         assert sender.state.min_rtt == pytest.approx(0.8)
         assert sender.state.max_rtt == pytest.approx(1.0)
@@ -95,7 +102,7 @@ class TestTimeout:
         deadline = sender.next_timer_deadline()
         assert deadline is not None
         now = max(now, deadline)
-        retransmissions = sender.on_timer(now)
+        retransmissions = expand(sender.on_timer(now))
         return windows, retransmissions, now
 
     def test_timeout_collapses_window_and_sets_ssthresh(self):
@@ -128,7 +135,7 @@ class TestTimeout:
         _, retransmissions, now = self._force_timeout(sender)
         highest = sender.snd_nxt * 100
         now += 1.0
-        segments = sender.on_ack(highest, now)
+        segments = expand(sender.on_ack(highest, now))
         assert sender.state.cwnd == pytest.approx(2.0)
         assert len(segments) == 2
 
@@ -148,7 +155,7 @@ class TestFastRecovery:
     def test_three_duplicate_acks_trigger_fast_retransmit(self):
         sender = make_sender()
         now = 1.0
-        segments = sender.start(0.0)
+        segments = expand(sender.start(0.0))
         sender.on_ack(segments[0].end_seq, now)
         retransmissions = []
         for _ in range(3):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.tcp.connection import SenderConfig, TcpSender
 from repro.tcp.registry import IDENTIFIABLE_ALGORITHMS, create_algorithm
+from tests.conftest import expand
 
 MSS = 100
 
@@ -45,7 +46,7 @@ class TestSenderInvariants:
     def test_invariants_hold_for_any_ack_schedule(self, algorithm, initial_window, schedule):
         sender = build_sender(algorithm, initial_window)
         now = 0.0
-        outstanding = list(sender.start(now))
+        outstanding = expand(sender.start(now))
         highest_received = 0
         for kind, gap in schedule:
             now += gap
@@ -67,7 +68,7 @@ class TestSenderInvariants:
                 if deadline is not None:
                     now = max(now, deadline)
                     new_segments = sender.on_timer(now)
-            outstanding.extend(new_segments)
+            outstanding.extend(expand(new_segments))
 
             # --- invariants -------------------------------------------------
             assert sender.state.cwnd >= 1.0
@@ -89,13 +90,13 @@ class TestSenderInvariants:
                            SenderConfig(mss=MSS, initial_window=2))
         sender.enqueue_bytes(200 * MSS)
         now = 0.0
-        segments = sender.start(now)
+        segments = expand(sender.start(now))
         for _ in range(500):
             if not segments:
                 break
             now += 0.2
             next_segments = []
             for segment in segments:
-                next_segments.extend(sender.on_ack(segment.end_seq, now))
+                next_segments.extend(expand(sender.on_ack(segment.end_seq, now)))
             segments = next_segments
         assert sender.all_data_acked()

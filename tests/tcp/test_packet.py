@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.tcp.packet import Ack, Segment, SegmentBatch, TransmissionRecord
+from repro.tcp.packet import Ack, Segment
 
 
 class TestSegment:
@@ -34,23 +34,3 @@ class TestAck:
     def test_duplicate_flag(self):
         ack = Ack(ack_seq=2000, sent_at=3.0, receive_window=1 << 30, is_duplicate=True)
         assert ack.is_duplicate
-
-
-class TestSegmentBatch:
-    def test_extend_and_len(self):
-        batch = SegmentBatch()
-        segments = [Segment(seq=i * 100, length=100, sent_at=0.0, packet_index=i)
-                    for i in range(3)]
-        batch.extend(segments)
-        assert len(batch) == 3
-        assert list(batch) == segments
-
-    def test_empty_batch(self):
-        assert len(SegmentBatch()) == 0
-
-
-class TestTransmissionRecord:
-    def test_defaults(self):
-        record = TransmissionRecord(packet_index=4, sent_at=1.5)
-        assert record.packet_index == 4
-        assert not record.retransmitted

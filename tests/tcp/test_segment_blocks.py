@@ -1,28 +1,22 @@
 """Tests for the segment-block emitter (sender-level API and bookkeeping).
 
-The gather-level parity matrix lives in
-``tests/core/test_gather_block_parity.py``; this module exercises the
-:class:`SegmentBlock` record itself, the sender's native block API
-(``start_native`` / ``on_ack_ladder``), the send-time span bookkeeping that
-replaces the per-packet dict, and the legacy expansion adapter.
+This module exercises the :class:`SegmentBlock` record itself, the block
+every sender entry point returns, the compressed ACK ladder
+(``on_ack_ladder``) against the per-ACK engine, and the send-time span
+bookkeeping.
 """
 
 import pytest
 
-from repro.tcp.connection import (
-    SEGMENT_BLOCKS_ENV,
-    SenderConfig,
-    TcpSender,
-    segment_blocks_enabled,
-)
+from repro.tcp.connection import SenderConfig, TcpSender
 from repro.tcp.packet import (
     Segment,
     SegmentBlock,
     block_packet_count,
-    expand_blocks,
     in_sequence_blocks,
 )
 from repro.tcp.registry import create_algorithm
+from tests.conftest import expand
 
 
 def make_sender(algorithm="reno", data_bytes=10_000_000, **config_kwargs):
@@ -81,90 +75,80 @@ class TestSegmentBlock:
         ordered = in_sequence_blocks(blocks)
         assert [b.start_index for b in ordered] == [0, 5]
         assert in_sequence_blocks(ordered) is ordered  # already sorted: no copy
-        assert len(expand_blocks(blocks)) == 3
+        assert [seg.packet_index for seg in expand(ordered)] == [0, 5, 6]
 
 
-class TestEnvironmentKnob:
-    def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv(SEGMENT_BLOCKS_ENV, raising=False)
-        assert segment_blocks_enabled()
+class TestBlockEmission:
+    def test_every_entry_point_returns_blocks(self):
+        sender = make_sender(initial_window=4)
+        emitted = [sender.start(0.0),
+                   sender.on_ack(100, 1.0),
+                   sender.on_ack_packet(2, 1.0),
+                   sender.on_ack_ladder([("seq", 3, 2)], 1.0),
+                   sender.on_timer(sender.next_timer_deadline())]
+        assert all(emitted)
+        blocks = [block for batch in emitted for block in batch]
+        assert all(isinstance(block, SegmentBlock) for block in blocks)
+        assert sender.block_records == len(blocks)
+        assert blocks[-1].is_retransmission
 
-    @pytest.mark.parametrize("value", ["0", "false", "off", "no"])
-    def test_disabling_values(self, monkeypatch, value):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, value)
-        assert not segment_blocks_enabled()
-        sender = make_sender()
-        assert not sender.emits_blocks
-        assert isinstance(sender.start_native(0.0)[0], Segment)
+    def test_byte_acks_match_packet_acks(self):
+        """``on_ack`` is ``on_ack_packet`` behind the byte-to-packet conversion."""
+        def drive(use_bytes, rounds=12):
+            sender = make_sender("cubic-b", initial_window=3)
+            now = 0.0
+            segments = expand(sender.start(now))
+            history = []
+            for _ in range(rounds):
+                history.extend(segments)
+                now += 1.0
+                nxt = []
+                for segment in segments:
+                    if use_bytes:
+                        nxt.extend(sender.on_ack(segment.end_seq, now))
+                    else:
+                        nxt.extend(sender.on_ack_packet(
+                            segment.packet_index + 1, now))
+                segments = expand(nxt)
+            return history, sender.snapshot()
 
-    def test_native_mode_emits_blocks(self, monkeypatch):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
-        sender = make_sender()
-        emitted = sender.start_native(0.0)
-        assert all(isinstance(block, SegmentBlock) for block in emitted)
-        assert sender.segment_objects == 0
-        assert sender.block_records == len(emitted)
-
-
-class TestLegacyExpansion:
-    def drive(self, monkeypatch, knob, rounds=12):
-        """Drive a probe-shaped exchange through the legacy Segment API."""
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, knob)
-        sender = make_sender("cubic-b", initial_window=3)
-        now = 0.0
-        segments = sender.start(now)
-        history = []
-        for _ in range(rounds):
-            history.extend((seg.seq, seg.length, seg.sent_at, seg.packet_index,
-                            seg.is_retransmission) for seg in segments)
-            now += 1.0
-            segments = sender.on_ack_run([seg.end_seq for seg in segments], now)
-        return history
-
-    def test_legacy_api_is_bit_identical_across_emitters(self, monkeypatch):
-        assert self.drive(monkeypatch, "1") == self.drive(monkeypatch, "0")
-
-    def test_expansion_counts_objects(self, monkeypatch):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
-        sender = make_sender()
-        segments = sender.start(0.0)
-        assert sender.segment_objects == len(segments) == 2
+        assert drive(use_bytes=True) == drive(use_bytes=False)
 
 
 class TestAckLadder:
-    def expand_runs(self, runs, mss=100):
+    def expand_runs(self, runs):
         values = []
         for kind, value, count in runs:
             if kind == "seq":
-                values.extend((value + offset) * mss for offset in range(count))
+                values.extend(value + offset for offset in range(count))
             else:
-                values.extend([value * mss] * count)
+                values.extend([value] * count)
         return values
 
-    def drive_pair(self, monkeypatch, runs_per_round, algorithm="reno"):
-        """Run the same ladder through on_ack_ladder and legacy on_ack_run."""
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
+    def drive_pair(self, runs_per_round, algorithm="reno"):
+        """Run the same ladder through on_ack_ladder and the per-ACK engine."""
         ladder_sender = make_sender(algorithm, initial_window=4)
-        legacy_sender = make_sender(algorithm, initial_window=4)
-        ladder_sender.start_native(0.0)
-        legacy_sender.start(0.0)
+        scalar_sender = make_sender(algorithm, initial_window=4)
+        ladder_sender.start(0.0)
+        scalar_sender.start(0.0)
         now = 0.0
-        ladder_out, legacy_out = [], []
+        ladder_out, scalar_out = [], []
         for runs in runs_per_round:
             now += 1.0
-            ladder_out.extend(expand_blocks(ladder_sender.on_ack_ladder(runs, now)))
-            legacy_out.extend(legacy_sender.on_ack_run(self.expand_runs(runs), now))
-        return ladder_out, legacy_out
+            ladder_out.extend(expand(ladder_sender.on_ack_ladder(runs, now)))
+            for value in self.expand_runs(runs):
+                scalar_out.extend(expand(scalar_sender.on_ack_packet(value, now)))
+        assert ladder_sender.snapshot() == scalar_sender.snapshot()
+        return ladder_out, scalar_out
 
-    def test_clean_rounds_match_flat_ladder(self, monkeypatch):
+    def test_clean_rounds_match_flat_ladder(self):
         rounds = [[("seq", 1, 4)], [("seq", 5, 8)], [("seq", 13, 16)]]
-        ladder_out, legacy_out = self.drive_pair(monkeypatch, rounds)
-        assert ladder_out == legacy_out
+        ladder_out, scalar_out = self.drive_pair(rounds)
+        assert ladder_out == scalar_out
 
-    def test_repeated_runs_count_as_duplicates(self, monkeypatch):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
+    def test_repeated_runs_count_as_duplicates(self):
         sender = make_sender("reno", initial_window=4, dupack_threshold=3)
-        sender.start_native(0.0)
+        sender.start(0.0)
         sender.on_ack_ladder([("seq", 1, 4)], 1.0)
         emitted = sender.on_ack_ladder([("rep", 4, 3)], 2.0)
         # Three repeats of the cumulative point trigger a fast retransmit.
@@ -172,47 +156,44 @@ class TestAckLadder:
         assert len(retransmissions) == 1
         assert retransmissions[0].start_index == 4
 
-    def test_fragmented_runs_match_ladder_with_holes(self, monkeypatch):
+    def test_fragmented_runs_match_ladder_with_holes(self):
         rounds = [[("seq", 1, 4)],
                   [("seq", 5, 3), ("seq", 9, 4)],     # one ACK lost in between
                   [("seq", 13, 12)]]
-        ladder_out, legacy_out = self.drive_pair(monkeypatch, rounds)
-        assert ladder_out == legacy_out
+        ladder_out, scalar_out = self.drive_pair(rounds)
+        assert ladder_out == scalar_out
 
-    def test_run_crossing_round_boundary(self, monkeypatch):
+    def test_run_crossing_round_boundary(self):
         # 8 ACKs when only 4 packets are in the round: the fast path clamps
         # at the round end and the remainder replays scalar, exactly like
-        # the flat ladder.
+        # the per-ACK engine.
         rounds = [[("seq", 1, 4)], [("seq", 5, 8)], [("seq", 13, 16)],
                   [("seq", 29, 20)]]
-        ladder_out, legacy_out = self.drive_pair(monkeypatch, rounds)
-        assert ladder_out == legacy_out
+        ladder_out, scalar_out = self.drive_pair(rounds)
+        assert ladder_out == scalar_out
 
-    def test_batch_engages_on_arithmetic_runs(self, monkeypatch):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
+    def test_batch_engages_on_arithmetic_runs(self):
         sender = make_sender("reno", initial_window=8)
-        sender.start_native(0.0)
+        sender.start(0.0)
         sender.on_ack_ladder([("seq", 1, 8)], 1.0)
         assert sender.batch_runs == 1
 
 
 class TestSpanBookkeeping:
-    def test_spans_merge_within_a_burst(self, monkeypatch):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
+    def test_spans_merge_within_a_burst(self):
         sender = make_sender(initial_window=4)
-        sender.start_native(0.0)
+        sender.start(0.0)
         assert sender._send_spans == [[0, 4, 0.0]]
         sender.on_ack_ladder([("seq", 1, 4)], 1.0)
         # Acked packets pruned, this round's emission merged into one span.
         assert sender._send_spans == [[4, 12, 1.0]]
 
-    def test_retransmission_splits_its_span(self, monkeypatch):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
+    def test_retransmission_splits_its_span(self):
         sender = make_sender(initial_window=4)
-        sender.start_native(0.0)
+        sender.start(0.0)
         sender.on_ack_ladder([("seq", 1, 4)], 1.0)   # arms the RTO timer
         deadline = sender.next_timer_deadline()
-        emitted = sender.on_timer_native(deadline)
+        emitted = sender.on_timer(deadline)
         assert emitted[0].is_retransmission
         retransmitted = emitted[0].start_index
         spans = sender._send_spans
@@ -222,18 +203,16 @@ class TestSpanBookkeeping:
         assert sender._sent_time(retransmitted + 1) == 1.0
         assert sender._sent_extent(retransmitted + 1) == (1.0, sender.snd_nxt)
 
-    def test_prune_skips_when_una_does_not_advance(self, monkeypatch):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
+    def test_prune_skips_when_una_does_not_advance(self):
         sender = make_sender(initial_window=4)
-        sender.start_native(0.0)
+        sender.start(0.0)
         before = [list(span) for span in sender._send_spans]
         sender._prune_acked(2, 2)
         assert sender._send_spans == before
 
-    def test_sent_time_outside_spans_is_none(self, monkeypatch):
-        monkeypatch.setenv(SEGMENT_BLOCKS_ENV, "1")
+    def test_sent_time_outside_spans_is_none(self):
         sender = make_sender(initial_window=4)
-        sender.start_native(0.0)
+        sender.start(0.0)
         assert sender._sent_time(99) is None
         sender.on_ack_ladder([("seq", 1, 4)], 1.0)
         assert sender._sent_time(0) is None  # pruned below snd_una
