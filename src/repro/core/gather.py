@@ -383,30 +383,30 @@ class TraceGatherer:
         """Send one cumulative ACK per received data packet, subject to ACK loss.
 
         The round's ladder (one cumulative ACK per received packet) is built
-        from block arithmetic, compressed into unit-advance stretches and
-        repeated-cumulative runs in O(blocks), and handed to the sender's
+        from block arithmetic as ``(first, count, step)`` progressions in
+        O(blocks) -- ``step == 1`` for in-order stretches, ``step == 0`` for
+        repeated cumulative values -- and handed to the sender's
         :meth:`~repro.tcp.connection.TcpSender.on_ack_ladder`; ACK-direction
-        loss draws stay one per entry on the probe's rng stream, fragmenting
-        the stretches around dropped ACKs.
+        loss draws stay one per entry on the probe's rng stream, and the
+        surviving entries are re-encoded as maximal progressions.
         """
         if not received:
             return [], 0
-        runs: list[tuple] = []
+        runs: list[tuple[int, int, int]] = []
         total = 0
         cumulative = 0
 
-        def add_run(kind: str, value: int, count: int) -> None:
-            # Adjacent blocks produce adjacent ladder entries; coalescing
-            # them here is what lets one round's burst -- however many
-            # blocks it arrived as -- batch as a single clean run.
+        def add_run(first: int, count: int, step: int) -> None:
+            # Adjacent blocks produce adjacent ladder entries; a run that
+            # continues the previous progression extends it, which is what
+            # lets one round's burst -- however many blocks it arrived as --
+            # batch as a single clean run.
             if runs:
-                last_kind, last_value, last_count = runs[-1]
-                if kind == last_kind and (
-                        (kind == "seq" and last_value + last_count == value)
-                        or (kind == "rep" and last_value == value)):
-                    runs[-1] = (kind, last_value, last_count + count)
+                last_first, last_count, last_step = runs[-1]
+                if step == last_step and last_first + last_count * step == first:
+                    runs[-1] = (last_first, last_count + count, step)
                     return
-            runs.append((kind, value, count))
+            runs.append((first, count, step))
 
         for block in in_sequence_blocks(received):
             count = len(block)
@@ -415,63 +415,99 @@ class TraceGatherer:
                 # A retransmitted packet is acknowledged at the highest
                 # sequence received so far (the emulated-timeout rule).
                 value = cumulative if cumulative > highest_pkt else highest_pkt
-                add_run("rep", value, count)
+                add_run(value, count, 0)
                 cumulative = value
                 continue
             start, stop = block.start_index, block.stop_index
             if stop <= cumulative:
-                add_run("rep", cumulative, count)
+                add_run(cumulative, count, 0)
             elif start >= cumulative:
-                add_run("seq", start + 1, count)
+                add_run(start + 1, count, 1)
                 cumulative = stop
             else:
-                add_run("rep", cumulative, cumulative - start)
-                add_run("seq", cumulative + 1, stop - cumulative)
+                add_run(cumulative, cumulative - start, 0)
+                add_run(cumulative + 1, stop - cumulative, 1)
                 cumulative = stop
         lost = 0
         if condition.loss_rate > 0.0:
             # One draw per ACK, in ladder order.
-            dropped = rng.random(total) < condition.loss_rate
-            lost = int(dropped.sum())
+            kept = rng.random(total) >= condition.loss_rate
+            lost = total - int(np.count_nonzero(kept))
             if lost:
-                runs = _filter_ack_runs(runs, dropped)
+                runs = _filter_ack_runs(runs, kept)
         return sender.on_ack_ladder(runs, now), lost
 
 
 def _surviving_stretches(mask: np.ndarray) -> list[tuple[int, int]]:
     """``(first_offset, length)`` of each maximal True stretch in ``mask``."""
-    survivors = np.flatnonzero(mask)
-    if survivors.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(survivors) > 1) + 1
-    return [(int(chunk[0]), int(chunk.size))
-            for chunk in np.split(survivors, breaks)]
+    # The difference of the False-padded mask flags every edge: stretch
+    # starts at even positions, the offsets just past their ends at odd ones.
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False])))).tolist()
+    return [(start, stop - start) for start, stop in zip(edges[0::2], edges[1::2])]
 
 
-def _filter_ack_runs(runs: list[tuple], dropped: np.ndarray) -> list[tuple]:
-    """Drop per-entry ACK losses from a compressed ladder.
+def _ladder_values(runs: list[tuple[int, int, int]]) -> np.ndarray:
+    """Every ACK value of a compressed ladder, in ladder order."""
+    counts = [run[1] for run in runs]
+    # Consecutive values differ by the run's step, except at a run's first
+    # entry, which jumps from the previous run's last value.
+    deltas = np.repeat([run[2] for run in runs], counts)
+    position = previous = 0
+    for first, count, step in runs:
+        deltas[position] = first - previous
+        previous = first + (count - 1) * step
+        position += count
+    return np.cumsum(deltas)
 
-    ``dropped`` has one draw per ladder entry in run order. Repeated runs
-    just shrink; unit-advance stretches fragment into their maximal
-    surviving sub-stretches (the sender treats the resulting jumps exactly
-    as it treats a ladder with holes).
+
+def _progressions(values: np.ndarray) -> list[tuple[int, int, int]]:
+    """Encode ladder values as maximal ``(first, count, step)`` runs, greedily.
+
+    Each run starts at the first value not yet covered, takes its step from
+    the next value and extends while the differences stay equal. A run of
+    only two values that does not end the ladder is not formed: its first
+    value goes alone and its second may open the next run, so a lost ACK
+    between two per-packet stretches splits the ladder exactly at the gap.
+    Lone values are one-entry runs.
     """
-    kept_runs: list[tuple] = []
-    offset = 0
-    for kind, value, count in runs:
-        mask = dropped[offset:offset + count]
-        offset += count
-        hits = int(mask.sum())
-        if hits == 0:
-            kept_runs.append((kind, value, count))
-            continue
-        if kind == "rep":
-            if hits < count:
-                kept_runs.append((kind, value, count - hits))
-            continue
-        for first, size in _surviving_stretches(~mask):
-            kept_runs.append(("seq", value + first, size))
-    return kept_runs
+    size = len(values)
+    if not size:
+        return []
+    differences = np.diff(values)
+    # ends[r] is the last value of the r-th stretch of equal differences.
+    ends = (np.flatnonzero(differences[1:] != differences[:-1]) + 1).tolist()
+    ends.append(size - 1)
+    values = values.tolist()
+    runs = []
+    begin = 0
+    for end in ends:
+        if end <= begin:
+            continue  # ``begin`` opens the next stretch
+        first = values[begin]
+        if end - begin >= 2 or end == size - 1:
+            runs.append((first, end - begin + 1, values[begin + 1] - first))
+            begin = end + 1
+        else:
+            runs.append((first, 1, 1))
+            begin = end
+    if begin == size - 1:
+        runs.append((values[begin], 1, 1))
+    return runs
+
+
+def _filter_ack_runs(runs: list[tuple[int, int, int]],
+                     kept: np.ndarray) -> list[tuple[int, int, int]]:
+    """Keep the ladder entries ``kept`` marks, as maximal progressions.
+
+    ``kept`` has one flag per ladder entry in run order (ACK loss draws, or
+    a middlebox's keep mask). The survivors are re-encoded as maximal
+    ``(first, count, step)`` progressions: a stretch with a lost ACK splits
+    around the gap, and one that keeps only every ``k``-th ACK (a thinning
+    middlebox) becomes a single ``step == k`` stretch-ACK run the sender
+    batches. The sender treats the jumps exactly as it treats a ladder with
+    holes.
+    """
+    return _progressions(_ladder_values(runs)[kept])
 
 
 def probe_with_w_timeout_ladder(server: ProbeableServer, condition: NetworkCondition,

@@ -67,7 +67,7 @@ class FaultySender:
         """One pre/post-timeout round of compressed ACK runs.
 
         Args:
-            runs: The compressed ``(kind, value, count)`` ladder runs.
+            runs: The compressed ``(first, count, step)`` ladder runs.
             now: Current simulated time.
 
         Returns:

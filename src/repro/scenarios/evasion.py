@@ -137,7 +137,7 @@ class EvasiveSender:
         """One round of compressed ACK runs; the response may be withheld.
 
         Args:
-            runs: The compressed ``(kind, value, count)`` ladder runs.
+            runs: The compressed ``(first, count, step)`` ladder runs.
             now: Current simulated time.
 
         Returns:

@@ -158,34 +158,41 @@ class MiddleboxSender:
         """Deterministic per-ACK keep mask for one round of ``count`` ACKs."""
         config = self._config
         stats = self._stats
-        keep = np.ones(count, dtype=bool)
-        if config.thin_every > 1:
-            thinned = (np.arange(1, count + 1) % config.thin_every) != 0
-            thinned[-1] = False  # the round's final ACK always escapes
-            dropped = int((keep & thinned).sum())
-            stats.thinned_acks += dropped
-            keep &= ~thinned
+        every = config.thin_every
+        if every > 1:
+            keep = np.zeros(count, dtype=bool)
+            keep[every - 1::every] = True
+            keep[-1] = True  # the round's final ACK always escapes
+            passing = -(-count // every)
+            stats.thinned_acks += count - passing
+        else:
+            keep = np.ones(count, dtype=bool)
+            passing = count
         if self._policer is not None:
-            offered = int(keep.sum())
-            admitted = self._policer.admit(offered, now)
-            if admitted < offered:
-                stats.policer_dropped += offered - admitted
+            admitted = self._policer.admit(passing, now)
+            if admitted < passing:
+                stats.policer_dropped += passing - admitted
                 survivors = np.flatnonzero(keep)
                 keep[survivors[admitted:]] = False
+                passing = admitted
         if self._in_burst(now):
             survivors = np.flatnonzero(keep)
             victims = survivors[::config.cross_drop_every]
             stats.cross_traffic_dropped += len(victims)
             keep[victims] = False
-        stats.delivered += int(keep.sum())
+            passing -= len(victims)
+        stats.delivered += passing
         return keep
 
     # ------------------------------------------------ intercepted sender API
     def on_ack_ladder(self, runs, now):
         """One round of compressed ACK runs, filtered through the chain.
 
+        The survivors go on as maximal progressions, so a thinned stretch
+        reaches the sender as one stretch-ACK run (``step == thin_every``).
+
         Args:
-            runs: The compressed ``(kind, value, count)`` ladder runs.
+            runs: The compressed ``(first, count, step)`` ladder runs.
             now: Current simulated time.
 
         Returns:
@@ -194,11 +201,11 @@ class MiddleboxSender:
         config = self._config
         if config.is_neutral():
             return self._sender.on_ack_ladder(runs, now)
-        total = sum(count for _, _, count in runs)
+        total = sum(run[1] for run in runs)
         if total:
             keep = self._keep_mask(total, now)
             if not keep.all():
-                runs = _filter_ack_runs(runs, ~keep)
+                runs = _filter_ack_runs(runs, keep)
         return self._sender.on_ack_ladder(runs, now + config.stretch_seconds)
 
     # --------------------------------------------------- transparent proxying

@@ -114,11 +114,14 @@ class CongestionAvoidance(ABC):
     #: the growth hooks: (a) they read at most ``latest_rtt`` / ``min_rtt``
     #: / ``max_rtt`` (constant under a run of identical samples) but not the
     #: evolving ``srtt``, and (b) they ignore ``ctx.newly_acked_packets``
-    #: (so the engine may batch runs whose ACKs cover more than one packet,
-    #: e.g. after an ACK was lost). The conservative default keeps unknown
-    #: subclasses on the per-ACK interleaved path; every registry algorithm
-    #: opts in except Westwood+, whose idle-gap detector reads ``srtt`` and
-    #: whose bandwidth filter counts ``newly_acked_packets`` on every ACK.
+    #: (so the engine may batch runs whose ACKs cover more than one packet:
+    #: a first ACK that jumps after an ACK was lost, or a stretch-ACK run
+    #: with ``step > 1`` whose every ACK covers ``step`` packets, as behind
+    #: a thinning middlebox). The conservative default keeps unknown
+    #: subclasses on the per-ACK interleaved path, which batches only
+    #: per-packet ACKs; every registry algorithm opts in except Westwood+,
+    #: whose idle-gap detector reads ``srtt`` and whose bandwidth filter
+    #: counts ``newly_acked_packets`` on every ACK.
     batch_decoupled: bool = False
 
     def on_connection_start(self, state: CongestionState) -> None:

@@ -80,7 +80,7 @@ def _batch_decoupled_trusted(alg_type: type) -> bool:
     evolving ``srtt`` and ``ctx.newly_acked_packets``); a subclass that
     overrides either hook below the class that made the assertion may have
     invalidated it, so such classes fall back to the per-ACK interleaved
-    path and unit-advance runs.
+    path, which batches only runs of per-packet ACKs (``step == 1``).
     """
     flag_cls = _defining_class(alg_type, "batch_decoupled")
     if flag_cls is None or flag_cls is CongestionAvoidance:
@@ -349,51 +349,53 @@ class TcpSender:
             return self._on_duplicate_ack(now)
         return self._on_new_ack(ack_packets, now)
 
-    def on_ack_ladder(self, runs: Sequence[tuple],
+    def on_ack_ladder(self, runs: Sequence[tuple[int, int, int]],
                       now: float) -> list[SegmentBlock]:
-        """Process a round's ACK ladder expressed as compact packet runs.
+        """Process a round's ACK ladder expressed as arithmetic progressions.
 
         ``runs`` is the round's ladder of packet-cumulative ACK values (one
-        per received packet) compressed into ``("seq", first, count)``
-        unit-advance stretches (values ``first .. first + count - 1``) and
-        ``("rep", value, count)`` repeated-cumulative entries, in ladder
-        order. Behaviour is bit-identical to expanding the runs and feeding
-        every value to :meth:`on_ack_packet`: the longest *clean* part of a
-        stretch -- monotone advances within the current round, no recovery
-        or F-RTO state, no quirk configuration, one send time, no
-        retransmitted packet -- takes the batched fast path in O(1)
-        bookkeeping, and every other entry replays through the scalar
-        per-ACK engine before the fast path re-engages (the batch/scalar
-        parity matrix and the differential harness enforce this).
+        per ACK that reached the sender) compressed into ``(first, count,
+        step)`` runs, in ladder order: the values ``first, first + step, ...,
+        first + (count - 1) * step``. ``step == 1`` is a stretch of
+        per-packet ACKs, ``step == 0`` repeats one cumulative value (the
+        duplicates), and ``step > 1`` is a stretch-ACK run whose every ACK
+        covers ``step`` packets (a thinned ACK stream). Behaviour is
+        bit-identical to expanding the runs and feeding every value to
+        :meth:`on_ack_packet`: the longest *clean* part of a ``step >= 1``
+        run -- monotone advances within the current round, no recovery or
+        F-RTO state, no quirk configuration, one send time, no retransmitted
+        packet -- takes the batched fast path in O(1) bookkeeping, and every
+        other entry replays through the scalar per-ACK engine before the
+        fast path re-engages (the batch/scalar parity matrix and the
+        differential harness enforce this).
 
         Args:
-            runs: The compressed ladder: ``("seq", first, count)`` and
-                ``("rep", value, count)`` tuples in ladder order.
+            runs: The compressed ladder: ``(first, count, step)`` tuples in
+                ladder order.
             now: Current simulation time.
 
         Returns:
             The blocks the sender transmits in response to the whole ladder.
         """
         out: list = []
-        for kind, value, count in runs:
-            if kind == "seq":
-                first = value
-                remaining = count
-                while remaining:
-                    if remaining >= _MIN_BATCH_RUN and self._run_eligible():
-                        consumed, emitted = self._fast_packet_run(first, remaining, now)
-                        if consumed:
-                            self.batch_runs += 1
-                            out.extend(emitted)
-                            first += consumed
-                            remaining -= consumed
-                            continue
+        for first, remaining, step in runs:
+            if not step:
+                for _ in range(remaining):
                     out.extend(self.on_ack_packet(first, now))
-                    first += 1
-                    remaining -= 1
-            else:
-                for _ in range(count):
-                    out.extend(self.on_ack_packet(value, now))
+                continue
+            while remaining:
+                if remaining >= _MIN_BATCH_RUN and self._run_eligible():
+                    consumed, emitted = self._fast_packet_run(first, remaining,
+                                                              step, now)
+                    if consumed:
+                        self.batch_runs += 1
+                        out.extend(emitted)
+                        first += consumed * step
+                        remaining -= consumed
+                        continue
+                out.extend(self.on_ack_packet(first, now))
+                first += step
+                remaining -= 1
         return out
 
     # ------------------------------------------------------- batched fast path
@@ -410,52 +412,57 @@ class TcpSender:
                 and not (config.post_timeout_stall and self._had_timeout)
                 and self._round_end > self._snd_una)
 
-    def _fast_packet_run(self, first: int, count: int,
+    def _fast_packet_run(self, first: int, count: int, step: int,
                          now: float) -> tuple[int, list[SegmentBlock]]:
-        """Batched fast path for a unit-advance packet run, in O(1) screening.
+        """Batched fast path for an evenly spaced ACK run, in O(1) screening.
 
-        ``first .. first + count - 1`` are consecutive packet-cumulative ACK
-        values (an arithmetic ladder stretch from :meth:`on_ack_ladder`).
-        Because the run is unit-advance by construction, the clean-prefix
-        check is range arithmetic, and the Karn/send-time screening is a
-        single span lookup. Returns ``(consumed, emitted)``; ``consumed == 0``
-        means no prefix long enough for the batch bookkeeping was clean and
-        the caller takes the scalar path for the next ACK.
+        ``first, first + step, ..., first + (count - 1) * step`` are
+        packet-cumulative ACK values (one ``step >= 1`` run from
+        :meth:`on_ack_ladder`). The ACKs of a ``step > 1`` run each cover
+        several packets, which only ``batch_decoupled`` algorithms may
+        batch (contract (b)); the rest stay per-ACK. Because the run is an
+        arithmetic progression, the clean-prefix check is range arithmetic
+        and the Karn/send-time screening is a single span lookup. Returns
+        ``(consumed, emitted)``; ``consumed == 0`` means no prefix long
+        enough for the batch bookkeeping was clean and the caller takes the
+        scalar path for the next ACK.
         """
         u0 = self._snd_una
         if first <= u0:
             return 0, []
-        if first != u0 + 1 and not self._batch_decoupled:
+        if (first != u0 + 1 or step != 1) and not self._batch_decoupled:
             return 0, []
         k = count
-        room = self._round_end - first + 1
+        room = (self._round_end - first) // step + 1
         if k > room:
             k = room
         if k < _MIN_BATCH_RUN:
             return 0, []
         # Karn's rule screening: the packets sampled for RTTs are
-        # ``first - 1 .. first - 2 + k``; they must share one send time
-        # (one span) and contain no retransmission.
+        # ``first - 1 + i * step``; they must share one send time (one span),
+        # and no packet in ``[first - 1, last)`` may be a retransmission.
         t0, extent_stop = self._sent_extent(first - 1)
-        extent = extent_stop - (first - 1)
-        if extent < k:
-            k = extent
+        sampled = (extent_stop - first) // step + 1
+        if sampled < k:
+            k = sampled
         retransmitted = self._retransmitted
         if retransmitted:
-            lo, hi = first - 1, first - 1 + k
+            lo, hi = first - 1, first + (k - 1) * step
             nearest = min((p for p in retransmitted if lo <= p < hi), default=None)
             if nearest is not None:
-                k = nearest - lo
+                k = (nearest - first) // step + 1
         if k < _MIN_BATCH_RUN:
             return 0, []
-        return k, self._consume_clean_run(range(first, first + k), k, t0, now)
+        return k, self._consume_clean_run(range(first, first + k * step, step),
+                                          k, t0, now)
 
     def _consume_clean_run(self, positions: range, k: int, t0: float,
                            now: float) -> list[SegmentBlock]:
         """Apply a validated clean ACK run and return the emission.
 
-        ``positions`` (a ``range`` of ``k`` packet-cumulative values) all
-        sample RTTs from packets sent at ``t0``.
+        ``positions`` (a ``range`` of ``k`` increasing packet-cumulative
+        values, evenly spaced by the run's step) all sample RTTs from
+        packets sent at ``t0``.
         """
         mss = self.config.mss
         total_packets = self.total_packets

@@ -52,6 +52,12 @@ def expand(blocks) -> list:
     return [segment for block in blocks for segment in block.segments()]
 
 
+def expand_runs(runs) -> list[int]:
+    """The ACK values a ``(first, count, step)`` ladder encodes, in order."""
+    return [first + index * step
+            for first, count, step in runs for index in range(count)]
+
+
 @pytest.fixture
 def server_factory():
     return make_synthetic_server

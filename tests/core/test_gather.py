@@ -2,19 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.environments import ENVIRONMENT_A, ENVIRONMENT_B
 from repro.core.gather import (
     GatherConfig,
     SyntheticServer,
     TraceGatherer,
+    _filter_ack_runs,
+    _surviving_stretches,
     negotiate_probe_mss,
     probe_with_w_timeout_ladder,
 )
 from repro.core.trace import InvalidReason
 from repro.net.conditions import NetworkCondition
 from repro.tcp.connection import SenderConfig
-from tests.conftest import make_synthetic_server
+from tests.conftest import expand_runs, make_synthetic_server
 
 
 class TestGatherConfig:
@@ -142,3 +145,62 @@ class TestLadderAndMss:
                                                    minimum_mss=400)) == 536
         assert negotiate_probe_mss(SyntheticServer("reno", lambda mss: SenderConfig(mss=mss),
                                                    minimum_mss=5000)) is None
+
+
+@st.composite
+def ladders_with_masks(draw):
+    """A non-decreasing ``(first, count, step)`` ladder and a keep mask."""
+    runs = []
+    value = draw(st.integers(min_value=0, max_value=50))
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        count = draw(st.integers(min_value=1, max_value=40))
+        step = draw(st.integers(min_value=0, max_value=5))
+        value += draw(st.integers(min_value=0, max_value=3))
+        runs.append((value, count, step))
+        value += (count - 1) * step
+    total = sum(count for _, count, _ in runs)
+    kept = draw(st.lists(st.booleans(), min_size=total, max_size=total))
+    return runs, np.array(kept, dtype=bool)
+
+
+class TestLadderFiltering:
+    @settings(max_examples=200, deadline=None)
+    @given(ladders_with_masks())
+    def test_filtered_ladder_expands_to_the_masked_ladder(self, case):
+        runs, kept = case
+        filtered = _filter_ack_runs(runs, kept)
+        expected = [value for value, keep in zip(expand_runs(runs), kept) if keep]
+        assert expand_runs(filtered) == expected
+        assert all(count >= 1 and step >= 0 for _, count, step in filtered)
+        # Maximal: no run continues the progression of the one before it.
+        for (first, count, step), (nxt, _, nxt_step) in zip(filtered, filtered[1:]):
+            assert not (count > 1 and nxt_step == step
+                        and first + count * step == nxt)
+
+    def test_thinned_stretch_becomes_one_stride_run(self):
+        kept = np.zeros(30, dtype=bool)
+        kept[3::4] = True
+        kept[-1] = True
+        assert _filter_ack_runs([(1, 30, 1)], kept) == [(4, 7, 4), (30, 1, 1)]
+
+    def test_lost_acks_split_a_stretch_at_the_gaps(self):
+        kept = np.ones(10, dtype=bool)
+        kept[4] = False
+        assert _filter_ack_runs([(1, 10, 1)], kept) == [(1, 4, 1), (6, 5, 1)]
+        # Losing 5 and 7 leaves 6 alone rather than pairing it with 8.
+        kept[6] = False
+        assert _filter_ack_runs([(1, 10, 1)], kept) == [
+            (1, 4, 1), (6, 1, 1), (8, 3, 1)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.booleans(), min_size=1, max_size=80))
+    def test_surviving_stretches_match_a_scan(self, flags):
+        expected = []
+        for offset, flag in enumerate(flags):
+            if not flag:
+                continue
+            if expected and sum(expected[-1]) == offset:
+                expected[-1] = (expected[-1][0], expected[-1][1] + 1)
+            else:
+                expected.append((offset, 1))
+        assert _surviving_stretches(np.array(flags, dtype=bool)) == expected

@@ -2,9 +2,11 @@
 
 The batched ACK engine must be an invisible optimisation: every registry
 algorithm, in both emulated environments, across the pre- and post-timeout
-phases, and under loss, F-RTO and the server quirks, must produce
-bit-identical :class:`WindowTrace`s whether the sender runs the batched fast
-path or the scalar per-ACK engine (forced via ``REPRO_ACK_BATCH=0``).
+phases, and under loss, F-RTO, the server quirks and the ACK-path
+middleboxes (thinning, policing, cross-traffic bursts, stretching -- whose
+ladders reach the sender as stretch-ACK runs), must produce bit-identical
+:class:`WindowTrace`s whether the sender runs the batched fast path or the
+scalar per-ACK engine (forced via ``REPRO_ACK_BATCH=0``).
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from repro.core.census import CensusConfig, CensusRunner
 from repro.core.gather import GatherConfig, TraceGatherer
 from repro.net.conditions import NetworkCondition
+from repro.scenarios.middlebox import MiddleboxConfig, MiddleboxServer
 from repro.tcp.connection import ACK_BATCH_ENV
 from repro.tcp.registry import ALL_ALGORITHM_NAMES
 from repro.web.population import PopulationConfig, ServerPopulation
@@ -27,20 +30,37 @@ SCENARIOS = [
     ("frto", dict(w_timeout=64), dict(use_frto=True)),
     ("quirks", dict(w_timeout=64), dict(initial_ssthresh=40.0,
                                         send_buffer_packets=90.0)),
+    *((f"thin-{every}", dict(w_timeout=64,
+                              middlebox=MiddleboxConfig(thin_every=every)), dict())
+      for every in (2, 4, 7)),
+    ("policer", dict(w_timeout=64, middlebox=MiddleboxConfig(
+        policer_capacity=48, policer_rate=40.0)), dict()),
+    ("cross-traffic", dict(w_timeout=64, middlebox=MiddleboxConfig(
+        cross_period=3.0, cross_duration=1.5, cross_drop_every=2)), dict()),
+    ("stretch", dict(w_timeout=64,
+                     middlebox=MiddleboxConfig(stretch_seconds=0.05)), dict()),
 ]
 
 
 def gather_pair(monkeypatch, algorithm, w_timeout=64, condition=None, seed=7,
-                **sender_kwargs):
-    """Probe the same synthetic server with the batched and scalar engines."""
+                middlebox=None, **sender_kwargs):
+    """Probe the same synthetic server with the batched and scalar engines.
+
+    With a ``middlebox`` the server sits behind that ACK-path chain, and
+    both engines must see it drop the same ACKs.
+    """
     condition = condition or NetworkCondition.ideal()
-    probes = {}
+    probes, stats = {}, {}
     for knob in ("1", "0"):
         monkeypatch.setenv(ACK_BATCH_ENV, knob)
         gatherer = TraceGatherer(GatherConfig(w_timeout=w_timeout, mss=100))
-        probes[knob] = gatherer.gather_probe(
-            make_synthetic_server(algorithm, **sender_kwargs), condition,
-            np.random.default_rng(seed))
+        server = make_synthetic_server(algorithm, **sender_kwargs)
+        if middlebox is not None:
+            server = MiddleboxServer(server, middlebox)
+            stats[knob] = server.stats
+        probes[knob] = gatherer.gather_probe(server, condition,
+                                             np.random.default_rng(seed))
+    assert stats.get("1") == stats.get("0")
     return probes["1"], probes["0"]
 
 
@@ -80,7 +100,9 @@ def test_parity_under_heavy_ack_loss(monkeypatch):
         assert_probes_identical(batched, scalar)
 
 
-def test_census_report_identical_across_engines(monkeypatch, trained_classifier):
+@pytest.mark.parametrize("scenario_pack", [None, "ack-manipulated", "policed"])
+def test_census_report_identical_across_engines(monkeypatch, trained_classifier,
+                                                scenario_pack):
     """End to end: a small census produces the same report either way."""
     reports = {}
     for knob in ("1", "0"):
@@ -88,7 +110,8 @@ def test_census_report_identical_across_engines(monkeypatch, trained_classifier)
         population = ServerPopulation(PopulationConfig(size=12, seed=99))
         population.generate()
         runner = CensusRunner(trained_classifier,
-                              CensusConfig(seed=5, backend="serial"))
+                              CensusConfig(seed=5, backend="serial",
+                                           scenario_pack=scenario_pack))
         reports[knob] = runner.run(population)
     batched, scalar = reports["1"], reports["0"]
     assert len(batched) == len(scalar)

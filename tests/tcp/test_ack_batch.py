@@ -23,7 +23,7 @@ from repro.tcp.packet import block_packet_count, in_sequence
 from repro.tcp.registry import ALL_ALGORITHM_NAMES, create_algorithm
 from repro.tcp.rto import RtoEstimator
 from repro.tcp.algorithms import Reno
-from tests.conftest import expand
+from tests.conftest import expand, expand_runs
 
 
 def make_sender(algorithm="reno", data_bytes=10_000_000, **config_kwargs):
@@ -42,21 +42,22 @@ def ack_values(blocks):
 
 
 def ladder(values):
-    """Compress packet-cumulative ACK values into ``on_ack_ladder`` runs."""
+    """Compress packet-cumulative ACK values into ``(first, count, step)`` runs.
+
+    Greedy: a one-entry run takes its step from the next value, a longer
+    run extends while the values continue its progression.
+    """
     runs = []
     for value in values:
         if runs:
-            kind, first, count = runs[-1]
-            if kind == "seq" and value == first + count:
-                runs[-1] = ("seq", first, count + 1)
+            first, count, step = runs[-1]
+            if count == 1 and value >= first:
+                runs[-1] = (first, 2, value - first)
                 continue
-            if kind == "rep" and value == first:
-                runs[-1] = ("rep", first, count + 1)
+            if value == first + count * step:
+                runs[-1] = (first, count + 1, step)
                 continue
-            if kind == "seq" and value == first + count - 1:
-                runs.append(("rep", value, 1))
-                continue
-        runs.append(("seq", value, 1))
+        runs.append((value, 1, 1))
     return runs
 
 
@@ -70,9 +71,20 @@ def acknowledge(sender, values, now, use_ladder):
     return blocks
 
 
-def drive_probe(sender, rounds=30, rtt=1.0, use_ladder=True, w_timeout=256):
+def thin(values, every):
+    """Every ``every``-th ACK value plus the last, like a thinning middlebox."""
+    kept = values[every - 1::every]
+    if len(values) % every:
+        kept.append(values[-1])
+    return kept
+
+
+def drive_probe(sender, rounds=30, rtt=1.0, use_ladder=True, w_timeout=256,
+                thin_every=1):
     """Drive a sender through an emulated CAAI probe (timeout included).
 
+    ``thin_every > 1`` passes only every ``thin_every``-th ACK of a round
+    (plus its last), so each surviving ACK covers several packets.
     Returns the per-round packet counts -- a window trace equivalent that
     captures every observable transmission decision.
     """
@@ -90,10 +102,20 @@ def drive_probe(sender, rounds=30, rtt=1.0, use_ladder=True, w_timeout=256):
             blocks = sender.on_timer(now)
             timed_out = True
             continue
-        blocks = acknowledge(sender, ack_values(blocks), now, use_ladder)
+        blocks = acknowledge(sender, thin(ack_values(blocks), thin_every),
+                             now, use_ladder)
         if not blocks:
             break
     return windows, now
+
+
+def assert_senders_identical(batch, scalar):
+    assert batch.snapshot() == scalar.snapshot()
+    assert batch.state == scalar.state
+    assert batch.rto.srtt == scalar.rto.srtt
+    assert batch.rto.rttvar == scalar.rto.rttvar
+    assert batch._send_spans == scalar._send_spans
+    assert batch._retransmitted == scalar._retransmitted
 
 
 class TestRunApiEquivalence:
@@ -132,7 +154,7 @@ class TestRunApiEquivalence:
             first = acknowledge(sender, acks[:4], 1.0, use_ladder=False)
             second = acknowledge(sender, acks[4:], 2.0, use_ladder=False)
             combined = ack_values(first) + ack_values(second)
-            assert ladder(combined) == [("seq", 9, 16)]
+            assert ladder(combined) == [(9, 16, 1)]
             out = acknowledge(sender, combined, 3.0, use_ladder)
             return sender, out
 
@@ -152,6 +174,156 @@ class TestRunApiEquivalence:
             sender = make_sender("reno", **quirk)
             drive_probe(sender, rounds=6)
             assert sender.batch_runs == 0
+
+
+class TestStretchAckRuns:
+    """``step > 1`` runs: every ACK covers ``step`` packets (thinned streams)."""
+
+    @pytest.mark.parametrize("algorithm", ALL_ALGORITHM_NAMES)
+    def test_step_four_run_equals_scalar_loop(self, algorithm):
+        batch = make_sender(algorithm)
+        scalar = make_sender(algorithm)
+        windows_batch, _ = drive_probe(batch, rounds=40, w_timeout=64,
+                                       thin_every=4)
+        windows_scalar, _ = drive_probe(scalar, rounds=40, w_timeout=64,
+                                        thin_every=4, use_ladder=False)
+        assert windows_batch == windows_scalar
+        assert batch.timeouts
+        assert_senders_identical(batch, scalar)
+        # Hybla's slow start passes w_timeout before a thinned round carries
+        # four ACKs, so it has nothing to batch.
+        if batch._batch_decoupled and algorithm != "hybla":
+            assert batch.batch_runs > 0
+
+    def test_thinned_rounds_are_single_step_runs(self):
+        sender = make_sender("reno", initial_window=20)
+        values = thin(ack_values(sender.start(0.0)), 4)
+        assert ladder(values) == [(4, 5, 4)]
+        sender.on_ack_ladder(ladder(values), 1.0)
+        assert sender.batch_runs == 1
+        assert sender.snd_una == 20
+
+    def test_stride_run_splits_at_the_send_time_boundary(self):
+        def drive(use_ladder):
+            sender = make_sender("reno", initial_window=8)
+            acks = ack_values(sender.start(0.0))
+            # Packets 8..15 go out at 1.0 and 16..23 at 2.0.
+            first = acknowledge(sender, acks[:4], 1.0, use_ladder=False)
+            second = acknowledge(sender, acks[4:], 2.0, use_ladder=False)
+            thinned = thin(ack_values(first) + ack_values(second), 2)
+            assert ladder(thinned) == [(10, 8, 2)]
+            out = acknowledge(sender, thinned, 3.0, use_ladder)
+            return sender, expand(out)
+
+        batch, batch_out = drive(True)
+        scalar, scalar_out = drive(False)
+        # The ACKs sampling packets 9..15 and those sampling 17..23 batch
+        # separately, each with its own RTT.
+        assert batch.batch_runs == 2
+        assert batch_out == scalar_out
+        assert_senders_identical(batch, scalar)
+        assert batch.state.min_rtt == 1.0
+
+    def test_run_jumping_past_the_round_end(self):
+        def drive(use_ladder):
+            sender = make_sender("reno", initial_window=20)
+            acks = ack_values(sender.start(0.0))
+            # The first round loses its last ten ACKs, so it closes at the
+            # first ACK of the next ladder and the round end (52) lands
+            # inside the burst that ladder releases (packets 40..89, one
+            # send time).
+            burst = acknowledge(sender, acks[:10], 1.0, use_ladder=False)
+            burst = acknowledge(sender, ack_values(burst), 2.0, use_ladder=False)
+            assert sender._round_end == 52
+            assert sender._send_spans == [[40, 90, 2.0]]
+            # Values 42, 45, ..., 87 step over 52: the fast path stops at 51,
+            # the jump to 54 closes the round on the scalar engine, and the
+            # rest batches again.
+            out = acknowledge(sender, list(range(42, 90, 3)), 3.0, use_ladder)
+            return sender, expand(out)
+
+        batch, batch_out = drive(True)
+        scalar, scalar_out = drive(False)
+        assert batch.batch_runs == 2
+        assert batch_out == scalar_out
+        assert_senders_identical(batch, scalar)
+
+    @pytest.mark.parametrize("marked,batch_runs", [(8, 0), (7, 1)],
+                             ids=["sampled", "in-gap"])
+    def test_retransmitted_packet_in_a_stride(self, marked, batch_runs):
+        # The run samples packets 2, 5, 8, ...; a retransmission sent at the
+        # original send time does not split the span, so only the Karn
+        # screening keeps the fast path away from it.
+        senders = []
+        for use_ladder in (True, False):
+            sender = make_sender("reno", initial_window=20)
+            sender.start(0.0)
+            sender._retransmit(marked, 0.0)
+            out = acknowledge(sender, list(range(3, 19, 3)), 1.0, use_ladder)
+            senders.append((sender, expand(out)))
+        (batch, batch_out), (scalar, scalar_out) = senders
+        assert batch.batch_runs == batch_runs
+        assert batch_out == scalar_out
+        assert_senders_identical(batch, scalar)
+
+    @pytest.mark.parametrize("algorithm", ["westwood", "half"])
+    def test_non_decoupled_algorithms_stay_per_ack(self, algorithm):
+        class Half(CongestionAvoidance):
+            name = "half"
+            label = "HALF"
+
+            def on_ack_avoidance(self, state, ctx):
+                state.cwnd += 0.5 * ctx.newly_acked_packets / max(state.cwnd, 1.0)
+
+            def ssthresh_after_loss(self, state):
+                return state.cwnd * 0.5
+
+        def build(**config_kwargs):
+            return make_sender(Half() if algorithm == "half" else algorithm,
+                               **config_kwargs)
+
+        batch, scalar = build(), build()
+        windows_batch, _ = drive_probe(batch, rounds=40, w_timeout=64,
+                                       thin_every=4)
+        windows_scalar, _ = drive_probe(scalar, rounds=40, w_timeout=64,
+                                        thin_every=4, use_ladder=False)
+        assert not batch._batch_decoupled
+        assert batch.batch_runs == 0
+        assert windows_batch == windows_scalar
+        assert_senders_identical(batch, scalar)
+
+        # A stride that starts right at the ACK point: its first ACK covers
+        # one packet, every later one two.
+        batch, scalar = build(initial_window=20), build(initial_window=20)
+        batch.start(0.0)
+        scalar.start(0.0)
+        batch_out = batch.on_ack_ladder([(1, 10, 2)], 1.0)
+        scalar_out = acknowledge(scalar, list(range(1, 21, 2)), 1.0,
+                                 use_ladder=False)
+        assert batch.batch_runs == 0
+        assert expand(batch_out) == expand(scalar_out)
+        assert_senders_identical(batch, scalar)
+        assert vars(batch.algorithm) == vars(scalar.algorithm)
+
+    def test_step_zero_runs_are_duplicates(self):
+        rounds = [[(1, 4, 1)], [(4, 3, 0)], [(6, 4, 0), (7, 5, 1)]]
+        batch = make_sender("reno", initial_window=4)
+        scalar = make_sender("reno", initial_window=4)
+        batch.start(0.0)
+        scalar.start(0.0)
+        for now, runs in enumerate(rounds, start=1):
+            batch_out = batch.on_ack_ladder(runs, float(now))
+            scalar_out = acknowledge(scalar, expand_runs(runs), float(now),
+                                     use_ladder=False)
+            assert expand(batch_out) == expand(scalar_out)
+            assert_senders_identical(batch, scalar)
+            if now == 2:
+                # Three repeats of the cumulative point: a fast retransmit.
+                assert [block.start_index for block in batch_out
+                        if block.is_retransmission] == [4]
+        # Only the clean first round batched: repeats never do, and the
+        # recovery the fast retransmit opened keeps the last run scalar.
+        assert batch.batch_runs == 1
 
 
 class TestCustomSubclassSafety:

@@ -16,7 +16,7 @@ from repro.tcp.packet import (
     in_sequence_blocks,
 )
 from repro.tcp.registry import create_algorithm
-from tests.conftest import expand
+from tests.conftest import expand, expand_runs
 
 
 def make_sender(algorithm="reno", data_bytes=10_000_000, **config_kwargs):
@@ -84,7 +84,7 @@ class TestBlockEmission:
         emitted = [sender.start(0.0),
                    sender.on_ack(100, 1.0),
                    sender.on_ack_packet(2, 1.0),
-                   sender.on_ack_ladder([("seq", 3, 2)], 1.0),
+                   sender.on_ack_ladder([(3, 2, 1)], 1.0),
                    sender.on_timer(sender.next_timer_deadline())]
         assert all(emitted)
         blocks = [block for batch in emitted for block in batch]
@@ -116,15 +116,6 @@ class TestBlockEmission:
 
 
 class TestAckLadder:
-    def expand_runs(self, runs):
-        values = []
-        for kind, value, count in runs:
-            if kind == "seq":
-                values.extend(value + offset for offset in range(count))
-            else:
-                values.extend([value] * count)
-        return values
-
     def drive_pair(self, runs_per_round, algorithm="reno"):
         """Run the same ladder through on_ack_ladder and the per-ACK engine."""
         ladder_sender = make_sender(algorithm, initial_window=4)
@@ -136,30 +127,30 @@ class TestAckLadder:
         for runs in runs_per_round:
             now += 1.0
             ladder_out.extend(expand(ladder_sender.on_ack_ladder(runs, now)))
-            for value in self.expand_runs(runs):
+            for value in expand_runs(runs):
                 scalar_out.extend(expand(scalar_sender.on_ack_packet(value, now)))
         assert ladder_sender.snapshot() == scalar_sender.snapshot()
         return ladder_out, scalar_out
 
     def test_clean_rounds_match_flat_ladder(self):
-        rounds = [[("seq", 1, 4)], [("seq", 5, 8)], [("seq", 13, 16)]]
+        rounds = [[(1, 4, 1)], [(5, 8, 1)], [(13, 16, 1)]]
         ladder_out, scalar_out = self.drive_pair(rounds)
         assert ladder_out == scalar_out
 
     def test_repeated_runs_count_as_duplicates(self):
         sender = make_sender("reno", initial_window=4, dupack_threshold=3)
         sender.start(0.0)
-        sender.on_ack_ladder([("seq", 1, 4)], 1.0)
-        emitted = sender.on_ack_ladder([("rep", 4, 3)], 2.0)
+        sender.on_ack_ladder([(1, 4, 1)], 1.0)
+        emitted = sender.on_ack_ladder([(4, 3, 0)], 2.0)
         # Three repeats of the cumulative point trigger a fast retransmit.
         retransmissions = [block for block in emitted if block.is_retransmission]
         assert len(retransmissions) == 1
         assert retransmissions[0].start_index == 4
 
     def test_fragmented_runs_match_ladder_with_holes(self):
-        rounds = [[("seq", 1, 4)],
-                  [("seq", 5, 3), ("seq", 9, 4)],     # one ACK lost in between
-                  [("seq", 13, 12)]]
+        rounds = [[(1, 4, 1)],
+                  [(5, 3, 1), (9, 4, 1)],     # one ACK lost in between
+                  [(13, 12, 1)]]
         ladder_out, scalar_out = self.drive_pair(rounds)
         assert ladder_out == scalar_out
 
@@ -167,15 +158,15 @@ class TestAckLadder:
         # 8 ACKs when only 4 packets are in the round: the fast path clamps
         # at the round end and the remainder replays scalar, exactly like
         # the per-ACK engine.
-        rounds = [[("seq", 1, 4)], [("seq", 5, 8)], [("seq", 13, 16)],
-                  [("seq", 29, 20)]]
+        rounds = [[(1, 4, 1)], [(5, 8, 1)], [(13, 16, 1)],
+                  [(29, 20, 1)]]
         ladder_out, scalar_out = self.drive_pair(rounds)
         assert ladder_out == scalar_out
 
     def test_batch_engages_on_arithmetic_runs(self):
         sender = make_sender("reno", initial_window=8)
         sender.start(0.0)
-        sender.on_ack_ladder([("seq", 1, 8)], 1.0)
+        sender.on_ack_ladder([(1, 8, 1)], 1.0)
         assert sender.batch_runs == 1
 
 
@@ -184,14 +175,14 @@ class TestSpanBookkeeping:
         sender = make_sender(initial_window=4)
         sender.start(0.0)
         assert sender._send_spans == [[0, 4, 0.0]]
-        sender.on_ack_ladder([("seq", 1, 4)], 1.0)
+        sender.on_ack_ladder([(1, 4, 1)], 1.0)
         # Acked packets pruned, this round's emission merged into one span.
         assert sender._send_spans == [[4, 12, 1.0]]
 
     def test_retransmission_splits_its_span(self):
         sender = make_sender(initial_window=4)
         sender.start(0.0)
-        sender.on_ack_ladder([("seq", 1, 4)], 1.0)   # arms the RTO timer
+        sender.on_ack_ladder([(1, 4, 1)], 1.0)   # arms the RTO timer
         deadline = sender.next_timer_deadline()
         emitted = sender.on_timer(deadline)
         assert emitted[0].is_retransmission
@@ -214,5 +205,5 @@ class TestSpanBookkeeping:
         sender = make_sender(initial_window=4)
         sender.start(0.0)
         assert sender._sent_time(99) is None
-        sender.on_ack_ladder([("seq", 1, 4)], 1.0)
+        sender.on_ack_ladder([(1, 4, 1)], 1.0)
         assert sender._sent_time(0) is None  # pruned below snd_una
