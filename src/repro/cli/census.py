@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 
 from repro.analysis.tables import format_table
+from repro.cli import run_handler
 from repro.cli.settings import (
     POPULATION_KEYS,
     TRAINING_KEYS,
@@ -58,13 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except (CheckpointError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        if isinstance(error, CheckpointError) and error.hint:
-            print(f"hint: {error.hint}", file=sys.stderr)
-        return 2
+    return run_handler(args.handler, args)
 
 
 # ----------------------------------------------------------------- commands
@@ -110,8 +104,9 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     if not settings:
         raise CheckpointError(
             f"checkpoint {args.checkpoint} stores no settings; it was not "
-            "created by this CLI — resume it through "
-            "CensusRunner.resume() with the original configuration instead")
+            "created by this CLI",
+            hint="resume it through CensusRunner.resume() with the original "
+                 "configuration")
     pending = checkpoint.pending_shards()
     if not pending:
         print("all shards already complete; merging ...")

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 
+from repro.cli import run_handler
 from repro.cli.settings import (
     TRAINING_KEYS,
     add_training_arguments,
@@ -31,7 +31,6 @@ from repro.cli.settings import (
     train_classifier,
 )
 from repro.serving.artifact import (
-    ModelArtifactError,
     inspect_model,
     save_model,
     timed_load,
@@ -51,13 +50,7 @@ def main(argv: list[str] | None = None) -> int:
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except (ModelArtifactError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        if isinstance(error, ModelArtifactError) and error.hint:
-            print(f"hint: {error.hint}", file=sys.stderr)
-        return 2
+    return run_handler(args.handler, args)
 
 
 # ----------------------------------------------------------------- commands

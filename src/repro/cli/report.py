@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from pathlib import Path
 
 from repro.analysis.tables import format_table
+from repro.cli import run_handler
 from repro.experiments.profiles import DEFAULT_PROFILE, PROFILES, profile_by_name
 from repro.experiments.registry import all_experiments
 from repro.experiments.render import render_to_file
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.store import ArtifactError, ArtifactStore
+from repro.experiments.store import ArtifactStore
 from repro.parallel import BACKENDS, ParallelExecutor
 
 PROG = "python -m repro.report"
@@ -54,11 +54,7 @@ def main(argv: list[str] | None = None) -> int:
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except (ArtifactError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    return run_handler(args.handler, args)
 
 
 # ----------------------------------------------------------------- commands

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 
+from repro.cli import run_handler
 from repro.cli.settings import (
     POPULATION_KEYS,
     add_population_arguments,
@@ -33,11 +33,11 @@ from repro.cli.settings import (
     settings_from_args,
 )
 from repro.core.census import CensusConfig, CensusRunner
-from repro.core.checkpoint import CheckpointError, classifier_fingerprint
+from repro.core.checkpoint import classifier_fingerprint
 from repro.parallel import BACKENDS
-from repro.serving.artifact import ModelArtifactError, timed_load
+from repro.serving.artifact import timed_load
 from repro.serving.orchestrator import CensusOrchestrator
-from repro.serving.queue import DEFAULT_LEASE_TIMEOUT, WorkQueueError
+from repro.serving.queue import DEFAULT_LEASE_TIMEOUT
 from repro.serving.schema import census_report_payload
 
 PROG = "python -m repro.serve"
@@ -55,15 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return _serve(args)
-    except (ModelArtifactError, CheckpointError, WorkQueueError,
-            ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        hint = getattr(error, "hint", None)
-        if hint:
-            print(f"hint: {hint}", file=sys.stderr)
-        return 2
+    return run_handler(_serve, args)
 
 
 def _serve(args: argparse.Namespace) -> int:

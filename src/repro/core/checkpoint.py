@@ -25,21 +25,29 @@ their population index, which makes the merged
 Corruption is detected loudly rather than papered over: a truncated JSONL
 line, a manifest/config fingerprint mismatch, a duplicate shard completion,
 or a record-count mismatch each raise :class:`CheckpointError` with a
-message that says which file is bad and what to do about it.
+message that says which file is bad and what to do about it. How files
+are written, framed and hashed is :mod:`repro.store`'s decision.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.results import CensusReport, ServerOutcome
+from repro.store import (
+    StoreError,
+    digest,
+    fingerprint,
+    key_bytes,
+    read_json_object,
+    read_records,
+    write_json_atomic,
+    write_records,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.census import CensusConfig
@@ -55,31 +63,8 @@ SHARD_PENDING = "pending"
 SHARD_COMPLETE = "complete"
 
 
-class CheckpointError(RuntimeError):
-    """A checkpoint directory is missing, corrupt, or from a different run.
-
-    Besides the human-readable message, carries structured context so
-    callers (the CLI, the chaos harness) can point at the offending file and
-    print a one-line recovery hint without parsing the message text.
-
-    Attributes:
-        path: The file the error is about (``None`` when not file-specific).
-        hint: One-line recovery suggestion (``None`` when the message is
-            self-contained).
-    """
-
-    def __init__(self, message: str, *, path: "str | Path | None" = None,
-                 hint: str | None = None):
-        """Build the error with optional structured context.
-
-        Args:
-            message: The full human-readable description.
-            path: The offending file, when one is identifiable.
-            hint: One-line recovery suggestion.
-        """
-        super().__init__(message)
-        self.path = Path(path) if path is not None else None
-        self.hint = hint
+class CheckpointError(StoreError):
+    """A checkpoint directory is missing, corrupt, or from a different run."""
 
 
 class TornWriteError(CheckpointError):
@@ -94,32 +79,9 @@ class TornWriteError(CheckpointError):
     """
 
 
-def write_json_atomic(path: str | Path, payload: dict) -> None:
-    """Durably replace ``path`` with a JSON document (write temp + rename).
-
-    The temp file is fsynced before the rename and the directory is fsynced
-    after it, so a crash at any point leaves either the old file or the new
-    one — never a torn manifest. Shared by the census checkpoint and the
-    experiment artifact store (:mod:`repro.experiments.store`).
-
-    Args:
-        path: Destination file path.
-        payload: JSON-serialisable manifest content.
-    """
-    path = Path(path)
-    temp = path.with_suffix(path.suffix + ".tmp")
-    with open(temp, "w", encoding="utf-8") as stream:
-        stream.write(json.dumps(payload, indent=2, sort_keys=True))
-        stream.flush()
-        os.fsync(stream.fileno())
-    os.replace(temp, path)
-    # Persist the rename itself, so a power loss cannot leave an empty
-    # manifest pointing at durably written data files.
-    directory_fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(directory_fd)
-    finally:
-        os.close(directory_fd)
+#: Recovery hint for a rejected shard file.
+_SHARD_HINT = ("delete the file and set the shard back to \"pending\" in the "
+               "manifest so resume re-runs it")
 
 
 def shard_of(server_id: str, seed: int, num_shards: int) -> int:
@@ -136,8 +98,7 @@ def shard_of(server_id: str, seed: int, num_shards: int) -> int:
     """
     if num_shards < 1:
         raise ValueError("num_shards must be at least 1")
-    digest = hashlib.sha256(f"{seed}:{server_id}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % num_shards
+    return int.from_bytes(key_bytes(seed, server_id), "big") % num_shards
 
 
 def shard_assignments(server_ids: list[str], seed: int,
@@ -209,8 +170,7 @@ def census_fingerprint(config: "CensusConfig", population: "ServerPopulation",
         "classifier": classifier_fingerprint,
         "extra": extra,
     }
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+    return fingerprint(payload)
 
 
 def classifier_fingerprint(classifier) -> str:
@@ -226,28 +186,24 @@ def classifier_fingerprint(classifier) -> str:
     Returns:
         A hex digest of the classifier's configuration and fitted forest.
     """
-    digest = hashlib.sha256()
-    digest.update(repr((classifier.n_trees, classifier.max_features,
-                        classifier.confidence_threshold,
-                        classifier.seed)).encode("utf-8"))
+    parts = [repr((classifier.n_trees, classifier.max_features,
+                   classifier.confidence_threshold, classifier.seed))]
     if classifier.is_trained:
         forest = classifier.forest
-        digest.update(repr(forest.classes()).encode("utf-8"))
+        parts.append(repr(forest.classes()))
         for tree in forest._trees:  # noqa: SLF001 - deliberate deep fingerprint
             flat = tree.flat_tree
-            for array in (flat.feature, flat.threshold, flat.left, flat.right,
-                          flat.prediction, flat.leaf_class_counts):
-                digest.update(array.tobytes())
-    return digest.hexdigest()
+            parts.extend((flat.feature, flat.threshold, flat.left, flat.right,
+                          flat.prediction, flat.leaf_class_counts))
+    return digest(*parts)
 
 
 def _condition_database_digest(database) -> str | None:
     if database is None:
         return None
-    digest = hashlib.sha256()
-    for array in (database.average_rtts, database.rtt_stds, database.loss_rates):
-        digest.update(np.asarray(array, dtype=float).tobytes())
-    return digest.hexdigest()
+    return digest(*(np.asarray(array, dtype=float)
+                    for array in (database.average_rtts, database.rtt_stds,
+                                  database.loss_rates)))
 
 
 # ----------------------------------------------------------------- the store
@@ -280,8 +236,7 @@ class CensusCheckpoint:
         manifest_path = Path(directory) / MANIFEST_NAME
         if manifest_path.exists():
             raise CheckpointError(
-                f"checkpoint already exists at {manifest_path}; use resume, "
-                "or point --checkpoint at an empty directory to start over",
+                f"checkpoint already exists at {manifest_path}",
                 path=manifest_path,
                 hint="use resume, or point --checkpoint at an empty "
                      "directory to start over")
@@ -342,30 +297,14 @@ class CensusCheckpoint:
         """
         directory = Path(directory)
         manifest_path = directory / MANIFEST_NAME
-        if not manifest_path.exists():
+        manifest = read_json_object(
+            manifest_path, CHECKPOINT_FORMAT_VERSION, CheckpointError,
+            "delete the checkpoint directory and rerun the census")
+        if manifest is None:
             raise CheckpointError(
-                f"no checkpoint manifest at {manifest_path}; run a sharded "
-                "census first (python -m repro.census run)",
+                f"no checkpoint manifest at {manifest_path}",
                 path=manifest_path,
                 hint="run a sharded census first (python -m repro.census run)")
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
-            raise CheckpointError(
-                f"checkpoint manifest {manifest_path} is not valid JSON "
-                f"({error}); the file is corrupt — delete the checkpoint "
-                "directory and rerun",
-                path=manifest_path,
-                hint="delete the checkpoint directory and rerun") from error
-        version = manifest.get("format")
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint manifest {manifest_path} has format version "
-                f"{version!r}, this code reads version "
-                f"{CHECKPOINT_FORMAT_VERSION}; rerun the census with a fresh "
-                "checkpoint directory",
-                path=manifest_path,
-                hint="rerun the census with a fresh checkpoint directory")
         return cls(directory, manifest)
 
     def reload(self) -> None:
@@ -398,8 +337,7 @@ class CensusCheckpoint:
                 f"checkpoint was created with {recorded}, this invocation "
                 f"computes {fingerprint}. Resuming with a different census/"
                 "population/classifier configuration would silently mix "
-                "incompatible results — rerun with the original settings or "
-                "start a fresh checkpoint directory",
+                "incompatible results",
                 path=self.directory / MANIFEST_NAME,
                 hint="rerun with the original settings or start a fresh "
                      "checkpoint directory")
@@ -494,37 +432,23 @@ class CensusCheckpoint:
             raise CheckpointError(
                 f"duplicate completion of shard {shard_index} in "
                 f"{self.directory}: the manifest already marks it complete. "
-                "Two writers are racing on the same checkpoint — run one "
-                "invocation at a time, or merge what is already there",
+                "Two writers are racing on the same checkpoint",
                 path=self.shard_path(shard_index),
                 hint="run one invocation at a time, or merge what is "
                      "already there")
         path = self.shard_path(shard_index)
-        with open(path, "w", encoding="utf-8") as stream:
-            for count, (index, outcome) in enumerate(outcomes):
-                line = json.dumps({"kind": "outcome", "index": index,
-                                   "outcome": outcome.to_json_dict()},
-                                  sort_keys=True)
-                if torn_after is not None and count >= torn_after:
-                    # Write half a record with no newline — the exact
-                    # footprint of a process dying mid-``write`` — and stop
-                    # before the completion marker or the manifest flip.
-                    stream.write(line[:max(1, len(line) // 2)])
-                    stream.flush()
-                    os.fsync(stream.fileno())
-                    raise TornWriteError(
-                        f"shard file {path} write torn after {count} records "
-                        "(injected torn_checkpoint fault); the shard stays "
-                        "pending — resume re-runs and rewrites it",
-                        path=path,
-                        hint="resume the census; the pending shard is "
-                             "rewritten from scratch")
-                stream.write(line + "\n")
-            stream.write(json.dumps({"kind": "shard-complete",
-                                     "shard": shard_index,
-                                     "count": len(outcomes)}) + "\n")
-            stream.flush()
-            os.fsync(stream.fileno())
+        records = ({"kind": "outcome", "index": index,
+                    "outcome": outcome.to_json_dict()}
+                   for index, outcome in outcomes)
+        marker = {"kind": "shard-complete", "shard": shard_index,
+                  "count": len(outcomes)}
+        if not write_records(path, records, marker, torn_after=torn_after):
+            raise TornWriteError(
+                f"shard file {path} write torn after {torn_after} records "
+                "(injected torn_checkpoint fault); the shard stays pending",
+                path=path,
+                hint="resume the census; the pending shard is "
+                     "rewritten from scratch")
         self.manifest["shards"][str(shard_index)] = SHARD_COMPLETE
         self._write_manifest()
 
@@ -545,117 +469,41 @@ class CensusCheckpoint:
         Raises:
             CheckpointError: On a missing file, a truncated or unparsable
                 line, a duplicate ``shard-complete`` marker, a record-count
-                mismatch, a duplicate population index, or a marker naming a
-                different shard.
+                mismatch, a malformed outcome record, or a marker naming a
+                different shard. Duplicate population indices are
+                :meth:`merge_report`'s check.
         """
         path = self.shard_path(shard_index)
-        if not path.exists():
+        read = read_records(path, kinds=("outcome",), counted="outcome",
+                            marker="shard-complete", count_field="count",
+                            error=CheckpointError, hint=_SHARD_HINT)
+        if read is None:
             raise CheckpointError(
                 f"shard file {path} is missing although the manifest marks "
                 f"shard {shard_index} complete; the checkpoint directory was "
-                "partially deleted — rerun the shard by resetting it to "
-                "pending in the manifest, or start a fresh checkpoint",
+                "partially deleted",
                 path=path,
                 hint="reset the shard to \"pending\" in the manifest, or "
                      "start a fresh checkpoint")
-        raw = path.read_text(encoding="utf-8")
-        if raw and not raw.endswith("\n"):
+        records, marker = read
+        if marker.get("shard", shard_index) != shard_index:
             raise CheckpointError(
-                f"shard file {path} ends in a truncated line (no trailing "
-                "newline): the writing process died mid-record. Delete the "
-                "file and set the shard back to \"pending\" in the manifest "
-                "(or start a fresh checkpoint) so resume re-runs it",
+                f"shard file {path} carries a completion marker for shard "
+                f"{marker['shard']!r}; files were moved between checkpoints",
                 path=path,
-                hint="delete the file and set the shard back to \"pending\" "
-                     "in the manifest so resume re-runs it")
+                hint="restore the original layout or start a fresh "
+                     "checkpoint")
         outcomes: list[tuple[int, ServerOutcome]] = []
-        seen_indices: set[int] = set()
-        complete_count: int | None = None
-        for line_number, line in enumerate(raw.splitlines(), start=1):
+        for line_number, record in records:
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise CheckpointError(
-                    f"shard file {path} line {line_number} is not valid JSON "
-                    f"({error}); the file is corrupt — delete it and set the "
-                    "shard back to \"pending\" in the manifest so resume "
-                    "re-runs it",
-                    path=path,
-                    hint="delete the file and set the shard back to "
-                         "\"pending\" in the manifest so resume re-runs "
-                         "it") from error
-            kind = record.get("kind") if isinstance(record, dict) else None
-            try:
-                if kind == "outcome":
-                    if complete_count is not None:
-                        raise CheckpointError(
-                            f"shard file {path} has outcome records after the "
-                            "shard-complete marker (two writers appended to the "
-                            "same shard); delete the file and re-run the shard",
-                            path=path,
-                            hint="delete the file and re-run the shard")
-                    index = int(record["index"])
-                    if index in seen_indices:
-                        raise CheckpointError(
-                            f"shard file {path} repeats population index {index} "
-                            f"(line {line_number}); the shard was written twice — "
-                            "delete the file and re-run the shard",
-                            path=path,
-                            hint="delete the file and re-run the shard")
-                    seen_indices.add(index)
-                    outcomes.append(
-                        (index, ServerOutcome.from_json_dict(record["outcome"])))
-                elif kind == "shard-complete":
-                    if complete_count is not None:
-                        raise CheckpointError(
-                            f"shard file {path} carries two shard-complete "
-                            "markers (duplicate shard completion); delete the "
-                            "file and re-run the shard",
-                            path=path,
-                            hint="delete the file and re-run the shard")
-                    marked_shard = record.get("shard")
-                    if marked_shard is not None and int(marked_shard) != shard_index:
-                        raise CheckpointError(
-                            f"shard file {path} carries a completion marker for "
-                            f"shard {marked_shard}; files were moved between "
-                            "checkpoints — restore the original layout or start "
-                            "a fresh checkpoint",
-                            path=path,
-                            hint="restore the original layout or start a "
-                                 "fresh checkpoint")
-                    complete_count = int(record["count"])
-                else:
-                    raise CheckpointError(
-                        f"shard file {path} line {line_number} has unknown record "
-                        f"kind {kind!r}; the checkpoint was written by an "
-                        "incompatible version — start a fresh checkpoint",
-                        path=path,
-                        hint="start a fresh checkpoint")
+                index = int(record["index"])
+                outcome = ServerOutcome.from_json_dict(record["outcome"])
             except (KeyError, TypeError, ValueError) as error:
                 raise CheckpointError(
                     f"shard file {path} line {line_number} is structurally "
-                    f"invalid ({error!r}: missing or malformed field); the "
-                    "file is corrupt — delete it and set the shard back to "
-                    "\"pending\" in the manifest so resume re-runs it",
-                    path=path,
-                    hint="delete the file and set the shard back to "
-                         "\"pending\" in the manifest so resume re-runs "
-                         "it") from error
-        if complete_count is None:
-            raise CheckpointError(
-                f"shard file {path} has no shard-complete marker: the shard "
-                "never finished. Set it back to \"pending\" in the manifest "
-                "so resume re-runs it",
-                path=path,
-                hint="set the shard back to \"pending\" in the manifest so "
-                     "resume re-runs it")
-        if complete_count != len(outcomes):
-            raise CheckpointError(
-                f"shard file {path} records {len(outcomes)} outcomes but its "
-                f"completion marker expects {complete_count}; the file lost "
-                "lines — delete it and re-run the shard",
-                path=path,
-                hint="delete the file and re-run the shard")
+                    f"invalid ({error!r}: missing or malformed field)",
+                    path=path, hint=_SHARD_HINT) from error
+            outcomes.append((index, outcome))
         return outcomes
 
     def merge_report(self, expected_size: int | None = None) -> CensusReport:
@@ -673,15 +521,14 @@ class CensusCheckpoint:
 
         Raises:
             CheckpointError: If shards are still pending, any shard fails
-                validation, the same population index appears in two shards,
-                or the merged size does not match the population size.
+                validation, a population index appears twice, or the merged
+                size does not match the population size.
         """
         pending = self.pending_shards()
         if pending:
             raise CheckpointError(
                 f"cannot merge {self.directory}: shards {pending} are still "
-                "pending — resume the census first "
-                "(python -m repro.census resume)",
+                "pending",
                 path=self.directory / MANIFEST_NAME,
                 hint="resume the census first (python -m repro.census resume)")
         merged: dict[int, ServerOutcome] = {}
@@ -689,9 +536,9 @@ class CensusCheckpoint:
             for index, outcome in self.load_shard(shard_index):
                 if index in merged:
                     raise CheckpointError(
-                        f"population index {index} appears in more than one "
-                        f"shard of {self.directory}; the shard files are "
-                        "inconsistent — start a fresh checkpoint",
+                        f"population index {index} appears twice in the "
+                        f"shards of {self.directory} (again in shard "
+                        f"{shard_index}); the shard files are inconsistent",
                         path=self.shard_path(shard_index),
                         hint="start a fresh checkpoint")
                 merged[index] = outcome
@@ -701,7 +548,7 @@ class CensusCheckpoint:
             raise CheckpointError(
                 f"checkpoint {self.directory} merges {len(merged)} outcomes "
                 f"but the population has {expected_size} servers; shard files "
-                "are incomplete — re-run the missing shards",
+                "are incomplete",
                 path=self.directory / MANIFEST_NAME,
                 hint="re-run the missing shards")
         report = CensusReport()

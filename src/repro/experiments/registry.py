@@ -17,15 +17,14 @@ change to the profile, the config *or the code* invalidates the cache.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import inspect
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from repro.experiments.profiles import ScaleProfile
 from repro.experiments.resources import RESOURCE_NAMES, ResourcePool
 from repro.parallel import ParallelExecutor
+from repro.store import digest, fingerprint
 
 #: Fingerprint format version; bumped on incompatible payload-schema changes.
 FINGERPRINT_FORMAT_VERSION = 1
@@ -198,15 +197,12 @@ def _code_fingerprint(experiment: Experiment) -> str:
     """
     from repro.experiments import profiles, resources
 
-    digest = hashlib.sha256()
     modules = [inspect.getmodule(experiment.compute), resources, profiles]
-    seen: set[str] = set()
+    sources: dict[str, str] = {}
     for module in modules:
-        if module is None or module.__name__ in seen:  # pragma: no cover
-            continue
-        seen.add(module.__name__)
-        digest.update(inspect.getsource(module).encode("utf-8"))
-    return digest.hexdigest()
+        if module is not None and module.__name__ not in sources:
+            sources[module.__name__] = inspect.getsource(module)
+    return digest(*sources.values())
 
 
 def experiment_fingerprint(experiment: Experiment,
@@ -228,5 +224,4 @@ def experiment_fingerprint(experiment: Experiment,
         "config": dict(experiment.config),
         "code": _code_fingerprint(experiment),
     }
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+    return fingerprint(payload)

@@ -5,8 +5,8 @@ One :class:`ArtifactStore` manages one directory (one per scale profile):
 * ``manifest.json`` — per-experiment status: the cache fingerprint the
   artifact was computed under, the artifact file name, its entry count and
   the wall-clock time of the computation. Rewritten atomically after every
-  artifact (:func:`repro.core.checkpoint.write_json_atomic`, the same
-  crash-safe write the census checkpoint uses).
+  artifact (:func:`repro.store.write_json_atomic`, the same crash-safe write
+  the census checkpoint uses).
 * ``<experiment>.jsonl`` — the artifact itself as append-only JSONL: a
   ``header`` line carrying the fingerprint, one ``entry`` line per top-level
   payload key, and a final ``complete`` marker with the expected entry
@@ -20,17 +20,22 @@ config, changed experiment code) re-computes.
 
 Corruption is loud, never papered over: a truncated line, a missing
 ``complete`` marker, an entry-count mismatch or a fingerprint mismatch each
-raise :class:`ArtifactError` naming the bad file and the fix.
+raise :class:`ArtifactError` naming the bad file and the fix. How files
+are written, framed and hashed is :mod:`repro.store`'s decision.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from pathlib import Path
 
-from repro.core.checkpoint import write_json_atomic
+from repro.store import (
+    StoreError,
+    read_json_object,
+    read_records,
+    write_json_atomic,
+    write_records,
+)
 
 #: On-disk format version; bumped on any incompatible layout change.
 ARTIFACT_FORMAT_VERSION = 1
@@ -38,8 +43,12 @@ ARTIFACT_FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
 
-class ArtifactError(RuntimeError):
+class ArtifactError(StoreError):
     """An artifact file or manifest is missing, corrupt, or stale."""
+
+
+#: Recovery hint for a rejected or stale artifact file.
+_RERUN_HINT = "re-run the experiment (python -m repro.report run)"
 
 
 class ArtifactStore:
@@ -76,30 +85,20 @@ class ArtifactStore:
         """
         if self._manifest is not None:
             return self._manifest
-        if not self.manifest_path.exists():
-            self._manifest = {"format": ARTIFACT_FORMAT_VERSION,
-                              "profile": self.profile_name, "experiments": {}}
-            return self._manifest
-        try:
-            manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
-            raise ArtifactError(
-                f"artifact manifest {self.manifest_path} is not valid JSON "
-                f"({error}); delete the artifact directory and re-run "
-                "(python -m repro.report run)") from error
-        version = manifest.get("format")
-        if version != ARTIFACT_FORMAT_VERSION:
-            raise ArtifactError(
-                f"artifact manifest {self.manifest_path} has format version "
-                f"{version!r}, this code reads version "
-                f"{ARTIFACT_FORMAT_VERSION}; delete the artifact directory "
-                "and re-run")
+        manifest = read_json_object(
+            self.manifest_path, ARTIFACT_FORMAT_VERSION, ArtifactError,
+            f"delete the artifact directory and {_RERUN_HINT}")
+        if manifest is None:
+            manifest = {"format": ARTIFACT_FORMAT_VERSION,
+                        "profile": self.profile_name, "experiments": {}}
         recorded = manifest.get("profile")
         if recorded != self.profile_name:
             raise ArtifactError(
                 f"artifact directory {self.directory} holds artifacts of "
-                f"profile {recorded!r}, not {self.profile_name!r}; point "
-                "--artifacts at a per-profile directory or delete it")
+                f"profile {recorded!r}, not {self.profile_name!r}",
+                path=self.manifest_path,
+                hint="point --artifacts at a per-profile directory or "
+                     "delete it")
         self._manifest = manifest
         return manifest
 
@@ -169,20 +168,13 @@ class ArtifactStore:
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.artifact_path(name)
-        with open(path, "w", encoding="utf-8") as stream:
-            stream.write(json.dumps(
-                {"kind": "header", "format": ARTIFACT_FORMAT_VERSION,
-                 "experiment": name, "profile": self.profile_name,
-                 "fingerprint": fingerprint}, sort_keys=True) + "\n")
-            for key, value in payload.items():
-                stream.write(json.dumps({"kind": "entry", "key": key,
-                                         "value": value}, sort_keys=True) + "\n")
-            stream.write(json.dumps({"kind": "complete",
-                                     "entries": len(payload)}) + "\n")
-            stream.flush()
-            # Make the artifact durable before the manifest records it, so a
-            # crash cannot leave a durable manifest pointing at a torn file.
-            os.fsync(stream.fileno())
+        header = {"kind": "header", "format": ARTIFACT_FORMAT_VERSION,
+                  "experiment": name, "profile": self.profile_name,
+                  "fingerprint": fingerprint}
+        entries = ({"kind": "entry", "key": key, "value": value}
+                   for key, value in payload.items())
+        write_records(path, [header, *entries],
+                      {"kind": "complete", "entries": len(payload)})
         manifest = self.manifest()
         manifest["experiments"][name] = {
             "fingerprint": fingerprint,
@@ -211,76 +203,37 @@ class ArtifactStore:
                 mismatch, or a fingerprint mismatch.
         """
         path = self.artifact_path(name)
-        if not path.exists():
+        read = read_records(path, kinds=("header", "entry"), counted="entry",
+                            marker="complete", count_field="entries",
+                            error=ArtifactError, hint=_RERUN_HINT)
+        if read is None:
             raise ArtifactError(
-                f"no artifact for experiment {name!r} at {path}; run it "
-                f"first (python -m repro.report run --profile "
-                f"{self.profile_name} --only {name})")
-        raw = path.read_text(encoding="utf-8")
-        if raw and not raw.endswith("\n"):
+                f"no artifact for experiment {name!r} at {path}", path=path,
+                hint=f"run it first (python -m repro.report run --profile "
+                     f"{self.profile_name} --only {name})")
+        records, _ = read
+        kinds = [record["kind"] for _, record in records]
+        if kinds[:1] != ["header"] or "header" in kinds[1:]:
             raise ArtifactError(
-                f"artifact file {path} ends in a truncated line (no trailing "
-                "newline): the writing process died mid-record. Re-run the "
-                "experiment to rewrite it")
-        header: dict | None = None
+                f"artifact file {path} does not open with exactly one "
+                "header; the write never finished or two writers raced",
+                path=path, hint=_RERUN_HINT)
+        (_, header), *entries = records
         payload: dict = {}
-        complete_count: int | None = None
-        for line_number, line in enumerate(raw.splitlines(), start=1):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
+        for line_number, record in entries:
+            key = record.get("key")
+            if not isinstance(key, str) or key in payload:
                 raise ArtifactError(
-                    f"artifact file {path} line {line_number} is not valid "
-                    f"JSON ({error}); the file is corrupt — re-run the "
-                    "experiment to rewrite it") from error
-            kind = record.get("kind") if isinstance(record, dict) else None
-            if kind == "header":
-                if header is not None:
-                    raise ArtifactError(
-                        f"artifact file {path} carries two headers; two "
-                        "writers raced — re-run the experiment")
-                header = record
-            elif kind == "entry":
-                if header is None or complete_count is not None:
-                    raise ArtifactError(
-                        f"artifact file {path} line {line_number}: entry "
-                        "outside the header..complete span; the file is "
-                        "corrupt — re-run the experiment")
-                key = record.get("key")
-                if not isinstance(key, str) or key in payload:
-                    raise ArtifactError(
-                        f"artifact file {path} line {line_number} has a "
-                        f"missing or duplicate entry key ({key!r}); re-run "
-                        "the experiment")
-                payload[key] = record.get("value")
-            elif kind == "complete":
-                if complete_count is not None:
-                    raise ArtifactError(
-                        f"artifact file {path} carries two complete markers; "
-                        "re-run the experiment")
-                complete_count = int(record.get("entries", -1))
-            else:
-                raise ArtifactError(
-                    f"artifact file {path} line {line_number} has unknown "
-                    f"record kind {kind!r}; the artifact was written by an "
-                    "incompatible version — re-run the experiment")
-        if header is None or complete_count is None:
-            raise ArtifactError(
-                f"artifact file {path} has no "
-                f"{'header' if header is None else 'complete marker'}: the "
-                "write never finished. Re-run the experiment")
-        if complete_count != len(payload):
-            raise ArtifactError(
-                f"artifact file {path} records {len(payload)} entries but "
-                f"its completion marker expects {complete_count}; the file "
-                "lost lines — re-run the experiment")
+                    f"artifact file {path} line {line_number} has a missing "
+                    f"or duplicate entry key ({key!r})",
+                    path=path, hint=_RERUN_HINT)
+            payload[key] = record.get("value")
         if fingerprint is not None and header.get("fingerprint") != fingerprint:
             raise ArtifactError(
                 f"artifact {path} is stale: it was computed under "
                 f"fingerprint {header.get('fingerprint')!r} but the current "
-                f"configuration/code fingerprints to {fingerprint!r}. "
-                "Re-run the experiment (python -m repro.report run) before "
-                "rendering")
+                f"configuration/code fingerprints to {fingerprint!r}",
+                path=path, hint=f"{_RERUN_HINT} before rendering")
         return payload
 
     # --------------------------------------------------------------- status

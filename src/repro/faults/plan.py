@@ -35,8 +35,9 @@ The full taxonomy, parameters and handling policy are documented in
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
+
+from repro.store import key_bytes
 
 #: Fault kinds by layer (the taxonomy of docs/ROBUSTNESS.md).
 NETWORK_KINDS = ("probe_timeout", "connection_reset", "ack_blackhole",
@@ -333,7 +334,5 @@ class FaultPlan:
 
     def _draw(self, spec: FaultSpec, scope_key: str) -> float:
         """Deterministic uniform draw in [0, 1) for (plan, spec, scope)."""
-        payload = (f"{self.seed}:{spec.kind}:{spec.scope}:{scope_key}"
-                   ).encode("utf-8")
-        digest = hashlib.sha256(payload).digest()
-        return int.from_bytes(digest[:8], "big") / 2.0 ** 64
+        key = key_bytes(self.seed, spec.kind, spec.scope, scope_key)
+        return int.from_bytes(key, "big") / 2.0 ** 64

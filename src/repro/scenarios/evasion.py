@@ -22,11 +22,11 @@ what the transparency tests assert).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.store import key_bytes
 from repro.tcp.packet import block_packet_count
 
 
@@ -82,10 +82,8 @@ def evasion_rng(pack_seed: int, server_id: str,
     Returns:
         A seeded :class:`numpy.random.Generator`.
     """
-    digest = hashlib.sha256(
-        f"evasion:{pack_seed}:{server_id}:{connection_index}".encode()
-    ).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+    key = key_bytes("evasion", pack_seed, server_id, connection_index)
+    return np.random.default_rng(int.from_bytes(key, "little"))
 
 
 class EvasiveSender:

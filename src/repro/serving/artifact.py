@@ -23,13 +23,15 @@ reconstructed classifier's fingerprint
 recorded at save time. Equal fingerprints guarantee bit-identical
 classification, so serving from an artifact is byte-identical to
 retrain-and-run. Corruption fails loudly with a structured
-:class:`ModelArtifactError` (mirroring the checkpoint layer's
-:class:`~repro.core.checkpoint.CheckpointError`), never silently.
+:class:`ModelArtifactError` (a :class:`~repro.store.StoreError`, like the
+checkpoint layer's :class:`~repro.core.checkpoint.CheckpointError`), never
+silently. A save is durable: the container is written through
+:func:`repro.store.write_atomic`, so a crash leaves the old artifact or the
+new one, never a torn file.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from pathlib import Path
@@ -41,6 +43,7 @@ from repro.core.classifier import CaaiClassifier
 from repro.core.features import FeatureExtractor
 from repro.ml.decision_tree import DecisionTreeClassifier, FlatTree
 from repro.ml.random_forest import RandomForestClassifier
+from repro.store import StoreError, digest, write_atomic
 
 #: Magic token opening every artifact file.
 MODEL_ARTIFACT_MAGIC = "CAAI-MODEL"
@@ -72,32 +75,8 @@ _MEMORY_DTYPES = {
 }
 
 
-class ModelArtifactError(RuntimeError):
-    """A model artifact is missing, corrupt, truncated, or version-skewed.
-
-    Besides the human-readable message, carries structured context so
-    callers (the CLI, the serving loop) can point at the offending file and
-    print a one-line recovery hint without parsing the message text.
-
-    Attributes:
-        path: The artifact file the error is about (``None`` when not
-            file-specific).
-        hint: One-line recovery suggestion (``None`` when the message is
-            self-contained).
-    """
-
-    def __init__(self, message: str, *, path: str | Path | None = None,
-                 hint: str | None = None):
-        """Build the error with optional structured context.
-
-        Args:
-            message: The full human-readable description.
-            path: The offending file, when one is identifiable.
-            hint: One-line recovery suggestion.
-        """
-        super().__init__(message)
-        self.path = Path(path) if path is not None else None
-        self.hint = hint
+class ModelArtifactError(StoreError):
+    """A model artifact is missing, corrupt, truncated, or version-skewed."""
 
 
 _REFIT_HINT = "re-fit the artifact (python -m repro.model fit)"
@@ -122,9 +101,8 @@ def save_model(classifier: CaaiClassifier, path: str | Path, *,
     """
     if not classifier.is_trained:
         raise ModelArtifactError(
-            "cannot save an untrained classifier; call train() first (or "
-            "use python -m repro.model fit)",
-            hint="train the classifier before saving")
+            "cannot save an untrained classifier",
+            hint="train it first (or use python -m repro.model fit)")
     path = Path(path)
     forest = classifier.forest
     chunks: list[bytes] = []
@@ -165,20 +143,16 @@ def save_model(classifier: CaaiClassifier, path: str | Path, *,
         "trees": trees,
         "fingerprint": classifier_fingerprint(classifier),
         "payload_nbytes": len(payload),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_sha256": digest(payload),
         "metadata": metadata or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_suffix(path.suffix + ".tmp")
-    with open(temp, "wb") as stream:
-        stream.write(f"{MODEL_ARTIFACT_MAGIC} v{MODEL_ARTIFACT_VERSION}\n"
-                     .encode("ascii"))
-        stream.write(f"{len(header_bytes)}\n".encode("ascii"))
-        stream.write(header_bytes)
-        stream.write(payload)
-        stream.flush()
-    temp.replace(path)
+    write_atomic(path, b"".join((
+        f"{MODEL_ARTIFACT_MAGIC} v{MODEL_ARTIFACT_VERSION}\n".encode("ascii"),
+        f"{len(header_bytes)}\n".encode("ascii"),
+        header_bytes,
+        payload)))
     return header
 
 
@@ -210,7 +184,7 @@ def load_model(path: str | Path) -> CaaiClassifier:
             f"model artifact {path} is internally inconsistent: the "
             f"reconstructed classifier fingerprints as {fingerprint} but the "
             f"artifact records {recorded}. The file was altered after it was "
-            f"written — {_REFIT_HINT}",
+            "written",
             path=path, hint=_REFIT_HINT)
     return classifier
 
@@ -271,9 +245,7 @@ def _read_container(path: Path) -> tuple[dict, bytes]:
     """Read and structurally validate the artifact container."""
     if not path.exists():
         raise ModelArtifactError(
-            f"no model artifact at {path}; fit and save one first "
-            "(python -m repro.model fit --artifact ...)",
-            path=path,
+            f"no model artifact at {path}", path=path,
             hint="fit and save an artifact first (python -m repro.model fit)")
     raw = path.read_bytes()
     magic_end = raw.find(b"\n")
@@ -282,24 +254,20 @@ def _read_container(path: Path) -> tuple[dict, bytes]:
     if len(parts) != 2 or parts[0] != MODEL_ARTIFACT_MAGIC:
         raise ModelArtifactError(
             f"{path} is not a CAAI model artifact (leading bytes "
-            f"{raw[:24]!r}); point --artifact at a file written by "
-            "python -m repro.model",
-            path=path,
+            f"{raw[:24]!r})", path=path,
             hint="point --artifact at a file written by python -m repro.model")
     version = parts[1].lstrip("v")
     if not version.isdigit() or int(version) != MODEL_ARTIFACT_VERSION:
         raise ModelArtifactError(
             f"model artifact {path} has format version {parts[1]!r}, this "
-            f"code reads version v{MODEL_ARTIFACT_VERSION}; re-fit the "
-            "artifact with this version of the code",
-            path=path,
+            f"code reads version v{MODEL_ARTIFACT_VERSION}", path=path,
             hint="re-fit the artifact with this version of the code")
     length_end = raw.find(b"\n", magic_end + 1)
     length_text = raw[magic_end + 1:length_end] if length_end > 0 else b""
     if not length_text.isdigit():
         raise ModelArtifactError(
             f"model artifact {path} has a corrupt header-length line "
-            f"({length_text!r}); the file is damaged — {_REFIT_HINT}",
+            f"({length_text!r}); the file is damaged",
             path=path, hint=_REFIT_HINT)
     header_start = length_end + 1
     header_end = header_start + int(length_text)
@@ -307,14 +275,14 @@ def _read_container(path: Path) -> tuple[dict, bytes]:
         raise ModelArtifactError(
             f"model artifact {path} is truncated inside its header "
             f"(need {header_end} bytes, file has {len(raw)}); the save was "
-            f"cut short — {_REFIT_HINT}",
+            "cut short",
             path=path, hint=_REFIT_HINT)
     try:
         header = json.loads(raw[header_start:header_end].decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as error:
         raise ModelArtifactError(
             f"model artifact {path} has an unparsable header ({error}); the "
-            f"file is damaged — {_REFIT_HINT}",
+            "file is damaged",
             path=path, hint=_REFIT_HINT) from error
     payload = raw[header_end:]
     try:
@@ -325,26 +293,26 @@ def _read_container(path: Path) -> tuple[dict, bytes]:
     except (KeyError, TypeError, ValueError) as error:
         raise ModelArtifactError(
             f"model artifact {path} header is missing required fields "
-            f"({error!r}); the file is damaged — {_REFIT_HINT}",
+            f"({error!r}); the file is damaged",
             path=path, hint=_REFIT_HINT) from error
     if len(payload) < expected_nbytes:
         raise ModelArtifactError(
             f"model artifact {path} is truncated: the header declares "
             f"{expected_nbytes} payload bytes but only {len(payload)} are "
-            f"present. The save was cut short — {_REFIT_HINT}",
+            "present. The save was cut short",
             path=path, hint=_REFIT_HINT)
     if len(payload) > expected_nbytes:
         raise ModelArtifactError(
             f"model artifact {path} carries {len(payload) - expected_nbytes} "
-            f"bytes of trailing garbage after the declared payload; the file "
-            f"was appended to — {_REFIT_HINT}",
+            "bytes of trailing garbage after the declared payload; the file "
+            "was appended to",
             path=path, hint=_REFIT_HINT)
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != expected_sha:
+    computed = digest(payload)
+    if computed != expected_sha:
         raise ModelArtifactError(
             f"model artifact {path} payload checksum mismatch (stored "
-            f"{expected_sha}, computed {digest}); the node tables were "
-            f"tampered with or bit-rotted — {_REFIT_HINT}",
+            f"{expected_sha}, computed {computed}); the node tables were "
+            "tampered with or bit-rotted",
             path=path, hint=_REFIT_HINT)
     return header, payload
 
@@ -381,5 +349,5 @@ def _reconstruct(header: dict, payload: bytes, path: Path) -> CaaiClassifier:
     except (KeyError, TypeError, ValueError) as error:
         raise ModelArtifactError(
             f"model artifact {path} header describes an invalid forest "
-            f"({error!r}); the file is damaged — {_REFIT_HINT}",
+            f"({error!r}); the file is damaged",
             path=path, hint=_REFIT_HINT) from error

@@ -43,7 +43,6 @@ a live one.
 from __future__ import annotations
 
 import fcntl
-import json
 import os
 import socket
 import threading
@@ -51,7 +50,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.checkpoint import CensusCheckpoint, write_json_atomic
+from repro.core.checkpoint import CensusCheckpoint
+from repro.store import StoreError, read_json_object, write_json_atomic
 
 #: Queue state file, stored inside the checkpoint directory.
 QUEUE_NAME = "queue.json"
@@ -66,26 +66,12 @@ QUEUE_FORMAT_VERSION = 1
 DEFAULT_LEASE_TIMEOUT = 30.0
 
 
-class WorkQueueError(RuntimeError):
-    """The queue state file is corrupt or from an incompatible version.
+class WorkQueueError(StoreError):
+    """The queue state file is corrupt or from an incompatible version."""
 
-    Attributes:
-        path: The offending file (``None`` when not file-specific).
-        hint: One-line recovery suggestion.
-    """
 
-    def __init__(self, message: str, *, path: str | Path | None = None,
-                 hint: str | None = None):
-        """Build the error with optional structured context.
-
-        Args:
-            message: The full human-readable description.
-            path: The offending file, when one is identifiable.
-            hint: One-line recovery suggestion.
-        """
-        super().__init__(message)
-        self.path = Path(path) if path is not None else None
-        self.hint = hint
+#: Recovery hint for a rejected ``queue.json``.
+_QUEUE_HINT = "delete queue.json; the manifest is authoritative"
 
 
 @dataclass(frozen=True)
@@ -428,32 +414,12 @@ class WorkQueue:
         self._state = self._load_state()
 
     def _load_state(self) -> dict:
-        path = self.path
-        if not path.exists():
+        state = read_json_object(self.path, QUEUE_FORMAT_VERSION,
+                                 WorkQueueError, _QUEUE_HINT)
+        if state is None:
             return {"format": QUEUE_FORMAT_VERSION, "leases": {}}
-        try:
-            state = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as error:
-            raise WorkQueueError(
-                f"work-queue state {path} is not valid JSON ({error}); "
-                "delete the file — the checkpoint manifest is authoritative "
-                "and the queue rebuilds from it",
-                path=path,
-                hint="delete queue.json; the manifest is authoritative"
-            ) from error
-        if state.get("format") != QUEUE_FORMAT_VERSION:
-            raise WorkQueueError(
-                f"work-queue state {path} has format version "
-                f"{state.get('format')!r}, this code reads version "
-                f"{QUEUE_FORMAT_VERSION}; delete the file — the checkpoint "
-                "manifest is authoritative and the queue rebuilds from it",
-                path=path,
-                hint="delete queue.json; the manifest is authoritative")
         if not isinstance(state.get("leases"), dict):
             raise WorkQueueError(
-                f"work-queue state {path} has no lease table; delete the "
-                "file — the checkpoint manifest is authoritative and the "
-                "queue rebuilds from it",
-                path=path,
-                hint="delete queue.json; the manifest is authoritative")
+                f"work-queue state {self.path} has no lease table",
+                path=self.path, hint=_QUEUE_HINT)
         return state

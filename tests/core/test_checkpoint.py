@@ -335,6 +335,15 @@ class TestCorruptionPaths:
         with pytest.raises(CheckpointError, match="no shard-complete marker"):
             CensusRunner.merge_checkpoint(directory)
 
+    def test_manifest_that_is_not_an_object_rejected(self, tmp_path):
+        directory = tmp_path / "ckpt"
+        directory.mkdir()
+        (directory / "manifest.json").write_text("[]")
+        with pytest.raises(CheckpointError, match="not an object") as excinfo:
+            CensusCheckpoint.open(directory)
+        assert excinfo.value.path == directory / "manifest.json"
+        assert excinfo.value.hint
+
     def test_missing_shard_file_rejected(self, completed_checkpoint, tmp_path):
         directory = _copy_checkpoint(completed_checkpoint, tmp_path)
         (directory / "shard-0001.jsonl").unlink()

@@ -122,6 +122,36 @@ class TestCorruption:
         with pytest.raises(ArtifactError, match="unknown record kind"):
             store.load("exp")
 
+    def test_malformed_complete_marker(self, store):
+        store.write("exp", "fp1", PAYLOAD)
+        path = store.artifact_path("exp")
+        lines = path.read_text().splitlines()
+        lines[-1] = json.dumps({"kind": "complete", "entries": None})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ArtifactError,
+                           match="structurally invalid") as excinfo:
+            store.load("exp")
+        assert excinfo.value.path == path
+        assert excinfo.value.hint
+        assert not store.is_current("exp", "fp1")
+
+    def test_artifact_that_is_not_utf8(self, store):
+        store.write("exp", "fp1", PAYLOAD)
+        path = store.artifact_path("exp")
+        path.write_bytes(path.read_bytes().replace(b"accuracy", b"\xff"))
+        with pytest.raises(ArtifactError, match="not UTF-8") as excinfo:
+            store.load("exp")
+        assert excinfo.value.path == path
+        assert not store.is_current("exp", "fp1")
+
+    def test_manifest_that_is_not_an_object(self, store):
+        store.directory.mkdir(parents=True)
+        store.manifest_path.write_text("[1, 2]")
+        with pytest.raises(ArtifactError, match="not an object") as excinfo:
+            store.manifest()
+        assert excinfo.value.path == store.manifest_path
+        assert excinfo.value.hint
+
     def test_corrupt_manifest(self, store, tmp_path):
         store.write("exp", "fp1", PAYLOAD)
         store.manifest_path.write_text("{broken")

@@ -10,6 +10,8 @@ hashes the raw node tables.
 """
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -81,6 +83,23 @@ class TestRoundTrip:
         loaded, seconds = timed_load(artifact)
         assert loaded.is_trained
         assert seconds > 0
+
+    def test_save_syncs_the_file_and_its_directory(self, classifier, tmp_path,
+                                                   monkeypatch):
+        """A crash right after ``save_model`` returns cannot tear the file."""
+        synced = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            info = os.fstat(fd)
+            synced.append((stat.S_ISDIR(info.st_mode), info.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        path = tmp_path / "model.caai"
+        save_model(classifier, path)
+        assert sorted(synced) == [(False, path.stat().st_ino),
+                                  (True, tmp_path.stat().st_ino)]
 
     def test_save_requires_a_trained_classifier(self, tmp_path):
         with pytest.raises(ModelArtifactError, match="untrained"):

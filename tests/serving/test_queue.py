@@ -280,6 +280,10 @@ class TestCorruption:
             {"format": QUEUE_FORMAT_VERSION + 1, "leases": {}}))
         self._expect_error(checkpoint, match="format version")
 
+    def test_not_an_object(self, checkpoint):
+        (checkpoint.directory / QUEUE_NAME).write_text(json.dumps("str"))
+        self._expect_error(checkpoint, match="not an object")
+
     def test_missing_lease_table(self, checkpoint):
         (checkpoint.directory / QUEUE_NAME).write_text(json.dumps(
             {"format": QUEUE_FORMAT_VERSION}))
