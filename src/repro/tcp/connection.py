@@ -128,9 +128,12 @@ class SenderConfig:
     post_timeout_stall: bool = False
     #: The window never grows during congestion avoidance ("Nonincreasing").
     freeze_in_avoidance: bool = False
-    #: Soft ceiling the window only approaches ("Approaching w_timeout").
+    #: Ceiling on the window ("Approaching w_timeout"), applied after every
+    #: ACK's growth as a hard clamp: the window grows as usual up to it and
+    #: never above it.
     approach_ceiling: float | None = None
-    #: How quickly the window closes the gap to ``approach_ceiling`` per ACK.
+    #: Meant to set how quickly the window closes the gap to
+    #: ``approach_ceiling``; for any value >= 0 the clamp ignores it.
     approach_gain: float = 0.05
 
 
@@ -363,8 +366,9 @@ class TcpSender:
         bit-identical to expanding the runs and feeding every value to
         :meth:`on_ack_packet`: the longest *clean* part of a ``step >= 1``
         run -- monotone advances within the current round, no recovery or
-        F-RTO state, no quirk configuration, one send time, no retransmitted
-        packet -- takes the batched fast path in O(1) bookkeeping, and every
+        F-RTO state, no cwnd moderation, no post-timeout stall, one send
+        time, no retransmitted packet -- takes the batched fast path in O(1)
+        bookkeeping (the freeze and ceiling quirks included), and every
         other entry replays through the scalar per-ACK engine before the
         fast path re-engages (the batch/scalar parity matrix and the
         differential harness enforce this).
@@ -406,9 +410,7 @@ class TcpSender:
                 and self._started
                 and not self._in_recovery
                 and not self._frto_state
-                and config.approach_ceiling is None
                 and not config.use_cwnd_moderation
-                and not config.freeze_in_avoidance
                 and not (config.post_timeout_stall and self._had_timeout)
                 and self._round_end > self._snd_una)
 
@@ -506,23 +508,8 @@ class TcpSender:
             if k > 1:
                 cap_max = self._grow_run(positions, 0, k - 1, ctx, rtt, now, eff_int)
             self._grow_run(positions, k - 1, k, ctx, rtt, now, None)
-        # The scalar engine adds every ACK's full packet advance to the
-        # round's tally; the growth above counted one per ACK.
-        extra_acked = (last - u0) - k
-        if extra_acked:
-            state.acked_in_round += extra_acked
-
         if last == self._round_end:
-            # The run closes the round: replicate _maybe_complete_round (the
-            # quirk suppressions were excluded by eligibility).
-            state.last_round_rtt = rtt or state.latest_rtt
-            round_ctx = AckContext(now=now, rtt_sample=rtt,
-                                   newly_acked_packets=0, round_completed=True)
-            if not state.in_slow_start():
-                state.avoidance_rounds += 1
-            self.algorithm.on_round_complete(state, round_ctx)
-            state.acked_in_round = 0
-            self._round_start_time = now
+            self._complete_round(rtt, now)
         state.clamp()
 
         final_cap = last + eff_int(state.cwnd)
@@ -552,21 +539,33 @@ class TcpSender:
         """Window growth for the clean ACKs ``positions[begin:end]`` (decoupled).
 
         ``positions[i]`` is the unacknowledged point after the ``i``-th ACK
-        of the run. Returns the largest per-ACK transmission cap observed
-        (0 when ``eff_int`` is ``None``, i.e. the caller computes the cap
-        itself after round completion).
+        of the run. The quirks follow :meth:`_grow_window`: in avoidance a
+        frozen window neither grows nor counts towards the round, and a
+        ceiling caps the window after every ACK's growth, so a ceiling
+        server's ACKs reach the hooks one at a time (``count=1`` is exact by
+        the split contract). Returns the largest per-ACK transmission cap
+        observed (0 when ``eff_int`` is ``None``, i.e. the caller computes
+        the cap itself after round completion).
         """
         state = self.state
+        ceiling = self.config.approach_ceiling is not None
+        freeze = self.config.freeze_in_avoidance
         cap_max = 0
         index = begin
-        if (state.in_slow_start() and self._round_start_time is not None
-                and state.acked_in_round == 0):
-            round_start = getattr(self.slow_start_policy, "on_round_start", None)
-            if round_start is not None:
-                round_start(state, now)
+        acked_to = positions[begin - 1] if begin else self._snd_una
         while index < end:
-            remaining = end - index
-            if state.in_slow_start():
+            remaining = 1 if ceiling else end - index
+            cwnd_log = None
+            frozen = freeze and not state.in_slow_start()
+            if frozen:
+                # Nothing changes from one frozen ACK to the next, so the
+                # rest of the run is one step at a constant cap.
+                consumed = remaining
+            elif state.in_slow_start():
+                if self._round_start_time is not None and state.acked_in_round == 0:
+                    round_start = getattr(self.slow_start_policy, "on_round_start", None)
+                    if round_start is not None:
+                        round_start(state, now)
                 # Slow start grows monotonically, so the cap at the end of
                 # the consumed stretch dominates the per-ACK caps within it.
                 if self._alg_uses_policy_ss:
@@ -576,31 +575,32 @@ class TcpSender:
                         consumed = self._slow_start_policy_loop(remaining, now, rtt)
                 else:
                     consumed = self._slow_start_algorithm_loop(remaining, ctx)
-                if consumed <= 0:
-                    break
-                index += consumed
-                if eff_int is not None:
-                    cap = positions[index - 1] + eff_int(state.cwnd)
-                    if cap > cap_max:
-                        cap_max = cap
             else:
                 # A hook may consume fewer ACKs than offered when a backoff
                 # drops the window below ssthresh (slow start re-entry).
                 consumed, cwnd_log = self._avoidance_batch(state, ctx, remaining)
-                if consumed <= 0:
-                    break
-                if eff_int is not None:
-                    if cwnd_log is None:
-                        cap = positions[index + consumed - 1] + eff_int(state.cwnd)
+            if consumed <= 0:
+                break
+            start = index
+            index += consumed
+            position = positions[index - 1]
+            if not frozen:
+                # The scalar engine counts each ACK's full packet advance.
+                state.acked_in_round += position - acked_to
+            acked_to = position
+            if ceiling:
+                self._apply_quirk_caps()
+                cwnd_log = None  # one ACK: its cap reads the capped window
+            if eff_int is not None:
+                if cwnd_log is None:
+                    cap = position + eff_int(state.cwnd)
+                    if cap > cap_max:
+                        cap_max = cap
+                else:
+                    for offset, cwnd in enumerate(cwnd_log):
+                        cap = positions[start + offset] + eff_int(cwnd)
                         if cap > cap_max:
                             cap_max = cap
-                    else:
-                        for offset, cwnd in enumerate(cwnd_log):
-                            cap = positions[index + offset] + eff_int(cwnd)
-                            if cap > cap_max:
-                                cap_max = cap
-                index += consumed
-        state.acked_in_round += index - begin
         return cap_max
 
     def _slow_start_policy_loop(self, count: int, now: float,
@@ -632,7 +632,8 @@ class TcpSender:
         Keeps the scalar engine's exact interleaving (observe sample, update
         RTT state, grow) for algorithms whose growth hooks read the evolving
         ``srtt`` (Westwood+'s idle detector), while still batching everything
-        around the growth. Returns the largest cap over the first ``k - 1``
+        around the growth; the freeze and ceiling quirks apply as in
+        :meth:`_grow_window`. Returns the largest cap over the first ``k - 1``
         ACKs (the final ACK's cap is computed by the caller after round
         completion).
         """
@@ -642,6 +643,8 @@ class TcpSender:
         rto = self.rto
         observe = rto.observe
         uses_policy = self._alg_uses_policy_ss
+        ceiling = self.config.approach_ceiling is not None
+        freeze = self.config.freeze_in_avoidance
         cap_max = 0
         last = k - 1
         for i in range(k):
@@ -667,9 +670,12 @@ class TcpSender:
                     upper = ssthresh if ssthresh >= before else before
                     if state.cwnd > upper:
                         state.cwnd = upper
-            else:
+                state.acked_in_round += 1
+            elif not freeze:
                 algorithm.on_ack_avoidance(state, ctx)
-            state.acked_in_round += 1
+                state.acked_in_round += 1
+            if ceiling:
+                self._apply_quirk_caps()
             if i < last:
                 cap = (u0 + i + 1) + eff_int(state.cwnd)
                 if cap > cap_max:
@@ -824,7 +830,8 @@ class TcpSender:
         if not suppress_growth:
             self._grow_window(newly_acked, rtt_sample, now)
         self._apply_quirk_caps()
-        self._maybe_complete_round(rtt_sample, now)
+        if self._round_end and self._snd_una >= self._round_end:
+            self._complete_round(rtt_sample, now)
         self.state.clamp()
 
         segments.extend(self._transmit_new_data(now))
@@ -886,16 +893,16 @@ class TcpSender:
     def _apply_quirk_caps(self) -> None:
         ceiling = self.config.approach_ceiling
         if ceiling is not None and self.state.cwnd > 0:
-            # The window only ever closes a fraction of its distance to the
-            # ceiling, producing the "Approaching w_timeout" trace shape.
+            # A hard clamp: for any gain >= 0 a window at or below the
+            # ceiling is left as it is (``ceiling - gap * (1 - gain)`` never
+            # drops below it) and one above becomes exactly the ceiling.
             gap = ceiling - self.state.cwnd
             if gap < ceiling * 0.5:
                 self.state.cwnd = min(self.state.cwnd,
                                       ceiling - max(gap, 0.0) * (1.0 - self.config.approach_gain))
 
-    def _maybe_complete_round(self, rtt_sample: float | None, now: float) -> None:
-        if self._snd_una < self._round_end or self._round_end == 0:
-            return
+    def _complete_round(self, rtt_sample: float | None, now: float) -> None:
+        """Close the current round (both engines), with the quirk suppressions."""
         self.state.last_round_rtt = rtt_sample or self.state.latest_rtt
         ctx = AckContext(now=now, rtt_sample=rtt_sample, newly_acked_packets=0,
                          round_completed=True)

@@ -63,6 +63,10 @@ class RtoEstimator:
         with the per-call attribute traffic hoisted out. The batched ACK
         engine uses this for a round's run of equally-timed ACKs, where every
         sample is the same ``now - sent_at`` value.
+
+        Each step is a function of ``(srtt, rttvar)`` alone, so once a step
+        leaves both unchanged every later step would too: the loop stops at
+        that fixed point.
         """
         if count <= 0:
             return
@@ -77,8 +81,12 @@ class RtoEstimator:
         alpha, beta = self.alpha, self.beta
         one_minus_alpha, one_minus_beta = 1 - alpha, 1 - beta
         for _ in range(count):
-            rttvar = one_minus_beta * rttvar + beta * abs(srtt - rtt_sample)
-            srtt = one_minus_alpha * srtt + alpha * rtt_sample
+            next_rttvar = one_minus_beta * rttvar + beta * abs(srtt - rtt_sample)
+            next_srtt = one_minus_alpha * srtt + alpha * rtt_sample
+            if next_rttvar == rttvar and next_srtt == srtt:
+                break
+            rttvar = next_rttvar
+            srtt = next_srtt
         self.srtt = srtt
         self.rttvar = rttvar
         self.backoff_exponent = 0

@@ -47,6 +47,20 @@ def make_synthetic_server(algorithm: str, initial_window: int = 3,
     return SyntheticServer(algorithm_name=algorithm, sender_config_factory=factory)
 
 
+#: (label, ``SenderConfig`` kwargs) of the freeze and ceiling quirk servers
+#: the batch/scalar parity tests probe, sized for a ``w_timeout`` of 64:
+#: a window frozen in avoidance; a ceiling below ``w_timeout`` that
+#: avoidance grows into; a ceiling under an ``initial_ssthresh`` above it,
+#: so slow start hits the cap; and both quirks, the ceiling capping slow
+#: start above ``w_timeout`` before the timeout.
+QUIRK_CONFIGS = [
+    ("freeze", dict(freeze_in_avoidance=True)),
+    ("ceiling", dict(initial_ssthresh=24.0, approach_ceiling=40.0)),
+    ("ceiling-in-slow-start", dict(initial_ssthresh=100.0, approach_ceiling=40.0)),
+    ("freeze-ceiling", dict(freeze_in_avoidance=True, approach_ceiling=100.0)),
+]
+
+
 def expand(blocks) -> list:
     """The per-packet ``Segment`` objects a sender's emitted blocks cover."""
     return [segment for block in blocks for segment in block.segments()]

@@ -19,17 +19,20 @@ from repro.scenarios.middlebox import MiddleboxConfig, MiddleboxServer
 from repro.tcp.connection import ACK_BATCH_ENV
 from repro.tcp.registry import ALL_ALGORITHM_NAMES
 from repro.web.population import PopulationConfig, ServerPopulation
-from tests.conftest import make_synthetic_server
+from tests.conftest import QUIRK_CONFIGS, make_synthetic_server
+
+LOSSY = NetworkCondition(average_rtt=0.2, rtt_std=0.0, loss_rate=0.02)
 
 #: (label, gather kwargs, sender kwargs) for the scenario axis of the matrix.
 SCENARIOS = [
     ("clean", dict(w_timeout=64), dict()),
-    ("lossy", dict(w_timeout=64,
-                   condition=NetworkCondition(average_rtt=0.2, rtt_std=0.0,
-                                              loss_rate=0.02)), dict()),
+    ("lossy", dict(w_timeout=64, condition=LOSSY), dict()),
     ("frto", dict(w_timeout=64), dict(use_frto=True)),
     ("quirks", dict(w_timeout=64), dict(initial_ssthresh=40.0,
                                         send_buffer_packets=90.0)),
+    *((label, dict(w_timeout=64), quirk) for label, quirk in QUIRK_CONFIGS),
+    ("freeze-ceiling-lossy", dict(w_timeout=64, condition=LOSSY),
+     dict(QUIRK_CONFIGS)["freeze-ceiling"]),
     *((f"thin-{every}", dict(w_timeout=64,
                               middlebox=MiddleboxConfig(thin_every=every)), dict())
       for every in (2, 4, 7)),

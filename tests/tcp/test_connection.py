@@ -8,6 +8,7 @@ prober does.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.tcp.connection import SenderConfig, TcpSender
@@ -225,6 +226,22 @@ class TestWindowClamps:
         sender = make_sender(freeze_in_avoidance=True, initial_ssthresh=16.0)
         windows, _, _ = drive_rounds(sender, rounds=10)
         assert max(windows) <= 17
+
+
+class TestApproachCeiling:
+    """``approach_ceiling`` is a hard clamp and ``approach_gain`` is inert."""
+
+    @pytest.mark.parametrize("gain", [0.0, 0.03, 0.05, 1.0])
+    def test_cap_is_min_of_window_and_ceiling(self, gain):
+        rng = np.random.default_rng(16)
+        for ceiling in (40.0, 500.0, 1000.0):
+            sender = make_sender(approach_ceiling=ceiling, approach_gain=gain)
+            edges = [1.0, ceiling * 0.5, ceiling * 0.5 + 1e-9, ceiling - 1e-9,
+                     ceiling, ceiling + 1e-9, 768.0, 2.0 * ceiling]
+            for cwnd in edges + rng.uniform(1.0, 2.0 * ceiling, 500).tolist():
+                sender.state.cwnd = cwnd
+                sender._apply_quirk_caps()
+                assert sender.state.cwnd == min(cwnd, ceiling)
 
 
 class TestConfigValidation:

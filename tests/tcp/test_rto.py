@@ -1,8 +1,14 @@
 """Tests for the RFC 6298 retransmission timeout estimator."""
 
+import sys
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.tcp.rto import RtoEstimator
+
+#: Positive RTT samples (seconds) spanning sub-millisecond to very long paths.
+rtt_samples = st.floats(min_value=1e-6, max_value=100.0)
 
 
 class TestInitialBehaviour:
@@ -167,3 +173,39 @@ class TestObserveRunEdgeCases:
             loop.observe(sample)
         run.observe_run(sample, 6)
         self.assert_bitwise_equal(run, loop)
+
+    @settings(max_examples=150, deadline=None)
+    @given(prior=st.lists(rtt_samples, max_size=6),
+           backoffs=st.integers(min_value=0, max_value=3),
+           rtt=rtt_samples,
+           count=st.integers(min_value=0, max_value=4000))
+    # After a 2.0 s sample, a 1.0 s one leaves rttvar at 1.0 while srtt
+    # moves on: the run must not stop on rttvar alone.
+    @example(prior=[2.0], backoffs=0, rtt=1.0, count=50)
+    def test_run_equals_repeated_observe(self, prior, backoffs, rtt, count):
+        # Long runs reach the fixed point where a step no longer changes
+        # srtt or rttvar; the run stops there and must still end where
+        # ``count`` single observations end.
+        run, loop = RtoEstimator(), RtoEstimator()
+        for estimator in (run, loop):
+            for sample in prior:
+                estimator.observe(sample)
+            for _ in range(backoffs):
+                estimator.back_off()
+        run.observe_run(rtt, count)
+        for _ in range(count):
+            loop.observe(rtt)
+        self.assert_bitwise_equal(run, loop)
+
+    def test_first_sample_run_decays_rttvar_into_subnormals(self):
+        # srtt starts at the sample and never moves; rttvar shrinks by a
+        # quarter per step until it sticks at two subnormal units, 2,583
+        # steps in.
+        run, loop = RtoEstimator(), RtoEstimator()
+        run.observe_run(1.0, 3000)
+        for _ in range(3000):
+            loop.observe(1.0)
+        self.assert_bitwise_equal(run, loop)
+        assert run.srtt == 1.0
+        assert run.rttvar == 1e-323
+        assert 0.0 < run.rttvar < sys.float_info.min
