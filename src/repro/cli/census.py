@@ -41,7 +41,7 @@ from repro.faults import FaultPlan
 from repro.parallel import BACKENDS
 from repro.scenarios import SCENARIO_PACKS, scenario_pack_by_name
 from repro.serving.schema import census_report_payload
-from repro.web.population import ServerPopulation
+from repro.store import write_json_atomic
 
 PROG = "python -m repro.census"
 
@@ -87,7 +87,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # are self-describing and resume rebuilds the same paths.
         settings["conditions"] = pack.condition_preset
     runner = _build_runner(settings, backend=args.backend, workers=args.workers)
-    population = _build_population(settings)
+    population = build_population(settings)
     print(f"running census of {args.servers} servers over {args.shards} shards "
           f"into {args.checkpoint} ...", flush=True)
     report = runner.run_sharded(population, args.checkpoint,
@@ -116,7 +116,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
           f"(rebuilding classifier and population from stored settings) ...",
           flush=True)
     runner = _build_runner(settings, backend=args.backend, workers=args.workers)
-    population = _build_population(settings)
+    population = build_population(settings)
     report = runner.resume(population, args.checkpoint,
                            stop_after_shards=args.stop_after_shards)
     return _finish(report, args.checkpoint, getattr(args, "json", None))
@@ -202,11 +202,6 @@ def _load_fault_plan(path: str) -> FaultPlan:
         raise ValueError(f"fault plan {path} is invalid: {error}") from error
 
 
-def _build_population(settings: dict) -> ServerPopulation:
-    """Generate the synthetic population described by ``settings``."""
-    return build_population(settings)
-
-
 def _finish(report: CensusReport | None, checkpoint_dir: str,
             json_path: str | None) -> int:
     """Print the report (or the resume hint) after run/resume."""
@@ -250,11 +245,10 @@ def _write_json(report: CensusReport, path: str) -> None:
     The payload shape is owned by :mod:`repro.serving.schema` and shared
     with the serving endpoints, so ``--json`` files and served reports are
     interchangeable (documented in ``docs/SERVING.md``; pinned by a
-    snapshot test).
+    snapshot test). Written atomically, so a crash never leaves a torn
+    report.
     """
-    payload = census_report_payload(report)
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(payload, stream, indent=2, sort_keys=True)
+    write_json_atomic(path, census_report_payload(report))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -16,8 +16,10 @@ orchestrator with N concurrent workers, publishing results incrementally:
 
 Because the artifact-loaded classifier is fingerprint-identical to the one
 it was saved from, the served census is byte-identical to a retrain-and-run
-census over the same settings — ``benchmarks/check_serving_smoke.py`` holds
-this invariant in CI.
+census over the same settings. Tier-1 holds this invariant: the artifact
+round trip in ``tests/serving/test_artifact.py``, the orchestrator against
+the monolithic run in ``tests/serving/test_orchestrator.py`` (``TestParity``),
+and real ``repro.serve`` processes in its ``TestRealProcessDeath``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from repro.serving.artifact import timed_load
 from repro.serving.orchestrator import CensusOrchestrator
 from repro.serving.queue import DEFAULT_LEASE_TIMEOUT
 from repro.serving.schema import census_report_payload
+from repro.store import write_json_atomic
 
 PROG = "python -m repro.serve"
 
@@ -106,8 +109,7 @@ def _serve(args: argparse.Namespace) -> int:
             "fingerprint": fingerprint,
             "checkpoint": str(args.checkpoint),
         })
-        with open(args.json, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, indent=2, sort_keys=True)
+        write_json_atomic(args.json, payload)
         print(f"wrote {args.json}")
     return 0
 

@@ -80,7 +80,9 @@ class CensusConfig:
     #: Ceiling on a single backoff draw in simulated seconds.
     backoff_max: float = 30.0
     #: Wall-clock seconds one probe task may run on the ``process`` backend
-    #: (``None`` = unbounded). Execution-only: cannot change report content.
+    #: (``None`` = unbounded). A task past it has its worker stopped and its
+    #: server re-run in-process; the outcome then records a ``task_timeout``
+    #: fault event. Not part of the checkpoint fingerprint.
     task_timeout: float | None = None
     #: Adversarial scenario pack to probe under, by name (``None`` = no
     #: pack, the exact historic behaviour; see docs/SCENARIOS.md).
@@ -100,17 +102,6 @@ class CensusConfig:
                              "non-negative")
         if self.probe_deadline is not None and self.probe_deadline <= 0:
             raise ValueError("probe_deadline must be positive (or None)")
-
-    def resilience_active(self) -> bool:
-        """Whether any probe needs the resilient (retrying) probe path.
-
-        Returns:
-            ``True`` when a non-empty fault plan or a probe deadline is
-            configured; ``False`` keeps every server on the exact historic
-            code path (and rng stream).
-        """
-        return ((self.fault_plan is not None and not self.fault_plan.empty)
-                or self.probe_deadline is not None)
 
 
 def probe_server(record: ServerRecord, crawler: PageSearchTool,
@@ -226,8 +217,9 @@ def _attempt_seed(seed_sequence: np.random.SeedSequence,
                   attempt: int) -> np.random.SeedSequence:
     """The deterministic rng seed of one probe attempt.
 
-    Attempt 0 is the task's own seed sequence — bit-identical to the
-    pre-resilience code path. Retries use the children ``spawn`` would
+    Attempt 0 is the task's own seed sequence, so a server that needs no
+    retry draws exactly its :func:`repro.parallel.task_seeds` stream.
+    Retries use the children ``spawn`` would
     produce, derived *purely* (no mutation of the parent's spawn counter),
     so the stream of attempt ``k`` depends only on (census seed, population
     index, ``k``) — never on scheduling or on how other servers fared.
@@ -273,6 +265,8 @@ def _resilient_probe(record: ServerRecord, crawler: PageSearchTool,
     :class:`~repro.faults.plan.FaultInjected` marked transient is retried up
     to ``max_probe_attempts``; a permanent one fails fast. The returned
     outcome carries the full accounting (attempts, backoff, fault events).
+    Every census task probes through here: with no plan, one attempt from
+    the task's own seed leaves that accounting at its defaults.
     """
     plan = config.fault_plan if config.fault_plan is not None else FaultPlan()
     server_id = record.profile.server_id
@@ -358,10 +352,7 @@ def _probe_task(task: tuple[ServerRecord, np.random.SeedSequence]
     config = _PROBE_WORKER["config"]
     _check_worker_death(record, config)
     record = _scenario_record(record)
-    if config.resilience_active():
-        return _resilient_probe(record, _PROBE_WORKER["crawler"], config, seed)
-    return probe_server(record, _PROBE_WORKER["crawler"], config,
-                        np.random.default_rng(seed))
+    return _resilient_probe(record, _PROBE_WORKER["crawler"], config, seed)
 
 
 @dataclass
@@ -498,23 +489,6 @@ class CensusRunner:
                 any shard file fails validation.
         """
         return CensusCheckpoint.open(checkpoint_dir).merge_report()
-
-    def measure_server(self, record: ServerRecord, crawler: PageSearchTool,
-                       rng: np.random.Generator) -> ServerOutcome:
-        """Measure a single server: crawl, probe, categorise.
-
-        Args:
-            record: The server and its emulated network condition.
-            crawler: The page-searching tool to find a long page with.
-            rng: The server's dedicated random stream.
-
-        Returns:
-            The fully categorised :class:`ServerOutcome`.
-        """
-        outcome, probe = probe_server(record, crawler, self.config, rng)
-        if probe is not None:
-            self._classify_pending([(outcome, probe)])
-        return outcome
 
     def measure_indices(self, records: list[ServerRecord],
                         indices: list[int],

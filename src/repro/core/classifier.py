@@ -187,19 +187,6 @@ class CaaiClassifier:
                                unsure=result.confidence < self.confidence_threshold)
                 for vector, w, result in zip(feature_vectors, w_timeouts, results)]
 
-    def classify_many(self, vectors: list[FeatureVector],
-                      w_timeout: int) -> list[Identification]:
-        """Alias of :meth:`classify_vectors` kept for older call sites.
-
-        Args:
-            vectors: Feature vectors to classify.
-            w_timeout: The shared ``w_timeout`` of the whole batch.
-
-        Returns:
-            One :class:`Identification` per vector, in input order.
-        """
-        return self.classify_vectors(vectors, w_timeout)
-
     # ------------------------------------------------------------- internals
     def _require_forest(self) -> RandomForestClassifier:
         if self._forest is None:

@@ -54,11 +54,6 @@ class ServerOutcome:
     fault_events: tuple = ()
 
     @property
-    def is_special_case(self) -> bool:
-        """Whether the outcome landed in one of the special-trace categories."""
-        return self.special_case is not None
-
-    @property
     def status(self) -> str:
         """The outcome-taxonomy bucket this server landed in.
 

@@ -729,7 +729,7 @@ def gather_fig13_18_cases():
         server(freeze_in_avoidance=True), condition, rng)
     # Fig. 16: window creeping towards the pre-timeout window.
     cases["fig16_approaching"] = gatherer.gather_probe(
-        server(approach_ceiling=1000.0, approach_gain=0.03), condition, rng)
+        server(approach_ceiling=1000.0), condition, rng)
     # Fig. 17: window bounded by the send buffer above w_timeout.
     cases["fig17_bounded"] = gatherer.gather_probe(
         server(send_buffer_packets=640.0), condition, rng)

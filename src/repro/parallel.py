@@ -22,7 +22,8 @@ instead of letting the first exception abort the whole map: with
 task's seed, and the formatted exception) in its result slot, so the caller
 can recover the failed slots deterministically while keeping every completed
 result. An optional per-task ``task_timeout`` bounds how long any single task
-may run on the ``process`` backend.
+may run on the ``process`` backend: once a slot times out, ``map`` stops the
+pool's workers before it returns, so a hung task cannot hold the caller.
 """
 
 from __future__ import annotations
@@ -148,8 +149,10 @@ class ParallelExecutor:
             before.
         task_timeout: wall-clock seconds any single task may run on the
             ``process`` backend before its slot becomes a ``TimeoutError``
-            :class:`TaskFailure` (requires ``capture_failures``; ignored by
-            the serial backend, which cannot pre-empt a task).
+            :class:`TaskFailure`; ``map`` then stops the pool's workers, so
+            it returns without waiting for the timed-out task (requires
+            ``capture_failures``; ignored by the serial backend, which
+            cannot pre-empt a task).
     """
 
     backend: str = "serial"
@@ -235,7 +238,9 @@ class ParallelExecutor:
         ``task_timeout`` bounds each slot's wait (collected in task order, so
         time spent by earlier tasks also covers later ones — the budget is a
         per-task floor, not an exact pre-emption). Results stay in task
-        order.
+        order. If any slot timed out, the pool's workers are terminated
+        before returning: leaving the pool's ``with`` block would otherwise
+        wait for the timed-out task to finish.
         """
         futures = []
         for index, task in enumerate(task_list):
@@ -244,10 +249,12 @@ class ParallelExecutor:
                 self._describe(describe, index, task))
             futures.append(pool.submit(wrapped, task))
         results: list = []
+        timed_out = False
         for index, future in enumerate(futures):
             try:
                 results.append(future.result(timeout=self.task_timeout))
             except FutureTimeoutError:
+                timed_out = True
                 future.cancel()
                 results.append(_failure_from_exception(
                     index,
@@ -259,4 +266,9 @@ class ParallelExecutor:
                     index,
                     self._describe(describe, index, task_list[index]),
                     exc))
+        if timed_out:
+            # The executor has no public call that stops a running task;
+            # the pool notices its dead workers and reaps them on shutdown.
+            for process in list(pool._processes.values()):
+                process.terminate()
         return results

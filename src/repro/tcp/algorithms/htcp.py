@@ -76,7 +76,3 @@ class HTcp(CongestionAvoidance):
             return self.beta_min
         ratio = state.min_rtt / state.max_rtt
         return min(max(ratio, self.beta_min), self.beta_max)
-
-    @property
-    def current_beta(self) -> float:
-        return self._beta

@@ -123,8 +123,3 @@ class Illinois(CongestionAvoidance):
     @property
     def current_alpha(self) -> float:
         return self._alpha
-
-    @property
-    def current_beta_reduction(self) -> float:
-        """The reduction fraction (the paper's beta is ``1 -`` this value)."""
-        return self._beta

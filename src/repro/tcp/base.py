@@ -252,11 +252,3 @@ class CongestionAvoidance(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"<{type(self).__name__} name={self.name!r}>"
-
-
-class RenoLikeMixin:
-    """Shared helper implementing the AIMD additive increase of one per RTT."""
-
-    @staticmethod
-    def reno_increase(state: CongestionState) -> None:
-        state.cwnd += 1.0 / max(state.cwnd, 1.0)

@@ -25,7 +25,7 @@ from repro.envknobs import env_flag
 from repro.tcp.base import AckContext, CongestionAvoidance, CongestionState, MIN_CWND
 from repro.tcp.packet import SegmentBlock
 from repro.tcp.rto import RtoEstimator
-from repro.tcp.slow_start import loop_slow_start_run, make_slow_start
+from repro.tcp.slow_start import make_slow_start
 
 #: Environment knob: set ``REPRO_ACK_BATCH=0`` to force the scalar per-ACK
 #: engine everywhere (the batched fast path is bit-identical, so this exists
@@ -132,9 +132,6 @@ class SenderConfig:
     #: ACK's growth as a hard clamp: the window grows as usual up to it and
     #: never above it.
     approach_ceiling: float | None = None
-    #: Meant to set how quickly the window closes the gap to
-    #: ``approach_ceiling``; for any value >= 0 the clamp ignores it.
-    approach_gain: float = 0.05
 
 
 @dataclass
@@ -210,7 +207,7 @@ class TcpSender:
             self._avoidance_batch = (
                 lambda state, ctx, count:
                 CongestionAvoidance.on_ack_avoidance_batch(algorithm, state, ctx, count))
-        self._policy_ack_run = getattr(self.slow_start_policy, "on_ack_run", None)
+        self._policy_ack_run = self.slow_start_policy.on_ack_run
 
     # ------------------------------------------------------------------ data
     @property
@@ -563,16 +560,11 @@ class TcpSender:
                 consumed = remaining
             elif state.in_slow_start():
                 if self._round_start_time is not None and state.acked_in_round == 0:
-                    round_start = getattr(self.slow_start_policy, "on_round_start", None)
-                    if round_start is not None:
-                        round_start(state, now)
+                    self.slow_start_policy.on_round_start(state, now)
                 # Slow start grows monotonically, so the cap at the end of
                 # the consumed stretch dominates the per-ACK caps within it.
                 if self._alg_uses_policy_ss:
-                    if self._policy_ack_run is not None:
-                        consumed = self._policy_ack_run(state, now, rtt, remaining)
-                    else:
-                        consumed = self._slow_start_policy_loop(remaining, now, rtt)
+                    consumed = self._policy_ack_run(state, now, rtt, remaining)
                 else:
                     consumed = self._slow_start_algorithm_loop(remaining, ctx)
             else:
@@ -602,12 +594,6 @@ class TcpSender:
                         if cap > cap_max:
                             cap_max = cap
         return cap_max
-
-    def _slow_start_policy_loop(self, count: int, now: float,
-                                rtt: float | None) -> int:
-        """Per-ACK slow start via the policy (custom policies without a run hook)."""
-        return loop_slow_start_run(self.slow_start_policy, self.state, now,
-                                    rtt, count)
 
     def _slow_start_algorithm_loop(self, count: int, ctx: AckContext) -> int:
         """Per-ACK slow start for algorithms overriding ``on_ack_slow_start``."""
@@ -657,8 +643,7 @@ class TcpSender:
                 state.max_rtt = rtt
             if state.in_slow_start():
                 if (self._round_start_time is not None
-                        and state.acked_in_round == 0
-                        and hasattr(policy, "on_round_start")):
+                        and state.acked_in_round == 0):
                     policy.on_round_start(state, now)
                 before = state.cwnd
                 algorithm.on_ack_slow_start(state, ctx)
@@ -872,8 +857,7 @@ class TcpSender:
             self.state.cwnd = MIN_CWND
             return
         if self.state.in_slow_start():
-            if self._round_start_time is not None and hasattr(self.slow_start_policy, "on_round_start") \
-                    and self.state.acked_in_round == 0:
+            if self._round_start_time is not None and self.state.acked_in_round == 0:
                 self.slow_start_policy.on_round_start(self.state, now)
             before = self.state.cwnd
             self.algorithm.on_ack_slow_start(self.state, ctx)
@@ -892,14 +876,8 @@ class TcpSender:
 
     def _apply_quirk_caps(self) -> None:
         ceiling = self.config.approach_ceiling
-        if ceiling is not None and self.state.cwnd > 0:
-            # A hard clamp: for any gain >= 0 a window at or below the
-            # ceiling is left as it is (``ceiling - gap * (1 - gain)`` never
-            # drops below it) and one above becomes exactly the ceiling.
-            gap = ceiling - self.state.cwnd
-            if gap < ceiling * 0.5:
-                self.state.cwnd = min(self.state.cwnd,
-                                      ceiling - max(gap, 0.0) * (1.0 - self.config.approach_gain))
+        if ceiling is not None and self.state.cwnd > ceiling:
+            self.state.cwnd = ceiling
 
     def _complete_round(self, rtt_sample: float | None, now: float) -> None:
         """Close the current round (both engines), with the quirk suppressions."""

@@ -106,6 +106,3 @@ class RtoEstimator:
     def back_off(self) -> None:
         """Double the RTO after a retransmission timeout (exponential backoff)."""
         self.backoff_exponent += 1
-
-    def reset_backoff(self) -> None:
-        self.backoff_exponent = 0

@@ -26,10 +26,6 @@ class CrawlResult:
     default_size: int
     hit_budget: bool
 
-    @property
-    def found_longer_than_default(self) -> bool:
-        return self.best_size > self.default_size
-
 
 @dataclass
 class PageSearchTool:

@@ -6,6 +6,9 @@ are session-scoped so the many tests that need them build them exactly once.
 
 from __future__ import annotations
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -70,6 +73,21 @@ def expand_runs(runs) -> list[int]:
     """The ACK values a ``(first, count, step)`` ladder encodes, in order."""
     return [first + index * step
             for first, count, step in runs for index in range(count)]
+
+
+@pytest.fixture
+def fsync_log(monkeypatch) -> list:
+    """``(is_directory, inode)`` of every ``os.fsync`` the test makes."""
+    synced = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        info = os.fstat(fd)
+        synced.append((stat.S_ISDIR(info.st_mode), info.st_ino))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    return synced
 
 
 @pytest.fixture

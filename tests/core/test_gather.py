@@ -123,6 +123,27 @@ class TestTraceGathering:
         assert created == 0
 
 
+class TestEcnMarking:
+    """ECN marks reach the algorithm through the gatherer, and only then."""
+
+    @staticmethod
+    def _probe(algorithm, mark_rate):
+        condition = NetworkCondition(average_rtt=0.2, rtt_std=0.0,
+                                     loss_rate=0.0, ecn_mark_rate=mark_rate)
+        rng = np.random.default_rng(41)
+        probe = TraceGatherer(GatherConfig(w_timeout=64, mss=100)).gather_probe(
+            make_synthetic_server(algorithm), condition, rng)
+        windows = [tuple(trace.pre_timeout) + tuple(trace.post_timeout)
+                   for trace in probe.traces()]
+        return windows, rng.bit_generator.state
+
+    def test_unmarked_dctcp_probe_equals_reno(self):
+        assert self._probe("dctcp", 0.0) == self._probe("reno", 0.0)
+
+    def test_marks_make_dctcp_diverge_from_reno(self):
+        assert self._probe("dctcp", 0.3)[0] != self._probe("reno", 0.3)[0]
+
+
 class TestLadderAndMss:
     def test_ladder_falls_back_for_data_limited_server(self, ideal_condition, rng):
         # Enough data for a small probe but not for w_timeout = 512.

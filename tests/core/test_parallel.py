@@ -6,12 +6,15 @@ changes wall-clock time, never outcomes.
 """
 
 import dataclasses
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.census import CensusConfig, CensusRunner
 from repro.core.training import TrainingSetBuilder
+from repro.faults import FaultPlan, FaultSpec
 from repro.net.conditions import default_condition_database
 from repro.parallel import ParallelExecutor, TaskFailure, task_seeds
 from repro.web.population import PopulationConfig, ServerPopulation
@@ -124,10 +127,15 @@ class TestFailureCapture:
     def test_task_timeout_yields_timeout_failure(self):
         executor = ParallelExecutor(backend="process", max_workers=2,
                                     capture_failures=True, task_timeout=0.5)
+        start = time.perf_counter()
         results = executor.map(_sleep_forever, [1])
+        elapsed = time.perf_counter() - start
         assert isinstance(results[0], TaskFailure)
         assert results[0].error_type == "TimeoutError"
         assert "task_timeout" in results[0].message
+        # The hung task neither holds the map nor outlives it.
+        assert elapsed < 10.0
+        assert multiprocessing.active_children() == []
 
     def test_capture_keeps_task_order(self):
         executor = ParallelExecutor(backend="process", max_workers=2,
@@ -162,21 +170,57 @@ class TestParallelTraining:
                                                                "bic", "vegas"}
 
 
+#: Flaky, dead, truncating and dying servers at once: every probe-fault
+#: kind the census retries or gives up on, plus worker deaths recovered
+#: in-process.
+CHAOS_PLAN = FaultPlan(seed=99, specs=(
+    FaultSpec(kind="unresponsive", probability=0.25, persist_attempts=1),
+    FaultSpec(kind="connection_reset", probability=0.1,
+              persist_attempts=None),
+    FaultSpec(kind="truncated_response", probability=0.2,
+              persist_attempts=2),
+    FaultSpec(kind="worker_death", probability=0.15, persist_attempts=1),
+))
+
+
 class TestParallelCensus:
     def _population(self, size=25):
         population = ServerPopulation(PopulationConfig(size=size, seed=37))
         population.generate()
         return population
 
+    def _serial_and_process(self, classifier, **config):
+        """The census run serially and on two worker processes, each on a
+        fresh population (probing mutates server state). The process run
+        goes first, so its forked workers cannot inherit the probe state
+        the serial run leaves in this process."""
+        process = CensusRunner(classifier, CensusConfig(
+            seed=5, backend="process", max_workers=2, **config))
+        process_report = process.run(self._population())
+        serial = CensusRunner(classifier, CensusConfig(seed=5, **config))
+        return serial.run(self._population()), process_report
+
     def test_process_census_identical_to_serial(self, trained_classifier):
-        serial_report = CensusRunner(
-            trained_classifier, CensusConfig(seed=5)).run(self._population())
-        parallel_report = CensusRunner(
-            trained_classifier,
-            CensusConfig(seed=5, backend="process", max_workers=2)).run(self._population())
+        serial_report, parallel_report = self._serial_and_process(
+            trained_classifier)
         serial_outcomes = [dataclasses.asdict(o) for o in serial_report.outcomes]
         parallel_outcomes = [dataclasses.asdict(o) for o in parallel_report.outcomes]
         assert serial_outcomes == parallel_outcomes
+
+    @pytest.mark.parametrize("config", [
+        pytest.param(dict(fault_plan=CHAOS_PLAN, backoff_base=0.1,
+                          backoff_max=1.0), id="chaos"),
+        pytest.param(dict(scenario_pack="ack-manipulated"),
+                     id="ack-manipulated"),
+    ])
+    def test_process_census_identical_to_serial_under(
+            self, trained_classifier, config):
+        serial_report, parallel_report = self._serial_and_process(
+            trained_classifier, **config)
+        assert ([dataclasses.asdict(o) for o in parallel_report.outcomes]
+                == [dataclasses.asdict(o) for o in serial_report.outcomes])
+        if "fault_plan" in config:
+            assert serial_report.retry_total() > 0  # the plan engaged
 
     def test_process_census_fans_out_one_task_per_server(self, trained_classifier,
                                                           monkeypatch):

@@ -143,6 +143,21 @@ class TestZeroFaultParity:
         runner = CensusRunner(trained_classifier, config)
         assert report_blob(runner.run(fresh_population())) == baseline_blob
 
+    def test_empty_plan_checkpoint_is_byte_identical(self, trained_classifier,
+                                                     tmp_path):
+        def checkpoint_files(config, name):
+            directory = tmp_path / name
+            CensusRunner(trained_classifier, config).run_sharded(
+                fresh_population(), directory, num_shards=3)
+            return {entry.name: entry.read_bytes()
+                    for entry in sorted(directory.iterdir())}
+
+        plain = checkpoint_files(CensusConfig(seed=17), "plain")
+        assert len(plain) == 4  # the manifest and three shard files
+        empty_plan = checkpoint_files(
+            CensusConfig(seed=17, fault_plan=FaultPlan()), "empty-plan")
+        assert empty_plan == plain
+
     def test_neutral_resilience_knobs_are_byte_identical(
             self, trained_classifier, baseline_blob):
         config = CensusConfig(seed=17, max_probe_attempts=5,

@@ -100,6 +100,30 @@ class TestCrashMatrix:
         merged = runner.resume(fresh_population(), directory)
         assert report_blob(merged) == reference_blob
 
+    def test_tear_under_worker_deaths_and_dead_hosts(self, trained_classifier,
+                                                    tmp_path):
+        # The other cells carry neither spec: worker deaths recovered
+        # in-process and permanently dead hosts, both in the shard torn
+        # after two records.
+        chaos = (FaultSpec(kind="connection_reset", probability=0.1,
+                           persist_attempts=None),
+                 FaultSpec(kind="worker_death", probability=0.15,
+                           persist_attempts=1))
+        reference = CensusRunner(trained_classifier, make_config(chaos)).run(
+            fresh_population())
+        torn = FaultSpec(kind="torn_checkpoint", scope="1", at_round=2,
+                         persist_attempts=1)
+        runner = CensusRunner(trained_classifier, make_config(chaos + (torn,)))
+        directory = tmp_path / "ckpt"
+        with pytest.raises(TornWriteError):
+            runner.run_sharded(fresh_population(), directory,
+                               num_shards=NUM_SHARDS)
+        merged = runner.resume(fresh_population(), directory)
+        assert report_blob(merged) == report_blob(reference)
+        kinds = {kind for outcome in merged.outcomes
+                 for kind, _ in outcome.fault_events}
+        assert {"connection_reset", "worker_death"} <= kinds
+
     def test_torn_shard_stays_pending(self, trained_classifier, tmp_path):
         directory = tmp_path / "ckpt"
         torn = FaultSpec(kind="torn_checkpoint", scope="0", at_round=1,

@@ -1,6 +1,12 @@
 """Tests for the experiment registry, fingerprints and the cached runner."""
 
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +111,29 @@ class TestFingerprint:
         fingerprints = {experiment_fingerprint(experiment, SMOKE)
                         for experiment in all_experiments()}
         assert len(fingerprints) == len(all_experiments())
+
+    def test_fingerprints_survive_a_fresh_interpreter(self):
+        """A re-run of ``repro.report`` is a 100 % cache hit only if every
+        fingerprint is equal in a new process, whatever its hash seed."""
+        script = textwrap.dedent("""
+            import json
+            from repro.experiments.profiles import PROFILES
+            from repro.experiments.registry import (all_experiments,
+                                                    experiment_fingerprint)
+            print(json.dumps({experiment.name: experiment_fingerprint(
+                experiment, PROFILES["smoke"])
+                for experiment in all_experiments()}))
+        """)
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONHASHSEED="random",
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src), os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True,
+                                timeout=120)
+        assert json.loads(result.stdout) == {
+            experiment.name: experiment_fingerprint(experiment, SMOKE)
+            for experiment in all_experiments()}
 
 
 # -------------------------------------------------------------------- runner

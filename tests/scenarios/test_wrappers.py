@@ -15,6 +15,8 @@ from repro.scenarios import (
     TokenBucketPolicer,
     evasion_rng,
 )
+from repro.web.crawler import PageSearchTool
+from repro.web.population import PopulationConfig, ServerPopulation
 from tests.conftest import make_synthetic_server
 
 
@@ -177,6 +179,29 @@ class TestEvasiveServer:
         wrapped, state_wrapped = probe(wrapped_server)
         assert state_base == state_wrapped
         assert_traces_identical(base, wrapped)
+
+    def test_neutral_stack_on_population_servers_is_bit_transparent(self):
+        """Both neutral wrappers around real population servers (F-RTO,
+        ssthresh caching, an MSS refusal) change no trace and no draw."""
+
+        def servers():
+            # Probing mutates server state, so each side gets a fresh copy.
+            population = ServerPopulation(PopulationConfig(size=6, seed=424))
+            population.generate()
+            return [record.server for record in population.records]
+
+        for plain, inner in zip(servers(), servers()):
+            longest = PageSearchTool().search(plain.site).best_path
+            plain.probe_path = longest
+            base, state_base = probe(plain, seed=5)
+            stacked = MiddleboxServer(
+                EvasiveServer(inner, EvasionConfig(), pack_seed=0,
+                              server_id="s"),
+                MiddleboxConfig())
+            stacked.probe_path = longest  # as the census sets it
+            wrapped, state_wrapped = probe(stacked, seed=5)
+            assert state_base == state_wrapped
+            assert_traces_identical(base, wrapped)
 
     def test_ssthresh_randomized_within_range(self):
         server = EvasiveServer(

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from repro.cli.census import main as census_main
+from repro.cli.serve import main as serve_main
 from repro.core.census import CensusConfig, CensusRunner
+from repro.serving.artifact import save_model
 from repro.serving.schema import (
     CENSUS_REPORT_SCHEMA,
     CLASSIFY_SCHEMA,
@@ -125,3 +127,36 @@ class TestCensusCliJson:
         # The file bytes are the canonical serialisation (sorted, indented).
         assert out.read_text(encoding="utf-8") == json.dumps(
             payload, indent=2, sort_keys=True)
+
+
+class TestJsonReportsAreAtomic:
+    """A crash right after ``--json`` returns cannot leave a torn report."""
+
+    def test_census_merge_syncs_the_file_and_its_directory(
+            self, tmp_path, fsync_log):
+        checkpoint = str(tmp_path / "ckpt")
+        assert census_main([
+            "run", "--checkpoint", checkpoint,
+            "--servers", "4", "--shards", "1", "--seed", "9",
+            "--trees", "5", "--training-conditions", "1",
+            "--condition-db-size", "40",
+        ]) == 0
+        fsync_log.clear()  # only the merge's own syncs
+        out = tmp_path / "report.json"
+        assert census_main(["merge", "--checkpoint", checkpoint,
+                            "--json", str(out)]) == 0
+        assert sorted(fsync_log) == [(False, out.stat().st_ino),
+                                     (True, tmp_path.stat().st_ino)]
+
+    def test_serve_syncs_the_file_and_its_directory(
+            self, trained_classifier, tmp_path, fsync_log):
+        artifact = tmp_path / "model.caai"
+        save_model(trained_classifier, artifact)
+        out = tmp_path / "report.json"
+        assert serve_main([
+            "--artifact", str(artifact), "--checkpoint", str(tmp_path / "ckpt"),
+            "--servers", "4", "--shards", "1", "--workers", "1",
+            "--condition-db-size", "40", "--json", str(out),
+        ]) == 0
+        assert (False, out.stat().st_ino) in fsync_log
+        assert (True, tmp_path.stat().st_ino) in fsync_log

@@ -229,16 +229,20 @@ class TestWindowClamps:
 
 
 class TestApproachCeiling:
-    """``approach_ceiling`` is a hard clamp and ``approach_gain`` is inert."""
+    """``approach_ceiling`` is a hard clamp."""
 
-    @pytest.mark.parametrize("gain", [0.0, 0.03, 0.05, 1.0])
-    def test_cap_is_min_of_window_and_ceiling(self, gain):
+    @pytest.mark.parametrize("band", [0.0, 0.03, 0.05, 1.0])
+    def test_cap_is_min_of_window_and_ceiling(self, band):
+        # The random windows lie within ``band`` (relative) of the ceiling;
+        # a band of 1.0 spans every window from 1 to twice the ceiling.
         rng = np.random.default_rng(16)
         for ceiling in (40.0, 500.0, 1000.0):
-            sender = make_sender(approach_ceiling=ceiling, approach_gain=gain)
+            sender = make_sender(approach_ceiling=ceiling)
+            low = max(1.0, ceiling * (1.0 - band))
+            high = ceiling * (1.0 + band)
             edges = [1.0, ceiling * 0.5, ceiling * 0.5 + 1e-9, ceiling - 1e-9,
-                     ceiling, ceiling + 1e-9, 768.0, 2.0 * ceiling]
-            for cwnd in edges + rng.uniform(1.0, 2.0 * ceiling, 500).tolist():
+                     ceiling, ceiling + 1e-9, 768.0, 2.0 * ceiling, low, high]
+            for cwnd in edges + rng.uniform(low, high, 500).tolist():
                 sender.state.cwnd = cwnd
                 sender._apply_quirk_caps()
                 assert sender.state.cwnd == min(cwnd, ceiling)
