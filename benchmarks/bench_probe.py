@@ -1,23 +1,20 @@
 """Probe-engine benchmark: the batched ACK engine against the per-ACK one.
 
-Times the CAAI probe hot paths -- trace gathering (on a clean path and
-behind an ACK-thinning middlebox), the 100-server census and the
-training-set build -- on the two ACK engines (both on segment blocks: the
-batched production engine and the scalar per-ACK reference forced by
-``REPRO_ACK_BATCH=0``), verifies they produce bit-identical traces, and
-writes ``BENCH_probe.json``::
+Times the CAAI probe hot path -- trace gathering, on a clean path and
+behind an ACK-thinning middlebox -- on the two ACK engines (both on segment
+blocks: the batched production engine and the scalar per-ACK reference
+forced by ``REPRO_ACK_BATCH=0``), verifies they produce bit-identical
+traces, and writes ``BENCH_probe.json``::
 
     PYTHONPATH=src python benchmarks/bench_probe.py [output.json]
 
-Besides the end-to-end timings the benchmark records a per-phase breakdown
+Besides the engine ratios the benchmark records a per-phase breakdown
 (emit / ACK engine / gather bookkeeping) and the number of Segment objects
 and SegmentBlock records materialised per probe, so a future devectorisation
-regression is attributable to the phase that caused it.
-
-The workload matches ``bench_smoke_inference.py``'s small scale (the same
-training-set and census configurations). The census and training timings are
-single-shot and machine-load sensitive, so they carry no tripwire; the
-repeated, paired end-to-end numbers live in ``perfbench/``.
+regression is attributable to the phase that caused it. It fails below
+either engine-ratio tripwire, on a trace mismatch between the engines and
+on any materialised Segment object. End-to-end census and training-set
+throughput is measured by ``perfbench/`` in repeated, paired runs.
 """
 
 from __future__ import annotations
@@ -30,22 +27,16 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.core.census import CensusConfig, CensusRunner
-from repro.core.classifier import CaaiClassifier
 from repro.core.gather import GatherConfig, TraceGatherer
-from repro.core.training import TrainingSetBuilder
-from repro.net.conditions import NetworkCondition, default_condition_database
+from repro.net.conditions import NetworkCondition
 from repro.scenarios.middlebox import MiddleboxConfig, MiddleboxServer
 from repro.tcp.connection import ACK_BATCH_ENV, SenderConfig, TcpSender
 from repro.tcp.packet import Segment, SegmentBlock
 from repro.tcp.registry import IDENTIFIABLE_ALGORITHMS
-from repro.web.population import PopulationConfig, ServerPopulation
 
-CENSUS_SIZE = 100
-N_TREES = 60
 #: CI tripwire: the batched ACK engine must beat the scalar per-ACK engine
 #: by at least this factor on the probe workload. A 2-core development
-#: machine measures ~16-20x; the threshold sits far below that so loaded CI
+#: machine measures ~20-22x; the threshold sits far below that so loaded CI
 #: runners do not flake, while a fast path that silently stopped engaging
 #: (~1x) still fails loudly.
 TARGET_ACK_SPEEDUP = 2.5
@@ -55,7 +46,7 @@ THINNING_MIDDLEBOX = MiddleboxConfig(thin_every=4, stretch_seconds=0.05)
 #: CI tripwire for the thinned probe workload. Its surviving ACKs each cover
 #: four packets (stretch-ACK runs); an engine that batches only per-packet
 #: ACKs runs every one of them per-ACK and measures ~0.9x, while batching
-#: them measures ~2.7x on a 2-core development machine.
+#: them measures ~3.8x on a 2-core development machine.
 TARGET_THINNED_ACK_SPEEDUP = 1.5
 
 
@@ -210,7 +201,7 @@ def phase_breakdown() -> dict:
 
 def main() -> None:
     output_path = sys.argv[1] if len(sys.argv) > 1 else "BENCH_probe.json"
-    results: dict = {"scale": "small", "census_size": CENSUS_SIZE}
+    results: dict = {}
     probes = len(IDENTIFIABLE_ALGORITHMS)
 
     # ---- probe throughput on both ACK engines, with a parity gate ---------
@@ -234,33 +225,6 @@ def main() -> None:
     # ---- per-phase breakdown (attributes future regressions) --------------
     print("profiling per-phase breakdown ...", flush=True)
     results["phases_blocks"] = phase_breakdown()
-
-    # ---- training set (same workload as bench_smoke_inference) -----------
-    print("building training set ...", flush=True)
-    def build_training_set():
-        builder = TrainingSetBuilder(
-            conditions_per_pair=6, seed=7,
-            condition_database=default_condition_database(size=1000, seed=2010))
-        return builder.build_dataset()
-
-    training_seconds, training_set = timed(build_training_set)
-    results["training_set_seconds"] = round(training_seconds, 3)
-    results["training_set_rows"] = len(training_set)
-
-    # ---- census (same workload as bench_smoke_inference) ------------------
-    print("running census ...", flush=True)
-    classifier = CaaiClassifier(n_trees=N_TREES, seed=3)
-    classifier.train(training_set)
-
-    def run_census():
-        population = ServerPopulation(PopulationConfig(size=CENSUS_SIZE,
-                                                       seed=2011))
-        population.generate()
-        return CensusRunner(classifier, CensusConfig(seed=99)).run(population)
-
-    census_seconds, report = timed(run_census)
-    results["census_seconds"] = round(census_seconds, 3)
-    results["census_valid_fraction"] = round(report.valid_fraction(), 3)
 
     with open(output_path, "w", encoding="utf-8") as handle:
         json.dump(results, handle, indent=2, sort_keys=True)

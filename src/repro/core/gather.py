@@ -342,26 +342,18 @@ class TraceGatherer:
         """Apply data-direction loss; CAAI sees only the surviving packets.
 
         One draw per covered packet in block order (``Generator.random(n)``
-        consumes the same stream as ``n`` scalar per-packet draws), then each
-        block is cut into its maximal surviving stretches.
+        consumes the same stream as ``n`` scalar per-packet draws); each
+        block is cut around its dropped packets, and a block that lost none
+        passes through as the same object.
         """
         if condition.loss_rate <= 0.0 or not blocks:
             return list(blocks)
-        kept = rng.random(block_packet_count(blocks)) >= condition.loss_rate
-        if kept.all():
+        dropped = np.flatnonzero(rng.random(block_packet_count(blocks))
+                                 < condition.loss_rate).tolist()
+        if not dropped:
             return list(blocks)
-        out: list[SegmentBlock] = []
-        offset = 0
-        for block in blocks:
-            count = len(block)
-            mask = kept[offset:offset + count]
-            offset += count
-            if mask.all():
-                out.append(block)
-                continue
-            for first, size in _surviving_stretches(mask):
-                out.append(block.slice(first, first + size))
-        return out
+        return [block if stop - start == len(block) else block.slice(start, stop)
+                for block, start, stop in cut_around(blocks, len, dropped)]
 
     def _window_estimate(self, received: list[SegmentBlock], highest_end: int,
                          highest_prev: int) -> float:
@@ -388,26 +380,13 @@ class TraceGatherer:
         repeated cumulative values -- and handed to the sender's
         :meth:`~repro.tcp.connection.TcpSender.on_ack_ladder`; ACK-direction
         loss draws stay one per entry on the probe's rng stream, and the
-        surviving entries are re-encoded as maximal progressions.
+        runs are split at the lost entries.
         """
         if not received:
             return [], 0
         runs: list[tuple[int, int, int]] = []
         total = 0
         cumulative = 0
-
-        def add_run(first: int, count: int, step: int) -> None:
-            # Adjacent blocks produce adjacent ladder entries; a run that
-            # continues the previous progression extends it, which is what
-            # lets one round's burst -- however many blocks it arrived as --
-            # batch as a single clean run.
-            if runs:
-                last_first, last_count, last_step = runs[-1]
-                if step == last_step and last_first + last_count * step == first:
-                    runs[-1] = (last_first, last_count + count, step)
-                    return
-            runs.append((first, count, step))
-
         for block in in_sequence_blocks(received):
             count = len(block)
             total += count
@@ -415,99 +394,118 @@ class TraceGatherer:
                 # A retransmitted packet is acknowledged at the highest
                 # sequence received so far (the emulated-timeout rule).
                 value = cumulative if cumulative > highest_pkt else highest_pkt
-                add_run(value, count, 0)
+                append_run(runs, value, count, 0)
                 cumulative = value
                 continue
             start, stop = block.start_index, block.stop_index
             if stop <= cumulative:
-                add_run(cumulative, count, 0)
+                append_run(runs, cumulative, count, 0)
             elif start >= cumulative:
-                add_run(start + 1, count, 1)
+                append_run(runs, start + 1, count, 1)
                 cumulative = stop
             else:
-                add_run(cumulative, cumulative - start, 0)
-                add_run(cumulative + 1, stop - cumulative, 1)
+                append_run(runs, cumulative, cumulative - start, 0)
+                append_run(runs, cumulative + 1, stop - cumulative, 1)
                 cumulative = stop
         lost = 0
         if condition.loss_rate > 0.0:
             # One draw per ACK, in ladder order.
-            kept = rng.random(total) >= condition.loss_rate
-            lost = total - int(np.count_nonzero(kept))
+            dropped = np.flatnonzero(rng.random(total) < condition.loss_rate).tolist()
+            lost = len(dropped)
             if lost:
-                runs = _filter_ack_runs(runs, kept)
+                runs = drop_entries(runs, dropped)
         return sender.on_ack_ladder(runs, now), lost
 
 
-def _surviving_stretches(mask: np.ndarray) -> list[tuple[int, int]]:
-    """``(first_offset, length)`` of each maximal True stretch in ``mask``."""
-    # The difference of the False-padded mask flags every edge: stretch
-    # starts at even positions, the offsets just past their ends at odd ones.
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False])))).tolist()
-    return [(start, stop - start) for start, stop in zip(edges[0::2], edges[1::2])]
+# ---- ACK ladder runs: ``(first, count, step)`` holds the values ``first,
+# first + step, ..., first + (count - 1) * step``. ACK loss here and the
+# middlebox chain filter runs by arithmetic and never expand a ladder.
+def append_run(runs: list[tuple[int, int, int]], first: int, count: int,
+               step: int) -> None:
+    """Append a run, joining it to the last one when both form one progression.
+
+    A one-entry run has no step of its own: it continues any progression
+    whose next value it is, two lone entries join as a run stepping by their
+    difference, and one that joins nothing is stored with ``step == 1``, so
+    the sender's fast path screens it like any single ACK rather than
+    taking it as a repeat or a stride. Adjacent blocks produce adjacent
+    ladder entries, so a round's burst reaches the sender as one run
+    however many blocks it arrived as.
+    """
+    if count == 1:
+        step = 1
+    if runs:
+        last_first, last_count, last_step = runs[-1]
+        joined = (last_step if last_count > 1 else step if count > 1
+                  else first - last_first)
+        if (joined >= 0 and last_first + last_count * joined == first
+                and (count == 1 or step == joined)):
+            runs[-1] = (last_first, last_count + count, joined)
+            return
+    runs.append((first, count, step))
 
 
-def _ladder_values(runs: list[tuple[int, int, int]]) -> np.ndarray:
-    """Every ACK value of a compressed ladder, in ladder order."""
-    counts = [run[1] for run in runs]
-    # Consecutive values differ by the run's step, except at a run's first
-    # entry, which jumps from the previous run's last value.
-    deltas = np.repeat([run[2] for run in runs], counts)
-    position = previous = 0
+def cut_around(items, size, dropped):
+    """``(item, start, stop)`` for each stretch of ``items`` left by ``dropped``.
+
+    ``items`` cover consecutive entries, ``size(item)`` each, and ``dropped``
+    holds sorted positions over all of them; ``[start, stop)`` is relative
+    to the item. O(items + drops).
+    """
+    cursor = offset = 0
+    for item in items:
+        length = size(item)
+        end = offset + length
+        start = 0
+        while cursor < len(dropped) and dropped[cursor] < end:
+            position = dropped[cursor] - offset
+            if position > start:
+                yield item, start, position
+            start = position + 1
+            cursor += 1
+        if start < length:
+            yield item, start, length
+        offset = end
+
+
+def drop_entries(runs: list[tuple[int, int, int]],
+                 dropped) -> list[tuple[int, int, int]]:
+    """The ladder without the entries at the sorted positions ``dropped``."""
+    out: list[tuple[int, int, int]] = []
+    for (first, _, step), start, stop in cut_around(runs, lambda run: run[1],
+                                                         dropped):
+        append_run(out, first + start * step, stop - start, step)
+    return out
+
+
+def every_nth_entry(runs: list[tuple[int, int, int]],
+                    every: int) -> list[tuple[int, int, int]]:
+    """Entries ``every - 1, 2 * every - 1, ...`` of the ladder.
+
+    Each input run yields at most one run, with ``every`` times its step: a
+    thinned per-packet stretch becomes one stretch-ACK run, ``step == every``.
+    """
+    out: list[tuple[int, int, int]] = []
+    offset = 0
     for first, count, step in runs:
-        deltas[position] = first - previous
-        previous = first + (count - 1) * step
-        position += count
-    return np.cumsum(deltas)
+        skip = (-offset - 1) % every
+        if skip < count:
+            append_run(out, first + skip * step, (count - skip - 1) // every + 1,
+                       step * every)
+        offset += count
+    return out
 
 
-def _progressions(values: np.ndarray) -> list[tuple[int, int, int]]:
-    """Encode ladder values as maximal ``(first, count, step)`` runs, greedily.
-
-    Each run starts at the first value not yet covered, takes its step from
-    the next value and extends while the differences stay equal. A run of
-    only two values that does not end the ladder is not formed: its first
-    value goes alone and its second may open the next run, so a lost ACK
-    between two per-packet stretches splits the ladder exactly at the gap.
-    Lone values are one-entry runs.
-    """
-    size = len(values)
-    if not size:
-        return []
-    differences = np.diff(values)
-    # ends[r] is the last value of the r-th stretch of equal differences.
-    ends = (np.flatnonzero(differences[1:] != differences[:-1]) + 1).tolist()
-    ends.append(size - 1)
-    values = values.tolist()
-    runs = []
-    begin = 0
-    for end in ends:
-        if end <= begin:
-            continue  # ``begin`` opens the next stretch
-        first = values[begin]
-        if end - begin >= 2 or end == size - 1:
-            runs.append((first, end - begin + 1, values[begin + 1] - first))
-            begin = end + 1
-        else:
-            runs.append((first, 1, 1))
-            begin = end
-    if begin == size - 1:
-        runs.append((values[begin], 1, 1))
-    return runs
-
-
-def _filter_ack_runs(runs: list[tuple[int, int, int]],
-                     kept: np.ndarray) -> list[tuple[int, int, int]]:
-    """Keep the ladder entries ``kept`` marks, as maximal progressions.
-
-    ``kept`` has one flag per ladder entry in run order (ACK loss draws, or
-    a middlebox's keep mask). The survivors are re-encoded as maximal
-    ``(first, count, step)`` progressions: a stretch with a lost ACK splits
-    around the gap, and one that keeps only every ``k``-th ACK (a thinning
-    middlebox) becomes a single ``step == k`` stretch-ACK run the sender
-    batches. The sender treats the jumps exactly as it treats a ladder with
-    holes.
-    """
-    return _progressions(_ladder_values(runs)[kept])
+def first_entries(runs: list[tuple[int, int, int]],
+                  count: int) -> list[tuple[int, int, int]]:
+    """The first ``count`` entries of the ladder."""
+    out: list[tuple[int, int, int]] = []
+    for first, size, step in runs:
+        if count <= 0:
+            break
+        append_run(out, first, min(size, count), step)
+        count -= size
+    return out
 
 
 def probe_with_w_timeout_ladder(server: ProbeableServer, condition: NetworkCondition,

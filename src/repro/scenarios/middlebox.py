@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core.gather import _filter_ack_runs
+from repro.core.gather import append_run, drop_entries, every_nth_entry, first_entries
 from repro.net.link import LinkStats, validate_windows
 
 
@@ -64,8 +62,9 @@ class MiddleboxConfig:
             if not 0 < self.cross_duration <= self.cross_period:
                 raise ValueError("cross_duration must lie in "
                                  "(0, cross_period]")
-            if self.cross_drop_every < 1:
-                raise ValueError("cross_drop_every must be at least 1")
+        if ((self.cross_period is not None or self.cross_windows)
+                and self.cross_drop_every < 1):
+            raise ValueError("cross_drop_every must be at least 1")
         object.__setattr__(
             self, "cross_windows",
             validate_windows(self.cross_windows, name="cross_windows"))
@@ -154,42 +153,45 @@ class MiddleboxSender:
                 return True
         return any(start <= now < end for start, end in config.cross_windows)
 
-    def _keep_mask(self, count: int, now: float) -> np.ndarray:
-        """Deterministic per-ACK keep mask for one round of ``count`` ACKs."""
+    def _filter(self, runs, total: int, now: float):
+        """The runs of the round's ``total`` ACKs that pass the chain.
+
+        Thinning keeps every ``thin_every``-th entry plus the round's final
+        ACK, the policer the first ``admitted``, and a cross-traffic burst
+        drops survivors ``0, m, 2m, ...`` (``m = cross_drop_every``).
+        """
         config = self._config
         stats = self._stats
+        passing = total
         every = config.thin_every
         if every > 1:
-            keep = np.zeros(count, dtype=bool)
-            keep[every - 1::every] = True
-            keep[-1] = True  # the round's final ACK always escapes
-            passing = -(-count // every)
-            stats.thinned_acks += count - passing
-        else:
-            keep = np.ones(count, dtype=bool)
-            passing = count
+            last_first, last_count, last_step = runs[-1]
+            runs = every_nth_entry(runs, every)
+            if total % every:
+                # The round's final ACK always escapes.
+                append_run(runs, last_first + (last_count - 1) * last_step, 1, 1)
+            passing = -(-total // every)
+            stats.thinned_acks += total - passing
         if self._policer is not None:
             admitted = self._policer.admit(passing, now)
             if admitted < passing:
                 stats.policer_dropped += passing - admitted
-                survivors = np.flatnonzero(keep)
-                keep[survivors[admitted:]] = False
+                runs = first_entries(runs, admitted)
                 passing = admitted
         if self._in_burst(now):
-            survivors = np.flatnonzero(keep)
-            victims = survivors[::config.cross_drop_every]
+            victims = range(0, passing, config.cross_drop_every)
             stats.cross_traffic_dropped += len(victims)
-            keep[victims] = False
+            runs = drop_entries(runs, victims)
             passing -= len(victims)
         stats.delivered += passing
-        return keep
+        return runs
 
     # ------------------------------------------------ intercepted sender API
     def on_ack_ladder(self, runs, now):
         """One round of compressed ACK runs, filtered through the chain.
 
-        The survivors go on as maximal progressions, so a thinned stretch
-        reaches the sender as one stretch-ACK run (``step == thin_every``).
+        A thinned stretch reaches the sender as one stretch-ACK run
+        (``step == thin_every``).
 
         Args:
             runs: The compressed ``(first, count, step)`` ladder runs.
@@ -203,9 +205,7 @@ class MiddleboxSender:
             return self._sender.on_ack_ladder(runs, now)
         total = sum(run[1] for run in runs)
         if total:
-            keep = self._keep_mask(total, now)
-            if not keep.all():
-                runs = _filter_ack_runs(runs, keep)
+            runs = self._filter(runs, total, now)
         return self._sender.on_ack_ladder(runs, now + config.stretch_seconds)
 
     # --------------------------------------------------- transparent proxying

@@ -32,10 +32,6 @@ from repro.tcp.slow_start import make_slow_start
 #: for debugging and for the parity tests, not for correctness).
 ACK_BATCH_ENV = "REPRO_ACK_BATCH"
 
-#: Runs shorter than this are processed by the scalar loop outright; the
-#: batch bookkeeping only pays for itself on longer runs.
-_MIN_BATCH_RUN = 4
-
 
 def ack_batch_enabled() -> bool:
     """Whether the batched ACK fast path is enabled (read per sender).
@@ -385,7 +381,7 @@ class TcpSender:
                     out.extend(self.on_ack_packet(first, now))
                 continue
             while remaining:
-                if remaining >= _MIN_BATCH_RUN and self._run_eligible():
+                if self._run_eligible():
                     consumed, emitted = self._fast_packet_run(first, remaining,
                                                               step, now)
                     if consumed:
@@ -422,9 +418,8 @@ class TcpSender:
         batch (contract (b)); the rest stay per-ACK. Because the run is an
         arithmetic progression, the clean-prefix check is range arithmetic
         and the Karn/send-time screening is a single span lookup. Returns
-        ``(consumed, emitted)``; ``consumed == 0`` means no prefix long
-        enough for the batch bookkeeping was clean and the caller takes the
-        scalar path for the next ACK.
+        ``(consumed, emitted)``; ``consumed == 0`` means the run's first ACK
+        is not clean and the caller takes the scalar path for it.
         """
         u0 = self._snd_una
         if first <= u0:
@@ -435,12 +430,14 @@ class TcpSender:
         room = (self._round_end - first) // step + 1
         if k > room:
             k = room
-        if k < _MIN_BATCH_RUN:
-            return 0, []
+            if k <= 0:
+                return 0, []
         # Karn's rule screening: the packets sampled for RTTs are
         # ``first - 1 + i * step``; they must share one send time (one span),
         # and no packet in ``[first - 1, last)`` may be a retransmission.
         t0, extent_stop = self._sent_extent(first - 1)
+        if t0 is None:
+            return 0, []
         sampled = (extent_stop - first) // step + 1
         if sampled < k:
             k = sampled
@@ -450,8 +447,8 @@ class TcpSender:
             nearest = min((p for p in retransmitted if lo <= p < hi), default=None)
             if nearest is not None:
                 k = (nearest - first) // step + 1
-        if k < _MIN_BATCH_RUN:
-            return 0, []
+                if k <= 0:
+                    return 0, []
         return k, self._consume_clean_run(range(first, first + k * step, step),
                                           k, t0, now)
 

@@ -9,15 +9,15 @@ from repro.core.gather import (
     GatherConfig,
     SyntheticServer,
     TraceGatherer,
-    _filter_ack_runs,
-    _surviving_stretches,
+    drop_entries,
     negotiate_probe_mss,
     probe_with_w_timeout_ladder,
 )
 from repro.core.trace import InvalidReason
 from repro.net.conditions import NetworkCondition
 from repro.tcp.connection import SenderConfig
-from tests.conftest import expand_runs, make_synthetic_server
+from repro.tcp.packet import SegmentBlock
+from tests.conftest import expand, expand_runs, make_synthetic_server
 
 
 class TestGatherConfig:
@@ -184,44 +184,107 @@ def ladders_with_masks(draw):
     return runs, np.array(kept, dtype=bool)
 
 
+def dropped_positions(kept) -> list[int]:
+    return np.flatnonzero(~kept).tolist()
+
+
+def one_progression(values) -> bool:
+    """Whether ``values`` are one arithmetic progression with a step >= 0."""
+    steps = {b - a for a, b in zip(values, values[1:])}
+    return len(steps) <= 1 and min(steps, default=0) >= 0
+
+
+class FixedDraws:
+    """An rng stand-in whose ``random(n)`` returns preset draws."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.draws)
+        return self.draws
+
+
+@st.composite
+def blocks_with_flags(draw):
+    """A round's blocks (maybe led by a retransmission) and a keep flag per
+    packet."""
+    mss = 100
+    blocks = []
+    start = draw(st.integers(min_value=0, max_value=20))
+    if draw(st.booleans()):
+        blocks.append(SegmentBlock(start, start + 1, mss, 0.5, mss,
+                                   is_retransmission=True))
+        start += draw(st.integers(min_value=1, max_value=5))
+    for index in range(draw(st.integers(min_value=1, max_value=5))):
+        size = draw(st.integers(min_value=1, max_value=30))
+        start += draw(st.integers(min_value=0, max_value=2))
+        blocks.append(SegmentBlock(start, start + size, mss, float(index),
+                                   draw(st.integers(min_value=1, max_value=mss))))
+        start += size
+    total = sum(len(block) for block in blocks)
+    kept = draw(st.lists(st.booleans(), min_size=total, max_size=total))
+    return blocks, kept
+
+
 class TestLadderFiltering:
+    """ACK loss splits ladder runs, and data loss splits blocks, at the drops."""
+
     @settings(max_examples=200, deadline=None)
     @given(ladders_with_masks())
     def test_filtered_ladder_expands_to_the_masked_ladder(self, case):
         runs, kept = case
-        filtered = _filter_ack_runs(runs, kept)
+        filtered = drop_entries(runs, dropped_positions(kept))
         expected = [value for value, keep in zip(expand_runs(runs), kept) if keep]
         assert expand_runs(filtered) == expected
         assert all(count >= 1 and step >= 0 for _, count, step in filtered)
         # Maximal: no run continues the progression of the one before it.
-        for (first, count, step), (nxt, _, nxt_step) in zip(filtered, filtered[1:]):
-            assert not (count > 1 and nxt_step == step
-                        and first + count * step == nxt)
+        for run, nxt in zip(filtered, filtered[1:]):
+            assert not one_progression(expand_runs([run, nxt]))
 
     def test_thinned_stretch_becomes_one_stride_run(self):
         kept = np.zeros(30, dtype=bool)
         kept[3::4] = True
         kept[-1] = True
-        assert _filter_ack_runs([(1, 30, 1)], kept) == [(4, 7, 4), (30, 1, 1)]
+        assert drop_entries([(1, 30, 1)], dropped_positions(kept)) == [
+            (4, 7, 4), (30, 1, 1)]
 
     def test_lost_acks_split_a_stretch_at_the_gaps(self):
         kept = np.ones(10, dtype=bool)
         kept[4] = False
-        assert _filter_ack_runs([(1, 10, 1)], kept) == [(1, 4, 1), (6, 5, 1)]
+        assert drop_entries([(1, 10, 1)], dropped_positions(kept)) == [
+            (1, 4, 1), (6, 5, 1)]
         # Losing 5 and 7 leaves 6 alone rather than pairing it with 8.
         kept[6] = False
-        assert _filter_ack_runs([(1, 10, 1)], kept) == [
+        assert drop_entries([(1, 10, 1)], dropped_positions(kept)) == [
             (1, 4, 1), (6, 1, 1), (8, 3, 1)]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.booleans(), min_size=1, max_size=80))
-    def test_surviving_stretches_match_a_scan(self, flags):
-        expected = []
-        for offset, flag in enumerate(flags):
-            if not flag:
-                continue
-            if expected and sum(expected[-1]) == offset:
-                expected[-1] = (expected[-1][0], expected[-1][1] + 1)
-            else:
-                expected.append((offset, 1))
-        assert _surviving_stretches(np.array(flags, dtype=bool)) == expected
+    @given(blocks_with_flags())
+    def test_surviving_stretches_match_a_scan(self, case):
+        blocks, kept = case
+        # A draw below the loss rate drops its packet.
+        draws = [0.9 if keep else 0.1 for keep in kept]
+        received = TraceGatherer()._deliver(
+            blocks, NetworkCondition(0.2, 0.0, 0.5), FixedDraws(draws))
+        assert expand(received) == [
+            segment for segment, keep in zip(expand(blocks), kept) if keep]
+        # The per-packet scan: each block's maximal stretches of kept packets.
+        stretches = []
+        flags = iter(kept)
+        for block in blocks:
+            open_stretch = False
+            for index in range(block.start_index, block.stop_index):
+                if not next(flags):
+                    open_stretch = False
+                elif open_stretch:
+                    stretches[-1][1] = index + 1
+                else:
+                    stretches.append([index, index + 1, block])
+                    open_stretch = True
+        assert len(received) == len(stretches)
+        for out, (start, stop, block) in zip(received, stretches):
+            assert (out.start_index, out.stop_index) == (start, stop)
+            # A block that lost nothing passes through as the same object.
+            if (start, stop) == (block.start_index, block.stop_index):
+                assert out is block

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.gather import GatherConfig, TraceGatherer
 from repro.net.conditions import NetworkCondition
+from repro.net.link import LinkStats
 from repro.scenarios import (
     EvasionConfig,
     EvasiveSender,
@@ -17,7 +19,7 @@ from repro.scenarios import (
 )
 from repro.web.crawler import PageSearchTool
 from repro.web.population import PopulationConfig, ServerPopulation
-from tests.conftest import make_synthetic_server
+from tests.conftest import expand_runs, make_synthetic_server
 
 
 def probe(server, seed=0, w_timeout=64,
@@ -32,6 +34,104 @@ def probe(server, seed=0, w_timeout=64,
 def assert_traces_identical(a, b):
     for trace_a, trace_b in zip(a.traces(), b.traces()):
         assert trace_a == trace_b
+
+
+class LadderRecorder:
+    """A sender stand-in that records every ladder it is handed."""
+
+    def __init__(self):
+        self.ladders = []
+
+    def on_ack_ladder(self, runs, now):
+        self.ladders.append((list(runs), now))
+        return []
+
+
+def round_through(server):
+    """Feed rounds of per-packet ACKs ``1..count`` through one connection's
+    middlebox; each round returns the ACK values the real sender is handed."""
+    sender = server.open_connection(mss=100, now=0.0, requested_bytes=10**6)
+    recorder = LadderRecorder()
+    sender._sender.on_ack_ladder = recorder.on_ack_ladder
+
+    def feed(count, now):
+        sender.on_ack_ladder([(1, count, 1)], now)
+        return expand_runs(recorder.ladders[-1][0])
+
+    return feed
+
+
+def keep_mask_model(config, policer, stats, count, now):
+    """Per-ACK keep mask of one ``count``-ACK round: the chain as a mask.
+
+    This is the chain as it was written before it worked on ladder runs;
+    the run arithmetic must pass the same ACKs and count the same drops.
+    """
+    every = config.thin_every
+    if every > 1:
+        keep = np.zeros(count, dtype=bool)
+        keep[every - 1::every] = True
+        keep[-1] = True  # the round's final ACK always escapes
+        passing = -(-count // every)
+        stats.thinned_acks += count - passing
+    else:
+        keep = np.ones(count, dtype=bool)
+        passing = count
+    if policer is not None:
+        admitted = policer.admit(passing, now)
+        if admitted < passing:
+            stats.policer_dropped += passing - admitted
+            survivors = np.flatnonzero(keep)
+            keep[survivors[admitted:]] = False
+            passing = admitted
+    bursting = (config.cross_period is not None
+                and now % config.cross_period < config.cross_duration)
+    if bursting or any(start <= now < end for start, end in config.cross_windows):
+        survivors = np.flatnonzero(keep)
+        victims = survivors[::config.cross_drop_every]
+        stats.cross_traffic_dropped += len(victims)
+        keep[victims] = False
+        passing -= len(victims)
+    stats.delivered += passing
+    return keep
+
+
+@st.composite
+def middlebox_configs(draw):
+    kwargs = dict(thin_every=draw(st.integers(min_value=1, max_value=7)),
+                  stretch_seconds=draw(st.sampled_from([0.0, 0.05])),
+                  cross_drop_every=draw(st.integers(min_value=1, max_value=4)))
+    if draw(st.booleans()):
+        kwargs.update(policer_capacity=draw(st.integers(min_value=1, max_value=40)),
+                      policer_rate=draw(st.floats(min_value=1.0, max_value=200.0)))
+    bursts = draw(st.sampled_from(["none", "periodic", "windows"]))
+    if bursts == "periodic":
+        period = draw(st.floats(min_value=0.5, max_value=4.0))
+        kwargs.update(cross_period=period,
+                      cross_duration=period * draw(st.floats(min_value=0.1,
+                                                             max_value=1.0)))
+    elif bursts == "windows":
+        kwargs.update(cross_windows=((0.5, 2.0), (3.0, 3.5), (6.0, 9.0)))
+    return MiddleboxConfig(**kwargs)
+
+
+@st.composite
+def ladder_rounds(draw):
+    """Rounds of non-decreasing ``(first, count, step)`` ladders, with times."""
+    rounds = []
+    now = 0.0
+    value = draw(st.integers(min_value=0, max_value=20))
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        runs = []
+        for _ in range(draw(st.integers(min_value=0, max_value=5))):
+            count = draw(st.integers(min_value=1, max_value=40))
+            step = draw(st.integers(min_value=0, max_value=5))
+            value += draw(st.integers(min_value=0, max_value=3))
+            runs.append((value, count, step))
+            value += (count - 1) * step
+        now += draw(st.floats(min_value=0.0, max_value=2.0))
+        rounds.append((runs, now))
+    return rounds
 
 
 class TestMiddleboxConfig:
@@ -58,6 +158,14 @@ class TestMiddleboxConfig:
             MiddleboxConfig(cross_period=5.0, cross_duration=6.0)
         with pytest.raises(ValueError, match="cross_windows"):
             MiddleboxConfig(cross_windows=((2.0, 1.0),))
+        # Bursts from explicit windows alone still need a drop stride.
+        for every in (0, -1):
+            with pytest.raises(ValueError, match="cross_drop_every"):
+                MiddleboxConfig(cross_windows=((1.0, 2.0),),
+                                cross_drop_every=every)
+            with pytest.raises(ValueError, match="cross_drop_every"):
+                MiddleboxConfig(cross_period=5.0, cross_duration=1.0,
+                                cross_drop_every=every)
 
 
 class TestTokenBucketPolicer:
@@ -86,21 +194,16 @@ class TestMiddleboxSender:
     def test_thinning_keeps_final_ack(self):
         server = MiddleboxServer(make_synthetic_server("reno"),
                                  MiddleboxConfig(thin_every=4))
-        sender = server.open_connection(mss=100, now=0.0,
-                                        requested_bytes=10**6)
-        mask = sender._keep_mask(10, now=0.0)
-        assert mask[-1]  # the round's cumulative point always escapes
-        assert mask.sum() < 10
-        assert server.stats.thinned_acks == 10 - int(mask.sum())
+        acks = round_through(server)(10, now=0.0)
+        assert acks[-1] == 10  # the round's cumulative point always escapes
+        assert acks == [4, 8, 10]
+        assert server.stats.thinned_acks == 10 - len(acks)
 
     def test_policer_counts_drops(self):
         server = MiddleboxServer(
             make_synthetic_server("reno"),
             MiddleboxConfig(policer_capacity=4, policer_rate=1.0))
-        sender = server.open_connection(mss=100, now=0.0,
-                                        requested_bytes=10**6)
-        mask = sender._keep_mask(10, now=0.0)
-        assert int(mask.sum()) == 4
+        assert round_through(server)(10, now=0.0) == [1, 2, 3, 4]
         assert server.stats.policer_dropped == 6
         assert server.stats.delivered == 4
 
@@ -108,12 +211,31 @@ class TestMiddleboxSender:
         config = MiddleboxConfig(cross_windows=((5.0, 6.0),),
                                  cross_drop_every=2)
         server = MiddleboxServer(make_synthetic_server("reno"), config)
-        sender = server.open_connection(mss=100, now=0.0,
-                                        requested_bytes=10**6)
-        assert sender._keep_mask(8, now=0.0).all()  # outside the burst
-        in_burst = sender._keep_mask(8, now=5.5)
-        assert int(in_burst.sum()) == 4
+        feed = round_through(server)
+        assert feed(8, now=0.0) == list(range(1, 9))  # outside the burst
+        assert feed(8, now=5.5) == [2, 4, 6, 8]
         assert server.stats.cross_traffic_dropped == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(middlebox_configs(), ladder_rounds())
+    def test_run_arithmetic_matches_the_keep_mask_model(self, config, rounds):
+        stats, model_stats = LinkStats(), LinkStats()
+        recorder = LadderRecorder()
+        sender = MiddleboxSender(recorder, config, stats)
+        policer = (None if config.policer_capacity is None else
+                   TokenBucketPolicer(config.policer_capacity, config.policer_rate))
+        for runs, now in rounds:
+            sender.on_ack_ladder(runs, now)
+            passed, when = recorder.ladders[-1]
+            values = expand_runs(runs)
+            if values and not config.is_neutral():
+                keep = keep_mask_model(config, policer, model_stats,
+                                       len(values), now)
+                values = [value for value, kept in zip(values, keep) if kept]
+            assert expand_runs(passed) == values
+            assert when == now + config.stretch_seconds
+            assert all(count >= 1 and step >= 0 for _, count, step in passed)
+            assert stats == model_stats
 
     def test_hostile_chain_still_produces_probe(self):
         server = MiddleboxServer(make_synthetic_server("reno"),

@@ -9,6 +9,7 @@ the batched RTO estimator.
 """
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -69,6 +70,22 @@ def acknowledge(sender, values, now, use_ladder):
     for value in values:
         blocks.extend(sender.on_ack_packet(value, now))
     return blocks
+
+
+def per_ack_values(sender):
+    """Record every ACK value the sender's scalar per-ACK engine receives.
+
+    Returns the list the values are appended to, in call order.
+    """
+    values = []
+    scalar = sender.on_ack_packet
+
+    def recording(ack_packets, now, **kwargs):
+        values.append(ack_packets)
+        return scalar(ack_packets, now, **kwargs)
+
+    sender.on_ack_packet = recording
+    return values
 
 
 def thin(values, every):
@@ -160,11 +177,12 @@ class TestRunApiEquivalence:
     def test_duplicate_values_fall_back(self):
         sender = make_sender("reno")
         acks = ack_values(sender.start(0.0))
+        per_ack = per_ack_values(sender)
         # Repeating the last value makes the run non-monotone: the sender
-        # must fall back and treat the repeat as a duplicate ACK.
+        # must fall back and treat every repeat as a duplicate ACK.
         sender.on_ack_ladder(ladder(acks + [acks[-1]] * 4), 1.0)
-        assert sender.batch_runs == 0
-        assert sender._dupack_count > 0
+        assert per_ack == [acks[-1]] * 4
+        assert sender._dupack_count == 4
 
     def test_mixed_transmission_times_split_at_the_boundary(self):
         def drive(use_ladder):
@@ -310,21 +328,24 @@ class TestStretchAckRuns:
         assert batch_out == scalar_out
         assert_senders_identical(batch, scalar)
 
-    @pytest.mark.parametrize("marked,batch_runs", [(8, 0), (7, 1)],
+    @pytest.mark.parametrize("marked,per_ack", [(8, [9]), (7, [])],
                              ids=["sampled", "in-gap"])
-    def test_retransmitted_packet_in_a_stride(self, marked, batch_runs):
+    def test_retransmitted_packet_in_a_stride(self, marked, per_ack):
         # The run samples packets 2, 5, 8, ...; a retransmission sent at the
         # original send time does not split the span, so only the Karn
-        # screening keeps the fast path away from it.
+        # screening keeps the fast path away from it: the ACK that samples
+        # the retransmitted packet goes per-ACK, and one that only covers it
+        # batches.
         senders = []
         for use_ladder in (True, False):
             sender = make_sender("reno", initial_window=20)
             sender.start(0.0)
             sender._retransmit(marked, 0.0)
+            values = per_ack_values(sender)
             out = acknowledge(sender, list(range(3, 19, 3)), 1.0, use_ladder)
-            senders.append((sender, expand(out)))
-        (batch, batch_out), (scalar, scalar_out) = senders
-        assert batch.batch_runs == batch_runs
+            senders.append((sender, expand(out), values))
+        (batch, batch_out, batch_per_ack), (scalar, scalar_out, _) = senders
+        assert batch_per_ack == per_ack
         assert batch_out == scalar_out
         assert_senders_identical(batch, scalar)
 
@@ -345,12 +366,26 @@ class TestStretchAckRuns:
                                **config_kwargs)
 
         batch, scalar = build(), build()
+        per_ack = per_ack_values(batch)
+        ladders = []
+        on_ack_ladder = batch.on_ack_ladder
+
+        def recording_ladder(runs, now):
+            del per_ack[:]
+            out = on_ack_ladder(runs, now)
+            strides = [run for run in runs if run[1] > 1 and run[2] > 1]
+            ladders.append((Counter(expand_runs(strides)), Counter(per_ack)))
+            return out
+
+        batch.on_ack_ladder = recording_ladder
         windows_batch, _ = drive_probe(batch, rounds=40, w_timeout=64,
                                        thin_every=4)
         windows_scalar, _ = drive_probe(scalar, rounds=40, w_timeout=64,
                                         thin_every=4, use_ladder=False)
         assert not batch._batch_decoupled
-        assert batch.batch_runs == 0
+        # Every ACK of every stride run reached the per-ACK engine.
+        assert any(strides for strides, _ in ladders)
+        assert all(strides <= scalar_acks for strides, scalar_acks in ladders)
         assert windows_batch == windows_scalar
         assert_senders_identical(batch, scalar)
 
@@ -359,10 +394,11 @@ class TestStretchAckRuns:
         batch, scalar = build(initial_window=20), build(initial_window=20)
         batch.start(0.0)
         scalar.start(0.0)
+        per_ack = per_ack_values(batch)
         batch_out = batch.on_ack_ladder([(1, 10, 2)], 1.0)
         scalar_out = acknowledge(scalar, list(range(1, 21, 2)), 1.0,
                                  use_ladder=False)
-        assert batch.batch_runs == 0
+        assert per_ack == list(range(1, 21, 2))
         assert expand(batch_out) == expand(scalar_out)
         assert_senders_identical(batch, scalar)
         assert vars(batch.algorithm) == vars(scalar.algorithm)
