@@ -5,7 +5,7 @@ the performance trajectory of the reproduction can be tracked across commits::
 
     PYTHONPATH=src python benchmarks/bench_smoke_inference.py [output.json]
 
-The workload is the ``small`` benchmark scale regardless of ``REPRO_SCALE``:
+The workload is fixed (no knob scales it):
 a full training set, a 60-tree forest, a 1,000-vector prediction batch (timed
 against the per-sample reference loop) and a 100-server census.
 """

@@ -1,7 +1,8 @@
 """Repository-level pytest configuration.
 
-Ensures ``src/`` is importable even when the package has not been installed
-(e.g. in offline environments where ``pip install -e .`` cannot build).
+Puts ``src/`` on ``sys.path``, so the suite imports ``repro`` from the
+checkout exactly as ``PYTHONPATH=src`` does everywhere else; the package is
+never installed.
 """
 
 import pathlib
@@ -24,7 +25,3 @@ def pytest_addoption(parser):
                           "cases in addition to the committed corpus")
     parser.addoption("--fuzz-seed", type=int, default=0,
                      help="differential harness: seed of the --fuzz draws")
-
-# Note: run the benchmark harness with ``-s`` (pytest benchmarks/
-# --benchmark-only -s) to see the reproduced tables and figure series each
-# benchmark prints; without it only the assertions and timings are reported.

@@ -18,7 +18,7 @@ on:
 * :mod:`repro.ml` -- the machine-learning substrate: decision trees, random
   forests, k-NN, naive Bayes and cross validation.
 * :mod:`repro.analysis` -- CDFs, tables and figure series used by the
-  benchmark harness.
+  reproduction report.
 
 Quickstart::
 

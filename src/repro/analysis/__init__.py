@@ -1,7 +1,8 @@
 """Analysis and reporting helpers.
 
 Empirical CDFs, fixed-width table rendering and figure-series extraction used
-by the benchmark harness to print each table and figure of the paper.
+by the command lines and the reproduction report to print each table and
+figure of the paper.
 """
 
 from repro.analysis.cdf import EmpiricalCdf

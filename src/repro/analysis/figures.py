@@ -1,8 +1,8 @@
 """Figure-series helpers.
 
-The benchmark harness regenerates every figure of the paper as plain data
-series (plus a compact ASCII rendering for quick inspection in the benchmark
-output); this module holds the shared plumbing.
+The experiment registry regenerates every figure of the paper as plain data
+series (plus a compact ASCII rendering for quick inspection in the
+reproduction report); this module holds the shared plumbing.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from repro.analysis.cdf import EmpiricalCdf
 def cdf_series(samples, points=None) -> list[tuple[float, float]]:
     """Return (value, cumulative fraction) pairs for a sample.
 
-    If ``points`` is given the CDF is evaluated at those values, which is how
-    the benchmark harness prints a compact fixed grid for each CDF figure.
+    If ``points`` is given the CDF is evaluated at those values, which gives
+    a compact fixed grid for each CDF figure.
 
     Args:
         samples: Any non-empty iterable of numbers.
@@ -53,7 +53,7 @@ def ascii_series(values, width: int = 60, height: int = 12,
                  label: str = "") -> str:
     """Render a numeric series as a small ASCII chart.
 
-    Used by the benchmark harness and the reproduction report to give a
+    Used by the reproduction report to give a
     visual impression of the window traces of Fig. 3 without any plotting
     dependency.
 

@@ -1,9 +1,8 @@
-"""Table rendering for the benchmark harness and the reproduction report.
+"""Table rendering for the command lines and the reproduction report.
 
-The benchmark harness prints the reproduced tables in the same row/column
-structure as the paper, and the experiment renderer emits the same data as
-Markdown in ``docs/RESULTS.md``; these helpers keep both formats in one
-place.
+The command lines print tables in the same row/column structure as the
+paper, and the experiment renderer emits the same data as Markdown in
+``docs/RESULTS.md``; these helpers keep both formats in one place.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from repro.cli.settings import (
     settings_from_args,
     train_classifier,
 )
-from repro.core.census import CensusConfig, CensusRunner
+from repro.core.census import CensusConfig, CensusRunner, validate_stop_after
 from repro.core.checkpoint import CensusCheckpoint, CheckpointError
 from repro.core.results import CensusReport
 from repro.faults import FaultPlan
@@ -86,7 +86,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # The pack dictates the condition preset, so the stored settings
         # are self-describing and resume rebuilds the same paths.
         settings["conditions"] = pack.condition_preset
-    runner = _build_runner(settings, backend=args.backend, workers=args.workers)
+    runner = _build_runner(settings, args)
     population = build_population(settings)
     print(f"running census of {args.servers} servers over {args.shards} shards "
           f"into {args.checkpoint} ...", flush=True)
@@ -115,7 +115,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     print(f"resuming {args.checkpoint}: shards {pending} pending "
           f"(rebuilding classifier and population from stored settings) ...",
           flush=True)
-    runner = _build_runner(settings, backend=args.backend, workers=args.workers)
+    runner = _build_runner(settings, args)
     population = build_population(settings)
     report = runner.resume(population, args.checkpoint,
                            stop_after_shards=args.stop_after_shards)
@@ -149,33 +149,37 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 # ------------------------------------------------------------------ helpers
-def _build_runner(settings: dict, backend: str, workers: int | None) -> CensusRunner:
+def _build_runner(settings: dict, args: argparse.Namespace) -> CensusRunner:
     """Train the classifier and assemble a :class:`CensusRunner`.
 
     Everything that affects report content comes from ``settings`` (stored
-    in the manifest); ``backend``/``workers`` are per-invocation execution
-    knobs that never change the results.
+    in the manifest); ``--backend``, ``--workers`` and
+    ``--stop-after-shards`` are per-invocation execution knobs that never
+    change the results. The config, and with it every argument, is checked
+    before the classifier trains, so a bad value costs no training time and
+    ``run`` leaves no checkpoint behind.
     """
+    validate_stop_after(args.stop_after_shards)
+    fault_plan = None
+    if settings.get("fault_plan"):
+        fault_plan = FaultPlan.from_json_dict(settings["fault_plan"])
+    scenario_pack = settings.get("scenario_pack")
+    config = CensusConfig(seed=settings["seed"], backend=args.backend,
+                          max_workers=args.workers,
+                          fault_plan=fault_plan,
+                          probe_deadline=settings.get("probe_deadline"),
+                          max_probe_attempts=settings.get("max_probe_attempts", 3),
+                          scenario_pack=scenario_pack)
     print(f"training classifier ({settings['trees']} trees, "
           f"{settings['training_conditions']} conditions/pair, "
           f"'{settings['conditions']}' paths) ...", flush=True)
     server_wrapper = None
-    scenario_pack = settings.get("scenario_pack")
     if scenario_pack is not None:
         pack = scenario_pack_by_name(scenario_pack)
         if pack.wraps_servers():
             # Retrain under the same adversity the census probes under.
             server_wrapper = pack.wrap_server
     classifier = train_classifier(settings, server_wrapper=server_wrapper)
-    fault_plan = None
-    if settings.get("fault_plan"):
-        fault_plan = FaultPlan.from_json_dict(settings["fault_plan"])
-    config = CensusConfig(seed=settings["seed"], backend=backend,
-                          max_workers=workers,
-                          fault_plan=fault_plan,
-                          probe_deadline=settings.get("probe_deadline"),
-                          max_probe_attempts=settings.get("max_probe_attempts", 3),
-                          scenario_pack=scenario_pack)
     return CensusRunner(classifier, config)
 
 

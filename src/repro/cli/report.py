@@ -7,7 +7,8 @@ Four subcommands drive the experiment registry:
 * ``run``    — execute experiments at a scale profile into the artifact
   cache. Re-running is a no-op for every experiment whose stored artifact's
   fingerprint (profile + experiment config + code) still matches; ``--force``
-  recomputes anyway.
+  recomputes anyway. At the ``small`` profile it also evaluates every
+  experiment's paper-shape checks, prints each failure and exits 1.
 * ``render`` — assemble the cached artifacts into ``docs/RESULTS.md``
   (deterministic: rendering twice from the same artifacts is byte-identical).
 * ``status`` — show the cache state per experiment (current / stale /
@@ -29,9 +30,10 @@ from repro.cli import run_handler
 from repro.experiments.profiles import DEFAULT_PROFILE, PROFILES, profile_by_name
 from repro.experiments.registry import all_experiments
 from repro.experiments.render import render_to_file
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import CHECKED_PROFILE, ExperimentRunner
 from repro.experiments.store import ArtifactStore
 from repro.parallel import BACKENDS, ParallelExecutor
+from repro.store import write_json_atomic
 
 PROG = "python -m repro.report"
 
@@ -50,7 +52,8 @@ def main(argv: list[str] | None = None) -> int:
         argv: Argument list (defaults to ``sys.argv[1:]``).
 
     Returns:
-        Process exit code: 0 on success, 2 on an artifact/usage error.
+        Process exit code: 0 on success, 1 when ``run`` finds a failed
+        paper-shape check, 2 on an artifact/usage error.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -75,7 +78,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     """``run``: execute the selected experiments into the artifact cache."""
     runner = _build_runner(args)
     names = _selection(args)
-    print(f"running {len(runner.select(names))} experiment(s) at the "
+    selected = runner.select(names)
+    print(f"running {len(selected)} experiment(s) at the "
           f"'{args.profile}' profile into {runner.store.directory} ...",
           flush=True)
     results = runner.run(names, force=args.force)
@@ -86,19 +90,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cached = len(results) - ran
     print(f"\n{ran} ran, {cached} cached "
           f"({'all artifacts current' if ran == 0 else 'cache updated'})")
+    failures = [f"{result.name}: {check}" for result in results
+                for check in result.failed_checks]
+    if args.profile == CHECKED_PROFILE:
+        total = sum(len(experiment.checks) for experiment in selected)
+        print(f"paper-shape checks: {total - len(failures)} of {total} passed")
+        for failure in failures:
+            print(f"FAILED CHECK {failure}")
+    else:
+        print(f"paper-shape checks: not evaluated (they run at the "
+              f"'{CHECKED_PROFILE}' profile)")
     if args.json:
-        payload = {
+        write_json_atomic(args.json, {
             "profile": args.profile,
             "artifacts": str(runner.store.directory),
             "results": [{"name": result.name, "status": result.status,
                          "elapsed_seconds": result.elapsed_seconds,
-                         "entries": result.entries} for result in results],
-        }
-        Path(args.json).write_text(json.dumps(payload, indent=2,
-                                              sort_keys=True) + "\n",
-                                   encoding="utf-8")
+                         "entries": result.entries,
+                         "failed_checks": list(result.failed_checks)}
+                        for result in results],
+        })
         print(f"wrote {args.json}")
-    return 0
+    return 1 if failures else 0
 
 
 def _cmd_render(args: argparse.Namespace) -> int:

@@ -95,6 +95,8 @@ class CensusConfig:
             from repro.scenarios import scenario_pack_by_name
 
             scenario_pack_by_name(self.scenario_pack)
+        if self.max_workers is not None and self.max_workers < 1:
+            raise ValueError("max_workers must be at least 1")
         if self.max_probe_attempts < 1:
             raise ValueError("max_probe_attempts must be at least 1")
         if self.backoff_base < 0 or self.backoff_max < 0:
@@ -163,8 +165,16 @@ def probe_server(record: ServerRecord, crawler: PageSearchTool,
     return outcome, probe
 
 
-def _validate_stop_after(stop_after_shards: int | None) -> None:
-    """Reject stop-after budgets that would silently still run a shard."""
+def validate_stop_after(stop_after_shards: int | None) -> None:
+    """Reject stop-after budgets that would silently still run a shard.
+
+    Args:
+        stop_after_shards: The shard budget of one invocation (``None`` =
+            every pending shard).
+
+    Raises:
+        ValueError: If the budget is below 1.
+    """
     if stop_after_shards is not None and stop_after_shards < 1:
         raise ValueError("stop_after_shards must be at least 1 (omit it to "
                          "run every pending shard)")
@@ -416,7 +426,7 @@ class CensusRunner:
             The merged :class:`CensusReport` if every shard completed in
             this invocation, else ``None`` (resume later).
         """
-        _validate_stop_after(stop_after_shards)
+        validate_stop_after(stop_after_shards)
         records = self._records(population)
         checkpoint = CensusCheckpoint.create(
             checkpoint_dir, seed=self.config.seed, num_shards=num_shards,
@@ -451,7 +461,7 @@ class CensusRunner:
                 missing, corrupt, or was created with a different
                 census/population/classifier configuration.
         """
-        _validate_stop_after(stop_after_shards)
+        validate_stop_after(stop_after_shards)
         checkpoint = CensusCheckpoint.open(checkpoint_dir)
         checkpoint.verify_fingerprint(self._fingerprint(population))
         return self._run_pending_shards(checkpoint, population,

@@ -3,10 +3,10 @@
 One :class:`~repro.experiments.registry.Experiment` per paper figure/table,
 executed by the :class:`~repro.experiments.runner.ExperimentRunner` into a
 fingerprinted JSONL artifact cache
-(:class:`~repro.experiments.store.ArtifactStore`) and rendered into
+(:class:`~repro.experiments.store.ArtifactStore`), checked against the
+paper's shapes at the ``small`` profile, and rendered into
 ``docs/RESULTS.md`` by :func:`~repro.experiments.render.render_markdown`.
-``python -m repro.report`` is the command-line front end and the benchmark
-scripts under ``benchmarks/`` are thin wrappers over the same entries.
+``python -m repro.report`` is the one command-line front end.
 """
 
 from repro.experiments.profiles import (

@@ -3,14 +3,15 @@
 Each entry's ``compute`` function produces a JSON-serialisable payload (the
 artifact cached by :mod:`repro.experiments.store`) and its ``render``
 function turns that payload into the Markdown section the report renderer
-assembles into ``docs/RESULTS.md``. The benchmark scripts under
-``benchmarks/`` are thin wrappers over these same entries, so a benchmark
-run and a report run compute identical numbers at the same seed.
+assembles into ``docs/RESULTS.md``. Its ``checks`` are the paper's shapes
+the payload must show (Table III accuracy above 0.85, RENO ≈ CTCP-a at
+``w_timeout`` 64, ...), with bounds set for the ``small`` profile, where
+``python -m repro.report run`` evaluates them.
 
 Seeds that are independent of the scale profile (the Fig. 3 / Fig. 8 /
-Figs. 13-18 trace gathering) are hard-coded here with the values the
-benchmark harness has always used; everything profile-dependent draws its
-sizes and seeds from the :class:`~repro.experiments.profiles.ScaleProfile`.
+Figs. 13-18 trace gathering) are hard-coded module constants; everything
+profile-dependent draws its sizes and seeds from the
+:class:`~repro.experiments.profiles.ScaleProfile`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.core.environments import ENVIRONMENT_A
 from repro.core.features import FeatureExtractor
 from repro.core.gather import GatherConfig, SyntheticServer, TraceGatherer
 from repro.core.prober import packet_level_trace
-from repro.core.special_cases import detect_special_case
+from repro.core.special_cases import SpecialCase, detect_special_case
 from repro.core.trace import InvalidReason
 from repro.experiments.registry import Experiment, ExperimentContext, register
 from repro.ml.dataset import LabeledDataset
@@ -38,9 +39,8 @@ from repro.tcp.connection import SenderConfig
 from repro.tcp.registry import IDENTIFIABLE_ALGORITHMS, algorithm_catalog
 from repro.web.crawler import PageSearchTool
 
-# Trace-gathering seeds shared with the historic benchmark scripts; changing
-# them changes every window-trace artifact, so they are module constants
-# (and thereby part of the code fingerprint).
+# Trace-gathering seeds; changing them changes every window-trace artifact,
+# so they are module constants (and thereby part of the code fingerprint).
 FIG3_SEED = 1
 FIG13_18_SEED = 5
 
@@ -96,8 +96,7 @@ def gather_fig3_traces():
     Returns:
         ``(traces, small)``: per-algorithm probes at ``w_timeout = 512`` and
         the panel (o) probes (RENO and both CTCP versions) at
-        ``w_timeout = 64``, gathered on one shared random stream exactly as
-        the historic benchmark did.
+        ``w_timeout = 64``, gathered on one shared random stream.
     """
     rng = np.random.default_rng(FIG3_SEED)
     condition = NetworkCondition.ideal()
@@ -183,6 +182,13 @@ def render_fig3(payload: dict) -> str:
              f"(distance "
              f"{payload['metrics']['min_pairwise_feature_distance']:.3f})."]
     return "\n\n".join(parts)
+
+
+def _reno_matches_ctcp(payload: dict) -> bool:
+    """Panel (o): RENO's first 10 post-timeout windows within 35 % of CTCP-a's."""
+    panel = payload["panel_o_post_timeout"]
+    return bool(np.allclose(panel["reno"][:10], panel["ctcp-a"][:10],
+                            rtol=0.35))
 
 
 # ==================================================== Figs. 4, 10, 11
@@ -571,6 +577,15 @@ def render_ablation(payload: dict) -> str:
     return format_markdown_table(["Classifier", "CV accuracy (%)"], rows)
 
 
+def _forest_is_best(payload: dict) -> bool:
+    """No full-feature classifier beats the random forest by more than 0.02."""
+    accuracies = payload["accuracies"]
+    forest = accuracies["random forest"]
+    return all(forest >= accuracy - 0.02
+               for name, accuracy in accuracies.items()
+               if "environment A only" not in name)
+
+
 # ============================================================ Table IV
 def compute_table4(context: ExperimentContext) -> dict:
     """Reproduce Table IV: the census identification results.
@@ -704,8 +719,7 @@ def gather_fig13_18_cases():
     """Gather the invalid/special-case traces of Figs. 13-17.
 
     Returns:
-        A dict of named probes, gathered on one shared random stream
-        exactly as the historic benchmark did.
+        A dict of named probes, gathered on one shared random stream.
     """
     rng = np.random.default_rng(FIG13_18_SEED)
     condition = NetworkCondition.ideal()
@@ -1174,7 +1188,9 @@ register(Experiment(
     description="The catalogue of congestion avoidance algorithms shipped "
                 "by the Windows and Linux families, with the OS versions "
                 "each one is the default of.",
-    compute=compute_table1, render=render_table1))
+    compute=compute_table1, render=render_table1,
+    checks={"the catalogue lists CTCP and CUBIC":
+            lambda p: all(name in render_table1(p) for name in ("CTCP", "CUBIC"))}))
 
 register(Experiment(
     name="fig3", kind="figure",
@@ -1185,7 +1201,10 @@ register(Experiment(
                 "`w_timeout = 64`. Every pair of algorithms must stay "
                 "distinguishable in feature space.",
     compute=compute_fig3, render=render_fig3,
-    config={"seed": FIG3_SEED, "w_timeout": 512, "panel_o_w_timeout": 64}))
+    config={"seed": FIG3_SEED, "w_timeout": 512, "panel_o_w_timeout": 64},
+    checks={"every algorithm pair differs in feature space (distance > 0.05)":
+            lambda p: p["metrics"]["min_pairwise_feature_distance"] > 0.05,
+            "RENO ≈ CTCP-a at w_timeout 64 (rtol 0.35)": _reno_matches_ctcp}))
 
 register(Experiment(
     name="fig4_10_11", kind="figure",
@@ -1196,7 +1215,17 @@ register(Experiment(
                 "justify the 1.0 s emulated RTT.",
     compute=compute_fig4_10_11, render=render_fig4_10_11,
     shared_resources=("condition_database",),
-    paper_values={"rtt_fraction_below_0.8s": 0.99}))
+    paper_values={"rtt_fraction_below_0.8s": 0.99},
+    checks={"RTTs below 0.8 s > 0.99":
+            lambda p: p["metrics"]["rtt_fraction_below_0.8s"] > 0.99,
+            "RTTs below 0.4 s > 0.85":
+            lambda p: p["metrics"]["rtt_fraction_below_0.4s"] > 0.85,
+            "median RTT standard deviation < 0.05 s":
+            lambda p: p["metrics"]["rtt_std_median_s"] < 0.05,
+            "median loss rate < 0.01":
+            lambda p: p["metrics"]["loss_rate_median"] < 0.01,
+            "every loss rate below 0.12":
+            lambda p: p["metrics"]["loss_fraction_below_0.12"] == 1.0}))
 
 register(Experiment(
     name="fig6_7", kind="figure",
@@ -1209,7 +1238,18 @@ register(Experiment(
     paper_values={"pipelining_limit_1_share": 0.47,
                   "pipelining_limit_3_share": 0.60,
                   "default_pages_above_100kb": 0.12,
-                  "longest_pages_above_100kb": 0.48}))
+                  "longest_pages_above_100kb": 0.48},
+    checks={"one-request pipelining share in [0.40, 0.55]":
+            lambda p: 0.40 <= p["metrics"]["pipelining_limit_1_share"] <= 0.55,
+            "at-most-three-request pipelining share in [0.50, 0.72]":
+            lambda p: 0.50 <= p["metrics"]["pipelining_limit_3_share"] <= 0.72,
+            "default pages above 100 kB in [0.05, 0.25]":
+            lambda p: 0.05 <= p["metrics"]["default_pages_above_100kb"] <= 0.25,
+            "longest found pages above 100 kB in [0.33, 0.65]":
+            lambda p: 0.33 <= p["metrics"]["longest_pages_above_100kb"] <= 0.65,
+            "longest found pages exceed 100 kB more often than default pages":
+            lambda p: (p["metrics"]["longest_pages_above_100kb"]
+                       > p["metrics"]["default_pages_above_100kb"])}))
 
 register(Experiment(
     name="fig8", kind="figure",
@@ -1220,7 +1260,12 @@ register(Experiment(
                 "rounds the features are extracted from.",
     compute=compute_fig8, render=render_fig8,
     config={"algorithm": "cubic-b", "w_timeout": 256, "initial_window": 3},
-    paper_values={"post_timeout_rounds": 18.0}))
+    paper_values={"post_timeout_rounds": 18.0},
+    checks={"18 post-timeout rounds":
+            lambda p: p["metrics"]["post_timeout_rounds"] == 18,
+            "the first post-timeout window is at most 2 packets":
+            lambda p: p["post_timeout"][0] <= 2,
+            "w_t exceeds w_timeout": lambda p: p["w_loss"] > p["w_timeout"]}))
 
 register(Experiment(
     name="table2", kind="table",
@@ -1228,7 +1273,10 @@ register(Experiment(
     description="The smallest MSS each probed Web server accepts from "
                 "CAAI's negotiation ladder.",
     compute=compute_table2, render=render_table2,
-    shared_resources=("population",)))
+    shared_resources=("population",),
+    checks={"MSS-100 share > 0.6": lambda p: p["metrics"]["mss_100_share"] > 0.6,
+            "share needing an MSS above 100 B > 0.05":
+            lambda p: p["metrics"]["mss_above_100_share"] > 0.05}))
 
 register(Experiment(
     name="fig12", kind="figure",
@@ -1240,7 +1288,18 @@ register(Experiment(
     compute=compute_fig12, render=render_fig12,
     shared_resources=("training_set",),
     config={"tree_counts": list(FIG12_TREE_COUNTS),
-            "subspace_sizes": list(FIG12_SUBSPACE_SIZES)}))
+            "subspace_sizes": list(FIG12_SUBSPACE_SIZES)},
+    checks={"K=80, m=4 >= best cell - 0.03":
+            lambda p: (p["metrics"]["selected_accuracy"]
+                       >= p["metrics"]["best_accuracy"] - 0.03),
+            "K=80 >= K=5 - 0.02 for every m":
+            lambda p: all(p["accuracy_grid"][f"m={m}"]["K=80"]
+                          >= p["accuracy_grid"][f"m={m}"]["K=5"] - 0.02
+                          for m in FIG12_SUBSPACE_SIZES),
+            "best cell accuracy > 0.85":
+            lambda p: p["metrics"]["best_accuracy"] > 0.85,
+            "the swept tree counts are 5, 10, 20, 40, 80":
+            lambda p: list(FIG12_TREE_COUNTS) == p["tree_counts"]}))
 
 register(Experiment(
     name="table3", kind="table",
@@ -1250,7 +1309,11 @@ register(Experiment(
                 "selected forest parameters.",
     compute=compute_table3, render=render_table3,
     shared_resources=("training_set",),
-    paper_values={"overall_accuracy": 0.9698}))
+    paper_values={"overall_accuracy": 0.9698},
+    checks={"overall accuracy > 0.85":
+            lambda p: p["metrics"]["overall_accuracy"] > 0.85,
+            "median per-class accuracy > 0.85":
+            lambda p: np.median(list(p["per_class_accuracy"].values())) > 0.85}))
 
 register(Experiment(
     name="ablation", kind="section",
@@ -1259,7 +1322,13 @@ register(Experiment(
                 "decision tree vs k-NN vs naive Bayes) plus an ablation "
                 "that drops the environment-B features.",
     compute=compute_ablation, render=render_ablation,
-    shared_resources=("training_set",)))
+    shared_resources=("training_set",),
+    checks={"random forest >= every full-feature classifier - 0.02":
+            _forest_is_best,
+            "random forest > environment-A-only forest - 0.01":
+            lambda p: (p["accuracies"]["random forest"]
+                       > p["accuracies"]["random forest (environment A only)"]
+                       - 0.01)}))
 
 register(Experiment(
     name="table4", kind="table",
@@ -1272,7 +1341,17 @@ register(Experiment(
     paper_values={"valid_fraction": 0.47,
                   "bic_cubic_share": 46.92,
                   "reno_share_lower_bound": 3.31,
-                  "unsure_share": 4.3}))
+                  "unsure_share": 4.3},
+    checks={"BIC/CUBIC share above RENO's":
+            lambda p: (p["metrics"]["bic_cubic_share"]
+                       > p["category_percentages"].get("reno", 0.0)),
+            "CTCP-a at least as common as CTCP-b":
+            lambda p: (p["category_percentages"].get("ctcp-a", 0.0)
+                       >= p["category_percentages"].get("ctcp-b", 0.0)),
+            "valid fraction in (0.2, 0.95)":
+            lambda p: 0.2 < p["metrics"]["valid_fraction"] < 0.95,
+            "ground-truth agreement > 0.7":
+            lambda p: p["metrics"]["ground_truth_accuracy"] > 0.7}))
 
 register(Experiment(
     name="sec7", kind="section",
@@ -1282,7 +1361,17 @@ register(Experiment(
                 "traces could not be gathered.",
     compute=compute_sec7, render=render_sec7,
     shared_resources=("population", "census_report"),
-    paper_values={"valid_fraction": 0.47}))
+    paper_values={"valid_fraction": 0.47},
+    checks={"Apache is the most common server software":
+            lambda p: max(p["software_shares"],
+                          key=p["software_shares"].get) == "apache",
+            "Apache share > 0.6": lambda p: p["software_shares"]["apache"] > 0.6,
+            "Europe > North America > half of Asia":
+            lambda p: (p["region_shares"]["europe"]
+                       > p["region_shares"]["north-america"]
+                       > p["region_shares"]["asia"] * 0.5),
+            "valid fraction in (0.2, 0.95)":
+            lambda p: 0.2 < p["metrics"]["valid_fraction"] < 0.95}))
 
 register(Experiment(
     name="fig13_18", kind="figure",
@@ -1291,7 +1380,22 @@ register(Experiment(
                 "categories: no timeout reached, Remaining at 1 Packet, "
                 "Nonincreasing Window, Approaching w_t and Bounded Window.",
     compute=compute_fig13_18, render=render_fig13_18,
-    config={"seed": FIG13_18_SEED, "w_timeout": 512}))
+    config={"seed": FIG13_18_SEED, "w_timeout": 512},
+    checks={"Fig. 13 is invalid: insufficient data or window below w_timeout":
+            lambda p: p["cases"]["fig13_no_timeout"]["invalid_reason"] in (
+                InvalidReason.INSUFFICIENT_DATA.value,
+                InvalidReason.WINDOW_BELOW_W_TIMEOUT.value),
+            "Fig. 14 is Remaining at 1 Packet":
+            lambda p: (p["cases"]["fig14_remaining_at_1"]["special_case"]
+                       == SpecialCase.REMAINING_AT_ONE.value),
+            # A window frozen above w_timeout is indistinguishable from a
+            # send-buffer bound, so either flat-trace category passes.
+            "Fig. 15 is Nonincreasing or Bounded Window":
+            lambda p: p["cases"]["fig15_nonincreasing"]["special_case"] in (
+                SpecialCase.NONINCREASING.value, SpecialCase.BOUNDED.value),
+            "Fig. 17 is Bounded Window or Approaching w_t":
+            lambda p: p["cases"]["fig17_bounded"]["special_case"] in (
+                SpecialCase.BOUNDED.value, SpecialCase.APPROACHING.value)}))
 
 register(Experiment(
     name="modern_families", kind="section",

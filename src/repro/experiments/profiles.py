@@ -4,9 +4,10 @@ Every paper experiment can run at three sizes:
 
 * ``smoke`` -- a seconds-scale configuration for CI and examples; shapes and
   qualitative conclusions hold, individual percentages are noisy.
-* ``small`` -- the historic benchmark default (a few minutes for the whole
-  registry); percentages are stable because every server and condition is an
-  independent draw.
+* ``small`` -- about two minutes for the whole registry; percentages are
+  stable because every server and condition is an independent draw, so the
+  experiments' paper-shape checks are written for (and evaluated at) this
+  profile.
 * ``paper`` -- the paper's sample counts (5600 training vectors, a census of
   63124 servers).
 
@@ -16,10 +17,8 @@ runs with equal profiles produce bit-identical artifacts; the profile is
 therefore part of every experiment's cache fingerprint
 (:func:`repro.experiments.registry.experiment_fingerprint`).
 
-The ``small``/``medium``/``paper`` sample counts and all seeds are exactly
-the ones the benchmark harness has always used (``benchmarks/bench_common``
-now reads them from here), which keeps the refactored benchmark wrappers
-bit-identical to their pre-registry versions.
+The ``small``/``medium``/``paper`` sample counts and all seeds predate the
+registry; keeping them keeps every artifact comparable with earlier runs.
 """
 
 from __future__ import annotations
@@ -59,8 +58,7 @@ class ScaleProfile:
     census_seed: int = 99
 
 
-#: Every named profile. ``small``/``medium``/``paper`` predate the registry
-#: (they are the benchmark harness's historic ``REPRO_SCALE`` values);
+#: Every named profile. ``small``/``medium``/``paper`` predate the registry;
 #: ``smoke`` is the CI-sized newcomer.
 PROFILES: dict[str, ScaleProfile] = {
     "smoke": ScaleProfile(name="smoke", training_conditions_per_pair=2,

@@ -3,8 +3,9 @@
 An :class:`Experiment` declares everything needed to reproduce one figure or
 table of the paper: a compute function (producing a JSON-serialisable
 payload), a render function (turning the payload into a Markdown section),
-the paper's published headline numbers (for the deltas the renderer prints)
-and which shared resources it needs.
+the paper's published headline numbers (for the deltas the renderer prints),
+the paper-shape checks its payload must pass, and which shared resources it
+needs.
 
 Experiments are cached by **fingerprint**
 (:func:`experiment_fingerprint`): a hash of the scale profile, the
@@ -63,6 +64,9 @@ class Experiment:
         shared_resources: Names of the :class:`ResourcePool` resources the
             experiment uses (empty = independent, safe to fan out).
         config: Extra experiment-specific knobs; part of the fingerprint.
+        checks: Named paper-shape predicates, ``check(payload) -> bool``;
+            the runner evaluates them at the profile they were written for
+            (:data:`repro.experiments.runner.CHECKED_PROFILE`).
     """
 
     name: str
@@ -74,6 +78,7 @@ class Experiment:
     paper_values: Mapping[str, float] = field(default_factory=dict)
     shared_resources: tuple[str, ...] = ()
     config: Mapping[str, object] = field(default_factory=dict)
+    checks: Mapping[str, Callable[[dict], bool]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in ("figure", "table", "section"):
@@ -82,6 +87,18 @@ class Experiment:
         if unknown:
             raise ValueError(f"unknown shared resources {sorted(unknown)}; "
                              f"valid names: {RESOURCE_NAMES}")
+
+    def failed_checks(self, payload: dict) -> tuple[str, ...]:
+        """The names of the checks ``payload`` fails, in declaration order.
+
+        Args:
+            payload: A payload of this experiment's ``compute``.
+
+        Returns:
+            The failing check names (empty when every check holds).
+        """
+        return tuple(name for name, check in self.checks.items()
+                     if not check(payload))
 
 
 _REGISTRY: dict[str, Experiment] = {}

@@ -26,6 +26,7 @@ from repro.experiments.registry import (
     select_experiments,
 )
 from repro.experiments.store import ArtifactStore
+from repro.store import write_atomic
 
 _SLUG_STRIP = re.compile(r"[^a-z0-9 -]")
 
@@ -135,10 +136,11 @@ def render_to_file(store: ArtifactStore, profile: ScaleProfile,
         experiments: Explicit experiment list (tests).
 
     Returns:
-        The written path.
+        The written path (replaced atomically, so a crash never leaves a
+        torn report).
     """
     output = Path(output)
     text = render_markdown(store, profile, names=names, experiments=experiments)
     output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(text, encoding="utf-8")
+    write_atomic(output, text.encode("utf-8"))
     return output

@@ -9,9 +9,6 @@ every experiment that asks.
 Construction is fully determined by the :class:`~repro.experiments.profiles.ScaleProfile`
 (sizes *and* seeds), so two pools with equal profiles produce bit-identical
 resources regardless of executor backend or how many experiments share them.
-The sizes and seeds of the ``small``/``medium``/``paper`` profiles are the
-benchmark harness's historic values, which is what keeps the refactored
-benchmark wrappers bit-identical to their pre-registry outputs.
 """
 
 from __future__ import annotations

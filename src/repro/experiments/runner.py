@@ -13,7 +13,9 @@ profile and one :class:`~repro.experiments.store.ArtifactStore`:
    :class:`~repro.experiments.resources.ResourcePool` whose inner workloads
    (training-set build, census probe phase) fan out over the same executor;
 4. artifacts are written in registry order, so the manifest has a single
-   writer and the store's files are deterministic.
+   writer and the store's files are deterministic;
+5. at :data:`CHECKED_PROFILE`, every selected experiment's paper-shape
+   checks are evaluated on its stored payload, fresh or cached alike.
 
 Payloads are fully determined by (profile, code), so the runner's backend
 and worker knobs only change wall-clock time, exactly like the census.
@@ -38,6 +40,10 @@ from repro.parallel import ParallelExecutor
 STATUS_RAN = "ran"
 STATUS_CACHED = "cached"
 
+#: The profile the experiments' paper-shape checks were written for. Its
+#: sample counts make the shapes stable; at ``smoke`` several are not.
+CHECKED_PROFILE = "small"
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -50,12 +56,15 @@ class RunResult:
         elapsed_seconds: Compute wall-clock time (the manifest's recorded
             time for cache hits).
         entries: Number of payload entries in the artifact.
+        failed_checks: Names of the experiment's checks the payload fails
+            (always empty away from :data:`CHECKED_PROFILE`).
     """
 
     name: str
     status: str
     elapsed_seconds: float
     entries: int
+    failed_checks: tuple[str, ...] = ()
 
 
 def _compute_independent(task: tuple[str, ScaleProfile]) -> tuple[str, dict, float]:
@@ -124,7 +133,8 @@ class ExperimentRunner:
 
         Returns:
             One :class:`RunResult` per selected experiment, in registry
-            order.
+            order; at :data:`CHECKED_PROFILE` each carries the checks its
+            payload failed.
         """
         selected = self.select(names)
         fingerprints = {experiment.name:
@@ -134,24 +144,30 @@ class ExperimentRunner:
                    if force or not self.store.is_current(
                        experiment.name, fingerprints[experiment.name])]
         computed = self._compute(pending)
+        checked = self.profile.name == CHECKED_PROFILE
         results: list[RunResult] = []
         manifest_entries = self.store.manifest()["experiments"]
         for experiment in selected:
-            if experiment.name in computed:
-                payload, elapsed = computed[experiment.name]
-                self.store.write(experiment.name,
-                                 fingerprints[experiment.name], payload,
+            name = experiment.name
+            if name in computed:
+                payload, elapsed = computed[name]
+                self.store.write(name, fingerprints[name], payload,
                                  elapsed_seconds=elapsed)
-                results.append(RunResult(name=experiment.name,
-                                         status=STATUS_RAN,
-                                         elapsed_seconds=elapsed,
-                                         entries=len(payload)))
+                status, entries = STATUS_RAN, len(payload)
             else:
-                entry = manifest_entries[experiment.name]
-                results.append(RunResult(
-                    name=experiment.name, status=STATUS_CACHED,
-                    elapsed_seconds=float(entry.get("elapsed_seconds", 0.0)),
-                    entries=int(entry.get("entries", 0))))
+                entry = manifest_entries[name]
+                status = STATUS_CACHED
+                elapsed = float(entry.get("elapsed_seconds", 0.0))
+                entries = int(entry.get("entries", 0))
+            failed: tuple[str, ...] = ()
+            if checked and experiment.checks:
+                # The stored payload, so a cached re-run gives the verdict
+                # of the run that computed it.
+                failed = experiment.failed_checks(
+                    self.store.load(name, fingerprints[name]))
+            results.append(RunResult(name=name, status=status,
+                                     elapsed_seconds=elapsed,
+                                     entries=entries, failed_checks=failed))
         return results
 
     def _compute(self, pending: list[Experiment]) -> dict[str, tuple[dict, float]]:

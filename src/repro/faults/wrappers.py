@@ -10,7 +10,10 @@ faults (``probe_timeout``, ``connection_reset``, ``ack_blackhole``,
 :class:`~repro.faults.plan.FaultInjected`.
 
 Both wrappers delegate everything they do not intercept, so a wrapped
-server behaves byte-identically until the instant a fault fires.
+server behaves byte-identically until the instant a fault fires. The
+delegation itself is :class:`TransparentProxy`, the base of every
+probe-path proxy (the fault shims here, the evasive servers and the
+middleboxes of :mod:`repro.scenarios`).
 """
 
 from __future__ import annotations
@@ -22,7 +25,44 @@ from repro.faults.plan import FaultInjected, FaultSpec
 DEFAULT_TRUNCATION_FRACTION = 0.05
 
 
-class FaultySender:
+class TransparentProxy:
+    """A proxy that delegates every attribute it does not own.
+
+    A subclass keeps the wrapped server or sender in the attribute named by
+    ``_INNER`` and lists every attribute it owns (``_INNER`` included) in
+    ``_OWN``. Reads of any other name fall through to the wrapped object and
+    writes land on it, so the proxy changes nothing but the methods it
+    defines.
+    """
+
+    _INNER = ""
+    _OWN: tuple[str, ...] = ()
+
+    def __getattr__(self, name):
+        """Delegate a read the proxy cannot answer to the wrapped object.
+
+        Args:
+            name: Attribute name.
+
+        Returns:
+            The wrapped object's attribute.
+        """
+        return getattr(object.__getattribute__(self, self._INNER), name)
+
+    def __setattr__(self, name, value):
+        """Keep writes to owned attributes; forward every other write.
+
+        Args:
+            name: Attribute name.
+            value: Value to set.
+        """
+        if name in self._OWN:
+            object.__setattr__(self, name, value)
+        else:
+            setattr(object.__getattribute__(self, self._INNER), name, value)
+
+
+class FaultySender(TransparentProxy):
     """A :class:`~repro.tcp.connection.TcpSender` proxy firing mid-trace faults.
 
     Counts probe rounds (one per :meth:`on_ack_ladder` call from the trace
@@ -31,6 +71,9 @@ class FaultySender:
     wrapped sender's behaviour — and rng consumption — is unchanged up to
     the firing round.
     """
+
+    _INNER = "_sender"
+    _OWN = ("_sender", "_specs", "_owner", "_round")
 
     def __init__(self, sender, specs: list[FaultSpec], owner: "FaultyServer"):
         """Wrap ``sender`` with the mid-trace faults of ``specs``.
@@ -42,16 +85,16 @@ class FaultySender:
                 (receives event records; its inner server is restarted by
                 ``server_restart`` faults).
         """
-        object.__setattr__(self, "_sender", sender)
-        object.__setattr__(self, "_specs", list(specs))
-        object.__setattr__(self, "_owner", owner)
-        object.__setattr__(self, "_round", 0)
+        self._sender = sender
+        self._specs = list(specs)
+        self._owner = owner
+        self._round = 0
 
     # ------------------------------------------------------- fault machinery
     def _advance_round(self) -> None:
         """Count one probe round; fire any fault scheduled for it."""
         current = self._round
-        object.__setattr__(self, "_round", current + 1)
+        self._round = current + 1
         for spec in self._specs:
             if spec.at_round != current:
                 continue
@@ -76,29 +119,8 @@ class FaultySender:
         self._advance_round()
         return self._sender.on_ack_ladder(runs, now)
 
-    # --------------------------------------------------- transparent proxying
-    def __getattr__(self, name):
-        """Delegate every non-intercepted attribute to the real sender.
 
-        Args:
-            name: Attribute name.
-
-        Returns:
-            The wrapped sender's attribute.
-        """
-        return getattr(self._sender, name)
-
-    def __setattr__(self, name, value):
-        """Forward attribute writes to the real sender.
-
-        Args:
-            name: Attribute name.
-            value: Value to set.
-        """
-        setattr(self._sender, name, value)
-
-
-class FaultyServer:
+class FaultyServer(TransparentProxy):
     """A :class:`~repro.core.gather.ProbeableServer` proxy injecting faults.
 
     Wraps the real server for one probe attempt, applying the attempt's
@@ -108,7 +130,7 @@ class FaultyServer:
     accounting.
     """
 
-    #: Attributes owned by the wrapper itself (everything else delegates).
+    _INNER = "_server"
     _OWN = ("_server", "_specs", "events")
 
     def __init__(self, server, specs: list[FaultSpec]):
@@ -119,9 +141,9 @@ class FaultyServer:
             specs: The probe-layer specs firing on this attempt (from
                 :meth:`~repro.faults.plan.FaultPlan.probe_faults`).
         """
-        object.__setattr__(self, "_server", server)
-        object.__setattr__(self, "_specs", list(specs))
-        object.__setattr__(self, "events", [])
+        self._server = server
+        self._specs = list(specs)
+        self.events = []
 
     # -------------------------------------------------------------- recording
     def record_event(self, kind: str, **detail) -> None:
@@ -140,26 +162,8 @@ class FaultyServer:
             restart()
 
     # ------------------------------------------------ ProbeableServer protocol
-    def accepts_mss(self, mss: int) -> bool:
-        """Whether the wrapped server accepts a connection with this MSS.
-
-        Args:
-            mss: The proposed maximum segment size.
-
-        Returns:
-            The wrapped server's verdict (never faulted — MSS negotiation
-            happens before any injected failure mode).
-        """
-        return self._server.accepts_mss(mss)
-
-    def uses_frto(self) -> bool:
-        """Whether the wrapped server runs F-RTO.
-
-        Returns:
-            The wrapped server's F-RTO flag.
-        """
-        return self._server.uses_frto()
-
+    # ``accepts_mss`` and ``uses_frto`` delegate: MSS negotiation happens
+    # before any injected failure mode.
     def open_connection(self, mss: int, now: float, requested_bytes: int):
         """Open a connection, subject to the attempt's connection-time faults.
 
@@ -197,28 +201,3 @@ class FaultyServer:
         if sender is None or not trace_specs:
             return sender
         return FaultySender(sender, trace_specs, self)
-
-    # --------------------------------------------------- transparent proxying
-    def __getattr__(self, name):
-        """Delegate every other attribute to the wrapped server.
-
-        Args:
-            name: Attribute name.
-
-        Returns:
-            The wrapped server's attribute (e.g. ``site``, ``profile``,
-            ``probe_path``).
-        """
-        return getattr(self._server, name)
-
-    def __setattr__(self, name, value):
-        """Forward writes to the wrapped server (except wrapper-owned state).
-
-        Args:
-            name: Attribute name.
-            value: Value to set.
-        """
-        if name in self._OWN:
-            object.__setattr__(self, name, value)
-        else:
-            setattr(self._server, name, value)

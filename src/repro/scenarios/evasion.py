@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.faults.wrappers import TransparentProxy
 from repro.store import key_bytes
 from repro.tcp.packet import block_packet_count
 
@@ -86,8 +87,11 @@ def evasion_rng(pack_seed: int, server_id: str,
     return np.random.default_rng(int.from_bytes(key, "little"))
 
 
-class EvasiveSender:
+class EvasiveSender(TransparentProxy):
     """A sender proxy applying one connection's evasive perturbations."""
+
+    _INNER = "_sender"
+    _OWN = ("_sender", "_config", "_rng")
 
     def __init__(self, sender, config: EvasionConfig,
                  rng: np.random.Generator):
@@ -98,9 +102,9 @@ class EvasiveSender:
             config: The evasion knobs.
             rng: The connection's dedicated perturbation stream.
         """
-        object.__setattr__(self, "_sender", sender)
-        object.__setattr__(self, "_config", config)
-        object.__setattr__(self, "_rng", rng)
+        self._sender = sender
+        self._config = config
+        self._rng = rng
 
     # -------------------------------------------------------- perturbations
     def _withhold(self, blocks):
@@ -155,29 +159,8 @@ class EvasiveSender:
             return deadline
         return deadline + self._config.timer_delay
 
-    # --------------------------------------------------- transparent proxying
-    def __getattr__(self, name):
-        """Delegate every non-intercepted attribute to the real sender.
 
-        Args:
-            name: Attribute name.
-
-        Returns:
-            The wrapped sender's attribute.
-        """
-        return getattr(self._sender, name)
-
-    def __setattr__(self, name, value):
-        """Forward attribute writes to the real sender.
-
-        Args:
-            name: Attribute name.
-            value: Value to set.
-        """
-        setattr(self._sender, name, value)
-
-
-class EvasiveServer:
+class EvasiveServer(TransparentProxy):
     """A server proxy whose connections evade window fingerprinting.
 
     Wraps any :class:`~repro.core.gather.ProbeableServer`; each opened
@@ -185,6 +168,7 @@ class EvasiveServer:
     returned inside an :class:`EvasiveSender`.
     """
 
+    _INNER = "_server"
     _OWN = ("_server", "_config", "_pack_seed", "_server_id",
             "connections_wrapped")
 
@@ -198,30 +182,11 @@ class EvasiveServer:
             pack_seed: The scenario pack's seed (perturbation-stream root).
             server_id: Stable server identifier for stream derivation.
         """
-        object.__setattr__(self, "_server", server)
-        object.__setattr__(self, "_config", config)
-        object.__setattr__(self, "_pack_seed", pack_seed)
-        object.__setattr__(self, "_server_id", server_id)
-        object.__setattr__(self, "connections_wrapped", 0)
-
-    def accepts_mss(self, mss: int) -> bool:
-        """Whether the wrapped server accepts a connection with this MSS.
-
-        Args:
-            mss: The proposed maximum segment size.
-
-        Returns:
-            The wrapped server's verdict.
-        """
-        return self._server.accepts_mss(mss)
-
-    def uses_frto(self) -> bool:
-        """Whether the wrapped server runs F-RTO.
-
-        Returns:
-            The wrapped server's F-RTO flag.
-        """
-        return self._server.uses_frto()
+        self._server = server
+        self._config = config
+        self._pack_seed = pack_seed
+        self._server_id = server_id
+        self.connections_wrapped = 0
 
     def open_connection(self, mss: int, now: float, requested_bytes: int):
         """Open a connection with this server's evasive perturbations.
@@ -243,32 +208,9 @@ class EvasiveServer:
         if sender is None or self._config.is_neutral():
             return sender
         index = self.connections_wrapped
-        object.__setattr__(self, "connections_wrapped", index + 1)
+        self.connections_wrapped = index + 1
         rng = evasion_rng(self._pack_seed, self._server_id, index)
         if self._config.ssthresh_range is not None:
             low, high = self._config.ssthresh_range
             sender.state.ssthresh = float(rng.uniform(low, high))
         return EvasiveSender(sender, self._config, rng)
-
-    def __getattr__(self, name):
-        """Delegate every other attribute to the wrapped server.
-
-        Args:
-            name: Attribute name.
-
-        Returns:
-            The wrapped server's attribute (e.g. ``site``, ``profile``).
-        """
-        return getattr(self._server, name)
-
-    def __setattr__(self, name, value):
-        """Forward writes to the wrapped server (except wrapper-owned state).
-
-        Args:
-            name: Attribute name.
-            value: Value to set.
-        """
-        if name in self._OWN:
-            object.__setattr__(self, name, value)
-        else:
-            setattr(self._server, name, value)

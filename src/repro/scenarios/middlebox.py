@@ -3,9 +3,9 @@
 Real paths put more than netem between CAAI and a server: NATs and
 accelerators thin or stretch ACK streams, policers rate-limit them, and
 cross-traffic bursts swallow them in clumps. These models intercept the
-probe's ACK ladder inside a protocol-transparent sender wrapper (the
-:class:`~repro.faults.wrappers.FaultySender` mold): everything not
-intercepted delegates to the real sender, and — crucially — every
+probe's ACK ladder inside a protocol-transparent sender wrapper (a
+:class:`~repro.faults.wrappers.TransparentProxy`, like the fault shims):
+everything not intercepted delegates to the real sender, and — crucially — every
 degradation here is **deterministic**, consuming zero draws from the probe's
 rng stream, so a middlebox with all knobs neutral leaves traces
 bit-identical.
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.gather import append_run, drop_entries, every_nth_entry, first_entries
+from repro.faults.wrappers import TransparentProxy
 from repro.net.link import LinkStats, validate_windows
 
 
@@ -118,7 +119,7 @@ class TokenBucketPolicer:
         return admitted
 
 
-class MiddleboxSender:
+class MiddleboxSender(TransparentProxy):
     """A sender proxy applying the ACK-path middlebox chain.
 
     Intercepts the round's ACK ladder
@@ -128,6 +129,9 @@ class MiddleboxSender:
     Everything else proxies to the wrapped sender untouched.
     """
 
+    _INNER = "_sender"
+    _OWN = ("_sender", "_config", "_stats", "_policer")
+
     def __init__(self, sender, config: MiddleboxConfig, stats: LinkStats):
         """Wrap ``sender`` with the middlebox chain of ``config``.
 
@@ -136,13 +140,12 @@ class MiddleboxSender:
             config: The middlebox knobs.
             stats: Shared per-server accounting for the drops.
         """
-        object.__setattr__(self, "_sender", sender)
-        object.__setattr__(self, "_config", config)
-        object.__setattr__(self, "_stats", stats)
-        object.__setattr__(self, "_policer",
-                           None if config.policer_capacity is None else
-                           TokenBucketPolicer(config.policer_capacity,
-                                              config.policer_rate))
+        self._sender = sender
+        self._config = config
+        self._stats = stats
+        self._policer = (None if config.policer_capacity is None else
+                         TokenBucketPolicer(config.policer_capacity,
+                                            config.policer_rate))
 
     # --------------------------------------------------------- the ACK chain
     def _in_burst(self, now: float) -> bool:
@@ -208,35 +211,17 @@ class MiddleboxSender:
             runs = self._filter(runs, total, now)
         return self._sender.on_ack_ladder(runs, now + config.stretch_seconds)
 
-    # --------------------------------------------------- transparent proxying
-    def __getattr__(self, name):
-        """Delegate every non-intercepted attribute to the real sender.
 
-        Args:
-            name: Attribute name.
-
-        Returns:
-            The wrapped sender's attribute.
-        """
-        return getattr(self._sender, name)
-
-    def __setattr__(self, name, value):
-        """Forward attribute writes to the real sender.
-
-        Args:
-            name: Attribute name.
-            value: Value to set.
-        """
-        setattr(self._sender, name, value)
-
-
-class MiddleboxServer:
+class MiddleboxServer(TransparentProxy):
     """A server proxy that puts a middlebox chain on every connection's ACKs.
 
     Wraps any :class:`~repro.core.gather.ProbeableServer`; each sender the
-    inner server opens is returned inside a :class:`MiddleboxSender`.
+    inner server opens is returned inside a :class:`MiddleboxSender`. The
+    middlebox is ACK-path only, so everything else (MSS negotiation, F-RTO,
+    ``site``, ``profile``) delegates to the inner server.
     """
 
+    _INNER = "_server"
     _OWN = ("_server", "_config", "stats")
 
     def __init__(self, server, config: MiddleboxConfig):
@@ -246,28 +231,9 @@ class MiddleboxServer:
             server: The real server (``WebServer`` or ``SyntheticServer``).
             config: The middlebox knobs applied to every connection.
         """
-        object.__setattr__(self, "_server", server)
-        object.__setattr__(self, "_config", config)
-        object.__setattr__(self, "stats", LinkStats())
-
-    def accepts_mss(self, mss: int) -> bool:
-        """Whether the wrapped server accepts a connection with this MSS.
-
-        Args:
-            mss: The proposed maximum segment size.
-
-        Returns:
-            The wrapped server's verdict (the middlebox is ACK-path only).
-        """
-        return self._server.accepts_mss(mss)
-
-    def uses_frto(self) -> bool:
-        """Whether the wrapped server runs F-RTO.
-
-        Returns:
-            The wrapped server's F-RTO flag.
-        """
-        return self._server.uses_frto()
+        self._server = server
+        self._config = config
+        self.stats = LinkStats()
 
     def open_connection(self, mss: int, now: float, requested_bytes: int):
         """Open a connection whose ACK path crosses the middlebox.
@@ -285,26 +251,3 @@ class MiddleboxServer:
         if sender is None:
             return None
         return MiddleboxSender(sender, self._config, self.stats)
-
-    def __getattr__(self, name):
-        """Delegate every other attribute to the wrapped server.
-
-        Args:
-            name: Attribute name.
-
-        Returns:
-            The wrapped server's attribute (e.g. ``site``, ``profile``).
-        """
-        return getattr(self._server, name)
-
-    def __setattr__(self, name, value):
-        """Forward writes to the wrapped server (except wrapper-owned state).
-
-        Args:
-            name: Attribute name.
-            value: Value to set.
-        """
-        if name in self._OWN:
-            object.__setattr__(self, name, value)
-        else:
-            setattr(self._server, name, value)

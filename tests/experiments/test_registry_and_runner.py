@@ -18,10 +18,11 @@ from repro.experiments.registry import (
     experiment_names,
     get_experiment,
 )
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import CHECKED_PROFILE, ExperimentRunner
 from repro.experiments.store import ArtifactStore
 
 SMOKE = PROFILES["smoke"]
+CHECKED = PROFILES[CHECKED_PROFILE]
 
 
 # ----------------------------------------------------------------- registry
@@ -72,8 +73,8 @@ class TestProfiles:
                 < paper.training_conditions_per_pair)
 
     def test_small_profile_keeps_the_historic_benchmark_values(self):
-        # These are the exact sizes/seeds the pre-registry benchmark harness
-        # used; changing them silently breaks benchmark comparability.
+        # The paper-shape checks' bounds were set at exactly these sizes and
+        # seeds; changing them moves every checked payload.
         small = PROFILES["small"]
         assert (small.training_conditions_per_pair, small.census_size,
                 small.condition_database_size, small.forest_trees,
@@ -214,6 +215,39 @@ class TestRunnerCaching:
         reseeded = ExperimentRunner(dataclasses.replace(SMOKE, census_seed=1),
                                     store, experiments=experiments)
         assert [row["state"] for row in reseeded.status()] == ["stale", "stale"]
+
+
+class TestShapeChecks:
+    """The runner evaluates each experiment's checks at ``small`` only."""
+
+    @staticmethod
+    def _scored(checks):
+        return [Experiment(name="scored", title="Scored", kind="table",
+                           description="d",
+                           compute=lambda context: {"metrics": {"score": 0.5}},
+                           render=lambda payload: "", checks=checks)]
+
+    def test_failing_check_is_reported_fresh_and_cached(self, tmp_path):
+        experiments = self._scored({
+            "score > 0.9": lambda payload: payload["metrics"]["score"] > 0.9,
+            "score < 0.9": lambda payload: payload["metrics"]["score"] < 0.9})
+        runner = ExperimentRunner(CHECKED,
+                                  ArtifactStore(tmp_path, CHECKED_PROFILE),
+                                  experiments=experiments)
+        fresh, = runner.run()
+        cached, = runner.run()
+        assert (fresh.status, cached.status) == ("ran", "cached")
+        assert fresh.failed_checks == cached.failed_checks == ("score > 0.9",)
+
+    def test_no_check_is_evaluated_at_smoke(self, tmp_path):
+        seen = []
+        experiments = self._scored(
+            {"never true": lambda payload: seen.append(payload) or False})
+        runner = ExperimentRunner(SMOKE, ArtifactStore(tmp_path, "smoke"),
+                                  experiments=experiments)
+        assert [result.failed_checks for result in runner.run()] == [()]
+        assert [result.failed_checks for result in runner.run()] == [()]
+        assert seen == []
 
 
 class TestRunnerOnRealExperiments:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli.report import main
+from repro.experiments import registry
 from repro.experiments.profiles import PROFILES
 from repro.experiments.registry import Experiment, experiment_fingerprint
 from repro.experiments.render import render_markdown, render_to_file
@@ -139,6 +140,44 @@ class TestCli:
         assert main(["run", "--only", "fig99",
                      "--artifacts", str(tmp_path / "a")]) == 2
         assert "fig99" in capsys.readouterr().err
+
+
+@pytest.fixture
+def failing_table1(monkeypatch):
+    """Give ``table1`` one check that no payload passes."""
+    monkeypatch.setitem(registry._REGISTRY, "table1", dataclasses.replace(
+        registry.get_experiment("table1"),
+        checks={"an impossible shape": lambda payload: False}))
+
+
+class TestShapeCheckCli:
+    def test_profile_independent_experiments_pass_their_checks(
+            self, tmp_path, capsys):
+        """Fig. 3's RENO ≈ CTCP-a and the special-case verdicts of
+        Figs. 13-18 need no training set, so tier-1 holds them too."""
+        assert main(["run", "--profile", "small",
+                     "--only", "table1,fig3,fig8,fig13_18",
+                     "--artifacts", str(tmp_path)]) == 0
+        assert "paper-shape checks: 10 of 10 passed" in capsys.readouterr().out
+
+    def test_failed_check_exits_1_and_is_named(self, tmp_path, capsys,
+                                               failing_table1):
+        arguments = ["run", "--profile", "small", "--only", "table1",
+                     "--artifacts", str(tmp_path),
+                     "--json", str(tmp_path / "run.json")]
+        assert main(arguments) == 1
+        assert "FAILED CHECK table1: an impossible shape" in \
+            capsys.readouterr().out
+        summary = json.loads((tmp_path / "run.json").read_text())
+        assert summary["results"][0]["failed_checks"] == ["an impossible shape"]
+        # A cached re-run fails the same way.
+        assert main(arguments) == 1
+
+    def test_smoke_run_evaluates_no_check(self, tmp_path, capsys,
+                                          failing_table1):
+        assert main(["run", "--only", "table1",
+                     "--artifacts", str(tmp_path)]) == 0
+        assert "not evaluated" in capsys.readouterr().out
 
 
 class TestFingerprintStability:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.cli.census import main as census_main
+from repro.cli.report import main as report_main
 from repro.cli.serve import main as serve_main
 from repro.core.census import CensusConfig, CensusRunner
 from repro.serving.artifact import save_model
@@ -160,3 +161,29 @@ class TestJsonReportsAreAtomic:
         ]) == 0
         assert (False, out.stat().st_ino) in fsync_log
         assert (True, tmp_path.stat().st_ino) in fsync_log
+
+
+class TestReproductionReportsAreAtomic:
+    """``python -m repro.report`` replaces its outputs the same way."""
+
+    def test_run_json_syncs_the_file_and_its_directory(self, tmp_path,
+                                                        fsync_log):
+        out = tmp_path / "run.json"
+        assert report_main(["run", "--only", "table1",
+                            "--artifacts", str(tmp_path / "artifacts"),
+                            "--json", str(out)]) == 0
+        assert (False, out.stat().st_ino) in fsync_log
+        assert (True, tmp_path.stat().st_ino) in fsync_log
+
+    def test_render_syncs_the_file_and_its_directory(self, tmp_path,
+                                                      fsync_log):
+        artifacts = str(tmp_path / "artifacts")
+        assert report_main(["run", "--only", "table1",
+                            "--artifacts", artifacts]) == 0
+        fsync_log.clear()  # only the render's own syncs
+        out = tmp_path / "RESULTS.md"
+        assert report_main(["render", "--only", "table1",
+                            "--artifacts", artifacts,
+                            "--output", str(out)]) == 0
+        assert sorted(fsync_log) == [(False, out.stat().st_ino),
+                                     (True, tmp_path.stat().st_ino)]

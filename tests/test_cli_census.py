@@ -3,7 +3,8 @@
 ``python -m repro.census`` is killed after its first shard, inspected,
 resumed on the ``process`` backend in a separate process, and merged in a
 third; the merged report must equal an uninterrupted in-process census
-built from the same settings.
+built from the same settings. A bad execution argument is rejected before
+any training, so it leaves no checkpoint behind.
 """
 
 import json
@@ -12,6 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.cli.census import main as census_main
 from repro.cli.settings import build_population, train_classifier
 from repro.core.census import CensusConfig, CensusRunner
 
@@ -61,3 +65,37 @@ def test_killed_census_resumes_on_processes_to_the_monolithic_report(tmp_path):
     merged = json.loads(report.read_text(encoding="utf-8"))
     assert merged["outcomes"] == [outcome.to_json_dict()
                                   for outcome in reference.outcomes]
+
+
+#: A census small enough to train and run in-process in about a second.
+TINY = ["--servers", "4", "--shards", "2", "--seed", "9", "--trees", "5",
+        "--training-conditions", "1", "--condition-db-size", "40"]
+
+
+@pytest.mark.parametrize("argument", [
+    ["--workers", "0"],
+    ["--max-probe-attempts", "0"],
+    ["--probe-deadline", "-1"],
+    ["--stop-after-shards", "0"],
+], ids=["workers", "max-probe-attempts", "probe-deadline", "stop-after-shards"])
+def test_run_rejects_a_bad_execution_argument_before_training(
+        tmp_path, capsys, argument):
+    checkpoint = tmp_path / "ckpt"
+    assert census_main(["run", "--checkpoint", str(checkpoint),
+                        *TINY, *argument]) == 2
+    assert "training classifier" not in capsys.readouterr().out
+    assert not (checkpoint / "manifest.json").exists()
+
+
+def test_resume_rejects_a_bad_execution_argument_before_training(
+        tmp_path, capsys):
+    checkpoint = str(tmp_path / "ckpt")
+    assert census_main(["run", "--checkpoint", checkpoint, *TINY,
+                        "--stop-after-shards", "1"]) == 1
+    manifest = (tmp_path / "ckpt" / "manifest.json").read_bytes()
+    capsys.readouterr()
+    for argument in (["--workers", "0"], ["--stop-after-shards", "0"]):
+        assert census_main(["resume", "--checkpoint", checkpoint,
+                            *argument]) == 2
+        assert "training classifier" not in capsys.readouterr().out
+    assert (tmp_path / "ckpt" / "manifest.json").read_bytes() == manifest
