@@ -9,10 +9,11 @@ can know.
 Run with:  python examples/internet_census.py [number_of_servers] [checkpoint_dir]
 
 With a ``checkpoint_dir`` the census runs **sharded and checkpointed**
-(4 shards): interrupt it at any point and re-run the same command -- it
-resumes from the checkpoint and the merged report is bit-identical to the
-uninterrupted run. The ``python -m repro.census`` CLI wraps the same
-machinery with run/resume/status/merge subcommands (see docs/CENSUS.md).
+(4 shards, drained by two work-stealing worker processes): interrupt it at
+any point and re-run the same command -- it resumes from the checkpoint
+and the merged report is bit-identical to the uninterrupted run. The
+``python -m repro.census`` CLI wraps the same machinery with
+run/resume/status/merge subcommands (see docs/CENSUS.md).
 """
 
 from __future__ import annotations
@@ -40,16 +41,13 @@ def main(size: int = 200, checkpoint_dir: str | None = None) -> None:
         print("Running the census (crawl, MSS negotiation, probing, classification)...")
         report = runner.run(population)
     else:
-        import os
+        from repro.serving.orchestrator import CensusOrchestrator
 
-        from repro.core.checkpoint import MANIFEST_NAME
-        if os.path.exists(os.path.join(checkpoint_dir, MANIFEST_NAME)):
-            print(f"Resuming the checkpointed census in {checkpoint_dir}...")
-            report = runner.resume(population, checkpoint_dir)
-        else:
-            print(f"Running a 4-shard checkpointed census into {checkpoint_dir}...")
-            report = runner.run_sharded(population, checkpoint_dir, num_shards=4)
-        assert report is not None
+        # Creates the checkpoint, or attaches to it and drains what is left.
+        print(f"Running a 4-shard checkpointed census in {checkpoint_dir}...")
+        orchestrator = CensusOrchestrator(runner, population, checkpoint_dir,
+                                          num_shards=4)
+        report = orchestrator.run(workers=2)
 
     print(f"\nServers probed: {len(report)}")
     print(f"Valid traces:   {len(report.valid_outcomes)} "

@@ -9,8 +9,8 @@ Three subcommands manage persistable trained-model artifacts
   artifact's metadata, so an artifact is self-describing.
 * ``load``    — load an artifact (timed), verifying magic, version,
   checksum and fingerprint; prints the load time and fingerprint. This is
-  the cold-start path ``python -m repro.serve`` takes — milliseconds, never
-  a retrain.
+  the cold-start path ``python -m repro.census run --artifact`` takes —
+  milliseconds, never a retrain.
 * ``inspect`` — print the artifact's header summary (classes, tree/node
   counts, payload size, fingerprint, metadata) without reconstructing the
   forest.

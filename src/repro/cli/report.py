@@ -26,7 +26,7 @@ import json
 from pathlib import Path
 
 from repro.analysis.tables import format_table
-from repro.cli import run_handler
+from repro.cli import require_parent_directories, run_handler
 from repro.experiments.profiles import DEFAULT_PROFILE, PROFILES, profile_by_name
 from repro.experiments.registry import all_experiments
 from repro.experiments.render import render_to_file
@@ -76,6 +76,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """``run``: execute the selected experiments into the artifact cache."""
+    require_parent_directories(args.json)
     runner = _build_runner(args)
     names = _selection(args)
     selected = runner.select(names)

@@ -1,15 +1,14 @@
 """Shared training/population settings for the census-family CLIs.
 
-``python -m repro.census``, ``python -m repro.model`` and
-``python -m repro.serve`` all need the same recipe: a seeded condition
-database, a seeded training set, a seeded forest, a seeded population. This
-module owns that recipe once — the argparse options, the settings dict they
-produce (the exact shape stored in checkpoint manifests and model-artifact
-metadata), and the builders that turn settings back into a trained
-classifier or a generated population. Because everything is keyed by the
-settings alone, any CLI rebuilding from the same dict gets bit-identical
-objects — the property resume, artifact round-trips and the serving smoke
-check all rest on.
+``python -m repro.census`` and ``python -m repro.model`` need the same
+recipe: a seeded condition database, a seeded training set, a seeded
+forest, a seeded population. This module owns that recipe once — the
+argparse options, the settings dict they produce (the exact shape stored in
+checkpoint manifests and model-artifact metadata), and the builders that
+turn settings back into a trained classifier or a generated population.
+Because everything is keyed by the settings alone, any CLI rebuilding from
+the same dict gets bit-identical objects — the property resume and
+artifact round-trips rest on.
 """
 
 from __future__ import annotations
@@ -21,12 +20,16 @@ from repro.core.training import TrainingSetBuilder
 from repro.net.conditions import CONDITION_DB_PRESETS, condition_database_preset
 from repro.web.population import PopulationConfig, ServerPopulation
 
-#: Settings keys produced by :func:`add_training_arguments`.
-TRAINING_KEYS = ("conditions", "condition_db_size", "condition_seed",
-                 "training_conditions", "training_seed", "trees",
-                 "forest_seed")
+#: Settings keys of the condition database, which both the population and
+#: the training set draw their paths from.
+CONDITION_KEYS = ("conditions", "condition_db_size", "condition_seed")
 
-#: Settings keys produced by :func:`add_population_arguments`.
+#: Settings keys produced by :func:`add_training_arguments`.
+TRAINING_KEYS = CONDITION_KEYS + ("training_conditions", "training_seed",
+                                  "trees", "forest_seed")
+
+#: Settings keys of the synthetic population (``--servers``,
+#: ``--population-seed``).
 POPULATION_KEYS = ("servers", "population_seed")
 
 
@@ -53,18 +56,6 @@ def add_training_arguments(parser: argparse.ArgumentParser) -> None:
                         help="random-forest size (default: 60)")
     parser.add_argument("--forest-seed", type=int, default=0,
                         help="seed of the random forest")
-
-
-def add_population_arguments(parser: argparse.ArgumentParser) -> None:
-    """Add the synthetic-population options shared by census and serve.
-
-    Args:
-        parser: The (sub)parser to add the options to.
-    """
-    parser.add_argument("--servers", type=int, default=100,
-                        help="population size (default: 100)")
-    parser.add_argument("--population-seed", type=int, default=2011,
-                        help="seed of the synthetic server population")
 
 
 def settings_from_args(args: argparse.Namespace,

@@ -24,6 +24,10 @@ Execution is organised in two phases so both hot paths scale:
 * the **classification phase** (steps 5-6) routes every pending feature
   vector through the forest in one vectorised batch
   (:meth:`~repro.core.classifier.CaaiClassifier.classify_vectors`).
+
+A sharded, checkpointed census that survives interruption runs the same
+pipeline shard by shard through
+:class:`repro.serving.orchestrator.CensusOrchestrator`.
 """
 
 from __future__ import annotations
@@ -33,12 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.checkpoint import (
-    CensusCheckpoint,
-    census_fingerprint,
-    classifier_fingerprint,
-    shard_assignments,
-)
+from repro.core.checkpoint import census_fingerprint, classifier_fingerprint
 from repro.core.classifier import CaaiClassifier
 from repro.core.gather import negotiate_probe_mss, probe_with_w_timeout_ladder
 from repro.core.labels import UNSURE
@@ -163,21 +162,6 @@ def probe_server(record: ServerRecord, crawler: PageSearchTool,
         return outcome, None
 
     return outcome, probe
-
-
-def validate_stop_after(stop_after_shards: int | None) -> None:
-    """Reject stop-after budgets that would silently still run a shard.
-
-    Args:
-        stop_after_shards: The shard budget of one invocation (``None`` =
-            every pending shard).
-
-    Raises:
-        ValueError: If the budget is below 1.
-    """
-    if stop_after_shards is not None and stop_after_shards < 1:
-        raise ValueError("stop_after_shards must be at least 1 (omit it to "
-                         "run every pending shard)")
 
 
 def _invalid_reason(probe: ProbeTrace, profile) -> InvalidReason:
@@ -398,108 +382,6 @@ class CensusRunner:
             report.add(outcome)
         return report
 
-    def run_sharded(self, population: ServerPopulation,
-                    checkpoint_dir, *, num_shards: int = 8,
-                    stop_after_shards: int | None = None,
-                    settings: dict | None = None) -> CensusReport | None:
-        """Start a checkpointed census split over ``num_shards`` shards.
-
-        Every server is assigned to a shard by a stable hash of its id and
-        the census seed (:func:`repro.core.checkpoint.shard_of`); each shard
-        is probed and classified like a miniature census and persisted as an
-        append-only JSONL file before the manifest marks it complete. The
-        run can be interrupted at any point (between or inside shards) and
-        picked up with :meth:`resume`.
-
-        Args:
-            population: The server population (generated on demand).
-            checkpoint_dir: Directory for the manifest and shard files; must
-                not already contain a checkpoint.
-            num_shards: How many shards to split the census into.
-            stop_after_shards: Stop (returning ``None``) after completing
-                this many shards in this invocation — lets callers spread
-                one census over several invocations or simulate a kill.
-            settings: Free-form dict stored in the manifest (the CLI keeps
-                everything needed to rebuild population + classifier here).
-
-        Returns:
-            The merged :class:`CensusReport` if every shard completed in
-            this invocation, else ``None`` (resume later).
-        """
-        validate_stop_after(stop_after_shards)
-        records = self._records(population)
-        checkpoint = CensusCheckpoint.create(
-            checkpoint_dir, seed=self.config.seed, num_shards=num_shards,
-            fingerprint=self._fingerprint(population),
-            population_size=len(records), settings=settings)
-        return self._run_pending_shards(checkpoint, population,
-                                        stop_after_shards)
-
-    def resume(self, population: ServerPopulation,
-               checkpoint_dir, *,
-               stop_after_shards: int | None = None) -> CensusReport | None:
-        """Continue an interrupted sharded census from its checkpoint.
-
-        Completed shards are skipped (their outcomes are reloaded from disk
-        at merge time); pending shards are re-run from scratch. Because each
-        server's random stream is derived only from the census seed and the
-        server's population position, the merged report is bit-identical to
-        an uninterrupted monolithic :meth:`run` — regardless of shard count,
-        interruption point, or backend.
-
-        Args:
-            population: The same population the checkpoint was created with.
-            checkpoint_dir: Directory of the existing checkpoint.
-            stop_after_shards: As for :meth:`run_sharded`.
-
-        Returns:
-            The merged :class:`CensusReport` once every shard is complete,
-            else ``None``.
-
-        Raises:
-            repro.core.checkpoint.CheckpointError: If the checkpoint is
-                missing, corrupt, or was created with a different
-                census/population/classifier configuration.
-        """
-        validate_stop_after(stop_after_shards)
-        checkpoint = CensusCheckpoint.open(checkpoint_dir)
-        checkpoint.verify_fingerprint(self._fingerprint(population))
-        return self._run_pending_shards(checkpoint, population,
-                                        stop_after_shards)
-
-    @staticmethod
-    def checkpoint_status(checkpoint_dir) -> dict:
-        """Progress summary of a checkpoint directory (see CLI ``status``).
-
-        Args:
-            checkpoint_dir: Directory of an existing checkpoint.
-
-        Returns:
-            The checkpoint's :meth:`~repro.core.checkpoint.CensusCheckpoint.status`
-            dict (seed, completed/pending shards, settings).
-        """
-        return CensusCheckpoint.open(checkpoint_dir).status()
-
-    @staticmethod
-    def merge_checkpoint(checkpoint_dir) -> CensusReport:
-        """Merge a fully completed checkpoint into a :class:`CensusReport`.
-
-        Needs no classifier or population: the shard files already carry the
-        classified outcomes. Outcomes are ordered by population index, so
-        the merged report is bit-identical to the monolithic run.
-
-        Args:
-            checkpoint_dir: Directory of a checkpoint with no pending shards.
-
-        Returns:
-            The merged report.
-
-        Raises:
-            repro.core.checkpoint.CheckpointError: If shards are pending or
-                any shard file fails validation.
-        """
-        return CensusCheckpoint.open(checkpoint_dir).merge_report()
-
     def measure_indices(self, records: list[ServerRecord],
                         indices: list[int],
                         seeds: list | None = None) -> list[ServerOutcome]:
@@ -543,13 +425,7 @@ class CensusRunner:
     def _measure_indices(self, records: list[ServerRecord],
                          indices: list[int],
                          seeds: list | None = None) -> list[ServerOutcome]:
-        """Probe and classify the records at ``indices``, in that order.
-
-        Seeds are derived from the census seed and each record's position in
-        the **full** population, so measuring any subset yields outcomes
-        bit-identical to the same servers inside a monolithic run. Callers
-        measuring several subsets pass the precomputed full-population
-        ``seeds`` list to avoid re-deriving it per subset.
+        """The body of :meth:`measure_indices`, which :meth:`run` also uses.
 
         When execution faults are possible (a fault plan with
         ``worker_death`` specs, or a ``task_timeout``), task failures are
@@ -664,41 +540,6 @@ class CensusRunner:
             attempts=len(failed_attempts),
             fault_events=tuple(failed_attempts),
         ), None)
-
-    def _run_pending_shards(self, checkpoint: CensusCheckpoint,
-                            population: ServerPopulation,
-                            stop_after_shards: int | None) -> CensusReport | None:
-        """Run every pending shard (up to ``stop_after_shards``), then merge.
-
-        A ``torn_checkpoint`` fault in the plan cuts the shard write short
-        and raises :class:`~repro.core.checkpoint.TornWriteError`, exactly
-        like a crash mid-write would; the shard stays pending and a resume
-        re-runs it (the rewrite is self-healing — ``write_shard`` truncates).
-        The write attempt is 1 when a partial shard file from an earlier
-        tear already exists, so ``persist_attempts=1`` tears exactly once.
-        """
-        records = self._records(population)
-        assignments = shard_assignments(
-            [record.profile.server_id for record in records],
-            checkpoint.seed, checkpoint.num_shards)
-        seeds = task_seeds(self.config.seed, len(records))
-        plan = self.config.fault_plan
-        completed_now = 0
-        for shard_index in checkpoint.pending_shards():
-            indices = assignments[shard_index]
-            outcomes = self._measure_indices(records, indices, seeds=seeds)
-            torn_after = None
-            if plan is not None and not plan.empty:
-                write_attempt = 1 if checkpoint.shard_path(shard_index).exists() else 0
-                torn_after = plan.torn_write_after(shard_index, write_attempt)
-            checkpoint.write_shard(shard_index, list(zip(indices, outcomes)),
-                                   torn_after=torn_after)
-            completed_now += 1
-            if stop_after_shards is not None and completed_now >= stop_after_shards:
-                break
-        if checkpoint.all_complete():
-            return checkpoint.merge_report(expected_size=len(records))
-        return None
 
     def _classify_pending(self, pending: list[tuple[ServerOutcome, ProbeTrace]]) -> None:
         """Steps 5-6 for every outcome that survived the probe phase."""

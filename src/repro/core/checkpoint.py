@@ -372,10 +372,6 @@ class CensusCheckpoint:
         return [i for i in range(self.num_shards)
                 if self.shard_status(i) == SHARD_COMPLETE]
 
-    def all_complete(self) -> bool:
-        """Whether every shard has completed."""
-        return not self.pending_shards()
-
     def status(self) -> dict:
         """Machine-readable progress summary (what ``status`` prints).
 
@@ -390,7 +386,7 @@ class CensusCheckpoint:
             "population_size": self.manifest.get("population_size"),
             "completed_shards": self.completed_shards(),
             "pending_shards": self.pending_shards(),
-            "complete": self.all_complete(),
+            "complete": not self.pending_shards(),
             "fingerprint": self.manifest.get("fingerprint"),
             "settings": self.settings,
         }

@@ -9,17 +9,17 @@ needs.
 
 Experiments are cached by **fingerprint**
 (:func:`experiment_fingerprint`): a hash of the scale profile, the
-experiment's declared config, and the source code of the experiments
-package. Equal fingerprints guarantee equal payloads, so the runner can
-safely skip a re-run whose fingerprint matches the stored artifact — and a
-change to the profile, the config *or the code* invalidates the cache.
+experiment's declared config, and the source code of every module of the
+``repro`` package. The runner skips a re-run whose fingerprint matches the
+stored artifact, and a change to the profile, the config *or any module*
+invalidates the cache.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Mapping
 
 from repro.experiments.profiles import ScaleProfile
@@ -27,8 +27,13 @@ from repro.experiments.resources import RESOURCE_NAMES, ResourcePool
 from repro.parallel import ParallelExecutor
 from repro.store import digest, fingerprint
 
-#: Fingerprint format version; bumped on incompatible payload-schema changes.
-FINGERPRINT_FORMAT_VERSION = 1
+#: Fingerprint format version; bumped on incompatible payload-schema changes
+#: and on any change to what the fingerprint covers.
+FINGERPRINT_FORMAT_VERSION = 2
+
+#: Root of the ``repro`` package, whose every module the code fingerprint
+#: covers.
+SOURCE_ROOT = Path(__file__).resolve().parents[1]
 
 
 @dataclass
@@ -204,22 +209,23 @@ def get_experiment(name: str) -> Experiment:
 
 
 # --------------------------------------------------------------- fingerprint
-def _code_fingerprint(experiment: Experiment) -> str:
-    """Hash the source code the experiment's payload depends on.
+def _code_fingerprint() -> str:
+    """Hash the source of every module of the ``repro`` package.
 
-    Covers the module defining the compute function plus the shared
-    ``resources`` and ``profiles`` modules, so editing any of them
-    invalidates the cache. Deliberately coarse: a false re-run is cheap, a
-    stale artifact is not.
+    Every ``*.py`` file under :data:`SOURCE_ROOT` (``__pycache__`` skipped)
+    enters by its relative path, in sorted order, followed by its bytes, so
+    editing any module — a congestion-control law, the gatherer, the
+    forest, an experiment — invalidates every cached artifact. Deliberately
+    coarse: a false re-run is cheap, a stale artifact is not.
     """
-    from repro.experiments import profiles, resources
-
-    modules = [inspect.getmodule(experiment.compute), resources, profiles]
-    sources: dict[str, str] = {}
-    for module in modules:
-        if module is not None and module.__name__ not in sources:
-            sources[module.__name__] = inspect.getsource(module)
-    return digest(*sources.values())
+    parts = []
+    for path in sorted(SOURCE_ROOT.rglob("*.py")):
+        relative = path.relative_to(SOURCE_ROOT)
+        if "__pycache__" in relative.parts:
+            continue
+        data = path.read_bytes()
+        parts += [f"{relative.as_posix()}\0{len(data)}\0", data]
+    return digest(*parts)
 
 
 def experiment_fingerprint(experiment: Experiment,
@@ -231,14 +237,18 @@ def experiment_fingerprint(experiment: Experiment,
         profile: The scale profile it runs at.
 
     Returns:
-        A hex digest; equal fingerprints guarantee equal payloads, so the
-        runner treats a matching stored artifact as a cache hit.
+        A hex digest over the profile, the experiment's name and config and
+        the source of every ``repro`` module (:func:`_code_fingerprint`);
+        the runner treats a matching stored artifact as a cache hit. Equal
+        fingerprints mean equal payloads as long as nothing outside the
+        package's Python source moved: data files such as the scenario
+        traces, the numpy version and the interpreter are not hashed.
     """
     payload = {
         "format": FINGERPRINT_FORMAT_VERSION,
         "experiment": experiment.name,
         "profile": dataclasses.asdict(profile),
         "config": dict(experiment.config),
-        "code": _code_fingerprint(experiment),
+        "code": _code_fingerprint(),
     }
     return fingerprint(payload)

@@ -9,12 +9,13 @@ production-style use (ROADMAP item 4):
   process loads a trained classifier in milliseconds and never retrains
   (``python -m repro.model fit/save/load/inspect``).
 * :mod:`repro.serving.queue` — a persistent work queue with lease /
-  heartbeat / steal semantics generalising the census's fixed shard
-  assignment: workers pull shards, a stalled worker's lease expires and is
-  stolen, and a stolen shard replays to bit-identical results.
-* :mod:`repro.serving.orchestrator` — the work-stealing census orchestrator:
-  concurrent workers drain the queue, stream results into the existing JSONL
-  checkpoint format, and merge bit-identically to a monolithic run.
+  heartbeat / steal semantics over a census checkpoint's shards: workers
+  pull shards, a stalled worker's lease expires and is stolen, and a stolen
+  shard replays to bit-identical results.
+* :mod:`repro.serving.orchestrator` — the work-stealing census orchestrator,
+  the one sharded census driver (``python -m repro.census``): concurrent
+  workers drain the queue, stream results into the JSONL checkpoint format,
+  and merge bit-identically to a monolithic run.
 * :mod:`repro.serving.service` — :class:`CensusService` with the batched
   ``classify_batch`` endpoint riding the vectorised ``classify_vectors``
   path, loaded straight from an artifact.

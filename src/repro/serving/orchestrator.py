@@ -1,13 +1,15 @@
-"""Work-stealing census orchestrator: concurrent workers drain a queue.
+"""Work-stealing census orchestrator: the one sharded census driver.
 
-:class:`CensusOrchestrator` generalises the census's fixed shard loop
-(:meth:`repro.core.census.CensusRunner._run_pending_shards`) into a pool of
-worker processes pulling shards from a persistent :class:`~repro.serving.queue.WorkQueue`.
-Each worker claims a lease, measures the shard through the runner's normal
-probe/classify pipeline while a heartbeat thread renews the lease, and
-commits the result into the existing JSONL checkpoint format — so resume,
-merge and every downstream consumer stay bit-identical to the monolithic
-and fixed-shard paths.
+:class:`CensusOrchestrator` runs a checkpointed census (and resumes one) as
+a pool of worker processes pulling shards from a persistent
+:class:`~repro.serving.queue.WorkQueue`. Each worker claims a lease,
+measures the shard through the runner's normal probe/classify pipeline
+while a heartbeat thread renews the lease, and commits the result into the
+JSONL checkpoint format — so merge and every downstream consumer stay
+bit-identical to the monolithic :meth:`~repro.core.census.CensusRunner.run`.
+One worker is the sequential census; ``run(stop_after_shards=K)`` commits at
+most K shards per invocation (exactly K with one worker) and leaves the
+rest pending for the next one.
 
 Workers are processes forked from the caller, so the runner, classifier and
 population are neither re-imported nor pickled, and the probe work of two
@@ -19,7 +21,9 @@ A worker that exits without its final stats (SIGKILL, OOM kill) counts as
 exception in a worker is re-raised by :meth:`CensusOrchestrator.run`.
 A forked child inherits only the forking thread, so call ``run`` from a
 process whose other threads, if any, hold no lock the workers need (the
-serving CLI calls it from its only thread).
+census CLI calls it from its only thread). The workers are the census's
+only processes: a runner set up for the ``process`` backend is rejected
+rather than nesting a probe pool inside every worker.
 
 Determinism under stealing: shard outcomes are a pure function of the census
 seed and the shard's population indices (per-server streams come from
@@ -30,18 +34,17 @@ exact same bytes. The commit protocol makes the race harmless:
 1. the worker measures the shard *outside* any lock (the slow part);
 2. it takes the queue lock, re-checks its lease is still current, writes the
    shard file + flips the manifest, and drops the lease;
-3. a stale holder (stolen lease) discards its outcomes; a
-   duplicate-completion :class:`~repro.core.checkpoint.CheckpointError`
-   from a lost write race is swallowed for the same reason — the winner
-   wrote identical bytes.
+3. a stale holder (stolen lease) discards its outcomes.
 
-Fault injection lives at the **lease** level: an orchestrator-level
-:class:`~repro.faults.plan.FaultPlan` with ``worker_death`` specs scoped
-``"lease:<shard>"`` kills a worker after it claimed the lease (before any
-probing), leaving the lease to expire and be stolen. The plan never touches
-the runner's config, so the census fingerprint and every probe stream are
-identical to a plan-free run — which is exactly what the crash/steal test
-matrix asserts.
+Two fault plans reach the orchestrator. Its own
+:class:`~repro.faults.plan.FaultPlan`, whose ``worker_death`` specs scoped
+``"lease:<shard>"`` kill a worker after it claimed the lease (before any
+probing), leaving the lease to expire and be stolen; it never touches the
+runner's config, so the census fingerprint and every probe stream are
+identical to a plan-free run. And the runner's plan, whose
+``torn_checkpoint`` specs cut a shard write short: the commit raises
+:class:`~repro.core.checkpoint.TornWriteError` out of :meth:`run`, the
+shard stays pending, and the next run rewrites it.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from repro.core.census import CensusReport, CensusRunner
 from repro.core.checkpoint import (
     MANIFEST_NAME,
     CensusCheckpoint,
-    CheckpointError,
     shard_assignments,
 )
 from repro.core.results import ServerOutcome
@@ -67,6 +69,30 @@ from repro.web.population import ServerPopulation
 from repro.faults.plan import FaultPlan
 from repro.parallel import task_seeds
 from repro.serving.queue import DEFAULT_LEASE_TIMEOUT, Lease, WorkQueue
+
+#: Seconds a worker sleeps between claim attempts while every pending shard
+#: is leased to another worker.
+POLL_INTERVAL = 0.05
+
+
+def validate_run(workers: int, stop_after_shards: int | None = None,
+                 lease_timeout: float = DEFAULT_LEASE_TIMEOUT) -> None:
+    """Reject orchestration arguments that cannot drive a census.
+
+    The census CLI calls this before it trains a classifier or creates a
+    checkpoint, so a bad value costs no work and leaves nothing behind.
+
+    Raises:
+        ValueError: If ``workers`` or ``stop_after_shards`` is below 1, or
+            ``lease_timeout`` is not positive.
+    """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    if stop_after_shards is not None and stop_after_shards < 1:
+        raise ValueError("stop_after_shards must be at least 1 (omit it to "
+                         "run every pending shard)")
+    if lease_timeout <= 0:
+        raise ValueError("lease_timeout must be positive")
 
 
 class _LeaseDeath(Exception):
@@ -89,7 +115,7 @@ class WorkerStats:
         completed: Shards this worker measured and committed.
         stolen: Shards this worker claimed by stealing an expired lease.
         discarded: Shards measured but discarded because the lease was
-            stolen (or the write race lost) before commit.
+            stolen before commit.
         died: Whether the worker died: an injected lease death, or its
             process exited without reporting (killed by a signal).
     """
@@ -145,13 +171,14 @@ class CensusOrchestrator:
                  checkpoint_dir, *, num_shards: int = 8,
                  lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
                  settings: dict | None = None, clock=time.time,
-                 on_shard=None, fault_plan: FaultPlan | None = None,
-                 poll_interval: float = 0.05):
+                 on_shard=None, fault_plan: FaultPlan | None = None):
         """Create or attach to a checkpoint and build its work queue.
 
         Args:
             runner: The census runner (trained classifier + config); its
-                seed keys shard assignment and every probe stream.
+                seed keys shard assignment and every probe stream, and its
+                plan's ``torn_checkpoint`` specs tear shard writes. It must
+                probe serially: the workers are the parallelism.
             population: The server population the checkpoint covers.
             checkpoint_dir: Checkpoint directory. A fresh one is created
                 when no manifest exists; an existing one is attached to
@@ -165,28 +192,32 @@ class CensusOrchestrator:
             clock: Time source shared with the queue; tests inject a fake
                 clock to drive steals deterministically.
             on_shard: Optional callback ``on_shard(shard_index, outcomes)``
-                invoked after each shard commits — the serving CLI streams
+                invoked after each shard commits — the census CLI streams
                 incremental results through it. Called in the process that
                 called :meth:`run`, with the queue lock released.
             fault_plan: Orchestrator-level fault plan; ``worker_death``
                 specs scoped ``"lease:<shard>"`` kill a worker right after
                 it claims that lease (see module docstring). Never touches
                 the runner's probe streams.
-            poll_interval: Seconds a worker sleeps between claim attempts
-                while every pending shard is leased to another worker.
 
         Raises:
+            ValueError: If the runner is set up for the ``process`` backend.
             repro.core.checkpoint.CheckpointError: If an existing
                 checkpoint's fingerprint does not match this runner +
                 population.
         """
+        backend = (runner.executor or runner.config).backend
+        if backend != "serial":
+            raise ValueError(
+                "the orchestrator's workers are the census's processes; give "
+                f"it a runner on the serial backend, not {backend!r}")
         self._runner = runner
-        self._population = population
         self._records = CensusRunner._records(population)
-        self._clock = clock
         self._on_shard = on_shard
         self._fault_plan = fault_plan
-        self._poll_interval = float(poll_interval)
+        #: Shared commit budget of a ``stop_after_shards`` run (``None`` =
+        #: unbounded); set by :meth:`run` before the workers fork.
+        self._budget = None
         fingerprint = runner._fingerprint(population)
         if (Path(checkpoint_dir) / MANIFEST_NAME).exists():
             # Attach: a corrupt or mismatched manifest fails loudly here.
@@ -227,41 +258,47 @@ class CensusOrchestrator:
 
     # ------------------------------------------------------------------- run
     def run(self, *, workers: int = 2,
-            reclaim_stale: bool = True) -> CensusReport:
-        """Drain every pending shard with ``workers`` worker processes.
+            stop_after_shards: int | None = None) -> CensusReport | None:
+        """Drain the pending shards with ``workers`` worker processes.
 
-        Workers claim leases, measure shards through the runner's pipeline
-        and commit them; a worker that dies (killed by the fault plan or by
-        a signal) abandons its lease, which expires and is stolen by a
-        surviving worker (the supervisor spawns fresh workers when every
-        worker died). Returns once all shards are complete.
+        Leases left behind by a process that no longer runs are expired
+        first. Workers claim leases, measure shards through the runner's
+        pipeline and commit them; a worker that dies (killed by the fault
+        plan or by a signal) abandons its lease, which expires and is
+        stolen by a surviving worker (the supervisor spawns fresh workers
+        when every worker died). Another live process draining the same
+        checkpoint keeps its leases; the workers wait for them.
 
         Args:
             workers: Number of concurrent worker processes (>= 1).
-            reclaim_stale: Expire leases whose holder process is gone (left
-                behind by a previous process) immediately instead of
-                waiting out the lease timeout.
+            stop_after_shards: Commit at most this many shards in this run
+                (exactly this many with one worker, unless fewer are
+                pending), then return; ``None`` drains everything.
 
         Returns:
             The merged :class:`~repro.core.census.CensusReport`,
-            bit-identical to a monolithic ``runner.run(population)``.
+            bit-identical to a monolithic ``runner.run(population)``, or
+            ``None`` when shards are still pending.
 
         Raises:
-            ValueError: If ``workers`` < 1.
+            ValueError: If ``workers`` or ``stop_after_shards`` < 1.
             Exception: Whatever a worker process raised (its traceback is
-                chained as the cause).
+                chained as the cause), such as an injected
+                :class:`~repro.core.checkpoint.TornWriteError`.
             RuntimeError: If a round of workers exits with shards still
                 pending, no progress made and no worker dead (should be
                 unreachable: workers wait until nothing is pending).
         """
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
+        validate_run(workers, stop_after_shards)
         self._stats = {}
-        if reclaim_stale:
-            self._queue.reclaim_stale()
+        self._budget = None
+        if stop_after_shards is not None:
+            self._budget = multiprocessing.get_context("fork").Value(
+                "i", stop_after_shards)
+        self._queue.reclaim_stale()
         spawned = 0
         self._checkpoint.reload()
-        while self._checkpoint.pending_shards():
+        while self._checkpoint.pending_shards() and self._budget_left():
             before = len(self._checkpoint.completed_shards())
             names = [f"worker-{spawned + i}" for i in range(workers)]
             spawned += workers
@@ -269,22 +306,41 @@ class CensusOrchestrator:
             self._checkpoint.reload()
             progress = len(self._checkpoint.completed_shards()) - before
             deaths = any(self._stats[name].died for name in names)
-            if self._checkpoint.pending_shards() and not progress and not deaths:
+            if (self._checkpoint.pending_shards() and self._budget_left()
+                    and not progress and not deaths):
                 raise RuntimeError(
                     "orchestrator stalled: workers exited with shards "
                     f"{self._checkpoint.pending_shards()} still pending and "
                     "no progress made")
+        if self._checkpoint.pending_shards():
+            return None
         return self._checkpoint.merge_report(
             expected_size=len(self._records))
 
     # ------------------------------------------------------------- internals
+    def _budget_left(self) -> bool:
+        """Whether the ``stop_after_shards`` budget allows another commit."""
+        return self._budget is None or self._budget.value > 0
+
+    def _spend(self, slots: int) -> bool:
+        """Take ``slots`` commit slots of the budget (negative: give back).
+
+        Returns:
+            ``False``, taking nothing, when fewer than ``slots`` are left.
+        """
+        if self._budget is None:
+            return True
+        with self._budget.get_lock():
+            if self._budget.value < slots:
+                return False
+            self._budget.value -= slots
+            return True
+
     def _run_round(self, names: list[str]) -> None:
         """Fork one worker process per name and supervise them to the end.
 
-        The processes are not daemonic because a ``process``-backend runner
-        starts its own probe pool inside each worker. Any that are still
-        running when the round is cut short (a worker's exception, an
-        interrupt) are terminated.
+        Any worker still running when the round is cut short (a worker's
+        exception, an interrupt) is terminated.
         """
         context = multiprocessing.get_context("fork")
         workers: list[_Worker] = []
@@ -310,9 +366,8 @@ class CensusOrchestrator:
     def _supervise(self, workers: list[_Worker]) -> None:
         """Relay worker messages until every worker process has exited.
 
-        Waits on the pipes and on the process sentinels: a worker killed
-        mid-shard leaves its pipe open in any probe-pool processes it
-        forked, but its sentinel still fires.
+        Waits on the pipes and on the process sentinels, so a worker killed
+        mid-shard is noticed even before its pipe reaches end-of-file.
         """
         live = list(workers)
         while live:
@@ -368,21 +423,22 @@ class CensusOrchestrator:
             connection.close()
 
     def _worker_loop(self, stats: WorkerStats, publish) -> None:
-        """Claim-measure-commit until no pending work remains (one worker).
+        """Claim-measure-commit until no pending work or budget remains.
 
         Args:
             stats: This worker's record, updated in place.
             publish: ``publish(shard, outcomes)``, called after each commit.
         """
-        while True:
+        while self._spend(1):
             lease = self._queue.claim(stats.worker)
             if lease is None:
+                self._spend(-1)
                 # claim() re-read the manifest: either nothing is pending,
                 # or every pending shard is leased — wait for its holder to
                 # commit it or for the lease to expire and be stolen.
                 if not self._checkpoint.pending_shards():
                     return
-                time.sleep(self._poll_interval)
+                time.sleep(POLL_INTERVAL)
                 continue
             if lease.stolen:
                 stats.stolen.append(lease.shard)
@@ -391,9 +447,12 @@ class CensusOrchestrator:
             except _LeaseDeath:
                 # The injected death abandons the lease: no release, no
                 # heartbeat — it expires and a surviving worker steals it.
+                self._spend(-1)
                 stats.died = True
                 return
-            if outcomes is not None:
+            if outcomes is None:
+                self._spend(-1)
+            else:
                 publish(lease.shard, outcomes)
 
     def _work_one(self, lease: Lease,
@@ -402,7 +461,11 @@ class CensusOrchestrator:
 
         Returns:
             The shard's outcomes if this worker committed it, ``None`` if it
-            discarded them (the lease was stolen, or the write race lost).
+            discarded them (the lease was stolen).
+
+        Raises:
+            repro.core.checkpoint.TornWriteError: When the runner plan
+                tears this write (see :meth:`_torn_after`).
         """
         if (self._fault_plan is not None
                 and self._fault_plan.lease_death_fires(lease.shard,
@@ -418,16 +481,22 @@ class CensusOrchestrator:
                 stats.discarded.append(lease.shard)
                 return None
             try:
-                self._checkpoint.write_shard(lease.shard,
-                                             list(zip(indices, outcomes)))
-            except CheckpointError:
-                # Lost a write race despite the lease check (a writer that
-                # bypasses the queue, such as a fixed-shard resume on the
-                # same directory). The winner wrote identical bytes, so
-                # losing is harmless.
-                stats.discarded.append(lease.shard)
-                return None
+                self._checkpoint.write_shard(
+                    lease.shard, list(zip(indices, outcomes)),
+                    torn_after=self._torn_after(lease.shard))
             finally:
                 self._queue.finish(lease)
         stats.completed.append(lease.shard)
         return outcomes
+
+    def _torn_after(self, shard: int) -> int | None:
+        """Where the runner plan's ``torn_checkpoint`` cuts this write.
+
+        The write attempt is 1 when a partial file from an earlier tear
+        already exists, so ``persist_attempts=1`` tears exactly once.
+        """
+        plan = self._runner.config.fault_plan
+        if plan is None or plan.empty:
+            return None
+        attempt = 1 if self._checkpoint.shard_path(shard).exists() else 0
+        return plan.torn_write_after(shard, attempt)

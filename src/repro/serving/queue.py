@@ -1,9 +1,8 @@
 """A persistent work queue with lease / heartbeat / steal semantics.
 
-PR 4's sharded census assigns every shard to whichever single invocation is
-running; the serving layer generalises that into a **work queue**: any number
-of workers *claim* pending shards, *heartbeat* while working on them, and
-*steal* shards whose holder stopped heartbeating (a crashed or wedged
+Every sharded census hands its shards out through a **work queue**: any
+number of workers *claim* pending shards, *heartbeat* while working on them,
+and *steal* shards whose holder stopped heartbeating (a crashed or wedged
 worker). The queue never owns results — shard completion lives in the
 checkpoint manifest (:class:`~repro.core.checkpoint.CensusCheckpoint`),
 which stays the single source of truth — so the queue can be lost, rebuilt
@@ -102,9 +101,8 @@ class _QueueLock:
     outermost acquire and closed on release: a ``flock`` belongs to an open
     file description, which a forked child shares with its parent, so a
     descriptor kept open would let a child "acquire" a lock its parent
-    holds, and let probe-pool processes forked inside a worker keep the
-    lock alive after the worker is killed. For the same reason a forked
-    child drops whatever lock state it inherited and starts unlocked.
+    holds. For the same reason a forked child drops whatever lock state it
+    inherited and starts unlocked.
     """
 
     def __init__(self, path: Path, on_acquire):

@@ -4,8 +4,9 @@
 trained model from an artifact file (milliseconds, no retraining), then
 answer batched classification requests through the forest's vectorised
 ``classify_vectors`` path and emit responses in the stable JSON schema
-(:mod:`repro.serving.schema`). ``python -m repro.serve`` wires a service and
-a work-stealing orchestrator together into the long-running census loop.
+(:mod:`repro.serving.schema`). ``python -m repro.census run --artifact``
+serves a whole census from the same artifact through the work-stealing
+orchestrator.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Tests for the sharded, checkpointed census (resume parity + corruption).
 
 The headline guarantee: a census interrupted at any point and resumed — any
-shard count, serial or process backend — merges into a report bit-identical
-to the uninterrupted monolithic run. The corruption tests pin down that a
-damaged checkpoint fails loudly with an actionable message instead of
-silently merging bad data.
+shard count, one worker process or two — merges into a report
+bit-identical to the uninterrupted monolithic run. The census is driven by
+the work-stealing orchestrator, the one sharded driver. The corruption
+tests pin down that a damaged checkpoint fails loudly with an actionable
+message instead of silently merging bad data.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.core.checkpoint import (
 from repro.core.results import CensusReport, ServerOutcome
 from repro.core.special_cases import SpecialCase
 from repro.core.trace import InvalidReason
+from repro.serving.orchestrator import CensusOrchestrator
 from repro.web.population import PopulationConfig, ServerPopulation
 
 POPULATION_SIZE = 18
@@ -43,6 +45,20 @@ def make_population() -> ServerPopulation:
     return population
 
 
+def sharded_census(classifier, directory, *, num_shards=3, workers=1,
+                   stop_after_shards=None, seed=CENSUS_SEED):
+    """Start or resume (``num_shards`` is then ignored) a census."""
+    runner = CensusRunner(classifier, CensusConfig(seed=seed))
+    orchestrator = CensusOrchestrator(runner, make_population(), directory,
+                                      num_shards=num_shards)
+    return orchestrator.run(workers=workers,
+                            stop_after_shards=stop_after_shards)
+
+
+def merge(directory) -> CensusReport:
+    return CensusCheckpoint.open(directory).merge_report()
+
+
 @pytest.fixture(scope="module")
 def monolithic_report(request) -> CensusReport:
     trained = request.getfixturevalue("trained_classifier")
@@ -55,9 +71,7 @@ def completed_checkpoint(request, tmp_path_factory):
     """A fully completed 3-shard checkpoint (copied per corruption test)."""
     trained = request.getfixturevalue("trained_classifier")
     directory = tmp_path_factory.mktemp("census") / "ckpt"
-    runner = CensusRunner(trained, CensusConfig(seed=CENSUS_SEED))
-    report = runner.run_sharded(make_population(), directory, num_shards=3)
-    assert report is not None
+    assert sharded_census(trained, directory) is not None
     return directory
 
 
@@ -104,23 +118,21 @@ class TestShardedParity:
     @pytest.mark.parametrize("num_shards", [1, 3, 5])
     def test_uninterrupted_sharded_run_matches_monolithic(
             self, trained_classifier, monolithic_report, tmp_path, num_shards):
-        runner = CensusRunner(trained_classifier, CensusConfig(seed=CENSUS_SEED))
-        report = runner.run_sharded(make_population(), tmp_path / "ckpt",
-                                    num_shards=num_shards)
+        report = sharded_census(trained_classifier, tmp_path / "ckpt",
+                                num_shards=num_shards)
         assert report.outcomes == monolithic_report.outcomes
 
     @pytest.mark.parametrize("stop_after", [1, 2])
     def test_interrupt_and_resume_matches_monolithic(
             self, trained_classifier, monolithic_report, tmp_path, stop_after):
         directory = tmp_path / "ckpt"
-        runner = CensusRunner(trained_classifier, CensusConfig(seed=CENSUS_SEED))
-        partial = runner.run_sharded(make_population(), directory,
-                                     num_shards=3, stop_after_shards=stop_after)
+        partial = sharded_census(trained_classifier, directory,
+                                 stop_after_shards=stop_after)
         assert partial is None
-        status = CensusRunner.checkpoint_status(directory)
-        assert len(status["completed_shards"]) == stop_after
-        resumer = CensusRunner(trained_classifier, CensusConfig(seed=CENSUS_SEED))
-        report = resumer.resume(make_population(), directory)
+        status = CensusCheckpoint.open(directory).status()
+        # One worker commits exactly the budget, lowest shards first.
+        assert status["completed_shards"] == list(range(stop_after))
+        report = sharded_census(trained_classifier, directory)
         assert report is not None
         assert report.outcomes == monolithic_report.outcomes
         # Byte-level identity of the serialised reports, not just equality.
@@ -130,32 +142,33 @@ class TestShardedParity:
 
     def test_resume_on_process_backend_matches_monolithic(
             self, trained_classifier, monolithic_report, tmp_path):
+        """The resume runs on two worker processes, the census's one
+        parallelism."""
         directory = tmp_path / "ckpt"
-        serial = CensusRunner(trained_classifier, CensusConfig(seed=CENSUS_SEED))
-        assert serial.run_sharded(make_population(), directory, num_shards=2,
-                                  stop_after_shards=1) is None
-        parallel = CensusRunner(trained_classifier, CensusConfig(
-            seed=CENSUS_SEED, backend="process", max_workers=2))
-        report = parallel.resume(make_population(), directory)
+        assert sharded_census(trained_classifier, directory,
+                              stop_after_shards=1) is None
+        report = sharded_census(trained_classifier, directory, workers=2)
         assert report is not None
         assert report.outcomes == monolithic_report.outcomes
 
+    def test_more_workers_than_cores_commit_at_most_the_budget(
+            self, trained_classifier, tmp_path):
+        """Four workers share one commit budget; a lost update on it would
+        let them commit more shards than the budget allows."""
+        directory = tmp_path / "ckpt"
+        assert sharded_census(trained_classifier, directory, num_shards=6,
+                              workers=4, stop_after_shards=2) is None
+        assert len(CensusCheckpoint.open(directory).completed_shards()) <= 2
+
     def test_merge_without_classifier(self, completed_checkpoint,
                                       monolithic_report):
-        report = CensusRunner.merge_checkpoint(completed_checkpoint)
+        report = merge(completed_checkpoint)
         assert report.outcomes == monolithic_report.outcomes
 
 
 class TestCheckpointLifecycle:
-    def test_run_sharded_refuses_existing_checkpoint(
-            self, trained_classifier, completed_checkpoint):
-        runner = CensusRunner(trained_classifier, CensusConfig(seed=CENSUS_SEED))
-        with pytest.raises(CheckpointError, match="already exists"):
-            runner.run_sharded(make_population(), completed_checkpoint,
-                               num_shards=3)
-
     def test_status_reports_progress(self, completed_checkpoint):
-        status = CensusRunner.checkpoint_status(completed_checkpoint)
+        status = CensusCheckpoint.open(completed_checkpoint).status()
         assert status["complete"] is True
         assert status["completed_shards"] == [0, 1, 2]
         assert status["pending_shards"] == []
@@ -278,7 +291,7 @@ class TestCorruptionPaths:
         raw = shard.read_bytes()
         shard.write_bytes(raw[:-25])  # chop mid-record, drop trailing newline
         with pytest.raises(CheckpointError, match="truncated line"):
-            CensusRunner.merge_checkpoint(directory)
+            merge(directory)
 
     def test_unparsable_jsonl_line_fails_loudly(self, completed_checkpoint,
                                                 tmp_path):
@@ -288,16 +301,15 @@ class TestCorruptionPaths:
         lines[0] = lines[0][:10]  # still newline-terminated, no longer JSON
         shard.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match="not valid JSON"):
-            CensusRunner.merge_checkpoint(directory)
+            merge(directory)
 
     def test_fingerprint_mismatch_refuses_resume(self, trained_classifier,
                                                  completed_checkpoint,
                                                  tmp_path):
         directory = _copy_checkpoint(completed_checkpoint, tmp_path)
-        different = CensusRunner(trained_classifier,
-                                 CensusConfig(seed=CENSUS_SEED + 1))
         with pytest.raises(CheckpointError, match="fingerprint mismatch"):
-            different.resume(make_population(), directory)
+            sharded_census(trained_classifier, directory,
+                           seed=CENSUS_SEED + 1)
 
     def test_duplicate_shard_completion_rejected(self, completed_checkpoint,
                                                  tmp_path):
@@ -314,7 +326,7 @@ class TestCorruptionPaths:
         lines = shard.read_text().splitlines()
         shard.write_text("\n".join(lines + [lines[-1]]) + "\n")
         with pytest.raises(CheckpointError, match="two shard-complete"):
-            CensusRunner.merge_checkpoint(directory)
+            merge(directory)
 
     def test_record_missing_fields_rejected(self, completed_checkpoint,
                                             tmp_path):
@@ -324,7 +336,7 @@ class TestCorruptionPaths:
         lines[0] = json.dumps({"kind": "outcome"})  # valid JSON, no payload
         shard.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match="structurally invalid"):
-            CensusRunner.merge_checkpoint(directory)
+            merge(directory)
 
     def test_missing_completion_marker_rejected(self, completed_checkpoint,
                                                 tmp_path):
@@ -333,7 +345,7 @@ class TestCorruptionPaths:
         lines = shard.read_text().splitlines()
         shard.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(CheckpointError, match="no shard-complete marker"):
-            CensusRunner.merge_checkpoint(directory)
+            merge(directory)
 
     def test_manifest_that_is_not_an_object_rejected(self, tmp_path):
         directory = tmp_path / "ckpt"
@@ -348,13 +360,11 @@ class TestCorruptionPaths:
         directory = _copy_checkpoint(completed_checkpoint, tmp_path)
         (directory / "shard-0001.jsonl").unlink()
         with pytest.raises(CheckpointError, match="missing"):
-            CensusRunner.merge_checkpoint(directory)
+            merge(directory)
 
     def test_merge_with_pending_shards_rejected(self, trained_classifier,
                                                 tmp_path):
         directory = tmp_path / "ckpt"
-        runner = CensusRunner(trained_classifier, CensusConfig(seed=CENSUS_SEED))
-        runner.run_sharded(make_population(), directory, num_shards=3,
-                           stop_after_shards=1)
+        sharded_census(trained_classifier, directory, stop_after_shards=1)
         with pytest.raises(CheckpointError, match="still.*pending"):
-            CensusRunner.merge_checkpoint(directory)
+            merge(directory)

@@ -10,6 +10,7 @@ from repro.core.results import (STATUS_IDENTIFIED, STATUS_INCONCLUSIVE,
                                 ServerOutcome)
 from repro.core.trace import InvalidReason
 from repro.faults import FaultPlan, FaultSpec
+from repro.serving.orchestrator import CensusOrchestrator
 from repro.web.population import PopulationConfig, ServerPopulation
 
 import numpy as np
@@ -147,13 +148,16 @@ class TestZeroFaultParity:
                                                      tmp_path):
         def checkpoint_files(config, name):
             directory = tmp_path / name
-            CensusRunner(trained_classifier, config).run_sharded(
-                fresh_population(), directory, num_shards=3)
+            CensusOrchestrator(CensusRunner(trained_classifier, config),
+                               fresh_population(), directory,
+                               num_shards=3).run(workers=1)
             return {entry.name: entry.read_bytes()
                     for entry in sorted(directory.iterdir())}
 
         plain = checkpoint_files(CensusConfig(seed=17), "plain")
-        assert len(plain) == 4  # the manifest and three shard files
+        # The manifest, three shard files and the work queue's state and
+        # lock files.
+        assert len(plain) == 6
         empty_plan = checkpoint_files(
             CensusConfig(seed=17, fault_plan=FaultPlan()), "empty-plan")
         assert empty_plan == plain

@@ -4,7 +4,9 @@ The matrix crosses *where* the census dies (between shards via
 ``stop_after_shards``, mid-write via injected ``torn_checkpoint`` faults at
 several record offsets and shards) with a seeded probe-fault plan that keeps
 the retry machinery busy, and asserts the resumed merge is byte-identical to
-an uninterrupted monolithic run under the same probe faults.
+an uninterrupted monolithic run under the same probe faults. The census runs
+through the orchestrator with one worker process, so a tear is raised in
+the worker and re-raised by ``run`` as the crash.
 """
 
 import json
@@ -12,8 +14,13 @@ import json
 import pytest
 
 from repro.core.census import CensusConfig, CensusRunner
-from repro.core.checkpoint import CheckpointError, TornWriteError
+from repro.core.checkpoint import (
+    CensusCheckpoint,
+    CheckpointError,
+    TornWriteError,
+)
 from repro.faults import FaultPlan, FaultSpec
+from repro.serving.orchestrator import CensusOrchestrator
 from repro.web.population import PopulationConfig, ServerPopulation
 
 NUM_SHARDS = 3
@@ -38,6 +45,13 @@ def make_config(extra_specs=()):
                         backoff_max=1.0)
 
 
+def sharded_census(runner, directory, stop_after_shards=None):
+    """Start or resume the checkpointed census with one worker."""
+    orchestrator = CensusOrchestrator(runner, fresh_population(), directory,
+                                      num_shards=NUM_SHARDS)
+    return orchestrator.run(workers=1, stop_after_shards=stop_after_shards)
+
+
 def report_blob(report):
     return json.dumps([outcome.to_json_dict() for outcome in report.outcomes],
                       sort_keys=True)
@@ -56,11 +70,9 @@ class TestCrashMatrix:
                                  tmp_path, kill_after):
         directory = tmp_path / "ckpt"
         runner = CensusRunner(trained_classifier, make_config())
-        partial = runner.run_sharded(fresh_population(), directory,
-                                     num_shards=NUM_SHARDS,
-                                     stop_after_shards=kill_after)
+        partial = sharded_census(runner, directory, stop_after_shards=kill_after)
         assert partial is None
-        merged = runner.resume(fresh_population(), directory)
+        merged = sharded_census(runner, directory)
         assert report_blob(merged) == reference_blob
 
     @pytest.mark.parametrize("shard,records", [(0, 0), (0, 3), (1, 1),
@@ -72,12 +84,11 @@ class TestCrashMatrix:
                          at_round=records, persist_attempts=1)
         runner = CensusRunner(trained_classifier, make_config((torn,)))
         with pytest.raises(TornWriteError) as excinfo:
-            runner.run_sharded(fresh_population(), directory,
-                               num_shards=NUM_SHARDS)
+            sharded_census(runner, directory)
         assert excinfo.value.path is not None
         assert f"{shard:04d}" in excinfo.value.path.name
         assert excinfo.value.hint
-        merged = runner.resume(fresh_population(), directory)
+        merged = sharded_census(runner, directory)
         assert merged is not None
         assert report_blob(merged) == reference_blob
 
@@ -93,11 +104,10 @@ class TestCrashMatrix:
                            persist_attempts=1))
         runner = CensusRunner(trained_classifier, make_config(tears))
         with pytest.raises(TornWriteError):
-            runner.run_sharded(fresh_population(), directory,
-                               num_shards=NUM_SHARDS)
+            sharded_census(runner, directory)
         with pytest.raises(TornWriteError):
-            runner.resume(fresh_population(), directory)
-        merged = runner.resume(fresh_population(), directory)
+            sharded_census(runner, directory)
+        merged = sharded_census(runner, directory)
         assert report_blob(merged) == reference_blob
 
     def test_tear_under_worker_deaths_and_dead_hosts(self, trained_classifier,
@@ -116,9 +126,8 @@ class TestCrashMatrix:
         runner = CensusRunner(trained_classifier, make_config(chaos + (torn,)))
         directory = tmp_path / "ckpt"
         with pytest.raises(TornWriteError):
-            runner.run_sharded(fresh_population(), directory,
-                               num_shards=NUM_SHARDS)
-        merged = runner.resume(fresh_population(), directory)
+            sharded_census(runner, directory)
+        merged = sharded_census(runner, directory)
         assert report_blob(merged) == report_blob(reference)
         kinds = {kind for outcome in merged.outcomes
                  for kind, _ in outcome.fault_events}
@@ -130,13 +139,12 @@ class TestCrashMatrix:
                          persist_attempts=1)
         runner = CensusRunner(trained_classifier, make_config((torn,)))
         with pytest.raises(TornWriteError):
-            runner.run_sharded(fresh_population(), directory,
-                               num_shards=NUM_SHARDS)
-        status = CensusRunner.checkpoint_status(directory)
-        assert 0 in status["pending_shards"]
+            sharded_census(runner, directory)
+        checkpoint = CensusCheckpoint.open(directory)
+        assert 0 in checkpoint.pending_shards()
         # Merging an incomplete checkpoint must refuse loudly.
         with pytest.raises(CheckpointError):
-            CensusRunner.merge_checkpoint(directory)
+            checkpoint.merge_report()
 
     def test_worker_death_mid_census_resumes_identically(
             self, trained_classifier, tmp_path):
@@ -148,6 +156,5 @@ class TestCrashMatrix:
         runner = CensusRunner(trained_classifier, make_config((death,)))
         monolithic = report_blob(runner.run(fresh_population()))
         directory = tmp_path / "ckpt"
-        merged = runner.run_sharded(fresh_population(), directory,
-                                    num_shards=NUM_SHARDS)
+        merged = sharded_census(runner, directory)
         assert report_blob(merged) == monolithic

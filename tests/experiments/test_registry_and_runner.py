@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import registry
 from repro.experiments.profiles import PROFILES, ScaleProfile, profile_by_name
 from repro.experiments.registry import (
     Experiment,
@@ -112,6 +114,31 @@ class TestFingerprint:
         fingerprints = {experiment_fingerprint(experiment, SMOKE)
                         for experiment in all_experiments()}
         assert len(fingerprints) == len(all_experiments())
+
+    def test_one_byte_in_any_module_changes_every_fingerprint(
+            self, tmp_path, monkeypatch):
+        """The code fingerprint covers the whole package, not only the
+        experiments: a warm cache must not pass a broken algorithm."""
+        copy = tmp_path / "repro"
+        shutil.copytree(registry.SOURCE_ROOT, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(registry, "SOURCE_ROOT", copy)
+
+        def fingerprints():
+            return {experiment.name: experiment_fingerprint(experiment, SMOKE)
+                    for experiment in all_experiments()}
+
+        before = fingerprints()
+        # Bytecode caches are not source: they leave every fingerprint alone.
+        (copy / "tcp" / "__pycache__").mkdir()
+        (copy / "tcp" / "__pycache__" / "stray.py").write_text("x = 1\n")
+        assert fingerprints() == before
+        reno = copy / "tcp" / "algorithms" / "reno.py"
+        source = bytearray(reno.read_bytes())
+        source[-2] ^= 1
+        reno.write_bytes(bytes(source))
+        after = fingerprints()
+        assert all(after[name] != before[name] for name in before)
 
     def test_fingerprints_survive_a_fresh_interpreter(self):
         """A re-run of ``repro.report`` is a 100 % cache hit only if every

@@ -1,13 +1,14 @@
 """Crash/steal matrix of the work-stealing census orchestrator.
 
 Every cell asserts the strongest possible property: the merged report is
-**byte-identical** (``report_blob``) to the monolithic run and to the
-fixed-shard run — under concurrent workers, injected worker death, lease
-stealing, stale-holder discards and interrupt → resume. The determinism
-contract (shard outcomes are a pure function of census seed + population
-indices) is what makes the assertion achievable at all. The workers are
-real processes, and the last class kills them — and whole ``repro.serve``
-processes — with SIGKILL.
+**byte-identical** (``report_blob``) to the monolithic run — under
+concurrent workers, injected worker death, lease stealing and stale-holder
+discards. The determinism contract (shard outcomes are a pure function of
+census seed + population indices) is what makes the assertion achievable at
+all. The workers are real processes, and the last class kills them — and a
+whole artifact-served ``python -m repro.census`` process — with SIGKILL.
+Interrupt → resume through the orchestrator is covered by
+``tests/core/test_resume_crash_matrix.py``.
 """
 
 import json
@@ -24,6 +25,7 @@ from repro.cli.settings import build_population
 from repro.core.census import CensusConfig, CensusRunner
 from repro.core.checkpoint import CheckpointError
 from repro.faults import FaultPlan, FaultSpec
+from repro.parallel import ParallelExecutor
 from repro.serving.artifact import load_model, save_model
 from repro.serving.orchestrator import CensusOrchestrator
 from repro.serving.queue import QUEUE_NAME
@@ -40,10 +42,8 @@ def fresh_population(size=12):
     return population
 
 
-def make_runner(trained_classifier, backend="serial"):
-    return CensusRunner(trained_classifier,
-                        CensusConfig(seed=SEED, backend=backend,
-                                     max_workers=2))
+def make_runner(trained_classifier):
+    return CensusRunner(trained_classifier, CensusConfig(seed=SEED))
 
 
 def report_blob(report):
@@ -58,27 +58,24 @@ def monolithic_blob(trained_classifier):
     return report_blob(runner.run(fresh_population()))
 
 
-@pytest.fixture(scope="module")
-def fixed_shard_blob(trained_classifier, tmp_path_factory):
-    """Reference: the PR-4 fixed-shard checkpointed census."""
-    runner = make_runner(trained_classifier)
-    directory = tmp_path_factory.mktemp("fixed") / "ckpt"
-    report = runner.run_sharded(fresh_population(), directory,
-                                num_shards=NUM_SHARDS)
-    return report_blob(report)
-
-
 class TestParity:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_concurrent_workers_match_both_references(
-            self, trained_classifier, monolithic_blob, fixed_shard_blob,
-            tmp_path, backend):
+    def test_concurrent_workers_match_monolithic(
+            self, trained_classifier, monolithic_blob, tmp_path):
         orchestrator = CensusOrchestrator(
-            make_runner(trained_classifier, backend=backend),
-            fresh_population(), tmp_path / "ckpt", num_shards=NUM_SHARDS)
-        blob = report_blob(orchestrator.run(workers=2))
-        assert blob == monolithic_blob
-        assert blob == fixed_shard_blob
+            make_runner(trained_classifier), fresh_population(),
+            tmp_path / "ckpt", num_shards=NUM_SHARDS)
+        assert report_blob(orchestrator.run(workers=2)) == monolithic_blob
+
+    @pytest.mark.parametrize("runner_options", [
+        {"config": CensusConfig(seed=SEED, backend="process")},
+        {"executor": ParallelExecutor(backend="process", max_workers=2)},
+    ], ids=["config", "executor"])
+    def test_rejects_a_process_backend_runner(self, trained_classifier,
+                                              tmp_path, runner_options):
+        runner = CensusRunner(trained_classifier, **runner_options)
+        with pytest.raises(ValueError, match="serial backend"):
+            CensusOrchestrator(runner, fresh_population(), tmp_path / "ckpt")
+        assert not (tmp_path / "ckpt").exists()
 
     def test_single_worker_drains_everything(self, trained_classifier,
                                              monolithic_blob, tmp_path):
@@ -167,44 +164,6 @@ class TestCrashAndSteal:
         report = orchestrator.run(workers=2)  # drain the remaining shards
         assert report_blob(report) == monolithic_blob
 
-    def test_interrupted_fixed_shard_run_resumes_via_orchestrator(
-            self, trained_classifier, monolithic_blob, fixed_shard_blob,
-            tmp_path):
-        """Interrupt → resume across *implementations*: a fixed-shard run
-        killed between shards is finished by the work-stealing orchestrator
-        over the same checkpoint, merging byte-identically."""
-        directory = tmp_path / "ckpt"
-        runner = make_runner(trained_classifier)
-        assert runner.run_sharded(fresh_population(), directory,
-                                  num_shards=NUM_SHARDS,
-                                  stop_after_shards=2) is None
-        orchestrator = CensusOrchestrator(
-            make_runner(trained_classifier), fresh_population(), directory)
-        blob = report_blob(orchestrator.run(workers=2))
-        assert blob == monolithic_blob
-        assert blob == fixed_shard_blob
-        # Only the shards the interrupted run left pending were re-measured.
-        completed = [s for stat in orchestrator.worker_stats()
-                     for s in stat.completed]
-        assert len(completed) == NUM_SHARDS - 2
-
-    def test_interrupted_orchestrator_resumes_via_fixed_shard(
-            self, trained_classifier, monolithic_blob, tmp_path):
-        """And the reverse direction: an orchestrator that only got through
-        part of the queue hands the checkpoint back to ``resume``."""
-        directory = tmp_path / "ckpt"
-        orchestrator = CensusOrchestrator(
-            make_runner(trained_classifier), fresh_population(), directory,
-            num_shards=NUM_SHARDS)
-        # Simulate an interrupt: commit two shards by hand, leave the rest.
-        from repro.serving.orchestrator import WorkerStats
-        for _ in range(2):
-            lease = orchestrator.queue.claim("partial")
-            orchestrator._work_one(lease, WorkerStats(worker="partial"))
-        runner = make_runner(trained_classifier)
-        merged = runner.resume(fresh_population(), directory)
-        assert report_blob(merged) == monolithic_blob
-
     def test_fingerprint_mismatch_fails_loudly(self, trained_classifier,
                                                tmp_path):
         directory = tmp_path / "ckpt"
@@ -292,39 +251,42 @@ class TestRealProcessDeath:
 
     def test_two_serve_processes_survive_one_being_sigkilled(
             self, trained_classifier, tmp_path):
-        """Two ``repro.serve`` processes share one checkpoint directory;
-        one is SIGKILLed (with its worker) while holding a lease, and the
-        survivor's report equals the monolithic census."""
+        """Two census processes serve one checkpoint from an artifact: a
+        ``run --artifact`` victim creates it and a ``resume`` survivor
+        joins it. The victim is SIGKILLed (with its worker) while holding
+        a lease, and the survivor's report equals the monolithic census."""
         artifact = tmp_path / "model.caai"
         save_model(trained_classifier, artifact)
         checkpoint = tmp_path / "ckpt"
         settings = {"servers": 96, "population_seed": 2011,
                     "conditions": "paper", "condition_db_size": 1000,
                     "condition_seed": 2010}
-        command = [sys.executable, "-m", "repro.serve",
-                   "--artifact", str(artifact), "--checkpoint", str(checkpoint),
-                   "--shards", "8", "--workers", "1", "--lease-timeout", "1",
-                   "--seed", str(SEED)]
+        command = [sys.executable, "-m", "repro.census"]
+        execution = ["--checkpoint", str(checkpoint), "--workers", "1",
+                     "--lease-timeout", "1"]
+        run = ["run", "--artifact", str(artifact), "--shards", "8",
+               "--seed", str(SEED)] + execution
         for key, value in settings.items():
-            command += [f"--{key.replace('_', '-')}", str(value)]
+            run += [f"--{key.replace('_', '-')}", str(value)]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(SRC), os.environ.get("PYTHONPATH", "")]))
 
-        def serve(name):
+        def serve(name, arguments):
             log = open(tmp_path / f"{name}.log", "w", encoding="utf-8")
             with log:
                 return subprocess.Popen(
-                    command + ["--json", str(tmp_path / f"{name}.json")],
+                    command + arguments
+                    + ["--json", str(tmp_path / f"{name}.json")],
                     env=env, stdout=log, stderr=subprocess.STDOUT,
                     start_new_session=True)
 
-        victim = serve("victim")
+        victim = serve("victim", run)
         survivor = None
         try:
             # The victim creates the checkpoint; the survivor attaches to
             # it while the victim works, and must not take its live lease.
             wait_for_lease_in_group(checkpoint, victim.pid)
-            survivor = serve("survivor")
+            survivor = serve("survivor", ["resume"] + execution)
             wait_for_lease_in_group(checkpoint, survivor.pid)
             held = wait_for_lease_in_group(checkpoint, victim.pid)
             os.killpg(victim.pid, signal.SIGKILL)

@@ -12,7 +12,6 @@ import pytest
 
 from repro.cli.census import main as census_main
 from repro.cli.report import main as report_main
-from repro.cli.serve import main as serve_main
 from repro.core.census import CensusConfig, CensusRunner
 from repro.serving.artifact import save_model
 from repro.serving.schema import (
@@ -149,13 +148,14 @@ class TestJsonReportsAreAtomic:
         assert sorted(fsync_log) == [(False, out.stat().st_ino),
                                      (True, tmp_path.stat().st_ino)]
 
-    def test_serve_syncs_the_file_and_its_directory(
+    def test_census_run_artifact_syncs_the_file_and_its_directory(
             self, trained_classifier, tmp_path, fsync_log):
         artifact = tmp_path / "model.caai"
         save_model(trained_classifier, artifact)
         out = tmp_path / "report.json"
-        assert serve_main([
-            "--artifact", str(artifact), "--checkpoint", str(tmp_path / "ckpt"),
+        assert census_main([
+            "run", "--artifact", str(artifact),
+            "--checkpoint", str(tmp_path / "ckpt"),
             "--servers", "4", "--shards", "1", "--workers", "1",
             "--condition-db-size", "40", "--json", str(out),
         ]) == 0

@@ -1,10 +1,12 @@
 """The census command line, end to end in real processes.
 
 ``python -m repro.census`` is killed after its first shard, inspected,
-resumed on the ``process`` backend in a separate process, and merged in a
+resumed on two worker processes in a separate process, and merged in a
 third; the merged report must equal an uninterrupted in-process census
-built from the same settings. A bad execution argument is rejected before
-any training, so it leaves no checkpoint behind.
+built from the same settings. A census served from a model artifact
+resumes by reloading it. A bad execution argument, a reused checkpoint
+directory or an output path in a missing directory is rejected before any
+training, so it leaves no checkpoint behind.
 """
 
 import json
@@ -18,6 +20,8 @@ import pytest
 from repro.cli.census import main as census_main
 from repro.cli.settings import build_population, train_classifier
 from repro.core.census import CensusConfig, CensusRunner
+from repro.core.checkpoint import CensusCheckpoint, classifier_fingerprint
+from repro.serving.artifact import save_model
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -53,9 +57,11 @@ def test_killed_census_resumes_on_processes_to_the_monolithic_report(tmp_path):
     # Exit 1: stopped with shards pending, as a kill between shards leaves it.
     assert census_cli("run", "--checkpoint", checkpoint, *options,
                       "--stop-after-shards", "1") == 1
+    # The manifest stores exactly the settings that rebuild the census.
+    assert CensusCheckpoint.open(checkpoint).settings == SETTINGS
     assert census_cli("status", "--checkpoint", checkpoint) == 0
     assert census_cli("resume", "--checkpoint", checkpoint,
-                      "--backend", "process", "--workers", "2") == 0
+                      "--workers", "2") == 0
     assert census_cli("merge", "--checkpoint", checkpoint,
                       "--json", str(report)) == 0
 
@@ -77,7 +83,11 @@ TINY = ["--servers", "4", "--shards", "2", "--seed", "9", "--trees", "5",
     ["--max-probe-attempts", "0"],
     ["--probe-deadline", "-1"],
     ["--stop-after-shards", "0"],
-], ids=["workers", "max-probe-attempts", "probe-deadline", "stop-after-shards"])
+    ["--lease-timeout", "0"],
+    ["--json", "missing-dir/report.json"],
+    ["--results", "missing-dir/results.jsonl"],
+], ids=["workers", "max-probe-attempts", "probe-deadline", "stop-after-shards",
+        "lease-timeout", "json-in-missing-dir", "results-in-missing-dir"])
 def test_run_rejects_a_bad_execution_argument_before_training(
         tmp_path, capsys, argument):
     checkpoint = tmp_path / "ckpt"
@@ -94,8 +104,54 @@ def test_resume_rejects_a_bad_execution_argument_before_training(
                         "--stop-after-shards", "1"]) == 1
     manifest = (tmp_path / "ckpt" / "manifest.json").read_bytes()
     capsys.readouterr()
-    for argument in (["--workers", "0"], ["--stop-after-shards", "0"]):
+    for argument in (["--workers", "0"], ["--stop-after-shards", "0"],
+                     ["--lease-timeout", "0"],
+                     ["--json", str(tmp_path / "missing-dir" / "r.json")]):
         assert census_main(["resume", "--checkpoint", checkpoint,
                             *argument]) == 2
         assert "training classifier" not in capsys.readouterr().out
     assert (tmp_path / "ckpt" / "manifest.json").read_bytes() == manifest
+
+
+def test_run_refuses_an_existing_checkpoint_before_training(tmp_path, capsys):
+    checkpoint = str(tmp_path / "ckpt")
+    assert census_main(["run", "--checkpoint", checkpoint, *TINY,
+                        "--stop-after-shards", "1"]) == 1
+    manifest = (tmp_path / "ckpt" / "manifest.json").read_bytes()
+    capsys.readouterr()
+    assert census_main(["run", "--checkpoint", checkpoint, *TINY]) == 2
+    captured = capsys.readouterr()
+    assert "already exists" in captured.err
+    assert "training classifier" not in captured.out
+    assert (tmp_path / "ckpt" / "manifest.json").read_bytes() == manifest
+
+
+def test_resume_finishes_an_artifact_served_checkpoint(
+        trained_classifier, tmp_path, capsys):
+    artifact = tmp_path / "model.caai"
+    save_model(trained_classifier, artifact)
+    checkpoint = tmp_path / "ckpt"
+    report = tmp_path / "report.json"
+    assert census_main(["run", "--checkpoint", str(checkpoint),
+                        "--artifact", str(artifact), "--servers", "6",
+                        "--shards", "2", "--seed", "9",
+                        "--condition-db-size", "40",
+                        "--stop-after-shards", "1"]) == 1
+    fingerprint = classifier_fingerprint(trained_classifier)
+    settings = CensusCheckpoint.open(checkpoint).settings
+    assert settings == {
+        "servers": 6, "population_seed": 2011, "conditions": "paper",
+        "condition_db_size": 40, "condition_seed": 2010, "seed": 9,
+        "shards": 2,
+        "artifact": {"path": str(artifact), "fingerprint": fingerprint}}
+    assert census_main(["resume", "--checkpoint", str(checkpoint),
+                        "--json", str(report)]) == 0
+    assert "training classifier" not in capsys.readouterr().out
+    payload = json.loads(report.read_text(encoding="utf-8"))
+    assert payload["source"] == {"artifact": str(artifact),
+                                 "fingerprint": fingerprint,
+                                 "checkpoint": str(checkpoint)}
+    reference = CensusRunner(trained_classifier, CensusConfig(seed=9)).run(
+        build_population(settings))
+    assert payload["outcomes"] == [outcome.to_json_dict()
+                                   for outcome in reference.outcomes]

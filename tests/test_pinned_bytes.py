@@ -19,12 +19,13 @@ self-consistent.
     condition_database=default_condition_database(size=50, seed=9))``, with
     ``metadata={"trees": 3}``;
   - ``checkpoint/``: ``CensusRunner(<that model>, CensusConfig(seed=17))``
-    over ``PopulationConfig(size=6, seed=424)``: ``run_sharded`` with
-    ``num_shards=2, stop_after_shards=1``; then ``WorkQueue.claim
+    over ``PopulationConfig(size=6, seed=424)``: a fixed-shard census of
+    ``num_shards=2`` stopped after one shard; then ``WorkQueue.claim
     ("worker-0")`` under a clock fixed at 1000.0, host ``fixture-host`` and
-    pid 4242, which leased shard 1; then ``resume``. The lease stays in
-    ``queue.json``, as a worker killed between committing its shard and
-    dropping its lease leaves it; the empty ``queue.lock`` was not kept;
+    pid 4242, which leased shard 1; then a resume of the fixed-shard
+    census. The lease stays in ``queue.json``, as a worker killed between
+    committing its shard and dropping its lease leaves it; the empty
+    ``queue.lock`` was not kept;
   - ``experiments/smoke/``: ``ArtifactStore(..., "smoke").write("fixture",
     "f1a2b3c4d5e6f708", payload, elapsed_seconds=0.25)`` with the payload
     :meth:`TestV1Stores.test_experiment_artifact_loads` expects.
@@ -52,7 +53,8 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.net.conditions import default_condition_database
 from repro.scenarios.evasion import evasion_rng
 from repro.serving.artifact import load_model
-from repro.serving.queue import WorkQueue
+from repro.serving.orchestrator import CensusOrchestrator
+from repro.serving.queue import LOCK_NAME, QUEUE_NAME, WorkQueue
 from repro.web.population import PopulationConfig, ServerPopulation
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -96,10 +98,16 @@ class TestFrozenClassicCensus:
 
     def test_checkpoint_bytes(self, classifier, frozen, tmp_path):
         runner = CensusRunner(classifier, CensusConfig(seed=17))
-        runner.run_sharded(population(24, 424), tmp_path, num_shards=4)
+        CensusOrchestrator(runner, population(24, 424), tmp_path,
+                           num_shards=4).run(workers=1)
         written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in sorted(tmp_path.iterdir())}
-        assert written == frozen["checkpoint_files"]
+        # The frozen files predate the work queue, whose state and lock
+        # files are the only additions.
+        assert set(written) - set(frozen["checkpoint_files"]) == {
+            QUEUE_NAME, LOCK_NAME}
+        assert {name: written[name] for name in frozen["checkpoint_files"]
+                } == frozen["checkpoint_files"]
 
 
 class TestV1Stores:
@@ -118,8 +126,9 @@ class TestV1Stores:
     def test_checkpoint_resumes_and_merges(self, stores):
         runner = CensusRunner(load_model(stores / "model.caai"),
                               CensusConfig(seed=17))
-        # resume() recomputes the census fingerprint before merging.
-        report = runner.resume(population(6, 424), stores / "checkpoint")
+        # Attaching recomputes the census fingerprint before merging.
+        report = CensusOrchestrator(runner, population(6, 424),
+                                    stores / "checkpoint").run(workers=1)
         assert report_digest(report) == (
             "6edf011df68eef7e1127a5eea0847ee456870936288a7df754c8a75cdad5e00f")
 

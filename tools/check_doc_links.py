@@ -1,11 +1,13 @@
 """CI check: every relative link in the documentation resolves.
 
-Scans ``README.md`` and ``docs/*.md`` for Markdown links **and inline-code
+Scans ``README.md`` and ``docs/*.md`` for Markdown links, **inline-code
 path references** (backtick spans that name a repository path, e.g.
-```` `src/repro/experiments/` ````), and fails with the full offender list
-if any of them points at a file that does not exist. External
-(``http``/``https``/``mailto``) links are not fetched — CI must not depend
-on the network.
+```` `src/repro/experiments/` ````) and **command-line entry points**
+(``python -m repro.<name>`` must name a ``src/repro/<name>/__main__.py``,
+so a deleted CLI cannot linger in the docs), and fails with the full
+offender list if any of them points at a file that does not exist.
+External (``http``/``https``/``mailto``) links are not fetched — CI must
+not depend on the network.
 
 Usage::
 
@@ -28,6 +30,9 @@ LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: Spans with glob characters or spaces (shell commands) are not checked.
 CODE_PATH_PATTERN = re.compile(
     r"`((?:src|docs|tests|tools|benchmarks|examples)/[A-Za-z0-9_./-]+)`")
+
+#: ``python -m repro.<name>`` invocations; the group is the package name.
+ENTRY_POINT_PATTERN = re.compile(r"python3? -m repro\.([A-Za-z_]\w*)")
 
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "#")
 
@@ -63,6 +68,13 @@ def check_file(path: Path) -> list[str]:
                     f"{path.relative_to(REPO_ROOT)}:{line_number}: broken "
                     f"inline-code path reference `{reference}` "
                     "(no such file in the repository)")
+        for match in ENTRY_POINT_PATTERN.finditer(line):
+            main = Path("src", "repro", match.group(1), "__main__.py")
+            if not (REPO_ROOT / main).exists():
+                problems.append(
+                    f"{path.relative_to(REPO_ROOT)}:{line_number}: "
+                    f"`{match.group(0)}` names no command line "
+                    f"(no {main.as_posix()})")
     return problems
 
 
@@ -80,8 +92,8 @@ def main() -> int:
         print(f"\n{len(problems)} broken documentation link(s)",
               file=sys.stderr)
         return 1
-    print(f"OK: all relative links in {len(files)} documentation files "
-          "resolve")
+    print(f"OK: all relative links and entry points in {len(files)} "
+          "documentation files resolve")
     return 0
 
 
