@@ -348,8 +348,8 @@ class TraceGatherer:
         """
         if condition.loss_rate <= 0.0 or not blocks:
             return list(blocks)
-        dropped = np.flatnonzero(rng.random(block_packet_count(blocks))
-                                 < condition.loss_rate).tolist()
+        draws = rng.random(block_packet_count(blocks))
+        dropped = (draws < condition.loss_rate).nonzero()[0].tolist()
         if not dropped:
             return list(blocks)
         return [block if stop - start == len(block) else block.slice(start, stop)
@@ -410,7 +410,7 @@ class TraceGatherer:
         lost = 0
         if condition.loss_rate > 0.0:
             # One draw per ACK, in ladder order.
-            dropped = np.flatnonzero(rng.random(total) < condition.loss_rate).tolist()
+            dropped = (rng.random(total) < condition.loss_rate).nonzero()[0].tolist()
             lost = len(dropped)
             if lost:
                 runs = drop_entries(runs, dropped)

@@ -209,14 +209,21 @@ def get_experiment(name: str) -> Experiment:
 
 
 # --------------------------------------------------------------- fingerprint
-def _code_fingerprint() -> str:
+def code_fingerprint() -> str:
     """Hash the source of every module of the ``repro`` package.
 
     Every ``*.py`` file under :data:`SOURCE_ROOT` (``__pycache__`` skipped)
     enters by its relative path, in sorted order, followed by its bytes, so
     editing any module — a congestion-control law, the gatherer, the
     forest, an experiment — invalidates every cached artifact. Deliberately
-    coarse: a false re-run is cheap, a stale artifact is not.
+    coarse: a false re-run is cheap, a stale artifact is not. The sources
+    are read afresh on every call (no cache), so an edit between two calls
+    in one process is seen; a caller fingerprinting many experiments at
+    once hashes them once and passes the digest to
+    :func:`experiment_fingerprint`.
+
+    Returns:
+        The hex digest of the package's sources.
     """
     parts = []
     for path in sorted(SOURCE_ROOT.rglob("*.py")):
@@ -228,17 +235,20 @@ def _code_fingerprint() -> str:
     return digest(*parts)
 
 
-def experiment_fingerprint(experiment: Experiment,
-                           profile: ScaleProfile) -> str:
+def experiment_fingerprint(experiment: Experiment, profile: ScaleProfile,
+                           code: str | None = None) -> str:
     """Hash everything that determines an experiment's payload.
 
     Args:
         experiment: The experiment about to run.
         profile: The scale profile it runs at.
+        code: The package's source digest from :func:`code_fingerprint`,
+            hashed here when omitted; the runner and the renderer compute
+            it once per call and pass it for every experiment.
 
     Returns:
         A hex digest over the profile, the experiment's name and config and
-        the source of every ``repro`` module (:func:`_code_fingerprint`);
+        the source of every ``repro`` module (:func:`code_fingerprint`);
         the runner treats a matching stored artifact as a cache hit. Equal
         fingerprints mean equal payloads as long as nothing outside the
         package's Python source moved: data files such as the scenario
@@ -249,6 +259,6 @@ def experiment_fingerprint(experiment: Experiment,
         "experiment": experiment.name,
         "profile": dataclasses.asdict(profile),
         "config": dict(experiment.config),
-        "code": _code_fingerprint(),
+        "code": code_fingerprint() if code is None else code,
     }
     return fingerprint(payload)

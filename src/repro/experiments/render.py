@@ -22,6 +22,7 @@ from repro.analysis.tables import format_markdown_table
 from repro.experiments.profiles import ScaleProfile
 from repro.experiments.registry import (
     Experiment,
+    code_fingerprint,
     experiment_fingerprint,
     select_experiments,
 )
@@ -109,9 +110,10 @@ def render_markdown(store: ArtifactStore, profile: ScaleProfile,
         "\n".join(f"- [{experiment.title}](#{_slug(experiment.title)})"
                   for experiment in selected),
     ]
+    code = code_fingerprint()
     for experiment in selected:
         payload = store.load(experiment.name,
-                             experiment_fingerprint(experiment, profile))
+                             experiment_fingerprint(experiment, profile, code))
         parts.append(f"## {experiment.title}")
         parts.append(experiment.description)
         parts.append(experiment.render(payload))

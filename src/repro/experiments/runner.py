@@ -29,6 +29,7 @@ from repro.experiments.profiles import ScaleProfile
 from repro.experiments.registry import (
     Experiment,
     ExperimentContext,
+    code_fingerprint,
     experiment_fingerprint,
     select_experiments,
 )
@@ -137,8 +138,9 @@ class ExperimentRunner:
             payload failed.
         """
         selected = self.select(names)
+        code = code_fingerprint()
         fingerprints = {experiment.name:
-                        experiment_fingerprint(experiment, self.profile)
+                        experiment_fingerprint(experiment, self.profile, code)
                         for experiment in selected}
         pending = [experiment for experiment in selected
                    if force or not self.store.is_current(
@@ -218,8 +220,9 @@ class ExperimentRunner:
         """
         rows = []
         manifest_entries = self.store.manifest()["experiments"]
+        code = code_fingerprint()
         for experiment in self.select(names):
-            fingerprint = experiment_fingerprint(experiment, self.profile)
+            fingerprint = experiment_fingerprint(experiment, self.profile, code)
             entry = manifest_entries.get(experiment.name)
             if entry is None or not self.store.artifact_path(experiment.name).exists():
                 state = "missing"

@@ -49,12 +49,44 @@ class Bic(CongestionAvoidance):
 
     def on_ack_avoidance_batch(self, state: CongestionState, ctx: AckContext,
                                count: int) -> tuple[int, None]:
-        # w_last_max only changes on congestion events, so the per-ACK
-        # interval function sees the same inputs the scalar hook would.
+        # _increase_interval and _max_probing_interval, inlined (a subclass
+        # that redefines them must override this hook as well): w_last_max
+        # only changes on congestion events, so it and the phase limits
+        # derived from it are constant over the run.
+        w_last_max = self._w_last_max
+        low_window = self.low_window
+        max_increment = self.max_increment
+        divisor = self.search_divisor
+        smooth_part = self.smooth_part
+        probing = w_last_max <= 0
+        smooth_limit = w_last_max + divisor
+        linear_limit = w_last_max + max_increment * (divisor - 1.0)
+        divisor_less_one = divisor - 1.0
         cwnd = state.cwnd
-        interval = self._increase_interval
         for _ in range(count):
-            cwnd += 1.0 / interval(cwnd)
+            if cwnd <= low_window:
+                interval = cwnd
+            elif probing:
+                # No loss seen yet: additive increase with the cap.
+                interval = cwnd / max_increment
+            elif cwnd >= w_last_max:
+                # Max probing: slow start away from the plateau.
+                if cwnd < smooth_limit:
+                    interval = cwnd * smooth_part / divisor
+                elif cwnd < linear_limit:
+                    interval = cwnd * divisor_less_one / (cwnd - w_last_max)
+                else:
+                    interval = cwnd / max_increment
+            else:
+                # Binary search: jump half-way to w_last_max, capped.
+                distance = (w_last_max - cwnd) / divisor
+                if distance > max_increment:
+                    interval = cwnd / max_increment
+                elif distance <= 1.0:
+                    interval = cwnd * smooth_part / divisor
+                else:
+                    interval = cwnd / distance
+            cwnd += 1.0 / interval
         state.cwnd = cwnd
         return count, None
 

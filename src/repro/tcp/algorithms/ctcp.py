@@ -26,7 +26,12 @@ from __future__ import annotations
 
 import math
 
-from repro.tcp.base import AckContext, CongestionAvoidance, CongestionState
+from repro.tcp.base import (
+    AckContext,
+    CongestionAvoidance,
+    CongestionState,
+    additive_increase_run,
+)
 
 
 class CompoundTcp(CongestionAvoidance):
@@ -74,10 +79,7 @@ class CompoundTcp(CongestionAvoidance):
                                count: int) -> tuple[int, None]:
         # The delay window moves once per round; per ACK only the loss-based
         # RENO increase runs.
-        cwnd = state.cwnd
-        for _ in range(count):
-            cwnd += 1.0 / max(cwnd, 1.0)
-        state.cwnd = cwnd
+        state.cwnd = additive_increase_run(state.cwnd, 1.0, count)
         return count, None
 
     def on_round_complete(self, state: CongestionState, ctx: AckContext) -> None:

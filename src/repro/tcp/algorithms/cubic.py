@@ -78,6 +78,8 @@ class Cubic(CongestionAvoidance):
         # cubic target is one fixed value; only the TCP-friendliness estimate
         # and the window itself evolve per ACK. The loop replays the exact
         # scalar operation sequence with those two hoisted to locals.
+        if count <= 0:
+            return 0, None
         rtt = state.latest_rtt or state.srtt or 0.1
         now = ctx.now
         if self._epoch_start is None:
@@ -88,10 +90,18 @@ class Cubic(CongestionAvoidance):
         friendly_rtt = state.latest_rtt or state.srtt
         friendly_valid = friendly_rtt is not None and friendly_rtt > 0
         aimd_rate = 3.0 * (1.0 - self.beta) / (1.0 + self.beta)
+        # The usual case (friendliness on, an RTT known) leaves the scalar
+        # loop after its first ACK once cwnd >= 1: every later ACK finds the
+        # friendliness counter reset to 0.0 by its predecessor, so it reads
+        # exactly 1.0, and neither branch lowers cwnd, so max(cwnd, 1.0) is
+        # cwnd for the rest of the run.
+        settled = friendly and friendly_valid
         cwnd = state.cwnd
         ack_count = self._ack_count
         tcp_cwnd = self._tcp_cwnd
-        for _ in range(count):
+        done = 0
+        while done < count:
+            done += 1
             ack_count += 1.0
             goal = target
             if friendly:
@@ -107,6 +117,16 @@ class Cubic(CongestionAvoidance):
                 cwnd += (goal - cwnd) / max(cwnd, 1.0)
             else:
                 cwnd += 1.0 / (100.0 * max(cwnd, 1.0))
+            if settled and cwnd >= 1.0:
+                break
+        if settled:
+            for _ in range(count - done):
+                tcp_cwnd += aimd_rate * (1.0 / cwnd)
+                goal = tcp_cwnd if tcp_cwnd > target else target
+                if goal > cwnd:
+                    cwnd += (goal - cwnd) / cwnd
+                else:
+                    cwnd += 1.0 / (100.0 * cwnd)
         state.cwnd = cwnd
         self._ack_count = ack_count
         self._tcp_cwnd = tcp_cwnd

@@ -24,7 +24,12 @@ server through a non-ECN path.
 
 from __future__ import annotations
 
-from repro.tcp.base import AckContext, CongestionAvoidance, CongestionState
+from repro.tcp.base import (
+    AckContext,
+    CongestionAvoidance,
+    CongestionState,
+    additive_increase_run,
+)
 
 #: Floor on the window after a proportional reduction (RFC 8257 keeps two
 #: packets in flight so the mark feedback loop never stalls).
@@ -66,10 +71,7 @@ class Dctcp(CongestionAvoidance):
                                count: int) -> tuple[int, None]:
         # Bit-identical to RENO's batch hook: same floating-point sequence,
         # monotone growth, so no cwnd log is needed.
-        cwnd = state.cwnd
-        for _ in range(count):
-            cwnd += 1.0 / max(cwnd, 1.0)
-        state.cwnd = cwnd
+        state.cwnd = additive_increase_run(state.cwnd, 1.0, count)
         return count, None
 
     # -- ECN feedback ------------------------------------------------------

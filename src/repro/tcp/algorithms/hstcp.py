@@ -37,10 +37,35 @@ class HighSpeedTcp(CongestionAvoidance):
 
     def on_ack_avoidance_batch(self, state: CongestionState, ctx: AckContext,
                                count: int) -> tuple[int, None]:
+        # additive_increase and its two helpers, inlined: the four constant
+        # logs are taken once per run and log(cwnd) once per ACK (the
+        # scalar rule takes it twice, for b(w) and for p(w), with the same
+        # result). a(w) > 0, so cwnd only grows: it crosses low_window at
+        # most once, and above it max(cwnd, 1.0) is cwnd. A subclass that
+        # redefines those methods must override this hook as well.
+        low_window = self.low_window
+        high_window = self.high_window
+        high_decrease = self.high_decrease
+        decrease_span = high_decrease - 0.5
+        log_low = math.log(low_window)
+        log_span = math.log(high_window) - log_low
+        log_low_p = math.log(1.5 / (low_window ** 2))
+        log_p_span = math.log(self.high_p) - log_low_p
+        log, exp = math.log, math.exp
         cwnd = state.cwnd
-        additive = self.additive_increase
-        for _ in range(count):
-            cwnd += additive(cwnd) / max(cwnd, 1.0)
+        done = 0
+        while done < count and cwnd <= low_window:
+            # a(w) = 1: RENO below low_window.
+            cwnd += 1.0 / max(cwnd, 1.0)
+            done += 1
+        for _ in range(count - done):
+            log_ratio = (log(cwnd) - log_low) / log_span
+            if cwnd >= high_window:
+                b = high_decrease
+            else:
+                b = 0.5 + decrease_span * log_ratio
+            p = exp(log_low_p + log_ratio * log_p_span)
+            cwnd += (cwnd ** 2) * p * 2.0 * b / (2.0 - b) / cwnd
         state.cwnd = cwnd
         return count, None
 

@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import math
 
-from repro.tcp.base import AckContext, CongestionAvoidance, CongestionState
+from repro.tcp.base import (
+    AckContext,
+    CongestionAvoidance,
+    CongestionState,
+    additive_increase_run,
+)
 
 
 class HTcp(CongestionAvoidance):
@@ -48,10 +53,7 @@ class HTcp(CongestionAvoidance):
         # The increase factor depends only on the (constant within a run)
         # time since the last congestion event and the current beta.
         alpha = self.increase_factor(state, ctx.now)
-        cwnd = state.cwnd
-        for _ in range(count):
-            cwnd += alpha / max(cwnd, 1.0)
-        state.cwnd = cwnd
+        state.cwnd = additive_increase_run(state.cwnd, alpha, count)
         return count, None
 
     def increase_factor(self, state: CongestionState, now: float) -> float:

@@ -9,7 +9,12 @@ is implemented here so the substrate covers the full Table I catalogue.
 
 from __future__ import annotations
 
-from repro.tcp.base import AckContext, CongestionAvoidance, CongestionState
+from repro.tcp.base import (
+    AckContext,
+    CongestionAvoidance,
+    CongestionState,
+    additive_increase_run,
+)
 
 
 class Hybla(CongestionAvoidance):
@@ -43,11 +48,8 @@ class Hybla(CongestionAvoidance):
 
     def on_ack_avoidance_batch(self, state: CongestionState, ctx: AckContext,
                                count: int) -> tuple[int, None]:
-        rho_squared = self._rho(state) ** 2
-        cwnd = state.cwnd
-        for _ in range(count):
-            cwnd += rho_squared / max(cwnd, 1.0)
-        state.cwnd = cwnd
+        state.cwnd = additive_increase_run(state.cwnd, self._rho(state) ** 2,
+                                           count)
         return count, None
 
     def ssthresh_after_loss(self, state: CongestionState) -> float:

@@ -14,7 +14,12 @@ from __future__ import annotations
 
 import math
 
-from repro.tcp.base import AckContext, CongestionAvoidance, CongestionState
+from repro.tcp.base import (
+    AckContext,
+    CongestionAvoidance,
+    CongestionState,
+    additive_increase_run,
+)
 
 
 class Illinois(CongestionAvoidance):
@@ -65,11 +70,7 @@ class Illinois(CongestionAvoidance):
         if ctx.rtt_sample is not None and math.isfinite(state.min_rtt):
             delay = max(0.0, ctx.rtt_sample - state.min_rtt)
             self._round_delays.extend([delay] * count)
-        alpha = self._alpha
-        cwnd = state.cwnd
-        for _ in range(count):
-            cwnd += alpha / max(cwnd, 1.0)
-        state.cwnd = cwnd
+        state.cwnd = additive_increase_run(state.cwnd, self._alpha, count)
         return count, None
 
     def on_round_complete(self, state: CongestionState, ctx: AckContext) -> None:

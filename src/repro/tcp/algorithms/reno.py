@@ -7,7 +7,12 @@ increase of one packet per RTT and multiplicative decrease of one half.
 
 from __future__ import annotations
 
-from repro.tcp.base import AckContext, CongestionAvoidance, CongestionState
+from repro.tcp.base import (
+    AckContext,
+    CongestionAvoidance,
+    CongestionState,
+    additive_increase_run,
+)
 
 
 class Reno(CongestionAvoidance):
@@ -27,10 +32,7 @@ class Reno(CongestionAvoidance):
 
     def on_ack_avoidance_batch(self, state: CongestionState, ctx: AckContext,
                                count: int) -> tuple[int, None]:
-        cwnd = state.cwnd
-        for _ in range(count):
-            cwnd += 1.0 / max(cwnd, 1.0)
-        state.cwnd = cwnd
+        state.cwnd = additive_increase_run(state.cwnd, 1.0, count)
         return count, None
 
     def ssthresh_after_loss(self, state: CongestionState) -> float:

@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import math
 
-from repro.tcp.base import AckContext, CongestionAvoidance, CongestionState
+from repro.tcp.base import (
+    AckContext,
+    CongestionAvoidance,
+    CongestionState,
+    additive_increase_run,
+)
 
 
 class Veno(CongestionAvoidance):
@@ -54,21 +59,17 @@ class Veno(CongestionAvoidance):
     def on_ack_avoidance_batch(self, state: CongestionState, ctx: AckContext,
                                count: int) -> tuple[int, None]:
         # The backlog estimate only changes at round boundaries, so the run
-        # stays in one growth mode; the every-other-ACK toggle is replayed.
-        cwnd = state.cwnd
+        # stays in one growth mode. In the congested mode a held ACK leaves
+        # cwnd alone, so the run is the RENO increase on every other ACK
+        # (starting with the first unless growth is held), and every ACK
+        # flips the toggle.
         if self._backlog < self.backlog_threshold:
-            for _ in range(count):
-                cwnd += 1.0 / max(cwnd, 1.0)
+            growing = count
         else:
             hold = self._hold_growth
-            for _ in range(count):
-                if hold:
-                    hold = False
-                else:
-                    cwnd += 1.0 / max(cwnd, 1.0)
-                    hold = True
-            self._hold_growth = hold
-        state.cwnd = cwnd
+            growing = (count + (0 if hold else 1)) // 2
+            self._hold_growth = hold ^ (count % 2 == 1)
+        state.cwnd = additive_increase_run(state.cwnd, 1.0, growing)
         return count, None
 
     def on_round_complete(self, state: CongestionState, ctx: AckContext) -> None:

@@ -12,7 +12,12 @@ from __future__ import annotations
 
 import math
 
-from repro.tcp.base import AckContext, CongestionAvoidance, CongestionState
+from repro.tcp.base import (
+    AckContext,
+    CongestionAvoidance,
+    CongestionState,
+    additive_increase_run,
+)
 from repro.tcp.algorithms.scalable import ScalableTcp
 
 
@@ -59,10 +64,7 @@ class Yeah(CongestionAvoidance):
         # one growth rule.
         if self._fast_mode:
             return self._scalable.on_ack_avoidance_batch(state, ctx, count)
-        cwnd = state.cwnd
-        for _ in range(count):
-            cwnd += 1.0 / max(cwnd, 1.0)
-        state.cwnd = cwnd
+        state.cwnd = additive_increase_run(state.cwnd, 1.0, count)
         return count, None
 
     def on_round_complete(self, state: CongestionState, ctx: AckContext) -> None:

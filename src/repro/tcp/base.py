@@ -23,6 +23,23 @@ MIN_SSTHRESH = 2.0
 MIN_CWND = 1.0
 
 
+def additive_increase_run(cwnd: float, increase: float, count: int) -> float:
+    """Return ``cwnd`` after ``count`` steps of ``cwnd += increase / max(cwnd, 1.0)``.
+
+    The RENO-shaped per-ACK rule, bit-identical to applying it ``count``
+    times. With ``cwnd >= 1`` and a non-negative ``increase`` the window
+    cannot fall below one packet, so ``max`` returns ``cwnd`` on every step
+    and the loop divides by it directly.
+    """
+    if cwnd >= 1.0 and increase >= 0.0:
+        for _ in range(count):
+            cwnd += increase / cwnd
+    else:
+        for _ in range(count):
+            cwnd += increase / max(cwnd, 1.0)
+    return cwnd
+
+
 @dataclass
 class CongestionState:
     """Congestion-control view of a TCP connection.
@@ -154,8 +171,12 @@ class CongestionAvoidance(ABC):
         * processing ``consumed`` ACKs must be bit-identical to that many
           sequential :meth:`on_ack_avoidance` calls with the same (frozen,
           constant) ``ctx`` -- overrides therefore replay the exact
-          floating-point operation sequence of the scalar hook, merely
-          hoisting attribute access and allocation out of the loop;
+          floating-point operation sequence of the scalar hook. What they
+          may hoist out of the loop is what the run cannot change:
+          attribute access and allocation, values constant over the run
+          (``ctx``, the RTT view, per-round parameters, constant logs), and
+          ``max(cwnd, 1.0)`` once ``cwnd >= 1`` and the loop cannot take
+          ``cwnd`` below 1 again;
         * ``consumed`` may be less than ``count`` only when the window fell
           back below ``ssthresh`` (the scalar engine would route the next
           ACK through slow start again); implementations that can shrink the

@@ -64,9 +64,11 @@ class RtoEstimator:
         engine uses this for a round's run of equally-timed ACKs, where every
         sample is the same ``now - sent_at`` value.
 
-        Each step is a function of ``(srtt, rttvar)`` alone, so once a step
-        leaves both unchanged every later step would too: the loop stops at
-        that fixed point.
+        A step's srtt is a function of srtt alone, so once a step leaves it
+        unchanged it stays fixed: from there on only rttvar moves, by the
+        constant ``beta * |srtt - sample|``, and the remaining steps run as a
+        one-variable loop. That loop stops at rttvar's own fixed point, where
+        every later step would change nothing either.
         """
         if count <= 0:
             return
@@ -80,13 +82,20 @@ class RtoEstimator:
             count -= 1
         alpha, beta = self.alpha, self.beta
         one_minus_alpha, one_minus_beta = 1 - alpha, 1 - beta
-        for _ in range(count):
-            next_rttvar = one_minus_beta * rttvar + beta * abs(srtt - rtt_sample)
+        while count > 0:
             next_srtt = one_minus_alpha * srtt + alpha * rtt_sample
-            if next_rttvar == rttvar and next_srtt == srtt:
+            if next_srtt == srtt:
                 break
-            rttvar = next_rttvar
+            rttvar = one_minus_beta * rttvar + beta * abs(srtt - rtt_sample)
             srtt = next_srtt
+            count -= 1
+        if count > 0:
+            term = beta * abs(srtt - rtt_sample)
+            for _ in range(count):
+                next_rttvar = one_minus_beta * rttvar + term
+                if next_rttvar == rttvar:
+                    break
+                rttvar = next_rttvar
         self.srtt = srtt
         self.rttvar = rttvar
         self.backoff_exponent = 0

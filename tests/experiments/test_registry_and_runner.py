@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -139,6 +140,40 @@ class TestFingerprint:
         reno.write_bytes(bytes(source))
         after = fingerprints()
         assert all(after[name] != before[name] for name in before)
+
+    def test_status_hashes_the_sources_once(self, tmp_path, monkeypatch):
+        """``status`` over all 14 experiments computes one code digest: each
+        source file is read once, not once per experiment."""
+        reads = Counter()
+        read_bytes = Path.read_bytes
+
+        def counting_read_bytes(path):
+            if registry.SOURCE_ROOT in path.parents:
+                reads[path] += 1
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+        rows = ExperimentRunner(SMOKE, ArtifactStore(tmp_path, "smoke")).status()
+        assert len(rows) == len(all_experiments()) == 14
+        sources = [path for path in registry.SOURCE_ROOT.rglob("*.py")
+                   if "__pycache__" not in path.parts]
+        assert set(reads) == set(sources)
+        assert set(reads.values()) == {1}
+
+    def test_an_edit_between_two_calls_is_seen(self, tmp_path, monkeypatch):
+        """The digest is not cached across calls: a long-lived process sees
+        a source edit made after its first ``status``."""
+        copy = tmp_path / "repro"
+        shutil.copytree(registry.SOURCE_ROOT, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(registry, "SOURCE_ROOT", copy)
+        runner = ExperimentRunner(SMOKE, ArtifactStore(tmp_path / "a", "smoke"),
+                                  experiments=_fake_experiments({"a": 0, "b": 0}))
+        runner.run()
+        assert [row["state"] for row in runner.status()] == ["current", "current"]
+        reno = copy / "tcp" / "algorithms" / "reno.py"
+        reno.write_bytes(reno.read_bytes() + b"\n")
+        assert [row["state"] for row in runner.status()] == ["stale", "stale"]
 
     def test_fingerprints_survive_a_fresh_interpreter(self):
         """A re-run of ``repro.report`` is a 100 % cache hit only if every

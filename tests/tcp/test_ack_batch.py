@@ -5,15 +5,23 @@ The gather-level parity matrix lives in
 :meth:`TcpSender.on_ack_ladder` API directly: equivalence with a per-entry
 :meth:`TcpSender.on_ack_packet` loop (the scalar per-ACK engine), fallback
 behaviour, the ``REPRO_ACK_BATCH`` knob, the send-bookkeeping pruning, and
-the batched RTO estimator.
+the batched RTO estimator, and the hook-level parity grid (each family's
+``on_ack_avoidance_batch`` against its scalar ``on_ack_avoidance``).
 """
 
+import copy
 import math
+import struct
 from collections import Counter
 
 import pytest
 
-from repro.tcp.base import AckContext, CongestionAvoidance
+from repro.tcp.base import (
+    AckContext,
+    CongestionAvoidance,
+    CongestionState,
+    additive_increase_run,
+)
 from repro.tcp.connection import (
     ACK_BATCH_ENV,
     SenderConfig,
@@ -549,6 +557,205 @@ class TestSendBookkeepingPruning:
         sender.on_ack_packet(blocks[0].stop_index, deadline + 1.0)
         # The sample from the retransmitted packet must not feed the RTO.
         assert sender.rto.srtt == srtt_before
+
+
+def bits(value):
+    """``value`` with every float replaced by its IEEE-754 bytes, recursively
+    through containers and objects, so that ``==`` compares bit for bit
+    (``-0.0 != 0.0``, and a NaN equals itself)."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(bits(item) for item in value)
+    if isinstance(value, dict):
+        return {key: bits(item) for key, item in value.items()}
+    if hasattr(value, "__dict__"):
+        return type(value), bits(vars(value))
+    return value
+
+
+#: Starting windows of the grid: below one packet, exactly one, RENO-sized,
+#: just below HSTCP's low_window (38), a probe-sized window, and either
+#: side of HSTCP's high_window (83,000).
+GRID_WINDOWS = (0.5, 1.0, 10.0, 37.5, 300.0, 82_998.0, 83_100.0)
+#: With an RTT view (environment B's 0.8 s -> 1.0 s step) and without one.
+GRID_RTTS = (1.0, None)
+GRID_COUNTS = (0, 1, 5_000)
+GRID_NOW = 5.0
+
+
+def grid_state(cwnd, rtt):
+    """A congestion-avoidance state (``ssthresh == cwnd``) three seconds
+    after the last congestion event."""
+    state = CongestionState(mss=100, cwnd=cwnd, ssthresh=cwnd)
+    if rtt is not None:
+        state.latest_rtt = state.srtt = state.last_round_rtt = rtt
+        state.min_rtt, state.max_rtt = 0.8, rtt
+    state.last_congestion_time = GRID_NOW - 3.0
+    return state
+
+
+def set_attributes(**values):
+    def prepare(algorithm, state):
+        for name, value in values.items():
+            setattr(algorithm, name, value)
+    return prepare
+
+
+def relative_w_last_max(offset=0.0, scale=1.0):
+    def prepare(algorithm, state):
+        algorithm._w_last_max = state.cwnd * scale + offset
+    return prepare
+
+
+def ongoing_cubic_epoch(origin_scale):
+    """An epoch opened two seconds ago at ``origin_scale`` times today's
+    window (below 1, the cubic target starts under cwnd)."""
+    def prepare(algorithm, state):
+        algorithm._epoch_start = GRID_NOW - 2.0
+        algorithm._origin_point = state.cwnd * origin_scale
+        algorithm._k = 0.5
+        algorithm._tcp_cwnd = state.cwnd * origin_scale
+    return prepare
+
+
+def recent_congestion(algorithm, state):
+    state.last_congestion_time = GRID_NOW - 0.5
+
+
+def combined(*steps):
+    def prepare(algorithm, state):
+        for step in steps:
+            step(algorithm, state)
+    return prepare
+
+
+CUBIC_VARIANTS = {
+    "fresh-epoch": None,
+    "ongoing-epoch": ongoing_cubic_epoch(1.0),
+    "ongoing-epoch-below-cwnd": ongoing_cubic_epoch(0.5),
+    "below-w_last_max": relative_w_last_max(scale=1.5, offset=10.0),
+    "friendliness-off": set_attributes(tcp_friendliness=False),
+    "friendliness-off-ongoing": combined(set_attributes(tcp_friendliness=False),
+                                         ongoing_cubic_epoch(0.5)),
+    # The friendliness counter a stretch of RTT-less ACKs leaves behind in
+    # an ongoing epoch: the next ACK with an RTT reads 4.0, not 1.0.
+    "counter-backlog": combined(ongoing_cubic_epoch(1.0),
+                                set_attributes(_ack_count=3.0)),
+}
+
+#: Per-family starting variants, chosen to reach every branch of the batch
+#: hooks; a family not listed runs its freshly started state only.
+GRID_VARIANTS = {
+    "bic": {
+        "no-loss": None,
+        "search-smoothing": relative_w_last_max(offset=2.0),
+        "search": relative_w_last_max(offset=10.0),
+        "search-capped": relative_w_last_max(offset=400.0),
+        "probing-smoothing": relative_w_last_max(offset=-1.0),
+        "probing-linear": relative_w_last_max(offset=-10.0),
+        "probing-capped": relative_w_last_max(scale=0.5),
+    },
+    "cubic-a": CUBIC_VARIANTS,
+    "cubic-b": CUBIC_VARIANTS,
+    "htcp": {
+        "low-speed": recent_congestion,
+        "high-speed": None,
+        "beta-max": set_attributes(_beta=0.8),
+    },
+    "illinois": {
+        "alpha-max": set_attributes(_alpha=10.0),
+        "alpha-min": set_attributes(_alpha=0.3, _round_delays=[0.1]),
+    },
+    "lp": {
+        "fresh": None,
+        "delay-above-threshold": set_attributes(_smoothed_delay=0.19),
+        "within-inference": set_attributes(
+            _smoothed_delay=0.19, _within_inference=True,
+            _last_inference_time=GRID_NOW - 0.1),
+    },
+    "veno": {
+        "no-backlog": None,
+        "backlog": set_attributes(_backlog=5.0),
+        "backlog-held": set_attributes(_backlog=5.0, _hold_growth=True),
+    },
+    "yeah": {
+        "fast-mode": None,
+        "reno-mode": set_attributes(_fast_mode=False),
+    },
+}
+
+GRID_CASES = [(name, variant)
+              for name in ALL_ALGORITHM_NAMES
+              for variant in GRID_VARIANTS.get(name, {"fresh": None})]
+
+
+def scalar_avoidance(algorithm, state, ctx, count):
+    """``count`` scalar hook calls, stopping where the batch contract lets a
+    run stop: after an ACK that leaves the window below ssthresh."""
+    log = []
+    for _ in range(count):
+        algorithm.on_ack_avoidance(state, ctx)
+        log.append(state.cwnd)
+        if state.cwnd < state.ssthresh:
+            break
+    return len(log), log
+
+
+class TestHookParityGrid:
+    """``on_ack_avoidance_batch(state, ctx, n)`` equals ``n`` scalar
+    ``on_ack_avoidance`` calls on a deep copy, bit for bit: ``consumed``,
+    the cwnd log, the congestion state and ``vars(algorithm)``.
+
+    The grid reaches branches no probe reaches (HSTCP across low_window and
+    above high_window, every BIC phase with ``w_last_max`` set, CUBIC without
+    friendliness, without an RTT, below one packet, in a fresh and an ongoing
+    epoch), so a hook that hoists a value the run can change fails here.
+    """
+
+    @pytest.mark.parametrize("name,variant", GRID_CASES,
+                             ids=[f"{name}-{variant}" for name, variant in GRID_CASES])
+    def test_batch_equals_scalar_calls(self, name, variant):
+        prepare = GRID_VARIANTS.get(name, {}).get(variant)
+        for cwnd in GRID_WINDOWS:
+            for rtt in GRID_RTTS:
+                for count in GRID_COUNTS:
+                    where = f"cwnd={cwnd} rtt={rtt} n={count}"
+                    state = grid_state(cwnd, rtt)
+                    algorithm = create_algorithm(name)
+                    algorithm.on_connection_start(state)
+                    if prepare is not None:
+                        prepare(algorithm, state)
+                    ctx = AckContext(now=GRID_NOW, rtt_sample=rtt,
+                                     newly_acked_packets=1)
+                    scalar_algorithm, scalar_state = copy.deepcopy((algorithm, state))
+
+                    consumed, log = algorithm.on_ack_avoidance_batch(state, ctx, count)
+                    expected_consumed, expected_log = scalar_avoidance(
+                        scalar_algorithm, scalar_state, ctx, count)
+
+                    assert consumed == expected_consumed, where
+                    if log is None:
+                        # The sender then reads the run's transmission
+                        # window off the final cwnd: the run must not dip.
+                        windows = [cwnd, *expected_log]
+                        assert all(b >= a for a, b in zip(windows, windows[1:])), where
+                    else:
+                        assert bits(log) == bits(expected_log), where
+                    assert bits(state.cwnd) == bits(scalar_state.cwnd), where
+                    assert bits(vars(state)) == bits(vars(scalar_state)), where
+                    assert bits(vars(algorithm)) == bits(vars(scalar_algorithm)), where
+
+    @pytest.mark.parametrize("increase", [1.0, 0.25, 0.0, -0.0, -0.5])
+    @pytest.mark.parametrize("cwnd", [0.5, 1.0, 3.0])
+    def test_additive_increase_run_equals_the_rule(self, cwnd, increase):
+        # A non-positive increase can take cwnd below one packet, where
+        # max(cwnd, 1.0) is no longer cwnd; the helper must keep the max.
+        for count in GRID_COUNTS:
+            expected = cwnd
+            for _ in range(count):
+                expected += increase / max(expected, 1.0)
+            assert bits(additive_increase_run(cwnd, increase, count)) == bits(expected)
 
 
 class TestObserveRun:

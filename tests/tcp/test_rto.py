@@ -1,5 +1,6 @@
 """Tests for the RFC 6298 retransmission timeout estimator."""
 
+import math
 import sys
 
 import pytest
@@ -173,6 +174,68 @@ class TestObserveRunEdgeCases:
             loop.observe(sample)
         run.observe_run(sample, 6)
         self.assert_bitwise_equal(run, loop)
+
+    #: Environment B's two emulated RTT samples as the gatherer computes
+    #: them (``now - sent_at`` on the emulated clock).
+    ENV_B_SAMPLES = (0.7999999999999545, 1.0)
+
+    @staticmethod
+    def srtt_is_fixed(estimator, sample):
+        return ((1 - estimator.alpha) * estimator.srtt + estimator.alpha * sample
+                == estimator.srtt)
+
+    @pytest.mark.parametrize("settled,switched",
+                             [ENV_B_SAMPLES, ENV_B_SAMPLES[::-1]],
+                             ids=["0.8-to-1.0", "1.0-to-0.8"])
+    def test_sample_switch_crosses_the_srtt_fixed_point(self, settled, switched):
+        # Settled on one sample, the estimator takes 3,000 of the other: srtt
+        # walks for a few hundred steps, then stops a few ulps short of the
+        # new sample, where only rttvar still moves, towards a positive
+        # fixed point of its own.
+        run, loop = RtoEstimator(), RtoEstimator()
+        run.observe_run(settled, 3000)
+        for _ in range(3000):
+            loop.observe(settled)
+        self.assert_bitwise_equal(run, loop)
+        assert not self.srtt_is_fixed(run, switched)
+        run.observe_run(switched, 3000)
+        for _ in range(3000):
+            loop.observe(switched)
+        self.assert_bitwise_equal(run, loop)
+        assert self.srtt_is_fixed(run, switched)
+        assert run.srtt != switched and run.rttvar > 0.0
+
+    @pytest.mark.parametrize("count", [1, 2, 3000])
+    def test_srtt_already_at_the_sample(self, count):
+        # srtt == sample from the first step on: a pure rttvar decay.
+        run, loop = RtoEstimator(), RtoEstimator()
+        for estimator in (run, loop):
+            estimator.observe(0.6)
+            estimator.observe(1.4)
+            estimator.srtt = 1.0
+            estimator.back_off()
+        run.observe_run(1.0, count)
+        for _ in range(count):
+            loop.observe(1.0)
+        self.assert_bitwise_equal(run, loop)
+
+    @pytest.mark.parametrize("count", [1, 2, 3000])
+    def test_fixed_srtt_with_an_offset_keeps_rttvar_positive(self, count):
+        # One ulp above 1.0 the srtt update rounds back to 1.0, so srtt is
+        # fixed at an offset from the sample, and rttvar settles at a
+        # positive fixed point instead of decaying into subnormals.
+        sample = math.nextafter(1.0, 2.0)
+        run, loop = RtoEstimator(), RtoEstimator()
+        for estimator in (run, loop):
+            estimator.observe(1.0)
+        assert self.srtt_is_fixed(run, sample)
+        run.observe_run(sample, count)
+        for _ in range(count):
+            loop.observe(sample)
+        self.assert_bitwise_equal(run, loop)
+        assert run.srtt == 1.0
+        if count == 3000:
+            assert run.rttvar >= sys.float_info.min
 
     @settings(max_examples=150, deadline=None)
     @given(prior=st.lists(rtt_samples, max_size=6),

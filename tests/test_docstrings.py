@@ -45,6 +45,7 @@ PUBLIC_FUNCTIONS = [
     tables.format_percentage_table,
     tables.format_table,
     registry.all_experiments,
+    registry.code_fingerprint,
     registry.experiment_fingerprint,
     registry.experiment_names,
     registry.get_experiment,
