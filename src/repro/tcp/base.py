@@ -124,21 +124,22 @@ class CongestionAvoidance(ABC):
     label: str = "abstract"
     #: True for algorithms that use delay signals (affects example tooling only).
     delay_based: bool = False
-    #: Whether the batched ACK engine may register a clean run's (identical)
-    #: RTT samples with the sender's RTO estimator *before* running the
-    #: window growth, instead of interleaving registration and growth per
+    #: Whether the batched ACK engine may register a clean prefix's
+    #: (identical) RTT samples with the sender's RTO estimator *before*
+    #: running the window growth, and run the growth through the batch
+    #: hooks, instead of interleaving registration and the scalar hooks per
     #: ACK as the scalar engine does. Opting in asserts two properties of
     #: the growth hooks: (a) they read at most ``latest_rtt`` / ``min_rtt``
     #: / ``max_rtt`` (constant under a run of identical samples) but not the
     #: evolving ``srtt``, and (b) they ignore ``ctx.newly_acked_packets``
-    #: (so the engine may batch runs whose ACKs cover more than one packet:
-    #: a first ACK that jumps after an ACK was lost, or a stretch-ACK run
-    #: with ``step > 1`` whose every ACK covers ``step`` packets, as behind
-    #: a thinning middlebox). The conservative default keeps unknown
-    #: subclasses on the per-ACK interleaved path, which batches only
-    #: per-packet ACKs; every registry algorithm opts in except Westwood+,
-    #: whose idle-gap detector reads ``srtt`` and whose bandwidth filter
-    #: counts ``newly_acked_packets`` on every ACK.
+    #: (so one context serves a prefix whose ACKs cover different numbers
+    #: of packets: a jump after an ACK was lost, or a stretch-ACK run with
+    #: ``step > 1``, as behind a thinning middlebox). The conservative
+    #: default keeps unknown subclasses on the interleaved flow, which
+    #: batches the same prefixes but replays the scalar hooks ACK by ACK,
+    #: each with its own ``newly_acked_packets``; every registry algorithm
+    #: opts in except Westwood+, whose idle-gap detector reads ``srtt`` and
+    #: whose bandwidth filter counts ``newly_acked_packets`` on every ACK.
     batch_decoupled: bool = False
 
     def on_connection_start(self, state: CongestionState) -> None:

@@ -18,6 +18,7 @@ contiguous burst; the packet-level prober expands them at its link.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -75,14 +76,42 @@ def _batch_decoupled_trusted(alg_type: type) -> bool:
     The flag asserts properties of *both* growth hooks (they ignore the
     evolving ``srtt`` and ``ctx.newly_acked_packets``); a subclass that
     overrides either hook below the class that made the assertion may have
-    invalidated it, so such classes fall back to the per-ACK interleaved
-    path, which batches only runs of per-packet ACKs (``step == 1``).
+    invalidated it, so such classes fall back to the interleaved flow,
+    which replays the scalar hooks ACK by ACK inside the same clean
+    prefixes, each ACK with its own packet advance.
     """
     flag_cls = _defining_class(alg_type, "batch_decoupled")
     if flag_cls is None or flag_cls is CongestionAvoidance:
         return True  # the conservative default (False) applies anyway
     return not (_defined_below(alg_type, "on_ack_avoidance", flag_cls)
                 or _defined_below(alg_type, "on_ack_slow_start", flag_cls))
+
+
+class _RunPositions:
+    """The ACK values of consecutive ``(first, count, step)`` runs as one
+    indexable sequence, without expanding them.
+
+    A clean prefix that spans several runs (the gaps of lost ACKs, a
+    per-packet stretch followed by a stride) reaches
+    :meth:`TcpSender._grow_run` through this view; ``view[i]`` bisects
+    over the runs' cumulative counts, so the view costs O(runs).
+    """
+
+    __slots__ = ("_runs", "_offsets")
+
+    def __init__(self, runs: list[tuple[int, int, int]]):
+        self._runs = runs
+        offsets = []
+        total = 0
+        for _, count, _ in runs:
+            offsets.append(total)
+            total += count
+        self._offsets = offsets
+
+    def __getitem__(self, index: int) -> int:
+        run = bisect_right(self._offsets, index) - 1
+        first, _, step = self._runs[run]
+        return first + (index - self._offsets[run]) * step
 
 
 @dataclass
@@ -188,7 +217,9 @@ class TcpSender:
 
         # ---- batched ACK engine wiring ----------------------------------
         self._batch_enabled = ack_batch_enabled()
-        #: Number of ACK runs the fast path processed (diagnostics/tests).
+        #: Number of clean prefixes the batched engine consumed, one per
+        #: screen that took at least one ACK (diagnostics, tests and the
+        #: work-counter gate).
         self.batch_runs = 0
         alg_type = type(algorithm)
         self._alg_uses_policy_ss = (
@@ -357,14 +388,19 @@ class TcpSender:
         duplicates), and ``step > 1`` is a stretch-ACK run whose every ACK
         covers ``step`` packets (a thinned ACK stream). Behaviour is
         bit-identical to expanding the runs and feeding every value to
-        :meth:`on_ack_packet`: the longest *clean* part of a ``step >= 1``
-        run -- monotone advances within the current round, no recovery or
-        F-RTO state, no cwnd moderation, no post-timeout stall, one send
-        time, no retransmitted packet -- takes the batched fast path in O(1)
-        bookkeeping (the freeze and ceiling quirks included), and every
-        other entry replays through the scalar per-ACK engine before the
-        fast path re-engages (the batch/scalar parity matrix and the
-        differential harness enforce this).
+        :meth:`on_ack_packet`.
+
+        From the cursor, one screen finds the longest *clean prefix* of the
+        rest of the ladder: increasing values across consecutive ``step >=
+        1`` runs (so the gaps lost ACKs and middlebox drops leave, and a
+        per-packet stretch followed by a stride, stay in one prefix), within
+        the current round, sampling RTTs from packets of one send time and
+        no retransmitted packet, on a sender with no recovery or F-RTO
+        state, no cwnd moderation and no post-timeout stall. The prefix is
+        applied in one batched step (the freeze and ceiling quirks
+        included); every other entry replays through the scalar per-ACK
+        engine before the next screen (the batch/scalar parity matrix and
+        the differential harness enforce this).
 
         Args:
             runs: The compressed ladder: ``(first, count, step)`` tuples in
@@ -375,29 +411,38 @@ class TcpSender:
             The blocks the sender transmits in response to the whole ladder.
         """
         out: list = []
-        for first, remaining, step in runs:
-            if not step:
-                for _ in range(remaining):
-                    out.extend(self.on_ack_packet(first, now))
+        index, total_runs = 0, len(runs)
+        first = count = step = 0    # the cursor: what is left of one run
+        while True:
+            if count <= 0:
+                if index == total_runs:
+                    return out
+                first, count, step = runs[index]
+                index += 1
                 continue
-            while remaining:
-                if self._run_eligible():
-                    consumed, emitted = self._fast_packet_run(first, remaining,
-                                                              step, now)
-                    if consumed:
-                        self.batch_runs += 1
-                        out.extend(emitted)
-                        first += consumed * step
-                        remaining -= consumed
-                        continue
-                out.extend(self.on_ack_packet(first, now))
-                first += step
-                remaining -= 1
-        return out
+            if step and self._run_eligible():
+                prefix = self._clean_prefix(runs, index, first, count, step)
+                if prefix is not None:
+                    pieces, k, t0 = prefix
+                    self.batch_runs += 1
+                    out.extend(self._consume_clean_run(pieces, k, t0, now))
+                    # Move the cursor past the prefix: its last piece is a
+                    # head of the cursor run or of a later run.
+                    taken = len(pieces) - 1
+                    if taken:
+                        first, count, step = runs[index + taken - 1]
+                        index += taken
+                    piece_first, piece_count, _ = pieces[-1]
+                    first = piece_first + piece_count * step
+                    count -= piece_count
+                    continue
+            out.extend(self.on_ack_packet(first, now))
+            first += step
+            count -= 1
 
     # ------------------------------------------------------- batched fast path
     def _run_eligible(self) -> bool:
-        """Cheap config/state screening before the per-run checks."""
+        """Cheap config/state screening before the clean-prefix screen."""
         config = self.config
         return (self._batch_enabled
                 and self._started
@@ -407,70 +452,77 @@ class TcpSender:
                 and not (config.post_timeout_stall and self._had_timeout)
                 and self._round_end > self._snd_una)
 
-    def _fast_packet_run(self, first: int, count: int, step: int,
-                         now: float) -> tuple[int, list[SegmentBlock]]:
-        """Batched fast path for an evenly spaced ACK run, in O(1) screening.
+    def _clean_prefix(self, runs: Sequence[tuple[int, int, int]], index: int,
+                      first: int, count: int, step: int
+                      ) -> tuple[list[tuple[int, int, int]], int, float] | None:
+        """Screen the clean prefix of the ladder from the cursor.
 
-        ``first, first + step, ..., first + (count - 1) * step`` are
-        packet-cumulative ACK values (one ``step >= 1`` run from
-        :meth:`on_ack_ladder`). The ACKs of a ``step > 1`` run each cover
-        several packets, which only ``batch_decoupled`` algorithms may
-        batch (contract (b)); the rest stay per-ACK. Because the run is an
-        arithmetic progression, the clean-prefix check is range arithmetic
-        and the Karn/send-time screening is a single span lookup. Returns
-        ``(consumed, emitted)``; ``consumed == 0`` means the run's first ACK
-        is not clean and the caller takes the scalar path for it.
+        The cursor is the run remainder ``(first, count, step)`` (``step >=
+        1``), followed by ``runs[index:]``. Every ACK value ``a`` of a clean
+        prefix is above the previous one (the first above ``snd_una``) and at
+        most ``limit``: the round end, the end of the send-time span of the
+        first sampled packet ``first - 1`` (so every sample ``a - 1`` has
+        that span's send time) and the first retransmitted packet at or above
+        ``first - 1`` (Karn's rule). Because the runs are arithmetic
+        progressions, the screen is range arithmetic in O(runs). Returns
+        ``(pieces, k, t0)`` -- the prefix as ``(first, count, step)`` pieces
+        (a head of the cursor run, then whole runs, the last possibly cut),
+        its ``k`` ACKs and their packets' send time -- or ``None`` when the
+        cursor's ACK is not clean and takes the scalar path.
         """
-        u0 = self._snd_una
-        if first <= u0:
-            return 0, []
-        if (first != u0 + 1 or step != 1) and not self._batch_decoupled:
-            return 0, []
-        k = count
-        room = (self._round_end - first) // step + 1
-        if k > room:
-            k = room
-            if k <= 0:
-                return 0, []
-        # Karn's rule screening: the packets sampled for RTTs are
-        # ``first - 1 + i * step``; they must share one send time (one span),
-        # and no packet in ``[first - 1, last)`` may be a retransmission.
-        t0, extent_stop = self._sent_extent(first - 1)
+        if first <= self._snd_una:
+            return None
+        t0, limit = self._sent_extent(first - 1)
         if t0 is None:
-            return 0, []
-        sampled = (extent_stop - first) // step + 1
-        if sampled < k:
-            k = sampled
+            return None
+        if self._round_end < limit:
+            limit = self._round_end
         retransmitted = self._retransmitted
         if retransmitted:
-            lo, hi = first - 1, first + (k - 1) * step
-            nearest = min((p for p in retransmitted if lo <= p < hi), default=None)
-            if nearest is not None:
-                k = (nearest - first) // step + 1
-                if k <= 0:
-                    return 0, []
-        return k, self._consume_clean_run(range(first, first + k * step, step),
-                                          k, t0, now)
+            lowest = first - 1
+            nearest = min((p for p in retransmitted if p >= lowest), default=limit)
+            if nearest < limit:
+                limit = nearest
+        if first > limit:
+            return None
+        pieces = []
+        k = 0
+        total_runs = len(runs)
+        while True:
+            room = (limit - first) // step + 1
+            if room < count:
+                pieces.append((first, room, step))
+                return pieces, k + room, t0
+            pieces.append((first, count, step))
+            k += count
+            last = first + (count - 1) * step
+            if index == total_runs:
+                return pieces, k, t0
+            first, count, step = runs[index]
+            index += 1
+            if not step or count <= 0 or first <= last or first > limit:
+                return pieces, k, t0
 
-    def _consume_clean_run(self, positions: range, k: int, t0: float,
-                           now: float) -> list[SegmentBlock]:
-        """Apply a validated clean ACK run and return the emission.
+    def _consume_clean_run(self, pieces: list[tuple[int, int, int]], k: int,
+                           t0: float, now: float) -> list[SegmentBlock]:
+        """Apply a screened clean prefix and return the emission.
 
-        ``positions`` (a ``range`` of ``k`` increasing packet-cumulative
-        values, evenly spaced by the run's step) all sample RTTs from
-        packets sent at ``t0``.
+        ``pieces`` are the prefix's ``k`` increasing packet-cumulative ACK
+        values as ``(first, count, step)`` runs, all sampling RTTs from
+        packets sent at ``t0``; :meth:`_grow_run` reads them through a
+        positions view (a ``range`` for one run).
         """
         mss = self.config.mss
         total_packets = self.total_packets
         u0 = self._snd_una
-        last = positions[k - 1]
+        last_first, last_count, last_step = pieces[-1]
+        last = last_first + (last_count - 1) * last_step
         if self._last_timeout_time is not None and t0 < self._last_timeout_time:
             rtt = None
         else:
             rtt = max(now - t0, 1e-9)
 
         state = self.state
-        ctx = AckContext(now=now, rtt_sample=rtt, newly_acked_packets=1)
         rwnd_packets = self.config.receive_window_bytes / mss
         send_buffer = self.config.send_buffer_packets
 
@@ -483,9 +535,15 @@ class TcpSender:
                 window = send_buffer
             return int(window)
 
+        # The ACK that closes the round takes its cap after round completion
+        # (below), so only the ACKs before it count towards ``cap_max``.
+        # Any other final ACK may count: the clamp below only raises cwnd,
+        # so its cap before the clamp is at most the one taken after it.
+        completes_round = last == self._round_end
+        cap_end = k - 1 if completes_round else k
         snd_nxt0 = self._snd_nxt
-        if rtt is not None and not self._batch_decoupled:
-            cap_max = self._run_interleaved(u0, k, ctx, rtt, now, eff_int)
+        if not self._batch_decoupled:
+            cap_max = self._run_interleaved(pieces, rtt, now, eff_int, cap_end)
         else:
             # Decoupled flow: register the (identical) RTT samples once, then
             # run the growth in batch. Registration only moves ``srtt``
@@ -498,11 +556,13 @@ class TcpSender:
                     state.min_rtt = rtt
                 if rtt > state.max_rtt:
                     state.max_rtt = rtt
-            cap_max = 0
-            if k > 1:
-                cap_max = self._grow_run(positions, 0, k - 1, ctx, rtt, now, eff_int)
-            self._grow_run(positions, k - 1, k, ctx, rtt, now, None)
-        if last == self._round_end:
+            if len(pieces) == 1:
+                positions = range(last_first, last + last_step, last_step)
+            else:
+                positions = _RunPositions(pieces)
+            ctx = AckContext(now=now, rtt_sample=rtt, newly_acked_packets=1)
+            cap_max = self._grow_run(positions, k, ctx, rtt, now, eff_int, cap_end)
+        if completes_round:
             self._complete_round(rtt, now)
         state.clamp()
 
@@ -527,28 +587,31 @@ class TcpSender:
             self._timer_deadline = None
         return emitted
 
-    def _grow_run(self, positions: range, begin: int, end: int,
-                  ctx: AckContext, rtt: float | None, now: float,
-                  eff_int) -> int:
-        """Window growth for the clean ACKs ``positions[begin:end]`` (decoupled).
+    def _grow_run(self, positions: range | _RunPositions, k: int,
+                  ctx: AckContext, rtt: float | None, now: float, eff_int,
+                  cap_end: int) -> int:
+        """Window growth for a clean prefix's ``k`` ACKs (decoupled).
 
         ``positions[i]`` is the unacknowledged point after the ``i``-th ACK
-        of the run. The quirks follow :meth:`_grow_window`: in avoidance a
+        of the prefix. The quirks follow :meth:`_grow_window`: in avoidance a
         frozen window neither grows nor counts towards the round, and a
         ceiling caps the window after every ACK's growth, so a ceiling
         server's ACKs reach the hooks one at a time (``count=1`` is exact by
-        the split contract). Returns the largest per-ACK transmission cap
-        observed (0 when ``eff_int`` is ``None``, i.e. the caller computes
-        the cap itself after round completion).
+        the split contract). Returns the largest per-ACK transmission cap of
+        the first ``cap_end`` ACKs; no hook call covers ACKs on both sides of
+        ``cap_end``, so the cap of the ACK just before it is read exactly.
         """
         state = self.state
         ceiling = self.config.approach_ceiling is not None
         freeze = self.config.freeze_in_avoidance
         cap_max = 0
-        index = begin
-        acked_to = positions[begin - 1] if begin else self._snd_una
-        while index < end:
-            remaining = 1 if ceiling else end - index
+        index = 0
+        acked_to = self._snd_una
+        while index < k:
+            if ceiling:
+                remaining = 1
+            else:
+                remaining = (cap_end if index < cap_end else k) - index
             cwnd_log = None
             frozen = freeze and not state.in_slow_start()
             if frozen:
@@ -580,16 +643,17 @@ class TcpSender:
             if ceiling:
                 self._apply_quirk_caps()
                 cwnd_log = None  # one ACK: its cap reads the capped window
-            if eff_int is not None:
-                if cwnd_log is None:
-                    cap = position + eff_int(state.cwnd)
+            if index > cap_end:
+                continue
+            if cwnd_log is None:
+                cap = position + eff_int(state.cwnd)
+                if cap > cap_max:
+                    cap_max = cap
+            else:
+                for offset, cwnd in enumerate(cwnd_log):
+                    cap = positions[start + offset] + eff_int(cwnd)
                     if cap > cap_max:
                         cap_max = cap
-                else:
-                    for offset, cwnd in enumerate(cwnd_log):
-                        cap = positions[start + offset] + eff_int(cwnd)
-                        if cap > cap_max:
-                            cap_max = cap
         return cap_max
 
     def _slow_start_algorithm_loop(self, count: int, ctx: AckContext) -> int:
@@ -608,17 +672,21 @@ class TcpSender:
             consumed += 1
         return consumed
 
-    def _run_interleaved(self, u0: int, k: int, ctx: AckContext, rtt: float,
-                         now: float, eff_int) -> int:
+    def _run_interleaved(self, pieces: list[tuple[int, int, int]],
+                         rtt: float | None, now: float, eff_int,
+                         cap_end: int) -> int:
         """Per-ACK registration + growth for non-decoupled algorithms.
 
         Keeps the scalar engine's exact interleaving (observe sample, update
-        RTT state, grow) for algorithms whose growth hooks read the evolving
-        ``srtt`` (Westwood+'s idle detector), while still batching everything
-        around the growth; the freeze and ceiling quirks apply as in
-        :meth:`_grow_window`. Returns the largest cap over the first ``k - 1``
-        ACKs (the final ACK's cap is computed by the caller after round
-        completion).
+        RTT state, grow) and its per-ACK facts for algorithms whose growth
+        hooks read the evolving ``srtt`` (Westwood+'s idle detector) or
+        ``ctx.newly_acked_packets`` (its bandwidth filter): each ACK's
+        context carries its own packet advance (one shared context per
+        distinct advance), ``acked_in_round`` grows by it, and each ACK's cap
+        is taken at its own position. Everything around the growth stays
+        batched; the freeze and ceiling quirks apply as in
+        :meth:`_grow_window`. Returns the largest cap of the first
+        ``cap_end`` ACKs.
         """
         state = self.state
         algorithm = self.algorithm
@@ -628,40 +696,51 @@ class TcpSender:
         uses_policy = self._alg_uses_policy_ss
         ceiling = self.config.approach_ceiling is not None
         freeze = self.config.freeze_in_avoidance
+        contexts: dict[int, AckContext] = {}
         cap_max = 0
-        last = k - 1
-        for i in range(k):
-            observe(rtt)
-            state.latest_rtt = rtt
-            state.srtt = rto.srtt
-            if rtt < state.min_rtt:
-                state.min_rtt = rtt
-            if rtt > state.max_rtt:
-                state.max_rtt = rtt
-            if state.in_slow_start():
-                if (self._round_start_time is not None
-                        and state.acked_in_round == 0):
-                    policy.on_round_start(state, now)
-                before = state.cwnd
-                algorithm.on_ack_slow_start(state, ctx)
-                if uses_policy:
-                    state.cwnd = before
-                    policy.on_ack(state, now, rtt)
-                ssthresh = state.ssthresh
-                if math.isfinite(ssthresh):
-                    upper = ssthresh if ssthresh >= before else before
-                    if state.cwnd > upper:
-                        state.cwnd = upper
-                state.acked_in_round += 1
-            elif not freeze:
-                algorithm.on_ack_avoidance(state, ctx)
-                state.acked_in_round += 1
-            if ceiling:
-                self._apply_quirk_caps()
-            if i < last:
-                cap = (u0 + i + 1) + eff_int(state.cwnd)
-                if cap > cap_max:
-                    cap_max = cap
+        acked = 0
+        acked_to = self._snd_una
+        for first, count, step in pieces:
+            for position in range(first, first + count * step, step):
+                newly_acked = position - acked_to
+                acked_to = position
+                ctx = contexts.get(newly_acked)
+                if ctx is None:
+                    ctx = contexts[newly_acked] = AckContext(
+                        now=now, rtt_sample=rtt, newly_acked_packets=newly_acked)
+                if rtt is not None:
+                    observe(rtt)
+                    state.latest_rtt = rtt
+                    state.srtt = rto.srtt
+                    if rtt < state.min_rtt:
+                        state.min_rtt = rtt
+                    if rtt > state.max_rtt:
+                        state.max_rtt = rtt
+                if state.in_slow_start():
+                    if (self._round_start_time is not None
+                            and state.acked_in_round == 0):
+                        policy.on_round_start(state, now)
+                    before = state.cwnd
+                    algorithm.on_ack_slow_start(state, ctx)
+                    if uses_policy:
+                        state.cwnd = before
+                        policy.on_ack(state, now, rtt)
+                    ssthresh = state.ssthresh
+                    if math.isfinite(ssthresh):
+                        upper = ssthresh if ssthresh >= before else before
+                        if state.cwnd > upper:
+                            state.cwnd = upper
+                    state.acked_in_round += newly_acked
+                elif not freeze:
+                    algorithm.on_ack_avoidance(state, ctx)
+                    state.acked_in_round += newly_acked
+                if ceiling:
+                    self._apply_quirk_caps()
+                acked += 1
+                if acked <= cap_end:
+                    cap = position + eff_int(state.cwnd)
+                    if cap > cap_max:
+                        cap_max = cap
         return cap_max
 
     # ------------------------------------------------------------- emission

@@ -36,6 +36,9 @@ SCENARIOS = [
     *((f"thin-{every}", dict(w_timeout=64,
                               middlebox=MiddleboxConfig(thin_every=every)), dict())
       for every in (2, 4, 7)),
+    # One clean prefix spans stride runs and the gaps lost ACKs leave.
+    ("thin-4-lossy", dict(w_timeout=64, condition=LOSSY,
+                          middlebox=MiddleboxConfig(thin_every=4)), dict()),
     ("policer", dict(w_timeout=64, middlebox=MiddleboxConfig(
         policer_capacity=48, policer_rate=40.0)), dict()),
     ("cross-traffic", dict(w_timeout=64, middlebox=MiddleboxConfig(
@@ -95,9 +98,10 @@ def test_parity_at_full_w_timeout(monkeypatch, algorithm):
 
 
 def test_parity_under_heavy_ack_loss(monkeypatch):
-    """Runs with gaps (lost ACKs) still batch for decoupled algorithms."""
+    """Prefixes spanning many gaps (lost ACKs), on both the decoupled and
+    the interleaved (Westwood+) flow."""
     condition = NetworkCondition(average_rtt=0.5, rtt_std=0.0, loss_rate=0.08)
-    for algorithm in ("reno", "cubic-b", "illinois"):
+    for algorithm in ("reno", "cubic-b", "illinois", "westwood"):
         batched, scalar = gather_pair(monkeypatch, algorithm, w_timeout=64,
                                       condition=condition, seed=3)
         assert_probes_identical(batched, scalar)

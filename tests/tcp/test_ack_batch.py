@@ -4,9 +4,11 @@ The gather-level parity matrix lives in
 ``tests/core/test_gather_batch_parity.py``; this module exercises the
 :meth:`TcpSender.on_ack_ladder` API directly: equivalence with a per-entry
 :meth:`TcpSender.on_ack_packet` loop (the scalar per-ACK engine), fallback
-behaviour, the ``REPRO_ACK_BATCH`` knob, the send-bookkeeping pruning, and
-the batched RTO estimator, and the hook-level parity grid (each family's
-``on_ack_avoidance_batch`` against its scalar ``on_ack_avoidance``).
+behaviour, the clean-prefix screen on hand-built ladders against the
+``REPRO_ACK_BATCH=0`` reference, the ``REPRO_ACK_BATCH`` knob, the
+send-bookkeeping pruning, the batched RTO estimator, and the hook-level
+parity grid (each family's ``on_ack_avoidance_batch`` against its scalar
+``on_ack_avoidance``).
 """
 
 import copy
@@ -162,6 +164,45 @@ def assert_senders_identical(batch, scalar):
     assert batch.rto.rttvar == scalar.rto.rttvar
     assert batch._send_spans == scalar._send_spans
     assert batch._retransmitted == scalar._retransmitted
+
+
+class HalfPerPacket(CongestionAvoidance):
+    """A custom class that grows by half a packet per acknowledged packet:
+    its avoidance hook reads ``ctx.newly_acked_packets``, and it keeps the
+    default ``batch_decoupled = False``."""
+
+    name = "half"
+    label = "HALF"
+
+    def on_ack_avoidance(self, state, ctx):
+        state.cwnd += 0.5 * ctx.newly_acked_packets / max(state.cwnd, 1.0)
+
+    def ssthresh_after_loss(self, state):
+        return state.cwnd * 0.5
+
+
+class Sawtooth(CongestionAvoidance):
+    """A ``batch_decoupled`` custom class without a batch hook, so the
+    sender runs the default loop, which logs every ACK's window: one packet
+    of growth per ACK, and every fourth ACK takes three away."""
+
+    name = "sawtooth"
+    label = "SAWTOOTH"
+    batch_decoupled = True
+
+    def __init__(self):
+        self.acks = 0
+
+    def on_ack_avoidance(self, state, ctx):
+        self.acks += 1
+        state.cwnd += -3.0 if self.acks % 4 == 0 else 1.0
+
+    def ssthresh_after_loss(self, state):
+        return state.cwnd * 0.5
+
+
+#: The custom classes the parity tests build by name.
+CUSTOM_ALGORITHMS = {"half": HalfPerPacket, "sawtooth": Sawtooth}
 
 
 class TestRunApiEquivalence:
@@ -358,20 +399,10 @@ class TestStretchAckRuns:
         assert_senders_identical(batch, scalar)
 
     @pytest.mark.parametrize("algorithm", ["westwood", "half"])
-    def test_non_decoupled_algorithms_stay_per_ack(self, algorithm):
-        class Half(CongestionAvoidance):
-            name = "half"
-            label = "HALF"
-
-            def on_ack_avoidance(self, state, ctx):
-                state.cwnd += 0.5 * ctx.newly_acked_packets / max(state.cwnd, 1.0)
-
-            def ssthresh_after_loss(self, state):
-                return state.cwnd * 0.5
-
+    def test_non_decoupled_algorithms_batch_strides(self, algorithm):
         def build(**config_kwargs):
-            return make_sender(Half() if algorithm == "half" else algorithm,
-                               **config_kwargs)
+            custom = CUSTOM_ALGORITHMS.get(algorithm)
+            return make_sender(custom() if custom else algorithm, **config_kwargs)
 
         batch, scalar = build(), build()
         per_ack = per_ack_values(batch)
@@ -391,9 +422,10 @@ class TestStretchAckRuns:
         windows_scalar, _ = drive_probe(scalar, rounds=40, w_timeout=64,
                                         thin_every=4, use_ladder=False)
         assert not batch._batch_decoupled
-        # Every ACK of every stride run reached the per-ACK engine.
+        # No ACK of any stride run reached the per-ACK engine: the
+        # interleaved flow batches them with each ACK's own packet advance.
         assert any(strides for strides, _ in ladders)
-        assert all(strides <= scalar_acks for strides, scalar_acks in ladders)
+        assert not any(strides & per_ack_acks for strides, per_ack_acks in ladders)
         assert windows_batch == windows_scalar
         assert_senders_identical(batch, scalar)
 
@@ -406,7 +438,7 @@ class TestStretchAckRuns:
         batch_out = batch.on_ack_ladder([(1, 10, 2)], 1.0)
         scalar_out = acknowledge(scalar, list(range(1, 21, 2)), 1.0,
                                  use_ladder=False)
-        assert per_ack == list(range(1, 21, 2))
+        assert per_ack == []
         assert expand(batch_out) == expand(scalar_out)
         assert_senders_identical(batch, scalar)
         assert vars(batch.algorithm) == vars(scalar.algorithm)
@@ -430,6 +462,168 @@ class TestStretchAckRuns:
         # Only the clean first round batched: repeats never do, and the
         # recovery the fast retransmit opened keeps the last run scalar.
         assert batch.batch_runs == 1
+
+
+def round_acks(now, drop=()):
+    """A step acknowledging every packet in flight at ``now``, one ACK per
+    packet, except the ACKs at the round positions in ``drop`` (negative
+    positions count from the round's end)."""
+    def step(sender):
+        values = list(range(sender.snd_una + 1, sender.snd_nxt + 1))
+        lost = {index % len(values) for index in drop} if values else set()
+        kept = [value for index, value in enumerate(values) if index not in lost]
+        return sender.on_ack_ladder(ladder(kept), now)
+    return step
+
+
+def runs_at(now, runs):
+    """A step feeding the hand-built ladder ``runs`` at ``now``."""
+    return lambda sender: sender.on_ack_ladder(runs, now)
+
+
+def fire_timer(sender):
+    """A step firing the sender's retransmission timer at its deadline."""
+    return sender.on_timer(sender.next_timer_deadline())
+
+
+def jump_ack(now):
+    """A step acknowledging everything sent, as the gatherer does for the
+    retransmission after a timeout (one ACK at the highest packet)."""
+    return lambda sender: sender.on_ack_ladder([(sender.snd_nxt, 1, 1)], now)
+
+
+def mark_retransmitted(packet, at):
+    """A step resending ``packet`` at ``at`` (the original send time keeps
+    its span whole, so only Karn's rule can keep it from a prefix)."""
+    def step(sender):
+        sender._retransmit(packet, at)
+        return []
+    return step
+
+
+def engine_view(sender, blocks):
+    """Everything the parity check compares, with floats as their bits:
+    the emitted packets and their send times, the window state, the RTO
+    estimator, the timer deadline and the algorithm's attributes."""
+    state = sender.state
+    packets = [(segment.packet_index, segment.length, bits(segment.sent_at),
+                segment.is_retransmission) for segment in expand(blocks)]
+    return (packets,
+            bits((state.cwnd, state.ssthresh, state.acked_in_round,
+                  sender.rto.srtt, sender.rto.rttvar,
+                  sender.next_timer_deadline())),
+            (sender.snd_una, sender.snd_nxt),
+            bits(vars(sender.algorithm)))
+
+
+#: (id, sender config, steps, clean prefixes, per-ACK values of the
+#: batched engine), each run for every family of PREFIX_ALGORITHMS. Each
+#: ladder is hand-built; the pinned counts show where the screen starts and
+#: stops a prefix.
+PREFIX_CASES = [
+    ("lost-first-middle-last", dict(initial_window=20, initial_ssthresh=8.0),
+     [round_acks(1.0, drop=(0, 9, -1)), round_acks(2.0)], 3, []),
+    ("two-adjacent-lost", dict(initial_window=20, initial_ssthresh=8.0),
+     [round_acks(1.0, drop=(5, 6)), round_acks(2.0, drop=(3, 4))], 2, []),
+    ("gap-before-round-end", dict(initial_window=20, initial_ssthresh=8.0),
+     [round_acks(1.0, drop=(-2,)), round_acks(2.0, drop=(-2,))], 2, []),
+    # Packet 8 is sampled by ACK 9, which Karn's rule sends per-ACK.
+    ("retransmitted-in-prefix", dict(initial_window=20),
+     [mark_retransmitted(8, 0.0), round_acks(1.0, drop=(3,))], 2, [9]),
+    # Packets 8..15 go out at 1.0 and 16..23 at 2.0; the prefix of the
+    # third ladder ends with the first send time's span.
+    ("send-time-boundary", dict(initial_window=8),
+     [runs_at(1.0, [(1, 4, 1)]), runs_at(2.0, [(5, 4, 1)]),
+      round_acks(3.0, drop=(2, 12))], 4, []),
+    ("repeat-between-runs", dict(initial_window=20),
+     [runs_at(1.0, [(1, 4, 1), (4, 2, 0), (5, 16, 1)])], 2, [4, 4]),
+    ("stretch-then-stride", dict(initial_window=20, initial_ssthresh=8.0),
+     [runs_at(1.0, [(1, 5, 1), (9, 3, 4), (20, 1, 1)]), round_acks(2.0)],
+     2, []),
+    ("freeze-across-a-gap",
+     dict(initial_window=20, initial_ssthresh=8.0, freeze_in_avoidance=True),
+     [round_acks(1.0, drop=(4,)), round_acks(2.0, drop=(0, 7))], 2, []),
+    ("ceiling-across-a-gap",
+     dict(initial_window=20, initial_ssthresh=16.0, approach_ceiling=24.0),
+     [round_acks(1.0, drop=(4,)), round_acks(2.0, drop=(0, 7))], 2, []),
+    ("slow-start-into-avoidance", dict(initial_window=10, initial_ssthresh=14.0),
+     [round_acks(1.0, drop=(1, 6)), round_acks(2.0, drop=(10,))], 2, []),
+    ("rtt-less-jump-after-a-timeout", dict(initial_window=20),
+     [round_acks(1.0, drop=(3,)), fire_timer, jump_ack(20.0),
+      round_acks(21.0, drop=(1,))], 3, []),
+    # Values 1, 2, 4, 5: with the sawtooth's logged windows 21, 22, 23, 20
+    # the largest cap is the third ACK's, read past the gap.
+    ("window-log-across-a-gap", dict(initial_window=20, initial_ssthresh=4.0),
+     [runs_at(1.0, [(1, 2, 1), (4, 2, 1)]), round_acks(2.0, drop=(1, 6))],
+     3, []),
+]
+
+#: Families of the two flows: RENO, CUBIC and the sawtooth take the
+#: decoupled flow (the sawtooth through the default window-logging batch
+#: loop), Westwood+ and the per-packet half the per-ACK interleaved one.
+PREFIX_ALGORITHMS = ["reno", "cubic-b", "sawtooth", "westwood", "half"]
+
+
+class TestCleanPrefixParity:
+    """Hand-built ladders through the batched engine and the scalar per-ACK
+    reference (``REPRO_ACK_BATCH=0``), compared bit for bit after every
+    step: a clean prefix spans lost ACKs and strides and stops where the
+    scalar engine would see something else."""
+
+    @staticmethod
+    def drive(monkeypatch, algorithm, config, steps):
+        """Run ``steps`` on both engines; returns the batched sender and the
+        ACK values its scalar engine received."""
+        senders = []
+        for batch in (False, True):
+            if batch:
+                monkeypatch.delenv(ACK_BATCH_ENV, raising=False)
+            else:
+                monkeypatch.setenv(ACK_BATCH_ENV, "0")
+            custom = CUSTOM_ALGORITHMS.get(algorithm)
+            senders.append(make_sender(custom() if custom else algorithm, **config))
+        reference, batch = senders
+        assert batch._batch_enabled and not reference._batch_enabled
+        per_ack = per_ack_values(batch)
+        for step in [lambda sender: sender.start(0.0), *steps]:
+            assert engine_view(batch, step(batch)) == engine_view(reference, step(reference))
+        return batch, per_ack
+
+    @pytest.mark.parametrize("algorithm", PREFIX_ALGORITHMS)
+    @pytest.mark.parametrize("case", PREFIX_CASES, ids=[case[0] for case in PREFIX_CASES])
+    def test_prefix_equals_reference(self, monkeypatch, case, algorithm):
+        _, config, steps, prefixes, per_ack = case
+        batch, batch_per_ack = self.drive(monkeypatch, algorithm, config, steps)
+        assert batch.batch_runs == prefixes
+        assert batch_per_ack == per_ack
+
+    @pytest.mark.parametrize("algorithm", ["cubic-b", "lp"])
+    def test_avoidance_across_a_gap_with_an_rtt_step(self, monkeypatch, algorithm):
+        # Environment B's RTT step (0.8 s, then 1.0 s) in avoidance, with
+        # lost ACKs in every round: CUBIC's target moves with the clock,
+        # and TCP-LP's delay filter backs off inside the prefix, so its
+        # batch hook returns a falling cwnd log and stops at the slow start
+        # re-entry, which the same prefix then continues.
+        steps = [round_acks(0.8, drop=(2,)), round_acks(1.8, drop=(1, 5)),
+                 round_acks(2.8, drop=(0, 4, -1)), round_acks(3.8, drop=(3,))]
+        batch, per_ack = self.drive(monkeypatch, algorithm,
+                                    dict(initial_window=12, initial_ssthresh=4.0),
+                                    steps)
+        assert batch.batch_runs >= len(steps)
+        if algorithm == "lp":
+            assert batch.state.cwnd < 12.0   # it backed off
+
+    def test_westwood_counts_the_jump_ack_in_full(self, monkeypatch):
+        # The ACK of the retransmission after a timeout jumps over the 40
+        # packets held at the receiver and samples no RTT. Under the freeze
+        # quirk no round completion resets Westwood+'s per-round count, so
+        # it shows the jump counted in full, not as one packet.
+        config = dict(initial_window=20, freeze_in_avoidance=True)
+        batch, per_ack = self.drive(monkeypatch, "westwood", config,
+                                    [round_acks(1.0), fire_timer, jump_ack(30.0)])
+        assert (batch.snd_una, batch.algorithm._acked_this_round) == (60, 40.0)
+        assert batch.batch_runs == 2
+        assert per_ack == []
 
 
 class TestCustomSubclassSafety:
