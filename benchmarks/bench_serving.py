@@ -17,9 +17,11 @@ Measures the two numbers the serving layer exists for and writes them to
   cores.
 
 Both concurrent sections run with >= 2 workers, as the serving acceptance
-criteria require. The artifact section records the cold-start story: fit
-time vs save + load time, with a tripwire that loading must beat refitting
-by a wide margin (that is the entire point of persistable artifacts).
+criteria require. The artifact section records the cold-start story: the
+training-set build and the forest fit, timed apart, against save + load
+time, with a tripwire that loading must beat retraining from scratch (build
+plus fit) by a wide margin (that is the entire point of persistable
+artifacts).
 """
 
 from __future__ import annotations
@@ -52,42 +54,49 @@ CONCURRENT_CLIENTS = 2
 ORCHESTRATOR_WORKERS = 2
 #: Back-to-back (1 worker, 2 workers) pairs; the order alternates per pair.
 PAIRED_RUNS = 3
-#: Tripwire: loading the artifact must beat retraining by at least this
-#: factor (the development machine measures >100x; the margin is generous
-#: so loaded CI runners do not flake).
+#: Tripwire: loading the artifact must beat retraining from scratch (the
+#: training-set build plus the fit) by at least this factor; the margin is
+#: generous so loaded CI runners do not flake.
 MIN_LOAD_SPEEDUP = 10.0
 
 
 def fit_classifier():
+    """Build the training set and fit the model; ``(classifier, build s, fit s)``."""
     builder = TrainingSetBuilder(
         conditions_per_pair=2, seed=31, w_timeouts=(64,),
         algorithms=("reno", "cubic-b", "vegas", "westwood", "bic", "htcp"),
         condition_database=default_condition_database(size=200, seed=9))
     classifier = CaaiClassifier(n_trees=30, seed=5)
     start = time.perf_counter()
-    classifier.train(builder.build_dataset())
-    return classifier, time.perf_counter() - start
+    dataset = builder.build_dataset()
+    built = time.perf_counter()
+    classifier.train(dataset)
+    return classifier, built - start, time.perf_counter() - built
 
 
-def bench_artifact(classifier, fit_seconds, directory: Path) -> dict:
+def bench_artifact(classifier, build_seconds, fit_seconds,
+                   directory: Path) -> dict:
     path = directory / "model.caai"
     start = time.perf_counter()
     header = save_model(classifier, path)
     save_seconds = time.perf_counter() - start
     _, load_seconds = timed_load(path)
-    speedup = fit_seconds / load_seconds
-    print(f"  fit {fit_seconds:.2f}s  save {save_seconds * 1e3:.1f}ms  "
-          f"load {load_seconds * 1e3:.1f}ms  ({speedup:.0f}x faster than "
-          "refitting)", flush=True)
+    retrain_seconds = build_seconds + fit_seconds
+    speedup = retrain_seconds / load_seconds
+    print(f"  build {build_seconds:.3f}s  fit {fit_seconds:.3f}s  "
+          f"save {save_seconds * 1e3:.1f}ms  load {load_seconds * 1e3:.1f}ms  "
+          f"({speedup:.0f}x faster than retraining: build + fit)", flush=True)
     if speedup < MIN_LOAD_SPEEDUP:
         raise SystemExit(
             f"FAIL: artifact load ({load_seconds:.3f}s) is less than "
-            f"{MIN_LOAD_SPEEDUP}x faster than refitting ({fit_seconds:.3f}s)")
+            f"{MIN_LOAD_SPEEDUP}x faster than retraining from scratch "
+            f"(build {build_seconds:.3f}s + fit {fit_seconds:.3f}s)")
     return {
+        "build_seconds": round(build_seconds, 4),
         "fit_seconds": round(fit_seconds, 4),
         "save_seconds": round(save_seconds, 4),
         "load_seconds": round(load_seconds, 4),
-        "load_speedup_vs_fit": round(speedup, 1),
+        "load_speedup_vs_retrain": round(speedup, 1),
         "artifact_bytes": path.stat().st_size,
         "payload_bytes": header["payload_nbytes"],
     }
@@ -185,12 +194,14 @@ def bench_orchestrator(classifier, directory: Path) -> dict:
 def main() -> None:
     output = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(
         "BENCH_serving.json")
-    print("fitting a small classifier ...", flush=True)
-    classifier, fit_seconds = fit_classifier()
+    print("building a small training set and fitting a classifier ...",
+          flush=True)
+    classifier, build_seconds, fit_seconds = fit_classifier()
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         print("artifact cold start:", flush=True)
-        artifact = bench_artifact(classifier, fit_seconds, directory)
+        artifact = bench_artifact(classifier, build_seconds, fit_seconds,
+                                  directory)
         service = CensusService.from_artifact(directory / "model.caai")
         print("classification throughput:", flush=True)
         classify = bench_classify(service)

@@ -12,11 +12,21 @@ split search is fully vectorised.
 
 Two implementation notes for the hot paths:
 
-* **Fitting** pre-sorts every feature column once at the root and partitions
-  the sorted index lists on the way down, so no node ever re-sorts or rebuilds
-  the one-hot label matrix. The split chosen at every node is bit-identical
-  to sorting each node's subcolumn from scratch (stable mergesort of a subset
-  equals the stably-sorted full column restricted to that subset).
+* **Fitting** makes one split search per node over all its candidate
+  features at once: their rows in stable sorted order form one
+  ``(candidates, rows)`` matrix, one difference pass finds every cut between
+  distinct consecutive values, one cumulative sum of the one-hot labels
+  gives every cut's class counts, and the Gini arithmetic runs on the cut
+  rows only. Every gain goes through the same floating-point operations as
+  a per-feature search (each Gini sum reduces one contiguous row of class
+  shares) and ties break the same way: the first best cut within a feature,
+  and a later candidate wins only with a strictly larger gain. Nodes of
+  ``_PRESORT_CUTOFF`` (256) rows or more read that order from index lists
+  sorted once at the root and partitioned on the way down; smaller nodes,
+  which are all nodes of a training set under 256 rows, sort their
+  candidate subcolumns directly. Both paths pick bit-identical splits
+  (stable mergesort of a subset equals the stably-sorted full column
+  restricted to that subset).
 * **Prediction** routes whole sample matrices through a flattened array
   representation of the tree (:class:`FlatTree`) with no per-sample Python
   loop. The linked :class:`_Node` structure is kept as the reference
@@ -214,6 +224,26 @@ class DecisionTreeClassifier:
 
     # ------------------------------------------------------------------ fit
     def fit(self, dataset: LabeledDataset) -> "DecisionTreeClassifier":
+        """Grow the tree on ``dataset`` until nodes are pure or too small.
+
+        Labels are encoded to indices of the sorted class list. Every
+        splittable node, in preorder, draws ``max_features`` candidate
+        features from ``rng`` (all features, and no draw, when
+        ``max_features`` is ``None`` or not below the feature count) and
+        takes the best Gini split among them from one search over all
+        candidates. The tree is kept both as linked nodes and as a
+        :class:`FlatTree`.
+
+        Args:
+            dataset: The labelled training set.
+
+        Returns:
+            ``self``, for chaining.
+
+        Raises:
+            ValueError: If ``dataset`` is empty or ``max_features`` is below
+                one.
+        """
         if len(dataset) == 0:
             raise ValueError("cannot fit a tree on an empty dataset")
         if self.max_features is not None and self.max_features < 1:
@@ -227,9 +257,10 @@ class DecisionTreeClassifier:
         return self
 
     #: Nodes smaller than this give up the pre-sorted index lists and sort
-    #: their (tiny) subcolumns directly; the chosen splits are identical either
-    #: way because candidate cuts sit between distinct values, making every
-    #: split statistic a function of the row *set* only, never of row order.
+    #: their (tiny) subcolumns directly; both paths pick bit-identical splits
+    #: because candidate cuts sit between distinct values, making every split
+    #: statistic a function of the row *set* only, never of row order
+    #: (``tests/ml/test_fit_parity.py`` fits the same sets at three cutoffs).
     _PRESORT_CUTOFF = 256
 
     def _grow_root(self, features: np.ndarray, labels: np.ndarray) -> _Node:
@@ -237,31 +268,11 @@ class DecisionTreeClassifier:
         n_classes = len(self._classes)
         one_hot = np.zeros((n, n_classes), dtype=np.float64)
         one_hot[np.arange(n), labels] = 1.0
+        # Feature-major copy: row ``f`` is feature ``f`` over every sample,
+        # so a node's candidate columns gather and sort as contiguous rows.
+        columns = np.ascontiguousarray(features.T)
         scratch = np.zeros(n, dtype=bool)
         cutoff = self._PRESORT_CUTOFF
-
-        def evaluate(feature: int, sorted_rows: np.ndarray, n_node: int,
-                     parent_impurity: float):
-            """Best Gini cut for one feature given its rows in sorted order."""
-            sorted_values = features[sorted_rows, feature]
-            # Candidate cut positions sit between distinct consecutive values.
-            distinct = np.nonzero(np.diff(sorted_values) > 1e-12)[0]
-            if len(distinct) == 0:
-                return None
-            cumulative = np.cumsum(one_hot[sorted_rows], axis=0)
-            left_counts = cumulative[distinct]
-            right_counts = cumulative[-1] - left_counts
-            n_left = (distinct + 1).astype(float)
-            n_right = n_node - n_left
-            gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
-            gini_right = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2, axis=1)
-            weighted = (n_left * gini_left + n_right * gini_right) / n_node
-            gains = parent_impurity - weighted
-            best_cut = int(np.argmax(gains))
-            cut = distinct[best_cut]
-            threshold = 0.5 * (sorted_values[cut] + sorted_values[cut + 1])
-            mask = sorted_values <= threshold
-            return float(gains[best_cut]), float(threshold), mask
 
         def make_node(rows_any_order: np.ndarray, depth: int):
             counts = np.bincount(labels[rows_any_order], minlength=n_classes)
@@ -271,31 +282,69 @@ class DecisionTreeClassifier:
                               or (self.max_depth is not None and depth >= self.max_depth))
             return node, counts, splittable
 
-        def pick_best(order_for_feature, n_node: int, parent_counts: np.ndarray):
-            parent_impurity = _gini(parent_counts.astype(float), n_node)
+        def pick_best(candidates: np.ndarray, sorted_rows: np.ndarray,
+                      parent_counts: np.ndarray):
+            """Best Gini split over every candidate feature in one search.
+
+            Row ``j`` of ``sorted_rows`` holds the node's rows in the stable
+            sorted order of feature ``candidates[j]``.
+            """
+            n_node = sorted_rows.shape[1]
+            values = columns[candidates[:, None], sorted_rows]
+            # Candidate cuts sit between distinct consecutive values; nonzero
+            # lists them feature-major, cuts ascending within a feature.
+            column, cut = np.nonzero(values[:, 1:] - values[:, :-1] > 1e-12)
+            if len(cut) == 0:
+                return None
+            # The Gini arithmetic runs on the cut rows only, and every sum
+            # reduces one contiguous (cut, class) row, as a per-feature
+            # search would: the gains match it to the last bit.
+            left_counts = one_hot[sorted_rows].cumsum(axis=1)[column, cut]
+            right_counts = parent_counts - left_counts
+            n_left = cut + 1.0
+            n_right = n_node - n_left
+            gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
+            gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
+            weighted = (n_left * gini_left + n_right * gini_right) / n_node
+            gains = _gini(parent_counts.astype(float), n_node) - weighted
+            cuts_per_feature = np.bincount(column, minlength=len(candidates))
+            ends = cuts_per_feature.cumsum()
+            starts = ends - cuts_per_feature
+            scored = np.flatnonzero(cuts_per_feature)
+            tops = np.maximum.reduceat(gains, starts[scored])
+            starts, ends = starts.tolist(), ends.tolist()
+            # A feature takes over only with a strictly larger gain, in
+            # candidate order; within a feature the first (lowest) cut wins.
             best_gain = 1e-12
             best = None
-            for feature in self._candidate_features(n_features):
-                sorted_rows = order_for_feature(int(feature))
-                result = evaluate(int(feature), sorted_rows, n_node, parent_impurity)
-                if result is None:
+            for j, top in zip(scored.tolist(), tops.tolist()):
+                if top <= best_gain:
                     continue
-                gain, threshold, mask = result
-                if gain > best_gain:
-                    if mask.all() or not mask.any():
-                        continue
-                    best_gain = gain
-                    best = (int(feature), threshold, sorted_rows, mask)
-            return best
+                start = starts[j]
+                at = int(cut[start + int(gains[start:ends[j]].argmax())])
+                threshold = 0.5 * (values.item(j, at) + values.item(j, at + 1))
+                # The ``mask.all() or not mask.any()`` guard, read off the
+                # sorted values: no row goes left iff the first does not,
+                # every row does iff the last does (NaNs sort last).
+                if not values.item(j, 0) <= threshold or values.item(j, -1) <= threshold:
+                    continue
+                best_gain = top
+                best = j, threshold
+            if best is None:
+                return None
+            j, threshold = best
+            return (int(candidates[j]), threshold, sorted_rows[j],
+                    values[j] <= threshold)
 
         def grow_indices(indices: np.ndarray, depth: int) -> _Node:
-            """Small-node path: sort each candidate subcolumn directly."""
+            """Small-node path: sort the candidate subcolumns directly."""
             node, counts, splittable = make_node(indices, depth)
             if not splittable:
                 return node
-            def order_for(feature: int) -> np.ndarray:
-                return indices[np.argsort(features[indices, feature], kind="mergesort")]
-            split = pick_best(order_for, len(indices), counts)
+            candidates = self._candidate_features(n_features)
+            positions = columns[candidates[:, None], indices].argsort(
+                axis=1, kind="mergesort")
+            split = pick_best(candidates, indices[positions], counts)
             if split is None:
                 return node
             node.feature, node.threshold, sorted_rows, mask = split
@@ -304,11 +353,12 @@ class DecisionTreeClassifier:
             return node
 
         def grow_sorted(order: np.ndarray, depth: int) -> _Node:
-            """Large-node path: every column of ``order`` is already sorted."""
-            node, counts, splittable = make_node(order[:, 0], depth)
+            """Large-node path: every row of ``order`` is already sorted."""
+            node, counts, splittable = make_node(order[0], depth)
             if not splittable:
                 return node
-            split = pick_best(lambda feature: order[:, feature], len(order), counts)
+            candidates = self._candidate_features(n_features)
+            split = pick_best(candidates, order[candidates], counts)
             if split is None:
                 return node
             node.feature, node.threshold, sorted_rows, mask = split
@@ -318,20 +368,14 @@ class DecisionTreeClassifier:
             keep_right = len(right_rows) >= cutoff
             left_order = right_order = None
             if keep_left or keep_right:
-                # Partition the pre-sorted columns instead of re-sorting them.
+                # Partition the pre-sorted rows instead of re-sorting them.
                 scratch[left_rows] = True
-                if keep_left:
-                    left_order = np.empty((len(left_rows), n_features), dtype=order.dtype)
-                if keep_right:
-                    right_order = np.empty((len(right_rows), n_features), dtype=order.dtype)
-                for j in range(n_features):
-                    column = order[:, j]
-                    member = scratch[column]
-                    if keep_left:
-                        left_order[:, j] = column[member]
-                    if keep_right:
-                        right_order[:, j] = column[~member]
+                member = scratch[order]
                 scratch[left_rows] = False
+                if keep_left:
+                    left_order = order[member].reshape(n_features, len(left_rows))
+                if keep_right:
+                    right_order = order[~member].reshape(n_features, len(right_rows))
             node.left = (grow_sorted(left_order, depth + 1) if keep_left
                          else grow_indices(left_rows, depth + 1))
             node.right = (grow_sorted(right_order, depth + 1) if keep_right
@@ -340,8 +384,8 @@ class DecisionTreeClassifier:
 
         if n < cutoff:
             return grow_indices(np.arange(n, dtype=np.intp), depth=0)
-        # Every column stably sorted exactly once at the root.
-        return grow_sorted(np.argsort(features, axis=0, kind="mergesort"), depth=0)
+        # Every feature stably sorted exactly once at the root.
+        return grow_sorted(columns.argsort(axis=1, kind="mergesort"), depth=0)
 
     def _candidate_features(self, n_features: int) -> np.ndarray:
         if self.max_features is None or self.max_features >= n_features:
@@ -350,7 +394,17 @@ class DecisionTreeClassifier:
 
     # -------------------------------------------------------------- predict
     def predict_one(self, vector: np.ndarray) -> str:
-        """Reference prediction walking the linked nodes (kept for parity)."""
+        """Reference prediction walking the linked nodes (kept for parity).
+
+        Args:
+            vector: One feature vector.
+
+        Returns:
+            The class label of the leaf the vector reaches.
+
+        Raises:
+            RuntimeError: If the tree has not been fitted.
+        """
         node = self._require_fitted()
         while not node.is_leaf:
             assert node.left is not None and node.right is not None
@@ -361,19 +415,42 @@ class DecisionTreeClassifier:
         return self._classes[node.prediction]
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """Vectorised batch prediction through the flattened arrays."""
+        """Vectorised batch prediction through the flattened arrays.
+
+        Args:
+            features: ``(n_samples, n_features)`` matrix (a single vector is
+                promoted to one row).
+
+        Returns:
+            An object array of class labels, one per row.
+
+        Raises:
+            RuntimeError: If the tree has not been fitted.
+        """
         features = np.atleast_2d(np.asarray(features, dtype=float))
         flat = self.flat_tree
         classes = np.array(self._classes, dtype=object)
         return classes[flat.predict_indices(features)]
 
     def predict_reference(self, features: np.ndarray) -> np.ndarray:
-        """Per-sample prediction through the linked nodes (reference path)."""
+        """Per-sample prediction through the linked nodes (reference path).
+
+        Args:
+            features: ``(n_samples, n_features)`` matrix (a single vector is
+                promoted to one row).
+
+        Returns:
+            An object array of class labels, identical to :meth:`predict`.
+
+        Raises:
+            RuntimeError: If the tree has not been fitted.
+        """
         features = np.atleast_2d(np.asarray(features, dtype=float))
         return np.array([self.predict_one(row) for row in features], dtype=object)
 
     @property
     def flat_tree(self) -> FlatTree:
+        """The fitted tree as contiguous preorder arrays (raises if unfitted)."""
         self._require_fitted()
         assert self._flat is not None
         return self._flat
@@ -385,9 +462,23 @@ class DecisionTreeClassifier:
 
     # ------------------------------------------------------------ inspection
     def classes(self) -> list[str]:
+        """The class labels in fitted (sorted) order.
+
+        Returns:
+            A copy of the label list; index ``i`` is class index ``i`` of
+            :attr:`FlatTree.prediction`.
+        """
         return list(self._classes)
 
     def depth(self) -> int:
+        """Number of split levels on the longest root-to-leaf path.
+
+        Returns:
+            ``0`` for a single-leaf tree.
+
+        Raises:
+            RuntimeError: If the tree has not been fitted.
+        """
         def walk(node: _Node | None) -> int:
             if node is None or node.is_leaf:
                 return 0
@@ -395,6 +486,14 @@ class DecisionTreeClassifier:
         return walk(self._require_fitted())
 
     def node_count(self) -> int:
+        """Number of nodes, internal and leaves.
+
+        Returns:
+            The node count of the fitted tree.
+
+        Raises:
+            RuntimeError: If the tree has not been fitted.
+        """
         if self._flat is not None:
             return self._flat.n_nodes
         def walk(node: _Node | None) -> int:

@@ -2,13 +2,13 @@
 
 The classes a new contributor meets first (the census runner, the
 training-set builder, the classifier, the trace gatherer, the parallel
-executor, the TCP sender, the random forest and the experiment-registry
-API) must stay fully documented: every public method and property needs a
-one-line summary, and methods that take arguments or return values need
-Google-style ``Args:`` / ``Returns:`` sections. The same rules apply to the
-module-level entry points of the ``analysis`` and ``experiments`` packages.
-This test fails with the exact list of offenders, so the docs debt cannot
-silently regrow.
+executor, the TCP sender, the random forest and its decision tree, and the
+experiment-registry API) must stay fully documented: every public method
+and property needs a one-line summary, and methods that take arguments or
+return values need Google-style ``Args:`` / ``Returns:`` sections. The same
+rules apply to the module-level entry points of the ``analysis`` and
+``experiments`` packages. This test fails with the exact list of offenders,
+so the docs debt cannot silently regrow.
 """
 
 from __future__ import annotations
@@ -27,13 +27,15 @@ from repro.experiments import registry, render
 from repro.experiments.resources import ResourcePool
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.store import ArtifactStore
+from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.ml.random_forest import RandomForestClassifier
 from repro.parallel import ParallelExecutor
 from repro.tcp.connection import TcpSender
 
 PUBLIC_CLASSES = [CensusRunner, TrainingSetBuilder, CaaiClassifier,
                   TraceGatherer, ParallelExecutor, TcpSender,
-                  RandomForestClassifier, EmpiricalCdf,
+                  RandomForestClassifier, DecisionTreeClassifier,
+                  EmpiricalCdf,
                   ExperimentRunner, ArtifactStore, ResourcePool]
 
 #: Module-level entry points held to the same Args/Returns standard.
