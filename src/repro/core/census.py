@@ -431,11 +431,14 @@ class CensusRunner:
         ``worker_death`` specs, or a ``task_timeout``), task failures are
         captured as :class:`~repro.parallel.TaskFailure` slots and recovered
         deterministically by :meth:`_recover_task_failures` instead of
-        aborting the census.
+        aborting the census. Both settings apply to a caller's
+        :attr:`executor` too.
         """
         capture = self._capture_failures()
-        executor = self.executor or ParallelExecutor(
-            backend=self.config.backend, max_workers=self.config.max_workers,
+        executor = dataclasses.replace(
+            self.executor or ParallelExecutor(
+                backend=self.config.backend,
+                max_workers=self.config.max_workers),
             capture_failures=capture, task_timeout=self.config.task_timeout)
         if seeds is None:
             seeds = task_seeds(self.config.seed, len(records))

@@ -139,10 +139,9 @@ class ParallelExecutor:
     Attributes:
         backend: ``"serial"`` or ``"process"``.
         max_workers: worker count for the process backend (``None`` uses
-            one worker per CPU).
-        chunk_size: tasks handed to a worker per dispatch; ``None`` picks a
-            chunk that gives every worker a few batches (amortising IPC
-            without starving the pool).
+            one worker per CPU). Without ``capture_failures`` the tasks go
+            out in chunks that give every worker about four batches
+            (amortising IPC without starving the pool).
         capture_failures: when ``True``, a task that raises contributes a
             :class:`TaskFailure` to the results instead of aborting the map;
             when ``False`` (the default) exceptions propagate exactly as
@@ -157,7 +156,6 @@ class ParallelExecutor:
 
     backend: str = "serial"
     max_workers: int | None = None
-    chunk_size: int | None = None
     capture_failures: bool = False
     task_timeout: float | None = None
 
@@ -166,8 +164,6 @@ class ParallelExecutor:
             raise ValueError(f"unknown backend {self.backend!r}; choose from {BACKENDS}")
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
         if self.task_timeout is not None:
             if self.task_timeout <= 0:
                 raise ValueError("task_timeout must be positive")
@@ -216,9 +212,7 @@ class ParallelExecutor:
         with ProcessPoolExecutor(max_workers=workers, initializer=initializer,
                                  initargs=tuple(initargs)) as pool:
             if not self.capture_failures:
-                chunk = self.chunk_size
-                if chunk is None:
-                    chunk = max(1, len(task_list) // (workers * 4))
+                chunk = max(1, len(task_list) // (workers * 4))
                 return list(pool.map(function, task_list, chunksize=chunk))
             return self._map_captured(pool, function, task_list, describe)
 

@@ -229,8 +229,7 @@ def timed_load(path: str | Path) -> tuple[CaaiClassifier, float]:
 
     Returns:
         ``(classifier, seconds)`` — the loaded classifier and the cold-start
-        load time (the number the serving benchmark tripwires against fit
-        time).
+        load time.
 
     Raises:
         ModelArtifactError: As for :func:`load_model`.

@@ -45,6 +45,12 @@ SCENARIOS = [
         cross_period=3.0, cross_duration=1.5, cross_drop_every=2)), dict()),
     ("stretch", dict(w_timeout=64,
                      middlebox=MiddleboxConfig(stretch_seconds=0.05)), dict()),
+    # The production w_timeout, plain and behind the ``ack-manipulated``
+    # pack's middlebox (every 4th ACK, 50 ms late): long slow-start runs and
+    # large avoidance windows that the 64 rows never reach.
+    ("full-512", dict(w_timeout=512), dict()),
+    ("full-512-ack-manipulated", dict(w_timeout=512, middlebox=MiddleboxConfig(
+        thin_every=4, stretch_seconds=0.05)), dict()),
 ]
 
 

@@ -49,8 +49,6 @@ class TestParallelExecutor:
             ParallelExecutor(backend="thread")  # removed with thread workers
         with pytest.raises(ValueError):
             ParallelExecutor(max_workers=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(chunk_size=0)
 
     def test_serial_map_preserves_order(self):
         executor = ParallelExecutor()
@@ -76,8 +74,8 @@ class TestParallelExecutor:
     def test_seeded_tasks_identical_across_backends(self):
         tasks = list(enumerate(task_seeds(7, 10)))
         serial = ParallelExecutor().map(_seeded_draw, tasks)
-        parallel = ParallelExecutor(backend="process", max_workers=2,
-                                    chunk_size=3).map(_seeded_draw, tasks)
+        parallel = ParallelExecutor(backend="process",
+                                    max_workers=2).map(_seeded_draw, tasks)
         assert serial == parallel
 
     def test_initializer_runs_before_tasks(self):

@@ -10,6 +10,7 @@ from repro.core.results import (STATUS_IDENTIFIED, STATUS_INCONCLUSIVE,
                                 ServerOutcome)
 from repro.core.trace import InvalidReason
 from repro.faults import FaultPlan, FaultSpec
+from repro.parallel import ParallelExecutor
 from repro.serving.orchestrator import CensusOrchestrator
 from repro.web.population import PopulationConfig, ServerPopulation
 
@@ -182,6 +183,28 @@ class TestZeroFaultParity:
                              .run(fresh_population()))
                  for _ in range(2)}
         assert len(blobs) == 1
+
+
+class TestCallerExecutor:
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_worker_death_recovered_as_on_the_config_executor(
+            self, trained_classifier, backend):
+        """A caller's executor (``repro.report run --backend`` passes one)
+        gets the runner's failure capture, so an injected worker death is
+        recovered exactly as on the executor the config builds."""
+        plan = FaultPlan(seed=31, specs=(
+            FaultSpec(kind="worker_death", scope=victim_id(), probability=1.0,
+                      persist_attempts=1),))
+        config = CensusConfig(seed=17, fault_plan=plan, backend=backend,
+                              max_workers=2)
+        reference = CensusRunner(trained_classifier, config).run(
+            fresh_population())
+        assert reference.outcomes[3].fault_events == (("worker_death", 0),)
+        runner = CensusRunner(
+            trained_classifier, config,
+            executor=ParallelExecutor(backend=backend, max_workers=2))
+        assert report_blob(runner.run(fresh_population())) == report_blob(
+            reference)
 
 
 class TestOutcomeSerialization:

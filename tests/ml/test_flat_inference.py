@@ -6,13 +6,15 @@ be byte-identical to the per-sample reference implementations that walk the
 linked ``_Node`` structure.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
 from repro.ml.dataset import LabeledDataset
 from repro.ml.decision_tree import DecisionTreeClassifier, FlatTree
 from repro.ml.knn import KNearestNeighborsClassifier
-from repro.ml.random_forest import RandomForestClassifier
+from repro.ml.random_forest import RandomForestClassifier, _StackedForest
 
 
 def random_dataset(seed: int, n: int = 120, n_features: int = 5,
@@ -121,6 +123,39 @@ class TestForestParity:
         queries = query_matrix(2, n=300)
         assert list(forest.predict(queries)) == [
             forest.vote_one_reference(row).label for row in queries]
+
+
+class TestBatchInferenceWork:
+    """A batch is one stacked-forest pass, however many rows it holds.
+
+    The gate counts calls instead of timing them: a batch path that
+    degenerates toward the per-sample loop (a vote per row, a walk per tree)
+    makes more than one ``_StackedForest.apply`` call or reaches one of the
+    per-sample entry points.
+    """
+
+    COUNTED = [(_StackedForest, "apply"),
+               (DecisionTreeClassifier, "predict_one"),
+               (RandomForestClassifier, "vote_one_reference"),
+               (FlatTree, "apply")]
+
+    @pytest.mark.parametrize("entry", ["vote_matrix", "classify_vectors"])
+    def test_one_stacked_pass_per_batch(self, trained_classifier, monkeypatch,
+                                        entry):
+        calls = collections.Counter()
+        for owner, name in self.COUNTED:
+            def counting(*args, call=getattr(owner, name),
+                         key=f"{owner.__name__}.{name}", **kwargs):
+                calls[key] += 1
+                return call(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counting)
+        assert trained_classifier.forest.n_trees == 60
+        queries = np.random.default_rng(0).normal(size=(1_000, 7))
+        if entry == "vote_matrix":
+            trained_classifier.forest.vote_matrix(queries)
+        else:
+            trained_classifier.classify_vectors(queries, 512)
+        assert calls == {"_StackedForest.apply": 1}
 
 
 class TestKnnParity:

@@ -12,6 +12,7 @@ Interrupt → resume through the orchestrator is covered by
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -60,11 +61,31 @@ def monolithic_blob(trained_classifier):
 
 class TestParity:
     def test_concurrent_workers_match_monolithic(
-            self, trained_classifier, monolithic_blob, tmp_path):
+            self, trained_classifier, monolithic_blob, tmp_path, monkeypatch):
+        """Two workers measure at the same time and merge to the monolithic
+        bytes. Each worker's first measurement waits on a two-party barrier
+        that only the other worker's first measurement can release, so
+        workers that take turns fail. The barrier times out well below
+        ``lease_timeout / 3``: workers that took turns would otherwise block
+        in the heartbeat thread instead of failing."""
+        barrier = multiprocessing.get_context("fork").Barrier(2, timeout=5.0)
+        measure = CensusRunner.measure_indices
+        waited = False  # per process: each forked worker has its own copy
+
+        def meeting(self, *args, **kwargs):
+            nonlocal waited
+            if not waited:
+                waited = True
+                barrier.wait()
+            return measure(self, *args, **kwargs)
+
+        monkeypatch.setattr(CensusRunner, "measure_indices", meeting)
         orchestrator = CensusOrchestrator(
             make_runner(trained_classifier), fresh_population(),
             tmp_path / "ckpt", num_shards=NUM_SHARDS)
         assert report_blob(orchestrator.run(workers=2)) == monolithic_blob
+        stats = orchestrator.worker_stats()
+        assert len(stats) == 2 and all(stat.completed for stat in stats)
 
     @pytest.mark.parametrize("runner_options", [
         {"config": CensusConfig(seed=SEED, backend="process")},

@@ -1,11 +1,18 @@
 """Tests of the batched classification service over persisted artifacts."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.checkpoint import classifier_fingerprint
 from repro.core.classifier import CaaiClassifier
-from repro.serving.artifact import ModelArtifactError, save_model
+from repro.core.gather import TraceGatherer
+from repro.core.training import TrainingSetBuilder
+from repro.ml.decision_tree import DecisionTreeClassifier
+from repro.ml.random_forest import RandomForestClassifier
+from repro.serving.artifact import ModelArtifactError, load_model, save_model
 from repro.serving.service import CensusService
 
 
@@ -30,6 +37,62 @@ class TestCensusService:
         }
         assert service.load_seconds > 0
         assert service.classifier.is_trained
+
+    def test_load_neither_refits_nor_reprobes(self, trained_classifier,
+                                              artifact, monkeypatch):
+        """Loading rebuilds the saved trees; it never trains or probes."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an artifact load must not train or probe")
+
+        for owner, name in [(RandomForestClassifier, "fit"),
+                            (DecisionTreeClassifier, "fit"),
+                            (TrainingSetBuilder, "build_examples"),
+                            (TraceGatherer, "gather_probe")]:
+            monkeypatch.setattr(owner, name, forbidden)
+        expected = classifier_fingerprint(trained_classifier)
+        assert classifier_fingerprint(load_model(artifact)) == expected
+        service = CensusService.from_artifact(artifact)
+        assert service.source["fingerprint"] == expected
+
+    def test_concurrent_callers_match_serial(self, artifact):
+        """Two threads share one loaded model; batch sizes alternate, so
+        the stacked forest's cached scaffold is replaced while the other
+        thread routes, and every answer equals the serial one."""
+        service = CensusService.from_artifact(artifact)
+        rng = np.random.default_rng(29)
+        batches = [rng.normal(size=(size, 7)) for size in (40, 75)]
+
+        def answers(vectors):
+            return [(i.label, i.confidence, i.unsure)
+                    for i in service.classify_batch(vectors, 64)]
+
+        serial = [answers(vectors) for vectors in batches]
+        rounds = 30
+        start = threading.Barrier(2, timeout=10.0)
+        results = [[], []]
+
+        def caller(worker):
+            start.wait()
+            for round_ in range(rounds):
+                which = (round_ + worker) % 2
+                results[worker].append((which, answers(batches[which])))
+
+        threads = [threading.Thread(target=caller, args=(worker,))
+                   for worker in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for worker in (0, 1):
+            assert len(results[worker]) == rounds
+            for which, got in results[worker]:
+                assert got == serial[which]
 
     def test_classify_batch_matches_the_census_pipeline(
             self, trained_classifier, artifact):

@@ -28,8 +28,10 @@ LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: Backtick spans whose content is a repository path: they must start with
 #: one of the repo's top-level directories and contain only path characters.
 #: Spans with glob characters or spaces (shell commands) are not checked.
+#: ``benchmarks`` is gone; it stays listed so that a stale mention fails.
 CODE_PATH_PATTERN = re.compile(
-    r"`((?:src|docs|tests|tools|benchmarks|examples)/[A-Za-z0-9_./-]+)`")
+    r"`((?:src|docs|tests|tools|perfbench|benchmarks|examples)/"
+    r"[A-Za-z0-9_./-]+)`")
 
 #: ``python -m repro.<name>`` invocations; the group is the package name.
 ENTRY_POINT_PATTERN = re.compile(r"python3? -m repro\.([A-Za-z_]\w*)")
