@@ -16,13 +16,14 @@ Section IV of the paper:
 * 18 post-timeout rounds make the trace valid (subtask 3).
 
 The engine works at round granularity on the
-:class:`~repro.tcp.packet.SegmentBlock` records the sender emits: window
-estimation, loss draws and the ACK ladder all run on block arithmetic, so a
-round costs O(blocks), not O(packets), and no per-packet
-:class:`~repro.tcp.packet.Segment` object is ever built. The only stochastic
-element of the path, ACK loss on the prober-to-server direction plus
-data-packet loss on the reverse direction, is applied per packet with the
-probe's :class:`~repro.net.conditions.NetworkCondition`. The packet-level
+:class:`~repro.tcp.packet.SegmentBlock` records the sender emits: loss draws
+cut them into ``(start, stop, end_seq, retransmitted)`` stretch records, and
+window estimation and the ACK ladder run on the stretch bounds, so a round
+costs O(blocks), not O(packets), and neither a per-packet
+:class:`~repro.tcp.packet.Segment` nor a sub-block is ever built. The only
+stochastic element of the path, ACK loss on the prober-to-server direction
+plus data-packet loss on the reverse direction, is applied per packet with
+the probe's :class:`~repro.net.conditions.NetworkCondition`. The packet-level
 alternative (full discrete-event simulation including delay jitter) lives in
 :mod:`repro.core.prober`; integration tests check the two agree on loss-free
 paths.
@@ -31,6 +32,7 @@ paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Protocol
 
 import numpy as np
@@ -45,7 +47,7 @@ from repro.core.trace import InvalidReason, ProbeTrace, WindowTrace
 from repro.net.conditions import NetworkCondition
 from repro.tcp.connection import TcpSender
 from repro.tcp.options import CAAI_MSS_LADDER
-from repro.tcp.packet import SegmentBlock, block_packet_count, in_sequence_blocks
+from repro.tcp.packet import SegmentBlock, block_packet_count
 
 
 class ProbeableServer(Protocol):
@@ -229,12 +231,18 @@ class TraceGatherer:
             if not received:
                 trace.invalid_reason = InvalidReason.INSUFFICIENT_DATA
                 return trace
-            for block in received:
-                if block.end_seq > highest_end:
-                    highest_end = block.end_seq
-                if block.stop_index > highest_pkt:
-                    highest_pkt = block.stop_index
-            window = self._window_estimate(received, highest_end, highest_prev)
+            packets = 0
+            for start, stop, end_seq, _ in received:
+                packets += stop - start
+                if end_seq > highest_end:
+                    highest_end = end_seq
+                if stop > highest_pkt:
+                    highest_pkt = stop
+            # The window estimate: how far the highest received byte moved,
+            # in packets (a round of old sequence numbers counts packets).
+            window = (highest_end - highest_prev) / config.mss
+            if window <= 0:
+                window = float(packets)
             highest_prev = highest_end
             trace.pre_timeout.append(window)
             now += environment.rtt_before_timeout(round_index)
@@ -244,8 +252,7 @@ class TraceGatherer:
             if window > config.w_timeout:
                 timed_out = True
                 break
-            self._ecn_feedback(sender, block_packet_count(received), condition,
-                               rng, now)
+            self._ecn_feedback(sender, packets, condition, rng, now)
             blocks, lost_acks = self._acknowledge(sender, received, condition,
                                                   rng, now, highest_pkt)
             trace.ack_loss_events += lost_acks
@@ -289,14 +296,21 @@ class TraceGatherer:
             if not blocks:
                 trace.invalid_reason = InvalidReason.INSUFFICIENT_DATA
                 return trace
+            packets = 0
             if received:
-                for block in received:
-                    if block.end_seq > highest_end:
-                        highest_end = block.end_seq
-                    if block.stop_index > highest_pkt:
-                        highest_pkt = block.stop_index
-                window = self._window_estimate(received, highest_end,
-                                               highest_prev)
+                for start, stop, end_seq, _ in received:
+                    packets += stop - start
+                    if end_seq > highest_end:
+                        highest_end = end_seq
+                    if stop > highest_pkt:
+                        highest_pkt = stop
+                # The retransmission round after the timeout repeats old
+                # sequence numbers, so CAAI counts its packets instead (the
+                # value is not used by feature extraction, which only looks
+                # at relative growth later in the trace).
+                window = (highest_end - highest_prev) / config.mss
+                if window <= 0:
+                    window = float(packets)
                 highest_prev = highest_end
             else:
                 window = 0.0
@@ -305,8 +319,7 @@ class TraceGatherer:
             if self._past_deadline(now, start_time):
                 trace.invalid_reason = InvalidReason.PROBE_TIMEOUT
                 return trace
-            self._ecn_feedback(sender, block_packet_count(received), condition,
-                               rng, now)
+            self._ecn_feedback(sender, packets, condition, rng, now)
             blocks, lost_acks = self._acknowledge(sender, received, condition,
                                                   rng, now, highest_pkt)
             trace.ack_loss_events += lost_acks
@@ -338,67 +351,71 @@ class TraceGatherer:
             sender.ecn_feedback(marked, packet_count, now)
 
     def _deliver(self, blocks: list[SegmentBlock], condition: NetworkCondition,
-                 rng: np.random.Generator) -> list[SegmentBlock]:
+                 rng: np.random.Generator) -> list[tuple[int, int, int, bool]]:
         """Apply data-direction loss; CAAI sees only the surviving packets.
 
-        One draw per covered packet in block order (``Generator.random(n)``
-        consumes the same stream as ``n`` scalar per-packet draws); each
-        block is cut around its dropped packets, and a block that lost none
-        passes through as the same object.
+        Returns the surviving stretches as ``(start, stop, end_seq,
+        retransmitted)`` records in block order: packets ``[start, stop)``
+        of one block, ``end_seq`` one past the stretch's last payload byte
+        (the block's own end when the stretch keeps its last packet, else
+        ``stop * mss``). One draw per covered packet in block order
+        (``Generator.random(n)`` consumes the same stream as ``n`` scalar
+        per-packet draws); a block is cut around its dropped packets, and no
+        sub-block is built.
         """
-        if condition.loss_rate <= 0.0 or not blocks:
-            return list(blocks)
-        draws = rng.random(block_packet_count(blocks))
-        dropped = (draws < condition.loss_rate).nonzero()[0].tolist()
-        if not dropped:
-            return list(blocks)
-        return [block if stop - start == len(block) else block.slice(start, stop)
-                for block, start, stop in cut_around(blocks, len, dropped)]
+        if condition.loss_rate > 0.0 and blocks:
+            draws = rng.random(block_packet_count(blocks))
+            dropped = (draws < condition.loss_rate).nonzero()[0].tolist()
+            if dropped:
+                out = []
+                for block, start, stop in cut_around(blocks, len, dropped):
+                    first = block.start_index
+                    last = first + stop
+                    out.append((first + start, last,
+                                block.end_seq if last == block.stop_index
+                                else last * block.mss,
+                                block.is_retransmission))
+                return out
+        return [(block.start_index, block.stop_index, block.end_seq,
+                 block.is_retransmission) for block in blocks]
 
-    def _window_estimate(self, received: list[SegmentBlock], highest_end: int,
-                         highest_prev: int) -> float:
-        """Estimate the round's window from the highest received sequence number.
-
-        The retransmission round after the timeout repeats old sequence
-        numbers, so the sequence-based estimate would be zero; CAAI falls back
-        to counting packets there (the value is not used by feature
-        extraction, which only looks at relative growth later in the trace).
-        """
-        by_sequence = (highest_end - highest_prev) / self.config.mss
-        if by_sequence <= 0:
-            return float(block_packet_count(received))
-        return float(by_sequence)
-
-    def _acknowledge(self, sender: TcpSender, received: list[SegmentBlock],
+    def _acknowledge(self, sender: TcpSender,
+                     received: list[tuple[int, int, int, bool]],
                      condition: NetworkCondition, rng: np.random.Generator,
                      now: float, highest_pkt: int) -> tuple[list[SegmentBlock], int]:
         """Send one cumulative ACK per received data packet, subject to ACK loss.
 
-        The round's ladder (one cumulative ACK per received packet) is built
-        from block arithmetic as ``(first, count, step)`` progressions in
-        O(blocks) -- ``step == 1`` for in-order stretches, ``step == 0`` for
-        repeated cumulative values -- and handed to the sender's
+        ``received`` holds :meth:`_deliver`'s stretch records; they are
+        acknowledged in sequence order, by a stable sort on ``start`` when a
+        round's retransmission arrived after new data (one sender's blocks
+        never interleave byte ranges, so neither do their stretches, and
+        ordering the stretches orders their packets). The round's ladder
+        (one cumulative ACK per received packet) is built from the stretch
+        bounds as ``(first, count, step)`` progressions in O(stretches) --
+        ``step == 1`` for in-order stretches, ``step == 0`` for repeated
+        cumulative values -- and handed to the sender's
         :meth:`~repro.tcp.connection.TcpSender.on_ack_ladder`; ACK-direction
         loss draws stay one per entry on the probe's rng stream, and the
         runs are split at the lost entries.
         """
         if not received:
             return [], 0
+        starts = [record[0] for record in received]
+        if starts != sorted(starts):
+            received = sorted(received, key=itemgetter(0))
         runs: list[tuple[int, int, int]] = []
         total = 0
         cumulative = 0
-        for block in in_sequence_blocks(received):
-            count = len(block)
+        for start, stop, _, retransmitted in received:
+            count = stop - start
             total += count
-            if block.is_retransmission:
+            if retransmitted:
                 # A retransmitted packet is acknowledged at the highest
                 # sequence received so far (the emulated-timeout rule).
                 value = cumulative if cumulative > highest_pkt else highest_pkt
                 append_run(runs, value, count, 0)
                 cumulative = value
-                continue
-            start, stop = block.start_index, block.stop_index
-            if stop <= cumulative:
+            elif stop <= cumulative:
                 append_run(runs, cumulative, count, 0)
             elif start >= cumulative:
                 append_run(runs, start + 1, count, 1)

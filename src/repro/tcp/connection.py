@@ -224,6 +224,8 @@ class TcpSender:
         alg_type = type(algorithm)
         self._alg_uses_policy_ss = (
             alg_type.on_ack_slow_start is CongestionAvoidance.on_ack_slow_start)
+        self._alg_has_round_hook = (
+            alg_type.on_round_complete is not CongestionAvoidance.on_round_complete)
         consistent = _batch_override_consistent(alg_type)
         self._batch_decoupled = (consistent
                                  and _batch_decoupled_trusted(alg_type)
@@ -523,17 +525,12 @@ class TcpSender:
             rtt = max(now - t0, 1e-9)
 
         state = self.state
-        rwnd_packets = self.config.receive_window_bytes / mss
+        # A transmission cap is ``position + int(min(cwnd, bound))``:
+        # ``int(self.effective_window())`` with the quirks excluded.
+        bound = self.config.receive_window_bytes / mss
         send_buffer = self.config.send_buffer_packets
-
-        def eff_int(cwnd: float) -> int:
-            """``int(self.effective_window())`` with the quirks excluded."""
-            window = cwnd
-            if window > rwnd_packets:
-                window = rwnd_packets
-            if send_buffer is not None and window > send_buffer:
-                window = send_buffer
-            return int(window)
+        if send_buffer is not None and send_buffer < bound:
+            bound = send_buffer
 
         # The ACK that closes the round takes its cap after round completion
         # (below), so only the ACKs before it count towards ``cap_max``.
@@ -543,7 +540,7 @@ class TcpSender:
         cap_end = k - 1 if completes_round else k
         snd_nxt0 = self._snd_nxt
         if not self._batch_decoupled:
-            cap_max = self._run_interleaved(pieces, rtt, now, eff_int, cap_end)
+            cap_max = self._run_interleaved(pieces, rtt, now, bound, cap_end)
         else:
             # Decoupled flow: register the (identical) RTT samples once, then
             # run the growth in batch. Registration only moves ``srtt``
@@ -561,12 +558,13 @@ class TcpSender:
             else:
                 positions = _RunPositions(pieces)
             ctx = AckContext(now=now, rtt_sample=rtt, newly_acked_packets=1)
-            cap_max = self._grow_run(positions, k, ctx, rtt, now, eff_int, cap_end)
+            cap_max = self._grow_run(positions, k, ctx, rtt, now, bound, cap_end)
         if completes_round:
             self._complete_round(rtt, now)
         state.clamp()
 
-        final_cap = last + eff_int(state.cwnd)
+        cwnd = state.cwnd
+        final_cap = last + int(bound if cwnd > bound else cwnd)
         if final_cap > cap_max:
             cap_max = final_cap
         new_nxt = cap_max
@@ -588,8 +586,8 @@ class TcpSender:
         return emitted
 
     def _grow_run(self, positions: range | _RunPositions, k: int,
-                  ctx: AckContext, rtt: float | None, now: float, eff_int,
-                  cap_end: int) -> int:
+                  ctx: AckContext, rtt: float | None, now: float,
+                  bound: float, cap_end: int) -> int:
         """Window growth for a clean prefix's ``k`` ACKs (decoupled).
 
         ``positions[i]`` is the unacknowledged point after the ``i``-th ACK
@@ -646,12 +644,14 @@ class TcpSender:
             if index > cap_end:
                 continue
             if cwnd_log is None:
-                cap = position + eff_int(state.cwnd)
+                cwnd = state.cwnd
+                cap = position + int(bound if cwnd > bound else cwnd)
                 if cap > cap_max:
                     cap_max = cap
             else:
                 for offset, cwnd in enumerate(cwnd_log):
-                    cap = positions[start + offset] + eff_int(cwnd)
+                    cap = (positions[start + offset]
+                           + int(bound if cwnd > bound else cwnd))
                     if cap > cap_max:
                         cap_max = cap
         return cap_max
@@ -673,7 +673,7 @@ class TcpSender:
         return consumed
 
     def _run_interleaved(self, pieces: list[tuple[int, int, int]],
-                         rtt: float | None, now: float, eff_int,
+                         rtt: float | None, now: float, bound: float,
                          cap_end: int) -> int:
         """Per-ACK registration + growth for non-decoupled algorithms.
 
@@ -738,7 +738,8 @@ class TcpSender:
                     self._apply_quirk_caps()
                 acked += 1
                 if acked <= cap_end:
-                    cap = position + eff_int(state.cwnd)
+                    cwnd = state.cwnd
+                    cap = position + int(bound if cwnd > bound else cwnd)
                     if cap > cap_max:
                         cap_max = cap
         return cap_max
@@ -926,12 +927,12 @@ class TcpSender:
         return [], True
 
     def _grow_window(self, newly_acked: int, rtt_sample: float | None, now: float) -> None:
-        ctx = AckContext(now=now, rtt_sample=rtt_sample, newly_acked_packets=newly_acked)
         if self.config.freeze_in_avoidance and not self.state.in_slow_start():
             return
         if self.config.post_timeout_stall and self._had_timeout:
             self.state.cwnd = MIN_CWND
             return
+        ctx = AckContext(now=now, rtt_sample=rtt_sample, newly_acked_packets=newly_acked)
         if self.state.in_slow_start():
             if self._round_start_time is not None and self.state.acked_in_round == 0:
                 self.slow_start_policy.on_round_start(self.state, now)
@@ -958,15 +959,16 @@ class TcpSender:
     def _complete_round(self, rtt_sample: float | None, now: float) -> None:
         """Close the current round (both engines), with the quirk suppressions."""
         self.state.last_round_rtt = rtt_sample or self.state.latest_rtt
-        ctx = AckContext(now=now, rtt_sample=rtt_sample, newly_acked_packets=0,
-                         round_completed=True)
         if not self.state.in_slow_start():
             self.state.avoidance_rounds += 1
         # Delay-based algorithms sample the path once per round even during
         # slow start (e.g. Westwood's bandwidth filter, Vegas' early exit).
-        if not self.config.freeze_in_avoidance and not (
-                self.config.post_timeout_stall and self._had_timeout):
-            self.algorithm.on_round_complete(self.state, ctx)
+        # The base hook is a no-op, so only an override gets a context.
+        if (self._alg_has_round_hook and not self.config.freeze_in_avoidance
+                and not (self.config.post_timeout_stall and self._had_timeout)):
+            self.algorithm.on_round_complete(
+                self.state, AckContext(now=now, rtt_sample=rtt_sample,
+                                       newly_acked_packets=0, round_completed=True))
         self.state.acked_in_round = 0
         self._round_start_time = now
 

@@ -118,9 +118,9 @@ class SegmentBlock:
     def slice(self, start: int, stop: int) -> "SegmentBlock":
         """Sub-block covering the block-relative packets ``[start, stop)``.
 
-        Used by the gatherer to split a block around lost packets; the tail
-        length is preserved only when the slice still ends at the block's last
-        packet.
+        Used by the evasion scenarios to withhold the tail of a round's
+        emission; the tail length is preserved only when the slice still
+        ends at the block's last packet.
         """
         if not 0 <= start < stop <= len(self):
             raise ValueError("slice out of range")
@@ -152,23 +152,6 @@ class SegmentBlock:
 def block_packet_count(blocks: list["SegmentBlock"]) -> int:
     """Total number of packets covered by ``blocks``."""
     return sum(block.stop_index - block.start_index for block in blocks)
-
-
-def in_sequence_blocks(blocks: list["SegmentBlock"]) -> list["SegmentBlock"]:
-    """Return ``blocks`` ordered by sequence number, sorting only when needed.
-
-    Blocks emitted by one sender never interleave byte ranges (a
-    retransmission block repeats data strictly below any new-data block of
-    the same burst), so a stable sort on ``start_index`` orders the expanded
-    segments exactly as :func:`in_sequence` would.
-    """
-    keys = [block.start_index for block in blocks]
-    if keys == sorted(keys):
-        return blocks
-    return sorted(blocks, key=_BLOCK_KEY)
-
-
-_BLOCK_KEY = operator.attrgetter("start_index")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,14 @@ DEFAULT_MIN_VARIANCE_TERM = 0.25
 
 @dataclass
 class RtoEstimator:
-    """Smoothed RTT / RTT variance estimator with exponential backoff."""
+    """Smoothed RTT / RTT variance estimator with exponential backoff.
+
+    ``rttvar`` reads through a property (installed below the class, so it
+    stays a dataclass field and ``repr`` and ``==`` show it): a run of
+    samples equal to a fixed ``srtt`` only shrinks rttvar by ``1 - beta``
+    per sample, and :meth:`observe_run` owes those steps instead of running
+    them; reading ``rttvar`` applies them first.
+    """
 
     initial_rto: float = DEFAULT_INITIAL_RTO
     min_rto: float = DEFAULT_MIN_RTO
@@ -37,12 +44,43 @@ class RtoEstimator:
     srtt: float | None = field(default=None, init=False)
     rttvar: float | None = field(default=None, init=False)
     backoff_exponent: int = field(default=0, init=False)
+    #: rttvar before the owed steps, and how many ``rttvar = (1 - beta) *
+    #: rttvar`` steps are owed (plain class defaults, not fields).
+    _rttvar = None
+    _owed = 0
+
+    def _settled_rttvar(self) -> float | None:
+        """rttvar after the owed steps, stopping at its fixed point.
+
+        Each owed step is the one :meth:`observe` takes for a sample equal
+        to srtt, ``(1 - beta) * rttvar + beta * abs(srtt - sample)`` with a
+        zero ``abs``, so the steps run the same floating-point operations.
+        """
+        owed = self._owed
+        if owed:
+            self._owed = 0
+            rttvar = self._rttvar
+            one_minus_beta = 1 - self.beta
+            zero = self.beta * 0.0
+            for _ in range(owed):
+                next_rttvar = one_minus_beta * rttvar + zero
+                if next_rttvar == rttvar:
+                    break
+                rttvar = next_rttvar
+            self._rttvar = rttvar
+        return self._rttvar
+
+    def _set_rttvar(self, value: float | None) -> None:
+        # Steps owed to the old value are moot once it is overwritten.
+        self._owed = 0
+        self._rttvar = value
 
     def observe(self, rtt_sample: float) -> None:
         """Feed one RTT sample (seconds) into the estimator.
 
         Samples from retransmitted segments must not be fed (Karn's rule);
-        the caller is responsible for that filtering.
+        the caller is responsible for that filtering. Any owed rttvar steps
+        are applied first.
         """
         if rtt_sample <= 0:
             raise ValueError("RTT sample must be positive")
@@ -50,38 +88,49 @@ class RtoEstimator:
             self.srtt = rtt_sample
             self.rttvar = rtt_sample / 2.0
         else:
-            assert self.rttvar is not None
-            self.rttvar = (1 - self.beta) * self.rttvar + self.beta * abs(self.srtt - rtt_sample)
+            rttvar = self._settled_rttvar()
+            self._rttvar = ((1 - self.beta) * rttvar
+                            + self.beta * abs(self.srtt - rtt_sample))
             self.srtt = (1 - self.alpha) * self.srtt + self.alpha * rtt_sample
         self.backoff_exponent = 0
 
     def observe_run(self, rtt_sample: float, count: int) -> None:
         """Feed ``count`` identical RTT samples into the estimator.
 
-        Bit-identical to calling :meth:`observe` ``count`` times -- the loop
-        performs the same floating-point operations in the same order -- but
+        Bit-identical to calling :meth:`observe` ``count`` times -- the steps
+        perform the same floating-point operations in the same order -- but
         with the per-call attribute traffic hoisted out. The batched ACK
-        engine uses this for a round's run of equally-timed ACKs, where every
-        sample is the same ``now - sent_at`` value.
+        engine uses this for a clean prefix's ACKs, where every sample is
+        the same ``now - sent_at`` value.
 
         A step's srtt is a function of srtt alone, so once a step leaves it
         unchanged it stays fixed: from there on only rttvar moves, by the
-        constant ``beta * |srtt - sample|``, and the remaining steps run as a
-        one-variable loop. That loop stops at rttvar's own fixed point, where
-        every later step would change nothing either.
+        constant ``beta * |srtt - sample|``. With srtt equal to the sample
+        that term is zero, and the remaining steps (and those of later runs
+        of the same sample) are owed rather than run: reading ``rttvar``
+        applies them. Otherwise they run as a one-variable loop that stops
+        at rttvar's own fixed point, where every later step would change
+        nothing either.
         """
         if count <= 0:
             return
         if rtt_sample <= 0:
             raise ValueError("RTT sample must be positive")
         srtt = self.srtt
-        rttvar = self.rttvar
+        alpha, beta = self.alpha, self.beta
+        one_minus_alpha, one_minus_beta = 1 - alpha, 1 - beta
         if srtt is None:
             srtt = rtt_sample
             rttvar = rtt_sample / 2.0
             count -= 1
-        alpha, beta = self.alpha, self.beta
-        one_minus_alpha, one_minus_beta = 1 - alpha, 1 - beta
+        elif (srtt == rtt_sample
+              and one_minus_alpha * srtt + alpha * rtt_sample == srtt):
+            # Every step of this run is a zero-term rttvar step.
+            self._owed += count
+            self.backoff_exponent = 0
+            return
+        else:
+            rttvar = self._settled_rttvar()
         while count > 0:
             next_srtt = one_minus_alpha * srtt + alpha * rtt_sample
             if next_srtt == srtt:
@@ -89,23 +138,36 @@ class RtoEstimator:
             rttvar = one_minus_beta * rttvar + beta * abs(srtt - rtt_sample)
             srtt = next_srtt
             count -= 1
-        if count > 0:
+        if count > 0 and srtt != rtt_sample:
             term = beta * abs(srtt - rtt_sample)
             for _ in range(count):
                 next_rttvar = one_minus_beta * rttvar + term
                 if next_rttvar == rttvar:
                     break
                 rttvar = next_rttvar
+            count = 0
+        # Any steps left have a zero term: owe them.
         self.srtt = srtt
-        self.rttvar = rttvar
+        self._rttvar = rttvar
+        self._owed = count
         self.backoff_exponent = 0
 
     def current_rto(self) -> float:
-        """Return the retransmission timeout, including any backoff."""
-        if self.srtt is None or self.rttvar is None:
+        """Return the retransmission timeout, including any backoff.
+
+        Owed rttvar steps only lower rttvar (their factor ``1 - beta`` lies
+        in [0, 1] for any ``beta`` in [0, 1]), so they are applied only
+        while ``4 * rttvar`` is above ``min_variance_term``: at or below
+        that floor the timeout is the same either way.
+        """
+        rttvar = self._rttvar
+        if self.srtt is None or rttvar is None:
             base = self.initial_rto
         else:
-            base = self.srtt + max(4.0 * self.rttvar, self.min_variance_term)
+            variance = 4.0 * rttvar
+            if self._owed and variance > self.min_variance_term:
+                variance = 4.0 * self._settled_rttvar()
+            base = self.srtt + max(variance, self.min_variance_term)
         base = min(max(base, self.min_rto), self.max_rto)
         # The exponent is capped purely to keep the arithmetic finite; the
         # max_rto clamp dominates long before the cap is reached.
@@ -115,3 +177,8 @@ class RtoEstimator:
     def back_off(self) -> None:
         """Double the RTO after a retransmission timeout (exponential backoff)."""
         self.backoff_exponent += 1
+
+
+RtoEstimator.rttvar = property(
+    RtoEstimator._settled_rttvar, RtoEstimator._set_rttvar,
+    doc="RTT variance, with any owed zero-term steps applied.")

@@ -17,7 +17,7 @@ from repro.core.trace import InvalidReason
 from repro.net.conditions import NetworkCondition
 from repro.tcp.connection import SenderConfig
 from repro.tcp.packet import SegmentBlock
-from tests.conftest import expand, expand_runs, make_synthetic_server
+from tests.conftest import expand_runs, make_synthetic_server
 
 
 class TestGatherConfig:
@@ -247,24 +247,42 @@ class TestLadderFiltering:
         draws = [0.9 if keep else 0.1 for keep in kept]
         received = TraceGatherer()._deliver(
             blocks, NetworkCondition(0.2, 0.0, 0.5), FixedDraws(draws))
-        assert expand(received) == [
-            segment for segment, keep in zip(expand(blocks), kept) if keep]
-        # The per-packet scan: each block's maximal stretches of kept packets.
+        # The per-packet scan: each block's maximal stretches of kept
+        # packets, as ``(start, stop, end_seq, retransmitted)`` records whose
+        # ``end_seq`` is the stretch's last packet's.
         stretches = []
         flags = iter(kept)
         for block in blocks:
             open_stretch = False
-            for index in range(block.start_index, block.stop_index):
+            for segment in block.segments():
                 if not next(flags):
                     open_stretch = False
                 elif open_stretch:
-                    stretches[-1][1] = index + 1
+                    stretches[-1][1:3] = [segment.packet_index + 1,
+                                          segment.end_seq]
                 else:
-                    stretches.append([index, index + 1, block])
+                    stretches.append([segment.packet_index,
+                                      segment.packet_index + 1,
+                                      segment.end_seq,
+                                      segment.is_retransmission])
                     open_stretch = True
-        assert len(received) == len(stretches)
-        for out, (start, stop, block) in zip(received, stretches):
-            assert (out.start_index, out.stop_index) == (start, stop)
-            # A block that lost nothing passes through as the same object.
-            if (start, stop) == (block.start_index, block.stop_index):
-                assert out is block
+        assert received == [tuple(stretch) for stretch in stretches]
+
+    def test_a_late_retransmission_is_acknowledged_in_sequence(self):
+        # A retransmission that arrives after new data is acknowledged
+        # first: the ladder follows sequence order, not arrival order.
+        class Ladders:
+            def __init__(self):
+                self.runs = []
+
+            def on_ack_ladder(self, runs, now):
+                self.runs.append(runs)
+                return []
+
+        new_data, retransmission = (5, 8, 800, False), (2, 3, 300, True)
+        sender = Ladders()
+        for received in ([new_data, retransmission],
+                         [retransmission, new_data]):
+            TraceGatherer()._acknowledge(sender, received,
+                                         NetworkCondition.ideal(), None, 1.0, 8)
+        assert sender.runs == [[(8, 4, 0)], [(8, 4, 0)]]

@@ -3,19 +3,23 @@
 A timing tripwire needs a quiet machine and a margin; a work counter at a
 fixed seed repeats exactly, so it can be pinned outright. Each row probes
 one server of every identifiable family at the production ``w_timeout`` and
-pins two counts: the ACKs that reached the scalar per-ACK engine
-(:meth:`TcpSender.on_ack_packet`) and the clean prefixes the batched engine
-consumed (:attr:`TcpSender.batch_runs`); no row may build a per-packet
-:class:`Segment`. A second pass probes every registry family on the plain
-and thinned paths and pins, per family, the calls to its scalar growth
-hooks, so a family whose batch hook stops engaging shows by name. A change
-that sends these servers back to the per-ACK loop, or splits a round's
-ladder into more batched steps, fails here without any timing noise; a
-change that lowers a count updates its pinned value on purpose.
+pins three counts: the ACKs that reached the scalar per-ACK engine
+(:meth:`TcpSender.on_ack_packet`), the clean prefixes the batched engine
+consumed (:attr:`TcpSender.batch_runs`) and the :class:`AckContext` objects
+built. No row may build a per-packet :class:`Segment`, and every
+:class:`SegmentBlock` built must be one the senders emitted
+(:attr:`TcpSender.block_records`): the gatherer cuts none. A second pass
+probes every registry family on the plain and both thinned paths and pins,
+per family, the calls to its scalar growth hooks, so a family whose batch hook
+stops engaging shows by name. A change that sends these servers back to the
+per-ACK loop, splits a round's ladder into more batched steps or allocates
+per round what nothing reads fails here without any timing noise; a change
+that lowers a count updates its pinned value on purpose.
 """
 
 import collections
 import functools
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,8 +27,9 @@ import pytest
 from repro.core.gather import GatherConfig, TraceGatherer
 from repro.net.conditions import NetworkCondition
 from repro.scenarios.middlebox import MiddleboxConfig, MiddleboxServer
+from repro.tcp.base import AckContext
 from repro.tcp.connection import ACK_BATCH_ENV, TcpSender
-from repro.tcp.packet import Segment
+from repro.tcp.packet import Segment, SegmentBlock
 from repro.tcp.registry import ALL_ALGORITHM_NAMES, IDENTIFIABLE_ALGORITHMS
 from tests.conftest import make_synthetic_server
 
@@ -32,8 +37,12 @@ W_TIMEOUT = 512
 IDEAL = NetworkCondition.ideal()
 
 #: (label, sender kwargs, middlebox, path, on_ack_packet calls, clean
-#: prefixes, each over the 14 families). The lossy row's calls are ACKs
-#: that jump past the round end because no ACK closing the round arrived.
+#: prefixes, ``AckContext`` objects, each over the 14 families). The lossy
+#: row's calls are ACKs that jump past the round end because no ACK closing
+#: the round arrived. Behind the thinning middlebox slow start grows by one
+#: ACK in four, so the thinned row's servers never leave it after the
+#: timeout; the ``thinned-avoidance`` row starts them at an ssthresh of 64
+#: so every family reaches avoidance there.
 #: Each row fails on a deliberate regression: sending the freeze and
 #: ceiling servers back to the per-ACK engine makes 162,832 and 454,393
 #: calls; a prefix that refuses ``step > 1`` runs (stretch ACKs) makes the
@@ -41,25 +50,37 @@ IDEAL = NetworkCondition.ideal()
 #: 165, 168, 84, 816 and 268 calls; a prefix that ends with its first run,
 #: so at every lost ACK and before every stride that follows a per-packet
 #: stretch, makes the lossy row 5,996 prefixes and the thinned row 1,696.
+#: A context is built per decoupled clean prefix, per distinct packet
+#: advance in an interleaved one, per scalar ACK that grows the window and
+#: per round completion of a family that overrides ``on_round_complete``.
+#: Building the round context on every round completion, as the sender did
+#: before it skipped the base no-op hook, makes the rows 1,484, 1,456,
+#: 2,240, 2,288, 1,605 and 2,348.
 ROWS = [
-    ("plain", dict(), None, IDEAL, 0, 742),
-    ("freeze", dict(freeze_in_avoidance=True), None, IDEAL, 0, 728),
-    ("ceiling", dict(approach_ceiling=500.0), None, IDEAL, 0, 1120),
-    ("thinned", dict(), MiddleboxConfig(thin_every=4), IDEAL, 0, 1120),
-    ("lossy", dict(), None, NetworkCondition(0.04, 0.0, 0.02), 15, 825),
+    ("plain", dict(), None, IDEAL, 0, 742, 1120),
+    ("freeze", dict(freeze_in_avoidance=True), None, IDEAL, 0, 728, 728),
+    ("ceiling", dict(approach_ceiling=500.0), None, IDEAL, 0, 1120, 1680),
+    ("thinned", dict(), MiddleboxConfig(thin_every=4), IDEAL, 0, 1120,
+     1728),
+    ("lossy", dict(), None, NetworkCondition(0.04, 0.0, 0.02), 15, 825,
+     1250),
+    ("thinned-avoidance", dict(initial_ssthresh=64.0),
+     MiddleboxConfig(thin_every=4), IDEAL, 0, 1148, 1772),
 ]
 ROW_IDS = [row[0] for row in ROWS]
 
 #: Scalar growth-hook calls ``(on_ack_avoidance, on_ack_slow_start)`` per
-#: registry family that makes any, on the plain and thinned rows; every
-#: other family makes none. Westwood+ replays its hooks ACK by ACK (it
+#: registry family that makes any, on the plain and the two thinned rows;
+#: every other family makes none. Westwood+ replays its hooks ACK by ACK (it
 #: reads ``srtt`` and each ACK's packet advance), and Hybla's own slow
 #: start runs per ACK. Deleting ``Reno.on_ack_avoidance_batch`` (RENO then
 #: grows through the default one-call-per-ACK loop) makes RENO 7,240
-#: ``on_ack_avoidance`` calls on the plain row.
+#: ``on_ack_avoidance`` calls on the plain row and 946 on the
+#: thinned-avoidance row; the thinned row, never in avoidance, reads 0.
 HOOK_CALLS = {
     "plain": {"westwood": (1585, 1652), "hybla": (0, 8)},
     "thinned": {"westwood": (61, 1359), "hybla": (0, 4)},
+    "thinned-avoidance": {"westwood": (946, 122), "hybla": (0, 4)},
 }
 HOOKS = ("on_ack_avoidance", "on_ack_slow_start")
 
@@ -70,7 +91,7 @@ def probe_row(label: str, algorithms, on_sender) -> None:
     ``on_sender(sender)`` sees every :class:`TcpSender` right after its
     construction.
     """
-    _, sender_kwargs, middlebox, condition, _, _ = ROWS[ROW_IDS.index(label)]
+    _, sender_kwargs, middlebox, condition, *_ = ROWS[ROW_IDS.index(label)]
     init = TcpSender.__init__
 
     def recording(self, *args, **kwargs):
@@ -88,29 +109,42 @@ def probe_row(label: str, algorithms, on_sender) -> None:
             gatherer.gather_probe(server, condition, np.random.default_rng(7))
 
 
+class Work(NamedTuple):
+    """What one row's probes did and built."""
+
+    per_ack_calls: int
+    clean_prefixes: int
+    segments: int
+    blocks: int
+    block_records: int
+    contexts: int
+
+
 @functools.cache
-def work_counts(label: str) -> tuple[int, int, int]:
-    """``(on_ack_packet calls, clean prefixes, Segment objects)`` of ``label``."""
-    calls = segments = 0
+def work_counts(label: str) -> Work:
+    """The :class:`Work` of the row ``label``."""
+    counts = collections.Counter()
     senders = []
-    on_ack_packet = TcpSender.on_ack_packet
-    segment_init = Segment.__post_init__
 
-    def counting(self, *args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return on_ack_packet(self, *args, **kwargs)
-
-    def counting_segments(self):
-        nonlocal segments
-        segments += 1
-        segment_init(self)
+    def counting(key, call):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return call(*args, **kwargs)
+        return wrapper
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(TcpSender, "on_ack_packet", counting)
-        patch.setattr(Segment, "__post_init__", counting_segments)
+        for owner, attribute in ((TcpSender, "on_ack_packet"),
+                                 (Segment, "__post_init__"),
+                                 (SegmentBlock, "__post_init__"),
+                                 (AckContext, "__init__")):
+            patch.setattr(owner, attribute,
+                          counting(owner, getattr(owner, attribute)))
         probe_row(label, IDENTIFIABLE_ALGORITHMS, senders.append)
-    return calls, sum(sender.batch_runs for sender in senders), segments
+    return Work(per_ack_calls=counts[TcpSender],
+                clean_prefixes=sum(sender.batch_runs for sender in senders),
+                segments=counts[Segment], blocks=counts[SegmentBlock],
+                block_records=sum(sender.block_records for sender in senders),
+                contexts=counts[AckContext])
 
 
 @functools.cache
@@ -139,19 +173,36 @@ def hook_calls(label: str) -> dict[str, tuple[int, int]]:
 @pytest.mark.parametrize("label,expected", [(row[0], row[4]) for row in ROWS],
                          ids=ROW_IDS)
 def test_per_ack_calls(label, expected):
-    assert work_counts(label)[0] == expected
+    assert work_counts(label).per_ack_calls == expected
 
 
 @pytest.mark.parametrize("label,expected", [(row[0], row[5]) for row in ROWS],
                          ids=ROW_IDS)
 def test_clean_prefixes(label, expected):
-    assert work_counts(label)[1] == expected
+    assert work_counts(label).clean_prefixes == expected
 
 
 @pytest.mark.parametrize("label", ROW_IDS)
 def test_no_segment_objects(label):
     """The block pipeline never builds a per-packet ``Segment``."""
-    assert work_counts(label)[2] == 0
+    assert work_counts(label).segments == 0
+
+
+@pytest.mark.parametrize("label", ROW_IDS)
+def test_gatherer_builds_no_blocks(label):
+    """Every ``SegmentBlock`` built is one a sender emitted.
+
+    Cutting delivered blocks around lost packets with ``SegmentBlock.slice``
+    makes the lossy row build 4,352 blocks against its 895 records.
+    """
+    work = work_counts(label)
+    assert work.blocks == work.block_records
+
+
+@pytest.mark.parametrize("label,expected", [(row[0], row[6]) for row in ROWS],
+                         ids=ROW_IDS)
+def test_ack_contexts(label, expected):
+    assert work_counts(label).contexts == expected
 
 
 @pytest.mark.parametrize("label", list(HOOK_CALLS))

@@ -272,3 +272,109 @@ class TestObserveRunEdgeCases:
         assert run.srtt == 1.0
         assert run.rttvar == 1e-323
         assert 0.0 < run.rttvar < sys.float_info.min
+
+
+class TestOwedDecay:
+    """Zero-term rttvar steps that ``observe_run`` owes instead of running.
+
+    Once srtt equals the sample and a step leaves it unchanged, each further
+    sample only multiplies rttvar by ``1 - beta``; ``observe_run`` records
+    those steps and every read of rttvar applies them first. Each row
+    compares against the eager loop (one ``observe`` per sample), so an
+    estimator that drops the owed steps fails it.
+    """
+
+    @staticmethod
+    def eager(rtt, samples, **params):
+        estimator = RtoEstimator(**params)
+        for _ in range(samples):
+            estimator.observe(rtt)
+        return estimator
+
+    @pytest.mark.parametrize("beta", [0.25, 0.4], ids=["beta-0.25", "beta-0.4"])
+    @pytest.mark.parametrize("steps", [1, 7, 2582, 10**6])
+    def test_a_read_applies_the_owed_steps(self, beta, steps):
+        # The first sample sets rttvar to rtt / 2; ``steps`` more decay it.
+        run = RtoEstimator(beta=beta)
+        run.observe_run(1.0, 1 + steps)
+        eager = self.eager(1.0, 1 + steps, beta=beta)
+        assert run.rttvar == eager.rttvar
+        assert (run.srtt, run.backoff_exponent) == (eager.srtt,
+                                                   eager.backoff_exponent)
+
+    def test_owed_steps_add_up_across_runs(self):
+        run = RtoEstimator()
+        run.observe(1.0)
+        for count in (3, 4, 2575):
+            run.back_off()
+            run.observe_run(1.0, count)
+            assert run.backoff_exponent == 0
+        assert run.rttvar == self.eager(1.0, 1 + 3 + 4 + 2575).rttvar
+
+    #: (min_variance_term, samples before, samples after the read that
+    #: settles the first ones): ``4 * rttvar`` before the owed decay is
+    #: above the floor (so ``current_rto`` applies the owed steps, whether
+    #: the decay ends above or below it), below it, or equal to it.
+    FLOOR_CASES = {
+        "above-settles-above": (0.25, 4, 0),
+        "above-settles-below": (0.25, 11, 0),
+        "below": (0.25, 9, 100),
+        "equal": (2.0, 1, 100),
+    }
+
+    @pytest.mark.parametrize("floor,before,after", list(FLOOR_CASES.values()),
+                             ids=list(FLOOR_CASES))
+    def test_current_rto_around_the_variance_floor(self, floor, before, after):
+        run = RtoEstimator(min_variance_term=floor)
+        run.observe_run(1.0, before)
+        if after:
+            run.current_rto()  # settles the first run's steps
+            run.observe_run(1.0, after)
+        eager = self.eager(1.0, before + after, min_variance_term=floor)
+        pending = 4.0 * run._rttvar <= floor
+        assert run.current_rto() == eager.current_rto()
+        # At or below the floor the timeout cannot change, so the steps stay
+        # owed; above it they are applied.
+        assert bool(run._owed) == pending
+        assert run.rttvar == eager.rttvar
+
+    def test_the_setter_replaces_the_owed_steps(self):
+        run = RtoEstimator()
+        run.observe_run(1.0, 10)
+        eager = self.eager(1.0, 10)
+        for estimator in (run, eager):
+            estimator.rttvar = 0.3
+        assert run.rttvar == 0.3
+        run.observe_run(1.0, 5)
+        for _ in range(5):
+            eager.observe(1.0)
+        assert run.rttvar == eager.rttvar
+
+    @pytest.mark.parametrize("sample", [1.0, 0.8])
+    def test_observe_applies_the_owed_steps_first(self, sample):
+        run = RtoEstimator()
+        run.observe_run(1.0, 10)
+        run.observe(sample)
+        eager = self.eager(1.0, 10)
+        eager.observe(sample)
+        assert (run.srtt, run.rttvar) == (eager.srtt, eager.rttvar)
+
+    def test_a_differing_sample_applies_the_owed_steps_first(self):
+        run = RtoEstimator()
+        run.observe_run(1.0, 20)
+        run.observe_run(0.8, 30)
+        eager = self.eager(1.0, 20)
+        for _ in range(30):
+            eager.observe(0.8)
+        assert (run.srtt, run.rttvar) == (eager.srtt, eager.rttvar)
+
+    def test_repr_and_equality_show_the_settled_value(self):
+        run = RtoEstimator()
+        run.observe_run(1.0, 50)
+        eager = self.eager(1.0, 50)
+        assert run._owed  # nothing has read rttvar yet
+        assert repr(run) == repr(eager)
+        assert f"rttvar={eager.rttvar!r}" in repr(run)
+        other = RtoEstimator()
+        other.observe_run(1.0, 50)
+        assert other == eager

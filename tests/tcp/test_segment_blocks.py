@@ -9,12 +9,7 @@ bookkeeping.
 import pytest
 
 from repro.tcp.connection import SenderConfig, TcpSender
-from repro.tcp.packet import (
-    Segment,
-    SegmentBlock,
-    block_packet_count,
-    in_sequence_blocks,
-)
+from repro.tcp.packet import Segment, SegmentBlock, block_packet_count
 from repro.tcp.registry import create_algorithm
 from tests.conftest import expand, expand_runs
 
@@ -72,10 +67,7 @@ class TestSegmentBlock:
                                sent_at=0.0, last_length=100,
                                is_retransmission=True)]
         assert block_packet_count(blocks) == 3
-        ordered = in_sequence_blocks(blocks)
-        assert [b.start_index for b in ordered] == [0, 5]
-        assert in_sequence_blocks(ordered) is ordered  # already sorted: no copy
-        assert [seg.packet_index for seg in expand(ordered)] == [0, 5, 6]
+        assert [seg.packet_index for seg in expand(blocks)] == [5, 6, 0]
 
 
 class TestBlockEmission:
