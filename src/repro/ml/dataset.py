@@ -79,8 +79,11 @@ class LabeledDataset:
     # --------------------------------------------------------------- sampling
     def bootstrap(self, rng: np.random.Generator) -> "LabeledDataset":
         """Sample ``len(self)`` rows with replacement (bagging)."""
-        indices = rng.integers(0, len(self), size=len(self))
-        return self.subset(indices)
+        return self.subset(self.bootstrap_indices(rng))
+
+    def bootstrap_indices(self, rng: np.random.Generator) -> np.ndarray:
+        """The row indices :meth:`bootstrap` draws, without copying rows."""
+        return rng.integers(0, len(self), size=len(self))
 
     def shuffled(self, rng: np.random.Generator) -> "LabeledDataset":
         indices = rng.permutation(len(self))

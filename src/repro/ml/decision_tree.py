@@ -12,21 +12,25 @@ split search is fully vectorised.
 
 Two implementation notes for the hot paths:
 
-* **Fitting** makes one split search per node over all its candidate
-  features at once: their rows in stable sorted order form one
-  ``(candidates, rows)`` matrix, one difference pass finds every cut between
-  distinct consecutive values, one cumulative sum of the one-hot labels
-  gives every cut's class counts, and the Gini arithmetic runs on the cut
-  rows only. Every gain goes through the same floating-point operations as
-  a per-feature search (each Gini sum reduces one contiguous row of class
-  shares) and ties break the same way: the first best cut within a feature,
-  and a later candidate wins only with a strictly larger gain. Nodes of
-  ``_PRESORT_CUTOFF`` (256) rows or more read that order from index lists
-  sorted once at the root and partitioned on the way down; smaller nodes,
-  which are all nodes of a training set under 256 rows, sort their
-  candidate subcolumns directly. Both paths pick bit-identical splits
-  (stable mergesort of a subset equals the stably-sorted full column
-  restricted to that subset).
+* **Fitting** grows every tree of a forest in lockstep (:func:`fit_trees`;
+  a lone tree is a forest of one). At each step every unfinished tree pops
+  its next splittable node from its own preorder stack and draws that
+  node's candidate features from its own rng, so each tree draws exactly
+  the subspaces it would draw alone. The step's small nodes, grouped by
+  class count and capped at ``_SEARCH_ELEMENTS`` sorted values per batch,
+  are scored by one batched split search (:func:`_split_search`): every
+  (node, candidate) pair is one segment of sorted values, one difference
+  pass finds every cut between distinct consecutive values, one int32
+  cumulative sum of the labels gives every cut's class counts, and the Gini
+  arithmetic runs on the cuts only. Every gain goes through the same
+  floating-point operations as a per-feature search (each Gini sum reduces
+  one contiguous row of a tree's own class count) and ties break the same
+  way: the first best cut within a feature, and a later candidate wins only
+  with a strictly larger gain. Small nodes sort by each feature's rank,
+  taken once per fit; nodes of ``_PRESORT_CUTOFF`` (256) rows or more carry
+  their rows presorted by every feature, partitioned on the way down, and
+  the same search scores each as a batch of one. Tied values may sort in
+  any order on either path, because cuts only sit between distinct values.
 * **Prediction** routes whole sample matrices through a flattened array
   representation of the tree (:class:`FlatTree`) with no per-sample Python
   loop. The linked :class:`_Node` structure is kept as the reference
@@ -182,9 +186,16 @@ class DecisionTreeClassifier:
     min_samples_split: int = 2
     max_depth: int | None = None
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
-    _root: _Node | None = field(default=None, init=False, repr=False)
+    _nodes: _Node | None = field(default=None, init=False, repr=False)
     _flat: FlatTree | None = field(default=None, init=False, repr=False)
     _classes: list[str] = field(default_factory=list, init=False, repr=False)
+
+    @property
+    def _root(self) -> _Node | None:
+        """The linked reference nodes, rebuilt from the flat arrays on first use."""
+        if self._nodes is None and self._flat is not None:
+            self._nodes = self._flat.rebuild_nodes()
+        return self._nodes
 
     @classmethod
     def from_flat_tree(cls, flat: FlatTree, classes: list[str], *,
@@ -217,7 +228,7 @@ class DecisionTreeClassifier:
             raise ValueError("a fitted tree needs at least one class label")
         tree = cls(max_features=max_features,
                    min_samples_split=min_samples_split, max_depth=max_depth)
-        tree._root = flat.rebuild_nodes()
+        tree._nodes = flat.rebuild_nodes()
         tree._flat = flat
         tree._classes = [str(label) for label in classes]
         return tree
@@ -231,8 +242,8 @@ class DecisionTreeClassifier:
         features from ``rng`` (all features, and no draw, when
         ``max_features`` is ``None`` or not below the feature count) and
         takes the best Gini split among them from one search over all
-        candidates. The tree is kept both as linked nodes and as a
-        :class:`FlatTree`.
+        candidates. The tree is kept as a :class:`FlatTree`; the linked
+        nodes are rebuilt from it on first use.
 
         Args:
             dataset: The labelled training set.
@@ -248,144 +259,20 @@ class DecisionTreeClassifier:
             raise ValueError("cannot fit a tree on an empty dataset")
         if self.max_features is not None and self.max_features < 1:
             raise ValueError("max_features must be at least 1")
-        self._classes = dataset.classes()
-        class_index = {label: i for i, label in enumerate(self._classes)}
-        encoded = np.array([class_index[str(label)] for label in dataset.labels],
-                           dtype=np.int64)
-        self._root = self._grow_root(np.asarray(dataset.features, dtype=float), encoded)
-        self._flat = FlatTree.from_root(self._root, len(self._classes))
+        fit_trees([self], dataset, [np.arange(len(dataset))])
         return self
 
-    #: Nodes smaller than this give up the pre-sorted index lists and sort
-    #: their (tiny) subcolumns directly; both paths pick bit-identical splits
-    #: because candidate cuts sit between distinct values, making every split
-    #: statistic a function of the row *set* only, never of row order
-    #: (``tests/ml/test_fit_parity.py`` fits the same sets at three cutoffs).
+    #: Nodes smaller than this give up the presorted row orders and sort
+    #: their (tiny) candidate subcolumns by rank; both paths pick
+    #: bit-identical splits because candidate cuts sit between distinct
+    #: values, making every split statistic a function of the row *set*
+    #: only, never of row order (``tests/ml/test_fit_parity.py`` fits the
+    #: same sets at three cutoffs).
     _PRESORT_CUTOFF = 256
-
-    def _grow_root(self, features: np.ndarray, labels: np.ndarray) -> _Node:
-        n, n_features = features.shape
-        n_classes = len(self._classes)
-        one_hot = np.zeros((n, n_classes), dtype=np.float64)
-        one_hot[np.arange(n), labels] = 1.0
-        # Feature-major copy: row ``f`` is feature ``f`` over every sample,
-        # so a node's candidate columns gather and sort as contiguous rows.
-        columns = np.ascontiguousarray(features.T)
-        scratch = np.zeros(n, dtype=bool)
-        cutoff = self._PRESORT_CUTOFF
-
-        def make_node(rows_any_order: np.ndarray, depth: int):
-            counts = np.bincount(labels[rows_any_order], minlength=n_classes)
-            node = _Node(prediction=int(np.argmax(counts)), class_counts=counts)
-            splittable = not (len(rows_any_order) < self.min_samples_split
-                              or int(np.count_nonzero(counts)) == 1
-                              or (self.max_depth is not None and depth >= self.max_depth))
-            return node, counts, splittable
-
-        def pick_best(candidates: np.ndarray, sorted_rows: np.ndarray,
-                      parent_counts: np.ndarray):
-            """Best Gini split over every candidate feature in one search.
-
-            Row ``j`` of ``sorted_rows`` holds the node's rows in the stable
-            sorted order of feature ``candidates[j]``.
-            """
-            n_node = sorted_rows.shape[1]
-            values = columns[candidates[:, None], sorted_rows]
-            # Candidate cuts sit between distinct consecutive values; nonzero
-            # lists them feature-major, cuts ascending within a feature.
-            column, cut = np.nonzero(values[:, 1:] - values[:, :-1] > 1e-12)
-            if len(cut) == 0:
-                return None
-            # The Gini arithmetic runs on the cut rows only, and every sum
-            # reduces one contiguous (cut, class) row, as a per-feature
-            # search would: the gains match it to the last bit.
-            left_counts = one_hot[sorted_rows].cumsum(axis=1)[column, cut]
-            right_counts = parent_counts - left_counts
-            n_left = cut + 1.0
-            n_right = n_node - n_left
-            gini_left = 1.0 - ((left_counts / n_left[:, None]) ** 2).sum(axis=1)
-            gini_right = 1.0 - ((right_counts / n_right[:, None]) ** 2).sum(axis=1)
-            weighted = (n_left * gini_left + n_right * gini_right) / n_node
-            gains = _gini(parent_counts.astype(float), n_node) - weighted
-            cuts_per_feature = np.bincount(column, minlength=len(candidates))
-            ends = cuts_per_feature.cumsum()
-            starts = ends - cuts_per_feature
-            scored = np.flatnonzero(cuts_per_feature)
-            tops = np.maximum.reduceat(gains, starts[scored])
-            starts, ends = starts.tolist(), ends.tolist()
-            # A feature takes over only with a strictly larger gain, in
-            # candidate order; within a feature the first (lowest) cut wins.
-            best_gain = 1e-12
-            best = None
-            for j, top in zip(scored.tolist(), tops.tolist()):
-                if top <= best_gain:
-                    continue
-                start = starts[j]
-                at = int(cut[start + int(gains[start:ends[j]].argmax())])
-                threshold = 0.5 * (values.item(j, at) + values.item(j, at + 1))
-                # The ``mask.all() or not mask.any()`` guard, read off the
-                # sorted values: no row goes left iff the first does not,
-                # every row does iff the last does (NaNs sort last).
-                if not values.item(j, 0) <= threshold or values.item(j, -1) <= threshold:
-                    continue
-                best_gain = top
-                best = j, threshold
-            if best is None:
-                return None
-            j, threshold = best
-            return (int(candidates[j]), threshold, sorted_rows[j],
-                    values[j] <= threshold)
-
-        def grow_indices(indices: np.ndarray, depth: int) -> _Node:
-            """Small-node path: sort the candidate subcolumns directly."""
-            node, counts, splittable = make_node(indices, depth)
-            if not splittable:
-                return node
-            candidates = self._candidate_features(n_features)
-            positions = columns[candidates[:, None], indices].argsort(
-                axis=1, kind="mergesort")
-            split = pick_best(candidates, indices[positions], counts)
-            if split is None:
-                return node
-            node.feature, node.threshold, sorted_rows, mask = split
-            node.left = grow_indices(sorted_rows[mask], depth + 1)
-            node.right = grow_indices(sorted_rows[~mask], depth + 1)
-            return node
-
-        def grow_sorted(order: np.ndarray, depth: int) -> _Node:
-            """Large-node path: every row of ``order`` is already sorted."""
-            node, counts, splittable = make_node(order[0], depth)
-            if not splittable:
-                return node
-            candidates = self._candidate_features(n_features)
-            split = pick_best(candidates, order[candidates], counts)
-            if split is None:
-                return node
-            node.feature, node.threshold, sorted_rows, mask = split
-            left_rows = sorted_rows[mask]
-            right_rows = sorted_rows[~mask]
-            keep_left = len(left_rows) >= cutoff
-            keep_right = len(right_rows) >= cutoff
-            left_order = right_order = None
-            if keep_left or keep_right:
-                # Partition the pre-sorted rows instead of re-sorting them.
-                scratch[left_rows] = True
-                member = scratch[order]
-                scratch[left_rows] = False
-                if keep_left:
-                    left_order = order[member].reshape(n_features, len(left_rows))
-                if keep_right:
-                    right_order = order[~member].reshape(n_features, len(right_rows))
-            node.left = (grow_sorted(left_order, depth + 1) if keep_left
-                         else grow_indices(left_rows, depth + 1))
-            node.right = (grow_sorted(right_order, depth + 1) if keep_right
-                          else grow_indices(right_rows, depth + 1))
-            return node
-
-        if n < cutoff:
-            return grow_indices(np.arange(n, dtype=np.intp), depth=0)
-        # Every feature stably sorted exactly once at the root.
-        return grow_sorted(columns.argsort(axis=1, kind="mergesort"), depth=0)
+    #: Most sorted values one batched split search scores. A step's small
+    #: nodes are split into batches of at most this many (a node larger than
+    #: this is a batch of its own), which bounds the search's scratch arrays.
+    _SEARCH_ELEMENTS = 4096
 
     def _candidate_features(self, n_features: int) -> np.ndarray:
         if self.max_features is None or self.max_features >= n_features:
@@ -451,8 +338,8 @@ class DecisionTreeClassifier:
     @property
     def flat_tree(self) -> FlatTree:
         """The fitted tree as contiguous preorder arrays (raises if unfitted)."""
-        self._require_fitted()
-        assert self._flat is not None
+        if self._flat is None:
+            raise RuntimeError("classifier has not been fitted")
         return self._flat
 
     def _require_fitted(self) -> _Node:
@@ -494,17 +381,349 @@ class DecisionTreeClassifier:
         Raises:
             RuntimeError: If the tree has not been fitted.
         """
-        if self._flat is not None:
-            return self._flat.n_nodes
-        def walk(node: _Node | None) -> int:
+        return self.flat_tree.n_nodes
+
+
+def fit_trees(trees: list[DecisionTreeClassifier], dataset: LabeledDataset,
+              samples: list[np.ndarray]) -> None:
+    """Fit every tree of ``trees``, growing them in lockstep.
+
+    Tree ``t`` grows on the rows ``samples[t]`` of ``dataset`` (row indices,
+    repeats allowed, as a bootstrap draws them); its classes are the labels
+    those rows hold, and its rows are never copied. Each tree ends exactly
+    as :meth:`DecisionTreeClassifier.fit` on a copy of its rows would leave
+    it: the same :class:`FlatTree`, classes and rng state. At each step
+    every unfinished tree records its next nodes in preorder up to a
+    splittable one and draws that node's candidates; the step's small nodes
+    share one split search per class count and batch of at most
+    ``_SEARCH_ELEMENTS`` sorted values, and each node of
+    ``_PRESORT_CUTOFF`` rows or more is a batch of one.
+
+    Args:
+        trees: The trees to fit; their knobs and rngs are read, and their
+            fitted state is replaced.
+        dataset: The training set every sample indexes.
+        samples: One row-index array per tree.
+    """
+    fit = _Fit(dataset)
+    growths = [_Growth(tree, rows, fit) for tree, rows in zip(trees, samples)]
+    cutoff = DecisionTreeClassifier._PRESORT_CUTOFF
+    cap = DecisionTreeClassifier._SEARCH_ELEMENTS
+    pending = growths
+    while pending:
+        small: dict[tuple[int, int], list[tuple]] = {}
+        large: list[tuple] = []
+        growing = []
+        for growth in pending:
+            node = growth.next_node(fit.n_features)
             if node is None:
-                return 0
-            return 1 + walk(node.left) + walk(node.right)
-        return walk(self._require_fitted())
+                continue
+            growing.append(growth)
+            rows, candidates = node[2], node[5]
+            if rows.shape[-1] >= cutoff:
+                large.append(node)
+            else:
+                small.setdefault((growth.n_classes, len(candidates)), []).append(node)
+        pending = growing
+        for (n_classes, n_candidates), nodes in small.items():
+            batch: list[tuple] = []
+            elements = 0
+            for node in nodes:
+                size = n_candidates * len(node[2])
+                if batch and elements + size > cap:
+                    fit.search_small(batch, n_classes, n_candidates)
+                    batch, elements = [], 0
+                batch.append(node)
+                elements += size
+            fit.search_small(batch, n_classes, n_candidates)
+        for node in large:
+            fit.search_presorted(node, cutoff)
+    for growth in growths:
+        growth.finish()
 
 
-def _gini(counts: np.ndarray, total: float) -> float:
-    if total <= 0:
-        return 0.0
-    proportions = counts / total
-    return float(1.0 - np.sum(proportions ** 2))
+class _Growth:
+    """One tree's growth: its preorder stack of pending nodes and its arrays.
+
+    A stack entry is ``(rows, counts, depth, right_of)``: the node's rows
+    (``None`` for a node that cannot split, a 1-D row array, or a
+    ``(features, rows)`` array of its rows sorted by every feature), its
+    class histogram, its depth, and its parent's index when it is a right
+    child (-1 otherwise).
+    """
+
+    def __init__(self, tree: DecisionTreeClassifier, rows: np.ndarray,
+                 fit: "_Fit") -> None:
+        counts = np.bincount(fit.labels[rows], minlength=len(fit.classes))
+        present = np.flatnonzero(counts)
+        self.tree = tree
+        self.n_classes = len(present)
+        # A bootstrap can miss a class: a tree counts only the classes its
+        # rows hold, and ``local`` maps the fit's class indices onto them.
+        self.local = None
+        if self.n_classes < len(fit.classes):
+            self.local = np.zeros(len(fit.classes), dtype=np.intp)
+            self.local[present] = np.arange(self.n_classes)
+        tree._classes = [fit.classes[i] for i in present]
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.counts: list[np.ndarray] = []
+        splittable = self.splittable(len(rows), self.n_classes, 0)
+        self.stack = [(rows if splittable else None, counts[present], 0, -1)]
+
+    def splittable(self, n_rows: int, n_present: int, depth: int) -> bool:
+        tree = self.tree
+        return (n_rows >= tree.min_samples_split and n_present > 1
+                and (tree.max_depth is None or depth < tree.max_depth))
+
+    def next_node(self, n_features: int) -> tuple | None:
+        """Record nodes in preorder up to the next splittable one.
+
+        Returns:
+            ``(growth, index, rows, counts, depth, candidates)`` for that
+            node, its candidates drawn from the tree's rng, or ``None`` once
+            the tree is complete.
+        """
+        stack = self.stack
+        while stack:
+            rows, counts, depth, right_of = stack.pop()
+            index = len(self.feature)
+            if right_of >= 0:
+                self.right[right_of] = index
+            self.feature.append(-1)
+            self.threshold.append(0.0)
+            self.left.append(-1)
+            self.right.append(-1)
+            self.counts.append(counts)
+            if rows is not None:
+                return (self, index, rows, counts, depth,
+                        self.tree._candidate_features(n_features))
+        return None
+
+    def split(self, index: int, feature: int, threshold: float, depth: int,
+              left: tuple, right: tuple) -> None:
+        """Record node ``index``'s split and push its ``(rows, counts)``
+        children, the right one first so the left pops next (preorder)."""
+        self.feature[index] = feature
+        self.threshold[index] = threshold
+        self.left[index] = index + 1
+        self.stack.append((right[0], right[1], depth + 1, index))
+        self.stack.append((left[0], left[1], depth + 1, -1))
+
+    def finish(self) -> None:
+        counts = np.vstack(self.counts)
+        tree = self.tree
+        tree._nodes = None
+        tree._flat = FlatTree(feature=np.array(self.feature, dtype=np.intp),
+                              threshold=np.array(self.threshold, dtype=np.float64),
+                              left=np.array(self.left, dtype=np.intp),
+                              right=np.array(self.right, dtype=np.intp),
+                              prediction=counts.argmax(axis=1),
+                              leaf_class_counts=counts)
+
+
+class _Fit:
+    """Tables one :func:`fit_trees` call shares across its trees and steps."""
+
+    def __init__(self, dataset: LabeledDataset) -> None:
+        self.classes = dataset.classes()
+        class_index = {label: i for i, label in enumerate(self.classes)}
+        self.labels = np.array([class_index[str(label)] for label in dataset.labels],
+                               dtype=np.intp)
+        # Feature-major copy: row ``f`` is feature ``f`` over every sample.
+        self.columns = np.ascontiguousarray(
+            np.asarray(dataset.features, dtype=float).T)
+        self.n_features, n = self.columns.shape
+        # Every feature sorted once (NaNs last, ties in any order). Row
+        # orders are stored as int32: lockstep keeps every tree's pending
+        # presorted nodes alive at once.
+        self.order = self.columns.argsort(axis=1).astype(np.int32)
+        self.sorted_rows = self.order.ravel()
+        self.sorted_values = np.take_along_axis(self.columns, self.order, axis=1).ravel()
+        self.sorted_labels = self.labels[self.sorted_rows]
+        # ``position[f, row]``: where ``row`` sits in feature ``f``'s order,
+        # as an index into the flattened sorted tables.
+        self.position = np.empty((self.n_features, n), dtype=np.intp)
+        np.put_along_axis(self.position, self.order,
+                          np.arange(self.position.size).reshape(self.position.shape),
+                          axis=1)
+        self.scratch = np.zeros(n, dtype=bool)
+
+    def search_small(self, batch: list[tuple], n_classes: int,
+                     n_candidates: int) -> None:
+        """Score a batch of small nodes in one search and split them."""
+        n_nodes = len(batch)
+        sizes = np.array([len(node[2]) for node in batch])
+        rows = np.concatenate([node[2] for node in batch])
+        node_of_row = np.repeat(np.arange(n_nodes), sizes)
+        candidates = np.array([node[5] for node in batch])
+        # Segment ``j * n_nodes + i`` is node ``i``'s rows by its ``j``-th
+        # candidate; one sort of (segment, rank) keys orders every segment.
+        feature = candidates.T[:, node_of_row]
+        base = (np.arange(n_candidates)[:, None] * n_nodes + node_of_row) * self.position.size
+        keys = (base + self.position[feature, rows]).ravel()
+        keys.sort()
+        where = keys - base.ravel()
+        labels = self.sorted_labels[where]
+        if n_classes < len(self.classes):
+            local = np.array([node[0].local for node in batch])
+            labels = local[np.tile(node_of_row, n_candidates), labels]
+        starts = (np.arange(n_candidates)[:, None] * len(rows)
+                  + (np.cumsum(sizes) - sizes)).ravel()
+        counts = np.array([node[3] for node in batch])
+        slots, thresholds, n_left, left_counts = _split_search(
+            self.sorted_values[where], labels, starts, counts)
+        sorted_rows = self.sorted_rows[where]
+        right_counts = counts - left_counts
+        present_left = np.count_nonzero(left_counts, axis=1).tolist()
+        present_right = np.count_nonzero(right_counts, axis=1).tolist()
+        starts, sizes = starts.tolist(), sizes.tolist()
+        for i, (slot, threshold, going) in enumerate(
+                zip(slots.tolist(), thresholds.tolist(), n_left.tolist())):
+            if slot < 0:
+                continue
+            growth, index, _, _, depth, node_candidates = batch[i]
+            start = starts[slot * n_nodes + i]
+            middle = start + going
+            left = right = None
+            if growth.splittable(going, present_left[i], depth + 1):
+                left = sorted_rows[start:middle].copy()
+            if growth.splittable(sizes[i] - going, present_right[i], depth + 1):
+                right = sorted_rows[middle:start + sizes[i]].copy()
+            growth.split(index, int(node_candidates[slot]), threshold, depth,
+                         (left, left_counts[i]), (right, right_counts[i]))
+
+    def search_presorted(self, node: tuple, cutoff: int) -> None:
+        """Score one node of ``cutoff`` rows or more and split it."""
+        growth, index, rows, counts, depth, candidates = node
+        if rows.ndim == 1:
+            # A root: count its rows into every feature's fit-wide order.
+            times = np.bincount(rows, minlength=self.order.shape[1])
+            rows = np.repeat(self.sorted_rows, times[self.order].ravel()).reshape(
+                self.n_features, len(rows))
+        size = rows.shape[1]
+        by_candidate = rows[candidates]
+        labels = self.labels[by_candidate].ravel()
+        if growth.local is not None:
+            labels = growth.local[labels]
+        slots, thresholds, n_left, left_counts = _split_search(
+            self.columns[candidates[:, None], by_candidate].ravel(), labels,
+            np.arange(len(candidates)) * size, counts[None, :])
+        slot = int(slots[0])
+        if slot < 0:
+            return
+        going = int(n_left[0])
+        left_counts = left_counts[0]
+        right_counts = counts - left_counts
+        sorted_rows = by_candidate[slot]
+        keep_left = growth.splittable(going, int(np.count_nonzero(left_counts)),
+                                      depth + 1)
+        keep_right = growth.splittable(size - going,
+                                       int(np.count_nonzero(right_counts)), depth + 1)
+        left = right = None
+        if (keep_left and going >= cutoff) or (keep_right and size - going >= cutoff):
+            # Partition the presorted rows instead of re-sorting them.
+            self.scratch[sorted_rows[:going]] = True
+            member = self.scratch[rows]
+            self.scratch[sorted_rows[:going]] = False
+        if keep_left:
+            left = (rows[member].reshape(self.n_features, going) if going >= cutoff
+                    else sorted_rows[:going].copy())
+        if keep_right:
+            right = (rows[~member].reshape(self.n_features, size - going)
+                     if size - going >= cutoff else sorted_rows[going:].copy())
+        growth.split(index, int(candidates[slot]), float(thresholds[0]), depth,
+                     (left, left_counts), (right, right_counts))
+
+
+def _split_search(values: np.ndarray, labels: np.ndarray, starts: np.ndarray,
+                  node_counts: np.ndarray):
+    """Best Gini split of every node of one batch, in one vectorised pass.
+
+    The batch holds the same number of candidate segments for each of its
+    ``n_nodes`` nodes, candidate-major: segment ``j * n_nodes + i`` is node
+    ``i``'s rows sorted by its ``j``-th candidate feature, from
+    ``starts[j * n_nodes + i]`` up to the next start, with the sorted
+    feature values in ``values`` and the rows' class indices in ``labels``.
+    ``node_counts[i]`` is node ``i``'s class histogram; every node of a
+    batch counts the same number of classes.
+
+    Returns:
+        ``(slot, threshold, n_left, left_counts)``, one entry per node: the
+        winning candidate's index (-1 when no cut gains more than 1e-12),
+        its threshold, how many rows go left, and their class histogram.
+    """
+    n_nodes, n_classes = node_counts.shape
+    n_segments = len(starts)
+    sizes = np.diff(starts, append=len(values))
+    # Candidate cuts sit between distinct consecutive values of a segment.
+    # inf - inf between neighbouring values is NaN, which is no cut, and a
+    # difference or midpoint past the float range is inf, as in Python
+    # float arithmetic: neither is worth a warning.
+    with np.errstate(invalid="ignore", over="ignore"):
+        distinct = values[1:] - values[:-1] > 1e-12
+    distinct[starts[1:] - 1] = False
+    cut = np.flatnonzero(distinct)
+    if len(cut) == 0:
+        return (np.full(n_nodes, -1), np.zeros(n_nodes),
+                np.zeros(n_nodes, dtype=np.intp), np.zeros_like(node_counts))
+    segment = np.searchsorted(starts, cut, side="right") - 1
+    node = segment % n_nodes
+    n_node = sizes[segment]
+    n_left = cut - starts[segment] + 1.0
+    n_right = n_node - n_left
+    # Class counts are exact integers: an int32 one-hot summed in place,
+    # turned into floats at the cuts only. Each segment's first row takes
+    # away the previous segment's totals (its node's class counts), so the
+    # running count restarts at every segment.
+    running = np.zeros((len(values), n_classes), dtype=np.int32)
+    running[np.arange(len(values)), labels] = 1
+    running[starts[1:]] -= node_counts[np.arange(n_segments - 1) % n_nodes]
+    np.cumsum(running, axis=0, out=running)
+    # Every Gini sum reduces one contiguous row of the tree's own classes,
+    # as a per-feature search does, so the gains match it to the last bit.
+    # One (cuts, classes) float array at a time bounds the search's memory.
+    shares = running[cut].astype(np.float64)
+    np.divide(shares, n_left[:, None], out=shares)
+    gini_left = 1.0 - np.square(shares, out=shares).sum(axis=1)
+    shares = node_counts.astype(np.float64)[node]
+    shares -= running[cut]
+    np.divide(shares, n_right[:, None], out=shares)
+    gini_right = 1.0 - np.square(shares, out=shares).sum(axis=1)
+    weighted = (n_left * gini_left + n_right * gini_right) / n_node
+    parent = 1.0 - ((node_counts / sizes[:n_nodes, None]) ** 2).sum(axis=1)
+    gains = parent[node] - weighted
+    per_segment = np.bincount(segment, minlength=n_segments)
+    scored = np.flatnonzero(per_segment)
+    first = np.cumsum(per_segment)[scored] - per_segment[scored]
+    top = np.maximum.reduceat(gains, first)
+    # Within a segment the first (lowest) cut with the top gain wins.
+    hits = np.flatnonzero(gains == np.repeat(top, per_segment[scored]))
+    at = cut[hits[np.searchsorted(hits, first)]]
+    with np.errstate(invalid="ignore", over="ignore"):
+        threshold = 0.5 * (values[at] + values[at + 1])
+    # The ``mask.all() or not mask.any()`` guard, read off the sorted values:
+    # no row goes left iff the first does not, every row does iff the last
+    # does (NaNs sort last).
+    low = starts[scored]
+    valid = (values[low] <= threshold) & ~(values[low + sizes[scored] - 1] <= threshold)
+    score = np.full(n_segments, -np.inf)
+    score[scored[valid]] = top[valid]
+    # The first candidate with the largest gain wins, as in a loop where a
+    # later candidate takes over only with a strictly larger gain.
+    score = score.reshape(-1, n_nodes)
+    slot = score.argmax(axis=0)
+    chosen = slot * n_nodes + np.arange(n_nodes)
+    slot[score.max(axis=0) <= 1e-12] = -1
+    cut_value = np.full(n_segments, np.nan)
+    cut_value[scored] = threshold
+    # Rows going left are the values up to the threshold: a segment prefix.
+    going = np.add.reduceat(values <= np.repeat(cut_value, sizes), starts,
+                            dtype=np.intp)[chosen]
+    # A split sends rows both ways; a child as large as its parent would be
+    # split again forever.
+    assert np.all((slot < 0) | ((going > 0) & (going < sizes[chosen])))
+    return (slot, cut_value[chosen], going,
+            running[starts[chosen] + going - 1].astype(np.int64))

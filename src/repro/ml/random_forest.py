@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ml.dataset import LabeledDataset
-from repro.ml.decision_tree import DecisionTreeClassifier
+from repro.ml.decision_tree import DecisionTreeClassifier, fit_trees
 
 #: Parameter values the paper selects through cross validation (Fig. 12):
 #: 80 trees and 4 randomly selected features per node.
@@ -269,18 +269,19 @@ class RandomForestClassifier:
         self._stacked = None
         forest_index = {label: i for i, label in enumerate(self._classes)}
         max_features = min(self.max_features, dataset.n_features)
+        samples = []
         for _ in range(self.n_trees):
-            sample = dataset.bootstrap(rng)
-            tree = DecisionTreeClassifier(
+            samples.append(dataset.bootstrap_indices(rng))
+            self._trees.append(DecisionTreeClassifier(
                 max_features=max_features,
                 min_samples_split=self.min_samples_split,
                 max_depth=self.max_depth,
                 rng=np.random.default_rng(rng.integers(0, 2 ** 63 - 1)),
-            )
-            tree.fit(sample)
-            self._trees.append(tree)
-            # A bootstrap sample can miss classes, so every tree's local class
-            # indices are mapped into the forest's class order.
+            ))
+        fit_trees(self._trees, dataset, samples)
+        # A bootstrap sample can miss classes, so every tree's local class
+        # indices are mapped into the forest's class order.
+        for tree in self._trees:
             self._tree_class_maps.append(np.array(
                 [forest_index[label] for label in tree.classes()], dtype=np.intp))
         return self

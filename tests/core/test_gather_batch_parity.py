@@ -95,14 +95,6 @@ def test_parity_matrix(monkeypatch, algorithm, label, gather_kwargs,
     assert_probes_identical(batched, scalar)
 
 
-@pytest.mark.parametrize("algorithm",
-                         ["reno", "cubic-b", "westwood", "lp", "vegas", "yeah"])
-def test_parity_at_full_w_timeout(monkeypatch, algorithm):
-    """Spot-check the production w_timeout = 512 (long slow-start runs)."""
-    batched, scalar = gather_pair(monkeypatch, algorithm, w_timeout=512)
-    assert_probes_identical(batched, scalar)
-
-
 def test_parity_under_heavy_ack_loss(monkeypatch):
     """Prefixes spanning many gaps (lost ACKs), on both the decoupled and
     the interleaved (Westwood+) flow."""

@@ -1,26 +1,34 @@
-"""Fit parity: the one-search-per-node tree grower against its reference.
+"""Fit parity: the lockstep tree grower against the per-tree reference.
 
-``DecisionTreeClassifier._grow_root`` scores every candidate feature of a
-node in one vectorised split search. The reference below is the grower it
-replaced: one ``evaluate`` pass per candidate feature, with a per-feature
-``pick_best`` loop over the results. Both must grow the same trees byte for
-byte (all six ``FlatTree`` arrays) and draw the same random feature
-subspaces, so every downstream model, vote and report stays identical.
+:func:`repro.ml.decision_tree.fit_trees` grows every tree of a forest in
+lockstep and scores each step's small nodes in one batched split search;
+``DecisionTreeClassifier.fit`` is a forest of one. The reference below is
+the grower it replaced, one tree at a time: one ``evaluate`` pass per
+candidate feature, with a per-feature ``pick_best`` loop over the results.
+Both must grow the same trees byte for byte (all six ``FlatTree`` arrays
+and the class list) and draw the same random feature subspaces (the rng end
+state), so every downstream model, vote and report stays identical. Forest
+rows build the reference forest tree by tree, drawing bootstraps and tree
+seeds from the forest rng in the order ``RandomForestClassifier.fit`` does.
 
-The second half pins the claim that the presort path and the small-node
-path pick bit-identical splits, by moving ``_PRESORT_CUTOFF`` under the
-same datasets.
+``TestFitPaths`` pins the claim that the presort path and the small-node
+path pick bit-identical splits, by moving ``_PRESORT_CUTOFF`` under the same
+datasets, and that the batch cap never changes a tree. ``TestLockstepWork``
+is the exact gate on the batching: it counts the batched searches and the
+subspace draws of one 60-tree fit.
 """
 
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+from repro.ml import decision_tree, random_forest
 from repro.ml.dataset import LabeledDataset
-from repro.ml.decision_tree import DecisionTreeClassifier, _Node
+from repro.ml.decision_tree import DecisionTreeClassifier, FlatTree, _Node, fit_trees
 from repro.ml.random_forest import RandomForestClassifier
 
 FLAT_FIELDS = ("feature", "threshold", "left", "right", "prediction",
@@ -163,20 +171,93 @@ def assert_same_tree(actual: DecisionTreeClassifier,
         assert got.dtype == want.dtype, name
         assert got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
+    assert actual.classes() == expected.classes()
     # One subspace draw per splittable node, in preorder, on both sides.
     assert actual.rng.bit_generator.state == expected.rng.bit_generator.state
+
+
+def reference_fit(tree: DecisionTreeClassifier,
+                  dataset: LabeledDataset) -> DecisionTreeClassifier:
+    """``tree.fit(dataset)`` through the per-feature reference grower."""
+    tree._classes = dataset.classes()
+    class_index = {label: i for i, label in enumerate(tree._classes)}
+    encoded = np.array([class_index[str(label)] for label in dataset.labels],
+                       dtype=np.int64)
+    root = reference_grow_root(tree, np.asarray(dataset.features, dtype=float), encoded)
+    tree._nodes = root
+    tree._flat = FlatTree.from_root(root, len(tree._classes))
+    return tree
 
 
 def fit_tree(dataset: LabeledDataset, seed: int, **knobs) -> DecisionTreeClassifier:
     return DecisionTreeClassifier(rng=np.random.default_rng(seed), **knobs).fit(dataset)
 
 
-def with_reference(fit):
-    """``(fit(), fit())``: as is, then with the reference grower patched in."""
-    actual = fit()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(DecisionTreeClassifier, "_grow_root", reference_grow_root)
-        return actual, fit()
+def reference_tree(dataset: LabeledDataset, seed: int, **knobs) -> DecisionTreeClassifier:
+    return reference_fit(DecisionTreeClassifier(rng=np.random.default_rng(seed), **knobs),
+                         dataset)
+
+
+def reference_forest(dataset: LabeledDataset, n_trees: int, max_features: int,
+                     seed: int, min_samples_split: int = 2,
+                     max_depth: int | None = None) -> list[DecisionTreeClassifier]:
+    """The trees ``RandomForestClassifier.fit`` grows, grown one at a time:
+    each tree's bootstrap, then its seed, from the forest rng."""
+    rng = np.random.default_rng(seed)
+    trees = []
+    for _ in range(n_trees):
+        sample = dataset.bootstrap(rng)
+        tree = DecisionTreeClassifier(
+            max_features=min(max_features, dataset.n_features),
+            min_samples_split=min_samples_split, max_depth=max_depth,
+            rng=np.random.default_rng(rng.integers(0, 2 ** 63 - 1)))
+        trees.append(reference_fit(tree, sample))
+    return trees
+
+
+def assert_same_forest(dataset: LabeledDataset, **knobs) -> RandomForestClassifier:
+    forest = RandomForestClassifier(**knobs).fit(dataset)
+    expected = reference_forest(dataset, **knobs)
+    assert len(forest._trees) == len(expected) == knobs["n_trees"]
+    classes = dataset.classes()
+    for tree, reference, class_map in zip(forest._trees, expected,
+                                          forest._tree_class_maps):
+        assert_same_tree(tree, reference)
+        assert [classes[i] for i in class_map] == reference.classes()
+    return forest
+
+
+def edge_value_dataset() -> LabeledDataset:
+    """Feature 0 separates the classes perfectly, but the midpoint of its two
+    adjacent values rounds onto the upper one, so every row would go left:
+    the guard must skip that cut. Feature 2 mixes NaN and infinities, which
+    never sit next to a cut."""
+    low = 2.0 ** 14 + 2.0 ** -38
+    high = np.nextafter(low, np.inf)
+    assert 0.5 * (low + high) == high
+    rng = np.random.default_rng(5)
+    labels = np.repeat([0, 1], 30)
+    features = np.column_stack([
+        np.where(labels == 0, low, high),
+        labels + rng.normal(scale=0.8, size=60),
+        rng.choice([np.nan, np.inf, -np.inf, 0.0, 1.0], size=60),
+    ])
+    return LabeledDataset(features, np.array([f"c{label}" for label in labels],
+                                             dtype=object))
+
+
+def extreme_value_dataset() -> LabeledDataset:
+    """The edge-value set plus a column of infinities only, whose one cut
+    has a NaN midpoint, and one of values near the float range, whose
+    differences and midpoints overflow."""
+    dataset = edge_value_dataset()
+    rng = np.random.default_rng(6)
+    features = np.column_stack([
+        dataset.features,
+        rng.choice([-np.inf, np.inf], size=len(dataset)),
+        rng.choice([-1.7e308, -1e308, 1e308, 1.7e308], size=len(dataset)),
+    ])
+    return LabeledDataset(features, dataset.labels)
 
 
 GRID = list(itertools.product(
@@ -203,44 +284,116 @@ class TestFitParity:
         dataset = synthetic_dataset(n, n_features, n_classes, ties)
         knobs = dict(max_features=max_features, max_depth=max_depth,
                      min_samples_split=split)
-        assert_same_tree(*with_reference(lambda: fit_tree(dataset, n, **knobs)))
+        assert_same_tree(fit_tree(dataset, n, **knobs),
+                         reference_tree(dataset, n, **knobs))
 
     @pytest.mark.parametrize("max_features", (None, 1, 2))
     def test_edge_values_match_reference(self, max_features):
-        # Feature 0 separates the classes perfectly, but the midpoint of its
-        # two adjacent values rounds onto the upper one, so every row would
-        # go left: the guard must skip that cut. Feature 2 mixes NaN and
-        # infinities, which never sit next to a cut.
-        low = 2.0 ** 14 + 2.0 ** -38
-        high = np.nextafter(low, np.inf)
-        assert 0.5 * (low + high) == high
-        rng = np.random.default_rng(5)
-        labels = np.repeat([0, 1], 30)
-        features = np.column_stack([
-            np.where(labels == 0, low, high),
-            labels + rng.normal(scale=0.8, size=60),
-            rng.choice([np.nan, np.inf, -np.inf, 0.0, 1.0], size=60),
-        ])
-        dataset = LabeledDataset(features, np.array([f"c{label}" for label in labels],
-                                                    dtype=object))
-        with np.errstate(invalid="ignore"):  # inf - inf between neighbours
-            tree, reference = with_reference(
-                lambda: fit_tree(dataset, 4, max_features=max_features))
+        dataset = edge_value_dataset()
+        tree = fit_tree(dataset, 4, max_features=max_features)
+        with np.errstate(invalid="ignore"):  # the reference's inf - inf
+            reference = reference_tree(dataset, 4, max_features=max_features)
         assert_same_tree(tree, reference)
         assert 0 not in tree.flat_tree.feature
 
+    @pytest.mark.parametrize("make", (edge_value_dataset, extreme_value_dataset))
+    def test_fits_without_warnings(self, make):
+        dataset = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = fit_tree(dataset, 4, max_features=2)
+            RandomForestClassifier(n_trees=4, max_features=2, seed=1).fit(dataset)
+        with np.errstate(invalid="ignore", over="ignore"):  # the reference's
+            assert_same_tree(tree, reference_tree(dataset, 4, max_features=2))
+
     def test_sixty_tree_forest_matches_reference(self):
         dataset = synthetic_dataset(110, 7, 15, ties=False, seed=1)
-        forest, reference = with_reference(
-            lambda: RandomForestClassifier(n_trees=60, max_features=4,
-                                           seed=3).fit(dataset))
-        assert len(forest._trees) == len(reference._trees) == 60
-        for tree, expected in zip(forest._trees, reference._trees):
-            assert_same_tree(tree, expected)
+        assert_same_forest(dataset, n_trees=60, max_features=4, seed=3)
+
+
+def rare_class_dataset() -> LabeledDataset:
+    """Forty rows, one of them the only ``c9`` row: most bootstraps miss it."""
+    dataset = synthetic_dataset(40, 4, 3, ties=True, seed=4)
+    labels = dataset.labels.copy()
+    labels[7] = "c9"
+    return LabeledDataset(dataset.features, labels)
+
+
+def edge_forest_dataset() -> LabeledDataset:
+    """The edge-value set, its NaN/inf column tiled into two more columns."""
+    dataset = edge_value_dataset()
+    features = np.column_stack([dataset.features, dataset.features[::-1, 2],
+                                -dataset.features[:, 2]])
+    return LabeledDataset(features, dataset.labels)
+
+
+FOREST_ROWS = {
+    "missing-class": (rare_class_dataset, dict(n_trees=12, max_features=2, seed=5)),
+    "nan-inf": (edge_forest_dataset, dict(n_trees=12, max_features=2, seed=6)),
+    "depth-split": (lambda: synthetic_dataset(110, 7, 15, ties=True, seed=2),
+                    dict(n_trees=12, max_features=3, seed=7, max_depth=3,
+                         min_samples_split=5)),
+    "all-features": (lambda: synthetic_dataset(60, 3, 4, ties=True, seed=3),
+                     dict(n_trees=8, max_features=5, seed=8)),
+    # Forest seed 11 gives one tree a 259-row child: presorted beside the
+    # other trees' small nodes.
+    "rows-300": (lambda: synthetic_dataset(300, 5, 6, ties=False, seed=4),
+                 dict(n_trees=8, max_features=2, seed=11)),
+    "rows-700": (lambda: synthetic_dataset(700, 7, 15, ties=True, seed=5),
+                 dict(n_trees=6, max_features=4, seed=10)),
+}
+
+
+class TestForestParity:
+    @pytest.mark.parametrize("row", list(FOREST_ROWS))
+    def test_forest_matches_reference(self, row):
+        make, knobs = FOREST_ROWS[row]
+        dataset = make()
+        with np.errstate(invalid="ignore"):  # the reference's inf - inf
+            forest = assert_same_forest(dataset, **knobs)
+        if row == "missing-class":
+            assert any(len(tree.classes()) < 4 for tree in forest._trees)
+
+    @pytest.mark.parametrize("row", ("rows-300", "rows-700"))
+    def test_presorted_and_small_nodes_share_steps(self, monkeypatch, row):
+        # Each step calls ``next_node`` for every tree, then searches; a step
+        # whose searches take both paths mixes node kinds of different trees.
+        log = []
+        for cls, name, tag in ((decision_tree._Growth, "next_node", "|"),
+                               (decision_tree._Fit, "search_small", "S"),
+                               (decision_tree._Fit, "search_presorted", "P")):
+            def logged(*args, _original=getattr(cls, name), _tag=tag):
+                log.append(_tag)
+                return _original(*args)
+            monkeypatch.setattr(cls, name, logged)
+        make, knobs = FOREST_ROWS[row]
+        RandomForestClassifier(**knobs).fit(make())
+        steps = "".join(log).split("|")
+        assert any("S" in step and "P" in step for step in steps)
+
+    def test_plain_cart_trees_grow_in_lockstep(self):
+        # ``max_features=None`` trees on bootstrap rows: no subspace draws.
+        dataset = synthetic_dataset(120, 4, 5, ties=True, seed=6)
+        rng = np.random.default_rng(11)
+        samples = [dataset.bootstrap_indices(rng) for _ in range(5)]
+        trees = [DecisionTreeClassifier(rng=np.random.default_rng(i)) for i in range(5)]
+        fit_trees(trees, dataset, samples)
+        for i, (tree, rows) in enumerate(zip(trees, samples)):
+            assert_same_tree(tree, reference_tree(dataset.subset(rows), i))
+
+    def test_one_tree_forest_equals_tree_fit(self):
+        dataset = synthetic_dataset(300, 5, 6, ties=True, seed=7)
+        forest = RandomForestClassifier(n_trees=1, max_features=3, seed=12).fit(dataset)
+        rng = np.random.default_rng(12)
+        sample = dataset.bootstrap(rng)
+        tree = DecisionTreeClassifier(max_features=3,
+                                      rng=np.random.default_rng(rng.integers(0, 2 ** 63 - 1)))
+        assert_same_tree(forest._trees[0], tree.fit(sample))
 
 
 class TestFitPaths:
-    """The presort path and the small-node path pick bit-identical splits."""
+    """The presort path and the small-node path pick bit-identical splits,
+    and the batch cap never changes a tree."""
 
     @pytest.mark.parametrize("n", (256, 260, 600))
     @pytest.mark.parametrize("ties", (False, True), ids=("noties", "ties"))
@@ -254,3 +407,67 @@ class TestFitPaths:
             trees.append(fit_tree(dataset, n, max_features=max_features))
         for tree in trees[1:]:
             assert_same_tree(tree, trees[0])
+
+    @pytest.mark.parametrize("knob, values", (
+        ("_PRESORT_CUTOFF", (2, 256, 10 ** 9)),
+        ("_SEARCH_ELEMENTS", (1, 4096, 10 ** 9)),
+    ))
+    def test_forest_knobs_do_not_change_the_trees(self, monkeypatch, knob, values):
+        dataset = synthetic_dataset(300, 5, 6, ties=True, seed=8)
+        forests = []
+        for value in values:
+            monkeypatch.setattr(DecisionTreeClassifier, knob, value)
+            forests.append(RandomForestClassifier(n_trees=6, max_features=2,
+                                                  seed=13).fit(dataset))
+        for forest in forests[1:]:
+            for tree, expected in zip(forest._trees, forests[0]._trees):
+                assert_same_tree(tree, expected)
+
+
+def count_fit_work(monkeypatch, fit) -> dict[str, int]:
+    """Batched split searches and subspace draws made by ``fit()``."""
+    calls = {"searches": 0, "draws": 0}
+    search = decision_tree._split_search
+    draw = DecisionTreeClassifier._candidate_features
+
+    def counted_search(*args):
+        calls["searches"] += 1
+        return search(*args)
+
+    def counted_draw(tree, n_features):
+        calls["draws"] += 1
+        return draw(tree, n_features)
+
+    monkeypatch.setattr(decision_tree, "_split_search", counted_search)
+    monkeypatch.setattr(DecisionTreeClassifier, "_candidate_features", counted_draw)
+    fit()
+    return calls
+
+
+def sixty_tree_fit() -> RandomForestClassifier:
+    return RandomForestClassifier(n_trees=60, max_features=4, seed=3).fit(
+        synthetic_dataset(110, 7, 15, ties=False, seed=1))
+
+
+class TestLockstepWork:
+    """The 60-tree fit of the parity forest row has 1,837 splittable nodes,
+    one subspace draw each. Grown in lockstep, 80 batched searches score them
+    (each step's small nodes in batches of at most ``_SEARCH_ELEMENTS``
+    values); grown one tree at a time, every node is a search of its own. A
+    change that lowers the search count updates the pin; one that raises it
+    is a regression."""
+
+    def test_sixty_tree_fit_batches_its_searches(self, monkeypatch):
+        assert count_fit_work(monkeypatch, sixty_tree_fit) == {
+            "searches": 80, "draws": 1837}
+
+    def test_one_tree_at_a_time_fails_the_gate(self, monkeypatch):
+        grow = decision_tree.fit_trees
+
+        def one_at_a_time(trees, dataset, samples):
+            for tree, rows in zip(trees, samples):
+                grow([tree], dataset, [rows])
+
+        monkeypatch.setattr(random_forest, "fit_trees", one_at_a_time)
+        assert count_fit_work(monkeypatch, sixty_tree_fit) == {
+            "searches": 1837, "draws": 1837}
