@@ -43,8 +43,8 @@ class ProberConfig:
     #: deferred ACKs (fraction of the measured path RTT).
     reverse_path_allowance: float = 0.5
     #: Transient total-loss windows ``(start, end)`` applied to both link
-    #: directions (fault injection; see docs/ROBUSTNESS.md). Empty = no
-    #: outages, byte-identical to the historic prober.
+    #: directions. Empty = no outages, byte-identical to the historic
+    #: prober.
     outages: tuple = ()
 
 

@@ -12,9 +12,8 @@ bit-reproducible as a census without one.
 
 Faults are grouped into three layers:
 
-* **network** — ``probe_timeout``, ``connection_reset``, ``ack_blackhole``
-  (mid-trace failures raised from the probe path) and ``link_outage``
-  (windows of total loss on a :class:`~repro.net.link.NetemLink`);
+* **network** — ``probe_timeout``, ``connection_reset`` and
+  ``ack_blackhole`` (mid-trace failures raised from the probe path);
 * **server** — ``unresponsive`` hosts, ``server_restart`` (drops the Web
   server's cached TCP state mid-probe) and ``truncated_response`` (the
   transfer ends early, starving the trace);
@@ -40,17 +39,14 @@ from dataclasses import dataclass
 from repro.store import key_bytes
 
 #: Fault kinds by layer (the taxonomy of docs/ROBUSTNESS.md).
-NETWORK_KINDS = ("probe_timeout", "connection_reset", "ack_blackhole",
-                 "link_outage")
+NETWORK_KINDS = ("probe_timeout", "connection_reset", "ack_blackhole")
 SERVER_KINDS = ("unresponsive", "server_restart", "truncated_response")
 EXECUTION_KINDS = ("worker_death", "torn_checkpoint")
 ALL_KINDS = NETWORK_KINDS + SERVER_KINDS + EXECUTION_KINDS
 
-#: Kinds applied by wrapping the probed server / its sender (everything in
-#: the network and server layers except link outages, which attach to
-#: :class:`~repro.net.link.NetemLink` on the packet-level path).
-PROBE_KINDS = tuple(kind for kind in NETWORK_KINDS + SERVER_KINDS
-                    if kind != "link_outage")
+#: Kinds applied by wrapping the probed server / its sender (the network
+#: and server layers).
+PROBE_KINDS = NETWORK_KINDS + SERVER_KINDS
 
 #: How an exhausted / permanent fault of each kind is recorded on the
 #: resulting :class:`~repro.core.results.ServerOutcome` — mapped to
@@ -131,12 +127,10 @@ class FaultSpec:
         at_round: For mid-trace kinds (``probe_timeout``,
             ``connection_reset``, ``ack_blackhole``, ``server_restart``):
             the ACK round within one environment trace at which the fault
-            fires. For ``link_outage``: the outage start time in simulated
-            seconds. For ``torn_checkpoint``: how many outcome records are
+            fires. For ``torn_checkpoint``: how many outcome records are
             written before the torn line.
         param: Kind-specific magnitude — the surviving fraction of the
-            transfer for ``truncated_response`` (default 0.05), the outage
-            duration in seconds for ``link_outage`` (default 1.0).
+            transfer for ``truncated_response`` (default 0.05).
     """
 
     kind: str
@@ -261,26 +255,6 @@ class FaultPlan:
             if self._fires(spec, str(shard_index), attempt):
                 return spec.at_round
         return None
-
-    def link_outages(self, scope_key: str) -> tuple[tuple[float, float], ...]:
-        """The ``(start, end)`` outage windows for one link scope.
-
-        Args:
-            scope_key: Stable link identifier (e.g. a server id).
-
-        Returns:
-            Outage windows in simulated seconds, suitable for
-            :class:`~repro.net.link.NetemLink`'s ``outages`` field.
-        """
-        windows = []
-        for spec in self.specs:
-            if spec.kind != "link_outage":
-                continue
-            if self._fires(spec, scope_key, attempt=0):
-                duration = 1.0 if spec.param is None else spec.param
-                windows.append((float(spec.at_round),
-                                float(spec.at_round) + duration))
-        return tuple(windows)
 
     # -------------------------------------------------------- serialisation
     def to_json_dict(self) -> dict:

@@ -16,25 +16,24 @@ Two implementation notes for the hot paths:
   a lone tree is a forest of one). At each step every unfinished tree pops
   its next splittable node from its own preorder stack and draws that
   node's candidate features from its own rng, so each tree draws exactly
-  the subspaces it would draw alone. The step's small nodes, grouped by
-  class count and capped at ``_SEARCH_ELEMENTS`` sorted values per batch,
-  are scored by one batched split search (:func:`_split_search`): every
+  the subspaces it would draw alone. The step's nodes, grouped by class
+  count and capped at ``_SEARCH_ELEMENTS`` sorted values per batch, are
+  scored by one batched split search (:func:`_split_search`): every
   (node, candidate) pair is one segment of sorted values, one difference
-  pass finds every cut between distinct consecutive values, one int32
-  cumulative sum of the labels gives every cut's class counts, and the Gini
-  arithmetic runs on the cuts only. Every gain goes through the same
-  floating-point operations as a per-feature search (each Gini sum reduces
-  one contiguous row of a tree's own class count) and ties break the same
-  way: the first best cut within a feature, and a later candidate wins only
-  with a strictly larger gain. Small nodes sort by each feature's rank,
-  taken once per fit; nodes of ``_PRESORT_CUTOFF`` (256) rows or more carry
-  their rows presorted by every feature, partitioned on the way down, and
-  the same search scores each as a batch of one. Tied values may sort in
-  any order on either path, because cuts only sit between distinct values.
-* **Prediction** routes whole sample matrices through a flattened array
-  representation of the tree (:class:`FlatTree`) with no per-sample Python
-  loop. The linked :class:`_Node` structure is kept as the reference
-  implementation (``predict_one`` / ``predict_reference``) that parity tests
+  pass finds every cut between distinct consecutive values, one count of
+  the labels per run of equal values, summed over the runs, gives every
+  cut's class counts, and the Gini arithmetic runs on the cuts only.
+  Every gain goes through the same floating-point operations as a
+  per-feature search (each Gini sum reduces one contiguous row of a tree's
+  own class count) and ties break the same way: the first best cut within
+  a feature, and a later candidate wins only with a strictly larger gain.
+  Nodes sort by each feature's rank, taken once per fit, and a node larger
+  than the cap is a batch of its own. Tied values may sort in any order,
+  because cuts only sit between distinct values.
+* **Prediction** routes whole sample matrices through the tree's preorder
+  arrays (:class:`FlatTree`, the only representation of a fitted tree) with
+  no per-sample Python loop. ``predict_one`` / ``predict_reference`` walk
+  the same arrays one sample at a time as the reference that parity tests
   compare against.
 """
 
@@ -47,30 +46,14 @@ import numpy as np
 from repro.ml.dataset import LabeledDataset
 
 
-@dataclass
-class _Node:
-    """A tree node; leaves carry class counts, internal nodes carry a split."""
-
-    prediction: int
-    class_counts: np.ndarray
-    feature: int | None = None
-    threshold: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
 @dataclass(frozen=True)
 class FlatTree:
     """A fitted tree flattened into contiguous arrays (preorder layout).
 
     ``feature[i] == -1`` marks node ``i`` as a leaf; internal nodes route a
-    sample left when ``x[feature[i]] <= threshold[i]``. ``leaf_class_counts``
-    carries the training class histogram of every node so vote fractions can
-    be recovered without the linked structure.
+    sample left when ``x[feature[i]] <= threshold[i]``, and the left child
+    of node ``i`` is ``i + 1``. ``leaf_class_counts`` carries the training
+    class histogram of every node.
     """
 
     feature: np.ndarray          # (n_nodes,) intp, -1 for leaves
@@ -80,74 +63,9 @@ class FlatTree:
     prediction: np.ndarray       # (n_nodes,) intp, majority class index
     leaf_class_counts: np.ndarray  # (n_nodes, n_classes) int64
 
-    @classmethod
-    def from_root(cls, root: _Node, n_classes: int) -> "FlatTree":
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        prediction: list[int] = []
-        counts: list[np.ndarray] = []
-        # Iterative preorder flatten; children indices are patched once known.
-        stack: list[tuple[_Node, int, bool]] = [(root, -1, False)]
-        while stack:
-            node, parent, is_right = stack.pop()
-            index = len(feature)
-            if parent >= 0:
-                if is_right:
-                    right[parent] = index
-                else:
-                    left[parent] = index
-            feature.append(-1 if node.feature is None else int(node.feature))
-            threshold.append(float(node.threshold))
-            left.append(-1)
-            right.append(-1)
-            prediction.append(int(node.prediction))
-            counts.append(np.asarray(node.class_counts, dtype=np.int64))
-            if node.feature is not None:
-                assert node.left is not None and node.right is not None
-                # Push right first so the left child lands at index + 1.
-                stack.append((node.right, index, True))
-                stack.append((node.left, index, False))
-        return cls(feature=np.array(feature, dtype=np.intp),
-                   threshold=np.array(threshold, dtype=np.float64),
-                   left=np.array(left, dtype=np.intp),
-                   right=np.array(right, dtype=np.intp),
-                   prediction=np.array(prediction, dtype=np.intp),
-                   leaf_class_counts=np.vstack(counts) if counts else
-                   np.zeros((0, n_classes), dtype=np.int64))
-
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
-
-    def rebuild_nodes(self) -> _Node:
-        """Reconstruct the linked ``_Node`` tree this layout was built from.
-
-        The preorder flatten is lossless (``leaf_class_counts`` keeps every
-        node's class histogram), so the rebuilt tree is fully equivalent to
-        the fitted original — including the reference ``predict_one`` walk.
-
-        Returns:
-            The root of the reconstructed node tree.
-
-        Raises:
-            ValueError: If the layout is empty (never produced by ``fit``).
-        """
-        if self.n_nodes == 0:
-            raise ValueError("cannot rebuild a tree from an empty FlatTree")
-        nodes = [_Node(prediction=int(self.prediction[i]),
-                       class_counts=np.asarray(self.leaf_class_counts[i],
-                                               dtype=np.int64),
-                       feature=(None if self.feature[i] < 0
-                                else int(self.feature[i])),
-                       threshold=float(self.threshold[i]))
-                 for i in range(self.n_nodes)]
-        for i, node in enumerate(nodes):
-            if node.feature is not None:
-                node.left = nodes[int(self.left[i])]
-                node.right = nodes[int(self.right[i])]
-        return nodes[0]
 
     def apply(self, features: np.ndarray) -> np.ndarray:
         """Leaf index reached by every row of ``features`` (vectorised)."""
@@ -186,16 +104,8 @@ class DecisionTreeClassifier:
     min_samples_split: int = 2
     max_depth: int | None = None
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
-    _nodes: _Node | None = field(default=None, init=False, repr=False)
     _flat: FlatTree | None = field(default=None, init=False, repr=False)
     _classes: list[str] = field(default_factory=list, init=False, repr=False)
-
-    @property
-    def _root(self) -> _Node | None:
-        """The linked reference nodes, rebuilt from the flat arrays on first use."""
-        if self._nodes is None and self._flat is not None:
-            self._nodes = self._flat.rebuild_nodes()
-        return self._nodes
 
     @classmethod
     def from_flat_tree(cls, flat: FlatTree, classes: list[str], *,
@@ -205,9 +115,9 @@ class DecisionTreeClassifier:
         """Rebuild a fitted tree from its flattened-array form.
 
         This is the deserialisation path of the model-artifact layer
-        (:mod:`repro.serving.artifact`): the returned tree is fully fitted —
-        linked reference nodes included — without ever touching training
-        data, and predicts bit-identically to the tree ``flat`` came from.
+        (:mod:`repro.serving.artifact`): the returned tree is fully fitted
+        without ever touching training data, and predicts bit-identically to
+        the tree ``flat`` came from.
 
         Args:
             flat: The :class:`FlatTree` of a previously fitted tree.
@@ -224,11 +134,12 @@ class DecisionTreeClassifier:
         Raises:
             ValueError: If ``flat`` is empty or ``classes`` is empty.
         """
+        if flat.n_nodes == 0:
+            raise ValueError("cannot rebuild a tree from an empty FlatTree")
         if not classes:
             raise ValueError("a fitted tree needs at least one class label")
         tree = cls(max_features=max_features,
                    min_samples_split=min_samples_split, max_depth=max_depth)
-        tree._nodes = flat.rebuild_nodes()
         tree._flat = flat
         tree._classes = [str(label) for label in classes]
         return tree
@@ -242,8 +153,7 @@ class DecisionTreeClassifier:
         features from ``rng`` (all features, and no draw, when
         ``max_features`` is ``None`` or not below the feature count) and
         takes the best Gini split among them from one search over all
-        candidates. The tree is kept as a :class:`FlatTree`; the linked
-        nodes are rebuilt from it on first use.
+        candidates. The tree is kept as a :class:`FlatTree`.
 
         Args:
             dataset: The labelled training set.
@@ -262,16 +172,9 @@ class DecisionTreeClassifier:
         fit_trees([self], dataset, [np.arange(len(dataset))])
         return self
 
-    #: Nodes smaller than this give up the presorted row orders and sort
-    #: their (tiny) candidate subcolumns by rank; both paths pick
-    #: bit-identical splits because candidate cuts sit between distinct
-    #: values, making every split statistic a function of the row *set*
-    #: only, never of row order (``tests/ml/test_fit_parity.py`` fits the
-    #: same sets at three cutoffs).
-    _PRESORT_CUTOFF = 256
-    #: Most sorted values one batched split search scores. A step's small
-    #: nodes are split into batches of at most this many (a node larger than
-    #: this is a batch of its own), which bounds the search's scratch arrays.
+    #: Most sorted values one batched split search scores. A step's nodes
+    #: are split into batches of at most this many (a node larger than this
+    #: is a batch of its own), which bounds the search's scratch arrays.
     _SEARCH_ELEMENTS = 4096
 
     def _candidate_features(self, n_features: int) -> np.ndarray:
@@ -281,7 +184,7 @@ class DecisionTreeClassifier:
 
     # -------------------------------------------------------------- predict
     def predict_one(self, vector: np.ndarray) -> str:
-        """Reference prediction walking the linked nodes (kept for parity).
+        """Reference prediction walking the flat arrays (kept for parity).
 
         Args:
             vector: One feature vector.
@@ -292,14 +195,14 @@ class DecisionTreeClassifier:
         Raises:
             RuntimeError: If the tree has not been fitted.
         """
-        node = self._require_fitted()
-        while not node.is_leaf:
-            assert node.left is not None and node.right is not None
-            if vector[node.feature] <= node.threshold:
-                node = node.left
+        flat = self.flat_tree
+        node = 0
+        while flat.feature[node] >= 0:
+            if vector[flat.feature[node]] <= flat.threshold[node]:
+                node = flat.left[node]
             else:
-                node = node.right
-        return self._classes[node.prediction]
+                node = flat.right[node]
+        return self._classes[flat.prediction[node]]
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Vectorised batch prediction through the flattened arrays.
@@ -320,7 +223,7 @@ class DecisionTreeClassifier:
         return classes[flat.predict_indices(features)]
 
     def predict_reference(self, features: np.ndarray) -> np.ndarray:
-        """Per-sample prediction through the linked nodes (reference path).
+        """Per-sample prediction through :meth:`predict_one` (reference path).
 
         Args:
             features: ``(n_samples, n_features)`` matrix (a single vector is
@@ -342,11 +245,6 @@ class DecisionTreeClassifier:
             raise RuntimeError("classifier has not been fitted")
         return self._flat
 
-    def _require_fitted(self) -> _Node:
-        if self._root is None:
-            raise RuntimeError("classifier has not been fitted")
-        return self._root
-
     # ------------------------------------------------------------ inspection
     def classes(self) -> list[str]:
         """The class labels in fitted (sorted) order.
@@ -366,11 +264,15 @@ class DecisionTreeClassifier:
         Raises:
             RuntimeError: If the tree has not been fitted.
         """
-        def walk(node: _Node | None) -> int:
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-        return walk(self._require_fitted())
+        flat = self.flat_tree
+        level = np.zeros(1, dtype=np.intp)
+        depth = 0
+        while True:
+            level = level[flat.feature[level] >= 0]
+            if not level.size:
+                return depth
+            level = np.concatenate([flat.left[level], flat.right[level]])
+            depth += 1
 
     def node_count(self) -> int:
         """Number of nodes, internal and leaves.
@@ -394,10 +296,9 @@ def fit_trees(trees: list[DecisionTreeClassifier], dataset: LabeledDataset,
     as :meth:`DecisionTreeClassifier.fit` on a copy of its rows would leave
     it: the same :class:`FlatTree`, classes and rng state. At each step
     every unfinished tree records its next nodes in preorder up to a
-    splittable one and draws that node's candidates; the step's small nodes
+    splittable one and draws that node's candidates; the step's nodes
     share one split search per class count and batch of at most
-    ``_SEARCH_ELEMENTS`` sorted values, and each node of
-    ``_PRESORT_CUTOFF`` rows or more is a batch of one.
+    ``_SEARCH_ELEMENTS`` sorted values (a larger node is a batch of one).
 
     Args:
         trees: The trees to fit; their knobs and rngs are read, and their
@@ -407,37 +308,29 @@ def fit_trees(trees: list[DecisionTreeClassifier], dataset: LabeledDataset,
     """
     fit = _Fit(dataset)
     growths = [_Growth(tree, rows, fit) for tree, rows in zip(trees, samples)]
-    cutoff = DecisionTreeClassifier._PRESORT_CUTOFF
     cap = DecisionTreeClassifier._SEARCH_ELEMENTS
     pending = growths
     while pending:
-        small: dict[tuple[int, int], list[tuple]] = {}
-        large: list[tuple] = []
+        groups: dict[tuple[int, int], list[tuple]] = {}
         growing = []
         for growth in pending:
             node = growth.next_node(fit.n_features)
             if node is None:
                 continue
             growing.append(growth)
-            rows, candidates = node[2], node[5]
-            if rows.shape[-1] >= cutoff:
-                large.append(node)
-            else:
-                small.setdefault((growth.n_classes, len(candidates)), []).append(node)
+            groups.setdefault((growth.n_classes, len(node[5])), []).append(node)
         pending = growing
-        for (n_classes, n_candidates), nodes in small.items():
+        for (n_classes, n_candidates), nodes in groups.items():
             batch: list[tuple] = []
             elements = 0
             for node in nodes:
                 size = n_candidates * len(node[2])
                 if batch and elements + size > cap:
-                    fit.search_small(batch, n_classes, n_candidates)
+                    fit.search(batch, n_classes, n_candidates)
                     batch, elements = [], 0
                 batch.append(node)
                 elements += size
-            fit.search_small(batch, n_classes, n_candidates)
-        for node in large:
-            fit.search_presorted(node, cutoff)
+            fit.search(batch, n_classes, n_candidates)
     for growth in growths:
         growth.finish()
 
@@ -445,11 +338,10 @@ def fit_trees(trees: list[DecisionTreeClassifier], dataset: LabeledDataset,
 class _Growth:
     """One tree's growth: its preorder stack of pending nodes and its arrays.
 
-    A stack entry is ``(rows, counts, depth, right_of)``: the node's rows
-    (``None`` for a node that cannot split, a 1-D row array, or a
-    ``(features, rows)`` array of its rows sorted by every feature), its
-    class histogram, its depth, and its parent's index when it is a right
-    child (-1 otherwise).
+    A stack entry is ``(rows, counts, depth, right_of)``: the node's row
+    indices (``None`` for a node that cannot split), its class histogram,
+    its depth, and its parent's index when it is a right child (-1
+    otherwise).
     """
 
     def __init__(self, tree: DecisionTreeClassifier, rows: np.ndarray,
@@ -515,7 +407,6 @@ class _Growth:
     def finish(self) -> None:
         counts = np.vstack(self.counts)
         tree = self.tree
-        tree._nodes = None
         tree._flat = FlatTree(feature=np.array(self.feature, dtype=np.intp),
                               threshold=np.array(self.threshold, dtype=np.float64),
                               left=np.array(self.left, dtype=np.intp),
@@ -533,27 +424,25 @@ class _Fit:
         self.labels = np.array([class_index[str(label)] for label in dataset.labels],
                                dtype=np.intp)
         # Feature-major copy: row ``f`` is feature ``f`` over every sample.
-        self.columns = np.ascontiguousarray(
-            np.asarray(dataset.features, dtype=float).T)
-        self.n_features, n = self.columns.shape
+        columns = np.ascontiguousarray(np.asarray(dataset.features, dtype=float).T)
+        self.n_features, self.n_rows = columns.shape
         # Every feature sorted once (NaNs last, ties in any order). Row
-        # orders are stored as int32: lockstep keeps every tree's pending
-        # presorted nodes alive at once.
-        self.order = self.columns.argsort(axis=1).astype(np.int32)
-        self.sorted_rows = self.order.ravel()
-        self.sorted_values = np.take_along_axis(self.columns, self.order, axis=1).ravel()
+        # indices are int32: a node's rows are copied out of these tables,
+        # and lockstep keeps every tree's pending nodes alive at once.
+        order = columns.argsort(axis=1).astype(np.int32)
+        self.sorted_rows = order.ravel()
+        self.sorted_values = np.take_along_axis(columns, order, axis=1).ravel()
         self.sorted_labels = self.labels[self.sorted_rows]
-        # ``position[f, row]``: where ``row`` sits in feature ``f``'s order,
-        # as an index into the flattened sorted tables.
-        self.position = np.empty((self.n_features, n), dtype=np.intp)
-        np.put_along_axis(self.position, self.order,
-                          np.arange(self.position.size).reshape(self.position.shape),
-                          axis=1)
-        self.scratch = np.zeros(n, dtype=bool)
+        # ``position[f * n_rows + row]``: where ``row`` sits in feature
+        # ``f``'s order, as an index into the flattened sorted tables.
+        position = np.empty(columns.shape, dtype=np.intp)
+        np.put_along_axis(position, order,
+                          np.arange(position.size).reshape(position.shape), axis=1)
+        self.position = position.ravel()
 
-    def search_small(self, batch: list[tuple], n_classes: int,
-                     n_candidates: int) -> None:
-        """Score a batch of small nodes in one search and split them."""
+    def search(self, batch: list[tuple], n_classes: int,
+               n_candidates: int) -> None:
+        """Score a batch of nodes in one search and split them."""
         n_nodes = len(batch)
         sizes = np.array([len(node[2]) for node in batch])
         rows = np.concatenate([node[2] for node in batch])
@@ -561,9 +450,9 @@ class _Fit:
         candidates = np.array([node[5] for node in batch])
         # Segment ``j * n_nodes + i`` is node ``i``'s rows by its ``j``-th
         # candidate; one sort of (segment, rank) keys orders every segment.
-        feature = candidates.T[:, node_of_row]
+        offset = candidates.T * self.n_rows
         base = (np.arange(n_candidates)[:, None] * n_nodes + node_of_row) * self.position.size
-        keys = (base + self.position[feature, rows]).ravel()
+        keys = (base + self.position[offset[:, node_of_row] + rows]).ravel()
         keys.sort()
         where = keys - base.ravel()
         labels = self.sorted_labels[where]
@@ -575,7 +464,6 @@ class _Fit:
         counts = np.array([node[3] for node in batch])
         slots, thresholds, n_left, left_counts = _split_search(
             self.sorted_values[where], labels, starts, counts)
-        sorted_rows = self.sorted_rows[where]
         right_counts = counts - left_counts
         present_left = np.count_nonzero(left_counts, axis=1).tolist()
         present_right = np.count_nonzero(right_counts, axis=1).tolist()
@@ -589,53 +477,11 @@ class _Fit:
             middle = start + going
             left = right = None
             if growth.splittable(going, present_left[i], depth + 1):
-                left = sorted_rows[start:middle].copy()
+                left = self.sorted_rows[where[start:middle]]
             if growth.splittable(sizes[i] - going, present_right[i], depth + 1):
-                right = sorted_rows[middle:start + sizes[i]].copy()
+                right = self.sorted_rows[where[middle:start + sizes[i]]]
             growth.split(index, int(node_candidates[slot]), threshold, depth,
                          (left, left_counts[i]), (right, right_counts[i]))
-
-    def search_presorted(self, node: tuple, cutoff: int) -> None:
-        """Score one node of ``cutoff`` rows or more and split it."""
-        growth, index, rows, counts, depth, candidates = node
-        if rows.ndim == 1:
-            # A root: count its rows into every feature's fit-wide order.
-            times = np.bincount(rows, minlength=self.order.shape[1])
-            rows = np.repeat(self.sorted_rows, times[self.order].ravel()).reshape(
-                self.n_features, len(rows))
-        size = rows.shape[1]
-        by_candidate = rows[candidates]
-        labels = self.labels[by_candidate].ravel()
-        if growth.local is not None:
-            labels = growth.local[labels]
-        slots, thresholds, n_left, left_counts = _split_search(
-            self.columns[candidates[:, None], by_candidate].ravel(), labels,
-            np.arange(len(candidates)) * size, counts[None, :])
-        slot = int(slots[0])
-        if slot < 0:
-            return
-        going = int(n_left[0])
-        left_counts = left_counts[0]
-        right_counts = counts - left_counts
-        sorted_rows = by_candidate[slot]
-        keep_left = growth.splittable(going, int(np.count_nonzero(left_counts)),
-                                      depth + 1)
-        keep_right = growth.splittable(size - going,
-                                       int(np.count_nonzero(right_counts)), depth + 1)
-        left = right = None
-        if (keep_left and going >= cutoff) or (keep_right and size - going >= cutoff):
-            # Partition the presorted rows instead of re-sorting them.
-            self.scratch[sorted_rows[:going]] = True
-            member = self.scratch[rows]
-            self.scratch[sorted_rows[:going]] = False
-        if keep_left:
-            left = (rows[member].reshape(self.n_features, going) if going >= cutoff
-                    else sorted_rows[:going].copy())
-        if keep_right:
-            right = (rows[~member].reshape(self.n_features, size - going)
-                     if size - going >= cutoff else sorted_rows[going:].copy())
-        growth.split(index, int(candidates[slot]), float(thresholds[0]), depth,
-                     (left, left_counts), (right, right_counts))
 
 
 def _split_search(values: np.ndarray, labels: np.ndarray, starts: np.ndarray,
@@ -674,22 +520,29 @@ def _split_search(values: np.ndarray, labels: np.ndarray, starts: np.ndarray,
     n_node = sizes[segment]
     n_left = cut - starts[segment] + 1.0
     n_right = n_node - n_left
-    # Class counts are exact integers: an int32 one-hot summed in place,
-    # turned into floats at the cuts only. Each segment's first row takes
-    # away the previous segment's totals (its node's class counts), so the
-    # running count restarts at every segment.
-    running = np.zeros((len(values), n_classes), dtype=np.int32)
-    running[np.arange(len(values)), labels] = 1
-    running[starts[1:]] -= node_counts[np.arange(n_segments - 1) % n_nodes]
+    # Class counts are exact integers, counted per run of equal values of
+    # a segment (one bincount of (run, class) pairs) and summed over runs.
+    # Each segment's first run takes away the previous segment's totals
+    # (its node's class counts), so the running count restarts at every
+    # segment. A cut and the last row that goes left both end a run: the
+    # value after either differs from it.
+    change = np.empty(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=change[1:])
+    change[starts] = True
+    run = np.cumsum(change) - 1
+    running = np.bincount(run * n_classes + labels,
+                          minlength=(run[-1] + 1) * n_classes).reshape(-1, n_classes)
+    running[run[starts[1:]]] -= node_counts[np.arange(n_segments - 1) % n_nodes]
     np.cumsum(running, axis=0, out=running)
+    at_cut = running[run[cut]]
     # Every Gini sum reduces one contiguous row of the tree's own classes,
     # as a per-feature search does, so the gains match it to the last bit.
     # One (cuts, classes) float array at a time bounds the search's memory.
-    shares = running[cut].astype(np.float64)
+    shares = at_cut.astype(np.float64)
     np.divide(shares, n_left[:, None], out=shares)
     gini_left = 1.0 - np.square(shares, out=shares).sum(axis=1)
     shares = node_counts.astype(np.float64)[node]
-    shares -= running[cut]
+    shares -= at_cut
     np.divide(shares, n_right[:, None], out=shares)
     gini_right = 1.0 - np.square(shares, out=shares).sum(axis=1)
     weighted = (n_left * gini_left + n_right * gini_right) / n_node
@@ -726,4 +579,4 @@ def _split_search(values: np.ndarray, labels: np.ndarray, starts: np.ndarray,
     # split again forever.
     assert np.all((slot < 0) | ((going > 0) & (going < sizes[chosen])))
     return (slot, cut_value[chosen], going,
-            running[starts[chosen] + going - 1].astype(np.int64))
+            running[run[starts[chosen] + going - 1]])

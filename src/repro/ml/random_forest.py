@@ -10,7 +10,8 @@ accepting an identification.
 Batch prediction is fully vectorised: every tree is applied to the whole
 sample matrix through its flattened-array form (:class:`~repro.ml.decision_tree.FlatTree`)
 and votes are accumulated in one ``(n_samples, n_classes)`` integer matrix.
-``vote_one_reference`` keeps the original per-sample tree walk as the
+``vote_one_reference`` keeps a per-sample walk down each tree's flat arrays
+(:meth:`~repro.ml.decision_tree.DecisionTreeClassifier.predict_one`) as the
 reference implementation that parity tests compare against.
 """
 

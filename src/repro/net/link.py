@@ -109,11 +109,11 @@ class NetemLink:
     packet is allowed to jump ahead, and with probability
     ``duplicate_probability`` it is delivered twice.
 
-    ``outages`` are transient total-loss windows used by the fault-injection
-    layer (docs/ROBUSTNESS.md): a packet sent while ``simulator.now`` falls
-    inside an ``(start, end)`` window is dropped outright, consuming no rng
-    draws — an empty tuple (the default) leaves the link's behaviour and rng
-    stream untouched.
+    ``outages`` are transient total-loss windows (the packet-level prober
+    sets them from ``ProberConfig.outages``): a packet sent while
+    ``simulator.now`` falls inside an ``(start, end)`` window is dropped
+    outright, consuming no rng draws — an empty tuple (the default) leaves
+    the link's behaviour and rng stream untouched.
 
     ``ecn_mark_probability`` makes the link ECN-capable: each surviving data
     segment is independently marked congestion-experienced with this

@@ -5,7 +5,9 @@ not. This module serialises a trained
 :class:`~repro.core.classifier.CaaiClassifier` — the flat stacked-forest
 node tables (:class:`~repro.ml.decision_tree.FlatTree` arrays), the
 classifier/extractor configuration and the classifier fingerprint — into one
-versioned artifact file that a serving process loads back in milliseconds.
+versioned artifact file that a serving process loads back in milliseconds:
+the stored arrays become each tree's ``FlatTree``, the only form a fitted
+tree has, so a load walks no tree.
 
 The on-disk layout is a small self-describing container::
 

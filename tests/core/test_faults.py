@@ -15,6 +15,9 @@ class TestFaultSpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultSpec(kind="cosmic_ray")
+        # Outage windows are a prober setting, not a kind a plan can carry.
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultSpec(kind="link_outage")
 
     def test_probability_bounds(self):
         with pytest.raises(ValueError, match="probability"):
@@ -37,7 +40,7 @@ class TestFaultSpec:
             assert FaultInjected(kind, True).invalid_reason is InvalidReason(value)
 
     def test_unmapped_kind_falls_back_to_connection_failed(self):
-        fault = FaultInjected("link_outage", True)
+        fault = FaultInjected("truncated_response", True)
         assert fault.invalid_reason is InvalidReason.CONNECTION_FAILED
 
 
@@ -85,7 +88,6 @@ class TestFaultPlan:
     def test_worker_death_and_torn_checkpoint_are_not_probe_faults(self):
         assert "worker_death" not in PROBE_KINDS
         assert "torn_checkpoint" not in PROBE_KINDS
-        assert "link_outage" not in PROBE_KINDS
         plan = FaultPlan(specs=(FaultSpec(kind="worker_death"),))
         assert plan.probe_faults("s", 0) == []
         assert plan.worker_death_fires("s", 0)
@@ -97,13 +99,6 @@ class TestFaultPlan:
         assert plan.torn_write_after(2, 0) == 5
         assert plan.torn_write_after(2, 1) is None  # cleared on the rewrite
         assert plan.torn_write_after(0, 0) is None
-
-    def test_link_outage_windows(self):
-        plan = FaultPlan(specs=(
-            FaultSpec(kind="link_outage", scope="s", at_round=10, param=3.0),
-            FaultSpec(kind="link_outage", scope="s", at_round=20),))
-        assert plan.link_outages("s") == ((10.0, 13.0), (20.0, 21.0))
-        assert plan.link_outages("other") == ()
 
     def test_json_round_trip(self):
         plan = FaultPlan(seed=42, specs=(

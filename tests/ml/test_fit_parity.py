@@ -1,38 +1,101 @@
 """Fit parity: the lockstep tree grower against the per-tree reference.
 
 :func:`repro.ml.decision_tree.fit_trees` grows every tree of a forest in
-lockstep and scores each step's small nodes in one batched split search;
+lockstep and scores each step's nodes in batched split searches;
 ``DecisionTreeClassifier.fit`` is a forest of one. The reference below is
-the grower it replaced, one tree at a time: one ``evaluate`` pass per
-candidate feature, with a per-feature ``pick_best`` loop over the results.
-Both must grow the same trees byte for byte (all six ``FlatTree`` arrays
-and the class list) and draw the same random feature subspaces (the rng end
-state), so every downstream model, vote and report stays identical. Forest
-rows build the reference forest tree by tree, drawing bootstraps and tree
-seeds from the forest rng in the order ``RandomForestClassifier.fit`` does.
+the grower it replaced, one tree at a time on linked nodes: one
+``evaluate`` pass per candidate feature, with a per-feature ``pick_best``
+loop over the results. Both must grow the same trees byte for byte (all six
+``FlatTree`` arrays and the class list) and draw the same random feature
+subspaces (the rng end state), so every downstream model, vote and report
+stays identical. Forest rows build the reference forest tree by tree,
+drawing bootstraps and tree seeds from the forest rng in the order
+``RandomForestClassifier.fit`` does, and check each tree's ``depth()`` and
+``predict_one`` walk over its flat arrays against the linked reference tree.
 
-``TestFitPaths`` pins the claim that the presort path and the small-node
-path pick bit-identical splits, by moving ``_PRESORT_CUTOFF`` under the same
-datasets, and that the batch cap never changes a tree. ``TestLockstepWork``
-is the exact gate on the batching: it counts the batched searches and the
-subspace draws of one 60-tree fit.
+``TestFitPaths`` pins the claim that the batch cap never changes a tree.
+``TestLockstepWork`` is the exact gate on the batching: it counts the
+batched searches and the subspace draws of one 60-tree fit.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro.ml import decision_tree, random_forest
 from repro.ml.dataset import LabeledDataset
-from repro.ml.decision_tree import DecisionTreeClassifier, FlatTree, _Node, fit_trees
+from repro.ml.decision_tree import DecisionTreeClassifier, FlatTree, fit_trees
 from repro.ml.random_forest import RandomForestClassifier
 
 FLAT_FIELDS = ("feature", "threshold", "left", "right", "prediction",
                "leaf_class_counts")
+
+
+@dataclass
+class _Node:
+    """A reference tree node; leaves carry class counts, internal nodes a split."""
+
+    prediction: int
+    class_counts: np.ndarray
+    feature: int | None = None
+    threshold: float = 0.0
+    left: "_Node | None" = None
+    right: "_Node | None" = None
+
+
+def flatten(root: _Node) -> FlatTree:
+    """The preorder arrays of a linked tree, left child first."""
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    prediction: list[int] = []
+    counts: list[np.ndarray] = []
+    # Iterative preorder flatten; children indices are patched once known.
+    stack: list[tuple[_Node, int, bool]] = [(root, -1, False)]
+    while stack:
+        node, parent, is_right = stack.pop()
+        index = len(feature)
+        if parent >= 0:
+            if is_right:
+                right[parent] = index
+            else:
+                left[parent] = index
+        feature.append(-1 if node.feature is None else int(node.feature))
+        threshold.append(float(node.threshold))
+        left.append(-1)
+        right.append(-1)
+        prediction.append(int(node.prediction))
+        counts.append(np.asarray(node.class_counts, dtype=np.int64))
+        if node.feature is not None:
+            # Push right first so the left child lands at index + 1.
+            stack.append((node.right, index, True))
+            stack.append((node.left, index, False))
+    return FlatTree(feature=np.array(feature, dtype=np.intp),
+                    threshold=np.array(threshold, dtype=np.float64),
+                    left=np.array(left, dtype=np.intp),
+                    right=np.array(right, dtype=np.intp),
+                    prediction=np.array(prediction, dtype=np.intp),
+                    leaf_class_counts=np.vstack(counts))
+
+
+def node_depth(node: _Node) -> int:
+    """Split levels on the longest path below ``node``."""
+    if node.feature is None:
+        return 0
+    return 1 + max(node_depth(node.left), node_depth(node.right))
+
+
+def walk(node: _Node, vector: np.ndarray) -> int:
+    """The class index of the leaf ``vector`` reaches (``<=`` goes left)."""
+    while node.feature is not None:
+        node = node.left if vector[node.feature] <= node.threshold else node.right
+    return node.prediction
 
 
 def reference_grow_root(tree: DecisionTreeClassifier, features: np.ndarray,
@@ -42,8 +105,6 @@ def reference_grow_root(tree: DecisionTreeClassifier, features: np.ndarray,
     n_classes = len(tree._classes)
     one_hot = np.zeros((n, n_classes), dtype=np.float64)
     one_hot[np.arange(n), labels] = 1.0
-    scratch = np.zeros(n, dtype=bool)
-    cutoff = tree._PRESORT_CUTOFF
 
     def evaluate(feature: int, sorted_rows: np.ndarray, n_node: int,
                  parent_impurity: float):
@@ -110,42 +171,7 @@ def reference_grow_root(tree: DecisionTreeClassifier, features: np.ndarray,
         node.right = grow_indices(sorted_rows[~mask], depth + 1)
         return node
 
-    def grow_sorted(order: np.ndarray, depth: int) -> _Node:
-        node, counts, splittable = make_node(order[:, 0], depth)
-        if not splittable:
-            return node
-        split = pick_best(lambda feature: order[:, feature], len(order), counts)
-        if split is None:
-            return node
-        node.feature, node.threshold, sorted_rows, mask = split
-        left_rows = sorted_rows[mask]
-        right_rows = sorted_rows[~mask]
-        keep_left = len(left_rows) >= cutoff
-        keep_right = len(right_rows) >= cutoff
-        left_order = right_order = None
-        if keep_left or keep_right:
-            scratch[left_rows] = True
-            if keep_left:
-                left_order = np.empty((len(left_rows), n_features), dtype=order.dtype)
-            if keep_right:
-                right_order = np.empty((len(right_rows), n_features), dtype=order.dtype)
-            for j in range(n_features):
-                column = order[:, j]
-                member = scratch[column]
-                if keep_left:
-                    left_order[:, j] = column[member]
-                if keep_right:
-                    right_order[:, j] = column[~member]
-            scratch[left_rows] = False
-        node.left = (grow_sorted(left_order, depth + 1) if keep_left
-                     else grow_indices(left_rows, depth + 1))
-        node.right = (grow_sorted(right_order, depth + 1) if keep_right
-                      else grow_indices(right_rows, depth + 1))
-        return node
-
-    if n < cutoff:
-        return grow_indices(np.arange(n, dtype=np.intp), depth=0)
-    return grow_sorted(np.argsort(features, axis=0, kind="mergesort"), depth=0)
+    return grow_indices(np.arange(n, dtype=np.intp), depth=0)
 
 
 def synthetic_dataset(n: int, n_features: int, n_classes: int, ties: bool,
@@ -176,17 +202,19 @@ def assert_same_tree(actual: DecisionTreeClassifier,
     assert actual.rng.bit_generator.state == expected.rng.bit_generator.state
 
 
-def reference_fit(tree: DecisionTreeClassifier,
-                  dataset: LabeledDataset) -> DecisionTreeClassifier:
-    """``tree.fit(dataset)`` through the per-feature reference grower."""
+def reference_fit(tree: DecisionTreeClassifier, dataset: LabeledDataset) -> _Node:
+    """``tree.fit(dataset)`` through the per-feature reference grower.
+
+    Returns:
+        The linked tree the reference grew; ``tree`` holds its flat arrays.
+    """
     tree._classes = dataset.classes()
     class_index = {label: i for i, label in enumerate(tree._classes)}
     encoded = np.array([class_index[str(label)] for label in dataset.labels],
                        dtype=np.int64)
     root = reference_grow_root(tree, np.asarray(dataset.features, dtype=float), encoded)
-    tree._nodes = root
-    tree._flat = FlatTree.from_root(root, len(tree._classes))
-    return tree
+    tree._flat = flatten(root)
+    return root
 
 
 def fit_tree(dataset: LabeledDataset, seed: int, **knobs) -> DecisionTreeClassifier:
@@ -194,15 +222,17 @@ def fit_tree(dataset: LabeledDataset, seed: int, **knobs) -> DecisionTreeClassif
 
 
 def reference_tree(dataset: LabeledDataset, seed: int, **knobs) -> DecisionTreeClassifier:
-    return reference_fit(DecisionTreeClassifier(rng=np.random.default_rng(seed), **knobs),
-                         dataset)
+    tree = DecisionTreeClassifier(rng=np.random.default_rng(seed), **knobs)
+    reference_fit(tree, dataset)
+    return tree
 
 
 def reference_forest(dataset: LabeledDataset, n_trees: int, max_features: int,
-                     seed: int, min_samples_split: int = 2,
-                     max_depth: int | None = None) -> list[DecisionTreeClassifier]:
-    """The trees ``RandomForestClassifier.fit`` grows, grown one at a time:
-    each tree's bootstrap, then its seed, from the forest rng."""
+                     seed: int, min_samples_split: int = 2, max_depth: int | None = None
+                     ) -> list[tuple[DecisionTreeClassifier, _Node]]:
+    """The trees ``RandomForestClassifier.fit`` grows, grown one at a time
+    (each tree's bootstrap, then its seed, from the forest rng), each with
+    the linked tree the reference grew."""
     rng = np.random.default_rng(seed)
     trees = []
     for _ in range(n_trees):
@@ -211,7 +241,7 @@ def reference_forest(dataset: LabeledDataset, n_trees: int, max_features: int,
             max_features=min(max_features, dataset.n_features),
             min_samples_split=min_samples_split, max_depth=max_depth,
             rng=np.random.default_rng(rng.integers(0, 2 ** 63 - 1)))
-        trees.append(reference_fit(tree, sample))
+        trees.append((tree, reference_fit(tree, sample)))
     return trees
 
 
@@ -220,10 +250,14 @@ def assert_same_forest(dataset: LabeledDataset, **knobs) -> RandomForestClassifi
     expected = reference_forest(dataset, **knobs)
     assert len(forest._trees) == len(expected) == knobs["n_trees"]
     classes = dataset.classes()
-    for tree, reference, class_map in zip(forest._trees, expected,
-                                          forest._tree_class_maps):
+    for tree, (reference, root), class_map in zip(forest._trees, expected,
+                                                  forest._tree_class_maps):
         assert_same_tree(tree, reference)
         assert [classes[i] for i in class_map] == reference.classes()
+        # The walks over the flat arrays agree with the linked tree.
+        assert tree.depth() == node_depth(root)
+        assert [tree.predict_one(row) for row in dataset.features] == [
+            reference.classes()[walk(root, row)] for row in dataset.features]
     return forest
 
 
@@ -246,6 +280,19 @@ def edge_value_dataset() -> LabeledDataset:
                                              dtype=object))
 
 
+def rounded_cut_dataset() -> LabeledDataset:
+    """One cut, whose midpoint rounds onto its upper value ``-2**13``: the
+    rows at that value go left too, and the next rows, less than 1e-12
+    above it, go right though no cut separates them from it."""
+    low = -(2.0 ** 13 + 2.0 ** -39)
+    high = -2.0 ** 13
+    above = np.nextafter(high, 0.0)
+    assert 0.5 * (low + high) == high and above - high < 1e-12
+    features = np.repeat([low, high, above], [20, 10, 10])[:, None]
+    labels = np.repeat(["x", "y", "y"], [20, 10, 10])
+    return LabeledDataset(features, labels.astype(object))
+
+
 def extreme_value_dataset() -> LabeledDataset:
     """The edge-value set plus a column of infinities only, whose one cut
     has a NaN midpoint, and one of values near the float range, whose
@@ -261,7 +308,7 @@ def extreme_value_dataset() -> LabeledDataset:
 
 
 GRID = list(itertools.product(
-    (2, 5, 40, 300, 700),      # rows: both sides of _PRESORT_CUTOFF (256)
+    (2, 5, 40, 300, 700),      # rows: 300 and 700 grow large nodes
     (1, 3, 7),                 # features
     (2, 6, 15),                # classes
     (False, True),             # ties
@@ -295,6 +342,12 @@ class TestFitParity:
             reference = reference_tree(dataset, 4, max_features=max_features)
         assert_same_tree(tree, reference)
         assert 0 not in tree.flat_tree.feature
+
+    def test_rows_past_a_rounded_cut_go_left_with_their_counts(self):
+        dataset = rounded_cut_dataset()
+        tree = fit_tree(dataset, 4)
+        assert_same_tree(tree, reference_tree(dataset, 4))
+        assert tree.flat_tree.leaf_class_counts[1].tolist() == [20, 10]
 
     @pytest.mark.parametrize("make", (edge_value_dataset, extreme_value_dataset))
     def test_fits_without_warnings(self, make):
@@ -335,8 +388,7 @@ FOREST_ROWS = {
                          min_samples_split=5)),
     "all-features": (lambda: synthetic_dataset(60, 3, 4, ties=True, seed=3),
                      dict(n_trees=8, max_features=5, seed=8)),
-    # Forest seed 11 gives one tree a 259-row child: presorted beside the
-    # other trees' small nodes.
+    # Large roots and children: each step's nodes fill several batches.
     "rows-300": (lambda: synthetic_dataset(300, 5, 6, ties=False, seed=4),
                  dict(n_trees=8, max_features=2, seed=11)),
     "rows-700": (lambda: synthetic_dataset(700, 7, 15, ties=True, seed=5),
@@ -353,23 +405,6 @@ class TestForestParity:
             forest = assert_same_forest(dataset, **knobs)
         if row == "missing-class":
             assert any(len(tree.classes()) < 4 for tree in forest._trees)
-
-    @pytest.mark.parametrize("row", ("rows-300", "rows-700"))
-    def test_presorted_and_small_nodes_share_steps(self, monkeypatch, row):
-        # Each step calls ``next_node`` for every tree, then searches; a step
-        # whose searches take both paths mixes node kinds of different trees.
-        log = []
-        for cls, name, tag in ((decision_tree._Growth, "next_node", "|"),
-                               (decision_tree._Fit, "search_small", "S"),
-                               (decision_tree._Fit, "search_presorted", "P")):
-            def logged(*args, _original=getattr(cls, name), _tag=tag):
-                log.append(_tag)
-                return _original(*args)
-            monkeypatch.setattr(cls, name, logged)
-        make, knobs = FOREST_ROWS[row]
-        RandomForestClassifier(**knobs).fit(make())
-        steps = "".join(log).split("|")
-        assert any("S" in step and "P" in step for step in steps)
 
     def test_plain_cart_trees_grow_in_lockstep(self):
         # ``max_features=None`` trees on bootstrap rows: no subspace draws.
@@ -392,24 +427,9 @@ class TestForestParity:
 
 
 class TestFitPaths:
-    """The presort path and the small-node path pick bit-identical splits,
-    and the batch cap never changes a tree."""
-
-    @pytest.mark.parametrize("n", (256, 260, 600))
-    @pytest.mark.parametrize("ties", (False, True), ids=("noties", "ties"))
-    @pytest.mark.parametrize("max_features", (None, 2, 4))
-    def test_cutoff_does_not_change_the_tree(self, monkeypatch, n, ties,
-                                             max_features):
-        dataset = synthetic_dataset(n, 5, 6, ties, seed=2)
-        trees = []
-        for cutoff in (2, 256, 10 ** 9):
-            monkeypatch.setattr(DecisionTreeClassifier, "_PRESORT_CUTOFF", cutoff)
-            trees.append(fit_tree(dataset, n, max_features=max_features))
-        for tree in trees[1:]:
-            assert_same_tree(tree, trees[0])
+    """The batch cap never changes a tree."""
 
     @pytest.mark.parametrize("knob, values", (
-        ("_PRESORT_CUTOFF", (2, 256, 10 ** 9)),
         ("_SEARCH_ELEMENTS", (1, 4096, 10 ** 9)),
     ))
     def test_forest_knobs_do_not_change_the_trees(self, monkeypatch, knob, values):

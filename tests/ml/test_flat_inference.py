@@ -1,9 +1,9 @@
 """Parity tests: vectorised inference must exactly match the reference paths.
 
-The flattened-array engines (``FlatTree``, the stacked forest, batch k-NN)
+The vectorised engines (``FlatTree.apply``, the stacked forest, batch k-NN)
 are pure performance work; every prediction, vote count and probability must
-be byte-identical to the per-sample reference implementations that walk the
-linked ``_Node`` structure.
+be byte-identical to the per-sample reference implementations, which walk a
+tree's ``FlatTree`` arrays one sample and one node at a time.
 """
 
 import collections
@@ -63,12 +63,35 @@ class TestFlatTreeParity:
         # Node histograms carry the majority class.
         assert np.array_equal(np.argmax(flat.leaf_class_counts, axis=1), flat.prediction)
 
-    def test_flatten_round_trip_preserves_counts(self):
-        dataset = random_dataset(3, n=60)
-        tree = DecisionTreeClassifier(rng=np.random.default_rng(3)).fit(dataset)
-        rebuilt = FlatTree.from_root(tree._root, len(tree.classes()))
-        assert rebuilt.n_nodes == tree.flat_tree.n_nodes
-        assert np.array_equal(rebuilt.leaf_class_counts, tree.flat_tree.leaf_class_counts)
+
+class TestFlatTreeChecks:
+    """A tree is its ``FlatTree``: an unfitted tree has none to walk, and a
+    rebuilt one needs a layout and classes."""
+
+    def test_from_flat_tree_rejects_an_empty_layout(self):
+        tree = DecisionTreeClassifier(rng=np.random.default_rng(3)).fit(
+            random_dataset(3, n=60))
+        flat = tree.flat_tree
+        empty = FlatTree(feature=flat.feature[:0], threshold=flat.threshold[:0],
+                         left=flat.left[:0], right=flat.right[:0],
+                         prediction=flat.prediction[:0],
+                         leaf_class_counts=flat.leaf_class_counts[:0])
+        with pytest.raises(ValueError, match="empty FlatTree"):
+            DecisionTreeClassifier.from_flat_tree(empty, tree.classes())
+
+    def test_from_flat_tree_rejects_an_empty_class_list(self):
+        tree = DecisionTreeClassifier(rng=np.random.default_rng(3)).fit(
+            random_dataset(3, n=60))
+        with pytest.raises(ValueError, match="class label"):
+            DecisionTreeClassifier.from_flat_tree(tree.flat_tree, [])
+
+    @pytest.mark.parametrize("call", [
+        lambda tree: tree.predict_one(np.zeros(5)),
+        lambda tree: tree.depth(),
+    ], ids=["predict_one", "depth"])
+    def test_unfitted_tree_raises(self, call):
+        with pytest.raises(RuntimeError, match="not been fitted"):
+            call(DecisionTreeClassifier())
 
 
 class TestForestParity:

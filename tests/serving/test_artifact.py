@@ -61,7 +61,7 @@ class TestRoundTrip:
             assert reloaded.unsure == original.unsure
 
     def test_tree_predictions_match_reference_path(self, classifier, artifact):
-        """Reconstructed linked nodes agree with the flat-table router."""
+        """The per-sample reference walk agrees with the vectorised router."""
         loaded = load_model(artifact)
         queries = np.random.default_rng(13).normal(size=(40, 7))
         for tree in loaded.forest.trees:

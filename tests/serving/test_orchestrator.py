@@ -11,6 +11,7 @@ Interrupt → resume through the orchestrator is covered by
 ``tests/core/test_resume_crash_matrix.py``.
 """
 
+import fcntl
 import json
 import multiprocessing
 import os
@@ -29,7 +30,7 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.parallel import ParallelExecutor
 from repro.serving.artifact import load_model, save_model
 from repro.serving.orchestrator import CensusOrchestrator
-from repro.serving.queue import QUEUE_NAME
+from repro.serving.queue import LOCK_NAME, QUEUE_NAME
 from repro.web.population import PopulationConfig, ServerPopulation
 
 NUM_SHARDS = 4
@@ -241,19 +242,71 @@ def lease_holders(checkpoint_dir: Path) -> dict[int, int]:
             for shard, entry in state["leases"].items()}
 
 
+def leases_in_group(checkpoint_dir: Path, group: int) -> dict[int, int]:
+    """``{shard: holder pid}`` of the leases held by processes of ``group``."""
+    held = {}
+    for shard, pid in lease_holders(checkpoint_dir).items():
+        try:
+            if os.getpgid(pid) == group:
+                held[shard] = pid
+        except ProcessLookupError:
+            continue
+    return held
+
+
 def wait_for_lease_in_group(checkpoint_dir: Path, group: int,
                             timeout: float = 60.0) -> int:
     """Poll until a process of ``group`` holds a lease; return its shard."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        for shard, pid in lease_holders(checkpoint_dir).items():
-            try:
-                if os.getpgid(pid) == group:
-                    return shard
-            except ProcessLookupError:
-                continue
+        held = leases_in_group(checkpoint_dir, group)
+        if held:
+            return min(held)
         time.sleep(0.01)
     raise AssertionError(f"process group {group} never held a lease")
+
+
+def stopped(pid: int) -> bool:
+    """Whether every thread of process ``pid`` is stopped (Linux ``/proc``)."""
+    try:
+        stats = [path.read_text()
+                 for path in Path(f"/proc/{pid}/task").glob("*/stat")]
+    except FileNotFoundError:  # a thread exited while being listed
+        return False
+    return bool(stats) and all(stat.rsplit(")", 1)[1].split()[0] == "T"
+                               for stat in stats)
+
+
+def freeze_holding_a_lease(checkpoint_dir: Path, group: int) -> tuple[int, int]:
+    """SIGSTOP process group ``group`` while one of its workers holds a lease.
+
+    The stop is sent while this process holds the queue lock, which it
+    releases only once the group's processes have stopped: a process
+    frozen inside a queue operation would hold the lock and shut every
+    other worker out. A group caught between two shards is resumed and
+    caught again.
+
+    Returns:
+        ``(shard, pid)`` of a lease the frozen group holds.
+    """
+    while True:
+        wait_for_lease_in_group(checkpoint_dir, group)
+        lock = os.open(checkpoint_dir / LOCK_NAME, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            os.killpg(group, signal.SIGSTOP)
+            held = leases_in_group(checkpoint_dir, group)
+            if not held:
+                os.killpg(group, signal.SIGCONT)
+                continue
+            deadline = time.monotonic() + 60.0
+            while not all(stopped(pid) for pid in {group, *held.values()}):
+                assert time.monotonic() < deadline, \
+                    f"process group {group} did not stop"
+                time.sleep(0.001)
+            return min(held.items())
+        finally:
+            os.close(lock)
 
 
 class TestRealProcessDeath:
@@ -270,23 +323,31 @@ class TestRealProcessDeath:
         assert any(1 in stat.stolen for stat in stats)
         assert sum(stat.completed.count(1) for stat in stats) == 1
 
+    #: The survivor's lease timeout: longer than the victim stays frozen
+    #: (the survivor's start-up), so the survivor steals nothing from the
+    #: frozen victim, and the wait for the dead victim's lease to expire.
+    SURVIVOR_LEASE_TIMEOUT = 8
+
     def test_two_serve_processes_survive_one_being_sigkilled(
             self, trained_classifier, tmp_path):
         """Two census processes serve one checkpoint from an artifact: a
         ``run --artifact`` victim creates it and a ``resume`` survivor
-        joins it. The victim is SIGKILLed (with its worker) while holding
-        a lease, and the survivor's report equals the monolithic census."""
+        joins it. The victim is frozen (SIGSTOP) while holding a lease, so
+        it cannot drain the census before the survivor claims a shard of
+        its own; then it is SIGKILLed (with its worker), the survivor
+        steals its shard once the lease expires, and the survivor's report
+        equals the monolithic census."""
         artifact = tmp_path / "model.caai"
         save_model(trained_classifier, artifact)
         checkpoint = tmp_path / "ckpt"
         settings = {"servers": 96, "population_seed": 2011,
                     "conditions": "paper", "condition_db_size": 1000,
                     "condition_seed": 2010}
+        shards = 8
         command = [sys.executable, "-m", "repro.census"]
-        execution = ["--checkpoint", str(checkpoint), "--workers", "1",
-                     "--lease-timeout", "1"]
-        run = ["run", "--artifact", str(artifact), "--shards", "8",
-               "--seed", str(SEED)] + execution
+        execution = ["--checkpoint", str(checkpoint), "--workers", "1"]
+        run = ["run", "--artifact", str(artifact), "--shards", str(shards),
+               "--seed", str(SEED), "--lease-timeout", "1"] + execution
         for key, value in settings.items():
             run += [f"--{key.replace('_', '-')}", str(value)]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -304,16 +365,21 @@ class TestRealProcessDeath:
         victim = serve("victim", run)
         survivor = None
         try:
-            # The victim creates the checkpoint; the survivor attaches to
-            # it while the victim works, and must not take its live lease.
-            wait_for_lease_in_group(checkpoint, victim.pid)
-            survivor = serve("survivor", ["resume"] + execution)
+            # The victim creates the checkpoint and is frozen on its first
+            # lease; the survivor attaches to it and claims a free shard.
+            held, holder = freeze_holding_a_lease(checkpoint, victim.pid)
+            assert held < shards - 1, "the victim left no shard to claim"
+            survivor = serve("survivor", ["resume", "--lease-timeout",
+                                          str(self.SURVIVOR_LEASE_TIMEOUT)]
+                             + execution)
             wait_for_lease_in_group(checkpoint, survivor.pid)
-            held = wait_for_lease_in_group(checkpoint, victim.pid)
+            holders = lease_holders(checkpoint)
             os.killpg(victim.pid, signal.SIGKILL)
             victim.wait(timeout=30)
+            assert holders.get(held) == holder, \
+                "the survivor stole the frozen victim's lease before the kill"
             assert held in lease_holders(checkpoint), \
-                "the victim committed its shard before the kill landed"
+                "the victim's shard was committed before the kill landed"
             assert survivor.wait(timeout=180) == 0, \
                 (tmp_path / "survivor.log").read_text()
         finally:

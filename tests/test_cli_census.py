@@ -4,9 +4,10 @@
 resumed on two worker processes in a separate process, and merged in a
 third; the merged report must equal an uninterrupted in-process census
 built from the same settings. A census served from a model artifact
-resumes by reloading it. A bad execution argument, a reused checkpoint
-directory or an output path in a missing directory is rejected before any
-training, so it leaves no checkpoint behind.
+resumes by reloading it. A bad execution argument, a fault plan naming an
+unknown kind, a reused checkpoint directory or an output path in a missing
+directory is rejected before any training, so it leaves no checkpoint
+behind.
 """
 
 import json
@@ -77,6 +78,9 @@ def test_killed_census_resumes_on_processes_to_the_monolithic_report(tmp_path):
 TINY = ["--servers", "4", "--shards", "2", "--seed", "9", "--trees", "5",
         "--training-conditions", "1", "--condition-db-size", "40"]
 
+#: A fault plan naming ``link_outage``, which is not a fault kind.
+LINK_OUTAGE_PLAN = {"specs": [{"kind": "link_outage"}]}
+
 
 @pytest.mark.parametrize("argument", [
     ["--workers", "0"],
@@ -86,10 +90,14 @@ TINY = ["--servers", "4", "--shards", "2", "--seed", "9", "--trees", "5",
     ["--lease-timeout", "0"],
     ["--json", "missing-dir/report.json"],
     ["--results", "missing-dir/results.jsonl"],
+    ["--fault-plan", "link-outage-plan.json"],
 ], ids=["workers", "max-probe-attempts", "probe-deadline", "stop-after-shards",
-        "lease-timeout", "json-in-missing-dir", "results-in-missing-dir"])
+        "lease-timeout", "json-in-missing-dir", "results-in-missing-dir",
+        "link-outage-fault-plan"])
 def test_run_rejects_a_bad_execution_argument_before_training(
-        tmp_path, capsys, argument):
+        tmp_path, capsys, monkeypatch, argument):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link-outage-plan.json").write_text(json.dumps(LINK_OUTAGE_PLAN))
     checkpoint = tmp_path / "ckpt"
     assert census_main(["run", "--checkpoint", str(checkpoint),
                         *TINY, *argument]) == 2
