@@ -44,8 +44,8 @@ from repro.core.labels import UNSURE
 from repro.core.results import CensusReport, ServerOutcome
 from repro.core.special_cases import detect_shape_case, detect_stalled_case
 from repro.core.trace import InvalidReason, ProbeTrace
-from repro.faults import FaultInjected, FaultPlan, FaultyServer, WorkerDeathFault
-from repro.parallel import ParallelExecutor, TaskFailure, task_seeds
+from repro.faults import FaultInjected, FaultPlan, FaultyServer
+from repro.parallel import ParallelExecutor, task_seeds
 from repro.web.crawler import PageSearchTool
 from repro.web.population import ServerPopulation, ServerRecord
 
@@ -61,12 +61,10 @@ class CensusConfig:
     crawler_page_budget: int = 120
     #: Skip the crawler and request the default page directly (ablation).
     use_page_search: bool = True
-    #: Execution backend for the probe phase (``serial`` / ``process``).
-    backend: str = "serial"
-    #: Worker processes for the ``process`` backend (``None`` = one per CPU).
-    max_workers: int | None = None
     #: Deterministic fault plan to run the census under (``None`` = no
-    #: injection; see docs/ROBUSTNESS.md).
+    #: injection; see docs/ROBUSTNESS.md). Its ``worker_death`` and
+    #: ``torn_checkpoint`` specs act only on a sharded census
+    #: (:class:`repro.serving.orchestrator.CensusOrchestrator`).
     fault_plan: FaultPlan | None = None
     #: Per-environment probe deadline budget in simulated seconds (``None``
     #: = unbounded). Probes exceeding it are recorded as ``probe_timeout``.
@@ -78,11 +76,6 @@ class CensusConfig:
     backoff_base: float = 0.5
     #: Ceiling on a single backoff draw in simulated seconds.
     backoff_max: float = 30.0
-    #: Wall-clock seconds one probe task may run on the ``process`` backend
-    #: (``None`` = unbounded). A task past it has its worker stopped and its
-    #: server re-run in-process; the outcome then records a ``task_timeout``
-    #: fault event. Not part of the checkpoint fingerprint.
-    task_timeout: float | None = None
     #: Adversarial scenario pack to probe under, by name (``None`` = no
     #: pack, the exact historic behaviour; see docs/SCENARIOS.md).
     scenario_pack: str | None = None
@@ -94,8 +87,6 @@ class CensusConfig:
             from repro.scenarios import scenario_pack_by_name
 
             scenario_pack_by_name(self.scenario_pack)
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
         if self.max_probe_attempts < 1:
             raise ValueError("max_probe_attempts must be at least 1")
         if self.backoff_base < 0 or self.backoff_max < 0:
@@ -307,44 +298,10 @@ def _resilient_probe(record: ServerRecord, crawler: PageSearchTool,
     return outcome, probe
 
 
-def _check_worker_death(record: ServerRecord, config: CensusConfig) -> None:
-    """Raise the injected worker death for this task, if the plan says so.
-
-    The scope key is the server's id and the execution attempt the
-    per-process ``_PROBE_WORKER["exec_attempt"]`` counter (0 in the pool;
-    incremented by the in-process recovery re-runs), so the set of victims
-    is identical whatever the backend or engine tier.
-    """
-    plan = config.fault_plan
-    if plan is None or plan.empty:
-        return
-    attempt = _PROBE_WORKER.get("exec_attempt", 0)
-    scope = record.profile.server_id
-    if plan.worker_death_fires(scope, attempt):
-        raise WorkerDeathFault(
-            f"injected worker death (task scope {scope}, "
-            f"attempt {attempt})")
-
-
-def _execution_event_kind(failure: TaskFailure) -> str:
-    """Fault-event kind recorded for one captured execution failure."""
-    if failure.error_type == "WorkerDeathFault":
-        return "worker_death"
-    if failure.error_type == "TimeoutError":
-        return "task_timeout"
-    return "task_error"
-
-
-def _describe_probe_task(index: int, task) -> str:
-    """Human-readable context stored on a :class:`TaskFailure` slot."""
-    return f"server {task[0].profile.server_id}"
-
-
 def _probe_task(task: tuple[ServerRecord, np.random.SeedSequence]
                 ) -> tuple[ServerOutcome, ProbeTrace | None]:
     record, seed = task
     config = _PROBE_WORKER["config"]
-    _check_worker_death(record, config)
     record = _scenario_record(record)
     return _resilient_probe(record, _PROBE_WORKER["crawler"], config, seed)
 
@@ -355,7 +312,8 @@ class CensusRunner:
 
     classifier: CaaiClassifier
     config: CensusConfig = field(default_factory=CensusConfig)
-    #: Overrides the backend/worker knobs of :attr:`config` when provided.
+    #: Runs the probe phase, one task per server (``None`` = serial,
+    #: in-process).
     executor: ParallelExecutor | None = None
 
     def __post_init__(self) -> None:
@@ -425,124 +383,17 @@ class CensusRunner:
     def _measure_indices(self, records: list[ServerRecord],
                          indices: list[int],
                          seeds: list | None = None) -> list[ServerOutcome]:
-        """The body of :meth:`measure_indices`, which :meth:`run` also uses.
-
-        When execution faults are possible (a fault plan with
-        ``worker_death`` specs, or a ``task_timeout``), task failures are
-        captured as :class:`~repro.parallel.TaskFailure` slots and recovered
-        deterministically by :meth:`_recover_task_failures` instead of
-        aborting the census. Both settings apply to a caller's
-        :attr:`executor` too.
-        """
-        capture = self._capture_failures()
-        executor = dataclasses.replace(
-            self.executor or ParallelExecutor(
-                backend=self.config.backend,
-                max_workers=self.config.max_workers),
-            capture_failures=capture, task_timeout=self.config.task_timeout)
+        """The body of :meth:`measure_indices`, which :meth:`run` also uses."""
+        executor = self.executor or ParallelExecutor()
         if seeds is None:
             seeds = task_seeds(self.config.seed, len(records))
         tasks = [(records[i], seeds[i]) for i in indices]
         partials = executor.map(_probe_task, tasks,
                                 initializer=_init_probe_worker,
-                                initargs=(self.config,),
-                                describe=_describe_probe_task)
-        if capture:
-            partials = self._recover_task_failures(tasks, partials)
+                                initargs=(self.config,))
         pending = [(outcome, probe) for outcome, probe in partials if probe is not None]
         self._classify_pending(pending)
         return [outcome for outcome, _ in partials]
-
-    def _capture_failures(self) -> bool:
-        """Whether the probe phase should capture per-task failures.
-
-        Returns:
-            ``True`` only when an execution fault is actually possible (a
-            plan with execution-layer specs, or a task timeout); otherwise
-            exceptions propagate exactly as they always have, so real bugs
-            are never silently converted into outcomes.
-        """
-        if self.config.task_timeout is not None:
-            return True
-        plan = self.config.fault_plan
-        return plan is not None and any(spec.kind == "worker_death"
-                                        for spec in plan.specs)
-
-    def _recover_task_failures(self, tasks: list, results: list) -> list:
-        """Re-run failed task slots in-process, deterministically.
-
-        A dead worker (injected or real) leaves a
-        :class:`~repro.parallel.TaskFailure` in its slot. The failed task's
-        record is then re-run in-process with
-        ``_PROBE_WORKER["exec_attempt"]`` incremented — the injected
-        ``worker_death`` decision is a pure function of (plan seed, server
-        id, attempt), so the recovered outcome (and its ``worker_death``
-        fault events) is bit-identical whatever the backend or engine tier.
-        A record whose every attempt died yields a synthesised
-        ``worker_failed`` outcome, so the census always returns one outcome
-        per server.
-        """
-        if not any(isinstance(result, TaskFailure) for result in results):
-            return results
-        _init_probe_worker(self.config)
-        recovered = list(results)
-        for slot, result in enumerate(results):
-            if not isinstance(result, TaskFailure):
-                continue
-            recovered[slot] = self._recover_record(
-                tasks[slot], _execution_event_kind(result))
-        return recovered
-
-    def _recover_record(self, task: tuple[ServerRecord, np.random.SeedSequence],
-                        kind: str) -> tuple[ServerOutcome, ProbeTrace | None]:
-        """Recover the record of a failed task by in-process re-runs.
-
-        For an injected ``worker_death`` the record's failed attempts are
-        reconstructed from the plan (pure function of server id and
-        attempt). Real failures (``task_timeout`` / ``task_error``) attach
-        their event to the record, and a real exception that recurs on the
-        in-process re-run still propagates loudly.
-        """
-        record, _ = task
-        server_id = record.profile.server_id
-        plan = self.config.fault_plan
-        injected = kind == "worker_death" and plan is not None
-        if injected:
-            failed = [(kind, attempt)
-                      for attempt in range(self.config.max_probe_attempts)
-                      if plan.worker_death_fires(server_id, attempt)]
-        else:
-            failed = [(kind, 0)]
-        for attempt in range(1, self.config.max_probe_attempts):
-            if injected and plan.worker_death_fires(server_id, attempt):
-                continue
-            _PROBE_WORKER["exec_attempt"] = attempt
-            try:
-                pair = _probe_task(task)
-            finally:
-                _PROBE_WORKER.pop("exec_attempt", None)
-            outcome = pair[0]
-            if failed:
-                outcome.fault_events = outcome.fault_events + tuple(failed)
-            return pair
-        return self._worker_failed_outcome(record, failed)
-
-    @staticmethod
-    def _worker_failed_outcome(record: ServerRecord,
-                               failed_attempts: list[tuple[str, int]]
-                               ) -> tuple[ServerOutcome, None]:
-        """Synthesise a ``worker_failed`` outcome for an unrecoverable record."""
-        profile = record.profile
-        return (ServerOutcome(
-            server_id=profile.server_id,
-            valid=False,
-            invalid_reason=InvalidReason.WORKER_FAILED,
-            true_algorithm=profile.effective_algorithm(),
-            software=profile.software,
-            region=profile.region,
-            attempts=len(failed_attempts),
-            fault_events=tuple(failed_attempts),
-        ), None)
 
     def _classify_pending(self, pending: list[tuple[ServerOutcome, ProbeTrace]]) -> None:
         """Steps 5-6 for every outcome that survived the probe phase."""

@@ -126,7 +126,8 @@ def census_fingerprint(config: "CensusConfig", population: "ServerPopulation",
                        extra: dict | None = None) -> str:
     """Hash everything that determines a census report's content.
 
-    Execution-only knobs (backend, worker count) are excluded: the report is
+    Execution knobs (the runner's executor, the orchestrator's worker count
+    and lease timeout) are not part of the config: the report is
     bit-identical across them, so they may legitimately differ between the
     invocation that started a checkpoint and the one that resumes it.
 
@@ -143,11 +144,6 @@ def census_fingerprint(config: "CensusConfig", population: "ServerPopulation",
         A hex digest; equal fingerprints guarantee equal reports.
     """
     census_fields = dataclasses.asdict(config)
-    census_fields.pop("backend", None)
-    census_fields.pop("max_workers", None)
-    # task_timeout is a wall-clock execution knob; it cannot change a
-    # (deterministic, simulated-time) report, only abort a run.
-    census_fields.pop("task_timeout", None)
     # Resilience knobs at their neutral defaults hash exactly like configs
     # that predate them, so old checkpoints stay resumable and fault-free
     # runs write byte-identical manifests. An empty plan injects nothing,
@@ -155,6 +151,13 @@ def census_fingerprint(config: "CensusConfig", population: "ServerPopulation",
     plan = census_fields.get("fault_plan")
     if plan is not None and not plan.get("specs"):
         census_fields["fault_plan"] = None
+    elif plan is not None and any(spec["kind"] == "worker_death"
+                                  for spec in plan["specs"]):
+        # A worker_death spec kills lease holders, keyed by shard index.
+        # Checkpoints from when it killed probe tasks, keyed by server id,
+        # hash the same plan without this marker, so they fail to resume
+        # rather than mix shards written under both meanings.
+        census_fields["worker_death"] = "lease"
     neutral = {"fault_plan": None, "probe_deadline": None,
                "max_probe_attempts": 3, "backoff_base": 0.5,
                "backoff_max": 30.0, "scenario_pack": None}

@@ -42,10 +42,6 @@ class ProberConfig:
     #: Extra slack the prober leaves for the reverse path when scheduling its
     #: deferred ACKs (fraction of the measured path RTT).
     reverse_path_allowance: float = 0.5
-    #: Transient total-loss windows ``(start, end)`` applied to both link
-    #: directions. Empty = no outages, byte-identical to the historic
-    #: prober.
-    outages: tuple = ()
 
 
 class _ServerEndpoint:
@@ -115,11 +111,9 @@ class CaaiProber:
         one_way = condition.average_rtt / 2.0
         self.uplink = NetemLink(simulator=self.simulator, delay=one_way, jitter=jitter,
                                 loss_probability=condition.loss_rate,
-                                outages=self.config.outages,
                                 rng=np.random.default_rng(int(rng.integers(1, 2 ** 32))))
         self.downlink = NetemLink(simulator=self.simulator, delay=one_way, jitter=jitter,
                                   loss_probability=condition.loss_rate,
-                                  outages=self.config.outages,
                                   ecn_mark_probability=condition.ecn_mark_rate,
                                   rng=np.random.default_rng(int(rng.integers(1, 2 ** 32))))
         self._endpoint: _ServerEndpoint | None = None

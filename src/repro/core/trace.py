@@ -34,8 +34,8 @@ class InvalidReason(enum.Enum):
     PROBE_TIMEOUT = "probe_timeout"
     #: The connection was reset mid-probe and every retry was exhausted.
     CONNECTION_RESET = "connection_reset"
-    #: The worker executing the probe task died and recovery re-runs also
-    #: failed; the server was never fully measured.
+    #: Every worker that probed the server died. No census writes it; it is
+    #: kept so that reports that hold it still load.
     WORKER_FAILED = "worker_failed"
 
 

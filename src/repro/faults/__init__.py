@@ -12,10 +12,10 @@ from repro.faults.plan import (
     FaultInjected,
     FaultPlan,
     FaultSpec,
+    MAX_LEASE_DEATHS,
     NETWORK_KINDS,
     PROBE_KINDS,
     SERVER_KINDS,
-    WorkerDeathFault,
 )
 from repro.faults.wrappers import FaultyServer, FaultySender
 
@@ -28,8 +28,8 @@ __all__ = [
     "FaultSpec",
     "FaultyServer",
     "FaultySender",
+    "MAX_LEASE_DEATHS",
     "NETWORK_KINDS",
     "PROBE_KINDS",
     "SERVER_KINDS",
-    "WorkerDeathFault",
 ]

@@ -17,16 +17,22 @@ Faults are grouped into three layers:
 * **server** — ``unresponsive`` hosts, ``server_restart`` (drops the Web
   server's cached TCP state mid-probe) and ``truncated_response`` (the
   transfer ends early, starving the trace);
-* **execution** — ``worker_death`` (a probe task dies mid-flight and is
-  recovered by the census runner) and ``torn_checkpoint`` (a shard write is
-  cut mid-record, simulating a crash during
-  :meth:`~repro.core.checkpoint.CensusCheckpoint.write_shard`).
+* **execution** — ``worker_death`` (the sharded census's worker that holds
+  a shard's lease dies; the lease expires and another worker steals and
+  replays the shard) and ``torn_checkpoint`` (a shard write is cut
+  mid-record, simulating a crash during
+  :meth:`~repro.core.checkpoint.CensusCheckpoint.write_shard`). Both act
+  only on a sharded census
+  (:class:`~repro.serving.orchestrator.CensusOrchestrator`), keyed by the
+  shard index.
 
 **Transient vs. permanent:** a spec with ``persist_attempts=N`` fires only on
 the first ``N`` attempts against its scope — the fault clears when the census
 retries, modelling a transient outage. ``persist_attempts=None`` means the
 fault never clears (a permanently dead host); the census classifies it as
-permanent and fails fast instead of burning its retry budget.
+permanent and fails fast instead of burning its retry budget. A
+``worker_death`` spec must clear within :data:`MAX_LEASE_DEATHS` lease
+generations: a shard whose every holder dies never commits.
 
 The full taxonomy, parameters and handling policy are documented in
 ``docs/ROBUSTNESS.md``.
@@ -48,6 +54,12 @@ ALL_KINDS = NETWORK_KINDS + SERVER_KINDS + EXECUTION_KINDS
 #: and server layers).
 PROBE_KINDS = NETWORK_KINDS + SERVER_KINDS
 
+#: The most lease holders of one shard a ``worker_death`` spec may kill
+#: (the bound on its ``persist_attempts``). Each death ends a worker and
+#: hands the shard to the next one, so the bound is what lets a sharded
+#: census under such a spec finish.
+MAX_LEASE_DEATHS = 3
+
 #: How an exhausted / permanent fault of each kind is recorded on the
 #: resulting :class:`~repro.core.results.ServerOutcome` — mapped to
 #: :class:`~repro.core.trace.InvalidReason` *values* (strings) so this
@@ -58,7 +70,6 @@ FAULT_INVALID_REASONS = {
     "connection_reset": "connection_reset",
     "server_restart": "connection_reset",
     "unresponsive": "connection_failed",
-    "worker_death": "worker_failed",
 }
 
 
@@ -98,17 +109,6 @@ class FaultInjected(Exception):
             FAULT_INVALID_REASONS.get(self.kind, "connection_failed"))
 
 
-class WorkerDeathFault(Exception):
-    """A probe task's (simulated) worker died mid-task.
-
-    Deliberately *not* a :class:`FaultInjected`: a dead worker takes its
-    whole task down, so this escapes the per-probe loop and is captured by
-    :class:`~repro.parallel.ParallelExecutor` as a
-    :class:`~repro.parallel.TaskFailure`, which the census runner recovers
-    from by re-running the task deterministically.
-    """
-
-
 @dataclass(frozen=True)
 class FaultSpec:
     """One injectable fault: a kind, a target scope, and firing rules.
@@ -116,14 +116,15 @@ class FaultSpec:
     Attributes:
         kind: One of :data:`ALL_KINDS`.
         scope: The exact target key (a server id for probe faults, a shard
-            index string for ``torn_checkpoint``); ``None`` targets every
-            scope, subject to ``probability``.
+            index string for ``worker_death`` and ``torn_checkpoint``);
+            ``None`` targets every scope, subject to ``probability``.
         probability: Fraction of scopes hit, drawn deterministically per
             (plan seed, spec, scope) — never per attempt, so an affected
             server stays affected across retries until the fault clears.
         persist_attempts: The fault fires on attempts ``0..N-1`` and then
             clears (transient). ``None`` = fires on every attempt
-            (permanent).
+            (permanent). A ``worker_death`` spec takes 1 to
+            :data:`MAX_LEASE_DEATHS`.
         at_round: For mid-trace kinds (``probe_timeout``,
             ``connection_reset``, ``ack_blackhole``, ``server_restart``):
             the ACK round within one environment trace at which the fault
@@ -150,6 +151,18 @@ class FaultSpec:
         if self.persist_attempts is not None and self.persist_attempts < 1:
             raise ValueError("persist_attempts must be at least 1 (or None "
                              "for a permanent fault)")
+        if self.kind == "worker_death" and (
+                self.persist_attempts is None
+                or self.persist_attempts > MAX_LEASE_DEATHS):
+            raise ValueError(
+                f"a worker_death spec must clear: persist_attempts must be "
+                f"1 to {MAX_LEASE_DEATHS}, got {self.persist_attempts} (a "
+                f"shard whose every lease holder dies never commits)")
+        if (self.kind in EXECUTION_KINDS and self.scope is not None
+                and not _is_shard_index(self.scope)):
+            raise ValueError(
+                f"a {self.kind} spec is scoped by a shard index as a string "
+                f"(such as \"0\"), got {self.scope!r}")
         if self.at_round < 0:
             raise ValueError("at_round must be non-negative")
         if self.param is not None and self.param < 0:
@@ -159,6 +172,12 @@ class FaultSpec:
     def transient(self) -> bool:
         """Whether this fault clears after ``persist_attempts`` attempts."""
         return self.persist_attempts is not None
+
+
+def _is_shard_index(scope) -> bool:
+    """Whether ``scope`` is how a shard index prints (``"0"``, ``"12"``)."""
+    return (isinstance(scope, str) and scope.isdecimal()
+            and str(int(scope)) == scope)
 
 
 @dataclass(frozen=True)
@@ -199,33 +218,12 @@ class FaultPlan:
                 if spec.kind in PROBE_KINDS
                 and self._fires(spec, server_id, attempt)]
 
-    def worker_death_fires(self, scope_key: str, attempt: int) -> bool:
-        """Whether a ``worker_death`` fault kills the task for ``scope_key``.
+    def worker_death_fires(self, shard_index: int, generation: int) -> bool:
+        """Whether the worker holding a lease on ``shard_index`` dies.
 
-        Args:
-            scope_key: Stable task identifier (the census uses the first
-                server id of the task).
-            attempt: Zero-based execution attempt (in-process recovery
-                re-runs increment it).
-
-        Returns:
-            ``True`` if some ``worker_death`` spec fires.
-        """
-        return any(self._fires(spec, scope_key, attempt)
-                   for spec in self.specs if spec.kind == "worker_death")
-
-    def lease_death_fires(self, shard_index: int, generation: int) -> bool:
-        """Whether a worker dies while holding a lease on ``shard_index``.
-
-        Serving-layer convenience over :meth:`worker_death_fires`, keying
-        the fault to the lease (scope ``"lease:<shard>"``, attempt =
-        lease generation). Because a steal bumps the generation, a spec
-        with ``persist_attempts=1`` kills the first holder and spares the
-        thief — the work-stealing orchestrator's crash-replay test matrix
-        is built on exactly this. The scope prefix keeps lease deaths
-        disjoint from probe-layer faults, so an orchestrated census with a
-        lease-death plan still produces outcomes bit-identical to a
-        plan-free run.
+        The scope key is the shard index as a string and the attempt is the
+        lease generation. A steal bumps the generation, so a spec with
+        ``persist_attempts=1`` kills the first holder and spares the thief.
 
         Args:
             shard_index: The leased shard.
@@ -235,7 +233,8 @@ class FaultPlan:
         Returns:
             ``True`` if some ``worker_death`` spec fires for this lease.
         """
-        return self.worker_death_fires(f"lease:{shard_index}", generation)
+        return any(self._fires(spec, str(shard_index), generation)
+                   for spec in self.specs if spec.kind == "worker_death")
 
     def torn_write_after(self, shard_index: int, attempt: int) -> int | None:
         """How many records a torn shard write survives, if one is injected.

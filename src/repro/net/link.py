@@ -18,49 +18,6 @@ import numpy as np
 from repro.net.simulator import EventSimulator
 
 
-def validate_windows(windows, name: str = "outages") -> tuple:
-    """Validate ``(start, end)`` time windows and return them as a tuple.
-
-    Used for :class:`NetemLink` outages and the scenario layer's cross-traffic
-    burst schedules, which share the same shape: each window must be a pair of
-    numbers with ``start < end``, and the windows must be sorted by start time
-    and non-overlapping (a window may begin exactly where the previous one
-    ends, since windows are start-inclusive/end-exclusive).
-
-    Args:
-        windows: Iterable of ``(start, end)`` pairs.
-        name: Label used in error messages (e.g. ``"outages"``).
-
-    Returns:
-        The validated windows as a tuple of ``(float, float)`` pairs.
-
-    Raises:
-        ValueError: On a malformed pair, ``start >= end``, unsorted windows,
-            or overlapping windows.
-    """
-    validated = []
-    for index, window in enumerate(windows):
-        try:
-            start, end = window
-            start, end = float(start), float(end)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{name}[{index}] must be a (start, end) pair of numbers, "
-                f"got {window!r}") from None
-        if not start < end:
-            raise ValueError(
-                f"{name}[{index}] must satisfy start < end, "
-                f"got ({start}, {end})")
-        if validated and start < validated[-1][1]:
-            previous = validated[-1]
-            raise ValueError(
-                f"{name} must be sorted and non-overlapping: window {index} "
-                f"({start}, {end}) starts before window {index - 1} "
-                f"{previous} ends")
-        validated.append((start, end))
-    return tuple(validated)
-
-
 @dataclass
 class LinkStats:
     """Counters describing what a link did to the traffic it carried."""
@@ -69,8 +26,6 @@ class LinkStats:
     dropped: int = 0
     duplicated: int = 0
     reordered: int = 0
-    #: Packets swallowed by an injected outage window (fault injection).
-    outage_dropped: int = 0
     #: ACKs dropped by a scenario-layer token-bucket policer.
     policer_dropped: int = 0
     #: ACKs removed by a scenario-layer thinning middlebox.
@@ -82,9 +37,8 @@ class LinkStats:
 
     @property
     def offered(self) -> int:
-        return (self.delivered + self.dropped + self.outage_dropped
-                + self.policer_dropped + self.thinned_acks
-                + self.cross_traffic_dropped)
+        return (self.delivered + self.dropped + self.policer_dropped
+                + self.thinned_acks + self.cross_traffic_dropped)
 
     def loss_rate(self) -> float:
         """Random-loss rate over everything offered to the link.
@@ -109,16 +63,10 @@ class NetemLink:
     packet is allowed to jump ahead, and with probability
     ``duplicate_probability`` it is delivered twice.
 
-    ``outages`` are transient total-loss windows (the packet-level prober
-    sets them from ``ProberConfig.outages``): a packet sent while
-    ``simulator.now`` falls inside an ``(start, end)`` window is dropped
-    outright, consuming no rng draws — an empty tuple (the default) leaves
-    the link's behaviour and rng stream untouched.
-
     ``ecn_mark_probability`` makes the link ECN-capable: each surviving data
     segment is independently marked congestion-experienced with this
     probability (delivered as a copy with ``ecn_ce=True``) instead of being
-    dropped. Like ``outages``, the default of 0.0 is draw-transparent — the
+    dropped. The default of 0.0 is draw-transparent — the
     marking branch consumes no rng draws and delivers the original objects,
     so every existing trace stays byte-identical.
     """
@@ -130,7 +78,6 @@ class NetemLink:
     reorder_probability: float = 0.0
     duplicate_probability: float = 0.0
     min_delay: float = 1e-4
-    outages: tuple = ()
     ecn_mark_probability: float = 0.0
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
     stats: LinkStats = field(default_factory=LinkStats)
@@ -144,25 +91,9 @@ class NetemLink:
                 raise ValueError(f"{name} must be a probability, got {value}")
         if self.delay < 0 or self.jitter < 0:
             raise ValueError("delay and jitter must be non-negative")
-        self.outages = validate_windows(self.outages, name="outages")
-
-    def in_outage(self, now: float) -> bool:
-        """Whether an injected outage window covers time ``now``.
-
-        Args:
-            now: Simulated time in seconds.
-
-        Returns:
-            ``True`` if some ``(start, end)`` window contains ``now``
-            (start-inclusive, end-exclusive).
-        """
-        return any(start <= now < end for start, end in self.outages)
 
     def send(self, payload, deliver: Callable[[object], None]) -> None:
         """Send ``payload`` across the link, invoking ``deliver`` on arrival."""
-        if self.outages and self.in_outage(self.simulator.now):
-            self.stats.outage_dropped += 1
-            return
         if self.rng.random() < self.loss_probability:
             self.stats.dropped += 1
             return

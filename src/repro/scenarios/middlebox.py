@@ -21,7 +21,48 @@ from dataclasses import dataclass, field
 
 from repro.core.gather import append_run, drop_entries, every_nth_entry, first_entries
 from repro.faults.wrappers import TransparentProxy
-from repro.net.link import LinkStats, validate_windows
+from repro.net.link import LinkStats
+
+
+def validate_windows(windows) -> tuple:
+    """Validate cross-traffic burst windows and return them as a tuple.
+
+    Each window must be a ``(start, end)`` pair of numbers with
+    ``start < end``, and the windows must be sorted by start time and
+    non-overlapping (a window may begin exactly where the previous one ends,
+    since windows are start-inclusive/end-exclusive).
+
+    Args:
+        windows: Iterable of ``(start, end)`` pairs.
+
+    Returns:
+        The validated windows as a tuple of ``(float, float)`` pairs.
+
+    Raises:
+        ValueError: On a malformed pair, ``start >= end``, unsorted windows,
+            or overlapping windows.
+    """
+    validated = []
+    for index, window in enumerate(windows):
+        try:
+            start, end = window
+            start, end = float(start), float(end)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"cross_windows[{index}] must be a (start, end) pair of "
+                f"numbers, got {window!r}") from None
+        if not start < end:
+            raise ValueError(
+                f"cross_windows[{index}] must satisfy start < end, "
+                f"got ({start}, {end})")
+        if validated and start < validated[-1][1]:
+            previous = validated[-1]
+            raise ValueError(
+                f"cross_windows must be sorted and non-overlapping: window "
+                f"{index} ({start}, {end}) starts before window {index - 1} "
+                f"{previous} ends")
+        validated.append((start, end))
+    return tuple(validated)
 
 
 @dataclass(frozen=True)
@@ -43,7 +84,8 @@ class MiddleboxConfig:
     cross_duration: float = 0.0
     #: During a burst, drop every ``m``-th ACK (0-based index multiples).
     cross_drop_every: int = 2
-    #: Optional explicit burst windows, validated like link outages.
+    #: Optional explicit burst windows ``(start, end)``, sorted and
+    #: non-overlapping (:func:`validate_windows`).
     cross_windows: tuple = ()
 
     def __post_init__(self) -> None:
@@ -68,7 +110,7 @@ class MiddleboxConfig:
             raise ValueError("cross_drop_every must be at least 1")
         object.__setattr__(
             self, "cross_windows",
-            validate_windows(self.cross_windows, name="cross_windows"))
+            validate_windows(self.cross_windows))
 
     def is_neutral(self) -> bool:
         """Whether every knob is at its pass-through default.

@@ -36,12 +36,11 @@ exact same bytes. The commit protocol makes the race harmless:
    shard file + flips the manifest, and drops the lease;
 3. a stale holder (stolen lease) discards its outcomes.
 
-Two fault plans reach the orchestrator. Its own
-:class:`~repro.faults.plan.FaultPlan`, whose ``worker_death`` specs scoped
-``"lease:<shard>"`` kill a worker after it claimed the lease (before any
-probing), leaving the lease to expire and be stolen; it never touches the
-runner's config, so the census fingerprint and every probe stream are
-identical to a plan-free run. And the runner's plan, whose
+The runner's :class:`~repro.faults.plan.FaultPlan` reaches the workers.
+Its ``worker_death`` specs, scoped by shard index (as a string) and keyed
+on the lease generation, kill the worker that claimed that lease before it
+probes anything, leaving the lease to expire and be stolen; no probe stream
+reads them, so the outcomes equal a plan-free run's. Its
 ``torn_checkpoint`` specs cut a shard write short: the commit raises
 :class:`~repro.core.checkpoint.TornWriteError` out of :meth:`run`, the
 shard stays pending, and the next run rewrites it.
@@ -66,7 +65,6 @@ from repro.core.checkpoint import (
 )
 from repro.core.results import ServerOutcome
 from repro.web.population import ServerPopulation
-from repro.faults.plan import FaultPlan
 from repro.parallel import task_seeds
 from repro.serving.queue import DEFAULT_LEASE_TIMEOUT, Lease, WorkQueue
 
@@ -96,7 +94,7 @@ def validate_run(workers: int, stop_after_shards: int | None = None,
 
 
 class _LeaseDeath(Exception):
-    """Injected worker death while holding a lease (fault plan)."""
+    """Injected worker death while holding a lease (the runner's plan)."""
 
 
 class _RemoteTraceback(Exception):
@@ -171,14 +169,15 @@ class CensusOrchestrator:
                  checkpoint_dir, *, num_shards: int = 8,
                  lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
                  settings: dict | None = None, clock=time.time,
-                 on_shard=None, fault_plan: FaultPlan | None = None):
+                 on_shard=None):
         """Create or attach to a checkpoint and build its work queue.
 
         Args:
             runner: The census runner (trained classifier + config); its
                 seed keys shard assignment and every probe stream, and its
-                plan's ``torn_checkpoint`` specs tear shard writes. It must
-                probe serially: the workers are the parallelism.
+                plan's ``worker_death`` and ``torn_checkpoint`` specs kill
+                lease holders and tear shard writes (see module docstring).
+                It must probe serially: the workers are the parallelism.
             population: The server population the checkpoint covers.
             checkpoint_dir: Checkpoint directory. A fresh one is created
                 when no manifest exists; an existing one is attached to
@@ -195,10 +194,6 @@ class CensusOrchestrator:
                 invoked after each shard commits — the census CLI streams
                 incremental results through it. Called in the process that
                 called :meth:`run`, with the queue lock released.
-            fault_plan: Orchestrator-level fault plan; ``worker_death``
-                specs scoped ``"lease:<shard>"`` kill a worker right after
-                it claims that lease (see module docstring). Never touches
-                the runner's probe streams.
 
         Raises:
             ValueError: If the runner is set up for the ``process`` backend.
@@ -206,15 +201,14 @@ class CensusOrchestrator:
                 checkpoint's fingerprint does not match this runner +
                 population.
         """
-        backend = (runner.executor or runner.config).backend
-        if backend != "serial":
+        if runner.executor is not None and runner.executor.backend != "serial":
             raise ValueError(
                 "the orchestrator's workers are the census's processes; give "
-                f"it a runner on the serial backend, not {backend!r}")
+                "it a runner on the serial backend, not "
+                f"{runner.executor.backend!r}")
         self._runner = runner
         self._records = CensusRunner._records(population)
         self._on_shard = on_shard
-        self._fault_plan = fault_plan
         #: Shared commit budget of a ``stop_after_shards`` run (``None`` =
         #: unbounded); set by :meth:`run` before the workers fork.
         self._budget = None
@@ -261,13 +255,19 @@ class CensusOrchestrator:
             stop_after_shards: int | None = None) -> CensusReport | None:
         """Drain the pending shards with ``workers`` worker processes.
 
-        Leases left behind by a process that no longer runs are expired
-        first. Workers claim leases, measure shards through the runner's
-        pipeline and commit them; a worker that dies (killed by the fault
-        plan or by a signal) abandons its lease, which expires and is
-        stolen by a surviving worker (the supervisor spawns fresh workers
-        when every worker died). Another live process draining the same
-        checkpoint keeps its leases; the workers wait for them.
+        Workers claim leases, measure shards through the runner's pipeline
+        and commit them; a worker that dies (killed by the fault plan or by
+        a signal) abandons its lease, which expires and is stolen by a
+        surviving worker. When every worker of a round died, the
+        supervisor spawns a fresh round. A steal bumps the lease
+        generation, and a ``worker_death`` spec clears within
+        :data:`~repro.faults.plan.MAX_LEASE_DEATHS` generations, so a
+        fault plan cannot keep a shard from committing. Before each round,
+        the leases of processes that no longer run (an earlier
+        invocation's, or the last round's dead workers') are expired, so a
+        fresh round never waits out the lease timeout of a holder already
+        gone. Another live process draining the same checkpoint keeps its
+        leases; the workers wait for them.
 
         Args:
             workers: Number of concurrent worker processes (>= 1).
@@ -295,10 +295,10 @@ class CensusOrchestrator:
         if stop_after_shards is not None:
             self._budget = multiprocessing.get_context("fork").Value(
                 "i", stop_after_shards)
-        self._queue.reclaim_stale()
         spawned = 0
         self._checkpoint.reload()
         while self._checkpoint.pending_shards() and self._budget_left():
+            self._queue.reclaim_stale()
             before = len(self._checkpoint.completed_shards())
             names = [f"worker-{spawned + i}" for i in range(workers)]
             spawned += workers
@@ -464,12 +464,13 @@ class CensusOrchestrator:
             discarded them (the lease was stolen).
 
         Raises:
+            _LeaseDeath: When the runner plan kills this lease's holder.
             repro.core.checkpoint.TornWriteError: When the runner plan
                 tears this write (see :meth:`_torn_after`).
         """
-        if (self._fault_plan is not None
-                and self._fault_plan.lease_death_fires(lease.shard,
-                                                       lease.generation)):
+        plan = self._runner.config.fault_plan
+        if plan is not None and plan.worker_death_fires(lease.shard,
+                                                        lease.generation):
             raise _LeaseDeath(f"injected death holding lease on shard "
                               f"{lease.shard} (generation {lease.generation})")
         indices = self._assignments[lease.shard]

@@ -28,6 +28,7 @@ from repro.core.checkpoint import (
 from repro.core.results import CensusReport, ServerOutcome
 from repro.core.special_cases import SpecialCase
 from repro.core.trace import InvalidReason
+from repro.faults import FaultPlan, FaultSpec
 from repro.serving.orchestrator import CensusOrchestrator
 from repro.web.population import PopulationConfig, ServerPopulation
 
@@ -178,17 +179,38 @@ class TestCheckpointLifecycle:
         with pytest.raises(CheckpointError, match="no checkpoint manifest"):
             CensusCheckpoint.open(tmp_path / "nowhere")
 
-    def test_fingerprint_excludes_execution_knobs(self, trained_classifier):
+    def test_fingerprint_follows_the_census_seed(self, trained_classifier):
         fingerprint = classifier_fingerprint(trained_classifier)
-        serial = census_fingerprint(CensusConfig(seed=1, backend="serial"),
-                                    make_population(), fingerprint)
-        process = census_fingerprint(
-            CensusConfig(seed=1, backend="process", max_workers=4),
-            make_population(), fingerprint)
-        assert serial == process
+        first = census_fingerprint(CensusConfig(seed=1), make_population(),
+                                   fingerprint)
         other_seed = census_fingerprint(CensusConfig(seed=2),
                                         make_population(), fingerprint)
-        assert other_seed != serial
+        assert other_seed != first
+
+    def test_a_worker_death_plan_refuses_checkpoints_of_its_old_meaning(
+            self, tmp_path):
+        """``worker_death`` specs once killed probe tasks, keyed by server
+        id. A checkpoint begun under that meaning must not resume under the
+        lease-death one, while a plan without such a spec hashes as it did.
+        The two pinned digests are the ones census_fingerprint gave then."""
+        population = make_population()
+
+        def fingerprint_of(spec):
+            plan = FaultPlan(seed=5, specs=(spec,))
+            return census_fingerprint(
+                CensusConfig(seed=CENSUS_SEED, fault_plan=plan), population)
+
+        assert fingerprint_of(FaultSpec(kind="unresponsive",
+                                        probability=0.3)) == (
+            "0e066e32dddf63185aed5e827955cb23f30b29c8a39451dadf0801a101e265e5")
+        checkpoint = CensusCheckpoint.create(
+            tmp_path / "ckpt", seed=CENSUS_SEED, num_shards=3,
+            population_size=POPULATION_SIZE, fingerprint=(
+                "0287057cffdcdece66d5d13e61bde9d56d4ff653e6c3e7bc6e0588132b"
+                "ae5c6a"))
+        with pytest.raises(CheckpointError, match="fingerprint"):
+            checkpoint.verify_fingerprint(
+                fingerprint_of(FaultSpec(kind="worker_death", scope="0")))
 
 
 class TestErrorContext:

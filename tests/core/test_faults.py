@@ -6,8 +6,9 @@ import pytest
 from repro.core.gather import GatherConfig, TraceGatherer
 from repro.core.trace import InvalidReason
 from repro.net.conditions import NetworkCondition
-from repro.faults import (ALL_KINDS, FAULT_INVALID_REASONS, FaultInjected,
-                          FaultPlan, FaultSpec, FaultyServer, PROBE_KINDS)
+from repro.faults import (ALL_KINDS, FAULT_INVALID_REASONS, MAX_LEASE_DEATHS,
+                          FaultInjected, FaultPlan, FaultSpec, FaultyServer,
+                          PROBE_KINDS)
 from tests.conftest import make_synthetic_server
 
 
@@ -30,6 +31,28 @@ class TestFaultSpec:
             FaultSpec(kind="unresponsive", persist_attempts=0)
         assert FaultSpec(kind="unresponsive", persist_attempts=None).transient is False
         assert FaultSpec(kind="unresponsive", persist_attempts=2).transient is True
+
+    @pytest.mark.parametrize("persist_attempts",
+                             [None, MAX_LEASE_DEATHS + 1, 10**9],
+                             ids=["permanent", "one-past-the-bound", "huge"])
+    def test_a_worker_death_must_clear(self, persist_attempts):
+        """A shard whose every lease holder dies never commits, so a sharded
+        census under such a spec would fork workers forever."""
+        with pytest.raises(ValueError, match="worker_death spec must clear"):
+            FaultSpec(kind="worker_death", persist_attempts=persist_attempts)
+        spec = FaultSpec(kind="worker_death", persist_attempts=MAX_LEASE_DEATHS)
+        plan = FaultPlan(specs=(spec,))
+        assert plan.worker_death_fires(0, MAX_LEASE_DEATHS - 1)
+        assert not plan.worker_death_fires(0, MAX_LEASE_DEATHS)
+
+    @pytest.mark.parametrize("kind", ["worker_death", "torn_checkpoint"])
+    @pytest.mark.parametrize(
+        "scope", ["server-000001", "01", "-1", "\uff10", 0],
+        ids=["server-id", "leading-zero", "negative", "fullwidth-digit", "int"])
+    def test_execution_scopes_are_shard_indices(self, kind, scope):
+        with pytest.raises(ValueError, match="scoped by a shard index"):
+            FaultSpec(kind=kind, scope=scope)
+        assert FaultSpec(kind=kind, scope="10").scope == "10"
 
     def test_every_kind_constructible(self):
         for kind in ALL_KINDS:
@@ -90,8 +113,8 @@ class TestFaultPlan:
         assert "torn_checkpoint" not in PROBE_KINDS
         plan = FaultPlan(specs=(FaultSpec(kind="worker_death"),))
         assert plan.probe_faults("s", 0) == []
-        assert plan.worker_death_fires("s", 0)
-        assert not plan.worker_death_fires("s", 1)  # persist_attempts=1
+        assert plan.worker_death_fires(0, 0)
+        assert not plan.worker_death_fires(0, 1)  # persist_attempts=1
 
     def test_torn_write_after(self):
         plan = FaultPlan(specs=(FaultSpec(kind="torn_checkpoint", scope="2",

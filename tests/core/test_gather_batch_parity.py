@@ -115,7 +115,7 @@ def test_census_report_identical_across_engines(monkeypatch, trained_classifier,
         population = ServerPopulation(PopulationConfig(size=12, seed=99))
         population.generate()
         runner = CensusRunner(trained_classifier,
-                              CensusConfig(seed=5, backend="serial",
+                              CensusConfig(seed=5,
                                            scenario_pack=scenario_pack))
         reports[knob] = runner.run(population)
     batched, scalar = reports["1"], reports["0"]

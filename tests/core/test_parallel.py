@@ -6,8 +6,6 @@ changes wall-clock time, never outcomes.
 """
 
 import dataclasses
-import multiprocessing
-import time
 
 import numpy as np
 import pytest
@@ -16,7 +14,7 @@ from repro.core.census import CensusConfig, CensusRunner
 from repro.core.training import TrainingSetBuilder
 from repro.faults import FaultPlan, FaultSpec
 from repro.net.conditions import default_condition_database
-from repro.parallel import ParallelExecutor, TaskFailure, task_seeds
+from repro.parallel import ParallelExecutor, task_seeds
 from repro.web.population import PopulationConfig, ServerPopulation
 
 
@@ -33,12 +31,6 @@ def _boom_on_three(value):
     if value == 3:
         raise ValueError(f"boom at {value}")
     return value * value
-
-
-def _sleep_forever(value):
-    import time
-    time.sleep(60)
-    return value
 
 
 class TestParallelExecutor:
@@ -89,57 +81,10 @@ class TestParallelExecutor:
 
 
 class TestFailureCapture:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_raised_exception_becomes_task_failure(self, backend):
-        executor = ParallelExecutor(backend=backend, max_workers=2,
-                                    capture_failures=True)
-        results = executor.map(_boom_on_three, [1, 2, 3, 4])
-        assert results[0] == 1 and results[1] == 4 and results[3] == 16
-        failure = results[2]
-        assert isinstance(failure, TaskFailure)
-        assert failure.index == 2
-        assert failure.error_type == "ValueError"
-        assert "boom at 3" in failure.message
-        assert "ValueError" in failure.traceback_text
-
     def test_without_capture_exceptions_propagate(self):
         executor = ParallelExecutor(backend="serial")
         with pytest.raises(ValueError, match="boom"):
             executor.map(_boom_on_three, [1, 2, 3])
-
-    def test_describe_callback_annotates_failures(self):
-        executor = ParallelExecutor(capture_failures=True)
-        results = executor.map(
-            _boom_on_three, [3],
-            describe=lambda index, task: f"task value {task}")
-        assert results[0].description == "task value 3"
-        assert str(results[0]) == ("task 0 (task value 3): "
-                                   "ValueError: boom at 3")
-
-    def test_task_timeout_requires_capture(self):
-        with pytest.raises(ValueError, match="capture_failures"):
-            ParallelExecutor(task_timeout=5.0)
-        with pytest.raises(ValueError, match="task_timeout"):
-            ParallelExecutor(capture_failures=True, task_timeout=0.0)
-
-    def test_task_timeout_yields_timeout_failure(self):
-        executor = ParallelExecutor(backend="process", max_workers=2,
-                                    capture_failures=True, task_timeout=0.5)
-        start = time.perf_counter()
-        results = executor.map(_sleep_forever, [1])
-        elapsed = time.perf_counter() - start
-        assert isinstance(results[0], TaskFailure)
-        assert results[0].error_type == "TimeoutError"
-        assert "task_timeout" in results[0].message
-        # The hung task neither holds the map nor outlives it.
-        assert elapsed < 10.0
-        assert multiprocessing.active_children() == []
-
-    def test_capture_keeps_task_order(self):
-        executor = ParallelExecutor(backend="process", max_workers=2,
-                                    capture_failures=True)
-        results = executor.map(_square, list(range(20)))
-        assert results == [value * value for value in range(20)]
 
 
 @pytest.fixture(scope="module")
@@ -168,17 +113,18 @@ class TestParallelTraining:
                                                                "bic", "vegas"}
 
 
-#: Flaky, dead, truncating and dying servers at once: every probe-fault
-#: kind the census retries or gives up on, plus worker deaths recovered
-#: in-process.
+#: Flaky, dead and truncating servers at once: every probe-fault kind the
+#: census retries or gives up on.
 CHAOS_PLAN = FaultPlan(seed=99, specs=(
     FaultSpec(kind="unresponsive", probability=0.25, persist_attempts=1),
     FaultSpec(kind="connection_reset", probability=0.1,
               persist_attempts=None),
     FaultSpec(kind="truncated_response", probability=0.2,
               persist_attempts=2),
-    FaultSpec(kind="worker_death", probability=0.15, persist_attempts=1),
 ))
+
+#: The probe phase on two worker processes.
+PROCESS_EXECUTOR = ParallelExecutor(backend="process", max_workers=2)
 
 
 class TestParallelCensus:
@@ -192,8 +138,8 @@ class TestParallelCensus:
         fresh population (probing mutates server state). The process run
         goes first, so its forked workers cannot inherit the probe state
         the serial run leaves in this process."""
-        process = CensusRunner(classifier, CensusConfig(
-            seed=5, backend="process", max_workers=2, **config))
+        process = CensusRunner(classifier, CensusConfig(seed=5, **config),
+                               executor=PROCESS_EXECUTOR)
         process_report = process.run(self._population())
         serial = CensusRunner(classifier, CensusConfig(seed=5, **config))
         return serial.run(self._population()), process_report
@@ -235,21 +181,11 @@ class TestParallelCensus:
 
         monkeypatch.setattr(ParallelExecutor, "map", spy)
         parallel_report = CensusRunner(
-            trained_classifier,
-            CensusConfig(seed=5, backend="process", max_workers=2)).run(
-                self._population(size=12))
+            trained_classifier, CensusConfig(seed=5),
+            executor=PROCESS_EXECUTOR).run(self._population(size=12))
         assert calls == [("process", "_probe_task", 12)]
         assert ([dataclasses.asdict(o) for o in parallel_report.outcomes]
                 == [dataclasses.asdict(o) for o in serial_report.outcomes])
-
-    def test_explicit_executor_overrides_config(self, trained_classifier):
-        runner = CensusRunner(trained_classifier, CensusConfig(seed=5),
-                              executor=ParallelExecutor(backend="process", max_workers=2))
-        report = runner.run(self._population())
-        baseline = CensusRunner(trained_classifier, CensusConfig(seed=5)).run(
-            self._population())
-        assert ([dataclasses.asdict(o) for o in report.outcomes]
-                == [dataclasses.asdict(o) for o in baseline.outcomes])
 
     def test_batch_classification_matches_per_probe_path(self, trained_classifier):
         """The census' batch classification equals classify_probe one by one."""

@@ -9,8 +9,7 @@ from repro.core.results import (STATUS_IDENTIFIED, STATUS_INCONCLUSIVE,
                                 STATUS_INVALID_TRACE, STATUS_UNREACHABLE,
                                 ServerOutcome)
 from repro.core.trace import InvalidReason
-from repro.faults import FaultPlan, FaultSpec
-from repro.parallel import ParallelExecutor
+from repro.faults import MAX_LEASE_DEATHS, FaultPlan, FaultSpec
 from repro.serving.orchestrator import CensusOrchestrator
 from repro.web.population import PopulationConfig, ServerPopulation
 
@@ -170,41 +169,18 @@ class TestZeroFaultParity:
         runner = CensusRunner(trained_classifier, config)
         assert report_blob(runner.run(fresh_population())) == baseline_blob
 
-    def test_worker_death_fault_census_is_reproducible(self,
-                                                       trained_classifier):
+    def test_sharded_census_specs_leave_a_monolithic_run_unchanged(
+            self, trained_classifier, baseline_blob):
+        """``worker_death`` and ``torn_checkpoint`` act on lease holders and
+        shard writes, which a monolithic run has none of."""
         plan = FaultPlan(seed=31, specs=(
-            FaultSpec(kind="unresponsive", probability=0.3,
-                      persist_attempts=1),
-            FaultSpec(kind="worker_death", probability=0.2,
-                      persist_attempts=1),))
-        config = CensusConfig(seed=17, fault_plan=plan, backoff_base=0.1,
-                              backoff_max=1.0)
-        blobs = {report_blob(CensusRunner(trained_classifier, config)
-                             .run(fresh_population()))
-                 for _ in range(2)}
-        assert len(blobs) == 1
-
-
-class TestCallerExecutor:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_worker_death_recovered_as_on_the_config_executor(
-            self, trained_classifier, backend):
-        """A caller's executor (``repro.report run --backend`` passes one)
-        gets the runner's failure capture, so an injected worker death is
-        recovered exactly as on the executor the config builds."""
-        plan = FaultPlan(seed=31, specs=(
-            FaultSpec(kind="worker_death", scope=victim_id(), probability=1.0,
-                      persist_attempts=1),))
-        config = CensusConfig(seed=17, fault_plan=plan, backend=backend,
-                              max_workers=2)
-        reference = CensusRunner(trained_classifier, config).run(
-            fresh_population())
-        assert reference.outcomes[3].fault_events == (("worker_death", 0),)
-        runner = CensusRunner(
-            trained_classifier, config,
-            executor=ParallelExecutor(backend=backend, max_workers=2))
-        assert report_blob(runner.run(fresh_population())) == report_blob(
-            reference)
+            FaultSpec(kind="worker_death", probability=1.0,
+                      persist_attempts=MAX_LEASE_DEATHS),
+            FaultSpec(kind="torn_checkpoint", probability=1.0,
+                      persist_attempts=None),))
+        runner = CensusRunner(trained_classifier,
+                              CensusConfig(seed=17, fault_plan=plan))
+        assert report_blob(runner.run(fresh_population())) == baseline_blob
 
 
 class TestOutcomeSerialization:

@@ -45,11 +45,16 @@ def make_config(extra_specs=()):
                         backoff_max=1.0)
 
 
+def orchestrator_for(runner, directory):
+    """Create or attach to the checkpointed census in ``directory``."""
+    return CensusOrchestrator(runner, fresh_population(), directory,
+                              num_shards=NUM_SHARDS)
+
+
 def sharded_census(runner, directory, stop_after_shards=None):
     """Start or resume the checkpointed census with one worker."""
-    orchestrator = CensusOrchestrator(runner, fresh_population(), directory,
-                                      num_shards=NUM_SHARDS)
-    return orchestrator.run(workers=1, stop_after_shards=stop_after_shards)
+    return orchestrator_for(runner, directory).run(
+        workers=1, stop_after_shards=stop_after_shards)
 
 
 def report_blob(report):
@@ -112,12 +117,12 @@ class TestCrashMatrix:
 
     def test_tear_under_worker_deaths_and_dead_hosts(self, trained_classifier,
                                                     tmp_path):
-        # The other cells carry neither spec: worker deaths recovered
-        # in-process and permanently dead hosts, both in the shard torn
-        # after two records.
+        # The other cells carry neither spec: permanently dead hosts, and a
+        # worker that dies holding shard 2's first lease in the run that
+        # resumes the tear of shard 1.
         chaos = (FaultSpec(kind="connection_reset", probability=0.1,
                            persist_attempts=None),
-                 FaultSpec(kind="worker_death", probability=0.15,
+                 FaultSpec(kind="worker_death", scope="2",
                            persist_attempts=1))
         reference = CensusRunner(trained_classifier, make_config(chaos)).run(
             fresh_population())
@@ -127,11 +132,17 @@ class TestCrashMatrix:
         directory = tmp_path / "ckpt"
         with pytest.raises(TornWriteError):
             sharded_census(runner, directory)
-        merged = sharded_census(runner, directory)
+        resumed = orchestrator_for(runner, directory)
+        merged = resumed.run(workers=1)
         assert report_blob(merged) == report_blob(reference)
         kinds = {kind for outcome in merged.outcomes
                  for kind, _ in outcome.fault_events}
-        assert {"connection_reset", "worker_death"} <= kinds
+        assert "connection_reset" in kinds
+        # The dying worker committed the rewritten shard 1; the next
+        # round's worker stole shard 2.
+        assert [(stat.completed, stat.stolen, stat.died)
+                for stat in resumed.worker_stats()] == [([1], [], True),
+                                                        ([2], [2], False)]
 
     def test_torn_shard_stays_pending(self, trained_classifier, tmp_path):
         directory = tmp_path / "ckpt"
@@ -148,13 +159,17 @@ class TestCrashMatrix:
 
     def test_worker_death_mid_census_resumes_identically(
             self, trained_classifier, tmp_path):
-        # Worker deaths recover in-process, so the sharded run completes in
-        # one invocation; its merge must equal the monolithic run under the
-        # same plan.
-        death = FaultSpec(kind="worker_death", probability=0.25,
-                          persist_attempts=1)
+        # The first holder of every shard's lease dies. Each death ends a
+        # round of the one worker, and the next round's worker reclaims the
+        # dead holder's lease and replays its shard, so the census
+        # completes in one invocation; its merge must equal the monolithic
+        # run under the same plan.
+        death = FaultSpec(kind="worker_death", persist_attempts=1)
         runner = CensusRunner(trained_classifier, make_config((death,)))
         monolithic = report_blob(runner.run(fresh_population()))
-        directory = tmp_path / "ckpt"
-        merged = sharded_census(runner, directory)
+        orchestrator = orchestrator_for(runner, tmp_path / "ckpt")
+        merged = orchestrator.run(workers=1)
         assert report_blob(merged) == monolithic
+        assert [(stat.completed, stat.died)
+                for stat in orchestrator.worker_stats()] == [
+            ([], True), ([0], True), ([1], True), ([2], False)]

@@ -33,7 +33,50 @@ def query_matrix(seed: int, n: int = 200, n_features: int = 5) -> np.ndarray:
     return rng.normal(size=(n, n_features)) * 2.0
 
 
+def threshold_queries(flat: FlatTree, n_features: int) -> tuple[np.ndarray, np.ndarray]:
+    """One query per internal node that reaches the node and equals its
+    threshold on its split feature, so ``<=`` must send it left.
+
+    Returns:
+        The queries and, per query, the internal node it lands on.
+    """
+    queries, nodes = [], []
+
+    def walk(node: int, low: np.ndarray, high: np.ndarray) -> None:
+        # Every feature on the path so far satisfies low < x <= high.
+        if flat.feature[node] < 0:
+            return
+        feature, threshold = flat.feature[node], flat.threshold[node]
+        query = np.where(np.isfinite(high), high,
+                         np.where(np.isfinite(low), low + 1.0, 0.0))
+        query[feature] = threshold
+        queries.append(query)
+        nodes.append(node)
+        left_high, right_low = high.copy(), low.copy()
+        left_high[feature] = min(high[feature], threshold)
+        right_low[feature] = max(low[feature], threshold)
+        walk(flat.left[node], low, left_high)
+        walk(flat.right[node], right_low, high)
+
+    walk(0, np.full(n_features, -np.inf), np.full(n_features, np.inf))
+    return np.array(queries), np.array(nodes)
+
+
 class TestFlatTreeParity:
+    @pytest.mark.parametrize("max_features", [None, 2])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_queries_on_a_threshold_go_left(self, seed, max_features):
+        dataset = random_dataset(seed)
+        tree = DecisionTreeClassifier(max_features=max_features,
+                                      rng=np.random.default_rng(seed)).fit(dataset)
+        flat = tree.flat_tree
+        queries, nodes = threshold_queries(flat, dataset.features.shape[1])
+        assert len(queries) == np.count_nonzero(flat.feature >= 0)
+        # Preorder: the left subtree of node i spans [i + 1, right[i]).
+        leaves = flat.apply(queries)
+        assert np.all((leaves > nodes) & (leaves < flat.right[nodes]))
+        assert list(tree.predict(queries)) == list(tree.predict_reference(queries))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_batch_predict_matches_recursive_reference(self, seed):
         dataset = random_dataset(seed)

@@ -32,10 +32,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="packet_bytes"):
             make_link(trace((0.0, 1.0, 10.0, 0.0)), packet_bytes=-1)
 
-    def test_inherits_outage_validation(self):
-        with pytest.raises(ValueError, match="start < end"):
-            make_link(trace((0.0, 1.0, 10.0, 0.0)), outages=((2.0, 1.0),))
-
 
 class TestReplay:
     def test_delay_follows_trace(self):

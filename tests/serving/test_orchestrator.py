@@ -44,8 +44,9 @@ def fresh_population(size=12):
     return population
 
 
-def make_runner(trained_classifier):
-    return CensusRunner(trained_classifier, CensusConfig(seed=SEED))
+def make_runner(trained_classifier, fault_plan=None):
+    return CensusRunner(trained_classifier,
+                        CensusConfig(seed=SEED, fault_plan=fault_plan))
 
 
 def report_blob(report):
@@ -89,9 +90,8 @@ class TestParity:
         assert len(stats) == 2 and all(stat.completed for stat in stats)
 
     @pytest.mark.parametrize("runner_options", [
-        {"config": CensusConfig(seed=SEED, backend="process")},
         {"executor": ParallelExecutor(backend="process", max_workers=2)},
-    ], ids=["config", "executor"])
+    ], ids=["executor"])
     def test_rejects_a_process_backend_runner(self, trained_classifier,
                                               tmp_path, runner_options):
         runner = CensusRunner(trained_classifier, **runner_options)
@@ -129,12 +129,11 @@ class TestCrashAndSteal:
         """The acceptance scenario: a worker dies holding a lease; the shard
         is stolen, replayed, and the merged report is byte-identical."""
         plan = FaultPlan(seed=5, specs=(
-            FaultSpec(kind="worker_death", scope="lease:1", probability=1.0,
+            FaultSpec(kind="worker_death", scope="1", probability=1.0,
                       persist_attempts=1),))
         orchestrator = CensusOrchestrator(
-            make_runner(trained_classifier), fresh_population(),
-            tmp_path / "ckpt", num_shards=NUM_SHARDS, lease_timeout=0.3,
-            fault_plan=plan)
+            make_runner(trained_classifier, plan), fresh_population(),
+            tmp_path / "ckpt", num_shards=NUM_SHARDS, lease_timeout=0.3)
         report = orchestrator.run(workers=2)
         assert report_blob(report) == monolithic_blob
         stats = orchestrator.worker_stats()
@@ -148,18 +147,34 @@ class TestCrashAndSteal:
                                                monolithic_blob, tmp_path):
         """Kill the first holder of *every* shard; all four must be stolen."""
         plan = FaultPlan(seed=5, specs=tuple(
-            FaultSpec(kind="worker_death", scope=f"lease:{shard}",
+            FaultSpec(kind="worker_death", scope=str(shard),
                       probability=1.0, persist_attempts=1)
             for shard in range(NUM_SHARDS)))
         orchestrator = CensusOrchestrator(
-            make_runner(trained_classifier), fresh_population(),
-            tmp_path / "ckpt", num_shards=NUM_SHARDS, lease_timeout=0.3,
-            fault_plan=plan)
+            make_runner(trained_classifier, plan), fresh_population(),
+            tmp_path / "ckpt", num_shards=NUM_SHARDS, lease_timeout=0.3)
         report = orchestrator.run(workers=2)
         assert report_blob(report) == monolithic_blob
         stats = orchestrator.worker_stats()
         assert sorted(s for stat in stats for s in stat.stolen) == list(
             range(NUM_SHARDS))
+
+    def test_a_fresh_round_reclaims_the_dead_workers_lease_at_once(
+            self, trained_classifier, monolithic_blob, tmp_path):
+        """One worker, the default lease timeout, a death on shard 0's first
+        lease. The next round's worker expires the dead holder's lease
+        before it claims anything, so it replays shard 0 first rather than
+        last, after waiting out the lease timeout."""
+        plan = FaultPlan(seed=5, specs=(
+            FaultSpec(kind="worker_death", scope="0", persist_attempts=1),))
+        orchestrator = CensusOrchestrator(
+            make_runner(trained_classifier, plan), fresh_population(),
+            tmp_path / "ckpt", num_shards=NUM_SHARDS)
+        report = orchestrator.run(workers=1)
+        assert report_blob(report) == monolithic_blob
+        dead, fresh = orchestrator.worker_stats()
+        assert dead.died and dead.completed == []
+        assert fresh.completed == [0, 1, 2, 3] and fresh.stolen == [0]
 
     def test_stale_holder_discards_its_outcomes(self, trained_classifier,
                                                 monolithic_blob, tmp_path):

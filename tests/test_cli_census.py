@@ -4,10 +4,11 @@
 resumed on two worker processes in a separate process, and merged in a
 third; the merged report must equal an uninterrupted in-process census
 built from the same settings. A census served from a model artifact
-resumes by reloading it. A bad execution argument, a fault plan naming an
-unknown kind, a reused checkpoint directory or an output path in a missing
-directory is rejected before any training, so it leaves no checkpoint
-behind.
+resumes by reloading it, and a ``worker_death`` spec in its fault plan
+kills a worker without stopping the run. A bad execution argument, a fault
+plan naming an unknown kind, a reused checkpoint directory or an output
+path in a missing directory is rejected before any training, so it leaves
+no checkpoint behind.
 """
 
 import json
@@ -78,8 +79,13 @@ def test_killed_census_resumes_on_processes_to_the_monolithic_report(tmp_path):
 TINY = ["--servers", "4", "--shards", "2", "--seed", "9", "--trees", "5",
         "--training-conditions", "1", "--condition-db-size", "40"]
 
-#: A fault plan naming ``link_outage``, which is not a fault kind.
-LINK_OUTAGE_PLAN = {"specs": [{"kind": "link_outage"}]}
+#: Fault plans the CLI refuses: ``link_outage`` is not a fault kind, and a
+#: ``worker_death`` that never clears would kill every holder of shard 0.
+BAD_PLANS = {
+    "link-outage-plan.json": {"specs": [{"kind": "link_outage"}]},
+    "permanent-worker-death-plan.json": {"specs": [
+        {"kind": "worker_death", "scope": "0", "persist_attempts": None}]},
+}
 
 
 @pytest.mark.parametrize("argument", [
@@ -91,13 +97,15 @@ LINK_OUTAGE_PLAN = {"specs": [{"kind": "link_outage"}]}
     ["--json", "missing-dir/report.json"],
     ["--results", "missing-dir/results.jsonl"],
     ["--fault-plan", "link-outage-plan.json"],
+    ["--fault-plan", "permanent-worker-death-plan.json"],
 ], ids=["workers", "max-probe-attempts", "probe-deadline", "stop-after-shards",
         "lease-timeout", "json-in-missing-dir", "results-in-missing-dir",
-        "link-outage-fault-plan"])
+        "link-outage-fault-plan", "permanent-worker-death-fault-plan"])
 def test_run_rejects_a_bad_execution_argument_before_training(
         tmp_path, capsys, monkeypatch, argument):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "link-outage-plan.json").write_text(json.dumps(LINK_OUTAGE_PLAN))
+    for name, plan in BAD_PLANS.items():
+        (tmp_path / name).write_text(json.dumps(plan))
     checkpoint = tmp_path / "ckpt"
     assert census_main(["run", "--checkpoint", str(checkpoint),
                         *TINY, *argument]) == 2
@@ -161,5 +169,33 @@ def test_resume_finishes_an_artifact_served_checkpoint(
                                  "checkpoint": str(checkpoint)}
     reference = CensusRunner(trained_classifier, CensusConfig(seed=9)).run(
         build_population(settings))
+    assert payload["outcomes"] == [outcome.to_json_dict()
+                                   for outcome in reference.outcomes]
+
+
+def test_a_worker_death_in_the_fault_plan_kills_a_lease_holder(
+        trained_classifier, tmp_path, capsys):
+    """``--fault-plan`` reaches the orchestrator: the one worker dies
+    holding shard 0's first lease, the next worker reclaims and replays
+    it, and this invocation finishes with the plan-free outcomes."""
+    artifact = tmp_path / "model.caai"
+    save_model(trained_classifier, artifact)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(
+        {"specs": [{"kind": "worker_death", "scope": "0"}]}))
+    checkpoint = tmp_path / "ckpt"
+    report = tmp_path / "report.json"
+    assert census_main(["run", "--checkpoint", str(checkpoint),
+                        "--artifact", str(artifact), "--servers", "6",
+                        "--shards", "2", "--seed", "9",
+                        "--condition-db-size", "40", "--workers", "1",
+                        "--fault-plan", str(plan),
+                        "--json", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert "worker-0: completed shards [] (died)" in out
+    assert "worker-1: completed shards [0, 1] (stole [0])" in out
+    reference = CensusRunner(trained_classifier, CensusConfig(seed=9)).run(
+        build_population(CensusCheckpoint.open(checkpoint).settings))
+    payload = json.loads(report.read_text(encoding="utf-8"))
     assert payload["outcomes"] == [outcome.to_json_dict()
                                    for outcome in reference.outcomes]

@@ -8,20 +8,24 @@ and property needs a one-line summary, and methods that take arguments or
 return values need Google-style ``Args:`` / ``Returns:`` sections. The same
 rules apply to the module-level entry points of the ``analysis`` and
 ``experiments`` packages. This test fails with the exact list of offenders,
-so the docs debt cannot silently regrow.
+so the docs debt cannot silently regrow. Each config dataclass that
+``docs/CONFIGURATION.md`` tabulates must be listed there field for field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.analysis import figures, tables
 from repro.analysis.cdf import EmpiricalCdf
-from repro.core.census import CensusRunner
+from repro.core.census import CensusConfig, CensusRunner
 from repro.core.classifier import CaaiClassifier
-from repro.core.gather import TraceGatherer
+from repro.core.gather import GatherConfig, TraceGatherer
 from repro.core.training import TrainingSetBuilder
 from repro.experiments import registry, render
 from repro.experiments.resources import ResourcePool
@@ -31,6 +35,7 @@ from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.ml.random_forest import RandomForestClassifier
 from repro.parallel import ParallelExecutor
 from repro.tcp.connection import TcpSender
+from repro.web.population import PopulationConfig
 
 PUBLIC_CLASSES = [CensusRunner, TrainingSetBuilder, CaaiClassifier,
                   TraceGatherer, ParallelExecutor, TcpSender,
@@ -55,6 +60,15 @@ PUBLIC_FUNCTIONS = [
     render.render_markdown,
     render.render_to_file,
 ]
+
+
+#: The configuration reference, one table of fields per config dataclass.
+CONFIGURATION = Path(__file__).resolve().parents[1] / "docs" / "CONFIGURATION.md"
+
+#: The dataclasses ``docs/CONFIGURATION.md`` tabulates, under a heading
+#: naming each one in backticks.
+CONFIG_CLASSES = [CensusConfig, GatherConfig, PopulationConfig,
+                  TrainingSetBuilder, CaaiClassifier, ParallelExecutor]
 
 
 def _public_members(cls):
@@ -143,3 +157,26 @@ def test_public_api_is_documented(cls):
 def test_public_functions_are_documented(function):
     problems = _function_problems(function)
     assert not problems, "\n".join(problems)
+
+
+def _documented_fields(class_name: str) -> list[str]:
+    """The field names of the table under the ``## ...`` heading naming
+    ``class_name`` (each row's first cell, in backticks)."""
+    lines = CONFIGURATION.read_text(encoding="utf-8").splitlines()
+    start = next(index for index, line in enumerate(lines)
+                 if line.startswith("## ") and f"`{class_name}`" in line)
+    names = []
+    for line in lines[start + 1:]:
+        if line.startswith("## "):
+            break
+        row = re.match(r"\|\s*`(\w+)`\s*\|", line)
+        if row:
+            names.append(row.group(1))
+    return names
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+def test_configuration_table_lists_every_public_field(cls):
+    public = [field.name for field in dataclasses.fields(cls)
+              if not field.name.startswith("_")]
+    assert _documented_fields(cls.__name__) == public
