@@ -87,16 +87,3 @@ class EmpiricalCdf:
         """
         points = np.asarray(points, dtype=float)
         return np.searchsorted(self.values, points, side="right") / len(self.values)
-
-    def max_difference(self, other: "EmpiricalCdf") -> float:
-        """Kolmogorov-Smirnov style maximum CDF difference against another CDF.
-
-        Args:
-            other: The CDF to compare against.
-
-        Returns:
-            The maximum absolute difference over the union of both value
-            grids.
-        """
-        grid = np.union1d(self.values, other.values)
-        return float(np.max(np.abs(self.evaluated_at(grid) - other.evaluated_at(grid))))

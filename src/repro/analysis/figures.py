@@ -1,52 +1,11 @@
-"""Figure-series helpers.
+"""ASCII figure rendering.
 
 The experiment registry regenerates every figure of the paper as plain data
-series (plus a compact ASCII rendering for quick inspection in the
-reproduction report); this module holds the shared plumbing.
+series; :func:`ascii_series` adds a compact ASCII rendering of one series
+for quick inspection in the reproduction report.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-from repro.analysis.cdf import EmpiricalCdf
-
-
-def cdf_series(samples, points=None) -> list[tuple[float, float]]:
-    """Return (value, cumulative fraction) pairs for a sample.
-
-    If ``points`` is given the CDF is evaluated at those values, which gives
-    a compact fixed grid for each CDF figure.
-
-    Args:
-        samples: Any non-empty iterable of numbers.
-        points: Optional evaluation grid; defaults to an evenly thinned
-            subset of the sample values.
-
-    Returns:
-        ``(value, cumulative fraction)`` pairs.
-    """
-    cdf = EmpiricalCdf.from_samples(samples)
-    if points is None:
-        step = max(1, len(cdf.values) // 50)
-        return [(float(v), float(f)) for v, f in
-                zip(cdf.values[::step], cdf.fractions[::step])]
-    points = np.asarray(points, dtype=float)
-    return [(float(p), float(f)) for p, f in zip(points, cdf.evaluated_at(points))]
-
-
-def summarize_cdf(samples, quantiles=(0.10, 0.25, 0.50, 0.75, 0.90, 0.99)) -> dict[float, float]:
-    """Return selected quantiles of a sample.
-
-    Args:
-        samples: Any non-empty iterable of numbers.
-        quantiles: The quantile levels to evaluate.
-
-    Returns:
-        A ``{level: value}`` dict in ``quantiles`` order.
-    """
-    cdf = EmpiricalCdf.from_samples(samples)
-    return {float(q): cdf.quantile(q) for q in quantiles}
 
 
 def ascii_series(values, width: int = 60, height: int = 12,

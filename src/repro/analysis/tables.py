@@ -69,28 +69,6 @@ def format_markdown_table(headers: Sequence[str],
     return "\n".join(lines)
 
 
-def format_percentage_table(headers: Sequence[str],
-                            rows: Sequence[tuple[str, Sequence[float]]],
-                            title: str | None = None,
-                            decimals: int = 2) -> str:
-    """Render a table whose numeric cells are percentages.
-
-    Args:
-        headers: One string per column (label column first).
-        rows: ``(label, values)`` pairs; every value is formatted with
-            ``decimals`` decimal places.
-        title: Optional line printed above the table.
-        decimals: Decimal places of the numeric cells.
-
-    Returns:
-        The table as a multi-line string.
-    """
-    formatted_rows = []
-    for label, values in rows:
-        formatted_rows.append([label] + [f"{value:.{decimals}f}" for value in values])
-    return format_table(headers, formatted_rows, title=title)
-
-
 def _stringify_rows(headers: Sequence[str],
                     rows: Sequence[Sequence[object]]) -> list[list[str]]:
     """Stringify cells and validate the row shape against the headers."""

@@ -28,7 +28,7 @@ from repro.core.prober import CaaiProber, ProberConfig
 from repro.core.results import CensusReport, ServerOutcome
 from repro.core.special_cases import SpecialCase, detect_special_case
 from repro.core.trace import InvalidReason, ProbeTrace, WindowTrace
-from repro.core.training import TrainingSetBuilder, build_training_set
+from repro.core.training import TrainingSetBuilder
 
 __all__ = [
     "CaaiClassifier",
@@ -53,6 +53,5 @@ __all__ = [
     "TrainingSetBuilder",
     "W_TIMEOUT_LADDER",
     "WindowTrace",
-    "build_training_set",
     "detect_special_case",
 ]

@@ -63,11 +63,6 @@ class NetworkEnvironment:
             return self.short_rtt
         return self.long_rtt
 
-    def rtt_schedule(self, pre_rounds: int, post_rounds: int) -> list[float]:
-        """Full RTT schedule for a probe with the given phase lengths."""
-        return ([self.rtt_before_timeout(i) for i in range(pre_rounds)]
-                + [self.rtt_after_timeout(i) for i in range(post_rounds)])
-
 
 #: Environment A: constant 1.0 s RTT (Fig. 2, left).
 ENVIRONMENT_A = NetworkEnvironment(
@@ -80,69 +75,3 @@ ENVIRONMENT_B = NetworkEnvironment(
 
 #: The two environments of every CAAI probe, in probing order.
 DEFAULT_ENVIRONMENTS: tuple[NetworkEnvironment, ...] = (ENVIRONMENT_A, ENVIRONMENT_B)
-
-# --------------------------------------------------------------------- presets
-# Scenario environments beyond the paper's A/B pair. They follow the same
-# two-phase schedule contract, so every gatherer accepts them, but they are
-# *not* part of DEFAULT_ENVIRONMENTS: the shipped classifier is trained on
-# A/B traces only, so these presets are for experiments (feature-sensitivity
-# studies, new training sets, the trace gallery), not for the stock census.
-
-#: High bandwidth-delay-product "long fat network" schedule: RTTs near the
-#: emulation ceiling throughout, with B-style switch points so RTT-dependent
-#: growth is still exposed.
-ENVIRONMENT_HIGH_BDP = NetworkEnvironment(
-    name="high-bdp", pre_timeout_switch_round=3, post_timeout_switch_round=12,
-    long_rtt=2.4, short_rtt=2.0)
-
-#: Wireless-like schedule: a larger RTT step (0.6 s vs 1.0 s) held for more
-#: rounds in both phases, exaggerating RTT-dependent window growth.
-ENVIRONMENT_LOSSY_WIRELESS = NetworkEnvironment(
-    name="lossy-wireless", pre_timeout_switch_round=6, post_timeout_switch_round=6,
-    long_rtt=1.0, short_rtt=0.6)
-
-#: Bufferbloat schedule: the path starts at the base RTT and inflates to a
-#: queue-dominated RTT once the window has filled the bottleneck buffer
-#: (after 2 pre-timeout rounds, 4 post-timeout rounds).
-ENVIRONMENT_BUFFERBLOAT = NetworkEnvironment(
-    name="bufferbloat", pre_timeout_switch_round=2, post_timeout_switch_round=4,
-    long_rtt=2.2, short_rtt=1.0)
-
-#: Cellular schedule (scenario packs): the RTT rides between the packaged
-#: cellular trace's good state (~0.1 s RTT grown to the emulation's working
-#: point) and its congested state, switching early in both phases the way a
-#: cell's load swings within a probe.
-ENVIRONMENT_CELLULAR = NetworkEnvironment(
-    name="cellular", pre_timeout_switch_round=4, post_timeout_switch_round=8,
-    long_rtt=1.6, short_rtt=0.9)
-
-#: Every named environment, the paper's A/B pair plus the scenario presets.
-ENVIRONMENT_PRESETS: dict[str, NetworkEnvironment] = {
-    environment.name: environment
-    for environment in (ENVIRONMENT_A, ENVIRONMENT_B, ENVIRONMENT_HIGH_BDP,
-                        ENVIRONMENT_LOSSY_WIRELESS, ENVIRONMENT_BUFFERBLOAT,
-                        ENVIRONMENT_CELLULAR)
-}
-
-
-def environment_by_name(name: str) -> NetworkEnvironment:
-    """Look up an environment preset by name.
-
-    Args:
-        name: ``"A"`` or ``"B"`` (the paper's environments) or one of the
-            scenario presets (``"high-bdp"``, ``"lossy-wireless"``,
-            ``"bufferbloat"``, ``"cellular"``).
-
-    Returns:
-        The matching :class:`NetworkEnvironment`.
-
-    Raises:
-        ValueError: If the name is unknown; the message lists every valid
-            preset name.
-    """
-    try:
-        return ENVIRONMENT_PRESETS[name]
-    except KeyError:
-        valid = ", ".join(sorted(ENVIRONMENT_PRESETS))
-        raise ValueError(f"unknown network environment {name!r}; "
-                         f"valid names: {valid}") from None

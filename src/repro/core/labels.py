@@ -70,19 +70,3 @@ def presentation_label(label: str, w_timeout: int | None = None) -> str:
     if label in MODERN_LABELS:
         return MODERN_LABELS[label]
     return label.upper()
-
-
-def classification_classes(w_timeout: int, identifiable: tuple[str, ...]) -> list[str]:
-    """The set of class labels a probe at ``w_timeout`` can be assigned."""
-    labels = []
-    for algorithm in identifiable:
-        labels.append(training_label(algorithm, w_timeout))
-    # Deduplicate while preserving order (the three merged algorithms all map
-    # to rc-small for small w_timeout).
-    seen: set[str] = set()
-    ordered = []
-    for label in labels:
-        if label not in seen:
-            seen.add(label)
-            ordered.append(label)
-    return ordered

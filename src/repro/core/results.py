@@ -187,15 +187,6 @@ class CensusReport:
             shares[w_timeout] = count / len(valid)
         return shares
 
-    def categories(self) -> list[str]:
-        ordered: list[str] = []
-        seen: set[str] = set()
-        for outcome in self.valid_outcomes:
-            if outcome.category and outcome.category not in seen:
-                seen.add(outcome.category)
-                ordered.append(outcome.category)
-        return sorted(ordered)
-
     def category_percentages(self, w_timeout: int | None = None) -> dict[str, float]:
         """Percentage of valid servers per category (one Table IV column).
 

@@ -111,14 +111,6 @@ class TrainingSetBuilder:
         rows = [(example.vector.as_array(), example.label) for example in examples]
         return LabeledDataset.from_rows(rows, feature_names=FeatureVector.ELEMENT_NAMES)
 
-    def expected_size(self) -> int:
-        """Number of examples a full build produces (pairs x conditions).
-
-        Returns:
-            ``len(algorithms) * len(w_timeouts) * conditions_per_pair``.
-        """
-        return len(self.algorithms) * len(self.w_timeouts) * self.conditions_per_pair
-
     # ------------------------------------------------------------- internals
     def _examples_for_pair(self, algorithm: str, w_timeout: int,
                            rng: np.random.Generator) -> list[TrainingExample]:
@@ -172,12 +164,3 @@ def _pair_task(task: tuple[tuple[str, int], np.random.SeedSequence]
     (algorithm, w_timeout), seed = task
     builder: TrainingSetBuilder = _TRAINING_WORKER["builder"]
     return builder._examples_for_pair(algorithm, w_timeout, np.random.default_rng(seed))
-
-
-def build_training_set(conditions_per_pair: int = 25, seed: int = 7,
-                       executor: ParallelExecutor | None = None,
-                       **kwargs) -> LabeledDataset:
-    """Convenience wrapper used by examples and benchmarks."""
-    builder = TrainingSetBuilder(conditions_per_pair=conditions_per_pair,
-                                 seed=seed, **kwargs)
-    return builder.build_dataset(executor=executor)

@@ -29,9 +29,9 @@ from repro.store import digest, fingerprint
 
 #: Fingerprint format version; bumped on incompatible payload-schema changes
 #: and on any change to what the fingerprint covers.
-FINGERPRINT_FORMAT_VERSION = 2
+FINGERPRINT_FORMAT_VERSION = 3
 
-#: Root of the ``repro`` package, whose every module the code fingerprint
+#: Root of the ``repro`` package, whose every file the code fingerprint
 #: covers.
 SOURCE_ROOT = Path(__file__).resolve().parents[1]
 
@@ -210,25 +210,25 @@ def get_experiment(name: str) -> Experiment:
 
 # --------------------------------------------------------------- fingerprint
 def code_fingerprint() -> str:
-    """Hash the source of every module of the ``repro`` package.
+    """Hash every file of the ``repro`` package, sources and data alike.
 
-    Every ``*.py`` file under :data:`SOURCE_ROOT` (``__pycache__`` skipped)
-    enters by its relative path, in sorted order, followed by its bytes, so
+    Every file under :data:`SOURCE_ROOT` (``__pycache__`` skipped) enters
+    by its relative path, in sorted order, followed by its bytes, so
     editing any module — a congestion-control law, the gatherer, the
-    forest, an experiment — invalidates every cached artifact. Deliberately
-    coarse: a false re-run is cheap, a stale artifact is not. The sources
-    are read afresh on every call (no cache), so an edit between two calls
-    in one process is seen; a caller fingerprinting many experiments at
-    once hashes them once and passes the digest to
-    :func:`experiment_fingerprint`.
+    forest, an experiment — or a data file such as a scenario trace
+    invalidates every cached artifact. Deliberately coarse: a false re-run
+    is cheap, a stale artifact is not. The files are read afresh on every
+    call (no cache), so an edit between two calls in one process is seen;
+    a caller fingerprinting many experiments at once hashes them once and
+    passes the digest to :func:`experiment_fingerprint`.
 
     Returns:
-        The hex digest of the package's sources.
+        The hex digest of the package's files.
     """
     parts = []
-    for path in sorted(SOURCE_ROOT.rglob("*.py")):
+    for path in sorted(SOURCE_ROOT.rglob("*")):
         relative = path.relative_to(SOURCE_ROOT)
-        if "__pycache__" in relative.parts:
+        if "__pycache__" in relative.parts or not path.is_file():
             continue
         data = path.read_bytes()
         parts += [f"{relative.as_posix()}\0{len(data)}\0", data]
@@ -248,11 +248,11 @@ def experiment_fingerprint(experiment: Experiment, profile: ScaleProfile,
 
     Returns:
         A hex digest over the profile, the experiment's name and config and
-        the source of every ``repro`` module (:func:`code_fingerprint`);
+        every file of the ``repro`` package (:func:`code_fingerprint`);
         the runner treats a matching stored artifact as a cache hit. Equal
         fingerprints mean equal payloads as long as nothing outside the
-        package's Python source moved: data files such as the scenario
-        traces, the numpy version and the interpreter are not hashed.
+        package moved: the numpy version and the interpreter are not
+        hashed.
     """
     payload = {
         "format": FINGERPRINT_FORMAT_VERSION,

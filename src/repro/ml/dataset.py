@@ -3,8 +3,7 @@
 A dataset is a dense float matrix of feature vectors plus one string label per
 row (the TCP algorithm name, or a merged label such as ``rc-small``). The
 class offers the handful of operations the CAAI pipeline needs: stacking,
-stratified splitting for cross validation, bootstrap resampling for bagging,
-and per-label views.
+stratified folds for cross validation and bootstrap resampling for bagging.
 """
 
 from __future__ import annotations
@@ -54,10 +53,6 @@ class LabeledDataset:
         return LabeledDataset(self.features[indices], self.labels[indices],
                               self.feature_names)
 
-    def filter_labels(self, keep: set[str]) -> "LabeledDataset":
-        mask = np.array([str(label) in keep for label in self.labels])
-        return self.subset(np.nonzero(mask)[0])
-
     @classmethod
     def from_rows(cls, rows: list[tuple[np.ndarray, str]],
                   feature_names: tuple[str, ...] = ()) -> "LabeledDataset":
@@ -68,14 +63,6 @@ class LabeledDataset:
         labels = np.array([label for _, label in rows], dtype=object)
         return cls(features, labels, feature_names)
 
-    @classmethod
-    def concatenate(cls, datasets: list["LabeledDataset"]) -> "LabeledDataset":
-        if not datasets:
-            raise ValueError("cannot concatenate zero datasets")
-        features = np.vstack([ds.features for ds in datasets])
-        labels = np.concatenate([ds.labels for ds in datasets])
-        return cls(features, labels, datasets[0].feature_names)
-
     # --------------------------------------------------------------- sampling
     def bootstrap(self, rng: np.random.Generator) -> "LabeledDataset":
         """Sample ``len(self)`` rows with replacement (bagging)."""
@@ -84,10 +71,6 @@ class LabeledDataset:
     def bootstrap_indices(self, rng: np.random.Generator) -> np.ndarray:
         """The row indices :meth:`bootstrap` draws, without copying rows."""
         return rng.integers(0, len(self), size=len(self))
-
-    def shuffled(self, rng: np.random.Generator) -> "LabeledDataset":
-        indices = rng.permutation(len(self))
-        return self.subset(indices)
 
     def stratified_folds(self, n_folds: int, rng: np.random.Generator) -> list[np.ndarray]:
         """Return ``n_folds`` index arrays with per-class proportions preserved."""
@@ -100,17 +83,3 @@ class LabeledDataset:
             for position, index in enumerate(label_indices):
                 folds[position % n_folds].append(int(index))
         return [np.array(sorted(fold), dtype=int) for fold in folds]
-
-    def train_test_split(self, test_fraction: float,
-                         rng: np.random.Generator) -> tuple["LabeledDataset", "LabeledDataset"]:
-        """Stratified train/test split."""
-        if not 0.0 < test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
-        test_indices: list[int] = []
-        for label in self.classes():
-            label_indices = rng.permutation(np.nonzero(self.labels == label)[0])
-            n_test = max(1, int(round(test_fraction * len(label_indices))))
-            test_indices.extend(int(i) for i in label_indices[:n_test])
-        test_mask = np.zeros(len(self), dtype=bool)
-        test_mask[test_indices] = True
-        return self.subset(np.nonzero(~test_mask)[0]), self.subset(np.nonzero(test_mask)[0])

@@ -102,12 +102,6 @@ class CrossValidationResult:
     def accuracy(self) -> float:
         return self.confusion.accuracy()
 
-    @property
-    def accuracy_std(self) -> float:
-        if len(self.fold_accuracies) < 2:
-            return 0.0
-        return float(np.std(self.fold_accuracies, ddof=1))
-
 
 ClassifierFactory = Callable[[], object]
 
@@ -140,15 +134,3 @@ def cross_validate(dataset: LabeledDataset, classifier_factory: ClassifierFactor
         fold_accuracies.append(float(np.mean(predictions == true_labels)))
     return CrossValidationResult(fold_accuracies=fold_accuracies, confusion=confusion,
                                  n_folds=n_folds, classifier_description=description)
-
-
-def holdout_accuracy(train: LabeledDataset, test: LabeledDataset,
-                     classifier_factory: ClassifierFactory) -> float:
-    """Train on one dataset, evaluate accuracy on another."""
-    if len(test) == 0:
-        return 0.0
-    classifier = classifier_factory()
-    classifier.fit(train)
-    predictions = classifier.predict(test.features)
-    return float(np.mean([str(true_label) == str(predicted)
-                          for true_label, predicted in zip(test.labels, predictions)]))

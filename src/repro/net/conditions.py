@@ -81,28 +81,6 @@ class ConditionDatabase:
             loss_rate=float(rng.choice(self.loss_rates)),
         )
 
-    def sample_many(self, count: int, rng: np.random.Generator) -> list[NetworkCondition]:
-        return [self.sample(rng) for _ in range(count)]
-
-    # -- figure data ---------------------------------------------------------
-    def rtt_cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, cumulative fraction) for Fig. 4."""
-        return _empirical_cdf(self.average_rtts)
-
-    def rtt_std_cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, cumulative fraction) for Fig. 10."""
-        return _empirical_cdf(self.rtt_stds)
-
-    def loss_cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, cumulative fraction) for Fig. 11."""
-        return _empirical_cdf(self.loss_rates)
-
-
-def _empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ordered = np.sort(np.asarray(values, dtype=float))
-    fractions = np.arange(1, len(ordered) + 1) / len(ordered)
-    return ordered, fractions
-
 
 def default_condition_database(size: int = PAPER_DATABASE_SIZE,
                                seed: int = 2010) -> ConditionDatabase:

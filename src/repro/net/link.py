@@ -30,20 +30,18 @@ class LinkStats:
     policer_dropped: int = 0
     #: ACKs removed by a scenario-layer thinning middlebox.
     thinned_acks: int = 0
-    #: ACKs lost to a scenario-layer cross-traffic burst.
-    cross_traffic_dropped: int = 0
     #: Data segments delivered with an ECN congestion-experienced mark.
     ecn_marked: int = 0
 
     @property
     def offered(self) -> int:
         return (self.delivered + self.dropped + self.policer_dropped
-                + self.thinned_acks + self.cross_traffic_dropped)
+                + self.thinned_acks)
 
     def loss_rate(self) -> float:
         """Random-loss rate over everything offered to the link.
 
-        Scenario-layer drops (policer, thinning, cross-traffic) count toward
+        Scenario-layer drops (policer, thinning) count toward
         ``offered`` but not toward the numerator: they are deterministic
         degradations, not netem's random loss.
         """
@@ -148,23 +146,3 @@ class NetemLink:
         else:
             sample = self.delay
         return max(self.min_delay, float(sample))
-
-
-@dataclass
-class DuplexLink:
-    """A pair of independent unidirectional links between two endpoints."""
-
-    forward: NetemLink
-    backward: NetemLink
-
-    @classmethod
-    def symmetric(cls, simulator: EventSimulator, one_way_delay: float,
-                  jitter: float = 0.0, loss_probability: float = 0.0,
-                  rng: np.random.Generator | None = None) -> "DuplexLink":
-        rng = rng or np.random.default_rng(0)
-        make = lambda seed: NetemLink(  # noqa: E731 - tiny local factory
-            simulator=simulator, delay=one_way_delay, jitter=jitter,
-            loss_probability=loss_probability,
-            rng=np.random.default_rng(seed))
-        seed = int(rng.integers(0, 2 ** 32 - 1))
-        return cls(forward=make(seed), backward=make(seed + 1))

@@ -20,7 +20,6 @@ class _ScheduledEvent:
     sequence: int
     callback: Callable[[], None] = field(compare=False)
     cancelled: bool = field(default=False, compare=False)
-    executed: bool = field(default=False, compare=False)
 
 
 class EventHandle:
@@ -52,9 +51,6 @@ class EventSimulator:
         self._counter = itertools.count()
         self._now = 0.0
         self._processed = 0
-        #: Number of scheduled, not-yet-run, not-cancelled events; kept live
-        #: on schedule/cancel/pop so :meth:`pending_events` is O(1).
-        self._live = 0
 
     @property
     def now(self) -> float:
@@ -71,23 +67,14 @@ class EventSimulator:
         event = _ScheduledEvent(time=self._now + delay, sequence=next(self._counter),
                                 callback=callback)
         heapq.heappush(self._queue, event)
-        self._live += 1
         return EventHandle(event, self)
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at the absolute time ``when``."""
         return self.schedule(max(0.0, when - self._now), callback)
 
-    def pending_events(self) -> int:
-        return self._live
-
     def _cancel(self, event: _ScheduledEvent) -> None:
-        if event.cancelled or event.executed:
-            # Cancelling twice, or cancelling an event that already ran, must
-            # not corrupt the live-event counter.
-            return
         event.cancelled = True
-        self._live -= 1
         self._drop_cancelled_top()
 
     def _drop_cancelled_top(self) -> None:
@@ -112,8 +99,6 @@ class EventSimulator:
             if event.time > until:
                 break
             heapq.heappop(self._queue)
-            self._live -= 1
-            event.executed = True
             self._now = max(self._now, event.time)
             event.callback()
             self._processed += 1

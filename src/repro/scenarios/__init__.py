@@ -1,9 +1,9 @@
-"""Adversarial scenario layer: trace-driven links, middleboxes, evasion.
+"""Adversarial scenario layer: link traces, middleboxes, evasion.
 
 Where :mod:`repro.faults` breaks the probing *infrastructure*, this package
-degrades the probing *environment*: time-varying link traces, hostile
-middleboxes on the ACK path, and evasive servers that perturb their own
-window dynamics. Packs bundle these into named regimes the census, the
+degrades the probing *environment*: conditions resampled from link traces,
+hostile middleboxes on the ACK path, and evasive servers that perturb their
+own window dynamics. Packs bundle these into named regimes the census, the
 training-set builder and the robustness experiment share
 (docs/SCENARIOS.md).
 """
@@ -14,7 +14,6 @@ from repro.scenarios.evasion import (
     EvasiveServer,
     evasion_rng,
 )
-from repro.scenarios.link import TraceDrivenLink
 from repro.scenarios.middlebox import (
     MiddleboxConfig,
     MiddleboxSender,
@@ -31,7 +30,6 @@ from repro.scenarios.tracefile import (
     TraceEntry,
     cellular_condition_database,
     load_trace,
-    merge_traces,
     packaged_trace,
     parse_trace,
     trace_condition_database,
@@ -42,7 +40,6 @@ __all__ = [
     "EvasiveSender",
     "EvasiveServer",
     "evasion_rng",
-    "TraceDrivenLink",
     "MiddleboxConfig",
     "MiddleboxSender",
     "MiddleboxServer",
@@ -54,7 +51,6 @@ __all__ = [
     "TraceEntry",
     "cellular_condition_database",
     "load_trace",
-    "merge_traces",
     "packaged_trace",
     "parse_trace",
     "trace_condition_database",

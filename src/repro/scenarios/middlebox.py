@@ -1,8 +1,8 @@
 """Hostile middlebox models on the ACK path.
 
 Real paths put more than netem between CAAI and a server: NATs and
-accelerators thin or stretch ACK streams, policers rate-limit them, and
-cross-traffic bursts swallow them in clumps. These models intercept the
+accelerators thin or stretch ACK streams, and policers rate-limit them.
+These models intercept the
 probe's ACK ladder inside a protocol-transparent sender wrapper (a
 :class:`~repro.faults.wrappers.TransparentProxy`, like the fault shims):
 everything not intercepted delegates to the real sender, and — crucially — every
@@ -11,58 +11,17 @@ rng stream, so a middlebox with all knobs neutral leaves traces
 bit-identical.
 
 Per-source drop accounting lands in a :class:`~repro.net.link.LinkStats`
-(``thinned_acks``, ``policer_dropped``, ``cross_traffic_dropped``), so
+(``thinned_acks``, ``policer_dropped``), so
 scenario reports can explain *why* accuracy fell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.gather import append_run, drop_entries, every_nth_entry, first_entries
+from repro.core.gather import append_run, every_nth_entry, first_entries
 from repro.faults.wrappers import TransparentProxy
 from repro.net.link import LinkStats
-
-
-def validate_windows(windows) -> tuple:
-    """Validate cross-traffic burst windows and return them as a tuple.
-
-    Each window must be a ``(start, end)`` pair of numbers with
-    ``start < end``, and the windows must be sorted by start time and
-    non-overlapping (a window may begin exactly where the previous one ends,
-    since windows are start-inclusive/end-exclusive).
-
-    Args:
-        windows: Iterable of ``(start, end)`` pairs.
-
-    Returns:
-        The validated windows as a tuple of ``(float, float)`` pairs.
-
-    Raises:
-        ValueError: On a malformed pair, ``start >= end``, unsorted windows,
-            or overlapping windows.
-    """
-    validated = []
-    for index, window in enumerate(windows):
-        try:
-            start, end = window
-            start, end = float(start), float(end)
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"cross_windows[{index}] must be a (start, end) pair of "
-                f"numbers, got {window!r}") from None
-        if not start < end:
-            raise ValueError(
-                f"cross_windows[{index}] must satisfy start < end, "
-                f"got ({start}, {end})")
-        if validated and start < validated[-1][1]:
-            previous = validated[-1]
-            raise ValueError(
-                f"cross_windows must be sorted and non-overlapping: window "
-                f"{index} ({start}, {end}) starts before window {index - 1} "
-                f"{previous} ends")
-        validated.append((start, end))
-    return tuple(validated)
 
 
 @dataclass(frozen=True)
@@ -78,15 +37,6 @@ class MiddleboxConfig:
     policer_capacity: int | None = None
     #: Policer refill rate in ACKs per simulated second.
     policer_rate: float = 0.0
-    #: Cross-traffic burst period in seconds; ``None`` disables bursts.
-    cross_period: float | None = None
-    #: Burst length in seconds from each period start.
-    cross_duration: float = 0.0
-    #: During a burst, drop every ``m``-th ACK (0-based index multiples).
-    cross_drop_every: int = 2
-    #: Optional explicit burst windows ``(start, end)``, sorted and
-    #: non-overlapping (:func:`validate_windows`).
-    cross_windows: tuple = ()
 
     def __post_init__(self) -> None:
         if self.thin_every < 1:
@@ -99,18 +49,6 @@ class MiddleboxConfig:
             if self.policer_rate <= 0:
                 raise ValueError("policer_rate must be positive when the "
                                  "policer is enabled")
-        if self.cross_period is not None:
-            if self.cross_period <= 0:
-                raise ValueError("cross_period must be positive")
-            if not 0 < self.cross_duration <= self.cross_period:
-                raise ValueError("cross_duration must lie in "
-                                 "(0, cross_period]")
-        if ((self.cross_period is not None or self.cross_windows)
-                and self.cross_drop_every < 1):
-            raise ValueError("cross_drop_every must be at least 1")
-        object.__setattr__(
-            self, "cross_windows",
-            validate_windows(self.cross_windows))
 
     def is_neutral(self) -> bool:
         """Whether every knob is at its pass-through default.
@@ -119,8 +57,7 @@ class MiddleboxConfig:
             ``True`` when the chain cannot alter a single ACK.
         """
         return (self.thin_every == 1 and self.stretch_seconds == 0.0
-                and self.policer_capacity is None
-                and self.cross_period is None and not self.cross_windows)
+                and self.policer_capacity is None)
 
 
 class TokenBucketPolicer:
@@ -166,8 +103,8 @@ class MiddleboxSender(TransparentProxy):
 
     Intercepts the round's ACK ladder
     (:meth:`~repro.tcp.connection.TcpSender.on_ack_ladder`), filters its
-    ACKs through thinning, the policer and cross-traffic bursts in that
-    order, stretches the delivery time, and delegates the survivors.
+    ACKs through thinning and then the policer, stretches the delivery
+    time, and delegates the survivors.
     Everything else proxies to the wrapped sender untouched.
     """
 
@@ -190,25 +127,15 @@ class MiddleboxSender(TransparentProxy):
                                             config.policer_rate))
 
     # --------------------------------------------------------- the ACK chain
-    def _in_burst(self, now: float) -> bool:
-        """Whether cross-traffic is bursting at time ``now``."""
-        config = self._config
-        if config.cross_period is not None:
-            if now % config.cross_period < config.cross_duration:
-                return True
-        return any(start <= now < end for start, end in config.cross_windows)
-
     def _filter(self, runs, total: int, now: float):
         """The runs of the round's ``total`` ACKs that pass the chain.
 
         Thinning keeps every ``thin_every``-th entry plus the round's final
-        ACK, the policer the first ``admitted``, and a cross-traffic burst
-        drops survivors ``0, m, 2m, ...`` (``m = cross_drop_every``).
+        ACK, and the policer the first ``admitted``.
         """
-        config = self._config
         stats = self._stats
         passing = total
-        every = config.thin_every
+        every = self._config.thin_every
         if every > 1:
             last_first, last_count, last_step = runs[-1]
             runs = every_nth_entry(runs, every)
@@ -223,11 +150,6 @@ class MiddleboxSender(TransparentProxy):
                 stats.policer_dropped += passing - admitted
                 runs = first_entries(runs, admitted)
                 passing = admitted
-        if self._in_burst(now):
-            victims = range(0, passing, config.cross_drop_every)
-            stats.cross_traffic_dropped += len(victims)
-            runs = drop_entries(runs, victims)
-            passing -= len(victims)
         stats.delivered += passing
         return runs
 

@@ -8,19 +8,15 @@ traces in a small JSONL schema (one object per line)::
 
 ``time`` is seconds from trace start and must be strictly increasing;
 ``bandwidth_mbps`` is the bottleneck rate, ``delay_ms`` the one-way
-propagation delay, ``loss`` the random loss probability in ``[0, 1)``. The
-replay semantics follow the net-rl simulator's ``Link(trace, ...)`` pattern
-(SNIPPETS.md snippet 3): a lookup at time ``t`` returns the last entry at or
-before ``t``, and past the trace horizon the trace either holds its last
-entry (``"hold"``) or wraps around periodically (``"wrap"``). Multiple traces
-merge under namespaced keys (snippet 2's ``{index}-`` prefix idiom) so packs
-can reference them unambiguously.
+propagation delay, ``loss`` the random loss probability in ``[0, 1)``. A
+trace is not replayed in time: :func:`trace_condition_database` resamples
+its entries into a condition database, the ``cellular-trace`` pack's
+preset.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,9 +26,6 @@ from repro.net.conditions import ConditionDatabase
 
 #: Directory of the link traces shipped with the scenario layer.
 PACKAGED_TRACE_DIR = Path(__file__).resolve().parent / "traces"
-
-#: Horizon semantics accepted by :meth:`LinkTrace.at`.
-TRACE_MODES = ("hold", "wrap")
 
 
 @dataclass(frozen=True)
@@ -57,7 +50,7 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class LinkTrace:
-    """A replayable link trace: samples ordered by strictly increasing time."""
+    """A link trace: samples ordered by strictly increasing time."""
 
     name: str
     entries: tuple[TraceEntry, ...]
@@ -72,43 +65,9 @@ class LinkTrace:
                     f"trace {self.name!r} timestamps must be strictly "
                     f"increasing: entry {index} has time {times[index]} after "
                     f"{times[index - 1]}")
-        object.__setattr__(self, "_times", tuple(times))
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def horizon(self) -> float:
-        """Time of the last sample (seconds from trace start)."""
-        return self.entries[-1].time
-
-    def at(self, t: float, mode: str = "hold") -> TraceEntry:
-        """The link state governing time ``t``.
-
-        Args:
-            t: Seconds from trace start (clamped to 0 when negative).
-            mode: Horizon semantics — ``"hold"`` keeps the last entry
-                forever; ``"wrap"`` replays the trace periodically with
-                period :attr:`horizon`.
-
-        Returns:
-            The last :class:`TraceEntry` at or before the effective time
-            (the first entry when ``t`` precedes it).
-
-        Raises:
-            ValueError: If ``mode`` is not one of :data:`TRACE_MODES`.
-        """
-        if mode not in TRACE_MODES:
-            valid = ", ".join(TRACE_MODES)
-            raise ValueError(f"unknown trace mode {mode!r}; valid: {valid}")
-        if t < 0:
-            t = 0.0
-        if t > self.horizon and mode == "wrap" and self.horizon > 0:
-            t = t % self.horizon
-        index = bisect_right(self._times, t) - 1
-        if index < 0:
-            index = 0
-        return self.entries[index]
 
 
 def parse_trace(lines, name: str) -> LinkTrace:
@@ -165,33 +124,6 @@ def load_trace(path: str | Path) -> LinkTrace:
     """
     path = Path(path)
     return parse_trace(path.read_text().splitlines(), name=path.stem)
-
-
-def merge_traces(traces, into: dict[str, LinkTrace] | None = None
-                 ) -> dict[str, LinkTrace]:
-    """Merge traces under namespaced keys (snippet 2's ``{index}-`` prefix).
-
-    Args:
-        traces: Iterable of :class:`LinkTrace` objects, in loading order.
-        into: Optional existing mapping to merge into (e.g. a previously
-            merged batch); the new batch's indices continue from its size.
-
-    Returns:
-        Mapping from ``"{index}-{name}"`` to each trace — unique even when
-        two files share a stem.
-
-    Raises:
-        ValueError: If two traces collide on the same namespaced key, which
-            can happen when merging into an existing mapping whose keys
-            overlap the new batch's namespace.
-    """
-    merged: dict[str, LinkTrace] = dict(into) if into else {}
-    for index, trace in enumerate(traces, start=len(merged)):
-        key = f"{index}-{trace.name}"
-        if key in merged:
-            raise ValueError(f"trace namespace collision on {key!r}")
-        merged[key] = trace
-    return merged
 
 
 def packaged_trace(name: str) -> LinkTrace:

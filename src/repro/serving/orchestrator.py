@@ -17,7 +17,8 @@ workers runs on two cores. A worker sends each committed shard's outcomes
 and, at the end, its :class:`WorkerStats` to the parent over a pipe; the
 parent calls ``on_shard`` and keeps :meth:`CensusOrchestrator.worker_stats`.
 A worker that exits without its final stats (SIGKILL, OOM kill) counts as
-``died``: its lease expires and is stolen like an injected death's. An
+``died``, like an injected death; once the parent reaps a dead worker it
+expires the worker's leases, and a surviving worker steals them. An
 exception in a worker is re-raised by :meth:`CensusOrchestrator.run`.
 A forked child inherits only the forking thread, so call ``run`` from a
 process whose other threads, if any, hold no lock the workers need (the
@@ -367,7 +368,10 @@ class CensusOrchestrator:
         """Relay worker messages until every worker process has exited.
 
         Waits on the pipes and on the process sentinels, so a worker killed
-        mid-shard is noticed even before its pipe reaches end-of-file.
+        mid-shard is noticed even before its pipe reaches end-of-file. A
+        worker that died has its leases expired as soon as it is reaped, so
+        the round's survivors steal its shard at once instead of waiting
+        out the lease timeout.
         """
         live = list(workers)
         while live:
@@ -381,6 +385,8 @@ class CensusOrchestrator:
                     live.remove(worker)
                     if not worker.reported:
                         self._stats[worker.name].died = True
+                    if self._stats[worker.name].died:
+                        self._queue.reclaim_stale()
 
     def _receive(self, worker: _Worker) -> None:
         """Handle every message waiting on a worker's pipe."""
@@ -445,8 +451,8 @@ class CensusOrchestrator:
             try:
                 outcomes = self._work_one(lease, stats)
             except _LeaseDeath:
-                # The injected death abandons the lease: no release, no
-                # heartbeat — it expires and a surviving worker steals it.
+                # The injected death abandons the lease: no heartbeat — it
+                # expires and a surviving worker steals it.
                 self._spend(-1)
                 stats.died = True
                 return

@@ -15,7 +15,7 @@ Lease algebra:
   it);
 * a lease is *expired* once ``now - heartbeat_at >= lease_timeout``;
   claiming an expired lease is a steal: the old holder's generation becomes
-  stale, so its later ``heartbeat``/``release`` calls report the loss
+  stale, so its later ``heartbeat`` calls report the loss
   instead of resurrecting the lease;
 * completion is decided at commit time by the orchestrator while holding
   the queue's lock, so exactly one holder can mark a shard complete, and a
@@ -249,8 +249,8 @@ class WorkQueue:
         """Claim the lowest-numbered claimable pending shard.
 
         A shard is claimable when it is pending in the manifest and either
-        unleased, voluntarily released, or holds an expired lease (which is
-        then stolen: the generation bumps, invalidating the old holder).
+        unleased or holds an expired lease (which is then stolen: the
+        generation bumps, invalidating the old holder).
 
         Args:
             worker_id: The claiming worker's identifier.
@@ -310,23 +310,6 @@ class WorkQueue:
             return (entry is not None
                     and entry["worker"] == lease.worker
                     and int(entry["generation"]) == lease.generation)
-
-    def release(self, lease: Lease) -> bool:
-        """Voluntarily give a lease back (the shard becomes claimable).
-
-        Args:
-            lease: The lease to release.
-
-        Returns:
-            ``True`` if the lease was current and is now released;
-            ``False`` if it had already been stolen (nothing to do).
-        """
-        with self._lock:
-            if not self.is_current(lease):
-                return False
-            del self._state["leases"][str(lease.shard)]
-            self._persist()
-            return True
 
     def finish(self, lease: Lease) -> bool:
         """Drop a completed shard's lease entry (commit bookkeeping).

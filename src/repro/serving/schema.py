@@ -1,13 +1,11 @@
-"""The one stable JSON schema for census reports and classify responses.
+"""The one stable JSON schema for census reports.
 
 Before the serving layer, ``python -m repro.census --json`` emitted an
-ad-hoc payload whose shape drifted with the report object; the serving
-endpoints would have grown a second, subtly different shape. This module is
-the single source of truth instead: the CLI's ``--json`` files and every
-:class:`~repro.serving.service.CensusService` response are built here, carry
-an explicit ``schema`` envelope (name + version), and are pinned by snapshot
-tests. Consumers dispatch on the envelope; any incompatible change bumps the
-version.
+ad-hoc payload whose shape drifted with the report object. This module is
+the single source of truth instead: the CLI's ``--json`` files are built
+here, carry an explicit ``schema`` envelope (name + version), and are
+pinned by snapshot tests. Consumers dispatch on the envelope; any
+incompatible change bumps the version.
 
 Census report payload (``caai-census-report`` v1), keys always present and
 sorted when serialised:
@@ -32,14 +30,10 @@ sorted when serialised:
 
 from __future__ import annotations
 
-from repro.core.classifier import Identification
 from repro.core.results import CensusReport
 
 #: Envelope name/version of census report payloads.
 CENSUS_REPORT_SCHEMA = {"name": "caai-census-report", "version": 1}
-
-#: Envelope name/version of classify-batch payloads.
-CLASSIFY_SCHEMA = {"name": "caai-classify-batch", "version": 1}
 
 
 def census_report_payload(report: CensusReport, *,
@@ -68,45 +62,4 @@ def census_report_payload(report: CensusReport, *,
                        if report.has_fault_accounting() else None),
         "source": source,
         "outcomes": [outcome.to_json_dict() for outcome in report.outcomes],
-    }
-
-
-def identification_payload(identification: Identification) -> dict:
-    """One classify result as a JSON-native dict.
-
-    Args:
-        identification: A classifier output.
-
-    Returns:
-        A dict with ``label`` (the reported label, ``"unsure"`` when below
-        the confidence threshold), ``raw_label`` (the forest's top vote),
-        ``confidence``, ``unsure`` and ``w_timeout``.
-    """
-    return {
-        "label": identification.reported_label,
-        "raw_label": identification.label,
-        "confidence": identification.confidence,
-        "unsure": identification.unsure,
-        "w_timeout": identification.w_timeout,
-    }
-
-
-def classify_batch_payload(identifications: list[Identification], *,
-                           source: dict | None = None) -> dict:
-    """The stable JSON payload for a batched classify response.
-
-    Args:
-        identifications: Classifier outputs, in request order.
-        source: Optional provenance dict (artifact path and fingerprint).
-
-    Returns:
-        A dict with the ``schema`` envelope, ``count``, ``source`` and one
-        ``results`` entry per input (see :func:`identification_payload`).
-    """
-    return {
-        "schema": dict(CLASSIFY_SCHEMA),
-        "count": len(identifications),
-        "source": source,
-        "results": [identification_payload(identification)
-                    for identification in identifications],
     }

@@ -9,7 +9,7 @@ implementations of every congestion avoidance algorithm the paper identifies
 
 from repro.tcp.base import AckContext, CongestionAvoidance, CongestionState
 from repro.tcp.connection import SenderConfig, TcpSender
-from repro.tcp.packet import Ack, Segment
+from repro.tcp.packet import Segment
 from repro.tcp.registry import (
     ALL_ALGORITHM_NAMES,
     IDENTIFIABLE_ALGORITHMS,
@@ -19,7 +19,6 @@ from repro.tcp.registry import (
 from repro.tcp.rto import RtoEstimator
 
 __all__ = [
-    "Ack",
     "AckContext",
     "ALL_ALGORITHM_NAMES",
     "CongestionAvoidance",

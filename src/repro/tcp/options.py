@@ -3,48 +3,16 @@
 CAAI controls two options in its SYN (Section IV-C of the paper): the maximum
 segment size, which it lowers so that large windows (in packets) are reachable
 with little data, and window scaling, which it uses to advertise a one
-gigabyte receive window so that the receive window never limits the server.
+gigabyte receive window so that the receive window never limits the server
+(``SenderConfig.receive_window_bytes``, ``65_535 << 14``). Only the MSS
+side needs code here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 #: MSS values CAAI tries, in the increasing order used by the paper
 #: (Section IV-B, "Values of mss").
 CAAI_MSS_LADDER: tuple[int, ...] = (100, 300, 536, 1460)
-
-#: Receive window field value and scale used by CAAI (Section IV-B,
-#: "Value of TCP Receive Window Size"): 65535 << 14 is roughly one gigabyte.
-CAAI_RECEIVE_WINDOW_FIELD = 65_535
-CAAI_WINDOW_SCALE = 14
-
-
-def scaled_receive_window(field_value: int = CAAI_RECEIVE_WINDOW_FIELD,
-                          scale: int = CAAI_WINDOW_SCALE) -> int:
-    """Return the effective receive window in bytes for a scaled window field."""
-    if field_value < 0:
-        raise ValueError("receive window field must be non-negative")
-    if not 0 <= scale <= 14:
-        raise ValueError("window scale must be between 0 and 14 (RFC 7323)")
-    return field_value << scale
-
-
-@dataclass(frozen=True)
-class SynOptions:
-    """Options carried in the CAAI SYN packet."""
-
-    mss: int
-    window_scale: int = CAAI_WINDOW_SCALE
-    receive_window_field: int = CAAI_RECEIVE_WINDOW_FIELD
-
-    def __post_init__(self) -> None:
-        if self.mss <= 0:
-            raise ValueError("MSS must be positive")
-
-    @property
-    def receive_window_bytes(self) -> int:
-        return scaled_receive_window(self.receive_window_field, self.window_scale)
 
 
 def negotiate_mss(requested_mss: int, server_minimum_mss: int,

@@ -1,4 +1,4 @@
-"""Segment and ACK containers used by the TCP sender and the CAAI prober.
+"""Segment containers used by the TCP sender and the CAAI prober.
 
 CAAI estimates the congestion window of a remote server from the sequence
 numbers of the data packets it receives (Section IV-D of the paper), so the
@@ -106,11 +106,6 @@ class SegmentBlock:
         return self.stop_index - self.start_index
 
     @property
-    def start_seq(self) -> int:
-        """Byte sequence number of the block's first payload byte."""
-        return self.start_index * self.mss
-
-    @property
     def end_seq(self) -> int:
         """Sequence number one past the block's last payload byte."""
         return (self.stop_index - 1) * self.mss + self.last_length
@@ -152,20 +147,3 @@ class SegmentBlock:
 def block_packet_count(blocks: list["SegmentBlock"]) -> int:
     """Total number of packets covered by ``blocks``."""
     return sum(block.stop_index - block.start_index for block in blocks)
-
-
-@dataclass(frozen=True)
-class Ack:
-    """A cumulative acknowledgment sent by the CAAI prober.
-
-    Attributes:
-        ack_seq: cumulative acknowledgment (next byte expected).
-        sent_at: time the prober emitted the ACK.
-        receive_window: advertised receive window in bytes after scaling.
-        is_duplicate: True for the duplicate ACK CAAI uses to defeat F-RTO.
-    """
-
-    ack_seq: int
-    sent_at: float
-    receive_window: int
-    is_duplicate: bool = False

@@ -1,8 +1,7 @@
 """Web substrate.
 
 CAAI probes Web servers, so the reproduction needs a model of the Web-facing
-behaviour that matters to a probe: HTTP request handling and pipelining
-limits, page sizes and site structure, the page-searching crawler the paper
+behaviour that matters to a probe: HTTP pipelining limits, page sizes and site structure, the page-searching crawler the paper
 runs on PlanetLab, and a synthetic population of servers whose properties
 follow the distributions the paper reports (Tables II and IV, Figs. 4, 6, 7,
 10 and 11).
@@ -10,17 +9,15 @@ follow the distributions the paper reports (Tables II and IV, Figs. 4, 6, 7,
 
 from repro.web.content import SiteGenerator, WebPage, WebSite
 from repro.web.crawler import CrawlResult, PageSearchTool
-from repro.web.http import HttpRequest, HttpResponse, RequestPipeline
+from repro.web.http import HttpResponse
 from repro.web.population import PopulationConfig, ServerPopulation, ServerRecord
 from repro.web.server import ServerProfile, WebServer
 
 __all__ = [
     "CrawlResult",
-    "HttpRequest",
     "HttpResponse",
     "PageSearchTool",
     "PopulationConfig",
-    "RequestPipeline",
     "ServerPopulation",
     "ServerProfile",
     "ServerRecord",

@@ -10,7 +10,7 @@ default-page and longest-page size distributions match Fig. 7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,31 +46,6 @@ class WebSite:
     @property
     def default_page(self) -> WebPage:
         return self.pages[self.default_path]
-
-    def longest_page(self) -> WebPage:
-        """Ground truth longest page (the crawler may or may not find it)."""
-        return max(self.pages.values(), key=lambda page: page.size)
-
-    def reachable_from_default(self, max_depth: int | None = None) -> list[WebPage]:
-        """Pages reachable by following links from the default page."""
-        seen: set[str] = set()
-        frontier = [(self.default_path, 0)]
-        reachable: list[WebPage] = []
-        while frontier:
-            path, depth = frontier.pop()
-            if path in seen or path not in self.pages:
-                continue
-            seen.add(path)
-            page = self.pages[path]
-            reachable.append(page)
-            if max_depth is not None and depth >= max_depth:
-                continue
-            target = page.redirect_to
-            if target:
-                frontier.append((target, depth + 1))
-            for link in page.links:
-                frontier.append((link, depth + 1))
-        return reachable
 
     def __len__(self) -> int:
         return len(self.pages)

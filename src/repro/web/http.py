@@ -1,38 +1,17 @@
-"""Minimal HTTP/1.1 request/response model.
+"""Minimal HTTP/1.1 response model.
 
 CAAI keeps a TCP connection alive by pipelining the same HTTP request up to
-twelve times (Section IV-E). The model here is deliberately small: requests
-and responses are metadata-only (no actual payload bytes are materialised),
-but pipelining, per-server request limits, HEAD size queries and redirects are
-represented because they shape how much data a probe can pull.
+twelve times (Section IV-E). The model here is deliberately small: responses
+are metadata-only (no actual payload bytes are materialised), and only their
+size matters, because it shapes how much data a probe can pull.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Number of times CAAI repeats its HTTP request by default (Section IV-E).
 DEFAULT_PIPELINE_DEPTH = 12
-
-
-@dataclass(frozen=True)
-class HttpRequest:
-    """A single HTTP request."""
-
-    path: str
-    method: str = "GET"
-    headers: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.path.startswith("/"):
-            raise ValueError("request paths must start with '/'")
-        if self.method not in {"GET", "HEAD"}:
-            raise ValueError(f"unsupported method {self.method!r}")
-
-    def header_size(self) -> int:
-        """Approximate on-the-wire size of the request header in bytes."""
-        base = len(self.method) + len(self.path) + 12
-        return base + sum(len(k) + len(v) + 4 for k, v in self.headers.items())
 
 
 @dataclass(frozen=True)
@@ -50,35 +29,6 @@ class HttpResponse:
         if self.status == 301 and not self.redirect_to:
             raise ValueError("redirects must carry a target")
 
-    @property
-    def is_redirect(self) -> bool:
-        return self.status in (301, 302) and self.redirect_to is not None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == 200
-
     def total_size(self) -> int:
         """Body plus an approximate header size."""
         return self.body_size + 180
-
-
-@dataclass
-class RequestPipeline:
-    """A pipelined sequence of identical requests, as CAAI sends them."""
-
-    request: HttpRequest
-    depth: int = DEFAULT_PIPELINE_DEPTH
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError("pipeline depth must be at least 1")
-
-    def requests(self) -> list[HttpRequest]:
-        return [self.request] * self.depth
-
-    def accepted_requests(self, server_limit: int) -> int:
-        """How many of the pipelined requests a server with ``server_limit`` serves."""
-        if server_limit < 1:
-            return 0
-        return min(self.depth, server_limit)

@@ -31,7 +31,7 @@ from repro.net.conditions import (
     NetworkCondition,
     default_condition_database,
 )
-from repro.web.content import SiteGenerator, WebSite
+from repro.web.content import SiteGenerator
 from repro.web.server import ServerProfile, WebServer
 
 #: Size of the paper's census.
@@ -235,12 +235,6 @@ class ServerPopulation:
     def algorithm_shares(self) -> dict[str, float]:
         """Ground-truth deployment shares (what a perfect census would report)."""
         return _shares(record.profile.effective_algorithm() for record in self.records)
-
-    def pipelining_cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        """CDF of the per-server pipelining limits (Fig. 6)."""
-        values = np.sort([record.profile.max_pipelined_requests for record in self.records])
-        fractions = np.arange(1, len(values) + 1) / len(values)
-        return values, fractions
 
 
 def _draw(rng: np.random.Generator, shares: dict) -> object:

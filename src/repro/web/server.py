@@ -14,13 +14,13 @@ so the same trace gatherer that builds training sets can probe it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.tcp.connection import SenderConfig, TcpSender
 from repro.tcp.options import negotiate_mss
 from repro.tcp.registry import create_algorithm
 from repro.web.content import WebSite
-from repro.web.http import DEFAULT_PIPELINE_DEPTH, HttpRequest, HttpResponse
+from repro.web.http import DEFAULT_PIPELINE_DEPTH, HttpResponse
 
 
 @dataclass
@@ -70,17 +70,6 @@ class WebServer:
         self.connections_opened = 0
 
     # ------------------------------------------------------------- HTTP side
-    def handle_request(self, request: HttpRequest) -> HttpResponse:
-        """Serve a single HTTP request (used by examples and the crawler)."""
-        page = self.site.page(request.path)
-        if page is None:
-            return HttpResponse(status=404, body_size=512, path=request.path)
-        if page.redirect_to:
-            return HttpResponse(status=301, body_size=0, path=request.path,
-                                redirect_to=page.redirect_to)
-        body = 0 if request.method == "HEAD" else page.size
-        return HttpResponse(status=200, body_size=body, path=request.path)
-
     def accepted_request_count(self, pipelined: int) -> int:
         """How many of ``pipelined`` identical requests this server serves."""
         return max(0, min(pipelined, self.profile.max_pipelined_requests))

@@ -1,15 +1,11 @@
-"""Tests for the analysis helpers (CDFs, tables, figure series)."""
+"""Tests for the analysis helpers (CDFs, tables, ASCII charts)."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.cdf import EmpiricalCdf
-from repro.analysis.figures import ascii_series, cdf_series, summarize_cdf
-from repro.analysis.tables import (
-    format_markdown_table,
-    format_percentage_table,
-    format_table,
-)
+from repro.analysis.figures import ascii_series
+from repro.analysis.tables import format_markdown_table, format_table
 
 
 class TestEmpiricalCdf:
@@ -19,6 +15,7 @@ class TestEmpiricalCdf:
         assert cdf.fraction_below(10) == 1.0
         assert cdf.median() == pytest.approx(2.5)
         assert len(cdf) == 4
+        assert list(cdf.evaluated_at([0, 2, 5])) == [0.0, 0.5, 1.0]
 
     def test_monotone(self):
         rng = np.random.default_rng(0)
@@ -31,44 +28,12 @@ class TestEmpiricalCdf:
         with pytest.raises(ValueError):
             cdf.quantile(1.5)
 
-    def test_max_difference_of_identical_cdfs_is_zero(self):
-        a = EmpiricalCdf.from_samples([1, 2, 3, 4])
-        b = EmpiricalCdf.from_samples([1, 2, 3, 4])
-        assert a.max_difference(b) == 0.0
-
-    def test_max_difference_detects_shift(self):
-        a = EmpiricalCdf.from_samples([1, 2, 3, 4])
-        b = EmpiricalCdf.from_samples([11, 12, 13, 14])
-        assert a.max_difference(b) == pytest.approx(1.0)
-
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             EmpiricalCdf.from_samples([])
 
 
 class TestFigureHelpers:
-    def test_cdf_series_at_points(self):
-        series = cdf_series([1, 2, 3, 4], points=[0, 2, 5])
-        assert series == [(0.0, 0.0), (2.0, 0.5), (5.0, 1.0)]
-
-    def test_cdf_series_default_grid_is_thinned_and_monotone(self):
-        series = cdf_series(range(200))
-        assert len(series) <= 67  # 200 samples thinned by step 4
-        values = [value for value, _ in series]
-        fractions = [fraction for _, fraction in series]
-        assert values == sorted(values)
-        assert fractions == sorted(fractions)
-        assert all(0.0 < fraction <= 1.0 for fraction in fractions)
-
-    def test_summary_quantiles(self):
-        summary = summarize_cdf(range(101), quantiles=(0.5, 0.9))
-        assert summary[0.5] == pytest.approx(50)
-        assert summary[0.9] == pytest.approx(90)
-
-    def test_summary_default_quantiles(self):
-        summary = summarize_cdf(range(101))
-        assert list(summary) == [0.10, 0.25, 0.50, 0.75, 0.90, 0.99]
-
     def test_ascii_series_renders(self):
         art = ascii_series([1, 2, 4, 8, 16], label="demo")
         assert "demo" in art
@@ -115,15 +80,6 @@ class TestTables:
     def test_row_length_validation(self):
         with pytest.raises(ValueError):
             format_table(["a", "b"], [["only-one"]])
-
-    def test_percentage_table(self):
-        text = format_percentage_table(["algo", "overall"], [("RENO", [3.312])])
-        assert "3.31" in text
-
-    def test_percentage_table_decimals(self):
-        text = format_percentage_table(["algo", "overall"], [("RENO", [3.312])],
-                                       decimals=1)
-        assert "3.3" in text and "3.31" not in text
 
     def test_table_without_title_has_no_title_line(self):
         lines = format_table(["a"], [["x"]]).splitlines()

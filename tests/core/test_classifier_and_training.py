@@ -11,10 +11,6 @@ from tests.conftest import make_synthetic_server
 
 
 class TestTrainingSetBuilder:
-    def test_expected_size(self):
-        builder = TrainingSetBuilder(conditions_per_pair=2, w_timeouts=(512, 64))
-        assert builder.expected_size() == 14 * 2 * 2
-
     def test_small_training_set_structure(self, small_training_set):
         # 14 algorithms x 2 w_timeouts x 4 conditions (a handful of probes may
         # be dropped when an emulated condition is too hostile, as on the

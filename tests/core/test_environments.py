@@ -6,14 +6,8 @@ from repro.core.environments import (
     DEFAULT_ENVIRONMENTS,
     ENVIRONMENT_A,
     ENVIRONMENT_B,
-    ENVIRONMENT_BUFFERBLOAT,
-    ENVIRONMENT_CELLULAR,
-    ENVIRONMENT_HIGH_BDP,
-    ENVIRONMENT_LOSSY_WIRELESS,
-    ENVIRONMENT_PRESETS,
     VALID_TRACE_ROUNDS_AFTER_TIMEOUT,
     W_TIMEOUT_LADDER,
-    environment_by_name,
 )
 
 
@@ -34,11 +28,6 @@ class TestEnvironmentB:
         assert rtts[:12] == [0.8] * 12
         assert rtts[12:] == [1.0, 1.0]
 
-    def test_schedule_concatenates_phases(self):
-        schedule = ENVIRONMENT_B.rtt_schedule(pre_rounds=4, post_rounds=13)
-        assert len(schedule) == 17
-        assert schedule[3] == 1.0 and schedule[4] == 0.8 and schedule[-1] == 1.0
-
 
 class TestConstants:
     def test_w_timeout_ladder_matches_paper(self):
@@ -53,48 +42,13 @@ class TestConstants:
         for environment in DEFAULT_ENVIRONMENTS:
             assert 0.8 <= environment.short_rtt < environment.long_rtt <= 2.5
 
-    def test_lookup_by_name(self):
-        assert environment_by_name("A") is ENVIRONMENT_A
-        assert environment_by_name("B") is ENVIRONMENT_B
-        with pytest.raises(ValueError):
-            environment_by_name("C")
-
     def test_negative_round_rejected(self):
         with pytest.raises(ValueError):
             ENVIRONMENT_A.rtt_before_timeout(-1)
 
 
 class TestEnvironmentPresets:
-    def test_registry_holds_paper_pair_and_scenarios(self):
-        assert set(ENVIRONMENT_PRESETS) == {"A", "B", "high-bdp",
-                                            "lossy-wireless", "bufferbloat",
-                                            "cellular"}
-        assert environment_by_name("high-bdp") is ENVIRONMENT_HIGH_BDP
-        assert environment_by_name("lossy-wireless") is ENVIRONMENT_LOSSY_WIRELESS
-        assert environment_by_name("bufferbloat") is ENVIRONMENT_BUFFERBLOAT
-        assert environment_by_name("cellular") is ENVIRONMENT_CELLULAR
-
     def test_defaults_stay_the_paper_pair(self):
-        # The shipped classifier is trained on A/B traces only; scenario
-        # presets must never leak into the stock probing order.
+        # The shipped classifier is trained on A/B traces only; no other
+        # schedule may leak into the stock probing order.
         assert DEFAULT_ENVIRONMENTS == (ENVIRONMENT_A, ENVIRONMENT_B)
-
-    def test_unknown_name_raises_value_error_listing_presets(self):
-        with pytest.raises(ValueError) as error:
-            environment_by_name("Z")
-        message = str(error.value)
-        assert "'Z'" in message
-        for name in ENVIRONMENT_PRESETS:
-            assert name in message
-
-    def test_scenario_schedules_are_well_formed(self):
-        for name, environment in ENVIRONMENT_PRESETS.items():
-            assert environment.name == name
-            assert 0 < environment.short_rtt <= environment.long_rtt
-            schedule = environment.rtt_schedule(pre_rounds=8, post_rounds=18)
-            assert len(schedule) == 26
-            assert all(rtt > 0 for rtt in schedule)
-
-    def test_bufferbloat_rtt_inflates_after_queue_fills(self):
-        assert ENVIRONMENT_BUFFERBLOAT.rtt_before_timeout(0) < \
-            ENVIRONMENT_BUFFERBLOAT.rtt_before_timeout(5)

@@ -41,8 +41,6 @@ SCENARIOS = [
                           middlebox=MiddleboxConfig(thin_every=4)), dict()),
     ("policer", dict(w_timeout=64, middlebox=MiddleboxConfig(
         policer_capacity=48, policer_rate=40.0)), dict()),
-    ("cross-traffic", dict(w_timeout=64, middlebox=MiddleboxConfig(
-        cross_period=3.0, cross_duration=1.5, cross_drop_every=2)), dict()),
     ("stretch", dict(w_timeout=64,
                      middlebox=MiddleboxConfig(stretch_seconds=0.05)), dict()),
     # The production w_timeout, plain and behind the ``ack-manipulated``

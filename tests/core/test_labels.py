@@ -3,7 +3,6 @@
 from repro.core.labels import (
     RC_SMALL,
     UNSURE,
-    classification_classes,
     presentation_label,
     training_label,
 )
@@ -27,15 +26,21 @@ class TestTrainingLabels:
                 assert training_label(algorithm, w_timeout) == algorithm
 
 
+def class_set(w_timeout):
+    """The labels a probe at ``w_timeout`` can be assigned."""
+    return {training_label(algorithm, w_timeout)
+            for algorithm in IDENTIFIABLE_ALGORITHMS}
+
+
 class TestClassSets:
     def test_small_w_timeout_has_12_classes(self):
-        classes = classification_classes(64, IDENTIFIABLE_ALGORITHMS)
+        classes = class_set(64)
         assert len(classes) == 12
         assert RC_SMALL in classes
         assert "reno" not in classes
 
     def test_large_w_timeout_has_14_classes(self):
-        classes = classification_classes(512, IDENTIFIABLE_ALGORITHMS)
+        classes = class_set(512)
         assert len(classes) == 14
         assert RC_SMALL not in classes
 

@@ -119,7 +119,8 @@ class TestFingerprint:
     def test_one_byte_in_any_module_changes_every_fingerprint(
             self, tmp_path, monkeypatch):
         """The code fingerprint covers the whole package, not only the
-        experiments: a warm cache must not pass a broken algorithm."""
+        experiments, and its data files as well as its modules: a warm
+        cache must not pass a broken algorithm or an edited trace."""
         copy = tmp_path / "repro"
         shutil.copytree(registry.SOURCE_ROOT, copy,
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -133,6 +134,8 @@ class TestFingerprint:
         # Bytecode caches are not source: they leave every fingerprint alone.
         (copy / "tcp" / "__pycache__").mkdir()
         (copy / "tcp" / "__pycache__" / "stray.py").write_text("x = 1\n")
+        (copy / "tcp" / "__pycache__" / "reno.cpython-311.pyc").write_bytes(
+            b"\0")
         assert fingerprints() == before
         reno = copy / "tcp" / "algorithms" / "reno.py"
         source = bytearray(reno.read_bytes())
@@ -140,10 +143,16 @@ class TestFingerprint:
         reno.write_bytes(bytes(source))
         after = fingerprints()
         assert all(after[name] != before[name] for name in before)
+        trace = copy / "scenarios" / "traces" / "cellular.jsonl"
+        data = bytearray(trace.read_bytes())
+        data[-2] ^= 1
+        trace.write_bytes(bytes(data))
+        edited = fingerprints()
+        assert all(edited[name] != after[name] for name in after)
 
     def test_status_hashes_the_sources_once(self, tmp_path, monkeypatch):
         """``status`` over all 14 experiments computes one code digest: each
-        source file is read once, not once per experiment."""
+        file of the package is read once, not once per experiment."""
         reads = Counter()
         read_bytes = Path.read_bytes
 
@@ -155,9 +164,10 @@ class TestFingerprint:
         monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
         rows = ExperimentRunner(SMOKE, ArtifactStore(tmp_path, "smoke")).status()
         assert len(rows) == len(all_experiments()) == 14
-        sources = [path for path in registry.SOURCE_ROOT.rglob("*.py")
-                   if "__pycache__" not in path.parts]
-        assert set(reads) == set(sources)
+        files = [path for path in registry.SOURCE_ROOT.rglob("*")
+                 if path.is_file() and "__pycache__" not in path.parts]
+        assert any(path.suffix == ".jsonl" for path in files)
+        assert set(reads) == set(files)
         assert set(reads.values()) == {1}
 
     def test_an_edit_between_two_calls_is_seen(self, tmp_path, monkeypatch):

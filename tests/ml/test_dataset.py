@@ -30,20 +30,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             LabeledDataset.from_rows([])
 
-    def test_concatenate(self):
-        merged = LabeledDataset.concatenate([toy_dataset(), toy_dataset()])
-        assert len(merged) == 60
-
 
 class TestOperations:
     def test_class_counts(self):
         counts = toy_dataset().class_counts()
         assert counts == {"a": 10, "b": 10, "c": 10}
-
-    def test_filter_labels(self):
-        subset = toy_dataset().filter_labels({"a", "c"})
-        assert set(subset.classes()) == {"a", "c"}
-        assert len(subset) == 20
 
     def test_bootstrap_preserves_size(self):
         dataset = toy_dataset()
@@ -58,11 +49,6 @@ class TestOperations:
         for fold in folds:
             labels = [str(l) for l in dataset.labels[fold]]
             assert set(labels) == {"a", "b", "c"}
-
-    def test_train_test_split_stratified(self):
-        train, test = toy_dataset().train_test_split(0.3, np.random.default_rng(1))
-        assert len(train) + len(test) == 30
-        assert set(test.classes()) == {"a", "b", "c"}
 
     def test_fold_count_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 from repro.ml.dataset import LabeledDataset
 from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.ml.naive_bayes import GaussianNaiveBayesClassifier
-from repro.ml.validation import ConfusionMatrix, cross_validate, holdout_accuracy
+from repro.ml.validation import ConfusionMatrix, cross_validate
 
 
 def dataset_with_structure(seed=0, n=60):
@@ -67,14 +67,3 @@ class TestCrossValidation:
         dataset = dataset_with_structure()
         result = cross_validate(dataset, lambda: DecisionTreeClassifier(), n_folds=6)
         assert result.confusion.counts.sum() == len(dataset)
-
-    def test_accuracy_std_defined(self):
-        result = cross_validate(dataset_with_structure(),
-                                lambda: DecisionTreeClassifier(), n_folds=4)
-        assert result.accuracy_std >= 0.0
-
-    def test_holdout_accuracy(self):
-        dataset = dataset_with_structure()
-        train, test = dataset.train_test_split(0.25, np.random.default_rng(0))
-        accuracy = holdout_accuracy(train, test, lambda: GaussianNaiveBayesClassifier())
-        assert accuracy > 0.9

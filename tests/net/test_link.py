@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.net.link import DuplexLink, NetemLink
+from repro.net.link import NetemLink
 from repro.net.simulator import EventSimulator
-from repro.scenarios.middlebox import validate_windows
 
 
 def run_link(loss=0.0, jitter=0.0, duplicate=0.0, reorder=0.0, packets=500, delay=0.05):
@@ -62,51 +61,13 @@ class TestValidation:
             NetemLink(simulator=EventSimulator(), delay=-0.1)
 
 
-class TestDuplexLink:
-    def test_symmetric_links_share_parameters(self):
-        simulator = EventSimulator()
-        duplex = DuplexLink.symmetric(simulator, one_way_delay=0.1, loss_probability=0.05)
-        assert duplex.forward.delay == duplex.backward.delay == 0.1
-        assert duplex.forward.loss_probability == 0.05
-
-
-class TestOutageValidation:
-    """:func:`repro.scenarios.middlebox.validate_windows`, the check the
-    middlebox's cross-traffic burst windows go through (its rows stay in
-    this file so that they keep their ids)."""
-
-    def test_reversed_window_rejected(self):
-        with pytest.raises(ValueError, match="start < end"):
-            validate_windows(((2.0, 1.0),))
-
-    def test_overlapping_windows_rejected(self):
-        with pytest.raises(ValueError, match="non-overlapping"):
-            validate_windows(((0.0, 2.0), (1.0, 3.0)))
-
-    def test_unsorted_windows_rejected(self):
-        with pytest.raises(ValueError, match="non-overlapping"):
-            validate_windows(((5.0, 6.0), (1.0, 2.0)))
-
-    def test_malformed_pair_rejected_with_index(self):
-        with pytest.raises(ValueError, match=r"cross_windows\[1\]"):
-            validate_windows(((0.0, 1.0), "soon"))
-
-    def test_touching_windows_accepted(self):
-        assert validate_windows(((0.0, 1.0), (1.0, 2.5))) == (
-            (0.0, 1.0), (1.0, 2.5))
-
-    def test_windows_normalized_to_float_tuples(self):
-        assert validate_windows([[0, 1], [2, 3]]) == (
-            (0.0, 1.0), (2.0, 3.0))
-
-
 class TestScenarioStats:
     def test_offered_counts_scenario_drops(self):
         from repro.net.link import LinkStats
 
         stats = LinkStats(delivered=5, dropped=1, policer_dropped=1,
-                          thinned_acks=1, cross_traffic_dropped=1)
-        assert stats.offered == 9
+                          thinned_acks=1)
+        assert stats.offered == 8
 
     def test_loss_rate_counts_only_random_loss(self):
         from repro.net.link import LinkStats

@@ -1,4 +1,4 @@
-"""Tests for trace loading, replay and trace-derived condition databases."""
+"""Tests for trace loading and trace-derived condition databases."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.scenarios import (
     TraceEntry,
     cellular_condition_database,
     load_trace,
-    merge_traces,
     packaged_trace,
     parse_trace,
     trace_condition_database,
@@ -50,34 +49,6 @@ class TestLinkTrace:
         with pytest.raises(ValueError, match="strictly increasing"):
             LinkTrace(name="dup", entries=rows)
 
-    def test_single_entry_trace(self):
-        trace = LinkTrace(name="one", entries=entries((0.0, 5.0, 20.0, 0.01)))
-        assert trace.horizon == 0.0
-        for t in (-1.0, 0.0, 100.0):
-            for mode in ("hold", "wrap"):
-                assert trace.at(t, mode=mode).bandwidth_mbps == 5.0
-
-    def test_hold_vs_wrap_past_horizon(self):
-        trace = LinkTrace(name="two", entries=entries(
-            (0.0, 1.0, 10.0, 0.0), (10.0, 2.0, 20.0, 0.0)))
-        assert trace.horizon == 10.0
-        # Within the horizon the modes agree.
-        assert trace.at(4.0, mode="hold") == trace.at(4.0, mode="wrap")
-        # Past it: hold pins the last entry, wrap replays from the start.
-        assert trace.at(25.0, mode="hold").bandwidth_mbps == 2.0
-        assert trace.at(25.0, mode="wrap").bandwidth_mbps == 1.0  # 25 % 10 = 5
-        assert trace.at(30.0, mode="wrap").bandwidth_mbps == 1.0  # lands on 0
-
-    def test_negative_time_clamps_to_first_entry(self):
-        trace = LinkTrace(name="two", entries=entries(
-            (0.0, 1.0, 10.0, 0.0), (10.0, 2.0, 20.0, 0.0)))
-        assert trace.at(-5.0).bandwidth_mbps == 1.0
-
-    def test_unknown_mode_rejected(self):
-        trace = LinkTrace(name="one", entries=entries((0.0, 1.0, 10.0, 0.0)))
-        with pytest.raises(ValueError, match="mode"):
-            trace.at(0.0, mode="bounce")
-
 
 class TestParseTrace:
     def test_parse_skips_blank_lines(self):
@@ -106,36 +77,12 @@ class TestParseTrace:
         assert load_trace(path).name == "metro"
 
 
-class TestMergeTraces:
-    def test_merge_namespaces_by_index(self):
-        a = LinkTrace(name="cell", entries=entries((0.0, 1.0, 10.0, 0.0)))
-        b = LinkTrace(name="wifi", entries=entries((0.0, 2.0, 5.0, 0.0)))
-        merged = merge_traces([a, b])
-        assert set(merged) == {"0-cell", "1-wifi"}
-
-    def test_same_name_twice_gets_distinct_keys(self):
-        a = LinkTrace(name="cell", entries=entries((0.0, 1.0, 10.0, 0.0)))
-        merged = merge_traces([a, a])
-        assert set(merged) == {"0-cell", "1-cell"}
-
-    def test_merge_into_existing_batch_continues_indices(self):
-        a = LinkTrace(name="cell", entries=entries((0.0, 1.0, 10.0, 0.0)))
-        b = LinkTrace(name="wifi", entries=entries((0.0, 2.0, 5.0, 0.0)))
-        merged = merge_traces([b], into=merge_traces([a]))
-        assert set(merged) == {"0-cell", "1-wifi"}
-
-    def test_overlapping_namespace_collision_is_loud(self):
-        cell = LinkTrace(name="cell", entries=entries((0.0, 1.0, 1.0, 0.0)))
-        with pytest.raises(ValueError, match="collision"):
-            merge_traces([cell], into={"1-cell": cell})
-
-
 class TestPackagedTraces:
     def test_cellular_trace_loads(self):
         trace = packaged_trace("cellular")
         assert trace.name == "cellular"
         assert len(trace.entries) >= 16
-        assert trace.horizon > 0
+        assert trace.entries[-1].time > 0
 
     def test_unknown_packaged_trace_lists_available(self):
         with pytest.raises(ValueError, match="cellular"):

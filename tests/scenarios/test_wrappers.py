@@ -84,14 +84,6 @@ def keep_mask_model(config, policer, stats, count, now):
             survivors = np.flatnonzero(keep)
             keep[survivors[admitted:]] = False
             passing = admitted
-    bursting = (config.cross_period is not None
-                and now % config.cross_period < config.cross_duration)
-    if bursting or any(start <= now < end for start, end in config.cross_windows):
-        survivors = np.flatnonzero(keep)
-        victims = survivors[::config.cross_drop_every]
-        stats.cross_traffic_dropped += len(victims)
-        keep[victims] = False
-        passing -= len(victims)
     stats.delivered += passing
     return keep
 
@@ -99,19 +91,10 @@ def keep_mask_model(config, policer, stats, count, now):
 @st.composite
 def middlebox_configs(draw):
     kwargs = dict(thin_every=draw(st.integers(min_value=1, max_value=7)),
-                  stretch_seconds=draw(st.sampled_from([0.0, 0.05])),
-                  cross_drop_every=draw(st.integers(min_value=1, max_value=4)))
+                  stretch_seconds=draw(st.sampled_from([0.0, 0.05])))
     if draw(st.booleans()):
         kwargs.update(policer_capacity=draw(st.integers(min_value=1, max_value=40)),
                       policer_rate=draw(st.floats(min_value=1.0, max_value=200.0)))
-    bursts = draw(st.sampled_from(["none", "periodic", "windows"]))
-    if bursts == "periodic":
-        period = draw(st.floats(min_value=0.5, max_value=4.0))
-        kwargs.update(cross_period=period,
-                      cross_duration=period * draw(st.floats(min_value=0.1,
-                                                             max_value=1.0)))
-    elif bursts == "windows":
-        kwargs.update(cross_windows=((0.5, 2.0), (3.0, 3.5), (6.0, 9.0)))
     return MiddleboxConfig(**kwargs)
 
 
@@ -143,9 +126,6 @@ class TestMiddleboxConfig:
         assert not MiddleboxConfig(stretch_seconds=0.1).is_neutral()
         assert not MiddleboxConfig(policer_capacity=10,
                                    policer_rate=5.0).is_neutral()
-        assert not MiddleboxConfig(cross_period=10.0,
-                                   cross_duration=1.0).is_neutral()
-        assert not MiddleboxConfig(cross_windows=((1.0, 2.0),)).is_neutral()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="thin_every"):
@@ -154,18 +134,6 @@ class TestMiddleboxConfig:
             MiddleboxConfig(stretch_seconds=-0.1)
         with pytest.raises(ValueError, match="policer_rate"):
             MiddleboxConfig(policer_capacity=10)
-        with pytest.raises(ValueError, match="cross_duration"):
-            MiddleboxConfig(cross_period=5.0, cross_duration=6.0)
-        with pytest.raises(ValueError, match="cross_windows"):
-            MiddleboxConfig(cross_windows=((2.0, 1.0),))
-        # Bursts from explicit windows alone still need a drop stride.
-        for every in (0, -1):
-            with pytest.raises(ValueError, match="cross_drop_every"):
-                MiddleboxConfig(cross_windows=((1.0, 2.0),),
-                                cross_drop_every=every)
-            with pytest.raises(ValueError, match="cross_drop_every"):
-                MiddleboxConfig(cross_period=5.0, cross_duration=1.0,
-                                cross_drop_every=every)
 
 
 class TestTokenBucketPolicer:
@@ -206,15 +174,6 @@ class TestMiddleboxSender:
         assert round_through(server)(10, now=0.0) == [1, 2, 3, 4]
         assert server.stats.policer_dropped == 6
         assert server.stats.delivered == 4
-
-    def test_cross_traffic_burst_windows(self):
-        config = MiddleboxConfig(cross_windows=((5.0, 6.0),),
-                                 cross_drop_every=2)
-        server = MiddleboxServer(make_synthetic_server("reno"), config)
-        feed = round_through(server)
-        assert feed(8, now=0.0) == list(range(1, 9))  # outside the burst
-        assert feed(8, now=5.5) == [2, 4, 6, 8]
-        assert server.stats.cross_traffic_dropped == 4
 
     @settings(max_examples=300, deadline=None)
     @given(middlebox_configs(), ladder_rounds())

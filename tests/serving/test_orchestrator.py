@@ -176,6 +176,30 @@ class TestCrashAndSteal:
         assert dead.died and dead.completed == []
         assert fresh.completed == [0, 1, 2, 3] and fresh.stolen == [0]
 
+    def test_a_survivor_steals_the_dead_workers_lease_at_once(
+            self, trained_classifier, monolithic_blob, tmp_path):
+        """Two workers, a 10-s lease timeout, a death on shard 1's first
+        lease. The parent expires the lease as soon as it reaps the dead
+        worker, so the survivor of the same round steals shard 1 at once
+        instead of idling until the lease times out."""
+        lease_timeout = 10.0
+        plan = FaultPlan(seed=5, specs=(
+            FaultSpec(kind="worker_death", scope="1", persist_attempts=1),))
+        orchestrator = CensusOrchestrator(
+            make_runner(trained_classifier, plan), fresh_population(),
+            tmp_path / "ckpt", num_shards=NUM_SHARDS,
+            lease_timeout=lease_timeout)
+        began = time.perf_counter()
+        report = orchestrator.run(workers=2)
+        assert time.perf_counter() - began < lease_timeout / 2
+        assert report_blob(report) == monolithic_blob
+        stats = orchestrator.worker_stats()
+        assert len(stats) == 2
+        dead = [stat for stat in stats if stat.died]
+        survivors = [stat for stat in stats if not stat.died]
+        assert len(dead) == 1 and dead[0].completed == []
+        assert 1 in survivors[0].stolen
+
     def test_stale_holder_discards_its_outcomes(self, trained_classifier,
                                                 monolithic_blob, tmp_path):
         """Duplicate lease completion: two holders measure the same shard;

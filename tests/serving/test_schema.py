@@ -1,26 +1,19 @@
-"""Snapshot tests pinning the one stable serving/CLI JSON schema.
+"""Snapshot tests pinning the one stable census-report JSON schema.
 
-The exact top-level key sets of both payloads are asserted verbatim: adding,
+The exact top-level key set of the payload is asserted verbatim: adding,
 removing or renaming a key is an intentional schema change and must bump the
 envelope version (and these snapshots) in the same commit.
 """
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.cli.census import main as census_main
 from repro.cli.report import main as report_main
 from repro.core.census import CensusConfig, CensusRunner
 from repro.serving.artifact import save_model
-from repro.serving.schema import (
-    CENSUS_REPORT_SCHEMA,
-    CLASSIFY_SCHEMA,
-    census_report_payload,
-    classify_batch_payload,
-    identification_payload,
-)
+from repro.serving.schema import CENSUS_REPORT_SCHEMA, census_report_payload
 from repro.web.population import PopulationConfig, ServerPopulation
 
 #: The documented key set of a ``caai-census-report`` v1 payload.
@@ -29,12 +22,6 @@ REPORT_KEYS = {
     "category_percentages", "invalid_reason_shares", "status_counts",
     "retry_total", "resilience", "source", "outcomes",
 }
-
-#: The documented key set of a ``caai-classify-batch`` v1 payload.
-CLASSIFY_KEYS = {"schema", "count", "source", "results"}
-
-#: The documented key set of one classify result.
-RESULT_KEYS = {"label", "raw_label", "confidence", "unsure", "w_timeout"}
 
 
 @pytest.fixture(scope="module")
@@ -79,30 +66,6 @@ class TestCensusReportPayload:
         assert json.loads(blob) == payload
         assert blob == json.dumps(census_report_payload(report), indent=2,
                                   sort_keys=True)
-
-
-class TestClassifyPayload:
-    def test_key_snapshots(self, trained_classifier):
-        vectors = np.random.default_rng(3).normal(size=(5, 7))
-        identifications = trained_classifier.classify_vectors(vectors, 64)
-        payload = classify_batch_payload(identifications)
-        assert set(payload) == CLASSIFY_KEYS
-        assert payload["schema"] == {"name": "caai-classify-batch",
-                                     "version": 1}
-        assert payload["schema"] == CLASSIFY_SCHEMA
-        assert payload["count"] == 5
-        assert all(set(result) == RESULT_KEYS
-                   for result in payload["results"])
-
-    def test_result_fields_mirror_the_identification(self, trained_classifier):
-        vectors = np.random.default_rng(3).normal(size=(5, 7))
-        for identification in trained_classifier.classify_vectors(vectors, 64):
-            result = identification_payload(identification)
-            assert result["label"] == identification.reported_label
-            assert result["raw_label"] == identification.label
-            assert result["confidence"] == identification.confidence
-            assert result["unsure"] == identification.unsure
-            assert result["w_timeout"] == identification.w_timeout
 
 
 class TestCensusCliJson:

@@ -28,16 +28,6 @@ class TestCensusService:
         with pytest.raises(ValueError, match="trained"):
             CensusService(CaaiClassifier(n_trees=3))
 
-    def test_from_artifact_attaches_provenance(self, trained_classifier,
-                                               artifact):
-        service = CensusService.from_artifact(artifact)
-        assert service.source == {
-            "artifact": str(artifact),
-            "fingerprint": classifier_fingerprint(trained_classifier),
-        }
-        assert service.load_seconds > 0
-        assert service.classifier.is_trained
-
     def test_load_neither_refits_nor_reprobes(self, trained_classifier,
                                               artifact, monkeypatch):
         """Loading rebuilds the saved trees; it never trains or probes."""
@@ -52,7 +42,7 @@ class TestCensusService:
         expected = classifier_fingerprint(trained_classifier)
         assert classifier_fingerprint(load_model(artifact)) == expected
         service = CensusService.from_artifact(artifact)
-        assert service.source["fingerprint"] == expected
+        assert classifier_fingerprint(service.classifier) == expected
 
     def test_concurrent_callers_match_serial(self, artifact):
         """Two threads share one loaded model; batch sizes alternate, so
@@ -110,14 +100,6 @@ class TestCensusService:
         w_timeouts = [64, 128, 256, 64]
         served = service.classify_batch(vectors, w_timeouts)
         assert [s.w_timeout for s in served] == w_timeouts
-
-    def test_payload_carries_schema_and_source(self, artifact):
-        service = CensusService.from_artifact(artifact)
-        vectors = np.random.default_rng(23).normal(size=(3, 7))
-        payload = service.classify_batch_payload(vectors, 64)
-        assert payload["schema"]["name"] == "caai-classify-batch"
-        assert payload["count"] == 3
-        assert payload["source"] == service.source
 
     def test_corrupt_artifact_surfaces_the_structured_error(self, tmp_path):
         missing = tmp_path / "absent.caai"

@@ -1,15 +1,8 @@
-"""Tests for TCP option handling (MSS ladder, window scaling)."""
+"""Tests for TCP option handling (MSS ladder and negotiation)."""
 
 import pytest
 
-from repro.tcp.options import (
-    CAAI_MSS_LADDER,
-    CAAI_RECEIVE_WINDOW_FIELD,
-    CAAI_WINDOW_SCALE,
-    SynOptions,
-    negotiate_mss,
-    scaled_receive_window,
-)
+from repro.tcp.options import CAAI_MSS_LADDER, negotiate_mss
 
 
 class TestMssLadder:
@@ -18,31 +11,6 @@ class TestMssLadder:
 
     def test_ladder_is_increasing(self):
         assert list(CAAI_MSS_LADDER) == sorted(CAAI_MSS_LADDER)
-
-
-class TestWindowScaling:
-    def test_scaled_window_is_about_one_gigabyte(self):
-        window = scaled_receive_window(CAAI_RECEIVE_WINDOW_FIELD, CAAI_WINDOW_SCALE)
-        assert window == 65_535 << 14
-        assert window > 10 ** 9
-
-    def test_scale_must_be_within_rfc_limit(self):
-        with pytest.raises(ValueError):
-            scaled_receive_window(1000, 15)
-
-    def test_negative_field_rejected(self):
-        with pytest.raises(ValueError):
-            scaled_receive_window(-1, 10)
-
-
-class TestSynOptions:
-    def test_receive_window_bytes(self):
-        options = SynOptions(mss=100)
-        assert options.receive_window_bytes == 65_535 << 14
-
-    def test_mss_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SynOptions(mss=0)
 
 
 class TestNegotiateMss:

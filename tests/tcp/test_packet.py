@@ -1,8 +1,8 @@
-"""Tests for segment and ACK containers."""
+"""Tests for the segment container."""
 
 import pytest
 
-from repro.tcp.packet import Ack, Segment
+from repro.tcp.packet import Segment
 
 
 class TestSegment:
@@ -23,14 +23,3 @@ class TestSegment:
         segment = Segment(seq=0, length=100, sent_at=0.0, packet_index=0,
                           is_retransmission=True)
         assert segment.is_retransmission
-
-
-class TestAck:
-    def test_fields(self):
-        ack = Ack(ack_seq=2000, sent_at=3.0, receive_window=1 << 30)
-        assert ack.ack_seq == 2000
-        assert not ack.is_duplicate
-
-    def test_duplicate_flag(self):
-        ack = Ack(ack_seq=2000, sent_at=3.0, receive_window=1 << 30, is_duplicate=True)
-        assert ack.is_duplicate

@@ -46,10 +46,7 @@ PUBLIC_CLASSES = [CensusRunner, TrainingSetBuilder, CaaiClassifier,
 #: Module-level entry points held to the same Args/Returns standard.
 PUBLIC_FUNCTIONS = [
     figures.ascii_series,
-    figures.cdf_series,
-    figures.summarize_cdf,
     tables.format_markdown_table,
-    tables.format_percentage_table,
     tables.format_table,
     registry.all_experiments,
     registry.code_fingerprint,

@@ -26,15 +26,6 @@ def small_site(sizes, hidden=None, redirect=False):
 
 
 class TestWebSite:
-    def test_longest_page(self):
-        site = small_site([100, 5_000_000, 200])
-        assert site.longest_page().size == 5_000_000
-
-    def test_reachability_excludes_unlinked_pages(self):
-        site = small_site([100, 5_000_000, 200], hidden={1})
-        reachable = {page.path for page in site.reachable_from_default()}
-        assert "/p1.html" not in reachable
-
     def test_default_page_must_exist(self):
         with pytest.raises(ValueError):
             WebSite(pages={"/a.html": WebPage(path="/a.html", size=10)})

@@ -2,35 +2,19 @@
 
 import pytest
 
-from repro.web.http import DEFAULT_PIPELINE_DEPTH, HttpRequest, HttpResponse, RequestPipeline
-
-
-class TestHttpRequest:
-    def test_valid_request(self):
-        request = HttpRequest(path="/index.html")
-        assert request.method == "GET"
-        assert request.header_size() > 0
-
-    def test_path_must_be_absolute(self):
-        with pytest.raises(ValueError):
-            HttpRequest(path="index.html")
-
-    def test_unsupported_method(self):
-        with pytest.raises(ValueError):
-            HttpRequest(path="/x", method="POST")
+from repro.web.http import DEFAULT_PIPELINE_DEPTH, HttpResponse
 
 
 class TestHttpResponse:
     def test_ok_response(self):
         response = HttpResponse(status=200, body_size=1000, path="/x")
-        assert response.ok and not response.is_redirect
         assert response.total_size() > 1000
 
     def test_redirect_needs_target(self):
         with pytest.raises(ValueError):
             HttpResponse(status=301, body_size=0, path="/x")
         redirect = HttpResponse(status=301, body_size=0, path="/x", redirect_to="/y")
-        assert redirect.is_redirect
+        assert redirect.redirect_to == "/y"
 
     def test_negative_body_rejected(self):
         with pytest.raises(ValueError):
@@ -41,19 +25,3 @@ class TestPipeline:
     def test_default_depth_matches_paper(self):
         # CAAI repeats its request 12 times by default (Section IV-E).
         assert DEFAULT_PIPELINE_DEPTH == 12
-
-    def test_accepted_requests_limited_by_server(self):
-        pipeline = RequestPipeline(HttpRequest(path="/big.bin"))
-        assert pipeline.accepted_requests(server_limit=1) == 1
-        assert pipeline.accepted_requests(server_limit=3) == 3
-        assert pipeline.accepted_requests(server_limit=100) == 12
-        assert pipeline.accepted_requests(server_limit=0) == 0
-
-    def test_requests_are_identical(self):
-        pipeline = RequestPipeline(HttpRequest(path="/big.bin"), depth=5)
-        assert len(set(id(r) for r in pipeline.requests())) == 1 or \
-            all(r.path == "/big.bin" for r in pipeline.requests())
-
-    def test_depth_validation(self):
-        with pytest.raises(ValueError):
-            RequestPipeline(HttpRequest(path="/x"), depth=0)

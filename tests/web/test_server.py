@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.web.content import WebPage, WebSite
-from repro.web.http import HttpRequest
 from repro.web.server import ServerProfile, WebServer
 
 
@@ -22,23 +21,6 @@ def make_server(**profile_kwargs):
     profile_kwargs.setdefault("server_id", "test-server")
     profile = ServerProfile(**profile_kwargs)
     return WebServer(profile, make_site(), probe_path="/big.bin")
-
-
-class TestHttpHandling:
-    def test_serves_existing_page(self):
-        response = make_server().handle_request(HttpRequest(path="/big.bin"))
-        assert response.ok and response.body_size == 500_000
-
-    def test_head_requests_have_no_body(self):
-        response = make_server().handle_request(HttpRequest(path="/big.bin", method="HEAD"))
-        assert response.ok and response.body_size == 0
-
-    def test_missing_page_404(self):
-        assert make_server().handle_request(HttpRequest(path="/nope")).status == 404
-
-    def test_redirects_reported(self):
-        response = make_server().handle_request(HttpRequest(path="/moved.html"))
-        assert response.is_redirect and response.redirect_to == "/big.bin"
 
 
 class TestAvailability:

@@ -2,7 +2,8 @@
 
 Scans ``README.md`` and ``docs/*.md`` for Markdown links, **inline-code
 path references** (backtick spans that name a repository path, e.g.
-```` `src/repro/experiments/` ````) and **command-line entry points**
+```` `src/repro/experiments/` ````, or a package path relative to ``src/``,
+e.g. ```` `repro/core/gather.py` ````) and **command-line entry points**
 (``python -m repro.<name>`` must name a ``src/repro/<name>/__main__.py``,
 so a deleted CLI cannot linger in the docs), and fails with the full
 offender list if any of them points at a file that does not exist.
@@ -33,6 +34,14 @@ CODE_PATH_PATTERN = re.compile(
     r"`((?:src|docs|tests|tools|perfbench|benchmarks|examples)/"
     r"[A-Za-z0-9_./-]+)`")
 
+#: Backtick spans naming a path inside the package the short way, relative
+#: to ``src/`` (``repro/...``).
+PACKAGE_PATH_PATTERN = re.compile(r"`(repro/[A-Za-z0-9_./-]+)`")
+
+#: (pattern, directory its spans are relative to, where that is).
+CODE_PATH_CHECKS = ((CODE_PATH_PATTERN, Path("."), "in the repository"),
+                    (PACKAGE_PATH_PATTERN, Path("src"), "under src/"))
+
 #: ``python -m repro.<name>`` invocations; the group is the package name.
 ENTRY_POINT_PATTERN = re.compile(r"python3? -m repro\.([A-Za-z_]\w*)")
 
@@ -61,15 +70,16 @@ def check_file(path: Path) -> list[str]:
                 problems.append(
                     f"{path.relative_to(REPO_ROOT)}:{line_number}: broken "
                     f"link {target!r} (no such file {relative!r})")
-        for match in CODE_PATH_PATTERN.finditer(line):
-            reference = match.group(1)
-            # Inline-code paths are repo-root relative regardless of which
-            # document mentions them.
-            if not (REPO_ROOT / reference).exists():
-                problems.append(
-                    f"{path.relative_to(REPO_ROOT)}:{line_number}: broken "
-                    f"inline-code path reference `{reference}` "
-                    "(no such file in the repository)")
+        for pattern, base, where in CODE_PATH_CHECKS:
+            for match in pattern.finditer(line):
+                reference = match.group(1)
+                # Inline-code paths resolve from the repo root (or src/)
+                # regardless of which document mentions them.
+                if not (REPO_ROOT / base / reference).exists():
+                    problems.append(
+                        f"{path.relative_to(REPO_ROOT)}:{line_number}: broken "
+                        f"inline-code path reference `{reference}` "
+                        f"(no such file {where})")
         for match in ENTRY_POINT_PATTERN.finditer(line):
             main = Path("src", "repro", match.group(1), "__main__.py")
             if not (REPO_ROOT / main).exists():
