@@ -23,17 +23,24 @@ costs O(blocks), not O(packets), and neither a per-packet
 :class:`~repro.tcp.packet.Segment` nor a sub-block is ever built. The only
 stochastic element of the path, ACK loss on the prober-to-server direction
 plus data-packet loss on the reverse direction, is applied per packet with
-the probe's :class:`~repro.net.conditions.NetworkCondition`. The packet-level
-alternative (full discrete-event simulation including delay jitter) lives in
-:mod:`repro.core.prober`; integration tests check the two agree on loss-free
-paths.
+the probe's :class:`~repro.net.conditions.NetworkCondition`: one uniform per
+packet on the probe's stream, in the order one draw per packet gives (each
+round's data packets, their ECN marks, their ACKs). A trace takes those
+uniforms in chunks (:class:`TraceDraws`), finds each chunk's drops once and
+gives each round its drop positions by bisection; at the trace's end, and
+on a fault's exception, it rewinds the generator to the last value used.
+The sender's retransmission deadline is computed when it is read. The
+packet-level alternative (full discrete-event simulation including delay
+jitter) lives in :mod:`repro.core.prober`; integration tests check the two
+agree on loss-free paths.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -210,14 +217,41 @@ class TraceGatherer:
         if sender is None:
             return WindowTrace.invalid(environment.name, config.w_timeout,
                                        config.mss, InvalidReason.CONNECTION_FAILED)
-        # The highest received sequence number is tracked both in bytes
-        # (window estimates are byte-based, the stream tail may be shorter
-        # than one MSS) and in packet-cumulative units (the sender's ACK
-        # ladder works in packets; acknowledging packet ``i`` advances the
-        # cumulative point to ``i + 1``, which is its block's ``stop_index``).
         trace = WindowTrace(environment=environment.name, w_timeout=config.w_timeout,
                             mss=config.mss,
                             required_post_rounds=config.rounds_after_timeout)
+        draws = TraceDraws(rng, condition.loss_rate)
+        try:
+            self._run_rounds(server, sender, environment,
+                             condition.ecn_mark_rate, draws, trace, start_time)
+        finally:
+            # On every exit, a fault raised by the sender included, the
+            # stream ends where one draw per packet would have left it.
+            draws.close()
+        return trace
+
+    # ------------------------------------------------------------- internals
+    def _run_rounds(self, server: ProbeableServer, sender: TcpSender,
+                    environment: NetworkEnvironment, ecn_rate: float,
+                    draws: TraceDraws, trace: WindowTrace,
+                    start_time: float) -> None:
+        """Run the trace's rounds, filling ``trace`` (and its invalid reason).
+
+        The highest received sequence number is tracked both in bytes
+        (window estimates are byte-based, the stream tail may be shorter
+        than one MSS) and in packet-cumulative units (the sender's ACK
+        ladder works in packets; acknowledging packet ``i`` advances the
+        cumulative point to ``i + 1``, which is its block's ``stop_index``).
+        """
+        config = self.config
+        mss = config.mss
+        w_timeout = config.w_timeout
+        budget = config.deadline
+        # The environment's RTT schedule: the short RTT before each phase's
+        # switch round, the long one from it on.
+        short_rtt, long_rtt = environment.short_rtt, environment.long_rtt
+        pre_switch = environment.pre_timeout_switch_round
+        post_switch = environment.post_timeout_switch_round
         now = start_time
         blocks = sender.start(now)
         highest_end = 0
@@ -227,10 +261,10 @@ class TraceGatherer:
         # ---- pre-timeout phase: slow start up to the emulated timeout ------
         timed_out = False
         for round_index in range(config.max_pre_timeout_rounds):
-            received = self._deliver(blocks, condition, rng)
+            received = self._deliver(blocks, draws)
             if not received:
                 trace.invalid_reason = InvalidReason.INSUFFICIENT_DATA
-                return trace
+                return
             packets = 0
             for start, stop, end_seq, _ in received:
                 packets += stop - start
@@ -240,42 +274,43 @@ class TraceGatherer:
                     highest_pkt = stop
             # The window estimate: how far the highest received byte moved,
             # in packets (a round of old sequence numbers counts packets).
-            window = (highest_end - highest_prev) / config.mss
+            window = (highest_end - highest_prev) / mss
             if window <= 0:
                 window = float(packets)
             highest_prev = highest_end
             trace.pre_timeout.append(window)
-            now += environment.rtt_before_timeout(round_index)
-            if self._past_deadline(now, start_time):
+            now += short_rtt if round_index < pre_switch else long_rtt
+            if budget is not None and now - start_time > budget:
                 trace.invalid_reason = InvalidReason.PROBE_TIMEOUT
-                return trace
-            if window > config.w_timeout:
+                return
+            if window > w_timeout:
                 timed_out = True
                 break
-            self._ecn_feedback(sender, packets, condition, rng, now)
-            blocks, lost_acks = self._acknowledge(sender, received, condition,
-                                                  rng, now, highest_pkt)
+            if ecn_rate > 0.0 and packets:
+                self._ecn_feedback(sender, packets, ecn_rate, draws, now)
+            blocks, lost_acks = self._acknowledge(sender, received, draws, now,
+                                                  highest_pkt)
             trace.ack_loss_events += lost_acks
             if not blocks:
                 trace.invalid_reason = InvalidReason.INSUFFICIENT_DATA
-                return trace
+                return
         if not timed_out:
             trace.invalid_reason = InvalidReason.WINDOW_BELOW_W_TIMEOUT
-            return trace
+            return
 
         # ---- the emulated timeout ------------------------------------------
         deadline = sender.next_timer_deadline()
         if deadline is None:
             trace.invalid_reason = InvalidReason.NO_TIMEOUT_RESPONSE
-            return trace
+            return
         now = max(now, deadline)
-        if self._past_deadline(now, start_time):
+        if budget is not None and now - start_time > budget:
             trace.invalid_reason = InvalidReason.PROBE_TIMEOUT
-            return trace
+            return
         blocks = sender.on_timer(now)
         if not blocks:
             trace.invalid_reason = InvalidReason.NO_TIMEOUT_RESPONSE
-            return trace
+            return
         if server.uses_frto():
             # One duplicate ACK makes an F-RTO server fall back to the
             # conventional timeout recovery (Section IV-C).
@@ -292,10 +327,10 @@ class TraceGatherer:
                 if deadline is not None and not sender.all_data_acked():
                     now = max(now, deadline)
                     blocks = sender.on_timer(now)
-            received = self._deliver(blocks, condition, rng)
+            received = self._deliver(blocks, draws)
             if not blocks:
                 trace.invalid_reason = InvalidReason.INSUFFICIENT_DATA
-                return trace
+                return
             packets = 0
             if received:
                 for start, stop, end_seq, _ in received:
@@ -308,64 +343,52 @@ class TraceGatherer:
                 # sequence numbers, so CAAI counts its packets instead (the
                 # value is not used by feature extraction, which only looks
                 # at relative growth later in the trace).
-                window = (highest_end - highest_prev) / config.mss
+                window = (highest_end - highest_prev) / mss
                 if window <= 0:
                     window = float(packets)
                 highest_prev = highest_end
             else:
                 window = 0.0
             trace.post_timeout.append(window)
-            now += environment.rtt_after_timeout(post_index)
-            if self._past_deadline(now, start_time):
+            now += short_rtt if post_index < post_switch else long_rtt
+            if budget is not None and now - start_time > budget:
                 trace.invalid_reason = InvalidReason.PROBE_TIMEOUT
-                return trace
-            self._ecn_feedback(sender, packets, condition, rng, now)
-            blocks, lost_acks = self._acknowledge(sender, received, condition,
-                                                  rng, now, highest_pkt)
+                return
+            if ecn_rate > 0.0 and packets:
+                self._ecn_feedback(sender, packets, ecn_rate, draws, now)
+            blocks, lost_acks = self._acknowledge(sender, received, draws, now,
+                                                  highest_pkt)
             trace.ack_loss_events += lost_acks
-        return trace
-
-    # ------------------------------------------------------------- internals
-    def _past_deadline(self, now: float, start_time: float) -> bool:
-        """Whether the per-environment deadline budget is exhausted."""
-        deadline = self.config.deadline
-        return deadline is not None and now - start_time > deadline
 
     def _ecn_feedback(self, sender: TcpSender, packet_count: int,
-                      condition: NetworkCondition, rng: np.random.Generator,
-                      now: float) -> None:
-        """Mark the round's delivered packets and echo the count, maybe.
+                      ecn_rate: float, draws: TraceDraws, now: float) -> None:
+        """Mark the round's delivered packets and echo the count.
 
-        One Bernoulli draw per delivered packet (vectorised, on the probe's
-        own stream) when the condition's ``ecn_mark_rate`` is non-zero; the
-        marked count rides back to the sender as one feedback call per round,
-        just before the round's ACK ladder, so the batched and the scalar
-        per-ACK engine see the same draws and calls. With the default rate of
-        0.0 the method consumes no draws and makes no calls -- every historic
-        trace is byte-identical.
+        One Bernoulli draw per delivered packet on the probe's own stream;
+        the marked count rides back to the sender as one feedback call per
+        round, just before the round's ACK ladder, so the batched and the
+        scalar per-ACK engine see the same draws and calls. The round loop
+        calls this only when the condition's ``ecn_mark_rate`` is non-zero;
+        with the default of 0.0 no draw is taken and no call made, so every
+        historic trace is byte-identical.
         """
-        if condition.ecn_mark_rate <= 0.0 or packet_count <= 0:
-            return
-        marked = int((rng.random(packet_count) < condition.ecn_mark_rate).sum())
+        marked = int((draws.values(packet_count) < ecn_rate).sum())
         if marked:
             sender.ecn_feedback(marked, packet_count, now)
 
-    def _deliver(self, blocks: list[SegmentBlock], condition: NetworkCondition,
-                 rng: np.random.Generator) -> list[tuple[int, int, int, bool]]:
+    def _deliver(self, blocks: list[SegmentBlock],
+                 draws: TraceDraws) -> list[tuple[int, int, int, bool]]:
         """Apply data-direction loss; CAAI sees only the surviving packets.
 
         Returns the surviving stretches as ``(start, stop, end_seq,
         retransmitted)`` records in block order: packets ``[start, stop)``
         of one block, ``end_seq`` one past the stretch's last payload byte
         (the block's own end when the stretch keeps its last packet, else
-        ``stop * mss``). One draw per covered packet in block order
-        (``Generator.random(n)`` consumes the same stream as ``n`` scalar
-        per-packet draws); a block is cut around its dropped packets, and no
-        sub-block is built.
+        ``stop * mss``). One loss draw per covered packet in block order; a
+        block is cut around its dropped packets, and no sub-block is built.
         """
-        if condition.loss_rate > 0.0 and blocks:
-            draws = rng.random(block_packet_count(blocks))
-            dropped = (draws < condition.loss_rate).nonzero()[0].tolist()
+        if draws.lossy and blocks:
+            dropped = draws.drops(block_packet_count(blocks))
             if dropped:
                 out = []
                 for block, start, stop in cut_around(blocks, len, dropped):
@@ -381,8 +404,8 @@ class TraceGatherer:
 
     def _acknowledge(self, sender: TcpSender,
                      received: list[tuple[int, int, int, bool]],
-                     condition: NetworkCondition, rng: np.random.Generator,
-                     now: float, highest_pkt: int) -> tuple[list[SegmentBlock], int]:
+                     draws: TraceDraws, now: float,
+                     highest_pkt: int) -> tuple[list[SegmentBlock], int]:
         """Send one cumulative ACK per received data packet, subject to ACK loss.
 
         ``received`` holds :meth:`_deliver`'s stretch records; they are
@@ -395,14 +418,15 @@ class TraceGatherer:
         ``step == 1`` for in-order stretches, ``step == 0`` for repeated
         cumulative values -- and handed to the sender's
         :meth:`~repro.tcp.connection.TcpSender.on_ack_ladder`; ACK-direction
-        loss draws stay one per entry on the probe's rng stream, and the
-        runs are split at the lost entries.
+        loss draws stay one per entry on the probe's stream, and the runs
+        are split at the lost entries.
         """
         if not received:
             return [], 0
-        starts = [record[0] for record in received]
-        if starts != sorted(starts):
-            received = sorted(received, key=itemgetter(0))
+        if len(received) > 1:
+            starts = [record[0] for record in received]
+            if starts != sorted(starts):
+                received = sorted(received, key=itemgetter(0))
         runs: list[tuple[int, int, int]] = []
         total = 0
         cumulative = 0
@@ -425,13 +449,141 @@ class TraceGatherer:
                 append_run(runs, cumulative + 1, stop - cumulative, 1)
                 cumulative = stop
         lost = 0
-        if condition.loss_rate > 0.0:
+        if draws.lossy:
             # One draw per ACK, in ladder order.
-            dropped = (rng.random(total) < condition.loss_rate).nonzero()[0].tolist()
+            dropped = draws.drops(total)
             lost = len(dropped)
             if lost:
                 runs = drop_entries(runs, dropped)
         return sender.on_ack_ladder(runs, now), lost
+
+
+#: The first chunk of uniforms a trace draws, and the size each later chunk
+#: doubles up to (8 bytes a value: 512 KiB at the cap).
+FIRST_CHUNK = 1024
+MAX_CHUNK = 1 << 16
+
+
+class TraceDraws:
+    """The probe stream's uniforms for one trace, drawn ahead in chunks.
+
+    Loss and ECN marking take one uniform per packet from the probe's
+    generator, in the trace's order: each round's data packets, their
+    marks, their ACKs. Consecutive ``Generator.random`` calls of ``n`` and
+    ``m`` values yield the values of one call of ``n + m``, so this source
+    draws the stream in chunks that double from :data:`FIRST_CHUNK` up to
+    :data:`MAX_CHUNK` values (larger when one request needs more) and
+    serves the requests from them: :meth:`drops` returns where a request's
+    values fall below the loss rate, found once per chunk and sliced by
+    bisection, and :meth:`values` the raw values. :meth:`close` rewinds the
+    generator to the last value served. It restores the whole
+    ``bit_generator.state`` saved before the newest chunk and redraws the
+    part of that chunk that was served, which works for any bit generator
+    and keeps the buffered 32-bit half that double draws never touch; the
+    stream then ends exactly where one call per request would have left
+    it.
+    """
+
+    __slots__ = ("_rng", "_loss_rate", "lossy", "_values", "_start", "_end",
+                 "_previous", "_cursor", "_drops", "_next_drop", "_chunk",
+                 "_saved")
+
+    def __init__(self, rng: np.random.Generator, loss_rate: float):
+        self._rng = rng
+        self._loss_rate = loss_rate
+        #: Whether the path loses packets (a loss request draws at all).
+        self.lossy = loss_rate > 0.0
+        #: The newest chunk, covering stream positions ``[_start, _end)``,
+        #: and the one before it (a request spans at most the two).
+        self._values = np.empty(0)
+        self._start = self._end = 0
+        self._previous = None
+        #: The stream position of the next value to serve.
+        self._cursor = 0
+        #: The stream positions of every drawn value below the loss rate,
+        #: and the index of the first one at or past the cursor.
+        self._drops: list[int] = []
+        self._next_drop = 0
+        self._chunk = FIRST_CHUNK
+        #: ``bit_generator.state`` before the newest chunk was drawn.
+        self._saved = None
+
+    def drops(self, count: int) -> Sequence[int]:
+        """Serve ``count`` loss draws.
+
+        Args:
+            count: Number of packets (one draw each).
+
+        Returns:
+            The sorted positions (0-based, within the request) of the
+            packets whose draw fell below the loss rate; empty when none.
+        """
+        cursor = self._cursor
+        stop = cursor + count
+        if stop > self._end:
+            self._draw(stop)
+        self._cursor = stop
+        drops = self._drops
+        first = self._next_drop
+        if first == len(drops) or drops[first] >= stop:
+            return ()
+        last = bisect_left(drops, stop, first + 1)
+        self._next_drop = last
+        return [position - cursor for position in drops[first:last]]
+
+    def values(self, count: int) -> np.ndarray:
+        """Serve ``count`` raw uniforms.
+
+        Args:
+            count: Number of draws.
+
+        Returns:
+            The values, in stream order.
+        """
+        cursor = self._cursor
+        stop = cursor + count
+        if stop > self._end:
+            self._draw(stop)
+        self._cursor = stop
+        self._next_drop = bisect_left(self._drops, stop, self._next_drop)
+        start = self._start
+        if cursor >= start:
+            return self._values[cursor - start:stop - start]
+        previous, previous_start = self._previous
+        return np.concatenate((previous[cursor - previous_start:],
+                               self._values[:stop - start]))
+
+    def _draw(self, stop: int) -> None:
+        """Draw the next chunk, large enough to reach stream position ``stop``."""
+        rng = self._rng
+        end = self._end
+        size = max(self._chunk, stop - end)
+        self._chunk = min(2 * self._chunk, MAX_CHUNK)
+        self._saved = rng.bit_generator.state
+        chunk = rng.random(size)
+        if self.lossy:
+            fresh = (chunk < self._loss_rate).nonzero()[0]
+            if len(fresh):
+                self._drops.extend((fresh + end).tolist())
+        self._previous = (self._values, self._start)
+        self._values = chunk
+        self._start = end
+        self._end = end + size
+
+    def close(self) -> None:
+        """Rewind the generator to the last value served; the source is done.
+
+        A second call does nothing.
+        """
+        saved = self._saved
+        if saved is None:
+            return
+        self._saved = None
+        if self._cursor < self._end:
+            rng = self._rng
+            rng.bit_generator.state = saved
+            if self._cursor > self._start:
+                rng.random(self._cursor - self._start)
 
 
 # ---- ACK ladder runs: ``(first, count, step)`` holds the values ``first,

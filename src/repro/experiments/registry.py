@@ -9,8 +9,8 @@ needs.
 
 Experiments are cached by **fingerprint**
 (:func:`experiment_fingerprint`): a hash of the scale profile, the
-experiment's declared config, and the source code of every module of the
-``repro`` package. The runner skips a re-run whose fingerprint matches the
+experiment's declared config, every file of the ``repro`` package and the
+NumPy version. The runner skips a re-run whose fingerprint matches the
 stored artifact, and a change to the profile, the config *or any module*
 invalidates the cache.
 """
@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
 
+import numpy
+
 from repro.experiments.profiles import ScaleProfile
 from repro.experiments.resources import RESOURCE_NAMES, ResourcePool
 from repro.parallel import ParallelExecutor
@@ -29,7 +31,7 @@ from repro.store import digest, fingerprint
 
 #: Fingerprint format version; bumped on incompatible payload-schema changes
 #: and on any change to what the fingerprint covers.
-FINGERPRINT_FORMAT_VERSION = 3
+FINGERPRINT_FORMAT_VERSION = 4
 
 #: Root of the ``repro`` package, whose every file the code fingerprint
 #: covers.
@@ -247,12 +249,12 @@ def experiment_fingerprint(experiment: Experiment, profile: ScaleProfile,
             it once per call and pass it for every experiment.
 
     Returns:
-        A hex digest over the profile, the experiment's name and config and
-        every file of the ``repro`` package (:func:`code_fingerprint`);
-        the runner treats a matching stored artifact as a cache hit. Equal
-        fingerprints mean equal payloads as long as nothing outside the
-        package moved: the numpy version and the interpreter are not
-        hashed.
+        A hex digest over the profile, the experiment's name and config,
+        every file of the ``repro`` package (:func:`code_fingerprint`) and
+        the running NumPy version, whose generators draw every sample; the
+        runner treats a matching stored artifact as a cache hit. Equal
+        fingerprints mean equal payloads as long as nothing else outside
+        the package moved: the interpreter is not hashed.
     """
     payload = {
         "format": FINGERPRINT_FORMAT_VERSION,
@@ -260,5 +262,6 @@ def experiment_fingerprint(experiment: Experiment, profile: ScaleProfile,
         "profile": dataclasses.asdict(profile),
         "config": dict(experiment.config),
         "code": code_fingerprint() if code is None else code,
+        "numpy": numpy.__version__,
     }
     return fingerprint(payload)

@@ -194,7 +194,8 @@ class TcpSender:
         self._snd_una = 0          # first unacknowledged packet index
         self._snd_nxt = 0          # next packet index to send
         self._retransmitted: set[int] = set()
-        self._timer_deadline: float | None = None
+        #: When the retransmission timer was last armed (``None``: disarmed).
+        self._timer_armed: float | None = None
         self._dupack_count = 0
         self._in_recovery = False
         self._recovery_point = 0
@@ -291,11 +292,19 @@ class TcpSender:
     def next_timer_deadline(self) -> float | None:
         """Absolute time of the pending retransmission timeout, if armed.
 
+        The deadline is computed when read, as the arm time plus the
+        current RTO: every change of the estimate (an RTT sample, a
+        backoff) is followed by a re-arm or a disarm before anything reads
+        it, so the sum is the deadline the arm would have computed.
+
         Returns:
             The deadline in simulation seconds, or ``None`` when no timer
             is armed.
         """
-        return self._timer_deadline
+        armed = self._timer_armed
+        if armed is None:
+            return None
+        return armed + self.rto.current_rto()
 
     # ----------------------------------------------------------------- start
     def start(self, now: float) -> list[SegmentBlock]:
@@ -532,12 +541,14 @@ class TcpSender:
         if send_buffer is not None and send_buffer < bound:
             bound = send_buffer
 
-        # The ACK that closes the round takes its cap after round completion
-        # (below), so only the ACKs before it count towards ``cap_max``.
-        # Any other final ACK may count: the clamp below only raises cwnd,
-        # so its cap before the clamp is at most the one taken after it.
+        # When the algorithm has a round hook, the ACK that closes the round
+        # takes its cap after round completion (below), so only the ACKs
+        # before it count towards ``cap_max`` and the growth call splits
+        # before it. Any other final ACK may count: without a hook, round
+        # completion leaves cwnd alone, and the clamp below only raises it,
+        # so its cap before them is at most the one taken after them.
         completes_round = last == self._round_end
-        cap_end = k - 1 if completes_round else k
+        cap_end = k - 1 if completes_round and self._alg_has_round_hook else k
         snd_nxt0 = self._snd_nxt
         if not self._batch_decoupled:
             cap_max = self._run_interleaved(pieces, rtt, now, bound, cap_end)
@@ -582,7 +593,7 @@ class TcpSender:
         if self._snd_una < self._snd_nxt or self._snd_nxt < total_packets:
             self._arm_timer(now)
         else:
-            self._timer_deadline = None
+            self._timer_armed = None
         return emitted
 
     def _grow_run(self, positions: range | _RunPositions, k: int,
@@ -904,7 +915,7 @@ class TcpSender:
         if self._snd_una < self._snd_nxt or self._snd_nxt < self.total_packets:
             self._arm_timer(now)
         else:
-            self._timer_deadline = None
+            self._timer_armed = None
         return segments
 
     def _handle_frto(self, now: float) -> tuple[list, bool]:
@@ -1057,7 +1068,7 @@ class TcpSender:
 
     # --------------------------------------------------------------- timeout
     def _arm_timer(self, now: float) -> None:
-        self._timer_deadline = now + self.rto.current_rto()
+        self._timer_armed = now
 
     def on_timer(self, now: float) -> list[SegmentBlock]:
         """Fire the retransmission timer if it has expired.
@@ -1069,11 +1080,12 @@ class TcpSender:
             The retransmission block (empty if the timer has not expired or
             the server never retransmits).
         """
-        if self._timer_deadline is None or now < self._timer_deadline:
+        deadline = self.next_timer_deadline()
+        if deadline is None or now < deadline:
             return []
         if not self.config.responds_to_timeout:
             # Quirk: the server never retransmits (invalid-trace cause).
-            self._timer_deadline = None
+            self._timer_armed = None
             return []
         return self._retransmission_timeout(now)
 

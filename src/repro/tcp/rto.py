@@ -29,10 +29,11 @@ class RtoEstimator:
     """Smoothed RTT / RTT variance estimator with exponential backoff.
 
     ``rttvar`` reads through a property (installed below the class, so it
-    stays a dataclass field and ``repr`` and ``==`` show it): a run of
-    samples equal to a fixed ``srtt`` only shrinks rttvar by ``1 - beta``
-    per sample, and :meth:`observe_run` owes those steps instead of running
-    them; reading ``rttvar`` applies them first.
+    stays a dataclass field and ``repr`` and ``==`` show it): once a sample
+    leaves ``srtt`` fixed, each further one only moves rttvar by
+    ``rttvar = (1 - beta) * rttvar + term`` with one constant ``term``, and
+    :meth:`observe_run` owes those steps instead of running them; reading
+    ``rttvar`` applies them first.
     """
 
     initial_rto: float = DEFAULT_INITIAL_RTO
@@ -44,31 +45,51 @@ class RtoEstimator:
     srtt: float | None = field(default=None, init=False)
     rttvar: float | None = field(default=None, init=False)
     backoff_exponent: int = field(default=0, init=False)
-    #: rttvar before the owed steps, and how many ``rttvar = (1 - beta) *
-    #: rttvar`` steps are owed (plain class defaults, not fields).
+    #: rttvar before the owed steps, how many ``rttvar = (1 - beta) *
+    #: rttvar + term`` steps are owed, and their ``term`` (plain class
+    #: defaults, not fields).
     _rttvar = None
     _owed = 0
+    _term = 0.0
 
     def _settled_rttvar(self) -> float | None:
         """rttvar after the owed steps, stopping at its fixed point.
 
-        Each owed step is the one :meth:`observe` takes for a sample equal
-        to srtt, ``(1 - beta) * rttvar + beta * abs(srtt - sample)`` with a
-        zero ``abs``, so the steps run the same floating-point operations.
+        Each owed step is the one :meth:`observe` takes for a sample that
+        leaves srtt unchanged, ``(1 - beta) * rttvar + beta * abs(srtt -
+        sample)`` with the product already taken as ``term``, so the steps
+        run the same floating-point operations.
         """
         owed = self._owed
         if owed:
             self._owed = 0
             rttvar = self._rttvar
             one_minus_beta = 1 - self.beta
-            zero = self.beta * 0.0
+            term = self._term
             for _ in range(owed):
-                next_rttvar = one_minus_beta * rttvar + zero
+                next_rttvar = one_minus_beta * rttvar + term
                 if next_rttvar == rttvar:
                     break
                 rttvar = next_rttvar
             self._rttvar = rttvar
         return self._rttvar
+
+    def _rttvar_down_to(self, floor: float) -> float:
+        """Apply owed steps only while ``4 * rttvar`` is above ``floor``.
+
+        The steps are the ones :meth:`_settled_rttvar` runs, in the same
+        order; those left stay owed, so a later read continues from here.
+        """
+        rttvar = self._rttvar
+        owed = self._owed
+        one_minus_beta = 1 - self.beta
+        term = self._term
+        while owed and 4.0 * rttvar > floor:
+            rttvar = one_minus_beta * rttvar + term
+            owed -= 1
+        self._rttvar = rttvar
+        self._owed = owed
+        return rttvar
 
     def _set_rttvar(self, value: float | None) -> None:
         # Steps owed to the old value are moot once it is overwritten.
@@ -105,11 +126,11 @@ class RtoEstimator:
 
         A step's srtt is a function of srtt alone, so once a step leaves it
         unchanged it stays fixed: from there on only rttvar moves, by the
-        constant ``beta * |srtt - sample|``. With srtt equal to the sample
-        that term is zero, and the remaining steps (and those of later runs
-        of the same sample) are owed rather than run: reading ``rttvar``
-        applies them. Otherwise they run as a one-variable loop that stops
-        at rttvar's own fixed point, where every later step would change
+        constant ``term = beta * |srtt - sample|`` (zero when srtt equals
+        the sample, a few ulps' worth when srtt stuck just short of it).
+        Those steps, and the ones later runs of the same term add, are owed
+        rather than run: reading ``rttvar`` applies them, stopping at
+        rttvar's own fixed point, where every later step would change
         nothing either.
         """
         if count <= 0:
@@ -123,10 +144,13 @@ class RtoEstimator:
             srtt = rtt_sample
             rttvar = rtt_sample / 2.0
             count -= 1
-        elif (srtt == rtt_sample
-              and one_minus_alpha * srtt + alpha * rtt_sample == srtt):
-            # Every step of this run is a zero-term rttvar step.
+        elif one_minus_alpha * srtt + alpha * rtt_sample == srtt:
+            # Every step of this run is an rttvar step by one term.
+            term = beta * abs(srtt - rtt_sample)
+            if self._owed and term != self._term:
+                self._settled_rttvar()
             self._owed += count
+            self._term = term
             self.backoff_exponent = 0
             return
         else:
@@ -138,36 +162,37 @@ class RtoEstimator:
             rttvar = one_minus_beta * rttvar + beta * abs(srtt - rtt_sample)
             srtt = next_srtt
             count -= 1
-        if count > 0 and srtt != rtt_sample:
-            term = beta * abs(srtt - rtt_sample)
-            for _ in range(count):
-                next_rttvar = one_minus_beta * rttvar + term
-                if next_rttvar == rttvar:
-                    break
-                rttvar = next_rttvar
-            count = 0
-        # Any steps left have a zero term: owe them.
+        # Any steps left move rttvar alone, by one term: owe them.
         self.srtt = srtt
         self._rttvar = rttvar
         self._owed = count
+        self._term = beta * abs(srtt - rtt_sample)
         self.backoff_exponent = 0
 
     def current_rto(self) -> float:
         """Return the retransmission timeout, including any backoff.
 
-        Owed rttvar steps only lower rttvar (their factor ``1 - beta`` lies
-        in [0, 1] for any ``beta`` in [0, 1]), so they are applied only
-        while ``4 * rttvar`` is above ``min_variance_term``: at or below
-        that floor the timeout is the same either way.
+        The owed rttvar steps move rttvar from its current value towards
+        the fixed point ``term / beta`` of ``r = (1 - beta) * r + term``, so
+        no value on the way exceeds the larger of the two (the fixed point
+        is taken twice over, which covers each step's rounding). While four
+        times the fixed point stays at or below ``min_variance_term``, only
+        the steps that bring ``4 * rttvar`` down to that floor are applied:
+        from there the timeout is the same at every step, and the rest stay
+        owed. Otherwise all of them are applied first.
         """
         rttvar = self._rttvar
         if self.srtt is None or rttvar is None:
             base = self.initial_rto
         else:
+            floor = self.min_variance_term
             variance = 4.0 * rttvar
-            if self._owed and variance > self.min_variance_term:
-                variance = 4.0 * self._settled_rttvar()
-            base = self.srtt + max(variance, self.min_variance_term)
+            if self._owed:
+                if 8.0 * self._term > self.beta * floor:
+                    variance = 4.0 * self._settled_rttvar()
+                elif variance > floor:
+                    variance = 4.0 * self._rttvar_down_to(floor)
+            base = self.srtt + max(variance, floor)
         base = min(max(base, self.min_rto), self.max_rto)
         # The exponent is capped purely to keep the arithmetic finite; the
         # max_rto clamp dominates long before the cap is reached.
@@ -181,4 +206,4 @@ class RtoEstimator:
 
 RtoEstimator.rttvar = property(
     RtoEstimator._settled_rttvar, RtoEstimator._set_rttvar,
-    doc="RTT variance, with any owed zero-term steps applied.")
+    doc="RTT variance, with any owed steps applied.")

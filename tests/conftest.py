@@ -7,6 +7,7 @@ are session-scoped so the many tests that need them build them exactly once.
 from __future__ import annotations
 
 import os
+import pathlib
 import stat
 
 import numpy as np
@@ -18,6 +19,24 @@ from repro.core.gather import GatherConfig, SyntheticServer, TraceGatherer
 from repro.core.training import TrainingSetBuilder
 from repro.net.conditions import NetworkCondition, default_condition_database
 from repro.tcp.connection import SenderConfig
+
+
+#: The committed constraints file CI installs NumPy through.
+CONSTRAINTS = pathlib.Path(__file__).resolve().parents[1] / "constraints.txt"
+
+
+def numpy_versions() -> str:
+    """The NumPy version the pins were verified under, and the running one.
+
+    Returns:
+        A phrase for a failure message; a generator's stream is only
+        promised within one NumPy version.
+    """
+    pinned = next(line.partition("==")[2].strip()
+                  for line in CONSTRAINTS.read_text().splitlines()
+                  if line.startswith("numpy=="))
+    return (f"the pins were verified under NumPy {pinned}; "
+            f"this is NumPy {np.__version__}")
 
 
 @pytest.fixture

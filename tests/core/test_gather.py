@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.environments import ENVIRONMENT_A, ENVIRONMENT_B
 from repro.core.gather import (
+    FIRST_CHUNK,
     GatherConfig,
     SyntheticServer,
+    TraceDraws,
     TraceGatherer,
     drop_entries,
     negotiate_probe_mss,
@@ -17,7 +19,7 @@ from repro.core.trace import InvalidReason
 from repro.net.conditions import NetworkCondition
 from repro.tcp.connection import SenderConfig
 from repro.tcp.packet import SegmentBlock
-from tests.conftest import expand_runs, make_synthetic_server
+from tests.conftest import expand_runs, make_synthetic_server, numpy_versions
 
 
 class TestGatherConfig:
@@ -175,14 +177,17 @@ def one_progression(values) -> bool:
 
 
 class FixedDraws:
-    """An rng stand-in whose ``random(n)`` returns preset draws."""
+    """A draw-source stand-in whose one loss request takes preset draws."""
 
-    def __init__(self, draws):
+    lossy = True
+
+    def __init__(self, draws, loss_rate):
         self.draws = np.asarray(draws, dtype=float)
+        self.loss_rate = loss_rate
 
-    def random(self, size):
-        assert size == len(self.draws)
-        return self.draws
+    def drops(self, count):
+        assert count == len(self.draws)
+        return np.flatnonzero(self.draws < self.loss_rate).tolist()
 
 
 @st.composite
@@ -246,7 +251,7 @@ class TestLadderFiltering:
         # A draw below the loss rate drops its packet.
         draws = [0.9 if keep else 0.1 for keep in kept]
         received = TraceGatherer()._deliver(
-            blocks, NetworkCondition(0.2, 0.0, 0.5), FixedDraws(draws))
+            blocks, FixedDraws(draws, NetworkCondition(0.2, 0.0, 0.5).loss_rate))
         # The per-packet scan: each block's maximal stretches of kept
         # packets, as ``(start, stop, end_seq, retransmitted)`` records whose
         # ``end_seq`` is the stretch's last packet's.
@@ -283,6 +288,66 @@ class TestLadderFiltering:
         sender = Ladders()
         for received in ([new_data, retransmission],
                          [retransmission, new_data]):
-            TraceGatherer()._acknowledge(sender, received,
-                                         NetworkCondition.ideal(), None, 1.0, 8)
+            TraceGatherer()._acknowledge(
+                sender, received,
+                TraceDraws(None, NetworkCondition.ideal().loss_rate), 1.0, 8)
         assert sender.runs == [[(8, 4, 0)], [(8, 4, 0)]]
+
+
+#: One request of a trace's draws: a loss request (drop positions) or an ECN
+#: one (raw values), 0 to about 5,000 long; a few sizes sit on the chunk
+#: boundaries the doubling chunks put at 1,024, 3,072, 7,168, ...
+draw_requests = st.tuples(
+    st.sampled_from(["drops", "values"]),
+    st.one_of(st.integers(min_value=0, max_value=5000),
+              st.sampled_from([FIRST_CHUNK - 1, FIRST_CHUNK, FIRST_CHUNK + 1,
+                               2 * FIRST_CHUNK])))
+
+
+class Interrupted(Exception):
+    """Raised between two requests, as a fault leaves a trace."""
+
+
+class TestTraceDraws:
+    """The draw source serves the stream one ``random(n)`` per request would."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           loss_rate=st.sampled_from([0.0, 0.0005, 0.02, 0.3]),
+           traces=st.lists(st.lists(draw_requests, max_size=14),
+                           min_size=2, max_size=4),
+           cut=st.integers(min_value=0, max_value=14))
+    @example(seed=7, loss_rate=0.02,
+             traces=[[("drops", 900), ("values", 300), ("drops", 2000)],
+                     [("drops", 5000)]],
+             cut=2)
+    def test_matches_sequential_draws_on_a_twin(self, seed, loss_rate, traces,
+                                                cut):
+        # The first trace raises before its request ``cut`` (if it has one);
+        # the others run to the end. Every trace starts with the generator's
+        # buffered 32-bit half set: a ``choice`` over 5,000 values draws one
+        # 32-bit integer and keeps the other half, which double draws never
+        # touch, and each rewind must restore it.
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for generator in (rng, twin):
+            generator.choice(np.arange(5000))
+        for index, requests in enumerate(traces):
+            assert rng.bit_generator.state["has_uint32"] == 1
+            draws = TraceDraws(rng, loss_rate)
+            try:
+                for position, (kind, count) in enumerate(requests):
+                    if index == 0 and position == cut:
+                        raise Interrupted
+                    expected = twin.random(count)
+                    if kind == "drops":
+                        assert list(draws.drops(count)) == np.flatnonzero(
+                            expected < loss_rate).tolist()
+                    else:
+                        assert draws.values(count).tobytes() == expected.tobytes()
+            except Interrupted:
+                pass
+            finally:
+                draws.close()
+            assert rng.bit_generator.state == twin.bit_generator.state, (
+                f"trace {index} left the generator elsewhere than one "
+                f"random(n) per request would ({numpy_versions()})")

@@ -3,18 +3,21 @@
 A timing tripwire needs a quiet machine and a margin; a work counter at a
 fixed seed repeats exactly, so it can be pinned outright. Each row probes
 one server of every identifiable family at the production ``w_timeout`` and
-pins three counts: the ACKs that reached the scalar per-ACK engine
+pins five counts: the ACKs that reached the scalar per-ACK engine
 (:meth:`TcpSender.on_ack_packet`), the clean prefixes the batched engine
-consumed (:attr:`TcpSender.batch_runs`) and the :class:`AckContext` objects
-built. No row may build a per-packet :class:`Segment`, and every
+consumed (:attr:`TcpSender.batch_runs`), the :class:`AckContext` objects
+built, the probe stream's ``Generator.random`` calls and the
+:meth:`RtoEstimator.current_rto` calls. No row may build a per-packet
+:class:`Segment`, and every
 :class:`SegmentBlock` built must be one the senders emitted
 (:attr:`TcpSender.block_records`): the gatherer cuts none. A second pass
 probes every registry family on the plain and both thinned paths and pins,
 per family, the calls to its scalar growth hooks, so a family whose batch hook
 stops engaging shows by name. A change that sends these servers back to the
-per-ACK loop, splits a round's ladder into more batched steps or allocates
-per round what nothing reads fails here without any timing noise; a change
-that lowers a count updates its pinned value on purpose.
+per-ACK loop, splits a round's ladder into more batched steps, allocates
+per round what nothing reads, draws the loss uniforms round by round or
+computes the timeout where nothing reads it fails here without any timing
+noise; a change that lowers a count updates its pinned value on purpose.
 """
 
 import collections
@@ -31,13 +34,15 @@ from repro.tcp.base import AckContext
 from repro.tcp.connection import ACK_BATCH_ENV, TcpSender
 from repro.tcp.packet import Segment, SegmentBlock
 from repro.tcp.registry import ALL_ALGORITHM_NAMES, IDENTIFIABLE_ALGORITHMS
+from repro.tcp.rto import RtoEstimator
 from tests.conftest import make_synthetic_server
 
 W_TIMEOUT = 512
 IDEAL = NetworkCondition.ideal()
 
 #: (label, sender kwargs, middlebox, path, on_ack_packet calls, clean
-#: prefixes, ``AckContext`` objects, each over the 14 families). The lossy
+#: prefixes, ``AckContext`` objects, ``Generator.random`` calls on the probe
+#: streams, ``current_rto`` calls, each over the 14 families). The lossy
 #: row's calls are ACKs that jump past the round end because no ACK closing
 #: the round arrived. Behind the thinning middlebox slow start grows by one
 #: ACK in four, so the thinned row's servers never leave it after the
@@ -55,17 +60,22 @@ IDEAL = NetworkCondition.ideal()
 #: per round completion of a family that overrides ``on_round_complete``.
 #: Building the round context on every round completion, as the sender did
 #: before it skipped the base no-op hook, makes the rows 1,484, 1,456,
-#: 2,240, 2,288, 1,605 and 2,348.
+#: 2,240, 2,288, 1,605 and 2,348. Only the lossy row draws: one
+#: ``Generator.random`` call per round and direction makes it 1,511 calls
+#: where the chunked draws make 135. The RTO is computed only where a
+#: timer deadline is read (the ceiling row's servers never pass
+#: ``w_timeout``, so nothing reads one); computing it at every arm makes
+#: the rows 769, 756, 1,120, 1,147, 867 and 1,153.
 ROWS = [
-    ("plain", dict(), None, IDEAL, 0, 742, 1120),
-    ("freeze", dict(freeze_in_avoidance=True), None, IDEAL, 0, 728, 728),
-    ("ceiling", dict(approach_ceiling=500.0), None, IDEAL, 0, 1120, 1680),
+    ("plain", dict(), None, IDEAL, 0, 742, 1120, 0, 54),
+    ("freeze", dict(freeze_in_avoidance=True), None, IDEAL, 0, 728, 728, 0, 56),
+    ("ceiling", dict(approach_ceiling=500.0), None, IDEAL, 0, 1120, 1680, 0, 0),
     ("thinned", dict(), MiddleboxConfig(thin_every=4), IDEAL, 0, 1120,
-     1728),
+     1728, 0, 54),
     ("lossy", dict(), None, NetworkCondition(0.04, 0.0, 0.02), 15, 825,
-     1250),
+     1250, 135, 54),
     ("thinned-avoidance", dict(initial_ssthresh=64.0),
-     MiddleboxConfig(thin_every=4), IDEAL, 0, 1148, 1772),
+     MiddleboxConfig(thin_every=4), IDEAL, 0, 1148, 1772, 0, 10),
 ]
 ROW_IDS = [row[0] for row in ROWS]
 
@@ -85,11 +95,32 @@ HOOK_CALLS = {
 HOOKS = ("on_ack_avoidance", "on_ack_slow_start")
 
 
-def probe_row(label: str, algorithms, on_sender) -> None:
+class CountingGenerator:
+    """A probe stream that counts its ``Generator.random`` calls.
+
+    Everything the gatherer touches is delegated to the wrapped generator;
+    ``random`` also adds one to ``counts["random"]``.
+    """
+
+    def __init__(self, rng: np.random.Generator, counts: collections.Counter):
+        self.rng = rng
+        self.counts = counts
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
+    def random(self, *args, **kwargs):
+        self.counts["random"] += 1
+        return self.rng.random(*args, **kwargs)
+
+
+def probe_row(label: str, algorithms, on_sender,
+              stream=lambda rng: rng) -> None:
     """Probe one server per family of ``algorithms`` under the row ``label``.
 
     ``on_sender(sender)`` sees every :class:`TcpSender` right after its
-    construction.
+    construction, and each probe draws from ``stream(rng)``.
     """
     _, sender_kwargs, middlebox, condition, *_ = ROWS[ROW_IDS.index(label)]
     init = TcpSender.__init__
@@ -106,7 +137,8 @@ def probe_row(label: str, algorithms, on_sender) -> None:
             if middlebox is not None:
                 server = MiddleboxServer(server, middlebox)
             gatherer = TraceGatherer(GatherConfig(w_timeout=W_TIMEOUT, mss=100))
-            gatherer.gather_probe(server, condition, np.random.default_rng(7))
+            gatherer.gather_probe(server, condition,
+                                  stream(np.random.default_rng(7)))
 
 
 class Work(NamedTuple):
@@ -118,6 +150,8 @@ class Work(NamedTuple):
     blocks: int
     block_records: int
     contexts: int
+    random_calls: int
+    rto_calls: int
 
 
 @functools.cache
@@ -136,15 +170,18 @@ def work_counts(label: str) -> Work:
         for owner, attribute in ((TcpSender, "on_ack_packet"),
                                  (Segment, "__post_init__"),
                                  (SegmentBlock, "__post_init__"),
-                                 (AckContext, "__init__")):
+                                 (AckContext, "__init__"),
+                                 (RtoEstimator, "current_rto")):
             patch.setattr(owner, attribute,
                           counting(owner, getattr(owner, attribute)))
-        probe_row(label, IDENTIFIABLE_ALGORITHMS, senders.append)
+        probe_row(label, IDENTIFIABLE_ALGORITHMS, senders.append,
+                  lambda rng: CountingGenerator(rng, counts))
     return Work(per_ack_calls=counts[TcpSender],
                 clean_prefixes=sum(sender.batch_runs for sender in senders),
                 segments=counts[Segment], blocks=counts[SegmentBlock],
                 block_records=sum(sender.block_records for sender in senders),
-                contexts=counts[AckContext])
+                contexts=counts[AckContext], random_calls=counts["random"],
+                rto_calls=counts[RtoEstimator])
 
 
 @functools.cache
@@ -210,3 +247,15 @@ def test_scalar_hook_calls(label):
     expected = {name: HOOK_CALLS[label].get(name, (0, 0))
                 for name in ALL_ALGORITHM_NAMES}
     assert hook_calls(label) == expected
+
+
+@pytest.mark.parametrize("label,expected", [(row[0], row[7]) for row in ROWS],
+                         ids=ROW_IDS)
+def test_stream_random_calls(label, expected):
+    assert work_counts(label).random_calls == expected
+
+
+@pytest.mark.parametrize("label,expected", [(row[0], row[8]) for row in ROWS],
+                         ids=ROW_IDS)
+def test_rto_computations(label, expected):
+    assert work_counts(label).rto_calls == expected

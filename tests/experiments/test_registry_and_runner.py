@@ -10,6 +10,7 @@ import textwrap
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.experiments import registry
@@ -110,6 +111,12 @@ class TestFingerprint:
                                       config={"w_timeout": 128})
         assert experiment_fingerprint(experiment, SMOKE) != \
             experiment_fingerprint(tweaked, SMOKE)
+
+    def test_numpy_version_changes_fingerprint(self, monkeypatch):
+        experiment = get_experiment("table1")
+        current = experiment_fingerprint(experiment, SMOKE)
+        monkeypatch.setattr(np, "__version__", "2.4.7")
+        assert experiment_fingerprint(experiment, SMOKE) != current
 
     def test_experiments_fingerprint_differently(self):
         fingerprints = {experiment_fingerprint(experiment, SMOKE)

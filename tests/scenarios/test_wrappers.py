@@ -302,9 +302,9 @@ class TestEvasiveServer:
         sender = server.open_connection(mss=100, now=0.0,
                                         requested_bytes=10**6)
         inner = sender._sender
-        inner._timer_deadline = 3.0
+        inner._arm_timer(0.0)  # the initial 3-s RTO: a deadline of 3.0
         assert sender.next_timer_deadline() == 3.5
-        inner._timer_deadline = None
+        inner._timer_armed = None
         assert sender.next_timer_deadline() is None
 
     def test_evasive_probe_differs_but_still_runs(self):

@@ -275,13 +275,15 @@ class TestObserveRunEdgeCases:
 
 
 class TestOwedDecay:
-    """Zero-term rttvar steps that ``observe_run`` owes instead of running.
+    """rttvar steps that ``observe_run`` owes instead of running.
 
-    Once srtt equals the sample and a step leaves it unchanged, each further
-    sample only multiplies rttvar by ``1 - beta``; ``observe_run`` records
-    those steps and every read of rttvar applies them first. Each row
-    compares against the eager loop (one ``observe`` per sample), so an
-    estimator that drops the owed steps fails it.
+    Once a step leaves srtt unchanged, each further sample only moves rttvar
+    to ``(1 - beta) * rttvar + term``: ``term`` is zero when srtt equals the
+    sample and a few ulps' worth when srtt stuck just short of it.
+    ``observe_run`` records those steps with their term and every read of
+    rttvar applies them first; ``current_rto`` applies only those it needs.
+    Each row compares against the eager loop (one ``observe`` per sample),
+    so an estimator that drops the owed steps fails it.
     """
 
     @staticmethod
@@ -312,30 +314,32 @@ class TestOwedDecay:
         assert run.rttvar == self.eager(1.0, 1 + 3 + 4 + 2575).rttvar
 
     #: (min_variance_term, samples before, samples after the read that
-    #: settles the first ones): ``4 * rttvar`` before the owed decay is
-    #: above the floor (so ``current_rto`` applies the owed steps, whether
-    #: the decay ends above or below it), below it, or equal to it.
+    #: settles the first ones, steps still owed after the last read):
+    #: ``4 * rttvar`` before the owed decay is above the floor (so
+    #: ``current_rto`` applies owed steps until the decay ends or reaches
+    #: the floor: 0.5 takes 8 steps of 0.75 to get there), below it, or
+    #: equal to it.
     FLOOR_CASES = {
-        "above-settles-above": (0.25, 4, 0),
-        "above-settles-below": (0.25, 11, 0),
-        "below": (0.25, 9, 100),
-        "equal": (2.0, 1, 100),
+        "above-settles-above": (0.25, 4, 0, 0),
+        "above-settles-below": (0.25, 11, 0, 2),
+        "below": (0.25, 9, 100, 100),
+        "equal": (2.0, 1, 100, 100),
     }
 
-    @pytest.mark.parametrize("floor,before,after", list(FLOOR_CASES.values()),
-                             ids=list(FLOOR_CASES))
-    def test_current_rto_around_the_variance_floor(self, floor, before, after):
+    @pytest.mark.parametrize("floor,before,after,left",
+                             list(FLOOR_CASES.values()), ids=list(FLOOR_CASES))
+    def test_current_rto_around_the_variance_floor(self, floor, before, after,
+                                                   left):
         run = RtoEstimator(min_variance_term=floor)
         run.observe_run(1.0, before)
         if after:
             run.current_rto()  # settles the first run's steps
             run.observe_run(1.0, after)
         eager = self.eager(1.0, before + after, min_variance_term=floor)
-        pending = 4.0 * run._rttvar <= floor
         assert run.current_rto() == eager.current_rto()
         # At or below the floor the timeout cannot change, so the steps stay
-        # owed; above it they are applied.
-        assert bool(run._owed) == pending
+        # owed; above it only those that reach the floor are applied.
+        assert run._owed == left
         assert run.rttvar == eager.rttvar
 
     def test_the_setter_replaces_the_owed_steps(self):
@@ -378,3 +382,108 @@ class TestOwedDecay:
         other = RtoEstimator()
         other.observe_run(1.0, 50)
         assert other == eager
+
+    # ---- steps with a non-zero term: srtt stuck a few ulps from the sample
+    #: Environment B's two emulated RTT samples (as in
+    #: ``TestObserveRunEdgeCases``): settled on one, a run of the other
+    #: walks srtt to a few ulps short of it, and from there each sample
+    #: moves rttvar alone, by a constant non-zero term.
+    ENV_B_SAMPLES = (0.7999999999999545, 1.0)
+
+    @staticmethod
+    def switched(count):
+        """An estimator settled on 0.8 s that then took ``count`` 1.0 s samples,
+        and its eager twin."""
+        settled, switched = TestOwedDecay.ENV_B_SAMPLES
+        run, eager = RtoEstimator(), TestOwedDecay.eager(settled, 3000)
+        run.observe_run(settled, 3000)
+        run.observe_run(switched, count)
+        for _ in range(count):
+            eager.observe(switched)
+        return run, eager
+
+    def test_a_stuck_srtt_owes_its_rttvar_steps(self):
+        run, eager = self.switched(3000)
+        assert run.srtt == eager.srtt != self.ENV_B_SAMPLES[1]
+        assert run._owed and run._term > 0.0  # nothing has read rttvar yet
+        assert run.rttvar == eager.rttvar
+        assert not run._owed
+
+    @pytest.mark.parametrize("read", ["none", "current_rto", "rttvar"])
+    def test_reads_between_runs_of_a_stuck_srtt(self, read):
+        # The first run walks srtt to its fixed point; every later one owes
+        # all its steps, added to whatever the reads between left owed.
+        run, eager = self.switched(2000)
+        for count in (1, 7, 2, 300, 5000):
+            run.observe_run(self.ENV_B_SAMPLES[1], count)
+            for _ in range(count):
+                eager.observe(self.ENV_B_SAMPLES[1])
+            if read == "current_rto":
+                assert run.current_rto() == eager.current_rto()
+            elif read == "rttvar":
+                assert run.rttvar == eager.rttvar
+        assert (run.srtt, run.rttvar) == (eager.srtt, eager.rttvar)
+        assert run.current_rto() == eager.current_rto()
+
+    def test_a_different_term_settles_the_owed_steps_first(self):
+        # srtt 1.0 is fixed for samples one ulp either side of it, whose
+        # terms differ (the ulp below 1.0 is half the one above).
+        above, below = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
+        run, eager = RtoEstimator(), self.eager(1.0, 1)
+        run.observe(1.0)
+        for sample, count in ((above, 40), (below, 25), (below, 3),
+                              (above, 4000), (1.0, 10)):
+            run.observe_run(sample, count)
+            for _ in range(count):
+                eager.observe(sample)
+            assert run.srtt == 1.0
+        assert run.rttvar == eager.rttvar
+
+    #: (samples of 1.0 before, the sample of the owed run, its length, the
+    #: steps ``current_rto`` leaves owed). A tiny ``alpha`` keeps srtt at
+    #: 1.0 for any sample, so the term is ``beta`` times the sample's offset
+    #: and the fixed point ``term / beta`` is the offset: both ends at or
+    #: below the floor (``4 * rttvar <= 0.25``), the fixed point above it
+    #: (every step applied), or the current value above it (the 8 steps
+    #: that reach the floor applied).
+    TERM_CASES = {
+        "both-below-stays-owed": (20, 1.001, 50, 50),
+        "fixed-point-above": (20, 2.0, 3, 0),
+        "current-above": (1, 1.001, 50, 42),
+    }
+
+    @pytest.mark.parametrize("before,sample,count,left",
+                             list(TERM_CASES.values()), ids=list(TERM_CASES))
+    def test_current_rto_with_a_nonzero_term(self, before, sample, count,
+                                             left):
+        run = RtoEstimator(alpha=2.0**-60)
+        eager = self.eager(1.0, before, alpha=2.0**-60)
+        run.observe_run(1.0, before)
+        run.observe_run(sample, count)
+        for _ in range(count):
+            eager.observe(sample)
+        assert run._owed == count and run._term > 0.0
+        assert run.current_rto() == eager.current_rto()
+        assert run._owed == left
+        assert run.rttvar == eager.rttvar
+
+    @settings(max_examples=60, deadline=None)
+    @given(runs=st.lists(
+        st.tuples(st.sampled_from([ENV_B_SAMPLES[0], ENV_B_SAMPLES[1],
+                                   math.nextafter(1.0, 2.0),
+                                   math.nextafter(1.0, 0.0), 1.001]),
+                  st.integers(min_value=0, max_value=3000),
+                  st.sampled_from(["none", "current_rto", "rttvar"])),
+        max_size=6))
+    def test_runs_and_reads_equal_the_eager_loop(self, runs):
+        run, eager = RtoEstimator(), RtoEstimator()
+        for sample, count, read in runs:
+            run.observe_run(sample, count)
+            for _ in range(count):
+                eager.observe(sample)
+            if read == "current_rto":
+                assert run.current_rto() == eager.current_rto()
+            elif read == "rttvar":
+                assert run.rttvar == eager.rttvar
+        assert (run.srtt, run.rttvar, run.current_rto()) == (
+            eager.srtt, eager.rttvar, eager.current_rto())
