@@ -25,14 +25,14 @@ stochastic element of the path, ACK loss on the prober-to-server direction
 plus data-packet loss on the reverse direction, is applied per packet with
 the probe's :class:`~repro.net.conditions.NetworkCondition`: one uniform per
 packet on the probe's stream, in the order one draw per packet gives (each
-round's data packets, their ECN marks, their ACKs). A trace takes those
-uniforms in chunks (:class:`TraceDraws`), finds each chunk's drops once and
-gives each round its drop positions by bisection; at the trace's end, and
-on a fault's exception, it rewinds the generator to the last value used.
-The sender's retransmission deadline is computed when it is read. The
-packet-level alternative (full discrete-event simulation including delay
-jitter) lives in :mod:`repro.core.prober`; integration tests check the two
-agree on loss-free paths.
+round's data packets, then their ACKs). A trace takes those uniforms in
+chunks (:class:`TraceDraws`), finds each chunk's drops once and gives each
+round its drop positions by bisection; at the trace's end, and on a fault's
+exception, it rewinds the generator to the last value used. The sender's
+retransmission deadline is computed when it is read. The packet-level
+alternative (full discrete-event simulation including delay jitter) lives in
+:mod:`repro.core.prober`; on the ideal path the two give equal traces for
+16 of the 19 registry families (``tests/core/test_prober.py``).
 """
 
 from __future__ import annotations
@@ -222,8 +222,8 @@ class TraceGatherer:
                             required_post_rounds=config.rounds_after_timeout)
         draws = TraceDraws(rng, condition.loss_rate)
         try:
-            self._run_rounds(server, sender, environment,
-                             condition.ecn_mark_rate, draws, trace, start_time)
+            self._run_rounds(server, sender, environment, draws, trace,
+                             start_time)
         finally:
             # On every exit, a fault raised by the sender included, the
             # stream ends where one draw per packet would have left it.
@@ -232,9 +232,8 @@ class TraceGatherer:
 
     # ------------------------------------------------------------- internals
     def _run_rounds(self, server: ProbeableServer, sender: TcpSender,
-                    environment: NetworkEnvironment, ecn_rate: float,
-                    draws: TraceDraws, trace: WindowTrace,
-                    start_time: float) -> None:
+                    environment: NetworkEnvironment, draws: TraceDraws,
+                    trace: WindowTrace, start_time: float) -> None:
         """Run the trace's rounds, filling ``trace`` (and its invalid reason).
 
         The highest received sequence number is tracked both in bytes
@@ -286,8 +285,6 @@ class TraceGatherer:
             if window > w_timeout:
                 timed_out = True
                 break
-            if ecn_rate > 0.0 and packets:
-                self._ecn_feedback(sender, packets, ecn_rate, draws, now)
             blocks, lost_acks = self._acknowledge(sender, received, draws, now,
                                                   highest_pkt)
             trace.ack_loss_events += lost_acks
@@ -331,8 +328,8 @@ class TraceGatherer:
             if not blocks:
                 trace.invalid_reason = InvalidReason.INSUFFICIENT_DATA
                 return
-            packets = 0
             if received:
+                packets = 0
                 for start, stop, end_seq, _ in received:
                     packets += stop - start
                     if end_seq > highest_end:
@@ -354,27 +351,9 @@ class TraceGatherer:
             if budget is not None and now - start_time > budget:
                 trace.invalid_reason = InvalidReason.PROBE_TIMEOUT
                 return
-            if ecn_rate > 0.0 and packets:
-                self._ecn_feedback(sender, packets, ecn_rate, draws, now)
             blocks, lost_acks = self._acknowledge(sender, received, draws, now,
                                                   highest_pkt)
             trace.ack_loss_events += lost_acks
-
-    def _ecn_feedback(self, sender: TcpSender, packet_count: int,
-                      ecn_rate: float, draws: TraceDraws, now: float) -> None:
-        """Mark the round's delivered packets and echo the count.
-
-        One Bernoulli draw per delivered packet on the probe's own stream;
-        the marked count rides back to the sender as one feedback call per
-        round, just before the round's ACK ladder, so the batched and the
-        scalar per-ACK engine see the same draws and calls. The round loop
-        calls this only when the condition's ``ecn_mark_rate`` is non-zero;
-        with the default of 0.0 no draw is taken and no call made, so every
-        historic trace is byte-identical.
-        """
-        marked = int((draws.values(packet_count) < ecn_rate).sum())
-        if marked:
-            sender.ecn_feedback(marked, packet_count, now)
 
     def _deliver(self, blocks: list[SegmentBlock],
                  draws: TraceDraws) -> list[tuple[int, int, int, bool]]:
@@ -465,18 +444,17 @@ MAX_CHUNK = 1 << 16
 
 
 class TraceDraws:
-    """The probe stream's uniforms for one trace, drawn ahead in chunks.
+    """The probe stream's loss uniforms for one trace, drawn ahead in chunks.
 
-    Loss and ECN marking take one uniform per packet from the probe's
-    generator, in the trace's order: each round's data packets, their
-    marks, their ACKs. Consecutive ``Generator.random`` calls of ``n`` and
-    ``m`` values yield the values of one call of ``n + m``, so this source
-    draws the stream in chunks that double from :data:`FIRST_CHUNK` up to
-    :data:`MAX_CHUNK` values (larger when one request needs more) and
-    serves the requests from them: :meth:`drops` returns where a request's
-    values fall below the loss rate, found once per chunk and sliced by
-    bisection, and :meth:`values` the raw values. :meth:`close` rewinds the
-    generator to the last value served. It restores the whole
+    Loss takes one uniform per packet from the probe's generator, in the
+    trace's order: each round's data packets, then their ACKs. Consecutive
+    ``Generator.random`` calls of ``n`` and ``m`` values yield the values of
+    one call of ``n + m``, so this source draws the stream in chunks that
+    double from :data:`FIRST_CHUNK` up to :data:`MAX_CHUNK` values (larger
+    when one request needs more) and serves the requests from them:
+    :meth:`drops` returns where a request's values fall below the loss
+    rate, found once per chunk and sliced by bisection. :meth:`close`
+    rewinds the generator to the last value served. It restores the whole
     ``bit_generator.state`` saved before the newest chunk and redraws the
     part of that chunk that was served, which works for any bit generator
     and keeps the buffered 32-bit half that double draws never touch; the
@@ -484,20 +462,16 @@ class TraceDraws:
     it.
     """
 
-    __slots__ = ("_rng", "_loss_rate", "lossy", "_values", "_start", "_end",
-                 "_previous", "_cursor", "_drops", "_next_drop", "_chunk",
-                 "_saved")
+    __slots__ = ("_rng", "_loss_rate", "lossy", "_start", "_end", "_cursor",
+                 "_drops", "_next_drop", "_chunk", "_saved")
 
     def __init__(self, rng: np.random.Generator, loss_rate: float):
         self._rng = rng
         self._loss_rate = loss_rate
         #: Whether the path loses packets (a loss request draws at all).
         self.lossy = loss_rate > 0.0
-        #: The newest chunk, covering stream positions ``[_start, _end)``,
-        #: and the one before it (a request spans at most the two).
-        self._values = np.empty(0)
+        #: The newest chunk covers stream positions ``[_start, _end)``.
         self._start = self._end = 0
-        self._previous = None
         #: The stream position of the next value to serve.
         self._cursor = 0
         #: The stream positions of every drawn value below the loss rate,
@@ -531,28 +505,6 @@ class TraceDraws:
         self._next_drop = last
         return [position - cursor for position in drops[first:last]]
 
-    def values(self, count: int) -> np.ndarray:
-        """Serve ``count`` raw uniforms.
-
-        Args:
-            count: Number of draws.
-
-        Returns:
-            The values, in stream order.
-        """
-        cursor = self._cursor
-        stop = cursor + count
-        if stop > self._end:
-            self._draw(stop)
-        self._cursor = stop
-        self._next_drop = bisect_left(self._drops, stop, self._next_drop)
-        start = self._start
-        if cursor >= start:
-            return self._values[cursor - start:stop - start]
-        previous, previous_start = self._previous
-        return np.concatenate((previous[cursor - previous_start:],
-                               self._values[:stop - start]))
-
     def _draw(self, stop: int) -> None:
         """Draw the next chunk, large enough to reach stream position ``stop``."""
         rng = self._rng
@@ -560,13 +512,9 @@ class TraceDraws:
         size = max(self._chunk, stop - end)
         self._chunk = min(2 * self._chunk, MAX_CHUNK)
         self._saved = rng.bit_generator.state
-        chunk = rng.random(size)
-        if self.lossy:
-            fresh = (chunk < self._loss_rate).nonzero()[0]
-            if len(fresh):
-                self._drops.extend((fresh + end).tolist())
-        self._previous = (self._values, self._start)
-        self._values = chunk
+        fresh = (rng.random(size) < self._loss_rate).nonzero()[0]
+        if len(fresh):
+            self._drops.extend((fresh + end).tolist())
         self._start = end
         self._end = end + size
 

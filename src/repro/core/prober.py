@@ -114,7 +114,6 @@ class CaaiProber:
                                 rng=np.random.default_rng(int(rng.integers(1, 2 ** 32))))
         self.downlink = NetemLink(simulator=self.simulator, delay=one_way, jitter=jitter,
                                   loss_probability=condition.loss_rate,
-                                  ecn_mark_probability=condition.ecn_mark_rate,
                                   rng=np.random.default_rng(int(rng.integers(1, 2 ** 32))))
         self._endpoint: _ServerEndpoint | None = None
         self._received_this_round: list[Segment] = []
@@ -166,14 +165,6 @@ class CaaiProber:
         if received:
             self._highest_end = max(self._highest_end,
                                     max(seg.end_seq for seg in received))
-            # Echo ECN congestion-experienced marks back to the server with
-            # the round's ACKs (the marks-in-ACKs echo of RFC 3168/8257,
-            # collapsed to one feedback call per round). Only ECN-enabled
-            # links ever mark, so the branch is dead on every default path.
-            marked = sum(1 for seg in received if seg.ecn_ce)
-            if marked:
-                self._endpoint.sender.ecn_feedback(marked, len(received),
-                                                   self.simulator.now)
         window = self._measure_window(received)
 
         if not self._after_timeout:
@@ -207,7 +198,7 @@ class CaaiProber:
             self._after_timeout = True
             self._await_retransmission()
             return
-        if self._round_index > self.config.max_pre_timeout_rounds:
+        if self._round_index >= self.config.max_pre_timeout_rounds:
             self._trace.invalid_reason = InvalidReason.WINDOW_BELOW_W_TIMEOUT
             self._finish()
             return

@@ -81,13 +81,6 @@ class ConfusionMatrix:
             percentages = np.where(totals > 0, 100.0 * self.counts / totals, 0.0)
         return percentages
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        merged = ConfusionMatrix.empty(sorted(set(self.labels) | set(other.labels)))
-        for source in (self, other):
-            positions = np.array([merged._index[label] for label in source.labels], dtype=int)
-            merged.counts[np.ix_(positions, positions)] += source.counts
-        return merged
-
 
 @dataclass
 class CrossValidationResult:

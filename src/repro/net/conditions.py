@@ -27,20 +27,11 @@ PAPER_DATABASE_SIZE = 5000
 
 @dataclass(frozen=True)
 class NetworkCondition:
-    """One emulated Internet path between the prober and a server.
-
-    ``ecn_mark_rate`` makes the path ECN-capable: each delivered data packet
-    is marked congestion-experienced with this probability instead of being
-    dropped. The default of 0.0 models the paper's (pre-ECN-deployment)
-    paths and is draw-transparent everywhere -- no gatherer or link consumes
-    an rng draw for marking unless the rate is non-zero, so every historic
-    trace stays byte-identical.
-    """
+    """One emulated Internet path between the prober and a server."""
 
     average_rtt: float
     rtt_std: float
     loss_rate: float
-    ecn_mark_rate: float = 0.0
 
     def __post_init__(self) -> None:
         if self.average_rtt <= 0:
@@ -49,8 +40,6 @@ class NetworkCondition:
             raise ValueError("RTT standard deviation must be non-negative")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError("loss rate must lie in [0, 1)")
-        if not 0.0 <= self.ecn_mark_rate < 1.0:
-            raise ValueError("ECN mark rate must lie in [0, 1)")
 
     @classmethod
     def ideal(cls) -> "NetworkCondition":

@@ -9,7 +9,6 @@ discrete-event simulator.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,8 +29,6 @@ class LinkStats:
     policer_dropped: int = 0
     #: ACKs removed by a scenario-layer thinning middlebox.
     thinned_acks: int = 0
-    #: Data segments delivered with an ECN congestion-experienced mark.
-    ecn_marked: int = 0
 
     @property
     def offered(self) -> int:
@@ -60,13 +57,6 @@ class NetemLink:
     scheduled delivery time); with probability ``reorder_probability`` a
     packet is allowed to jump ahead, and with probability
     ``duplicate_probability`` it is delivered twice.
-
-    ``ecn_mark_probability`` makes the link ECN-capable: each surviving data
-    segment is independently marked congestion-experienced with this
-    probability (delivered as a copy with ``ecn_ce=True``) instead of being
-    dropped. The default of 0.0 is draw-transparent — the
-    marking branch consumes no rng draws and delivers the original objects,
-    so every existing trace stays byte-identical.
     """
 
     simulator: EventSimulator
@@ -76,14 +66,13 @@ class NetemLink:
     reorder_probability: float = 0.0
     duplicate_probability: float = 0.0
     min_delay: float = 1e-4
-    ecn_mark_probability: float = 0.0
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
     stats: LinkStats = field(default_factory=LinkStats)
     _last_delivery: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         for name in ("loss_probability", "reorder_probability",
-                     "duplicate_probability", "ecn_mark_probability"):
+                     "duplicate_probability"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {value}")
@@ -95,8 +84,6 @@ class NetemLink:
         if self.rng.random() < self.loss_probability:
             self.stats.dropped += 1
             return
-        if self.ecn_mark_probability:
-            payload = self._maybe_mark(payload)
         self._schedule_delivery(payload, deliver)
         if self.rng.random() < self.duplicate_probability:
             self.stats.duplicated += 1
@@ -112,21 +99,6 @@ class NetemLink:
         """
         for segment in block.segments():
             self.send(segment, deliver)
-
-    def _maybe_mark(self, payload):
-        """Mark a surviving data segment congestion-experienced, maybe.
-
-        Only reached when ``ecn_mark_probability`` is non-zero, so the
-        default configuration never draws here. Payloads without an
-        ``ecn_ce`` field (ACKs, raw values) pass through untouched and
-        without a draw, keeping mark draws strictly per data packet.
-        """
-        if getattr(payload, "ecn_ce", None) is not False:
-            return payload
-        if self.rng.random() >= self.ecn_mark_probability:
-            return payload
-        self.stats.ecn_marked += 1
-        return dataclasses.replace(payload, ecn_ce=True)
 
     def _schedule_delivery(self, payload, deliver: Callable[[object], None]) -> None:
         one_way = self._sample_delay()

@@ -210,18 +210,6 @@ class CongestionAvoidance(ABC):
     def on_round_complete(self, state: CongestionState, ctx: AckContext) -> None:
         """Hook invoked once per RTT round (used by delay-based algorithms)."""
 
-    # -- explicit congestion notification ---------------------------------
-    def on_ecn_feedback(self, state: CongestionState, marked: int,
-                        acked: int) -> None:
-        """Hook invoked when the receiver reports ECN congestion marks.
-
-        ``marked`` of the ``acked`` packets covered by the feedback carried a
-        congestion-experienced codepoint. Only fed when a link actually marks
-        (the ``ecn_mark_probability`` knob, default off), and never from the
-        per-ACK fast paths, so algorithms ignoring it -- this default no-op --
-        behave bit-identically with and without the plumbing.
-        """
-
     # -- congestion events ------------------------------------------------
     @abstractmethod
     def ssthresh_after_loss(self, state: CongestionState) -> float:

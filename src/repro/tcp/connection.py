@@ -5,7 +5,7 @@ segments under the control of a pluggable congestion avoidance algorithm,
 performs standard slow start, reacts to retransmission timeouts, and supports
 the optional stack behaviours the paper has to work around -- F-RTO
 (Section IV-C, "How to Deal With Forward RTO-Recovery"), slow start threshold
-caching, and Linux's burstiness control (congestion window moderation).
+caching, and the server quirks of Section VII-B3.
 
 The sender is a passive object: callers (the round-level gatherer in
 :mod:`repro.core.gather`, the packet-level prober in
@@ -13,6 +13,13 @@ The sender is a passive object: callers (the round-level gatherer in
 :mod:`repro.web.server`) feed it ACKs and clock readings and collect what it
 transmits as :class:`~repro.tcp.packet.SegmentBlock` records, one per
 contiguous burst; the packet-level prober expands them at its link.
+
+A round's ACK ladder (:meth:`TcpSender.on_ack_ladder`) takes each clean
+prefix in one batched step and every other ACK through the scalar per-ACK
+engine (:meth:`TcpSender.on_ack_packet`). The scalar engine is the
+reference the batched step must reproduce bit for bit; the parity tests
+reach it for whole probes by making :meth:`TcpSender._run_eligible` refuse
+every prefix.
 """
 
 from __future__ import annotations
@@ -22,26 +29,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.envknobs import env_flag
 from repro.tcp.base import AckContext, CongestionAvoidance, CongestionState, MIN_CWND
 from repro.tcp.packet import SegmentBlock
 from repro.tcp.rto import RtoEstimator
 from repro.tcp.slow_start import make_slow_start
-
-#: Environment knob: set ``REPRO_ACK_BATCH=0`` to force the scalar per-ACK
-#: engine everywhere (the batched fast path is bit-identical, so this exists
-#: for debugging and for the parity tests, not for correctness).
-ACK_BATCH_ENV = "REPRO_ACK_BATCH"
-
-
-def ack_batch_enabled() -> bool:
-    """Whether the batched ACK fast path is enabled (read per sender).
-
-    Returns:
-        The validated value of ``REPRO_ACK_BATCH`` (default ``True``).
-    """
-    return env_flag(ACK_BATCH_ENV, default=True)
-
 
 def _defining_class(alg_type: type, attribute: str) -> type | None:
     for klass in alg_type.__mro__:
@@ -137,11 +128,6 @@ class SenderConfig:
     slow_start: str = "standard"
     #: Enable Forward RTO-Recovery (RFC 5682) spurious-timeout detection.
     use_frto: bool = False
-    #: Enable Linux congestion-window moderation (burstiness control).
-    use_cwnd_moderation: bool = False
-    #: Packets of headroom allowed above the in-flight count when moderation
-    #: is enabled (Linux max_burst is 3).
-    moderation_burst: int = 3
     #: RTO estimator seed.
     initial_rto: float = 3.0
     #: Number of duplicate ACKs that trigger a fast retransmit.
@@ -217,7 +203,6 @@ class TcpSender:
         self.block_records = 0
 
         # ---- batched ACK engine wiring ----------------------------------
-        self._batch_enabled = ack_batch_enabled()
         #: Number of clean prefixes the batched engine consumed, one per
         #: screen that took at least one ACK (diagnostics, tests and the
         #: work-counter gate).
@@ -344,28 +329,6 @@ class TcpSender:
             return self._on_duplicate_ack(now)
         return self._on_new_ack(ack_packets, now)
 
-    def ecn_feedback(self, marked: int, acked: int, now: float) -> None:
-        """Report receiver-echoed ECN congestion marks to the algorithm.
-
-        Called by a receiver (the trace gatherer, or the packet-level
-        prober) when ``marked`` of ``acked`` recently delivered data packets
-        carried the congestion-experienced codepoint. Forwarded straight to
-        the algorithm's ``on_ecn_feedback`` hook -- never through the ACK
-        engines, so the batched and the scalar per-ACK engine see the
-        identical call sequence. Callers only invoke this when a
-        link actually marked (the default-off knob), so ECN-free runs are
-        byte-identical with or without the plumbing.
-
-        Args:
-            marked: Number of packets delivered with a CE mark.
-            acked: Total packets the feedback covers (``marked <= acked``).
-            now: Current simulation time.
-        """
-        if marked < 0 or acked < marked:
-            raise ValueError(f"ECN feedback needs 0 <= marked <= acked, "
-                             f"got marked={marked}, acked={acked}")
-        self.algorithm.on_ecn_feedback(self.state, marked, acked)
-
     def on_ack_packet(self, ack_packets: int, now: float, *,
                       is_duplicate: bool = False) -> list[SegmentBlock]:
         """Process a cumulative ACK expressed in packet units.
@@ -407,11 +370,11 @@ class TcpSender:
         per-packet stretch followed by a stride, stay in one prefix), within
         the current round, sampling RTTs from packets of one send time and
         no retransmitted packet, on a sender with no recovery or F-RTO
-        state, no cwnd moderation and no post-timeout stall. The prefix is
-        applied in one batched step (the freeze and ceiling quirks
-        included); every other entry replays through the scalar per-ACK
-        engine before the next screen (the batch/scalar parity matrix and
-        the differential harness enforce this).
+        state and no post-timeout stall. The prefix is applied in one
+        batched step (the freeze and ceiling quirks included); every other
+        entry replays through the scalar per-ACK engine before the next
+        screen (the batch/scalar parity matrix and the differential harness
+        enforce this).
 
         Args:
             runs: The compressed ladder: ``(first, count, step)`` tuples in
@@ -454,13 +417,10 @@ class TcpSender:
     # ------------------------------------------------------- batched fast path
     def _run_eligible(self) -> bool:
         """Cheap config/state screening before the clean-prefix screen."""
-        config = self.config
-        return (self._batch_enabled
-                and self._started
+        return (self._started
                 and not self._in_recovery
                 and not self._frto_state
-                and not config.use_cwnd_moderation
-                and not (config.post_timeout_stall and self._had_timeout)
+                and not (self.config.post_timeout_stall and self._had_timeout)
                 and self._round_end > self._snd_una)
 
     def _clean_prefix(self, runs: Sequence[tuple[int, int, int]], index: int,
@@ -908,8 +868,6 @@ class TcpSender:
         self.state.clamp()
 
         segments.extend(self._transmit_new_data(now))
-        if self.config.use_cwnd_moderation:
-            self._moderate_cwnd()
         if self._snd_una >= self._round_end:
             self._round_end = self._snd_nxt
         if self._snd_una < self._snd_nxt or self._snd_nxt < self.total_packets:
@@ -982,12 +940,6 @@ class TcpSender:
                                        newly_acked_packets=0, round_completed=True))
         self.state.acked_in_round = 0
         self._round_start_time = now
-
-    def _moderate_cwnd(self) -> None:
-        in_flight = self._snd_nxt - self._snd_una
-        ceiling = in_flight + self.config.moderation_burst
-        if self.state.cwnd > ceiling:
-            self.state.cwnd = float(ceiling)
 
     # ------------------------------------------------------------------ RTT
     def _rtt_sample_for(self, packet_index: int, now: float) -> float | None:

@@ -24,10 +24,6 @@ class Segment:
             carries; CAAI reasons about windows in packets, so carrying the
             index avoids repeated division at the prober.
         is_retransmission: True when the segment repeats previously sent data.
-        ecn_ce: True when a link marked the segment with the ECN
-            congestion-experienced codepoint instead of dropping it (the
-            ``ecn_mark_probability`` knob, default off -- every segment on an
-            ECN-free path carries False, exactly as before the field existed).
         end_seq: sequence number one past the last payload byte. Stored at
             construction rather than computed per access: the gather/ACK hot
             path reads it several times per packet (1.7M property calls in a
@@ -41,7 +37,6 @@ class Segment:
     sent_at: float
     packet_index: int
     is_retransmission: bool = False
-    ecn_ce: bool = False
     end_seq: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:

@@ -6,6 +6,7 @@ are session-scoped so the many tests that need them build them exactly once.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pathlib
 import stat
@@ -18,7 +19,25 @@ from repro.core.features import FeatureExtractor
 from repro.core.gather import GatherConfig, SyntheticServer, TraceGatherer
 from repro.core.training import TrainingSetBuilder
 from repro.net.conditions import NetworkCondition, default_condition_database
-from repro.tcp.connection import SenderConfig
+from repro.tcp.connection import SenderConfig, TcpSender
+
+
+@contextlib.contextmanager
+def scalar_engine():
+    """Run every ``TcpSender`` on the scalar per-ACK reference engine.
+
+    Inside the block no ACK ladder takes a batched step: ``_run_eligible``
+    refuses every clean prefix, so each ACK reaches ``on_ack_packet``. This
+    is the only way to select the reference; outside the block the batched
+    engine runs as in production. Plain ``with`` use, so the differential
+    harness's ``--regenerate`` runs it outside pytest too.
+    """
+    eligible = TcpSender._run_eligible
+    TcpSender._run_eligible = lambda self: False
+    try:
+        yield
+    finally:
+        TcpSender._run_eligible = eligible
 
 
 #: The committed constraints file CI installs NumPy through.

@@ -1,8 +1,9 @@
 """Shared machinery of the cross-tier differential test harness.
 
 The repository carries two probe-execution tiers, both on segment blocks:
-the scalar per-ACK engine (``REPRO_ACK_BATCH=0``), which is the executable
-spec, and the batched ACK engine, which is production. The batched engine
+the scalar per-ACK engine (reached through
+:func:`tests.conftest.scalar_engine`), which is the executable spec, and the
+batched ACK engine, which is production. The batched engine
 must be an invisible optimisation of the scalar one. The parity test
 matrices cover hand-picked scenarios; this harness adds *breadth*: seeded
 random draws over (algorithm x network condition x server quirk x probe
@@ -33,7 +34,6 @@ import dataclasses
 import enum
 import hashlib
 import json
-import os
 import pathlib
 import sys
 
@@ -41,18 +41,13 @@ import numpy as np
 
 from repro.core.gather import GatherConfig, TraceGatherer
 from repro.net.conditions import NetworkCondition
-from repro.tcp.connection import ACK_BATCH_ENV
 from repro.tcp.registry import ALL_ALGORITHM_NAMES
-from tests.conftest import make_synthetic_server
+from tests.conftest import make_synthetic_server, numpy_versions, scalar_engine
 
-#: The two probe-execution tiers the harness compares.
+#: The two probe-execution tiers the harness compares, and how each is
+#: entered: the batched engine needs nothing.
 TIERS = ("scalar", "blocks")
-
-#: Engine knobs per tier.
-_TIER_KNOBS = {
-    "scalar": {ACK_BATCH_ENV: "0"},
-    "blocks": {ACK_BATCH_ENV: "1"},
-}
+_TIER_ENGINES = {"scalar": scalar_engine, "blocks": contextlib.nullcontext}
 
 #: Seed of the committed corpus (see ``differential_corpus.json``).
 CORPUS_SEED = 20110621  # the source paper's conference date
@@ -114,21 +109,6 @@ def load_corpus() -> list[dict]:
     return json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
 
 
-@contextlib.contextmanager
-def tier_environment(tier: str):
-    """Temporarily pin the engine knobs of one tier (restores on exit)."""
-    saved = {name: os.environ.get(name) for name in _TIER_KNOBS[tier]}
-    os.environ.update(_TIER_KNOBS[tier])
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
 def _build_server(case: dict):
     sender_kwargs = {}
     for field in ("initial_ssthresh", "send_buffer_packets"):
@@ -157,7 +137,7 @@ def run_tier(case: dict, tier: str):
                                  loss_rate=case["loss"])
     config = GatherConfig(w_timeout=case["w_timeout"], mss=100)
     rng = np.random.default_rng(case["seed"])
-    with tier_environment(tier):
+    with _TIER_ENGINES[tier]():
         probe = TraceGatherer(config).gather_probe(_build_server(case),
                                                    condition, rng)
     return probe, rng.bit_generator.state
@@ -228,7 +208,7 @@ def assert_case_parity(case: dict, expected: str | None = None) -> None:
     if expected is not None:
         assert case_digest(reference, reference_state) == expected, (
             f"tier 'scalar' drifted from differential_expected.json on "
-            f"case {case!r}")
+            f"case {case!r} ({numpy_versions()})")
     for tier in TIERS[1:]:
         probe, state = run_tier(case, tier)
         context = f"tier {tier!r} diverged from scalar on case {case!r}"
@@ -247,7 +227,7 @@ def assert_case_parity(case: dict, expected: str | None = None) -> None:
         if expected is not None:
             assert case_digest(probe, state) == expected, (
                 f"tier {tier!r} drifted from differential_expected.json on "
-                f"case {case!r}")
+                f"case {case!r} ({numpy_versions()})")
 
 
 if __name__ == "__main__":

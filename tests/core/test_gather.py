@@ -105,27 +105,6 @@ class TestTraceGathering:
         assert lossy_trace.ack_loss_events > 0
 
 
-class TestEcnMarking:
-    """ECN marks reach the algorithm through the gatherer, and only then."""
-
-    @staticmethod
-    def _probe(algorithm, mark_rate):
-        condition = NetworkCondition(average_rtt=0.2, rtt_std=0.0,
-                                     loss_rate=0.0, ecn_mark_rate=mark_rate)
-        rng = np.random.default_rng(41)
-        probe = TraceGatherer(GatherConfig(w_timeout=64, mss=100)).gather_probe(
-            make_synthetic_server(algorithm), condition, rng)
-        windows = [tuple(trace.pre_timeout) + tuple(trace.post_timeout)
-                   for trace in probe.traces()]
-        return windows, rng.bit_generator.state
-
-    def test_unmarked_dctcp_probe_equals_reno(self):
-        assert self._probe("dctcp", 0.0) == self._probe("reno", 0.0)
-
-    def test_marks_make_dctcp_diverge_from_reno(self):
-        assert self._probe("dctcp", 0.3)[0] != self._probe("reno", 0.3)[0]
-
-
 class TestLadderAndMss:
     def test_ladder_falls_back_for_data_limited_server(self, ideal_condition, rng):
         # Enough data for a small probe but not for w_timeout = 512.
@@ -294,14 +273,13 @@ class TestLadderFiltering:
         assert sender.runs == [[(8, 4, 0)], [(8, 4, 0)]]
 
 
-#: One request of a trace's draws: a loss request (drop positions) or an ECN
-#: one (raw values), 0 to about 5,000 long; a few sizes sit on the chunk
-#: boundaries the doubling chunks put at 1,024, 3,072, 7,168, ...
-draw_requests = st.tuples(
-    st.sampled_from(["drops", "values"]),
-    st.one_of(st.integers(min_value=0, max_value=5000),
-              st.sampled_from([FIRST_CHUNK - 1, FIRST_CHUNK, FIRST_CHUNK + 1,
-                               2 * FIRST_CHUNK])))
+#: The length of one loss request of a trace's draws, 0 to about 5,000; a
+#: few sizes sit on the chunk boundaries the doubling chunks put at 1,024,
+#: 3,072, 7,168, ...
+draw_requests = st.one_of(
+    st.integers(min_value=0, max_value=5000),
+    st.sampled_from([FIRST_CHUNK - 1, FIRST_CHUNK, FIRST_CHUNK + 1,
+                     2 * FIRST_CHUNK]))
 
 
 class Interrupted(Exception):
@@ -317,10 +295,7 @@ class TestTraceDraws:
            traces=st.lists(st.lists(draw_requests, max_size=14),
                            min_size=2, max_size=4),
            cut=st.integers(min_value=0, max_value=14))
-    @example(seed=7, loss_rate=0.02,
-             traces=[[("drops", 900), ("values", 300), ("drops", 2000)],
-                     [("drops", 5000)]],
-             cut=2)
+    @example(seed=7, loss_rate=0.02, traces=[[900, 300, 2000], [5000]], cut=2)
     def test_matches_sequential_draws_on_a_twin(self, seed, loss_rate, traces,
                                                 cut):
         # The first trace raises before its request ``cut`` (if it has one);
@@ -335,15 +310,12 @@ class TestTraceDraws:
             assert rng.bit_generator.state["has_uint32"] == 1
             draws = TraceDraws(rng, loss_rate)
             try:
-                for position, (kind, count) in enumerate(requests):
+                for position, count in enumerate(requests):
                     if index == 0 and position == cut:
                         raise Interrupted
                     expected = twin.random(count)
-                    if kind == "drops":
-                        assert list(draws.drops(count)) == np.flatnonzero(
-                            expected < loss_rate).tolist()
-                    else:
-                        assert draws.values(count).tobytes() == expected.tobytes()
+                    assert list(draws.drops(count)) == np.flatnonzero(
+                        expected < loss_rate).tolist()
             except Interrupted:
                 pass
             finally:

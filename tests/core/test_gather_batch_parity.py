@@ -6,8 +6,10 @@ phases, and under loss, F-RTO, the server quirks and the ACK-path
 middleboxes (thinning, policing, cross-traffic bursts, stretching -- whose
 ladders reach the sender as stretch-ACK runs), must produce bit-identical
 :class:`WindowTrace`s whether the sender runs the batched fast path or the
-scalar per-ACK engine (forced via ``REPRO_ACK_BATCH=0``).
+scalar per-ACK engine (forced by :func:`tests.conftest.scalar_engine`).
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -16,10 +18,12 @@ from repro.core.census import CensusConfig, CensusRunner
 from repro.core.gather import GatherConfig, TraceGatherer
 from repro.net.conditions import NetworkCondition
 from repro.scenarios.middlebox import MiddleboxConfig, MiddleboxServer
-from repro.tcp.connection import ACK_BATCH_ENV
 from repro.tcp.registry import ALL_ALGORITHM_NAMES
 from repro.web.population import PopulationConfig, ServerPopulation
-from tests.conftest import QUIRK_CONFIGS, make_synthetic_server
+from tests.conftest import QUIRK_CONFIGS, make_synthetic_server, scalar_engine
+
+#: The two engines by name: the batched one needs nothing entered.
+ENGINES = {"batched": contextlib.nullcontext, "scalar": scalar_engine}
 
 LOSSY = NetworkCondition(average_rtt=0.2, rtt_std=0.0, loss_rate=0.02)
 
@@ -52,7 +56,7 @@ SCENARIOS = [
 ]
 
 
-def gather_pair(monkeypatch, algorithm, w_timeout=64, condition=None, seed=7,
+def gather_pair(algorithm, w_timeout=64, condition=None, seed=7,
                 middlebox=None, **sender_kwargs):
     """Probe the same synthetic server with the batched and scalar engines.
 
@@ -61,17 +65,17 @@ def gather_pair(monkeypatch, algorithm, w_timeout=64, condition=None, seed=7,
     """
     condition = condition or NetworkCondition.ideal()
     probes, stats = {}, {}
-    for knob in ("1", "0"):
-        monkeypatch.setenv(ACK_BATCH_ENV, knob)
+    for engine, entered in ENGINES.items():
         gatherer = TraceGatherer(GatherConfig(w_timeout=w_timeout, mss=100))
         server = make_synthetic_server(algorithm, **sender_kwargs)
         if middlebox is not None:
             server = MiddleboxServer(server, middlebox)
-            stats[knob] = server.stats
-        probes[knob] = gatherer.gather_probe(server, condition,
-                                             np.random.default_rng(seed))
-    assert stats.get("1") == stats.get("0")
-    return probes["1"], probes["0"]
+            stats[engine] = server.stats
+        with entered():
+            probes[engine] = gatherer.gather_probe(server, condition,
+                                                   np.random.default_rng(seed))
+    assert stats.get("batched") == stats.get("scalar")
+    return probes["batched"], probes["scalar"]
 
 
 def assert_probes_identical(batched, scalar):
@@ -86,54 +90,52 @@ def assert_probes_identical(batched, scalar):
 @pytest.mark.parametrize("algorithm", ALL_ALGORITHM_NAMES)
 @pytest.mark.parametrize("label,gather_kwargs,sender_kwargs",
                          SCENARIOS, ids=[s[0] for s in SCENARIOS])
-def test_parity_matrix(monkeypatch, algorithm, label, gather_kwargs,
-                       sender_kwargs):
-    batched, scalar = gather_pair(monkeypatch, algorithm,
-                                  **gather_kwargs, **sender_kwargs)
+def test_parity_matrix(algorithm, label, gather_kwargs, sender_kwargs):
+    batched, scalar = gather_pair(algorithm, **gather_kwargs, **sender_kwargs)
     assert_probes_identical(batched, scalar)
 
 
-def test_parity_under_heavy_ack_loss(monkeypatch):
+def test_parity_under_heavy_ack_loss():
     """Prefixes spanning many gaps (lost ACKs), on both the decoupled and
     the interleaved (Westwood+) flow."""
     condition = NetworkCondition(average_rtt=0.5, rtt_std=0.0, loss_rate=0.08)
     for algorithm in ("reno", "cubic-b", "illinois", "westwood"):
-        batched, scalar = gather_pair(monkeypatch, algorithm, w_timeout=64,
+        batched, scalar = gather_pair(algorithm, w_timeout=64,
                                       condition=condition, seed=3)
         assert_probes_identical(batched, scalar)
 
 
 @pytest.mark.parametrize("scenario_pack", [None, "ack-manipulated", "policed"])
-def test_census_report_identical_across_engines(monkeypatch, trained_classifier,
+def test_census_report_identical_across_engines(trained_classifier,
                                                 scenario_pack):
     """End to end: a small census produces the same report either way."""
     reports = {}
-    for knob in ("1", "0"):
-        monkeypatch.setenv(ACK_BATCH_ENV, knob)
+    for engine, entered in ENGINES.items():
         population = ServerPopulation(PopulationConfig(size=12, seed=99))
         population.generate()
         runner = CensusRunner(trained_classifier,
                               CensusConfig(seed=5,
                                            scenario_pack=scenario_pack))
-        reports[knob] = runner.run(population)
-    batched, scalar = reports["1"], reports["0"]
+        with entered():
+            reports[engine] = runner.run(population)
+    batched, scalar = reports["batched"], reports["scalar"]
     assert len(batched) == len(scalar)
     assert batched.outcomes == scalar.outcomes
 
 
-def test_training_examples_identical_across_engines(monkeypatch):
+def test_training_examples_identical_across_engines():
     """The training-set builder is bit-identical across engines."""
     from repro.core.training import TrainingSetBuilder
     from repro.net.conditions import default_condition_database
 
     vectors = {}
-    for knob in ("1", "0"):
-        monkeypatch.setenv(ACK_BATCH_ENV, knob)
+    for engine, entered in ENGINES.items():
         builder = TrainingSetBuilder(
             conditions_per_pair=2, seed=13, w_timeouts=(64,),
             algorithms=("reno", "cubic-b", "vegas", "westwood"),
             condition_database=default_condition_database(size=200, seed=8))
-        examples = builder.build_examples()
-        vectors[knob] = [(e.algorithm, e.w_timeout, tuple(e.vector.as_array()))
-                        for e in examples]
-    assert vectors["1"] == vectors["0"]
+        with entered():
+            examples = builder.build_examples()
+        vectors[engine] = [(e.algorithm, e.w_timeout, tuple(e.vector.as_array()))
+                           for e in examples]
+    assert vectors["batched"] == vectors["scalar"]

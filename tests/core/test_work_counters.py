@@ -21,6 +21,7 @@ noise; a change that lowers a count updates its pinned value on purpose.
 """
 
 import collections
+import contextlib
 import functools
 from typing import NamedTuple
 
@@ -31,11 +32,11 @@ from repro.core.gather import GatherConfig, TraceGatherer
 from repro.net.conditions import NetworkCondition
 from repro.scenarios.middlebox import MiddleboxConfig, MiddleboxServer
 from repro.tcp.base import AckContext
-from repro.tcp.connection import ACK_BATCH_ENV, TcpSender
+from repro.tcp.connection import TcpSender
 from repro.tcp.packet import Segment, SegmentBlock
 from repro.tcp.registry import ALL_ALGORITHM_NAMES, IDENTIFIABLE_ALGORITHMS
 from repro.tcp.rto import RtoEstimator
-from tests.conftest import make_synthetic_server
+from tests.conftest import make_synthetic_server, scalar_engine
 
 W_TIMEOUT = 512
 IDEAL = NetworkCondition.ideal()
@@ -47,12 +48,15 @@ IDEAL = NetworkCondition.ideal()
 #: the round arrived. Behind the thinning middlebox slow start grows by one
 #: ACK in four, so the thinned row's servers never leave it after the
 #: timeout; the ``thinned-avoidance`` row starts them at an ssthresh of 64
-#: so every family reaches avoidance there.
+#: so every family reaches avoidance there. The ceiling row's cap sits
+#: above ``w_timeout``, so every family reaches the post-timeout rounds in
+#: environment A and five of them grow into the cap there; its counts equal
+#: the plain row's, because a capped ACK costs a hook call, not a prefix.
 #: Each row fails on a deliberate regression: sending the freeze and
-#: ceiling servers back to the per-ACK engine makes 162,832 and 454,393
+#: ceiling servers back to the per-ACK engine makes 162,832 and 140,070
 #: calls; a prefix that refuses ``step > 1`` runs (stretch ACKs) makes the
 #: thinned row 18,484 calls; a 4-ACK minimum prefix length makes the rows
-#: 165, 168, 84, 816 and 268 calls; a prefix that ends with its first run,
+#: 165, 168, 165, 816 and 268 calls; a prefix that ends with its first run,
 #: so at every lost ACK and before every stride that follows a per-packet
 #: stretch, makes the lossy row 5,996 prefixes and the thinned row 1,696.
 #: A context is built per decoupled clean prefix, per distinct packet
@@ -60,16 +64,15 @@ IDEAL = NetworkCondition.ideal()
 #: per round completion of a family that overrides ``on_round_complete``.
 #: Building the round context on every round completion, as the sender did
 #: before it skipped the base no-op hook, makes the rows 1,484, 1,456,
-#: 2,240, 2,288, 1,605 and 2,348. Only the lossy row draws: one
+#: 1,484, 2,288, 1,605 and 2,348. Only the lossy row draws: one
 #: ``Generator.random`` call per round and direction makes it 1,511 calls
 #: where the chunked draws make 135. The RTO is computed only where a
-#: timer deadline is read (the ceiling row's servers never pass
-#: ``w_timeout``, so nothing reads one); computing it at every arm makes
-#: the rows 769, 756, 1,120, 1,147, 867 and 1,153.
+#: timer deadline is read; computing it at every arm makes the rows 769,
+#: 756, 769, 1,147, 867 and 1,153.
 ROWS = [
     ("plain", dict(), None, IDEAL, 0, 742, 1120, 0, 54),
     ("freeze", dict(freeze_in_avoidance=True), None, IDEAL, 0, 728, 728, 0, 56),
-    ("ceiling", dict(approach_ceiling=500.0), None, IDEAL, 0, 1120, 1680, 0, 0),
+    ("ceiling", dict(approach_ceiling=600.0), None, IDEAL, 0, 742, 1120, 0, 54),
     ("thinned", dict(), MiddleboxConfig(thin_every=4), IDEAL, 0, 1120,
      1728, 0, 54),
     ("lossy", dict(), None, NetworkCondition(0.04, 0.0, 0.02), 15, 825,
@@ -130,7 +133,6 @@ def probe_row(label: str, algorithms, on_sender,
         on_sender(self)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.delenv(ACK_BATCH_ENV, raising=False)
         patch.setattr(TcpSender, "__init__", recording)
         for algorithm in algorithms:
             server = make_synthetic_server(algorithm, **sender_kwargs)
@@ -259,3 +261,17 @@ def test_stream_random_calls(label, expected):
                          ids=ROW_IDS)
 def test_rto_computations(label, expected):
     assert work_counts(label).rto_calls == expected
+
+
+def test_scalar_engine_takes_no_batched_step():
+    """``scalar_engine`` is the one switch to the per-ACK reference: inside
+    it a probe consumes no clean prefix, outside it the same probe does."""
+    runs = {}
+    for engine, entered in (("scalar", scalar_engine),
+                            ("batched", contextlib.nullcontext)):
+        senders = []
+        with entered():
+            probe_row("plain", ("reno",), senders.append)
+        runs[engine] = sum(sender.batch_runs for sender in senders)
+    assert runs["scalar"] == 0
+    assert runs["batched"] > 0

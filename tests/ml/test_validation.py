@@ -43,15 +43,6 @@ class TestConfusionMatrix:
         assert "zzz" in matrix.labels
         assert matrix.counts.shape == (2, 2)
 
-    def test_merge(self):
-        left = ConfusionMatrix.empty(["a", "b"])
-        left.record("a", "a")
-        right = ConfusionMatrix.empty(["b", "c"])
-        right.record("c", "b")
-        merged = left.merge(right)
-        assert merged.counts.sum() == 2
-        assert set(merged.labels) == {"a", "b", "c"}
-
     def test_empty_accuracy_zero(self):
         assert ConfusionMatrix.empty(["a"]).accuracy() == 0.0
 

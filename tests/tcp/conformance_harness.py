@@ -7,7 +7,7 @@ registry family, classic and modern, must pass the same three checks:
 1. **Engine parity under loss** — probing a server built on the family over
    a lossy path produces bit-identical traces whether the sender runs the
    batched :meth:`on_ack_ladder` engine or the scalar per-ACK engine
-   (``REPRO_ACK_BATCH=0``). The ideal-path comparison is
+   (:func:`tests.conftest.scalar_engine`). The ideal-path comparison is
    ``tests/core/test_gather_batch_parity.py::test_parity_matrix``.
 2. **Registry round-trip** — ``name -> create_algorithm -> name`` is the
    identity, and the class/label lookups agree with the instance.
@@ -37,8 +37,7 @@ import pytest
 import repro.tcp.registry as registry
 from repro.core.gather import GatherConfig, TraceGatherer
 from repro.net.conditions import NetworkCondition
-from repro.tcp.connection import ACK_BATCH_ENV
-from tests.conftest import make_synthetic_server
+from tests.conftest import make_synthetic_server, numpy_versions, scalar_engine
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -105,13 +104,11 @@ def gather_probe(row: FamilyRow, *, w_timeout: int = 64,
         condition or NetworkCondition.ideal(), np.random.default_rng(seed))
 
 
-def gather_probe_pair(monkeypatch, row: FamilyRow, **kwargs):
+def gather_probe_pair(row: FamilyRow, **kwargs):
     """The same probe on the batched and the scalar per-ACK engine."""
-    probes = {}
-    for knob in ("1", "0"):
-        monkeypatch.setenv(ACK_BATCH_ENV, knob)
-        probes[knob] = gather_probe(row, **kwargs)
-    return probes["1"], probes["0"]
+    fast = gather_probe(row, **kwargs)
+    with scalar_engine():
+        return fast, gather_probe(row, **kwargs)
 
 
 def assert_probes_identical(fast, reference):
@@ -162,11 +159,10 @@ class TestConformanceTable:
 
 @pytest.mark.parametrize("row", FAMILIES, ids=FAMILY_IDS)
 class TestPerFamilyConformance:
-    def test_engine_parity_under_loss(self, monkeypatch, row):
+    def test_engine_parity_under_loss(self, row):
         condition = NetworkCondition(average_rtt=0.2, rtt_std=0.0,
                                      loss_rate=0.02)
-        fast, scalar = gather_probe_pair(monkeypatch, row,
-                                         condition=condition, seed=13)
+        fast, scalar = gather_probe_pair(row, condition=condition, seed=13)
         assert_probes_identical(fast, scalar)
 
     def test_registry_round_trip(self, row):
@@ -187,9 +183,9 @@ class TestPerFamilyConformance:
         actual = golden_snapshot(row)
         assert actual == expected, (
             f"{row.name} cwnd trajectory drifted from the committed golden "
-            "snapshot; if the change is intentional, regenerate with: "
-            "PYTHONPATH=src python -m tests.tcp.conformance_harness "
-            f"--regenerate {row.name}")
+            f"snapshot ({numpy_versions()}); if the change is intentional, "
+            "regenerate with: PYTHONPATH=src python -m "
+            f"tests.tcp.conformance_harness --regenerate {row.name}")
 
 
 def regenerate(names: list[str]) -> None:

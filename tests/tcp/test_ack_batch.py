@@ -5,7 +5,7 @@ The gather-level parity matrix lives in
 :meth:`TcpSender.on_ack_ladder` API directly: equivalence with a per-entry
 :meth:`TcpSender.on_ack_packet` loop (the scalar per-ACK engine), fallback
 behaviour, the clean-prefix screen on hand-built ladders against the
-``REPRO_ACK_BATCH=0`` reference, the ``REPRO_ACK_BATCH`` knob, the
+scalar per-ACK reference (:func:`tests.conftest.scalar_engine`), the
 send-bookkeeping pruning, the batched RTO estimator, and the hook-level
 parity grid (each family's ``on_ack_avoidance_batch`` against its scalar
 ``on_ack_avoidance``).
@@ -24,17 +24,12 @@ from repro.tcp.base import (
     CongestionState,
     additive_increase_run,
 )
-from repro.tcp.connection import (
-    ACK_BATCH_ENV,
-    SenderConfig,
-    TcpSender,
-    ack_batch_enabled,
-)
+from repro.tcp.connection import SenderConfig, TcpSender
 from repro.tcp.packet import block_packet_count, in_sequence
 from repro.tcp.registry import ALL_ALGORITHM_NAMES, create_algorithm
 from repro.tcp.rto import RtoEstimator
 from repro.tcp.algorithms import Reno
-from tests.conftest import QUIRK_CONFIGS, expand, expand_runs
+from tests.conftest import QUIRK_CONFIGS, expand, expand_runs, scalar_engine
 
 
 def make_sender(algorithm="reno", data_bytes=10_000_000, **config_kwargs):
@@ -255,11 +250,7 @@ class TestRunApiEquivalence:
         assert batch_sender.snapshot() == scalar_sender.snapshot()
         assert batch_sender.state.min_rtt == 1.0
 
-    def test_moderation_and_stall_fall_back(self):
-        sender = make_sender("reno", use_cwnd_moderation=True)
-        drive_probe(sender, rounds=6)
-        assert sender.batch_runs == 0
-
+    def test_stall_falls_back(self):
         # A stalled server batches until its timeout and never after it.
         sender = make_sender("reno", post_timeout_stall=True, initial_window=20)
         sender.on_ack_ladder(ladder(ack_values(sender.start(0.0))), 1.0)
@@ -566,39 +557,35 @@ PREFIX_ALGORITHMS = ["reno", "cubic-b", "sawtooth", "westwood", "half"]
 
 class TestCleanPrefixParity:
     """Hand-built ladders through the batched engine and the scalar per-ACK
-    reference (``REPRO_ACK_BATCH=0``), compared bit for bit after every
-    step: a clean prefix spans lost ACKs and strides and stops where the
-    scalar engine would see something else."""
+    reference (:func:`tests.conftest.scalar_engine`), compared bit for bit
+    after every step: a clean prefix spans lost ACKs and strides and stops
+    where the scalar engine would see something else."""
 
     @staticmethod
-    def drive(monkeypatch, algorithm, config, steps):
+    def drive(algorithm, config, steps):
         """Run ``steps`` on both engines; returns the batched sender and the
         ACK values its scalar engine received."""
-        senders = []
-        for batch in (False, True):
-            if batch:
-                monkeypatch.delenv(ACK_BATCH_ENV, raising=False)
-            else:
-                monkeypatch.setenv(ACK_BATCH_ENV, "0")
-            custom = CUSTOM_ALGORITHMS.get(algorithm)
-            senders.append(make_sender(custom() if custom else algorithm, **config))
-        reference, batch = senders
-        assert batch._batch_enabled and not reference._batch_enabled
+        custom = CUSTOM_ALGORITHMS.get(algorithm)
+        reference, batch = (make_sender(custom() if custom else algorithm,
+                                        **config) for _ in range(2))
         per_ack = per_ack_values(batch)
         for step in [lambda sender: sender.start(0.0), *steps]:
-            assert engine_view(batch, step(batch)) == engine_view(reference, step(reference))
+            batch_view = engine_view(batch, step(batch))
+            with scalar_engine():
+                assert batch_view == engine_view(reference, step(reference))
+        assert reference.batch_runs == 0
         return batch, per_ack
 
     @pytest.mark.parametrize("algorithm", PREFIX_ALGORITHMS)
     @pytest.mark.parametrize("case", PREFIX_CASES, ids=[case[0] for case in PREFIX_CASES])
-    def test_prefix_equals_reference(self, monkeypatch, case, algorithm):
+    def test_prefix_equals_reference(self, case, algorithm):
         _, config, steps, prefixes, per_ack = case
-        batch, batch_per_ack = self.drive(monkeypatch, algorithm, config, steps)
+        batch, batch_per_ack = self.drive(algorithm, config, steps)
         assert batch.batch_runs == prefixes
         assert batch_per_ack == per_ack
 
     @pytest.mark.parametrize("algorithm", ["cubic-b", "lp"])
-    def test_avoidance_across_a_gap_with_an_rtt_step(self, monkeypatch, algorithm):
+    def test_avoidance_across_a_gap_with_an_rtt_step(self, algorithm):
         # Environment B's RTT step (0.8 s, then 1.0 s) in avoidance, with
         # lost ACKs in every round: CUBIC's target moves with the clock,
         # and TCP-LP's delay filter backs off inside the prefix, so its
@@ -606,20 +593,20 @@ class TestCleanPrefixParity:
         # re-entry, which the same prefix then continues.
         steps = [round_acks(0.8, drop=(2,)), round_acks(1.8, drop=(1, 5)),
                  round_acks(2.8, drop=(0, 4, -1)), round_acks(3.8, drop=(3,))]
-        batch, per_ack = self.drive(monkeypatch, algorithm,
+        batch, per_ack = self.drive(algorithm,
                                     dict(initial_window=12, initial_ssthresh=4.0),
                                     steps)
         assert batch.batch_runs >= len(steps)
         if algorithm == "lp":
             assert batch.state.cwnd < 12.0   # it backed off
 
-    def test_westwood_counts_the_jump_ack_in_full(self, monkeypatch):
+    def test_westwood_counts_the_jump_ack_in_full(self):
         # The ACK of the retransmission after a timeout jumps over the 40
         # packets held at the receiver and samples no RTT. Under the freeze
         # quirk no round completion resets Westwood+'s per-round count, so
         # it shows the jump counted in full, not as one packet.
         config = dict(initial_window=20, freeze_in_avoidance=True)
-        batch, per_ack = self.drive(monkeypatch, "westwood", config,
+        batch, per_ack = self.drive("westwood", config,
                                     [round_acks(1.0), fire_timer, jump_ack(30.0)])
         assert (batch.snd_una, batch.algorithm._acked_this_round) == (60, 40.0)
         assert batch.batch_runs == 2
@@ -692,26 +679,6 @@ class TestCustomSubclassSafety:
         windows_scalar, _ = drive_probe(scalar, use_ladder=False)
         assert windows_batch == windows_scalar
         assert batch.snapshot() == scalar.snapshot()
-
-
-class TestBatchKnob:
-    def test_knob_disables_fast_path(self, monkeypatch):
-        monkeypatch.setenv(ACK_BATCH_ENV, "0")
-        assert not ack_batch_enabled()
-        sender = make_sender("reno")
-        assert not sender._batch_enabled
-        windows, _ = drive_probe(sender)
-        assert sender.batch_runs == 0
-        monkeypatch.setenv(ACK_BATCH_ENV, "1")
-        assert ack_batch_enabled()
-        batch = make_sender("reno")
-        windows_batch, _ = drive_probe(batch)
-        assert batch.batch_runs > 0
-        assert windows_batch == windows
-
-    def test_knob_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv(ACK_BATCH_ENV, raising=False)
-        assert ack_batch_enabled()
 
 
 class TestSendBookkeepingPruning:

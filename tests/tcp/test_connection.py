@@ -216,12 +216,6 @@ class TestWindowClamps:
         windows, _, _ = drive_rounds(sender, rounds=8)
         assert max(windows) <= 20
 
-    def test_cwnd_moderation_limits_burst(self):
-        sender = make_sender(use_cwnd_moderation=True)
-        drive_rounds(sender, rounds=5)
-        in_flight = sender.snd_nxt - sender.snd_una
-        assert sender.state.cwnd <= in_flight + SenderConfig().moderation_burst + 1
-
     def test_freeze_in_avoidance_quirk(self):
         sender = make_sender(freeze_in_avoidance=True, initial_ssthresh=16.0)
         windows, _, _ = drive_rounds(sender, rounds=10)

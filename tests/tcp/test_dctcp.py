@@ -1,103 +1,25 @@
-"""Unit tests for DCTCP's ECN-fraction EWMA and proportional decrease."""
+"""DCTCP on CAAI's unmarked paths: RENO under another name, bit for bit."""
 
+import numpy as np
 import pytest
 
-from repro.tcp.algorithms.dctcp import MIN_REDUCED_CWND, Dctcp
+from repro.core.gather import GatherConfig, TraceGatherer
+from repro.net.conditions import NetworkCondition
+from repro.tcp.algorithms.dctcp import Dctcp
 from repro.tcp.algorithms.reno import Reno
-from repro.tcp.base import AckContext
+from tests.conftest import QUIRK_CONFIGS, make_synthetic_server
 from tests.tcp.algo_harness import make_state, measured_beta, run_avoidance
 
+LOSSY = NetworkCondition(average_rtt=0.2, rtt_std=0.0, loss_rate=0.02)
 
-def feedback_round(algorithm, state, marked, acked, now=1.0, rtt=1.0):
-    """One round boundary carrying one batch of ECN feedback."""
-    algorithm.on_ecn_feedback(state, marked, acked)
-    state.latest_rtt = rtt
-    state.last_round_rtt = rtt
-    algorithm.on_round_complete(
-        state, AckContext(now=now, rtt_sample=rtt, newly_acked_packets=0,
-                          round_completed=True))
-
-
-class TestAlphaEwma:
-    def test_initial_alpha_is_conservative(self):
-        assert Dctcp().alpha == pytest.approx(1.0)
-
-    def test_zero_marking_decays_alpha(self):
-        algorithm = Dctcp()
-        state = make_state(cwnd=100.0, ssthresh=50.0)
-        algorithm.on_connection_start(state)
-        feedback_round(algorithm, state, marked=0, acked=100)
-        # alpha <- (1 - 1/16) * 1.0 + (1/16) * 0.0
-        assert algorithm.alpha == pytest.approx(15.0 / 16.0)
-        # No marks: the window is not reduced.
-        assert state.cwnd == pytest.approx(100.0)
-
-    def test_full_marking_keeps_alpha_at_one(self):
-        algorithm = Dctcp()
-        state = make_state(cwnd=100.0, ssthresh=50.0)
-        algorithm.on_connection_start(state)
-        feedback_round(algorithm, state, marked=100, acked=100)
-        assert algorithm.alpha == pytest.approx(1.0)
-
-    def test_half_marking_converges_to_half(self):
-        algorithm = Dctcp()
-        state = make_state(cwnd=1000.0, ssthresh=50.0)
-        algorithm.on_connection_start(state)
-        for round_index in range(200):
-            state.cwnd = 1000.0  # isolate the EWMA from the reductions
-            feedback_round(algorithm, state, marked=50, acked=100,
-                           now=float(round_index))
-        assert algorithm.alpha == pytest.approx(0.5, abs=1e-3)
-
-    def test_counters_reset_each_round(self):
-        algorithm = Dctcp()
-        state = make_state(cwnd=100.0, ssthresh=50.0)
-        algorithm.on_connection_start(state)
-        feedback_round(algorithm, state, marked=10, acked=100)
-        assert algorithm._marked == 0
-        assert algorithm._acked == 0
-
-
-class TestProportionalDecrease:
-    def test_full_marking_halves_the_window(self):
-        algorithm = Dctcp()
-        state = make_state(cwnd=100.0, ssthresh=50.0)
-        algorithm.on_connection_start(state)
-        feedback_round(algorithm, state, marked=100, acked=100)
-        # alpha = 1.0 -> cwnd * (1 - 1/2)
-        assert state.cwnd == pytest.approx(50.0)
-
-    def test_light_marking_cuts_proportionally(self):
-        algorithm = Dctcp()
-        state = make_state(cwnd=100.0, ssthresh=50.0)
-        algorithm.on_connection_start(state)
-        # Drive alpha down first with many unmarked rounds.
-        for round_index in range(100):
-            feedback_round(algorithm, state, marked=0, acked=100,
-                           now=float(round_index))
-        small_alpha = algorithm.alpha
-        assert small_alpha < 0.01
-        state.cwnd = 100.0
-        feedback_round(algorithm, state, marked=5, acked=100, now=200.0)
-        # The cut uses the *updated* alpha, far gentler than halving.
-        assert state.cwnd > 95.0
-        assert state.cwnd < 100.0
-
-    def test_reduction_respects_the_floor(self):
-        algorithm = Dctcp()
-        state = make_state(cwnd=3.0, ssthresh=2.0)
-        algorithm.on_connection_start(state)
-        feedback_round(algorithm, state, marked=3, acked=3)
-        assert state.cwnd == pytest.approx(MIN_REDUCED_CWND)
-
-    def test_marks_in_slow_start_end_it_without_cutting(self):
-        algorithm = Dctcp()
-        state = make_state(cwnd=50.0, ssthresh=1000.0)  # in slow start
-        algorithm.on_connection_start(state)
-        feedback_round(algorithm, state, marked=10, acked=50)
-        assert state.cwnd == pytest.approx(50.0)
-        assert state.ssthresh == pytest.approx(50.0)
-        assert not state.in_slow_start()
+#: (label, condition, sender kwargs) of the probes DCTCP and RENO must share.
+PROBES = [
+    ("ideal", NetworkCondition.ideal(), dict()),
+    ("lossy", LOSSY, dict()),
+    ("frto", NetworkCondition.ideal(), dict(use_frto=True)),
+    ("frto-lossy", LOSSY, dict(use_frto=True)),
+    *((label, LOSSY, quirk) for label, quirk in QUIRK_CONFIGS),
+]
 
 
 class TestRenoEquivalenceWithoutEcn:
@@ -108,41 +30,23 @@ class TestRenoEquivalenceWithoutEcn:
         reno_run = run_avoidance(Reno(), reno_state, rounds=30, rtt=1.0)
         assert dctcp_run == reno_run  # exact float equality
 
-    def test_round_complete_is_a_no_op_without_feedback(self):
-        algorithm = Dctcp()
-        state = make_state(cwnd=100.0, ssthresh=50.0)
-        algorithm.on_connection_start(state)
-        state.last_round_rtt = 1.0
-        algorithm.on_round_complete(
-            state, AckContext(now=1.0, rtt_sample=1.0, newly_acked_packets=0,
-                              round_completed=True))
-        assert state.cwnd == pytest.approx(100.0)
-        assert algorithm.alpha == pytest.approx(1.0)
-
     def test_loss_beta_matches_reno_when_unmarked(self):
-        # alpha stays 1.0 without marks, so the timeout response is halving.
+        # RFC 8257's cut with no mark ever seen (alpha = 1.0) is halving.
         assert measured_beta(Dctcp(), 100.0) == pytest.approx(
             measured_beta(Reno(), 100.0))
 
-    def test_loss_beta_softens_with_low_alpha(self):
-        algorithm = Dctcp()
-        state = make_state(cwnd=100.0, ssthresh=50.0)
-        algorithm.on_connection_start(state)
-        for round_index in range(100):
-            feedback_round(algorithm, state, marked=0, acked=100,
-                           now=float(round_index))
-        state.cwnd = 100.0
-        ssthresh = algorithm.ssthresh_after_loss(state)
-        assert ssthresh > 99.0  # 100 * (1 - alpha/2) with tiny alpha
+    @pytest.mark.parametrize("w_timeout", [64, 512])
+    @pytest.mark.parametrize("label,condition,sender_kwargs", PROBES,
+                             ids=[probe[0] for probe in PROBES])
+    def test_probe_equals_reno(self, label, condition, sender_kwargs,
+                               w_timeout):
+        """Both environments' traces and the probe stream's end state."""
+        def probe(algorithm):
+            rng = np.random.default_rng(41)
+            gathered = TraceGatherer(GatherConfig(
+                w_timeout=w_timeout, mss=100)).gather_probe(
+                    make_synthetic_server(algorithm, **sender_kwargs),
+                    condition, rng)
+            return list(gathered.traces()), rng.bit_generator.state
 
-
-class TestConnectionLifecycle:
-    def test_connection_start_resets_everything(self):
-        algorithm = Dctcp()
-        state = make_state()
-        algorithm.on_ecn_feedback(state, 5, 10)
-        algorithm.alpha = 0.25
-        algorithm.on_connection_start(state)
-        assert algorithm.alpha == pytest.approx(1.0)
-        assert algorithm._marked == 0
-        assert algorithm._acked == 0
+        assert probe("dctcp") == probe("reno")

@@ -6,9 +6,10 @@ to a writer, a reader or a hash recipe fails here even when it is
 self-consistent.
 
 * **The frozen classic census** (``fixtures/classic_census_frozen.json``):
-  the report digest and the checkpoint file hashes of a classic-only,
-  zero-ECN census, frozen before the modern congestion-control families
-  were added.
+  the report digest and the checkpoint file hashes of a classic-only
+  census, frozen before the modern congestion-control families were added.
+  A failure names the NumPy version the pins were verified under and the
+  running one.
 * **Format-v1 stores** (``fixtures/v1_stores/``), written by the code
   before :mod:`repro.store` existed, with the steps below; each must still
   load and verify:
@@ -56,6 +57,7 @@ from repro.serving.artifact import load_model
 from repro.serving.orchestrator import CensusOrchestrator
 from repro.serving.queue import LOCK_NAME, QUEUE_NAME, WorkQueue
 from repro.web.population import PopulationConfig, ServerPopulation
+from tests.conftest import numpy_versions
 
 FIXTURES = Path(__file__).parent / "fixtures"
 V1_STORES = FIXTURES / "v1_stores"
@@ -74,7 +76,7 @@ def population(size: int, seed: int) -> ServerPopulation:
 
 
 class TestFrozenClassicCensus:
-    """A classic-only, zero-ECN census reproduces the frozen bytes."""
+    """A classic-only census reproduces the frozen bytes."""
 
     @pytest.fixture(scope="class")
     def classifier(self) -> CaaiClassifier:
@@ -94,7 +96,8 @@ class TestFrozenClassicCensus:
     def test_report_bytes(self, classifier, frozen):
         report = CensusRunner(classifier, CensusConfig(seed=17)).run(
             population(24, 424))
-        assert report_digest(report) == frozen["report_sha256"]
+        assert report_digest(report) == frozen["report_sha256"], (
+            numpy_versions())
 
     def test_checkpoint_bytes(self, classifier, frozen, tmp_path):
         runner = CensusRunner(classifier, CensusConfig(seed=17))
@@ -107,7 +110,7 @@ class TestFrozenClassicCensus:
         assert set(written) - set(frozen["checkpoint_files"]) == {
             QUEUE_NAME, LOCK_NAME}
         assert {name: written[name] for name in frozen["checkpoint_files"]
-                } == frozen["checkpoint_files"]
+                } == frozen["checkpoint_files"], numpy_versions()
 
 
 class TestV1Stores:
